@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmtcheck doclint race raceall bench perfjson servecheck corescale check cover faultcheck maintcheck dedupcheck qoscheck clean
+.PHONY: all build test vet fmtcheck doclint race raceall bench perfjson perfdiff servecheck corescale check cover faultcheck maintcheck dedupcheck qoscheck clean
 
 all: check
 
@@ -93,6 +93,15 @@ bench:
 PERFJSON_OUT ?= BENCH_10.json
 perfjson:
 	sh scripts/perfjson.sh $(PERFJSON_OUT)
+
+# Paired benchmark against a parent revision, by BENCHMARK.json's rule:
+# ten alternating parent/change pairs per workload plus a held-out seed,
+# run through perf/run.sh on both sides, then `perf/run.sh compare`
+# (exit 1 on any metric judged worse). About 25 minutes.
+#   make perfdiff BASE=HEAD~1
+perfdiff:
+	@test -n "$(BASE)" || { echo "usage: make perfdiff BASE=<rev>"; exit 2; }
+	bash scripts/perfdiff.sh $(BASE)
 
 # Serve-mode smoke: a short multi-step open-loop spec pushed through the
 # race detector on several cores — the concurrency gate for the live

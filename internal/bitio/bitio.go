@@ -8,6 +8,7 @@
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -133,8 +134,22 @@ func (r *Reader) Reset(data []byte) {
 }
 
 // fill loads bytes into the accumulator until it holds at least n bits or
-// input is exhausted.
+// input is exhausted; callers need it only when fewer than n are buffered.
+// Away from the end of the input it takes, in one load, every whole byte
+// that fits above the buffered bits (57 bits or more afterwards, enough
+// for any n).
 func (r *Reader) fill(n uint) {
+	if r.pos+8 <= len(r.data) {
+		k := (64 - r.nAcc) >> 3
+		v := binary.LittleEndian.Uint64(r.data[r.pos:])
+		if k < 8 {
+			v &= 1<<(8*k) - 1
+		}
+		r.acc |= v << r.nAcc
+		r.pos += int(k)
+		r.nAcc += 8 * k
+		return
+	}
 	for r.nAcc < n && r.pos < len(r.data) {
 		r.acc |= uint64(r.data[r.pos]) << r.nAcc
 		r.pos++
@@ -148,9 +163,10 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	if n > 57 {
 		panic(fmt.Sprintf("bitio: ReadBits n=%d out of range", n))
 	}
-	r.fill(n)
 	if r.nAcc < n {
-		return 0, ErrUnexpectedEOF
+		if r.fill(n); r.nAcc < n {
+			return 0, ErrUnexpectedEOF
+		}
 	}
 	v := r.acc & ((1 << n) - 1)
 	r.acc >>= n
@@ -171,7 +187,9 @@ func (r *Reader) Peek(n uint) (v uint64, avail uint) {
 	if n > 57 {
 		panic(fmt.Sprintf("bitio: Peek n=%d out of range", n))
 	}
-	r.fill(n)
+	if r.nAcc < n {
+		r.fill(n)
+	}
 	avail = r.nAcc
 	if avail > n {
 		avail = n

@@ -149,6 +149,60 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReaderMatchesBitwiseModel holds the reader — whose refill loads
+// eight bytes at a time away from the end of the input and one at a time
+// near it — to a bit-at-a-time model over mixed ReadBits, Peek/Skip and
+// Align calls that run past the end of short and long inputs.
+func TestReaderMatchesBitwiseModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 2000; trial++ {
+		data := make([]byte, rng.Intn(40))
+		rng.Read(data)
+		r := NewReader(data)
+		pos := 0 // model: next unread bit
+		bits := func(n int) (v uint64, avail int) {
+			for k := 0; k < n && pos+k < len(data)*8; k++ {
+				v |= uint64(data[(pos+k)/8]>>(uint(pos+k)%8)&1) << uint(k)
+				avail++
+			}
+			return v, avail
+		}
+		for step := 0; step < 60; step++ {
+			n := rng.Intn(58)
+			switch rng.Intn(4) {
+			case 0, 1:
+				want, avail := bits(n)
+				got, err := r.ReadBits(uint(n))
+				if avail < n {
+					if err != ErrUnexpectedEOF {
+						t.Fatalf("trial %d: ReadBits(%d) with %d bits left: err %v", trial, n, avail, err)
+					}
+					continue
+				}
+				if err != nil || got != want {
+					t.Fatalf("trial %d: ReadBits(%d) = %x, %v; want %x", trial, n, got, err, want)
+				}
+				pos += n
+			case 2:
+				want, avail := bits(n)
+				got, gotAvail := r.Peek(uint(n))
+				if got != want || int(gotAvail) != avail {
+					t.Fatalf("trial %d: Peek(%d) = %x, %d; want %x, %d", trial, n, got, gotAvail, want, avail)
+				}
+				skip := rng.Intn(avail + 1)
+				r.Skip(uint(skip))
+				pos += skip
+			default:
+				r.Align()
+				pos = (pos + 7) &^ 7
+			}
+			if got, want := r.BitsRemaining(), len(data)*8-pos; got != want {
+				t.Fatalf("trial %d: BitsRemaining = %d; want %d", trial, got, want)
+			}
+		}
+	}
+}
+
 func BenchmarkWriteBits(b *testing.B) {
 	w := NewWriter(1 << 20)
 	b.ReportAllocs()

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"sync"
 )
 
@@ -222,6 +223,23 @@ func Ratio(origLen, compLen int) float64 {
 		return 0
 	}
 	return float64(origLen) / float64(compLen)
+}
+
+// MatchLen returns how many leading bytes src[a:] and src[b:] share, up
+// to limit, comparing eight bytes at a time; a < b and b+limit <=
+// len(src). The LZ match finders (lzf, gz) extend candidates with it.
+func MatchLen(src []byte, a, b, limit int) int {
+	l := 0
+	for l+8 <= limit {
+		if x := binary.LittleEndian.Uint64(src[a+l:]) ^ binary.LittleEndian.Uint64(src[b+l:]); x != 0 {
+			return l + bits.TrailingZeros64(x)>>3
+		}
+		l += 8
+	}
+	for l < limit && src[a+l] == src[b+l] {
+		l++
+	}
+	return l
 }
 
 // Frame format

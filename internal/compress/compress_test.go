@@ -74,6 +74,24 @@ func TestRatio(t *testing.T) {
 	}
 }
 
+func TestMatchLen(t *testing.T) {
+	// Every common-prefix length 0..40 at every limit, against a byte loop.
+	src := make([]byte, 100)
+	for i := range src {
+		src[i] = byte(i*7 + 1)
+	}
+	const a, b = 3, 50
+	for same := 0; same <= 40; same++ {
+		copy(src[b:], src[a:a+same])
+		src[b+same] = src[a+same] + 1
+		for limit := 0; limit <= 45; limit++ {
+			if got, want := MatchLen(src, a, b, limit), min(same, limit); got != want {
+				t.Fatalf("MatchLen(same %d, limit %d) = %d; want %d", same, limit, got, want)
+			}
+		}
+	}
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	src := []byte("some payload worth framing, some payload worth framing")

@@ -18,6 +18,9 @@ package gz
 
 import (
 	"encoding/binary"
+	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"edc/internal/bitio"
@@ -72,26 +75,34 @@ var distCodes = [numDist]struct {
 	{16385, 13}, {24577, 13},
 }
 
-// lengthToCode maps a match length (3..258) to (symbol, extra value, bits).
-func lengthToCode(l int) (sym, extraVal int, extraBits uint) {
-	// Length 258 gets the top code in deflate; here codes cover 3..258 via
-	// the table, with the last bucket {227,5} spanning 227..258.
-	for i := len(lengthCodes) - 1; i >= 0; i-- {
-		if l >= lengthCodes[i].base {
-			return 257 + i, l - lengthCodes[i].base, lengthCodes[i].extra
+// lengthIndex[l] is the index into lengthCodes of match length l: the
+// last entry whose base is not above l. Length 258 gets the top code in
+// deflate; here the last bucket {227,5} spans 227..258.
+var lengthIndex = func() (t [maxMatch + 1]uint8) {
+	for i, c := range lengthCodes {
+		for l := c.base; l <= maxMatch; l++ {
+			t[l] = uint8(i)
 		}
 	}
-	return 257, 0, 0
+	return t
+}()
+
+// lengthToCode maps a match length (3..258) to (symbol, extra value, bits).
+func lengthToCode(l int) (sym, extraVal int, extraBits uint) {
+	i := int(lengthIndex[l])
+	return 257 + i, l - lengthCodes[i].base, lengthCodes[i].extra
 }
 
 // distToCode maps a distance (1..32768) to (symbol, extra value, bits).
+// From code 4 on, each power of two of d-1 holds two codes, told apart
+// by the bit below the leading one.
 func distToCode(d int) (sym, extraVal int, extraBits uint) {
-	for i := numDist - 1; i >= 0; i-- {
-		if d >= distCodes[i].base {
-			return i, d - distCodes[i].base, distCodes[i].extra
-		}
+	sym = d - 1
+	if d > 4 {
+		n := bits.Len32(uint32(d-1)) - 1
+		sym = 2*n + (d-1)>>(n-1)&1
 	}
-	return 0, 0, 0
+	return sym, d - distCodes[sym].base, distCodes[sym].extra
 }
 
 // token is one LZ77 output item.
@@ -121,7 +132,12 @@ func hash4(v uint32) uint32 { return (v * 2654435761) >> (32 - hashBits) }
 // compresses thousands of runs per trace); a sync.Pool keeps the codec
 // safe for concurrent use by parallel replay workers.
 type parseState struct {
+	// head holds, per hash, base plus the last position inserted with
+	// it. base moves past every position of a finished call plus
+	// maxDist, so whatever an earlier call left behind reads as further
+	// back than a match may reach and head is never refilled.
 	head     [hashSize]int32
+	base     int32
 	prev     []int32
 	tokens   []token
 	litFreq  [numLitLen]int64
@@ -138,7 +154,7 @@ type parseState struct {
 	distEnc  huffman.Encoder
 }
 
-var statePool = sync.Pool{New: func() interface{} { return new(parseState) }}
+var statePool = sync.Pool{New: func() interface{} { return &parseState{base: maxDist + 1} }}
 
 // decState is the per-decompression scratch: the bit reader, the parsed
 // code-length vectors, and the two canonical decoders (each owning its
@@ -155,6 +171,58 @@ type decState struct {
 
 var decPool = sync.Pool{New: func() interface{} { return new(decState) }}
 
+// insert chains position i under its hash. The last three positions
+// have no four bytes to hash and are never inserted.
+func (st *parseState) insert(src []byte, prev []int32, base, i int) {
+	if i+4 > len(src) {
+		return
+	}
+	h := hash4(binary.LittleEndian.Uint32(src[i:]))
+	prev[i] = st.head[h]
+	st.head[h] = int32(base + i)
+}
+
+// bestMatch finds the longest match for position i: the first of the
+// maxChain most recent positions with i's hash to reach that length.
+func (st *parseState) bestMatch(src []byte, prev []int32, base, i int) (dist, length int) {
+	if i+4 > len(src) {
+		return 0, 0
+	}
+	cur := binary.LittleEndian.Uint32(src[i:])
+	cand := st.head[hash4(cur)]
+	limit := len(src) - i
+	if limit > maxMatch {
+		limit = maxMatch
+	}
+	for chain := maxChain; chain > 0; chain-- {
+		c := int(cand) - base
+		if i-c > maxDist {
+			break // too far back, or left by an earlier call
+		}
+		// A candidate can only beat the best so far if it agrees with i
+		// on the bytes up to and including index length; test the last
+		// four of those (the first three while there is no match yet: a
+		// shorter agreement is no match at all) before counting.
+		var differ bool
+		if length >= minMatch {
+			differ = binary.LittleEndian.Uint32(src[c+length-3:]) != binary.LittleEndian.Uint32(src[i+length-3:])
+		} else {
+			differ = (binary.LittleEndian.Uint32(src[c:])^cur)&0xffffff != 0
+		}
+		if !differ {
+			if l := compress.MatchLen(src, c, i, limit); l > length {
+				length = l
+				dist = i - c
+				if l >= niceLength || l >= limit {
+					break
+				}
+			}
+		}
+		cand = prev[c]
+	}
+	return dist, length
+}
+
 // parse runs hash-chain LZ77 with one-token lazy evaluation, reusing the
 // state's scratch buffers. The returned token slice aliases st.tokens.
 func (st *parseState) parse(src []byte) []token {
@@ -162,87 +230,41 @@ func (st *parseState) parse(src []byte) []token {
 	if len(src) == 0 {
 		return tokens
 	}
-	head := &st.head
+	if int64(st.base)+int64(len(src))+maxDist > math.MaxInt32 {
+		st.head = [hashSize]int32{}
+		st.base = maxDist + 1
+	}
+	base := int(st.base)
+	st.base += int32(len(src)) + maxDist
 	if cap(st.prev) < len(src) {
 		st.prev = make([]int32, len(src))
 	}
 	// Stale prev entries are unreachable: a position is only chained
-	// from head (reset below) after insert overwrites its prev slot.
+	// from head after insert overwrites its prev slot.
 	prev := st.prev[:len(src)]
-	for i := range head {
-		head[i] = -1
-	}
-	insert := func(i int) {
-		if i+4 > len(src) {
-			return
-		}
-		h := hash4(binary.LittleEndian.Uint32(src[i:]))
-		prev[i] = head[h]
-		head[h] = int32(i)
-	}
-	// bestMatch finds the longest match for position i.
-	bestMatch := func(i int) (dist, length int) {
-		if i+minMatch > len(src) || i+4 > len(src) {
-			return 0, 0
-		}
-		h := hash4(binary.LittleEndian.Uint32(src[i:]))
-		cand := head[h]
-		limit := len(src) - i
-		if limit > maxMatch {
-			limit = maxMatch
-		}
-		chain := maxChain
-		for cand >= 0 && chain > 0 {
-			c := int(cand)
-			if i-c > maxDist {
-				break
-			}
-			if src[c+length] == src[i+length] { // quick reject on current best
-				l := 0
-				for l < limit && src[c+l] == src[i+l] {
-					l++
-				}
-				if l > length {
-					length = l
-					dist = i - c
-					if l >= niceLength || l >= limit {
-						break
-					}
-				}
-			}
-			cand = prev[c]
-			chain--
-		}
-		if length < minMatch {
-			return 0, 0
-		}
-		return dist, length
-	}
 	i := 0
 	for i < len(src) {
-		dist, length := bestMatch(i)
+		dist, length := st.bestMatch(src, prev, base, i)
 		if length >= minMatch {
 			// Lazy: if the next position has a strictly better match, emit
 			// a literal instead and take the longer match next round.
+			st.insert(src, prev, base, i)
 			if length < niceLength && i+1 < len(src) {
-				insert(i)
-				d2, l2 := bestMatch(i + 1)
+				d2, l2 := st.bestMatch(src, prev, base, i+1)
 				if l2 > length+1 {
 					tokens = append(tokens, token{lit: src[i]})
 					i++
 					dist, length = d2, l2
 				}
-			} else {
-				insert(i)
 			}
 			tokens = append(tokens, token{dist: int32(dist), len: int32(length)})
 			for j := i + 1; j < i+length; j++ {
-				insert(j)
+				st.insert(src, prev, base, j)
 			}
 			i += length
 			continue
 		}
-		insert(i)
+		st.insert(src, prev, base, i)
 		tokens = append(tokens, token{lit: src[i]})
 		i++
 	}
@@ -341,21 +363,22 @@ func appendHuffman(dst, src []byte) []byte {
 	huffman.WriteLengths(&w, distLens)
 	for _, t := range tokens {
 		if t.dist == 0 {
-			_ = litEnc.Encode(&w, int(t.lit))
+			c := litEnc.Code(int(t.lit))
+			w.WriteBits(uint64(c.Bits), uint(c.Len))
 			continue
 		}
+		// Length code, its extra bits, distance code and its extra bits
+		// go out as one field: at most 15+5+15+13 bits.
 		s, ev, eb := lengthToCode(int(t.len))
-		_ = litEnc.Encode(&w, s)
-		if eb > 0 {
-			w.WriteBits(uint64(ev), eb)
-		}
+		c := litEnc.Code(s)
+		v, n := uint64(c.Bits)|uint64(ev)<<c.Len, uint(c.Len)+eb
 		ds, dev, deb := distToCode(int(t.dist))
-		_ = distEnc.Encode(&w, ds)
-		if deb > 0 {
-			w.WriteBits(uint64(dev), deb)
-		}
+		c = distEnc.Code(ds)
+		v |= (uint64(c.Bits) | uint64(dev)<<c.Len) << n
+		w.WriteBits(v, n+uint(c.Len)+deb)
 	}
-	_ = litEnc.Encode(&w, eob)
+	c := litEnc.Code(eob)
+	w.WriteBits(uint64(c.Bits), uint(c.Len))
 	return w.Bytes()
 }
 
@@ -422,6 +445,10 @@ func (*Codec) DecompressAppend(dst, src []byte, origLen int) ([]byte, error) {
 	}
 	base := len(dst)
 	out := dst
+	if origLen > 0 {
+		// Size the output once; every append below then stays in place.
+		out = slices.Grow(out, origLen)
+	}
 	for {
 		sym, err := litDec.Decode(r)
 		if err != nil {
@@ -470,6 +497,11 @@ func (*Codec) DecompressAppend(dst, src []byte, origLen int) ([]byte, error) {
 			if ref < base || len(out)-base+length > origLen {
 				return dst, compress.ErrCorrupt
 			}
+			if dist >= length {
+				out = append(out, out[ref:ref+length]...)
+				continue
+			}
+			// Overlapping reference: the copy must see its own output.
 			for k := 0; k < length; k++ {
 				out = append(out, out[ref+k])
 			}

@@ -15,6 +15,11 @@
 package lzf
 
 import (
+	"encoding/binary"
+	"math"
+	"slices"
+	"sync"
+
 	"edc/internal/compress"
 )
 
@@ -50,9 +55,36 @@ func load3(src []byte, i int) uint32 {
 	return uint32(src[i]) | uint32(src[i+1])<<8 | uint32(src[i+2])<<16
 }
 
+// matchTable is the encoder's hash table: for each 3-byte hash, the
+// most recent position that had it. Entries are stored as base+position
+// and base moves past every position of a finished call plus maxOff, so
+// whatever an earlier call left behind reads as further back than any
+// reference may reach and the table is never cleared between calls. A
+// sync.Pool keeps the codec safe for concurrent use by replay workers.
+type matchTable struct {
+	pos  [hashSize]int32
+	base int32
+}
+
+var tablePool = sync.Pool{New: func() interface{} { return &matchTable{base: maxOff + 1} }}
+
 // Compress implements compress.Codec.
 func (c *Codec) Compress(src []byte) []byte {
 	return c.AppendCompress(make([]byte, 0, len(src)+len(src)/16+16), src)
+}
+
+// appendLits appends lits as literal runs of at most maxLit bytes.
+func appendLits(out, lits []byte) []byte {
+	for len(lits) > maxLit {
+		out = append(out, maxLit-1)
+		out = append(out, lits[:maxLit]...)
+		lits = lits[maxLit:]
+	}
+	if len(lits) > 0 {
+		out = append(out, byte(len(lits)-1))
+		out = append(out, lits...)
+	}
+	return out
 }
 
 // AppendCompress implements compress.Appender: it appends the
@@ -60,46 +92,36 @@ func (c *Codec) Compress(src []byte) []byte {
 // extended slice. The hot replay path calls it with pooled buffers so a
 // compression allocates nothing in steady state.
 func (*Codec) AppendCompress(dst, src []byte) []byte {
-	out := dst
 	if len(src) == 0 {
-		return out
+		return dst
 	}
-	var table [hashSize]int32
-	for i := range table {
-		table[i] = -1
+	t := tablePool.Get().(*matchTable)
+	out := t.appendCompress(dst, src)
+	tablePool.Put(t)
+	return out
+}
+
+// appendCompress is AppendCompress over this table.
+func (t *matchTable) appendCompress(out, src []byte) []byte {
+	if int64(t.base)+int64(len(src))+maxOff > math.MaxInt32 {
+		*t = matchTable{base: maxOff + 1}
 	}
+	table, base := &t.pos, int(t.base)
 	litStart := 0 // start of the pending literal run
 	i := 0
-	flushLits := func(end int) {
-		for litStart < end {
-			n := end - litStart
-			if n > maxLit {
-				n = maxLit
-			}
-			out = append(out, byte(n-1))
-			out = append(out, src[litStart:litStart+n]...)
-			litStart += n
-		}
-	}
-	for i+minMatch <= len(src)-tailGuard {
-		h := hash3(load3(src, i))
-		cand := table[h]
-		table[h] = int32(i)
-		if cand < 0 || i-int(cand) > maxOff || load3(src, int(cand)) != load3(src, i) {
+	// Every position the loop visits has at least tailGuard bytes after
+	// its three, so one 32-bit load covers the hash and the comparison.
+	for last := len(src) - tailGuard - minMatch; i <= last; {
+		v := binary.LittleEndian.Uint32(src[i:])
+		h := hash3(v)
+		ref := int(table[h]) - base
+		table[h] = int32(base + i)
+		if i-ref > maxOff || (binary.LittleEndian.Uint32(src[ref:])^v)&0xffffff != 0 {
 			i++
 			continue
 		}
-		// Extend the match.
-		ref := int(cand)
-		mlen := minMatch
-		limit := len(src) - i
-		if limit > maxMatch {
-			limit = maxMatch
-		}
-		for mlen < limit && src[ref+mlen] == src[i+mlen] {
-			mlen++
-		}
-		flushLits(i)
+		mlen := compress.MatchLen(src, ref, i, min(len(src)-i, maxMatch))
+		out = appendLits(out, src[litStart:i])
 		off := i - ref - 1
 		l := mlen - 2
 		if l < 7 {
@@ -109,14 +131,18 @@ func (*Codec) AppendCompress(dst, src []byte) []byte {
 		}
 		// Insert hashes inside the match so later matches can refer in.
 		end := i + mlen
-		for j := i + 1; j < end && j+minMatch <= len(src); j++ {
-			table[hash3(load3(src, j))] = int32(j)
+		j := i + 1
+		for stop := min(end, len(src)-3); j < stop; j++ {
+			table[hash3(binary.LittleEndian.Uint32(src[j:]))] = int32(base + j)
+		}
+		if j < end && j+minMatch <= len(src) {
+			table[hash3(load3(src, j))] = int32(base + j)
 		}
 		i = end
 		litStart = i
 	}
-	flushLits(len(src))
-	return out
+	t.base = int32(base + len(src) + maxOff)
+	return appendLits(out, src[litStart:])
 }
 
 // Decompress implements compress.Codec.
@@ -135,6 +161,10 @@ func (c *Codec) Decompress(src []byte, origLen int) ([]byte, error) {
 func (*Codec) DecompressAppend(dst, src []byte, origLen int) ([]byte, error) {
 	base := len(dst)
 	out := dst
+	if origLen > 0 {
+		// Size the output once; every append below then stays in place.
+		out = slices.Grow(out, origLen)
+	}
 	i := 0
 	for i < len(src) {
 		ctrl := int(src[i])
@@ -166,7 +196,11 @@ func (*Codec) DecompressAppend(dst, src []byte, origLen int) ([]byte, error) {
 		if ref < base || len(out)-base+mlen > origLen {
 			return dst, compress.ErrCorrupt
 		}
-		// Byte-by-byte copy: overlapping references are legal.
+		if off+1 >= mlen {
+			out = append(out, out[ref:ref+mlen]...)
+			continue
+		}
+		// Overlapping reference: the copy must see its own output.
 		for k := 0; k < mlen; k++ {
 			out = append(out, out[ref+k])
 		}

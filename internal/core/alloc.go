@@ -194,22 +194,20 @@ func (a *Allocator) Rebuild(reserved []Range) error {
 }
 
 // QuantizeSlot maps a compressed length to the paper's quantized slot
-// size: the smallest of 25/50/75/100 % of origLen that fits. It returns
-// origLen (and false) when the compressed form would need more than 75 %
-// — the block should then be stored uncompressed (Sec. III-C).
+// size: the smallest of 25/50/75 % of origLen (each rounded up to a whole
+// byte) that fits. It returns origLen (and false) when no such slot is
+// smaller than the block itself — the compressed form needs more than
+// 75 %, or origLen is too short for the rounded quarter to leave room —
+// and the block should then be stored uncompressed (Sec. III-C).
 func QuantizeSlot(origLen, compLen int64) (slot int64, compressed bool) {
 	if origLen <= 0 {
 		return 0, false
 	}
 	quarter := (origLen + 3) / 4
-	switch {
-	case compLen <= quarter:
-		return quarter, true
-	case compLen <= 2*quarter:
-		return 2 * quarter, true
-	case compLen <= 3*quarter:
-		return 3 * quarter, true
-	default:
-		return origLen, false
+	for slot = quarter; slot < origLen; slot += quarter {
+		if compLen <= slot {
+			return slot, true
+		}
 	}
+	return origLen, false
 }

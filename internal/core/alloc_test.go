@@ -23,6 +23,12 @@ func TestQuantizeSlot(t *testing.T) {
 		{4096, 5000, 4096, false},
 		{0, 10, 0, false},
 		{16384, 4096, 4096, true},
+		// Lengths that are not a multiple of 4: the rounded-up quarters
+		// reach or pass the block, and such a slot is not a compressed one.
+		{5, 6, 5, false}, // was (6, true): TestQuantizeSlotProperty input 0x4, 0xb8414652
+		{2, 3, 2, false},
+		{5, 4, 4, true},
+		{1, 1, 1, false},
 	}
 	for _, c := range cases {
 		slot, ok := QuantizeSlot(c.orig, c.comp)
@@ -39,8 +45,8 @@ func TestQuantizeSlotProperty(t *testing.T) {
 		c := int64(comp % uint32(2*o))
 		slot, ok := QuantizeSlot(o, c)
 		if ok {
-			// Slot holds the payload and stays within the original.
-			return slot >= c && slot <= o && slot*4 >= o // at least 25%
+			// Slot holds the payload and is smaller than the original.
+			return slot >= c && slot < o && slot*4 >= o // at least 25%
 		}
 		return slot == o
 	}

@@ -418,7 +418,7 @@ func (d *Device) Play(t *trace.Trace) (*RunStats, error) {
 		// run this device's codec futures.
 		q := parallel.Shared().NewQueue()
 		d.wp.pool = q
-		d.rp.pool = q
+		d.rp.usePool(q)
 		defer func() {
 			q.Close()
 			d.wp.pool = nil
@@ -436,8 +436,11 @@ func (d *Device) Play(t *trace.Trace) (*RunStats, error) {
 	return d.stats, d.fs.err
 }
 
-// finalize snapshots end-of-run state into stats.
+// finalize joins the read path's outstanding verifications (the last
+// place a mismatch can fail the run) and snapshots end-of-run state
+// into stats.
 func (d *Device) finalize() {
+	d.rp.drainVerify()
 	s := d.stats
 	s.LiveBlocks = d.se.mapping.LiveBlocks()
 	s.LiveSlotBytes = d.se.alloc.InUse()

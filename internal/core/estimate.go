@@ -16,18 +16,32 @@ type Estimator struct {
 	// Samples is the number of windows spread evenly across the block.
 	Samples int
 
-	// Repeated-4-gram hash-set scratch, reused across calls with an
-	// epoch tag so it never needs re-zeroing. An Estimator belongs to
-	// one Device and is only used from its event-loop goroutine; the
-	// estimate itself stays a pure function of the input.
-	seen  [512]uint32
-	epoch [512]uint32
-	cur   uint32
+	// seen is the repeated-4-gram hash set, zeroed per window: an empty
+	// slot then holds the one 4-gram that never counts as a match, so
+	// the slots need no occupancy tag. An Estimator belongs to one Device
+	// and is only used from its event-loop goroutine; the estimate itself
+	// stays a pure function of the input.
+	seen [512]uint32
 }
+
+// stdWindow is the default sample window; plogp[c] is the entropy term
+// p*log2(p) of a byte value seen c times in a window of that size, by the
+// same expression estimateWindow evaluates for any other size. (The
+// conversion keeps a compiler from fusing the product into the running
+// sum on one architecture and not another.)
+const stdWindow = 256
+
+var plogp = func() (t [stdWindow + 1]float64) {
+	for c := 1; c <= stdWindow; c++ {
+		p := float64(c) / stdWindow
+		t[c] = float64(p * math.Log2(p))
+	}
+	return t
+}()
 
 // NewEstimator returns the default estimator: three 256-byte windows.
 func NewEstimator() *Estimator {
-	return &Estimator{SampleSize: 256, Samples: 3}
+	return &Estimator{SampleSize: stdWindow, Samples: 3}
 }
 
 // WriteThroughRatio is the minimum estimated compression ratio at which
@@ -47,7 +61,7 @@ func (e *Estimator) EstimateRatio(data []byte) float64 {
 	}
 	ss := e.SampleSize
 	if ss <= 0 {
-		ss = 256
+		ss = stdWindow
 	}
 	k := e.Samples
 	if k <= 0 {
@@ -77,38 +91,37 @@ func (e *Estimator) estimateWindow(w []byte) float64 {
 	for _, b := range w {
 		counts[b]++
 	}
-	n := float64(len(w))
 	entropy := 0.0
-	for _, c := range counts {
-		if c == 0 {
-			continue
+	if len(w) == stdWindow {
+		for _, c := range counts {
+			entropy -= plogp[c]
 		}
-		p := float64(c) / n
-		entropy -= p * math.Log2(p)
+	} else {
+		n := float64(len(w))
+		for _, c := range counts {
+			if c == 0 {
+				continue
+			}
+			p := float64(c) / n
+			entropy -= float64(p * math.Log2(p))
+		}
 	}
 	// Repeated 4-gram fraction: how often a 4-byte window was seen
 	// before (cheap LZ-match proxy) using a small hash set.
 	matchFrac := 0.0
 	if len(w) >= 8 {
-		if e.cur == ^uint32(0) {
-			// Epoch wrap: reset the tags so stale entries cannot alias.
-			e.epoch = [512]uint32{}
-			e.cur = 0
-		}
-		e.cur++
+		e.seen = [512]uint32{}
 		matches := 0
-		total := 0
-		for i := 0; i+4 <= len(w); i++ {
-			v := uint32(w[i]) | uint32(w[i+1])<<8 | uint32(w[i+2])<<16 | uint32(w[i+3])<<24
+		v := uint32(w[0])<<8 | uint32(w[1])<<16 | uint32(w[2])<<24
+		for _, b := range w[3:] {
+			v = v>>8 | uint32(b)<<24
 			h := (v * 2654435761) >> 23 // 9 bits
-			if e.epoch[h] == e.cur && e.seen[h] == v && v != 0 {
+			if e.seen[h] == v && v != 0 {
 				matches++
 			}
 			e.seen[h] = v
-			e.epoch[h] = e.cur
-			total++
 		}
-		matchFrac = float64(matches) / float64(total)
+		matchFrac = float64(matches) / float64(len(w)-3)
 	}
 	// Entropy bound: ratio_H = 8/H. LZ matches push the achievable ratio
 	// above the order-0 bound; blend the two signals.

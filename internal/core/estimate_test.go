@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -93,6 +94,128 @@ func TestEstimatorAgreesWithRealCodec(t *testing.T) {
 	}
 	if agree < total*7/10 {
 		t.Fatalf("estimator agreed with gz on only %d/%d chunks", agree, total)
+	}
+}
+
+// refEstimator is the estimator as it was before estimateWindow was
+// rewritten for speed — math.Log2 per distinct byte value, four byte
+// loads per 4-gram, an epoch-tagged hash set — kept as the definition of
+// the ratio the fast loop must reproduce bit for bit.
+type refEstimator struct {
+	sampleSize, samples int
+	seen, epoch         [512]uint32
+	cur                 uint32
+}
+
+func (e *refEstimator) estimateRatio(data []byte) float64 {
+	n := len(data)
+	if n == 0 {
+		return 1
+	}
+	ss, k := e.sampleSize, e.samples
+	if ss*k >= n {
+		return e.estimateWindow(data)
+	}
+	var sum float64
+	stride := (n - ss) / k
+	for i := 0; i < k; i++ {
+		off := i * stride
+		sum += e.estimateWindow(data[off : off+ss])
+	}
+	return sum / float64(k)
+}
+
+func (e *refEstimator) estimateWindow(w []byte) float64 {
+	if len(w) == 0 {
+		return 1
+	}
+	var counts [256]int
+	for _, b := range w {
+		counts[b]++
+	}
+	n := float64(len(w))
+	entropy := 0.0
+	for _, c := range counts {
+		if c == 0 {
+			continue
+		}
+		p := float64(c) / n
+		entropy -= float64(p * math.Log2(p))
+	}
+	matchFrac := 0.0
+	if len(w) >= 8 {
+		if e.cur == ^uint32(0) {
+			e.epoch = [512]uint32{}
+			e.cur = 0
+		}
+		e.cur++
+		matches := 0
+		total := 0
+		for i := 0; i+4 <= len(w); i++ {
+			v := uint32(w[i]) | uint32(w[i+1])<<8 | uint32(w[i+2])<<16 | uint32(w[i+3])<<24
+			h := (v * 2654435761) >> 23 // 9 bits
+			if e.epoch[h] == e.cur && e.seen[h] == v && v != 0 {
+				matches++
+			}
+			e.seen[h] = v
+			e.epoch[h] = e.cur
+			total++
+		}
+		matchFrac = float64(matches) / float64(total)
+	}
+	ratioH := 8.0 / math.Max(entropy, 0.4)
+	ratio := ratioH * (1 + 2.5*matchFrac)
+	if ratio < 1 {
+		ratio = 1
+	}
+	if ratio > 40 {
+		ratio = 40
+	}
+	return ratio
+}
+
+// TestEstimateMatchesReference compares the two over generated blocks of
+// every content class, blocks too short to sample (under three windows),
+// zero runs that plant the all-zero 4-gram, and a non-default window.
+func TestEstimateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	gens := []*datagen.Generator{
+		datagen.New(datagen.Enterprise(), 1),
+		datagen.New(datagen.LinuxSrc(), 2),
+		datagen.New(datagen.Media(), 3),
+	}
+	est, ref := NewEstimator(), &refEstimator{sampleSize: 256, samples: 3}
+	odd, oddRef := &Estimator{SampleSize: 100, Samples: 5}, &refEstimator{sampleSize: 100, samples: 5}
+	blocks := 60000
+	if testing.Short() {
+		blocks = 6000
+	}
+	var buf []byte
+	for i := 0; i < blocks; i++ {
+		var n int
+		switch i % 3 {
+		case 0:
+			n = 1 + rng.Intn(768) // one window, any length
+		case 1:
+			n = 4096
+		default:
+			n = 769 + rng.Intn(16<<10)
+		}
+		buf = gens[i%len(gens)].AppendBlock(buf[:0], int64(rng.Intn(1<<20))<<12, n, uint32(i))
+		if i%11 == 0 {
+			z := rng.Intn(n)
+			for j := z; j < n && j < z+64; j++ {
+				buf[j] = 0
+			}
+		}
+		if got, want := est.EstimateRatio(buf), ref.estimateRatio(buf); got != want {
+			t.Fatalf("block %d (%d B): ratio %v, reference %v", i, n, got, want)
+		}
+		if i%8 == 0 {
+			if got, want := odd.EstimateRatio(buf), oddRef.estimateRatio(buf); got != want {
+				t.Fatalf("block %d (%d B), 5x100 windows: ratio %v, reference %v", i, n, got, want)
+			}
+		}
 	}
 }
 

@@ -12,7 +12,15 @@ import (
 
 func newPacedServer(t *testing.T, shards int, vol int64) *Server {
 	t.Helper()
-	reg := defaultTestRegistry(t)
+	return newPacedServerWith(t, shards, vol, Options{Data: datagen.New(datagen.Enterprise(), 11)})
+}
+
+// newPacedServerWith builds the paced verify-mode server over the given
+// per-shard options (registry and verification are filled in).
+func newPacedServerWith(t *testing.T, shards int, vol int64, opts Options) *Server {
+	t.Helper()
+	opts.Registry = defaultTestRegistry(t)
+	opts.VerifyReads = true
 	sv, err := NewServer(ServeSetup{
 		Shards:      shards,
 		VolumeBytes: vol,
@@ -25,14 +33,8 @@ func newPacedServer(t *testing.T, shards int, vol int64) *Server {
 			}
 			return NewSingleSSD(eng, d), nil
 		},
-		Options: func(int) (Options, error) {
-			return Options{
-				Registry:    reg,
-				Data:        datagen.New(datagen.Enterprise(), 11),
-				VerifyReads: true,
-			}, nil
-		},
-		Paced: true,
+		Options: func(int) (Options, error) { return opts, nil },
+		Paced:   true,
 	})
 	if err != nil {
 		t.Fatal(err)

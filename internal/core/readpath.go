@@ -38,11 +38,22 @@ type readPath struct {
 
 	// Real-CPU pipeline: verify-mode decompression dispatched at read
 	// submission runs on pool workers while the event loop advances
-	// virtual time; the completion event joins on the future, exactly as
-	// the write path joins codec futures at store time. The executor is
-	// this pipeline's queue on the process-wide work-stealing pool and
-	// exists only while the pipeline runs.
-	pool parallel.Executor
+	// virtual time. The completion event does not wait for it: it parks
+	// the future in lag, a fixed ring as deep as the executor's backlog,
+	// and joins only the oldest entry when the ring is full; drainVerify
+	// joins the rest at every exit. A mismatch is therefore reported
+	// len(lag) verified extents after the bad one completed (or at the
+	// exit), a point fixed by the operation order. The bound is in
+	// extents, not in time: a serve shard that goes idle keeps its
+	// parked verifications unjoined until its next verified read or
+	// StopServe (DESIGN.md §16). The write path cannot lag the same way:
+	// store needs the payload length to quantise the slot. The executor
+	// is this pipeline's queue on the process-wide work-stealing pool
+	// and exists only while the pipeline runs.
+	pool    parallel.Executor
+	lag     []*parallel.Future[verifyResult]
+	lagHead int
+	lagN    int
 
 	// complete finishes one host read; drop releases a read without
 	// observing it on a failed run.
@@ -116,7 +127,7 @@ func (rp *readPath) read(arrival time.Duration, off, size int64, done func(time.
 			// captured at submission time). With a worker pool, the whole
 			// verification (decompress + regenerate + compare) is pure CPU
 			// work over that immutable snapshot, so it is dispatched here
-			// and joined at the completion event — the freelist buffers are
+			// and parked at the completion event — the freelist buffers are
 			// taken and returned on the event-loop goroutine only.
 			var vfut *parallel.Future[verifyResult]
 			var payload []byte
@@ -134,12 +145,7 @@ func (rp *readPath) read(arrival time.Duration, off, size int64, done func(time.
 					return
 				}
 				if vfut != nil {
-					res := vfut.Wait()
-					rp.se.putBuf(res.got)
-					rp.se.putBuf(res.want)
-					if res.err != nil {
-						rp.fs.fail(res.err)
-					}
+					rp.park(vfut)
 					return
 				}
 				rp.verifyExtent(ext, payload)
@@ -188,6 +194,47 @@ func (rp *readPath) issueRead(devOff, bytes int64, extra time.Duration, off, siz
 			done()
 		}
 	})
+}
+
+// usePool routes verification through q for the coming run and sizes
+// the lag ring to q's backlog: with more verifications outstanding than
+// the queue can hold, the submitter would run them inline anyway.
+func (rp *readPath) usePool(q *parallel.Queue) {
+	rp.pool = q
+	rp.lag = make([]*parallel.Future[verifyResult], q.Cap())
+}
+
+// park records the verification of a read that just completed, joining
+// the oldest parked one first when the ring is full.
+func (rp *readPath) park(f *parallel.Future[verifyResult]) {
+	if rp.lagN == len(rp.lag) {
+		rp.joinOldest()
+	}
+	rp.lag[(rp.lagHead+rp.lagN)%len(rp.lag)] = f
+	rp.lagN++
+}
+
+// joinOldest waits for the oldest parked verification, recycles its
+// buffers and records a mismatch.
+func (rp *readPath) joinOldest() {
+	res := rp.lag[rp.lagHead].Wait()
+	rp.lag[rp.lagHead] = nil
+	rp.lagHead = (rp.lagHead + 1) % len(rp.lag)
+	rp.lagN--
+	rp.se.putBuf(res.got)
+	rp.se.putBuf(res.want)
+	if res.err != nil {
+		rp.fs.fail(res.err)
+	}
+}
+
+// drainVerify joins every parked verification. Device.finalize calls it,
+// so no run returns its results — or closes its queue — with one
+// outstanding.
+func (rp *readPath) drainVerify() {
+	for rp.lagN > 0 {
+		rp.joinOldest()
+	}
 }
 
 // tagName resolves a codec tag to its registry name for the event

@@ -549,7 +549,7 @@ func (ss *serveShard) run() {
 		// drained by whatever workers the cold shards leave idle.
 		q := parallel.Shared().NewQueue()
 		ss.dev.wp.pool = q
-		ss.dev.rp.pool = q
+		ss.dev.rp.usePool(q)
 		defer func() {
 			q.Close()
 			ss.dev.wp.pool = nil
@@ -722,8 +722,9 @@ func (ss *serveShard) arrive(op *serveOp) {
 	if ts != nil {
 		ts.Reads++
 	}
-	d.wp.noteRead()
-	d.rp.read(now, op.off, op.size, done)
+	// Reads enter through the frontend's read entry (pending-run flush,
+	// then the read plan), the same one replay admits them through.
+	d.fe.onRead(now, op.off, op.size, done)
 }
 
 // failAll completes every pending operation with the shard's fatal

@@ -405,6 +405,11 @@ func (e *Encoder) Encode(w *bitio.Writer, sym int) error {
 	return nil
 }
 
+// Code returns sym's code, for callers that pack it with other fields
+// into one bit-writer call; Len is 0 for an unused symbol. sym must be
+// in [0, NumSymbols()).
+func (e *Encoder) Code(sym int) Code { return e.codes[sym] }
+
 // CodeLen returns the code length for sym (0 if unused or out of range).
 func (e *Encoder) CodeLen(sym int) int {
 	if sym < 0 || sym >= len(e.codes) {

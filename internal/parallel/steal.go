@@ -186,6 +186,11 @@ type Queue struct {
 	_    [64]byte // cache-line pad against false sharing between queues
 }
 
+// Cap returns the queue's fixed capacity: how many jobs can wait for a
+// worker before Submit runs the next one inline. Clients that let
+// results lag behind their consumer size that window from it.
+func (q *Queue) Cap() int { return len(q.jobs) }
+
 // push appends under q.mu; it reports false when the ring is full.
 func (q *Queue) push(f func()) bool {
 	q.mu.Lock()
