@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmtcheck doclint race raceall bench perfjson perfdiff servecheck corescale check cover faultcheck maintcheck dedupcheck qoscheck clean
+.PHONY: all build test vet fmtcheck doclint race raceall bench perfdiff servecheck corescale check cover matrixcheck qoscheck clean
 
 all: check
 
@@ -35,40 +35,12 @@ race:
 raceall:
 	$(GO) test -race ./...
 
-# Determinism gate for the fault layer: replay fig8 twice under a canned
-# fault plan and fail on any byte of divergence.
-FAULTPLAN := {"seed":7,"read_transient":0.01,"write_transient":0.02,"write_hard":0.005,"spike_rate":0.01,"spike_latency":"2ms"}
-faultcheck:
-	$(GO) run ./cmd/edcbench -experiment fig8 -format csv -requests 3000 -faults '$(FAULTPLAN)' > /tmp/edc-faultcheck-1.csv
-	$(GO) run ./cmd/edcbench -experiment fig8 -format csv -requests 3000 -faults '$(FAULTPLAN)' > /tmp/edc-faultcheck-2.csv
-	cmp /tmp/edc-faultcheck-1.csv /tmp/edc-faultcheck-2.csv
-	@echo "faultcheck OK: fig8 under the canned fault plan is deterministic"
-
-# Determinism gate for background maintenance: replay the maint
-# experiment (EDC off/on over the four traces) twice under the race
-# detector — once single-pipeline, once sharded — and fail on any byte
-# of divergence.
-maintcheck:
-	GOMAXPROCS=4 $(GO) run -race ./cmd/edcbench -experiment maint -format csv -requests 3000 > /tmp/edc-maintcheck-1.csv
-	GOMAXPROCS=4 $(GO) run -race ./cmd/edcbench -experiment maint -format csv -requests 3000 > /tmp/edc-maintcheck-2.csv
-	cmp /tmp/edc-maintcheck-1.csv /tmp/edc-maintcheck-2.csv
-	GOMAXPROCS=4 $(GO) run -race ./cmd/edcbench -experiment maint -format csv -requests 3000 -shards 2 -workers 2 > /tmp/edc-maintcheck-s1.csv
-	GOMAXPROCS=4 $(GO) run -race ./cmd/edcbench -experiment maint -format csv -requests 3000 -shards 2 -workers 2 > /tmp/edc-maintcheck-s2.csv
-	cmp /tmp/edc-maintcheck-s1.csv /tmp/edc-maintcheck-s2.csv
-	@echo "maintcheck OK: background maintenance is deterministic (1 and 2 shards, -race)"
-
-# Determinism gate for content-addressed dedup: replay the dedup
-# experiment (EDC off/on over the four traces, duplicate-heavy payloads)
-# twice under the race detector — once single-pipeline, once sharded —
-# and fail on any byte of divergence.
-dedupcheck:
-	GOMAXPROCS=4 $(GO) run -race ./cmd/edcbench -experiment dedup -format csv -requests 3000 > /tmp/edc-dedupcheck-1.csv
-	GOMAXPROCS=4 $(GO) run -race ./cmd/edcbench -experiment dedup -format csv -requests 3000 > /tmp/edc-dedupcheck-2.csv
-	cmp /tmp/edc-dedupcheck-1.csv /tmp/edc-dedupcheck-2.csv
-	GOMAXPROCS=4 $(GO) run -race ./cmd/edcbench -experiment dedup -format csv -requests 3000 -shards 2 -workers 2 > /tmp/edc-dedupcheck-s1.csv
-	GOMAXPROCS=4 $(GO) run -race ./cmd/edcbench -experiment dedup -format csv -requests 3000 -shards 2 -workers 2 > /tmp/edc-dedupcheck-s2.csv
-	cmp /tmp/edc-dedupcheck-s1.csv /tmp/edc-dedupcheck-s2.csv
-	@echo "dedupcheck OK: content-addressed dedup is deterministic (1 and 2 shards, -race)"
+# The determinism gate for feature combinations: singles and pairs of
+# {fault plan, maintenance, dedup, tagged QoS trace, cache + verify} at
+# one and two shards, each replayed twice under the race detector with
+# the reports compared byte for byte (matrix_test.go).
+matrixcheck:
+	GOMAXPROCS=4 $(GO) test -race -run TestFeatureMatrix .
 
 # Determinism and tag-inertness gate for multi-tenant QoS: the
 # two-tenant serve spec (latency class + bandwidth-shaped bulk class)
@@ -84,15 +56,6 @@ qoscheck:
 # Codec + generator microbenchmarks with allocation counts.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/compress ./internal/datagen
-
-# Machine-readable performance snapshot: fig8/fig10 replay tables, the
-# maintenance before/after space table, the codec microbenchmarks, an
-# open-loop serve run, the multi-tenant qos isolation run, and the
-# corescale sweep, written to $(PERFJSON_OUT) at the repo root
-# (override to snapshot elsewhere).
-PERFJSON_OUT ?= BENCH_10.json
-perfjson:
-	sh scripts/perfjson.sh $(PERFJSON_OUT)
 
 # Paired benchmark against a parent revision, by BENCHMARK.json's rule:
 # ten alternating parent/change pairs per workload plus a held-out seed,
@@ -126,7 +89,7 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -n 25
 
 # The tier-1 gate: everything a PR must keep green.
-check: fmtcheck vet build doclint test race maintcheck dedupcheck qoscheck
+check: fmtcheck vet build doclint test race matrixcheck qoscheck
 
 clean:
 	$(GO) clean ./...

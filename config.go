@@ -295,17 +295,11 @@ func (c *Config) Validate() error {
 	if c.Faults != nil && c.Faults.PowerCutAt > 0 && c.Shards > 1 {
 		return fmt.Errorf("edc: power-cut recovery is not supported with WithShards(%d): shards crash and recover independently of each other", c.Shards)
 	}
-	if c.Resplit != nil && c.Resplit.Enabled {
-		switch {
-		case c.Dedup != nil && c.Dedup.Enabled:
-			return fmt.Errorf("edc: resplit cannot migrate dedup-shared extents (references may span the split boundary); disable one of the two")
-		case c.Verify:
-			return fmt.Errorf("edc: resplit rebases extents to new shard-local offsets, which breaks offset-keyed read verification; disable one of the two")
-		case c.QoS != nil:
-			return fmt.Errorf("edc: resplit changes the shard count mid-run, invalidating per-shard QoS rate shares; disable one of the two")
-		case c.PacedServe:
-			return fmt.Errorf("edc: resplit's quiesce protocol must run the engine past the paced-serve watermark; disable one of the two")
-		}
+	// Serve's own refusals (power cut, flushless SD) wait for Serve: a
+	// Config does not say which way its System will be driven.
+	feat := core.Options{Dedup: c.Dedup, VerifyReads: c.Verify, QoS: c.QoS}
+	if err := core.Incompatible(&feat, false, c.Resplit != nil && c.Resplit.Enabled, c.PacedServe); err != nil {
+		return fmt.Errorf("edc: %w", err)
 	}
 	return nil
 }

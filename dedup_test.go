@@ -53,8 +53,7 @@ func TestDedupHitsAndVerify(t *testing.T) {
 
 // TestDedupOffUnchanged checks the off switch: a config without Dedup
 // and one with Enabled=false produce identical results to each other
-// (the bit-identity against the pre-dedup release is enforced end to
-// end by make dedupcheck; this guards the in-process config plumbing).
+// (this guards the in-process config plumbing).
 func TestDedupOffUnchanged(t *testing.T) {
 	tr, prof := dupTrace(t, 2000)
 	base, err := edc.Replay(tr, 64<<20, edc.WithDataProfile(prof, 7))

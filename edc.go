@@ -378,6 +378,23 @@ func deviceOptions(c Config) (core.Options, error) {
 	}, nil
 }
 
+// shardSetup describes c's per-shard pipelines to internal/core, for
+// sharded replay and for serve alike. Codec futures of every shard go
+// to the one process-wide pool, so no per-shard worker budget is carved
+// out of GOMAXPROCS: an idle core helps whichever shard is hot.
+func (c Config) shardSetup(volumeBytes int64, col *obs.Collector) core.ShardSetup {
+	if c.Shards < 1 {
+		c.Shards = 1
+	}
+	return core.ShardSetup{
+		Shards:      c.Shards,
+		VolumeBytes: volumeBytes,
+		Backend:     func(eng *sim.Engine) (core.Backend, error) { return buildBackend(c, eng) },
+		Options:     func(int) (core.Options, error) { return deviceOptions(c) },
+		Obs:         col,
+	}
+}
+
 // NewSystem builds a System exposing volumeBytes of logical space,
 // configured by options over DefaultConfig.
 func NewSystem(volumeBytes int64, opts ...Option) (*System, error) {
@@ -398,22 +415,7 @@ func NewSystemFromConfig(volumeBytes int64, cfg Config) (*System, error) {
 	}
 	col := cfg.collector()
 	if cfg.Shards > 1 {
-		// Codec futures dispatch to the process-wide work-stealing pool
-		// (one bounded queue per shard), so no per-shard worker budget is
-		// carved out of GOMAXPROCS: an idle core helps whichever shard is
-		// hot.
-		perShard := cfg
-		sharded, err := core.NewSharded(core.ShardSetup{
-			Shards:      cfg.Shards,
-			VolumeBytes: volumeBytes,
-			Backend: func(eng *sim.Engine) (core.Backend, error) {
-				return buildBackend(perShard, eng)
-			},
-			Options: func(int) (core.Options, error) {
-				return deviceOptions(perShard)
-			},
-			Obs: col,
-		})
+		sharded, err := core.NewSharded(cfg.shardSetup(volumeBytes, col))
 		if err != nil {
 			return nil, err
 		}

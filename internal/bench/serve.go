@@ -105,7 +105,7 @@ type ServeResult struct {
 	// StopServe); OpsPerSecWall is total completions divided by it.
 	WallTime      time.Duration `json:"wall_ns"`
 	OpsPerSecWall float64       `json:"ops_per_sec_wall"`
-	// Pool is the shared work-stealing codec pool's activity during the
+	// Pool is the shared codec pool's activity during the
 	// run (nil when the run never touched the pool — replay workers <= 1
 	// keep codec work inline on the event loops).
 	Pool *PoolActivity `json:"pool,omitempty"`
@@ -113,22 +113,20 @@ type ServeResult struct {
 	Result *edc.Results `json:"result"`
 }
 
-// PoolActivity is the delta of the process-wide work-stealing codec
-// pool's counters over one serve run: how much codec work the shard
-// queues offered, how much of it was executed by a worker that stole it
-// from another shard's queue, and how much ran inline on a submitting
-// event loop because its queue was full (backpressure). The counters
-// are process-global, so concurrent runs would blend — the bench
-// harness runs one at a time.
+// PoolActivity is the delta of the process-wide codec pool's counters
+// over one serve run: how much codec work the shards handed to pool
+// workers and how much ran inline on a submitting event loop because
+// the pool's channel was full (backpressure). The counters are
+// process-global, so concurrent runs would blend — the bench harness
+// runs one at a time.
 type PoolActivity struct {
 	// Workers is the pool's worker count (GOMAXPROCS at first use).
 	Workers int `json:"workers"`
-	// Submitted counts jobs queued to shard codec queues.
+	// Submitted counts jobs handed to pool workers.
 	Submitted int64 `json:"submitted"`
-	// Stolen counts jobs executed by a worker scanning past its
-	// preferred queue — cross-shard work movement.
+	// Stolen is always 0 (see parallel.PoolStats.Stolen).
 	Stolen int64 `json:"stolen"`
-	// Inline counts jobs the submitter ran itself on a full queue.
+	// Inline counts jobs the submitter ran itself on a full channel.
 	Inline int64 `json:"inline"`
 }
 

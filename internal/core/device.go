@@ -159,9 +159,7 @@ type Device struct {
 	rp *readPath
 	se *storeEngine
 
-	policy   Policy
-	volBytes int64
-	obs      *obs.Collector
+	obs *obs.Collector
 
 	replayWorkers int
 	played        bool
@@ -371,8 +369,6 @@ func NewDevice(eng *sim.Engine, be Backend, volumeBytes int64, opts Options) (*D
 		wp:            wp,
 		rp:            rp,
 		se:            se,
-		policy:        opts.Policy,
-		volBytes:      volBytes,
 		obs:           opts.Obs,
 		replayWorkers: opts.ReplayWorkers,
 		stats:         stats,
@@ -389,57 +385,48 @@ func NewDevice(eng *sim.Engine, be Backend, volumeBytes int64, opts Options) (*D
 	return d, nil
 }
 
-// Policy returns the device's policy.
-func (d *Device) Policy() Policy { return d.policy }
-
-// VolumeBytes returns the logical volume size.
-func (d *Device) VolumeBytes() int64 { return d.volBytes }
-
-// Mapping exposes the mapping table (tests, diagnostics).
-func (d *Device) Mapping() *Mapping { return d.se.mapping }
-
 // ErrReplayed reports a second Play on a single-use Device (or System).
 var ErrReplayed = errors.New("core: device already played a trace")
 
-// Play replays t to completion and returns the collected statistics.
-// The device is single-use: create a fresh Device per run.
-func (d *Device) Play(t *trace.Trace) (*RunStats, error) {
+// open starts the device's one run (a second is ErrReplayed), whichever
+// driver owns it — Play, PlayUntil, a serve shard's loop: persistence
+// armed if configured or if journal forces it, one pool queue for the
+// write and the read path with the lagged-verification ring sized to it,
+// background timers armed.
+func (d *Device) open(journal bool) error {
 	if d.played {
-		return nil, ErrReplayed
+		return ErrReplayed
 	}
 	d.played = true
-	d.stats.Trace = t.Name
-	if err := d.armPersistence(); err != nil {
-		return nil, err
+	if err := d.armPersistence(journal); err != nil {
+		return err
 	}
 	if d.replayWorkers > 1 {
-		// One bounded queue on the process-wide work-stealing pool: any
-		// idle pool worker — including one whose own shard is cold — can
-		// run this device's codec futures.
 		q := parallel.Shared().NewQueue()
-		d.wp.pool = q
-		d.rp.usePool(q)
-		defer func() {
-			q.Close()
-			d.wp.pool = nil
-			d.rp.pool = nil
-		}()
+		d.wp.pool, d.rp.pool = q, q
+		// With more verifications outstanding than the queue can hold,
+		// the submitter would run them inline anyway.
+		d.rp.lag = make([]*parallel.Future[verifyResult], q.Cap())
 	}
-	d.fe.start(t)
-	d.armMaint()
-	d.eng.Run()
-	d.wp.drain()
-	if d.fe.inFlight != 0 && d.fs.err == nil {
-		d.fs.err = fmt.Errorf("core: %d requests never completed", d.fe.inFlight)
-	}
-	d.finalize()
-	return d.stats, d.fs.err
+	d.armTimers()
+	return nil
 }
 
-// finalize joins the read path's outstanding verifications (the last
-// place a mismatch can fail the run) and snapshots end-of-run state
-// into stats.
-func (d *Device) finalize() {
+// armTimers schedules the next checkpoint and maintenance tick unless
+// queued already or switched off. Serve re-arms on every ingested batch:
+// a timer that fires with nothing else pending disarms itself, and the
+// heap empties between batches.
+func (d *Device) armTimers() {
+	d.per.arm()
+	if d.mnt != nil {
+		d.mnt.sched.Arm()
+	}
+}
+
+// close ends the run open started: it joins the read path's parked
+// verifications (the last place a mismatch can fail the run), snapshots
+// end-of-run state into stats, and releases the pool queue.
+func (d *Device) close() {
 	d.rp.drainVerify()
 	s := d.stats
 	s.LiveBlocks = d.se.mapping.LiveBlocks()
@@ -462,4 +449,25 @@ func (d *Device) finalize() {
 	if s.Err == nil {
 		s.Err = d.fs.err
 	}
+	if q := d.wp.pool; q != nil {
+		q.Close()
+		d.wp.pool, d.rp.pool = nil, nil
+	}
+}
+
+// Play replays t to completion and returns the collected statistics.
+// The device is single-use: create a fresh Device per run.
+func (d *Device) Play(t *trace.Trace) (*RunStats, error) {
+	if err := d.open(false); err != nil {
+		return nil, err
+	}
+	d.stats.Trace = t.Name
+	d.fe.start(t)
+	d.eng.Run()
+	d.wp.drain()
+	if d.fe.inFlight != 0 && d.fs.err == nil {
+		d.fs.err = fmt.Errorf("core: %d requests never completed", d.fe.inFlight)
+	}
+	d.close()
+	return d.stats, d.fs.err
 }

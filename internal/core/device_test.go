@@ -47,7 +47,7 @@ func TestPlayNativeRoundTrip(t *testing.T) {
 	if st.RunsByTag[compress.TagNone] != st.SDRuns {
 		t.Fatalf("native stored %v compressed runs", st.RunsByTag)
 	}
-	if err := rig.dev.Mapping().CheckInvariants(); err != nil {
+	if err := rig.dev.se.mapping.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -322,7 +322,7 @@ func TestReplayRealisticWorkloadAllSchemes(t *testing.T) {
 			if st.Resp.Count() != int64(len(tr.Requests)) {
 				t.Fatalf("answered %d of %d", st.Resp.Count(), len(tr.Requests))
 			}
-			if err := rig.dev.Mapping().CheckInvariants(); err != nil {
+			if err := rig.dev.se.mapping.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
 		})

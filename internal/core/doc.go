@@ -21,8 +21,13 @@
 //
 // Replay runs on a virtual-time event loop (internal/sim); codec work is
 // charged deterministic CPU cost from a CostModel, so results are
-// machine-independent and bit-reproducible. ShardedDevice partitions the
-// volume by LBA across n independent pipelines for scale-out replay.
+// machine-independent and bit-reproducible. Whatever drives a Device —
+// Play, PlayUntil, or a serve shard's loop — brackets the run with open
+// and close (device.go): persistence and background timers armed, one
+// queue on the process-wide codec pool (internal/parallel) for both
+// paths, parked verifications joined at the end. ShardedDevice (replay)
+// and Server (live traffic) cut the volume by LBA with one partition
+// type and build their n independent pipelines from one ShardSetup.
 //
 // # Observability
 //

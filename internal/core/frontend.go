@@ -32,11 +32,10 @@ type frontend struct {
 	volBytes    int64
 	inFlight    int64
 	maxInFlight int64
-	deferred    []trace.Request
-	// deferredC replaces the single FIFO with per-class queues when the
-	// QoS config leaves any tenant off the standard class; pop order is
-	// latency, standard, bulk (see admitOrder).
-	deferredC [3][]trace.Request
+	// deferred queues arrivals past the bound, one FIFO per traffic
+	// class, popped latency, standard, bulk (see admitOrder). Without QoS,
+	// or with every tenant on the standard class, that is one plain FIFO.
+	deferred [3][]trace.Request
 	// deferredBy tracks queued requests per tenant when QoS is active,
 	// enforcing each tenant's MaxDeferred bound.
 	deferredBy map[string]int
@@ -103,16 +102,11 @@ func (fe *frontend) arrive(r trace.Request) {
 		ts.Shaped++
 		ts.ShapeDelay += d
 		fe.obs.Shape(now, r.Offset, r.Size, r.Write, r.Tenant, d)
-		fe.eng.ScheduleAfter(d, func() { fe.arriveShaped(r) })
-		return
-	}
-	fe.enqueue(r)
-}
-
-// arriveShaped resumes a request the shaper delayed; the bucket was
-// already charged at first arrival.
-func (fe *frontend) arriveShaped(r trace.Request) {
-	if fe.fs.failed() {
+		fe.eng.ScheduleAfter(d, func() {
+			if !fe.fs.failed() {
+				fe.enqueue(r)
+			}
+		})
 		return
 	}
 	fe.enqueue(r)
@@ -149,86 +143,79 @@ func (fe *frontend) pushDeferred(r trace.Request) bool {
 		}
 		fe.deferredBy[r.Tenant]++
 	}
-	if fe.qs.prioritized() {
-		c := fe.qs.class(r.Tenant)
-		fe.deferredC[c] = append(fe.deferredC[c], r)
-	} else {
-		fe.deferred = append(fe.deferred, r)
-	}
+	c := fe.qs.class(r.Tenant)
+	fe.deferred[c] = append(fe.deferred[c], r)
 	return true
 }
 
 // popDeferred dequeues the next request to admit: latency before
-// standard before bulk under priority admission, plain FIFO otherwise.
+// standard before bulk, FIFO within a class.
 func (fe *frontend) popDeferred() (trace.Request, bool) {
-	if fe.qs.prioritized() {
-		for _, c := range admitOrder {
-			if q := fe.deferredC[c]; len(q) > 0 {
-				r := q[0]
-				fe.deferredC[c] = q[1:]
+	for _, c := range admitOrder {
+		if q := fe.deferred[c]; len(q) > 0 {
+			r := q[0]
+			fe.deferred[c] = q[1:]
+			if fe.deferredBy != nil {
 				fe.deferredBy[r.Tenant]--
-				return r, true
 			}
+			return r, true
 		}
-		return trace.Request{}, false
 	}
-	if len(fe.deferred) == 0 {
-		return trace.Request{}, false
-	}
-	r := fe.deferred[0]
-	fe.deferred = fe.deferred[1:]
-	if fe.deferredBy != nil {
-		fe.deferredBy[r.Tenant]--
-	}
-	return r, true
+	return trace.Request{}, false
 }
 
-// deferredLen is the total queued depth across all deferred queues.
+// deferredLen is the total queued depth across the deferred queues.
 func (fe *frontend) deferredLen() int {
-	n := len(fe.deferred)
-	for _, q := range fe.deferredC {
+	n := 0
+	for _, q := range fe.deferred {
 		n += len(q)
 	}
 	return n
 }
 
-// admit processes one admitted request.
+// admit processes one request admitted under the closed-loop bound.
+// Response time is measured from issue (admission): under closed-loop
+// replay a saturated backend shifts issue times instead of growing an
+// unbounded arrival backlog, exactly as hardware trace replayers do.
 func (fe *frontend) admit(r trace.Request) {
 	off, size := alignRequest(fe.volBytes, r)
-	now := fe.eng.Now()
-	fe.meter.Record(now, size)
-	if m := fe.qs.meter(r.Tenant); m != nil {
-		m.Record(now, size)
-	}
-	fe.obs.AdmitTenant(now, off, size, r.Write, r.Tenant)
-	fe.stats.Requests++
 	ts := fe.stats.Tenant(r.Tenant) // nil for untagged traffic
-	if ts != nil {
-		ts.Requests++
-	}
-	// Response time is measured from issue (admission): under closed-loop
-	// replay a saturated backend shifts issue times instead of growing an
-	// unbounded arrival backlog, exactly as hardware trace replayers do.
-	issue := now
 	var done func(time.Duration)
 	if ts != nil {
 		done = func(resp time.Duration) { ts.Resp.Observe(resp) }
 	}
-	if r.Write {
+	fe.inFlight++
+	fe.dispatch(fe.eng.Now(), off, size, r.Write, r.Tenant, ts, done)
+}
+
+// dispatch books one admitted, aligned request — meters, the admission
+// event, the counters device-wide and on the tenant's row ts (nil for
+// untagged traffic) — and hands it to the write or the read path. Replay's
+// admit and a serve shard's arrive both end here; the closed-loop bound,
+// open-loop latency and shaping stay with those callers.
+func (fe *frontend) dispatch(now time.Duration, off, size int64, write bool, tenant string, ts *TenantStats, done func(time.Duration)) {
+	fe.meter.Record(now, size)
+	if m := fe.qs.meter(tenant); m != nil {
+		m.Record(now, size)
+	}
+	fe.obs.AdmitTenant(now, off, size, write, tenant)
+	fe.stats.Requests++
+	if ts != nil {
+		ts.Requests++
+	}
+	if write {
 		fe.stats.Writes++
 		if ts != nil {
 			ts.Writes++
 		}
-		fe.inFlight++
-		fe.onWrite(PendingWrite{Arrival: issue, Offset: off, Size: size, Tenant: r.Tenant, Done: done})
+		fe.onWrite(PendingWrite{Arrival: now, Offset: off, Size: size, Tenant: tenant, Done: done})
 		return
 	}
 	fe.stats.Reads++
 	if ts != nil {
 		ts.Reads++
 	}
-	fe.inFlight++
-	fe.onRead(issue, off, size, done)
+	fe.onRead(now, off, size, done)
 }
 
 // finish completes one request: the response time is observed and the

@@ -70,12 +70,11 @@ type IntensitySnapshot struct {
 }
 
 // NewIntensitySnapshot indexes t's arrivals (sizes aligned against
-// volBytes, matching what the frontend records) over the given slow
-// window; the fast window is slow/8, mirroring the local dual monitor.
-func NewIntensitySnapshot(t *trace.Trace, volBytes int64, slow time.Duration) *IntensitySnapshot {
-	if slow <= 0 {
-		slow = 500 * time.Millisecond
-	}
+// volBytes, matching what the frontend records) over the device's
+// default 500 ms slow window; the fast window is slow/8, mirroring the
+// local dual monitor.
+func NewIntensitySnapshot(t *trace.Trace, volBytes int64) *IntensitySnapshot {
+	const slow = 500 * time.Millisecond
 	s := &IntensitySnapshot{
 		arrivals: make([]time.Duration, 0, len(t.Requests)),
 		prefix:   make([]float64, 1, len(t.Requests)+1),

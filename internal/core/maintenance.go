@@ -79,15 +79,6 @@ func newMaintainer(d *Device, cfg maint.Config, reg *compress.Registry) (*mainta
 	return mt, nil
 }
 
-// armMaint schedules the next maintenance tick if maintenance is
-// configured. Replay arms once before the event loop runs; serve mode
-// re-arms on every ingested batch (the heap empties between batches).
-func (d *Device) armMaint() {
-	if d.mnt != nil {
-		d.mnt.sched.Arm()
-	}
-}
-
 // idle is the scheduler's idle-window probe: maintenance only acts
 // when the workload monitor's calculated IOPS sits at or below the
 // configured ceiling — the same signal that would make the foreground
@@ -361,7 +352,7 @@ func (mt *maintainer) abort(e *Extent) {
 }
 
 // heatHistogram buckets every live extent's decayed hit count at the
-// current epoch (finalize calls this only when maintenance ran).
+// current epoch (close calls this only when maintenance ran).
 func (d *Device) heatHistogram() []int64 {
 	hist := make([]int64, maint.HistBuckets)
 	epoch := maint.Epoch(d.eng.Now(), d.se.epochLen)

@@ -22,19 +22,21 @@ func newPacedServerWith(t *testing.T, shards int, vol int64, opts Options) *Serv
 	opts.Registry = defaultTestRegistry(t)
 	opts.VerifyReads = true
 	sv, err := NewServer(ServeSetup{
-		Shards:      shards,
-		VolumeBytes: vol,
-		Backend: func(eng *sim.Engine) (Backend, error) {
-			cfg := ssd.DefaultConfig()
-			cfg.Blocks = 512
-			d, err := ssd.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return NewSingleSSD(eng, d), nil
+		ShardSetup: ShardSetup{
+			Shards:      shards,
+			VolumeBytes: vol,
+			Backend: func(eng *sim.Engine) (Backend, error) {
+				cfg := ssd.DefaultConfig()
+				cfg.Blocks = 512
+				d, err := ssd.New(cfg)
+				if err != nil {
+					return nil, err
+				}
+				return NewSingleSSD(eng, d), nil
+			},
+			Options: func(int) (Options, error) { return opts, nil },
 		},
-		Options: func(int) (Options, error) { return opts, nil },
-		Paced:   true,
+		Paced: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,24 +146,74 @@ func TestPacedRefusesSyncSubmit(t *testing.T) {
 func TestPacedRefusesResplit(t *testing.T) {
 	reg := defaultTestRegistry(t)
 	_, err := NewServer(ServeSetup{
-		Shards:      1,
-		VolumeBytes: 1 << 20,
-		Backend: func(eng *sim.Engine) (Backend, error) {
-			cfg := ssd.DefaultConfig()
-			cfg.Blocks = 512
-			d, err := ssd.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return NewSingleSSD(eng, d), nil
-		},
-		Options: func(int) (Options, error) {
-			return Options{Registry: reg, Data: datagen.New(datagen.Enterprise(), 11)}, nil
+		ShardSetup: ShardSetup{
+			Shards:      1,
+			VolumeBytes: 1 << 20,
+			Backend: func(eng *sim.Engine) (Backend, error) {
+				cfg := ssd.DefaultConfig()
+				cfg.Blocks = 512
+				d, err := ssd.New(cfg)
+				if err != nil {
+					return nil, err
+				}
+				return NewSingleSSD(eng, d), nil
+			},
+			Options: func(int) (Options, error) {
+				return Options{Registry: reg, Data: datagen.New(datagen.Enterprise(), 11)}, nil
+			},
 		},
 		Paced:   true,
 		Resplit: ResplitConfig{Enabled: true},
 	})
 	if err == nil {
 		t.Fatal("NewServer accepted paced + resplit")
+	}
+}
+
+// TestServeShardCheckpoints checks a serve shard opens its run the way
+// Play does: with SnapshotEvery set it journals, folds the journal into
+// a fresh snapshot at least once as traffic carries the clock past the
+// interval, and what it persisted recovers to the live mapping.
+func TestServeShardCheckpoints(t *testing.T) {
+	opts := verifyOptions()
+	opts.SnapshotEvery = 5 * time.Millisecond // the trace spans 45 ms
+	sv := newPacedServerWith(t, 1, 2<<20, opts)
+	ctx := context.Background()
+	var waits []Await
+	for _, r := range verifyTrace().Requests {
+		aw, err := sv.SubmitAt(ctx, r.Arrival, r.Offset, r.Size, r.Write)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waits = append(waits, aw)
+	}
+	st, err := sv.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, aw := range waits {
+		if _, err := aw(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev := sv.shards[0].dev
+	per := dev.per
+	if per == nil {
+		t.Fatal("SnapshotEvery set but the serve shard armed no persister")
+	}
+	// Every stored run journals one record, so a journal shorter than
+	// the run count was reset by a checkpoint.
+	if int64(per.jnl.Records()) >= st.SDRuns {
+		t.Fatalf("journal holds %d records for %d stored runs: never reset", per.jnl.Records(), st.SDRuns)
+	}
+	m, _, err := RecoverMapping(per.snapshot, per.jnl.Bytes(), NewAllocator(dev.se.alloc.Capacity()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if live := dev.se.mapping.LiveBlocks(); m.LiveBlocks() != live || live == 0 {
+		t.Fatalf("recovered %d live blocks, the live mapping holds %d", m.LiveBlocks(), live)
 	}
 }

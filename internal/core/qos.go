@@ -97,12 +97,6 @@ func (qs *qosState) known(tenant string) bool {
 	return qs.cfg.Known(tenant)
 }
 
-// prioritized reports whether deferred admission should use the
-// class-priority queues instead of the single FIFO.
-func (qs *qosState) prioritized() bool {
-	return qs != nil && qs.cfg.Prioritized()
-}
-
 // maxDeferred returns the tenant's deferred-queue bound (0 means
 // unlimited).
 func (qs *qosState) maxDeferred(tenant string) int {

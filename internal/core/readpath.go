@@ -39,7 +39,7 @@ type readPath struct {
 	// Real-CPU pipeline: verify-mode decompression dispatched at read
 	// submission runs on pool workers while the event loop advances
 	// virtual time. The completion event does not wait for it: it parks
-	// the future in lag, a fixed ring as deep as the executor's backlog,
+	// the future in lag, a fixed ring as deep as the pool queue's backlog,
 	// and joins only the oldest entry when the ring is full; drainVerify
 	// joins the rest at every exit. A mismatch is therefore reported
 	// len(lag) verified extents after the bad one completed (or at the
@@ -47,10 +47,10 @@ type readPath struct {
 	// extents, not in time: a serve shard that goes idle keeps its
 	// parked verifications unjoined until its next verified read or
 	// StopServe (DESIGN.md §16). The write path cannot lag the same way:
-	// store needs the payload length to quantise the slot. The executor
-	// is this pipeline's queue on the process-wide work-stealing pool
-	// and exists only while the pipeline runs.
-	pool    parallel.Executor
+	// store needs the payload length to quantise the slot. pool is the
+	// queue Device.open registers for both paths; it and the ring exist
+	// only while the pipeline runs.
+	pool    *parallel.Queue
 	lag     []*parallel.Future[verifyResult]
 	lagHead int
 	lagN    int
@@ -196,14 +196,6 @@ func (rp *readPath) issueRead(devOff, bytes int64, extra time.Duration, off, siz
 	})
 }
 
-// usePool routes verification through q for the coming run and sizes
-// the lag ring to q's backlog: with more verifications outstanding than
-// the queue can hold, the submitter would run them inline anyway.
-func (rp *readPath) usePool(q *parallel.Queue) {
-	rp.pool = q
-	rp.lag = make([]*parallel.Future[verifyResult], q.Cap())
-}
-
 // park records the verification of a read that just completed, joining
 // the oldest parked one first when the ring is full.
 func (rp *readPath) park(f *parallel.Future[verifyResult]) {
@@ -228,8 +220,8 @@ func (rp *readPath) joinOldest() {
 	}
 }
 
-// drainVerify joins every parked verification. Device.finalize calls it,
-// so no run returns its results — or closes its queue — with one
+// drainVerify joins every parked verification. Device.close calls it,
+// so no run returns its results — or releases its queue — with one
 // outstanding.
 func (rp *readPath) drainVerify() {
 	for rp.lagN > 0 {

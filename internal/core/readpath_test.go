@@ -188,7 +188,7 @@ func TestLaggedVerifyFailureSurfaces(t *testing.T) {
 	}
 
 	// The last verified read of the run: nothing completes after it, so
-	// only the drain in finalize can notice — and everything up to there
+	// only the drain in close can notice — and everything up to there
 	// ran as in the clean run, so the freelist must end where the clean
 	// run's did: every parked future gave its two buffers back.
 	p, st, err := playCorrupted(t, clean.issued)
@@ -204,19 +204,18 @@ func TestLaggedVerifyFailureSurfaces(t *testing.T) {
 	}
 }
 
-// TestVerifyFailureSurfacesPlayUntil checks the power-cut replay, which
-// verifies inline: the mismatch fails the run at the corrupted read.
+// TestVerifyFailureSurfacesPlayUntil checks the power-cut replay: it
+// opens its run like Play, so verification is pooled and lagged there
+// too, and a cut past the end of the trace must fail at the very
+// operation Play fails at.
 func TestVerifyFailureSurfacesPlayUntil(t *testing.T) {
-	var first *verifyProbe
+	played, _, _ := playCorrupted(t, 60)
 	for run := 0; run < 2; run++ {
 		rig := newTestRig(t, verifyOptions())
 		p := attachVerifyProbe(rig.dev, 60)
 		_, _, err := rig.dev.PlayUntil(verifyTrace(), time.Second)
-		p.check(t, "PlayUntil", err, false)
-		if first == nil {
-			first = p
-		}
-		p.sameAs(t, "PlayUntil", first)
+		p.check(t, "PlayUntil", err, true)
+		p.sameAs(t, "PlayUntil vs Play", played)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"edc/internal/compress"
 	"edc/internal/dedup"
 	"edc/internal/obs"
-	"edc/internal/parallel"
 	"edc/internal/sim"
 	"edc/internal/trace"
 )
@@ -35,40 +34,56 @@ type persister struct {
 	dev      *Device
 	snapshot []byte
 	jnl      *Journal
+	armed    bool // a checkpoint timer is queued
 }
 
-// armPersistence turns on snapshotting + journaling for d when the run
-// needs them (a checkpoint interval or a planned power cut). Called at
-// Play/PlayUntil start, so the initial snapshot captures the mapping as
-// it stands — empty on a fresh device, recovered state after a crash.
-func (d *Device) armPersistence() error {
+// armPersistence turns on snapshotting + journaling at open when the
+// run needs them: a checkpoint interval, a planned power cut in the
+// fault plan, or force (PlayUntil). The initial snapshot captures the
+// mapping as it stands — empty on a fresh device, recovered state after
+// a crash, the migrated tail on a resplit shard.
+func (d *Device) armPersistence(force bool) error {
 	if d.per != nil {
 		return nil
 	}
-	if d.snapEvery <= 0 && (d.faults == nil || d.faults.PowerCutAt <= 0) {
+	if !force && d.snapEvery <= 0 && (d.faults == nil || d.faults.PowerCutAt <= 0) {
 		return nil
 	}
-	p := &persister{dev: d, jnl: &Journal{}}
+	d.per = &persister{dev: d, jnl: &Journal{}}
+	d.wp.jnl = d.per.jnl
+	return d.per.rebase()
+}
+
+// rebase snapshots the live mapping and empties the journal. Sound only
+// with nothing in flight, when the live mapping is the durable one: at
+// open, and after a resplit trimmed the migrated tail off a quiesced
+// shard (a move the journal does not record). p may be nil.
+func (p *persister) rebase() error {
+	if p == nil {
+		return nil
+	}
 	var buf bytes.Buffer
-	if err := d.se.mapping.SaveSnapshot(&buf); err != nil {
+	if err := p.dev.se.mapping.SaveSnapshot(&buf); err != nil {
 		return err
 	}
 	p.snapshot = buf.Bytes()
-	d.per = p
-	d.wp.jnl = p.jnl
-	if d.snapEvery > 0 {
-		p.armCheckpoint(d.snapEvery)
-	}
+	p.jnl.Reset()
 	return nil
 }
 
-// armCheckpoint schedules the next checkpoint, re-arming itself only
+// arm schedules the next checkpoint unless one is queued (or
+// checkpointing is off; p may be nil). The timer re-arms itself only
 // while non-housekeeping events are pending so the event loop can
-// drain. The timer is scheduled as housekeeping for the same reason:
+// drain, and is scheduled as housekeeping for the same reason:
 // otherwise it and the maintenance tick would each count the other as
 // pending work and re-arm forever.
-func (p *persister) armCheckpoint(every time.Duration) {
-	p.dev.eng.ScheduleHousekeepingAfter(every, func() {
+func (p *persister) arm() {
+	if p == nil || p.dev.snapEvery <= 0 || p.armed {
+		return
+	}
+	p.armed = true
+	p.dev.eng.ScheduleHousekeepingAfter(p.dev.snapEvery, func() {
+		p.armed = false
 		if p.dev.fs.failed() {
 			return
 		}
@@ -77,7 +92,7 @@ func (p *persister) armCheckpoint(every time.Duration) {
 			return
 		}
 		if p.dev.eng.PendingWork() > 0 {
-			p.armCheckpoint(every)
+			p.arm()
 		}
 	})
 }
@@ -171,42 +186,20 @@ type CrashState struct {
 // returned CrashState carries the persisted metadata a RecoverDevice
 // resumes from. The partial RunStats covers completed requests only.
 func (d *Device) PlayUntil(t *trace.Trace, cut time.Duration) (*RunStats, *CrashState, error) {
-	if d.played {
-		return nil, nil, ErrReplayed
-	}
 	if cut <= 0 {
 		return nil, nil, errors.New("core: power cut time must be positive")
 	}
-	d.played = true
-	d.stats.Trace = t.Name
-	if err := d.armPersistence(); err != nil {
+	// Journal from time zero even without a checkpoint interval or a
+	// planned cut in the fault plan: recovery needs a durable log.
+	if err := d.open(true); err != nil {
 		return nil, nil, err
 	}
-	if d.per == nil {
-		// No checkpoint interval and no planned cut in the fault plan:
-		// journal from time zero so recovery still has a durable log.
-		d.per = &persister{dev: d, jnl: &Journal{}}
-		var buf bytes.Buffer
-		if err := d.se.mapping.SaveSnapshot(&buf); err != nil {
-			return nil, nil, err
-		}
-		d.per.snapshot = buf.Bytes()
-		d.wp.jnl = d.per.jnl
-	}
-	if d.replayWorkers > 1 {
-		q := parallel.Shared().NewQueue()
-		d.wp.pool = q
-		defer func() {
-			q.Close()
-			d.wp.pool = nil
-		}()
-	}
+	d.stats.Trace = t.Name
 	d.fe.start(t)
-	d.armMaint()
 	d.eng.RunUntil(cut)
-	lost := d.fe.inFlight + int64(len(d.fe.deferred))
+	lost := d.fe.inFlight + int64(d.fe.deferredLen())
 	d.stats.CrashLost = lost
-	d.finalize()
+	d.close()
 	cs := &CrashState{
 		Snapshot: append([]byte(nil), d.per.snapshot...),
 		Journal:  append([]byte(nil), d.per.jnl.Bytes()...),

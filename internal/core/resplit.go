@@ -36,13 +36,10 @@ import (
 //     backend), the source tail is trimmed (freeing its slots), and the
 //     router's bounds/shards tables are spliced under the held lock.
 //
-// Resplitting is refused in combination with dedup (a foreign reference
-// may span the boundary), read verification (expected content is keyed
-// by shard-local offset, which the move rebases), and QoS (per-shard
-// rate shares assume a fixed shard count). It is driven by real-time
-// traffic imbalance, so runs with it enabled are not byte-deterministic
-// across machines; it is off by default and every determinism gate runs
-// without it.
+// Incompatible lists the features resplitting is refused with. It is
+// driven by real-time traffic imbalance, so runs with it enabled are not
+// byte-deterministic across machines; it is off by default and every
+// determinism gate runs without it.
 
 // ResplitConfig tunes heat-balanced shard repartitioning in serve mode.
 // The zero value disables it; enabling it with zero thresholds applies
@@ -177,7 +174,7 @@ wait:
 		}
 		break
 	}
-	ss.dev.armMaint()
+	ss.dev.armTimers()
 	ss.dev.eng.RunPending()
 	if ss.dev.fs.failed() || len(ss.pending) > 0 {
 		return
@@ -199,7 +196,7 @@ func (sv *Server) splitShard(ss *serveShard) {
 		return
 	}
 	d := ss.dev
-	width := sv.bounds[idx+1] - sv.bounds[idx]
+	width := sv.part.width(idx)
 	widthBlocks := width / BlockSize
 	if widthBlocks < 2 {
 		return
@@ -250,17 +247,22 @@ func (sv *Server) splitShard(ss *serveShard) {
 		return
 	}
 	// Retire the migrated tail from the source shard, freeing its slots
-	// on the old backend. A failure here means the two shards disagree
-	// about who owns the tail — fatal for the source.
-	if err := d.se.mapping.Trim(localSplit, width-localSplit); err != nil {
+	// on the old backend, and restart its persisted state from what is
+	// left. A failure here means the two shards disagree about who owns
+	// the tail — fatal for the source.
+	err = d.se.mapping.Trim(localSplit, width-localSplit)
+	if err == nil {
+		err = d.per.rebase()
+	}
+	if err != nil {
 		d.fs.fail(err)
 		return
 	}
 	// Splice the router: the new shard serves the tail of ss's range.
-	gsplit := sv.bounds[idx] + localSplit
-	sv.bounds = append(sv.bounds, 0)
-	copy(sv.bounds[idx+2:], sv.bounds[idx+1:])
-	sv.bounds[idx+1] = gsplit
+	bounds := append(sv.part.bounds, 0)
+	copy(bounds[idx+2:], bounds[idx+1:])
+	bounds[idx+1] = bounds[idx] + localSplit
+	sv.part.bounds = bounds
 	sv.shards = append(sv.shards, nil)
 	copy(sv.shards[idx+2:], sv.shards[idx+1:])
 	sv.shards[idx+1] = ns

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"edc/internal/datagen"
 	"edc/internal/sim"
@@ -101,25 +102,33 @@ func TestSplitTailRefusesStraddle(t *testing.T) {
 // newResplitServer builds a single-shard server with the given
 // repartitioning policy (read verification off: resplit refuses it).
 func newResplitServer(t *testing.T, rc ResplitConfig, vol int64) *Server {
+	return newResplitServerEvery(t, rc, vol, 0)
+}
+
+// newResplitServerEvery is newResplitServer with a checkpoint interval.
+func newResplitServerEvery(t *testing.T, rc ResplitConfig, vol int64, snapEvery time.Duration) *Server {
 	t.Helper()
 	reg := defaultTestRegistry(t)
 	sv, err := NewServer(ServeSetup{
-		Shards:      1,
-		VolumeBytes: vol,
-		Backend: func(eng *sim.Engine) (Backend, error) {
-			cfg := ssd.DefaultConfig()
-			cfg.Blocks = 512
-			d, err := ssd.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return NewSingleSSD(eng, d), nil
-		},
-		Options: func(int) (Options, error) {
-			return Options{
-				Registry: reg,
-				Data:     datagen.New(datagen.Enterprise(), 11),
-			}, nil
+		ShardSetup: ShardSetup{
+			Shards:      1,
+			VolumeBytes: vol,
+			Backend: func(eng *sim.Engine) (Backend, error) {
+				cfg := ssd.DefaultConfig()
+				cfg.Blocks = 512
+				d, err := ssd.New(cfg)
+				if err != nil {
+					return nil, err
+				}
+				return NewSingleSSD(eng, d), nil
+			},
+			Options: func(int) (Options, error) {
+				return Options{
+					Registry:      reg,
+					Data:          datagen.New(datagen.Enterprise(), 11),
+					SnapshotEvery: snapEvery,
+				}, nil
+			},
 		},
 		Resplit: rc,
 	})
@@ -186,6 +195,41 @@ func TestResplitSplitsHotShard(t *testing.T) {
 	wantOps := 2*nblocks + nblocks + int64(shards)
 	if st.Requests != wantOps {
 		t.Fatalf("Requests=%d, want %d", st.Requests, wantOps)
+	}
+}
+
+// TestResplitKeepsShardsRecoverable splits a shard that checkpoints:
+// the trim of the migrated tail is not journaled, so the source must
+// restart its snapshot from the quiesced mapping — or its next
+// checkpoint replays new slots over the ones the trim freed and fails —
+// and both halves must recover to what they hold live.
+func TestResplitKeepsShardsRecoverable(t *testing.T) {
+	const vol = 1 << 20
+	rc := ResplitConfig{Enabled: true, MaxShards: 3, Factor: 1.0, WindowOps: 32, Streak: 1}
+	sv := newResplitServerEvery(t, rc, vol, 200*time.Microsecond)
+	ctx := context.Background()
+	for pass := 0; pass < 3; pass++ {
+		for off := int64(0); off < vol; off += BlockSize {
+			if _, err := sv.Write(ctx, off, BlockSize); err != nil {
+				t.Fatalf("pass %d write at %d: %v", pass, off, err)
+			}
+		}
+	}
+	if sv.Shards() < 2 {
+		t.Fatal("the hot shard never split")
+	}
+	if _, err := sv.Stop(); err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+	for i, ss := range sv.shards {
+		per, se := ss.dev.per, ss.dev.se
+		m, _, err := RecoverMapping(per.snapshot, per.jnl.Bytes(), NewAllocator(se.alloc.Capacity()))
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		if m.LiveBlocks() != se.mapping.LiveBlocks() {
+			t.Fatalf("shard %d: recovered %d live blocks, holds %d", i, m.LiveBlocks(), se.mapping.LiveBlocks())
+		}
 	}
 }
 
@@ -256,21 +300,23 @@ func TestResplitRefusesIncompatibleOptions(t *testing.T) {
 	reg := defaultTestRegistry(t)
 	build := func(mut func(*Options)) error {
 		_, err := NewServer(ServeSetup{
-			Shards:      1,
-			VolumeBytes: 1 << 20,
-			Backend: func(eng *sim.Engine) (Backend, error) {
-				cfg := ssd.DefaultConfig()
-				cfg.Blocks = 64
-				d, err := ssd.New(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return NewSingleSSD(eng, d), nil
-			},
-			Options: func(int) (Options, error) {
-				o := Options{Registry: reg, Data: datagen.New(datagen.Enterprise(), 11)}
-				mut(&o)
-				return o, nil
+			ShardSetup: ShardSetup{
+				Shards:      1,
+				VolumeBytes: 1 << 20,
+				Backend: func(eng *sim.Engine) (Backend, error) {
+					cfg := ssd.DefaultConfig()
+					cfg.Blocks = 64
+					d, err := ssd.New(cfg)
+					if err != nil {
+						return nil, err
+					}
+					return NewSingleSSD(eng, d), nil
+				},
+				Options: func(int) (Options, error) {
+					o := Options{Registry: reg, Data: datagen.New(datagen.Enterprise(), 11)}
+					mut(&o)
+					return o, nil
+				},
 			},
 			Resplit: ResplitConfig{Enabled: true},
 		})

@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"edc/internal/obs"
-	"edc/internal/parallel"
 	"edc/internal/qos"
-	"edc/internal/sim"
 	"edc/internal/trace"
 )
 
@@ -39,32 +37,16 @@ const DefaultServeBatch = 64
 // Server that has already been stopped.
 var ErrServeStopped = errors.New("core: server stopped")
 
-// ServeSetup describes a live serving stack: like ShardSetup, the
-// volume is partitioned into contiguous block-aligned LBA ranges, each
-// served by a private pipeline instance built by the factories. Unlike
-// replay, there is no trace to derive a global intensity signal from, so
-// each shard's workload monitor measures its own slice of the traffic
-// (Options.Meter is honored if the factory sets one).
+// ServeSetup describes a live serving stack: the ShardSetup sharded
+// replay uses, plus the knobs only a live server has.
 type ServeSetup struct {
-	// Shards is the partition width (>= 1).
-	Shards int
-	// VolumeBytes is the full logical volume being partitioned.
-	VolumeBytes int64
-	// Backend builds one shard's private backend on its private engine.
-	Backend func(eng *sim.Engine) (Backend, error)
-	// Options builds one shard's Options; it must return fresh per-shard
-	// mutable state on every call, exactly as ShardSetup.Options does.
-	Options func(shard int) (Options, error)
+	ShardSetup
 	// Mailbox bounds each shard's submission mailbox
 	// (0: DefaultServeMailbox).
 	Mailbox int
 	// Batch caps submissions drained per event-loop wakeup
 	// (0: DefaultServeBatch).
 	Batch int
-	// Obs observes the merged run: each shard gets a private buffering
-	// child collector, folded back deterministically at Stop. Nil
-	// disables observability.
-	Obs *obs.Collector
 	// Resplit enables heat-balanced shard repartitioning: a shard whose
 	// admitted-op share stays above its fair share splits its LBA range
 	// at a quiesced, heat-balanced boundary (see ResplitConfig). The
@@ -82,8 +64,7 @@ type ServeSetup struct {
 	// scheduling race leaking into virtual latency. The synchronous
 	// Read/Write wrappers are refused under pacing (their completion may
 	// only be released by a later arrival the blocked caller would never
-	// send), as is resplitting (its quiesce protocol must run the engine
-	// dry past the watermark).
+	// send), as is resplitting (see Incompatible).
 	Paced bool
 }
 
@@ -126,6 +107,17 @@ func (j *joinOp) complete(lat time.Duration, err error) {
 	}
 }
 
+// wait blocks for the joined result or the context, whichever is first
+// (the operation itself still completes server-side).
+func (j *joinOp) wait(ctx context.Context) (time.Duration, error) {
+	select {
+	case r := <-j.res:
+		return r.lat, r.err
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
+}
+
 // serveOp is one shard-local submission: an intended virtual arrival
 // stamp plus the (already shard-rebased) operation it carries.
 type serveOp struct {
@@ -143,8 +135,7 @@ type serveOp struct {
 // Read/Write (goroutine-safe, any number of concurrent callers); Stop
 // drains the mailboxes and returns the merged RunStats.
 type Server struct {
-	vol    int64
-	bounds []int64
+	part   partition
 	shards []*serveShard
 
 	// setup keeps the (normalized) factories so a resplit can stamp out
@@ -159,14 +150,9 @@ type Server struct {
 	// before any piece is mailed.
 	qcfg *qos.Config
 
-	obs  *obs.Collector
 	kids []*obs.Collector
 
-	// paced freezes each shard's clock at its arrival watermark; see
-	// ServeSetup.Paced. Immutable after NewServer.
-	paced bool
-
-	mu     sync.RWMutex // guards closed and the shard router (bounds/shards/kids)
+	mu     sync.RWMutex // guards closed and the shard router (part/shards/kids)
 	closed bool
 	stalls atomic.Int64 // submissions that found a full mailbox
 }
@@ -182,7 +168,6 @@ type serveShard struct {
 	stop chan struct{}
 	done chan struct{}
 
-	batch   int
 	pending map[*serveOp]struct{}
 	// inflightBy counts pending operations per tenant; a tenant with a
 	// MaxDeferred bound is refused admission past it (the serve-mode
@@ -209,18 +194,9 @@ type serveShard struct {
 // NewServer validates the setup, stamps out one pipeline per shard, and
 // starts the shard event-loop goroutines.
 func NewServer(setup ServeSetup) (*Server, error) {
-	if setup.Shards < 1 {
-		setup.Shards = 1
-	}
-	if setup.Backend == nil || setup.Options == nil {
-		return nil, errors.New("core: serve setup needs Backend and Options factories")
-	}
-	vol := setup.VolumeBytes &^ (BlockSize - 1)
-	if vol <= 0 {
-		return nil, errors.New("core: volume smaller than one block")
-	}
-	if int64(setup.Shards) > vol/BlockSize {
-		return nil, fmt.Errorf("core: %d shards exceed %d volume blocks", setup.Shards, vol/BlockSize)
+	part, err := setup.partition()
+	if err != nil {
+		return nil, err
 	}
 	if setup.Mailbox <= 0 {
 		setup.Mailbox = DefaultServeMailbox
@@ -228,31 +204,50 @@ func NewServer(setup ServeSetup) (*Server, error) {
 	if setup.Batch <= 0 {
 		setup.Batch = DefaultServeBatch
 	}
-	if setup.Paced && setup.Resplit.Enabled {
-		return nil, errors.New("core: resplit quiesce must run the engine past the paced-mode watermark; disable one of the two")
-	}
 	sv := &Server{
-		vol:    vol,
-		bounds: shardBounds(vol, setup.Shards),
+		part:   part,
 		shards: make([]*serveShard, setup.Shards),
 		setup:  setup,
 		rcfg:   setup.Resplit.normalized(setup.Shards),
-		obs:    setup.Obs,
 		kids:   make([]*obs.Collector, setup.Shards),
-		paced:  setup.Paced,
 	}
-	for i := 0; i < setup.Shards; i++ {
-		ss, kid, err := sv.buildShard(i, sv.bounds[i+1]-sv.bounds[i])
-		if err != nil {
+	for i := range sv.shards {
+		if sv.shards[i], sv.kids[i], err = sv.buildShard(i, part.width(i)); err != nil {
 			return nil, err
 		}
-		sv.kids[i] = kid
-		sv.shards[i] = ss
 	}
 	for _, ss := range sv.shards {
 		go ss.run()
 	}
 	return sv, nil
+}
+
+// Incompatible is the one table of feature combinations no stack is
+// built with: Config.Validate consults it, and every shard a Server
+// builds (at NewServer or by a resplit) goes through it with serve set.
+// The error carries no package prefix; callers add theirs.
+func Incompatible(o *Options, serve, resplit, paced bool) error {
+	if resplit {
+		switch {
+		case o.Dedup != nil && o.Dedup.Enabled:
+			return errors.New("resplit cannot migrate dedup-shared extents (references may span the split boundary); disable one of the two")
+		case o.VerifyReads:
+			return errors.New("resplit rebases extents to new shard-local offsets, which breaks offset-keyed read verification; disable one of the two")
+		case o.QoS != nil:
+			return errors.New("resplit changes the shard count mid-run, invalidating per-shard QoS rate shares; disable one of the two")
+		case paced:
+			return errors.New("resplit's quiesce protocol must run the engine past the paced-serve watermark; disable one of the two")
+		}
+	}
+	if serve {
+		switch {
+		case o.Faults != nil && o.Faults.PowerCutAt > 0:
+			return errors.New("serve mode does not support power-cut fault plans")
+		case o.FlushTimeout < 0 && !o.DisableSD:
+			return errors.New("serve mode requires a positive SD flush timeout (a disabled timer would buffer the last run forever)")
+		}
+	}
+	return nil
 }
 
 // buildShard stamps out one shard pipeline from the setup factories:
@@ -268,40 +263,15 @@ func (sv *Server) buildShard(id int, vol int64) (*serveShard, *obs.Collector, er
 	if id == 0 {
 		sv.qcfg = opts.QoS
 	}
-	if opts.Faults != nil && opts.Faults.PowerCutAt > 0 {
-		return nil, nil, errors.New("core: serve mode does not support power-cut fault plans")
+	if err := Incompatible(&opts, true, sv.rcfg.Enabled, sv.setup.Paced); err != nil {
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
-	if sv.rcfg.Enabled {
-		// Resplitting migrates extents by re-homing their mapping
-		// entries; features whose state is keyed to a fixed shard-local
-		// address space cannot survive that and are refused up front.
-		switch {
-		case opts.Dedup != nil && opts.Dedup.Enabled:
-			return nil, nil, errors.New("core: resplit cannot migrate dedup-shared extents (references may span the split boundary); disable one of the two")
-		case opts.VerifyReads:
-			return nil, nil, errors.New("core: resplit rebases extents to new shard-local offsets, which breaks offset-keyed read verification; disable one of the two")
-		case opts.QoS != nil:
-			return nil, nil, errors.New("core: resplit changes the shard count mid-run, invalidating per-shard QoS rate shares; disable one of the two")
-		}
-	}
-	kid := sv.setup.Obs.Child(id)
-	opts.Obs = kid
-	eng := sim.NewEngine()
-	be, err := sv.setup.Backend(eng)
+	dev, kid, err := sv.setup.buildDevice(id, vol, opts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: shard %d backend: %w", id, err)
+		return nil, nil, err
 	}
-	dev, err := NewDevice(eng, be, vol, opts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: shard %d: %w", id, err)
-	}
-	if dev.wp.flushWait <= 0 && !dev.wp.disableSD {
-		return nil, nil, errors.New("core: serve mode requires a positive SD flush timeout (a disabled timer would buffer the last run forever)")
-	}
-	// The device is consumed by the serve loop: a Play on it would
-	// race the loop, so mark it used and detach the replay-only
+	// The shard's loop opens the device's one run; detach the replay-only
 	// closed-loop callbacks — serve tracks completion per operation.
-	dev.played = true
 	dev.stats.Trace = "serve"
 	dev.wp.complete = func(time.Duration) {}
 	dev.rp.complete = func(time.Duration) {}
@@ -314,14 +284,10 @@ func (sv *Server) buildShard(id int, vol int64) (*serveShard, *obs.Collector, er
 		mail:       make(chan *serveOp, sv.setup.Mailbox),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
-		batch:      sv.setup.Batch,
 		pending:    make(map[*serveOp]struct{}),
 		inflightBy: make(map[string]int),
 	}, kid, nil
 }
-
-// VolumeBytes returns the full logical volume size.
-func (sv *Server) VolumeBytes() int64 { return sv.vol }
 
 // Shards returns the current shard count — the initial partition width
 // plus one per resplit so far.
@@ -364,21 +330,6 @@ func (sv *Server) WriteAt(ctx context.Context, at time.Duration, off, size int64
 	return sv.submit(ctx, at, off, size, true)
 }
 
-// shardIndex returns the shard whose [bounds[i], bounds[i+1]) range
-// contains byte offset off.
-func shardIndex(bounds []int64, off int64) int {
-	lo, hi := 0, len(bounds)-2
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if bounds[mid] <= off {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
-}
-
 // Await blocks for one submitted operation's completion and returns its
 // open-loop virtual latency. The operation completes server-side even if
 // the context cancels the wait.
@@ -405,19 +356,12 @@ func (sv *Server) SubmitAtTag(ctx context.Context, at time.Duration, off, size i
 	if err != nil {
 		return nil, err
 	}
-	return func(ctx context.Context) (time.Duration, error) {
-		select {
-		case r := <-j.res:
-			return r.lat, r.err
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-	}, nil
+	return j.wait, nil
 }
 
 // submit is the synchronous form: mail, then wait.
 func (sv *Server) submit(ctx context.Context, at time.Duration, off, size int64, write bool) (time.Duration, error) {
-	if sv.paced {
+	if sv.setup.Paced {
 		// Under pacing a completion past the watermark is only released
 		// by a later arrival; a caller blocked here would never send it.
 		return 0, errors.New("core: synchronous submit would deadlock under paced serve; use SubmitAt and await concurrently")
@@ -426,12 +370,7 @@ func (sv *Server) submit(ctx context.Context, at time.Duration, off, size int64,
 	if err != nil {
 		return 0, err
 	}
-	select {
-	case r := <-j.res:
-		return r.lat, r.err
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
+	return j.wait(ctx)
 }
 
 // mail aligns one facade operation against the volume, cuts it at
@@ -446,7 +385,7 @@ func (sv *Server) mail(ctx context.Context, at time.Duration, off, size int64, w
 	if tenant != "" && !sv.qcfg.Known(tenant) {
 		return nil, fmt.Errorf("core: tenant %q: %w", tenant, qos.ErrUnknownTenant)
 	}
-	aOff, aSize := alignRequest(sv.vol, trace.Request{Offset: off, Size: size, Write: write})
+	aOff, aSize := alignRequest(sv.part.vol, trace.Request{Offset: off, Size: size, Write: write})
 	// The read lock covers both passes over the router: a resplit
 	// (holding the write lock) must not move a boundary between the
 	// piece count and the mailing.
@@ -458,24 +397,15 @@ func (sv *Server) mail(ctx context.Context, at time.Duration, off, size int64, w
 	// Count the shard-boundary pieces first: the join needs the fan-out
 	// width before the first piece can be mailed.
 	pieces := 0
-	for o, n := aOff, aSize; n > 0; {
-		i := shardIndex(sv.bounds, o)
-		c := sv.bounds[i+1] - o
-		if c > n {
-			c = n
-		}
+	for o, n := aOff, aSize; n > 0; pieces++ {
+		_, _, c := sv.part.next(o, n)
 		o += c
 		n -= c
-		pieces++
 	}
 	j := &joinOp{remaining: pieces, res: make(chan serveResult, 1)}
 	for o, n := aOff, aSize; n > 0; {
-		i := shardIndex(sv.bounds, o)
-		c := sv.bounds[i+1] - o
-		if c > n {
-			c = n
-		}
-		op := &serveOp{at: at, off: o - sv.bounds[i], size: c, write: write, tenant: tenant, j: j}
+		i, local, c := sv.part.next(o, n)
+		op := &serveOp{at: at, off: local, size: c, write: write, tenant: tenant, j: j}
 		ss := sv.shards[i]
 		select {
 		case ss.mail <- op:
@@ -512,49 +442,26 @@ func (sv *Server) Stop() (*RunStats, error) {
 	for _, ss := range sv.shards {
 		<-ss.done
 	}
-	sv.obs.Absorb(sv.kids)
 	parts := make([]*RunStats, len(sv.shards))
+	errs := make([]error, len(sv.shards))
+	live := make([]int64, len(sv.shards))
 	for i, ss := range sv.shards {
-		parts[i] = ss.dev.stats
+		parts[i], errs[i], live[i] = ss.dev.stats, ss.dev.fs.err, ss.dev.se.mapping.LiveBlocks()
 	}
-	merged := MergeRunStats(parts)
-	merged.Obs = sv.obs.Report()
+	merged, err := sv.setup.merge(sv.kids, parts, errs, "serve ")
 	merged.SubmitStalls = sv.stalls.Load()
-	merged.ShardLiveBlocks = make([]int64, len(sv.shards))
-	for i, ss := range sv.shards {
-		merged.ShardLiveBlocks[i] = ss.dev.se.mapping.LiveBlocks()
-	}
-	merged.Backend = fmt.Sprintf("serve %d-shard [%s]", len(sv.shards), parts[0].Backend)
-	var firstErr error
-	for i, ss := range sv.shards {
-		if err := ss.dev.fs.err; err != nil {
-			firstErr = fmt.Errorf("core: shard %d: %w", i, err)
-			break
-		}
-	}
-	if merged.Err == nil {
-		merged.Err = firstErr
-	}
-	return merged, firstErr
+	merged.ShardLiveBlocks = live
+	return merged, err
 }
 
-// run is the shard's event-loop goroutine: block on the mailbox, drain a
-// batch, run the virtual-time engine until quiescent, repeat. On stop it
-// drains whatever was already accepted, then finalizes the device.
+// run is the shard's event-loop goroutine: open the device's run, then
+// block on the mailbox, drain a batch, run the virtual-time engine until
+// quiescent, repeat. On stop it drains whatever was already accepted and
+// closes the run.
 func (ss *serveShard) run() {
 	defer close(ss.done)
-	if ss.dev.replayWorkers > 1 {
-		// Every shard's codec futures go through one queue each on the
-		// process-wide work-stealing pool, so a hot shard's backlog is
-		// drained by whatever workers the cold shards leave idle.
-		q := parallel.Shared().NewQueue()
-		ss.dev.wp.pool = q
-		ss.dev.rp.usePool(q)
-		defer func() {
-			q.Close()
-			ss.dev.wp.pool = nil
-			ss.dev.rp.pool = nil
-		}()
+	if err := ss.dev.open(false); err != nil {
+		ss.dev.fs.fail(err)
 	}
 	for {
 		select {
@@ -581,7 +488,7 @@ func (ss *serveShard) run() {
 func (ss *serveShard) ingest(first *serveOp) {
 	ss.admit(first)
 drain:
-	for n := 1; n < ss.batch; n++ {
+	for n := 1; n < ss.sv.setup.Batch; n++ {
 		select {
 		case op := <-ss.mail:
 			ss.admit(op)
@@ -589,16 +496,16 @@ drain:
 			break drain
 		}
 	}
-	// Re-arm maintenance for this batch (a tick that fired with nothing
-	// pending disarmed itself). RunPending — not Run — so the armed
+	// Re-arm the background timers for this batch (one that fired with
+	// nothing pending disarmed itself). RunPending — not Run — so the armed
 	// maintenance/checkpoint timers cannot fast-forward the clock ahead
 	// of arrival stamps still in flight; they fire when real traffic
 	// pushes the clock past their deadlines. Paced mode goes further:
 	// the engine stops at the arrival watermark itself, so completions
 	// past the newest stamp wait for the next batch (or the stop-drain)
 	// and the clock can never outrun a stamp-ordered submitter.
-	ss.dev.armMaint()
-	if ss.sv.paced {
+	ss.dev.armTimers()
+	if ss.sv.setup.Paced {
 		ss.dev.eng.RunUntil(ss.horizon)
 	} else {
 		ss.dev.eng.RunPending()
@@ -685,18 +592,10 @@ func (ss *serveShard) arrive(op *serveOp) {
 			return
 		}
 	}
-	d.wp.meter.Record(now, op.size)
-	if m := d.fe.qs.meter(op.tenant); m != nil {
-		m.Record(now, op.size)
-	}
-	d.obs.AdmitTenant(now, op.off, op.size, op.write, op.tenant)
-	d.stats.Requests++
 	ts := d.stats.Tenant(op.tenant) // nil for untagged traffic
-	if ts != nil {
-		ts.Requests++
-	}
-	wait := now - op.at // ingress queueing ahead of admission
-	done := func(resp time.Duration) {
+	wait := now - op.at             // ingress queueing ahead of admission
+	// The books and the hand-off are the ones replay admits through.
+	d.fe.dispatch(now, op.off, op.size, op.write, op.tenant, ts, func(resp time.Duration) {
 		ss.remove(op)
 		lat := wait + resp
 		d.stats.Resp.Observe(lat)
@@ -709,22 +608,7 @@ func (ss *serveShard) arrive(op *serveOp) {
 			d.stats.RespRead.Observe(lat)
 		}
 		op.j.complete(lat, nil)
-	}
-	if op.write {
-		d.stats.Writes++
-		if ts != nil {
-			ts.Writes++
-		}
-		d.wp.admitWrite(PendingWrite{Arrival: now, Offset: op.off, Size: op.size, Tenant: op.tenant, Done: done})
-		return
-	}
-	d.stats.Reads++
-	if ts != nil {
-		ts.Reads++
-	}
-	// Reads enter through the frontend's read entry (pending-run flush,
-	// then the read plan), the same one replay admits them through.
-	d.fe.onRead(now, op.off, op.size, done)
+	})
 }
 
 // failAll completes every pending operation with the shard's fatal
@@ -743,7 +627,7 @@ func (ss *serveShard) failAll() {
 
 // finish drains the pipeline after the intake closed: run the engine
 // dry, flush any buffered SD run, fail whatever could not complete, and
-// snapshot end-of-run statistics.
+// close the device's run.
 func (ss *serveShard) finish() {
 	d := ss.dev
 	d.eng.Run()
@@ -755,5 +639,5 @@ func (ss *serveShard) finish() {
 		d.fs.fail(fmt.Errorf("core: serve shard %d stopped with %d operations unfinished", ss.id, len(ss.pending)))
 		ss.failAll()
 	}
-	d.finalize()
+	d.close()
 }

@@ -18,23 +18,25 @@ func newTestServer(t *testing.T, n int, vol int64, mailbox, batch int) *Server {
 	t.Helper()
 	reg := defaultTestRegistry(t)
 	sv, err := NewServer(ServeSetup{
-		Shards:      n,
-		VolumeBytes: vol,
-		Backend: func(eng *sim.Engine) (Backend, error) {
-			cfg := ssd.DefaultConfig()
-			cfg.Blocks = 512
-			d, err := ssd.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return NewSingleSSD(eng, d), nil
-		},
-		Options: func(int) (Options, error) {
-			return Options{
-				Registry:    reg,
-				Data:        datagen.New(datagen.Enterprise(), 11),
-				VerifyReads: true,
-			}, nil
+		ShardSetup: ShardSetup{
+			Shards:      n,
+			VolumeBytes: vol,
+			Backend: func(eng *sim.Engine) (Backend, error) {
+				cfg := ssd.DefaultConfig()
+				cfg.Blocks = 512
+				d, err := ssd.New(cfg)
+				if err != nil {
+					return nil, err
+				}
+				return NewSingleSSD(eng, d), nil
+			},
+			Options: func(int) (Options, error) {
+				return Options{
+					Registry:    reg,
+					Data:        datagen.New(datagen.Enterprise(), 11),
+					VerifyReads: true,
+				}, nil
+			},
 		},
 		Mailbox: mailbox,
 		Batch:   batch,
@@ -360,24 +362,26 @@ func TestServeContextCancel(t *testing.T) {
 func TestServeFailurePropagation(t *testing.T) {
 	reg := defaultTestRegistry(t)
 	sv, err := NewServer(ServeSetup{
-		Shards:      1,
-		VolumeBytes: 1 << 20,
-		Backend: func(eng *sim.Engine) (Backend, error) {
-			cfg := ssd.DefaultConfig()
-			cfg.Blocks = 64
-			d, err := ssd.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return NewSingleSSD(eng, d), nil
-		},
-		Options: func(int) (Options, error) {
-			// Every device write hard-fails: retries and re-allocations
-			// exhaust, then the pipeline aborts.
-			return Options{
-				Registry: reg,
-				Faults:   &fault.Plan{Seed: 7, WriteHard: 1.0},
-			}, nil
+		ShardSetup: ShardSetup{
+			Shards:      1,
+			VolumeBytes: 1 << 20,
+			Backend: func(eng *sim.Engine) (Backend, error) {
+				cfg := ssd.DefaultConfig()
+				cfg.Blocks = 64
+				d, err := ssd.New(cfg)
+				if err != nil {
+					return nil, err
+				}
+				return NewSingleSSD(eng, d), nil
+			},
+			Options: func(int) (Options, error) {
+				// Every device write hard-fails: retries and re-allocations
+				// exhaust, then the pipeline aborts.
+				return Options{
+					Registry: reg,
+					Faults:   &fault.Plan{Seed: 7, WriteHard: 1.0},
+				}, nil
+			},
 		},
 	})
 	if err != nil {
@@ -409,10 +413,10 @@ func TestNewServerValidation(t *testing.T) {
 	}
 	of := func(int) (Options, error) { return Options{}, nil }
 	for _, tc := range []ServeSetup{
-		{Shards: 2, VolumeBytes: 1 << 20, Backend: nil, Options: of},
-		{Shards: 2, VolumeBytes: 1 << 20, Backend: bf, Options: nil},
-		{Shards: 2, VolumeBytes: BlockSize - 1, Backend: bf, Options: of},
-		{Shards: 9, VolumeBytes: 8 * BlockSize, Backend: bf, Options: of},
+		{ShardSetup: ShardSetup{Shards: 2, VolumeBytes: 1 << 20, Backend: nil, Options: of}},
+		{ShardSetup: ShardSetup{Shards: 2, VolumeBytes: 1 << 20, Backend: bf, Options: nil}},
+		{ShardSetup: ShardSetup{Shards: 2, VolumeBytes: BlockSize - 1, Backend: bf, Options: of}},
+		{ShardSetup: ShardSetup{Shards: 9, VolumeBytes: 8 * BlockSize, Backend: bf, Options: of}},
 	} {
 		if _, err := NewServer(tc); err == nil {
 			t.Errorf("NewServer(%+v) accepted invalid setup", tc)
@@ -420,18 +424,20 @@ func TestNewServerValidation(t *testing.T) {
 	}
 	// A disabled flush timeout would strand buffered runs forever.
 	_, err := NewServer(ServeSetup{
-		Shards: 1, VolumeBytes: 1 << 20,
-		Backend: func(eng *sim.Engine) (Backend, error) {
-			cfg := ssd.DefaultConfig()
-			cfg.Blocks = 64
-			d, err := ssd.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return NewSingleSSD(eng, d), nil
-		},
-		Options: func(int) (Options, error) {
-			return Options{FlushTimeout: -1}, nil
+		ShardSetup: ShardSetup{
+			Shards: 1, VolumeBytes: 1 << 20,
+			Backend: func(eng *sim.Engine) (Backend, error) {
+				cfg := ssd.DefaultConfig()
+				cfg.Blocks = 64
+				d, err := ssd.New(cfg)
+				if err != nil {
+					return nil, err
+				}
+				return NewSingleSSD(eng, d), nil
+			},
+			Options: func(int) (Options, error) {
+				return Options{FlushTimeout: -1}, nil
+			},
 		},
 	})
 	if err == nil {

@@ -3,21 +3,19 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
+	"sync"
 
 	"edc/internal/obs"
-	"edc/internal/parallel"
 	"edc/internal/sim"
 	"edc/internal/trace"
 )
 
-// ShardSetup describes an LBA-sharded replay: the volume is partitioned
+// ShardSetup describes an LBA-sharded stack: the volume is partitioned
 // into Shards contiguous block-aligned ranges, each served by an
 // independent pipeline instance — its own sim.Engine, backend, allocator,
-// mapping, and stages — replayed concurrently on OS goroutines. The
-// factories run once per shard so no mutable state is shared; the only
-// cross-shard structure is the read-only IntensitySnapshot every shard
-// queries for the global workload signal.
+// mapping, and stages — run concurrently on OS goroutines, replaying a
+// trace (NewSharded) or serving live traffic (ServeSetup embeds this).
+// The factories run once per shard so no mutable state is shared.
 type ShardSetup struct {
 	// Shards is the partition width (>= 1).
 	Shards int
@@ -27,52 +25,44 @@ type ShardSetup struct {
 	Backend func(eng *sim.Engine) (Backend, error)
 	// Options builds one shard's Options. It must return fresh
 	// per-shard state for every call (Data generator, Estimator, Policy)
-	// — sharing any of them across shards races. Options.Meter is
-	// overwritten with the shared intensity snapshot.
+	// — sharing any of them across shards races. Replay overwrites
+	// Options.Meter with the read-only IntensitySnapshot every shard
+	// queries for the global workload signal; serve has no trace to
+	// derive one from, so each shard's monitor measures its own slice
+	// of the traffic unless the factory sets a Meter.
 	Options func(shard int) (Options, error)
-	// MonitorWindow sizes the shared snapshot's slow window (zero: the
-	// device default of 500 ms).
-	MonitorWindow time.Duration
-	// Obs observes the merged replay: each shard gets a private buffering
+	// Obs observes the merged run: each shard gets a private buffering
 	// child collector (Options.Obs is overwritten), and after the shards
 	// join their event streams merge deterministically by (virtual time,
 	// shard, sequence) into this parent. Nil disables observability.
 	Obs *obs.Collector
 }
 
-// ShardedDevice routes requests to LBA-range shards and replays them in
-// parallel. Single-shard replay should use Device directly: the sharded
-// path has different (though deterministic) semantics — per-shard
-// closed-loop bounds, shard-local SD merge, and a trace-derived global
-// intensity signal.
-type ShardedDevice struct {
-	setup  ShardSetup
+// partition is a volume cut into contiguous block-aligned LBA ranges:
+// shard i serves [bounds[i], bounds[i+1]). A serve-mode resplit splices
+// a bound in under the router's write lock.
+type partition struct {
 	vol    int64
-	bounds []int64 // len Shards+1; shard i serves [bounds[i], bounds[i+1])
-	played bool
+	bounds []int64 // ascending, bounds[0] = 0, bounds[len-1] = vol
 }
 
-// NewSharded validates the setup and computes the LBA partition.
-func NewSharded(setup ShardSetup) (*ShardedDevice, error) {
-	if setup.Shards < 1 {
-		return nil, errors.New("core: shards must be >= 1")
+// partition validates the setup and cuts the block-aligned volume into
+// Shards balanced ranges.
+func (s *ShardSetup) partition() (partition, error) {
+	if s.Shards < 1 {
+		return partition{}, errors.New("core: shards must be >= 1")
 	}
-	if setup.Backend == nil || setup.Options == nil {
-		return nil, errors.New("core: shard setup needs Backend and Options factories")
+	if s.Backend == nil || s.Options == nil {
+		return partition{}, errors.New("core: shard setup needs Backend and Options factories")
 	}
-	vol := setup.VolumeBytes &^ (BlockSize - 1)
+	vol := s.VolumeBytes &^ (BlockSize - 1)
 	if vol <= 0 {
-		return nil, errors.New("core: volume smaller than one block")
+		return partition{}, errors.New("core: volume smaller than one block")
 	}
-	nBlocks := vol / BlockSize
-	if int64(setup.Shards) > nBlocks {
-		return nil, fmt.Errorf("core: %d shards exceed %d volume blocks", setup.Shards, nBlocks)
+	if nBlocks := vol / BlockSize; int64(s.Shards) > nBlocks {
+		return partition{}, fmt.Errorf("core: %d shards exceed %d volume blocks", s.Shards, nBlocks)
 	}
-	return &ShardedDevice{
-		setup:  setup,
-		vol:    vol,
-		bounds: shardBounds(vol, setup.Shards),
-	}, nil
+	return partition{vol: vol, bounds: shardBounds(vol, s.Shards)}, nil
 }
 
 // shardBounds splits vol into n block-aligned ranges covering the whole
@@ -92,20 +82,75 @@ func shardBounds(vol int64, n int) []int64 {
 	return bounds
 }
 
-// Bounds returns the partition offsets (len Shards+1, ascending,
-// bounds[0]=0, bounds[n]=volume).
-func (s *ShardedDevice) Bounds() []int64 {
-	out := make([]int64, len(s.bounds))
-	copy(out, s.bounds)
-	return out
+// shards returns the partition width.
+func (p partition) shards() int { return len(p.bounds) - 1 }
+
+// width returns the size of shard i's range in bytes.
+func (p partition) width(i int) int64 { return p.bounds[i+1] - p.bounds[i] }
+
+// index returns the shard whose range contains byte offset off.
+func (p partition) index(off int64) int {
+	lo, hi := 0, len(p.bounds)-2
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if p.bounds[mid] <= off {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
 }
 
-// VolumeBytes returns the full logical volume size.
-func (s *ShardedDevice) VolumeBytes() int64 { return s.vol }
+// next cuts the first piece off the aligned range [off, off+n): the
+// shard serving off, the piece's shard-local offset, and its length,
+// which stops at that shard's upper bound. Callers advance by size until
+// n is zero.
+func (p partition) next(off, n int64) (shard int, local, size int64) {
+	shard = p.index(off)
+	size = p.bounds[shard+1] - off
+	if size > n {
+		size = n
+	}
+	return shard, off - p.bounds[shard], size
+}
 
-// shardFor returns the shard index serving byte offset off.
-func (s *ShardedDevice) shardFor(off int64) int {
-	return shardIndex(s.bounds, off)
+// buildDevice stamps out shard id's private pipeline over vol bytes: a
+// buffering child of the parent collector, a fresh engine and backend,
+// and a Device configured by opts (from the Options factory).
+func (s *ShardSetup) buildDevice(id int, vol int64, opts Options) (*Device, *obs.Collector, error) {
+	kid := s.Obs.Child(id)
+	opts.Obs = kid
+	eng := sim.NewEngine()
+	be, err := s.Backend(eng)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: shard %d backend: %w", id, err)
+	}
+	dev, err := NewDevice(eng, be, vol, opts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: shard %d: %w", id, err)
+	}
+	return dev, kid, nil
+}
+
+// ShardedDevice routes requests to LBA-range shards and replays them in
+// parallel. Single-shard replay should use Device directly: the sharded
+// path has different (though deterministic) semantics — per-shard
+// closed-loop bounds, shard-local SD merge, and a trace-derived global
+// intensity signal.
+type ShardedDevice struct {
+	setup  ShardSetup
+	part   partition
+	played bool
+}
+
+// NewSharded validates the setup and computes the LBA partition.
+func NewSharded(setup ShardSetup) (*ShardedDevice, error) {
+	part, err := setup.partition()
+	if err != nil {
+		return nil, err
+	}
+	return &ShardedDevice{setup: setup, part: part}, nil
 }
 
 // split routes t across the shards: each request is aligned against the
@@ -113,24 +158,20 @@ func (s *ShardedDevice) shardFor(off int64) int {
 // boundaries, and rebased into shard-local offsets. Arrival order within
 // a shard is trace order, so per-shard replay stays deterministic.
 func (s *ShardedDevice) split(t *trace.Trace) []*trace.Trace {
-	subs := make([]*trace.Trace, len(s.bounds)-1)
+	subs := make([]*trace.Trace, s.part.shards())
 	for i := range subs {
 		subs[i] = &trace.Trace{Name: t.Name}
 	}
 	for _, r := range t.Requests {
-		off, size := alignRequest(s.vol, r)
+		off, size := alignRequest(s.part.vol, r)
 		for size > 0 {
-			i := s.shardFor(off)
-			end := s.bounds[i+1]
-			n := size
-			if off+n > end {
-				n = end - off
-			}
+			i, local, n := s.part.next(off, size)
 			subs[i].Requests = append(subs[i].Requests, trace.Request{
 				Arrival: r.Arrival,
-				Offset:  off - s.bounds[i],
+				Offset:  local,
 				Size:    n,
 				Write:   r.Write,
+				Tenant:  r.Tenant,
 			})
 			off += n
 			size -= n
@@ -145,66 +186,62 @@ func (s *ShardedDevice) split(t *trace.Trace) []*trace.Trace {
 // output is deterministic for a fixed shard count.
 func (s *ShardedDevice) Play(t *trace.Trace) (*RunStats, error) {
 	if s.played {
-		return nil, errors.New("core: device already played a trace")
+		return nil, ErrReplayed
 	}
 	s.played = true
 
 	// The shared global workload signal: every shard selects codecs
 	// against the same trace-wide intensity, not its own slice of it.
-	snap := NewIntensitySnapshot(t, s.vol, s.setup.MonitorWindow)
+	snap := NewIntensitySnapshot(t, s.part.vol)
 
-	n := len(s.bounds) - 1
+	n := s.part.shards()
 	devs := make([]*Device, n)
 	kids := make([]*obs.Collector, n)
-	for i := 0; i < n; i++ {
+	for i := range devs {
 		opts, err := s.setup.Options(i)
 		if err != nil {
 			return nil, err
 		}
 		opts.Meter = snap
-		kids[i] = s.setup.Obs.Child(i)
-		opts.Obs = kids[i]
-		eng := sim.NewEngine()
-		be, err := s.setup.Backend(eng)
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d backend: %w", i, err)
+		if devs[i], kids[i], err = s.setup.buildDevice(i, s.part.width(i), opts); err != nil {
+			return nil, err
 		}
-		shardVol := s.bounds[i+1] - s.bounds[i]
-		dev, err := NewDevice(eng, be, shardVol, opts)
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", i, err)
-		}
-		devs[i] = dev
 	}
 	subs := s.split(t)
 
-	type shardResult struct {
-		stats *RunStats
-		err   error
-	}
-	pool := parallel.NewPool(n)
-	futs := make([]*parallel.Future[shardResult], n)
-	for i := 0; i < n; i++ {
-		i := i
-		futs[i] = parallel.Go(pool, func() shardResult {
-			st, err := devs[i].Play(subs[i])
-			return shardResult{stats: st, err: err}
-		})
-	}
+	// One goroutine per shard drives its event loop; the codec work they
+	// dispatch shares the process-wide pool. Each goroutine is handed its
+	// device and nothing here touches devs again, so a shard that finishes
+	// early is collected while the others still run.
 	parts := make([]*RunStats, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range devs {
+		go func(i int, d *Device, sub *trace.Trace) {
+			defer wg.Done()
+			parts[i], errs[i] = d.Play(sub)
+		}(i, devs[i], subs[i])
+	}
+	wg.Wait()
+	return s.setup.merge(kids, parts, errs, "")
+}
+
+// merge folds the shards' finished runs into one RunStats in shard
+// order, so the result is deterministic, and reports the lowest-numbered
+// shard's error. mode prefixes the backend description.
+func (s *ShardSetup) merge(kids []*obs.Collector, parts []*RunStats, errs []error, mode string) (*RunStats, error) {
+	s.Obs.Absorb(kids)
+	merged := MergeRunStats(parts)
+	merged.Obs = s.Obs.Report()
+	merged.Backend = fmt.Sprintf("%s%d-shard [%s]", mode, len(parts), parts[0].Backend)
 	var firstErr error
-	for i, fut := range futs {
-		r := fut.Wait()
-		parts[i] = r.stats
-		if r.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("core: shard %d: %w", i, r.err)
+	for i, err := range errs {
+		if err != nil {
+			firstErr = fmt.Errorf("core: shard %d: %w", i, err)
+			break
 		}
 	}
-	pool.Close()
-	s.setup.Obs.Absorb(kids)
-	merged := MergeRunStats(parts)
-	merged.Obs = s.setup.Obs.Report()
-	merged.Backend = fmt.Sprintf("%d-shard [%s]", n, parts[0].Backend)
 	if merged.Err == nil {
 		merged.Err = firstErr
 	}

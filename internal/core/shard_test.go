@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -79,7 +81,7 @@ func TestShardSplitCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := sd.Bounds()
+	bounds := sd.part.bounds
 
 	tr := &trace.Trace{Name: "split"}
 	// One request per block plus spans crossing each internal boundary
@@ -135,6 +137,87 @@ func TestShardSplitCoverage(t *testing.T) {
 		}
 		if at != off+size {
 			t.Fatalf("request at %v: tiled %d of %d bytes", r.Arrival, at-off, size)
+		}
+	}
+}
+
+// TestPartitionProperty holds the one cutting step to its contract over
+// random volumes, shard counts and requests: the pieces of an aligned
+// request tile it exactly, in order, none crossing a shard bound — and
+// replay's split and serve's mail, which both walk it, cut every request
+// into the same pieces.
+func TestPartitionProperty(t *testing.T) {
+	type piece struct {
+		shard       int
+		local, size int64
+	}
+	rng := rand.New(rand.NewSource(17))
+	bf, of := unusedFactories(t)
+	ctx := context.Background()
+	for iter := 0; iter < 300; iter++ {
+		blocks := 1 + rng.Int63n(300)
+		maxShards := int64(9)
+		if blocks < maxShards {
+			maxShards = blocks
+		}
+		setup := ShardSetup{
+			Shards:      1 + int(rng.Int63n(maxShards)),
+			VolumeBytes: blocks*BlockSize + rng.Int63n(BlockSize), // unaligned tail is dropped
+			Backend:     bf, Options: of,
+		}
+		part, err := setup.partition()
+		if err != nil {
+			t.Fatalf("blocks=%d shards=%d: %v", blocks, setup.Shards, err)
+		}
+		sd := &ShardedDevice{setup: setup, part: part}
+		// A router with mailboxes nobody drains: one request leaves at
+		// most one piece in each.
+		sv := &Server{part: part, shards: make([]*serveShard, setup.Shards)}
+		for i := range sv.shards {
+			sv.shards[i] = &serveShard{mail: make(chan *serveOp, 1)}
+		}
+		for k := 0; k < 20; k++ {
+			r := trace.Request{
+				Offset: rng.Int63n(2 * part.vol),
+				Size:   1 + rng.Int63n(part.vol+BlockSize),
+				Write:  rng.Intn(2) == 0,
+				Tenant: "web",
+			}
+			off, size := alignRequest(part.vol, r)
+			var want []piece
+			for o, n := off, size; n > 0; {
+				i, local, c := part.next(o, n)
+				if c <= 0 || c > n || local < 0 || local+c > part.width(i) || part.bounds[i]+local != o {
+					t.Fatalf("vol=%d shards=%d: next(%d, %d) = shard %d local %d size %d", part.vol, setup.Shards, o, n, i, local, c)
+				}
+				want = append(want, piece{i, local, c})
+				o += c
+				n -= c
+			}
+			var split, mailed []piece
+			for i, sub := range sd.split(&trace.Trace{Requests: []trace.Request{r}}) {
+				for _, q := range sub.Requests {
+					if q.Arrival != r.Arrival || q.Write != r.Write || q.Tenant != r.Tenant {
+						t.Fatalf("split piece %+v lost a field of %+v", q, r)
+					}
+					split = append(split, piece{i, q.Offset, q.Size})
+				}
+			}
+			j, err := sv.mail(ctx, 0, r.Offset, r.Size, r.Write, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, ss := range sv.shards {
+				select {
+				case op := <-ss.mail:
+					mailed = append(mailed, piece{i, op.off, op.size})
+				default:
+				}
+			}
+			if !reflect.DeepEqual(split, want) || !reflect.DeepEqual(mailed, want) || j.remaining != len(want) {
+				t.Fatalf("vol=%d shards=%d request [%d,+%d):\n step  %v\n split %v\n mail  %v (join waits for %d)",
+					part.vol, setup.Shards, off, size, want, split, mailed, j.remaining)
+			}
 		}
 	}
 }

@@ -73,10 +73,9 @@ type writePath struct {
 
 	// Real-CPU pipeline: codec work dispatched at processRun time runs
 	// on pool workers while the event loop advances virtual time; store
-	// joins on the future. The executor is this pipeline's queue on the
-	// process-wide work-stealing pool and exists only while the pipeline
-	// runs (replay or serve).
-	pool parallel.Executor
+	// joins on the future. pool is the queue Device.open registers on the
+	// process-wide codec pool; it exists only while the pipeline runs.
+	pool *parallel.Queue
 
 	// complete finishes one host write (response observation +
 	// closed-loop slot release); drop releases writes without observing

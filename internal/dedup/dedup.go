@@ -37,7 +37,7 @@ func splitmix(x uint64) uint64 {
 // HashSum fingerprints p under the given key. The key is fixed per
 // device (Config.Key), so the fingerprint of a payload is deterministic
 // across runs of the same configuration — the property the determinism
-// gates (make dedupcheck) rely on. The two lanes are seeded from
+// gates (make matrixcheck) rely on. The two lanes are seeded from
 // different key expansions and fed decorrelated views of each word, so
 // a collision requires defeating both independently.
 func HashSum(key uint64, p []byte) Sum {

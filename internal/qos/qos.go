@@ -167,20 +167,6 @@ func (c *Config) Shaped() bool {
 	return false
 }
 
-// Prioritized reports whether any tenant leaves the standard class —
-// the pipeline keeps the plain FIFO when all classes are equal.
-func (c *Config) Prioritized() bool {
-	if c == nil {
-		return false
-	}
-	for _, t := range c.Tenants {
-		if t.Class != ClassStandard {
-			return true
-		}
-	}
-	return false
-}
-
 // Names returns the configured tenant names in sorted order.
 func (c *Config) Names() []string {
 	if c == nil {

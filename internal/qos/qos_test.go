@@ -199,8 +199,8 @@ func TestConfigQueries(t *testing.T) {
 	if !c.Known("alice") || !c.Known("") || c.Known("mallory") {
 		t.Fatal("Known mismatch")
 	}
-	if !c.Shaped() || !c.Prioritized() {
-		t.Fatal("Shaped/Prioritized should be true")
+	if !c.Shaped() {
+		t.Fatal("Shaped should be true")
 	}
 	if got := c.Names(); len(got) != 2 || got[0] != "alice" || got[1] != "bob" {
 		t.Fatalf("Names = %v", got)

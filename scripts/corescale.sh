@@ -16,9 +16,6 @@
 #      least CORESCALE_MIN times the GOMAXPROCS=1 run. Unset locally so
 #      single-core containers can still run the identity gate.
 #
-# Set CORESCALE_JSON=path to also write a machine-readable summary
-# (consumed by scripts/perfjson.sh for the BENCH snapshot).
-#
 # Requires jq; all field extraction fails loudly on missing or
 # malformed output. Invoked by `make corescale`.
 set -eu
@@ -93,19 +90,4 @@ if [ -n "${CORESCALE_MIN:-}" ]; then
 		exit 1
 	}
 	echo "speedup gate passed (>= ${CORESCALE_MIN}x)"
-fi
-
-if [ -n "${CORESCALE_JSON:-}" ]; then
-	for procs in 1 2 4; do
-		jq --argjson procs "$procs" \
-			'{procs: $procs, wall_ns: .wall_ns, ops_per_sec_wall: .ops_per_sec_wall, stalls: .stalls, pool: .pool}' \
-			"$tmp/run-$procs.json" >"$tmp/summary-$procs.json"
-	done
-	jq -n --arg spec "$spec" --argjson cores "$(nproc)" --argjson speedup "$speedup" \
-		--slurpfile r1 "$tmp/summary-1.json" \
-		--slurpfile r2 "$tmp/summary-2.json" \
-		--slurpfile r4 "$tmp/summary-4.json" \
-		'{spec: $spec, cores: $cores, speedup_4v1: $speedup, runs: ($r1 + $r2 + $r4)}' \
-		>"$CORESCALE_JSON"
-	echo "wrote $CORESCALE_JSON"
 fi

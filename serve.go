@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"edc/internal/core"
-	"edc/internal/sim"
 )
 
 // Serve mode runs the configured EDC stack live instead of replaying a
@@ -37,27 +36,11 @@ func (s *System) Serve() error {
 		return ErrReplayed
 	}
 	s.played = true
-	shards := s.cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	// Codec work runs on the process-wide work-stealing pool: each shard
-	// registers its own bounded queue and any idle pool worker drains any
-	// shard's backlog, so there is no per-shard worker budget to split.
-	perShard := s.cfg
 	setup := core.ServeSetup{
-		Shards:      shards,
-		VolumeBytes: s.volBytes,
-		Backend: func(eng *sim.Engine) (core.Backend, error) {
-			return buildBackend(perShard, eng)
-		},
-		Options: func(int) (core.Options, error) {
-			return deviceOptions(perShard)
-		},
-		Mailbox: s.cfg.ServeMailbox,
-		Batch:   s.cfg.ServeBatch,
-		Obs:     s.col,
-		Paced:   s.cfg.PacedServe,
+		ShardSetup: s.cfg.shardSetup(s.volBytes, s.col),
+		Mailbox:    s.cfg.ServeMailbox,
+		Batch:      s.cfg.ServeBatch,
+		Paced:      s.cfg.PacedServe,
 	}
 	if s.cfg.Resplit != nil {
 		setup.Resplit = *s.cfg.Resplit
