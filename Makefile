@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmtcheck doclint race raceall bench perfdiff servecheck corescale check cover matrixcheck qoscheck clean
+.PHONY: all build test vet fmtcheck doclint race raceall bench perfdiff corescale check cover matrixcheck clean
 
 all: check
 
@@ -26,10 +26,13 @@ doclint:
 test:
 	$(GO) test ./...
 
-# Race-check the packages that exercise the replay pipeline (real
-# goroutines joining the virtual-time event loop).
+# Race-check the packages that exercise the replay and serve pipelines
+# (real goroutines joining the virtual-time event loop). internal/bench
+# drives the live serve path: its open-loop two-tenant QoS spec must
+# reproduce its whole result, latencies included, at one and two shards
+# (TestRunServeDeterministicCounts).
 race:
-	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/parallel/... .
+	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/parallel/... ./internal/bench/... .
 
 # Race-check everything (the CI race job; slower than `race`).
 raceall:
@@ -41,17 +44,6 @@ raceall:
 # the reports compared byte for byte (matrix_test.go).
 matrixcheck:
 	GOMAXPROCS=4 $(GO) test -race -run TestFeatureMatrix .
-
-# Determinism and tag-inertness gate for multi-tenant QoS: the
-# two-tenant serve spec (latency class + bandwidth-shaped bulk class)
-# twice under the race detector at one and two shards, comparing the
-# pipeline-determined results (op counts, codec mixes, byte totals,
-# per-tenant shaping/rejection counts — open-loop latency fields depend
-# on real-time batch boundaries and are excluded), then a
-# tagged-single-tenant spec against its untagged twin: the tag alone
-# must change nothing. Needs jq.
-qoscheck:
-	sh scripts/qoscheck.sh
 
 # Codec + generator microbenchmarks with allocation counts.
 bench:
@@ -65,13 +57,6 @@ bench:
 perfdiff:
 	@test -n "$(BASE)" || { echo "usage: make perfdiff BASE=<rev>"; exit 2; }
 	bash scripts/perfdiff.sh $(BASE)
-
-# Serve-mode smoke: a short multi-step open-loop spec pushed through the
-# race detector on several cores — the concurrency gate for the live
-# serving path. CI's serve-smoke job runs exactly this target.
-servecheck:
-	GOMAXPROCS=4 $(GO) run -race ./cmd/edcbench -serve \
-		-spec specs/serve-smoke.spec -clients 8 -shards 2 -volume 64
 
 # Core-scaling sweep and gate: the same paced serve workload at
 # GOMAXPROCS 1/2/4. Always asserts the virtual-time results (per-step
@@ -89,7 +74,7 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -n 25
 
 # The tier-1 gate: everything a PR must keep green.
-check: fmtcheck vet build doclint test race matrixcheck qoscheck
+check: fmtcheck vet build doclint test race matrixcheck
 
 clean:
 	$(GO) clean ./...

@@ -11,12 +11,12 @@ import (
 // Compressed output is a pure function of (content, codec) and the event
 // loop joins every future before using it, so RunStats must match
 // field-by-field between sequential (workers=1) and pipelined replays.
-// With workers > 1 the codec futures run on the process-wide
-// work-stealing pool (each replay registers a queue; any idle pool
-// worker may execute any job), so matching at both 2 and 8 workers also
-// pins down that stealing cannot reorder results. Run under -race this
-// exercises the pool's handoff of content/payload buffers between the
-// event loop and the workers.
+// With workers > 1 the codec futures run on the process-wide pool (each
+// replay submits through its own queue handle onto one bounded channel;
+// any idle pool worker may execute any job), so matching at both 2 and 8
+// workers also pins down that which worker ran a job cannot reorder
+// results. Run under -race this exercises the pool's handoff of
+// content/payload buffers between the event loop and the workers.
 func TestReplayWorkersDeterminism(t *testing.T) {
 	tr := smallTrace(t, 1500)
 	backends := []struct {
@@ -66,7 +66,7 @@ func TestReplayWorkersDeterminism(t *testing.T) {
 // with workers > 1 that whole check runs on pool goroutines between the
 // read's submission and completion events. Results must still match the
 // sequential replay field-by-field — alone, combined with LBA sharding
-// (where every shard's queue feeds the same shared work-stealing pool),
+// (where every shard's queue feeds the same shared pool),
 // and under an active fault plan (whose retries reorder nothing). Run
 // under -race this exercises the event loop handing freelist buffers
 // and payload snapshots to the verify workers.

@@ -2,9 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
+
+	"edc/internal/race"
 )
 
 // tiny keeps test replays fast.
@@ -155,16 +158,28 @@ func TestFig3Bursty(t *testing.T) {
 // evalValue reads scheme x trace-average from an eval figure.
 func evalValue(t *testing.T, tab *Table, scheme string) float64 {
 	t.Helper()
+	return evalCell(t, tab, scheme, "average")
+}
+
+// evalCell reads scheme x column (a trace name, or "average") from an
+// eval figure.
+func evalCell(t *testing.T, tab *Table, scheme, column string) float64 {
+	t.Helper()
 	for _, row := range tab.Rows {
-		if row[0] == scheme {
-			v, err := strconv.ParseFloat(row[len(row)-1], 64)
-			if err != nil {
-				t.Fatal(err)
+		if row[0] != scheme {
+			continue
+		}
+		for i, h := range tab.Header {
+			if h == column {
+				v, err := strconv.ParseFloat(row[i], 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return v
 			}
-			return v
 		}
 	}
-	t.Fatalf("scheme %s missing", scheme)
+	t.Fatalf("no cell for scheme %s, column %s", scheme, column)
 	return 0
 }
 
@@ -191,6 +206,51 @@ func TestFig8Fig10Shapes(t *testing.T) {
 		evalValue(t, t10[0], "EDC") < evalValue(t, t10[0], "Gzip") &&
 		evalValue(t, t10[0], "EDC") <= evalValue(t, t10[0], "Lzf")*1.05) {
 		t.Fatalf("fig10 ordering violated: %+v", t10[0].Rows)
+	}
+}
+
+// TestFig10ClaimsHold ties the fig10 sentences in DESIGN.md §8 and
+// EXPERIMENTS.md to the generated table: EDC responds no slower than
+// Gzip and Bzip2 on every trace and no slower than Lzf on Fin1, Fin2 and
+// Prxy_0; on Usr_0 always-on Lzf is faster, and the docs say so. The
+// sentences claim that shape, not the decimals, and it already holds at
+// a quarter of the default request count (it does not at `tiny`). If the
+// Usr_0 exception ever goes away this fails too: the docs then need the
+// sentence removed, not the test.
+func TestFig10ClaimsHold(t *testing.T) {
+	if testing.Short() || race.Enabled {
+		t.Skip("a 3000-request sweep of every scheme; the claim is about numbers, not concurrency")
+	}
+	tables, err := Run("fig10", Params{Requests: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := func(scheme, trace string) float64 { return evalCell(t, tables[0], scheme, trace) }
+	for _, tr := range traceOrder {
+		edcResp := cell("EDC", tr)
+		for _, heavy := range []string{"Gzip", "Bzip2"} {
+			if v := cell(heavy, tr); edcResp > v {
+				t.Errorf("%s: EDC %.2f slower than %s %.2f — the docs say never", tr, edcResp, heavy, v)
+			}
+		}
+		lzf := cell("Lzf", tr)
+		if exception := tr == "Usr_0"; exception != (lzf < edcResp) {
+			t.Errorf("%s: Lzf %.2f vs EDC %.2f — the docs name Usr_0 as the one trace where Lzf is faster", tr, lzf, edcResp)
+		}
+	}
+	for _, doc := range []string{"../../DESIGN.md", "../../EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(text, []byte("TestFig10ClaimsHold")) {
+			t.Errorf("%s no longer names this test beside its fig10 claim", doc)
+		}
+		for _, stale := range []string{"lowest on every trace group", "reproduces on every trace"} {
+			if bytes.Contains(text, []byte(stale)) {
+				t.Errorf("%s says %q; fig10 has Lzf below EDC on Usr_0", doc, stale)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -73,30 +76,59 @@ func TestRunServe(t *testing.T) {
 	}
 }
 
-// TestRunServeDeterministicCounts checks the seeded run's virtual-time
-// outcome (op counts per step and per direction) is reproducible across
-// runs — the generator streams are pure functions of (seed, worker).
+// serveImage runs p and renders the whole ServeResult as JSON with the
+// wall-clock fields (and the pool and stall counters, which follow
+// goroutine scheduling) zeroed: everything left is a function of the
+// seeded generators and the paced virtual-time pipeline.
+func serveImage(t *testing.T, p ServeParams) []byte {
+	t.Helper()
+	sr, err := RunServe(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr.WallTime, sr.OpsPerSecWall, sr.Stalls, sr.Pool = 0, 0, 0, nil
+	sr.Result.SubmitStalls = 0
+	out, err := json.MarshalIndent(sr, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRunServeDeterministicCounts checks a seeded serve run is
+// reproducible in full — per-step counts, latencies and achieved rates,
+// codec mixes, byte totals, per-tenant shaping and rejection counts — for
+// the plain two-step spec and for the two-tenant QoS spec (latency class
+// beside a bandwidth-shaped bulk class) at one and two shards. The
+// generator streams are pure functions of (seed, worker) and the serve
+// driver is paced, so nothing in the image depends on mailbox batching;
+// `make race` runs this under the race detector.
 func TestRunServeDeterministicCounts(t *testing.T) {
-	p := ServeParams{
-		Params:  Params{VolumeMiB: 64, Seed: 3, Shards: 2},
-		Spec:    serveTestSpec(t),
-		Clients: 3,
-	}
-	a, err := RunServe(p)
+	src, err := os.ReadFile("../../specs/qos-smoke.spec")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunServe(p)
+	qos, err := workload.ParseSpec(string(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Steps {
-		x, y := a.Steps[i], b.Steps[i]
-		if x.Ops != y.Ops || x.Reads != y.Reads || x.Writes != y.Writes {
-			t.Fatalf("step %d: counts differ across runs: %+v vs %+v", i, x, y)
-		}
+	cases := []struct {
+		name string
+		p    ServeParams
+	}{
+		{"two-step/shards=2", ServeParams{Params: Params{VolumeMiB: 64, Seed: 3, Shards: 2}, Spec: serveTestSpec(t), Clients: 3}},
+		{"qos-smoke/shards=1", ServeParams{Params: Params{VolumeMiB: 64, Shards: 1}, Spec: qos, Clients: 4}},
+		{"qos-smoke/shards=2", ServeParams{Params: Params{VolumeMiB: 64, Shards: 2}, Spec: qos, Clients: 4}},
 	}
-	if a.Result.OrigBytes != b.Result.OrigBytes {
-		t.Fatalf("OrigBytes differ: %d vs %d", a.Result.OrigBytes, b.Result.OrigBytes)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := serveImage(t, tc.p), serveImage(t, tc.p)
+			if !bytes.Equal(a, b) {
+				t.Fatalf("serve results differ across runs:\n run 1: %s\n run 2: %s", a, b)
+			}
+			if strings.HasPrefix(tc.name, "qos") && !bytes.Contains(a, []byte(`"batch"`)) {
+				t.Fatalf("QoS run reports no batch tenant:\n%s", a)
+			}
+		})
 	}
 }

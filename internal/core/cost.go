@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"edc/internal/compress"
+	"edc/internal/sim"
 )
 
 // CodecCost is the CPU throughput model for one codec.
@@ -50,7 +51,7 @@ func (cm CostModel) CompressTime(tag compress.Tag, bytes int64) time.Duration {
 	if !ok || c.CompressBps <= 0 {
 		panic(fmt.Sprintf("core: no compress cost for tag %d", tag))
 	}
-	return time.Duration(float64(bytes) / c.CompressBps * float64(time.Second))
+	return bytesTime(bytes, c.CompressBps)
 }
 
 // DecompressTime returns the CPU time to decompress to `origBytes`.
@@ -62,7 +63,7 @@ func (cm CostModel) DecompressTime(tag compress.Tag, origBytes int64) time.Durat
 	if !ok || c.DecompressBps <= 0 {
 		panic(fmt.Sprintf("core: no decompress cost for tag %d", tag))
 	}
-	return time.Duration(float64(origBytes) / c.DecompressBps * float64(time.Second))
+	return bytesTime(origBytes, c.DecompressBps)
 }
 
 // Validate checks that every listed codec has positive throughputs.
@@ -73,4 +74,58 @@ func (cm CostModel) Validate() error {
 		}
 	}
 	return nil
+}
+
+// bytesTime is the service time of n bytes through a stage that sustains
+// bps bytes per second.
+func bytesTime(n int64, bps float64) time.Duration {
+	return time.Duration(float64(n) / bps * float64(time.Second))
+}
+
+// codecCharge decides where the modelled time of a codec call lands: on
+// the host CPU station (the paper's software engine) or, with
+// Options.Offload, on the device operation that carries the data, at the
+// in-device engine's tag-independent throughput.
+type codecCharge struct {
+	host    CostModel
+	offload bool
+	device  CodecCost // the in-device engine; read only when offload
+}
+
+// time splits the cost of (de)compressing n uncompressed bytes under tag
+// into host-CPU service time and extra device-operation time. At most
+// one is non-zero; TagNone is free on both sides.
+func (c *codecCharge) time(tag compress.Tag, n int64, decompress bool) (cpu, extra time.Duration) {
+	switch {
+	case tag == compress.TagNone || n <= 0:
+		return 0, 0
+	case c.offload && decompress:
+		return 0, bytesTime(n, c.device.DecompressBps)
+	case c.offload:
+		return 0, bytesTime(n, c.device.CompressBps)
+	case decompress:
+		return c.host.DecompressTime(tag, n), 0
+	default:
+		return c.host.CompressTime(tag, n), 0
+	}
+}
+
+// compress is the charge for compressing n bytes with the codec of tag.
+func (c *codecCharge) compress(tag compress.Tag, n int64) (cpu, extra time.Duration) {
+	return c.time(tag, n, false)
+}
+
+// decompress is the charge for decompressing back to n bytes.
+func (c *codecCharge) decompress(tag compress.Tag, n int64) (cpu, extra time.Duration) {
+	return c.time(tag, n, true)
+}
+
+// hostTime runs done once the cpu station has served svc, or at once when
+// nothing was charged to the host (offloaded or uncompressed work).
+func hostTime(cpu sim.Server, svc time.Duration, done func(_, _ time.Duration)) {
+	if svc > 0 {
+		cpu.Submit(sim.Job{Service: svc, Done: done})
+		return
+	}
+	done(0, 0)
 }

@@ -225,7 +225,7 @@ func TestJournalReplayDoubleUnref(t *testing.T) {
 	}
 }
 
-// A v2 global relocate replays through ReplaceAll: every referrer of the
+// A v2 global relocate replays through Replace: every referrer of the
 // old slot — home range and dedup'd foreign runs alike — moves to the
 // new placement in one record.
 func TestJournalReplayGlobalRelocate(t *testing.T) {
@@ -235,7 +235,7 @@ func TestJournalReplayGlobalRelocate(t *testing.T) {
 	moved.Tag = compress.TagGZ
 	j.Append(old)
 	j.AppendRef(16*BlockSize, old.OrigLen, old)
-	j.AppendRelocateAll(old, moved)
+	j.AppendRelocate(old, moved, true)
 	m := NewMapping(64*BlockSize, NewAllocator(1<<20), nil)
 	n, err := ReplayJournal(m, j.Bytes())
 	if err != nil || n != 3 {
@@ -305,8 +305,10 @@ func TestInsertRefSharing(t *testing.T) {
 	}
 }
 
-// Replace must refuse shared extents (it only walks the home range);
-// ReplaceAll moves every referrer.
+// Replace follows a shared extent's foreign referrers across the table
+// (ReplaceAll is the same call under its old name); the refusal of a
+// home-range-only move lives where it can still happen, in the replay of
+// a v1 relocate record.
 func TestReplaceAllMovesForeignReferrers(t *testing.T) {
 	m, alloc, _ := newTestMapping(1 << 20)
 	e := mkExtent(t, m, alloc, 0, 4*BlockSize, compress.TagLZF)
@@ -319,8 +321,13 @@ func TestReplaceAllMovesForeignReferrers(t *testing.T) {
 		t.Fatal(err)
 	}
 	repl.DevOff = devOff
-	if err := m.Replace(e, repl); err == nil || !strings.Contains(err.Error(), "shared") {
-		t.Fatalf("Replace of shared extent: err = %v, want refusal", err)
+	var j Journal
+	j.AppendRelocate(e, repl, false)
+	if _, err := ReplayJournal(m, j.Bytes()); err == nil || !strings.Contains(err.Error(), "shared") {
+		t.Fatalf("v1 relocate replayed onto a shared extent: err = %v, want refusal", err)
+	}
+	if m.Lookup(0) != e || m.Lookup(16*BlockSize) != e {
+		t.Fatal("refused v1 relocate moved a referrer")
 	}
 	if err := m.ReplaceAll(e, repl); err != nil {
 		t.Fatal(err)

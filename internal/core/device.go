@@ -216,7 +216,7 @@ func NewDevice(eng *sim.Engine, be Backend, volumeBytes int64, opts Options) (*D
 	if opts.Data == nil {
 		opts.Data = datagen.New(datagen.Enterprise(), 1)
 	}
-	if opts.Offload && (opts.OffloadCost.CompressBps <= 0 || opts.OffloadCost.DecompressBps <= 0) {
+	if opts.OffloadCost.CompressBps <= 0 || opts.OffloadCost.DecompressBps <= 0 {
 		opts.OffloadCost = DefaultOffloadCost()
 	}
 	switch {
@@ -252,6 +252,8 @@ func NewDevice(eng *sim.Engine, be Backend, volumeBytes int64, opts Options) (*D
 	se := newStoreEngine(be, volBytes, opts.VerifyReads)
 	se.obs = opts.Obs
 	se.now = eng.Now
+	se.exactSlots = opts.ExactSlots
+	se.charge = codecCharge{host: opts.Cost, offload: opts.Offload, device: opts.OffloadCost}
 	// Heat epochs tick at the same length whether or not maintenance is
 	// on: heat is write-only on the foreground paths, so the disabled
 	// run is unchanged, and tests can inspect temperature either way.
@@ -304,40 +306,33 @@ func NewDevice(eng *sim.Engine, be Backend, volumeBytes int64, opts Options) (*D
 	}
 
 	wp := &writePath{
-		eng:         eng,
-		cpu:         cpu,
-		fs:          fs,
-		stats:       stats,
-		se:          se,
-		meter:       opts.Meter,
-		obs:         opts.Obs,
-		qs:          qs,
-		sd:          NewSeqDetector(opts.MaxRun),
-		est:         opts.Estimator,
-		data:        opts.Data,
-		policy:      opts.Policy,
-		cost:        opts.Cost,
-		hostCache:   hostCache,
-		disableSD:   opts.DisableSD,
-		exactSlots:  opts.ExactSlots,
-		offload:     opts.Offload,
-		offloadCost: opts.OffloadCost,
-		flushWait:   opts.FlushTimeout,
+		eng:       eng,
+		cpu:       cpu,
+		fs:        fs,
+		stats:     stats,
+		se:        se,
+		meter:     opts.Meter,
+		obs:       opts.Obs,
+		qs:        qs,
+		sd:        NewSeqDetector(opts.MaxRun),
+		est:       opts.Estimator,
+		data:      opts.Data,
+		policy:    opts.Policy,
+		hostCache: hostCache,
+		disableSD: opts.DisableSD,
+		flushWait: opts.FlushTimeout,
 	}
 	rp := &readPath{
-		eng:         eng,
-		cpu:         cpu,
-		fs:          fs,
-		stats:       stats,
-		se:          se,
-		cost:        opts.Cost,
-		reg:         opts.Registry,
-		data:        opts.Data,
-		obs:         opts.Obs,
-		hostCache:   hostCache,
-		verify:      opts.VerifyReads,
-		offload:     opts.Offload,
-		offloadCost: opts.OffloadCost,
+		eng:       eng,
+		cpu:       cpu,
+		fs:        fs,
+		stats:     stats,
+		se:        se,
+		reg:       opts.Registry,
+		data:      opts.Data,
+		obs:       opts.Obs,
+		hostCache: hostCache,
+		verify:    opts.VerifyReads,
 	}
 	fe := &frontend{
 		eng:         eng,
@@ -402,11 +397,10 @@ func (d *Device) open(journal bool) error {
 		return err
 	}
 	if d.replayWorkers > 1 {
-		q := parallel.Shared().NewQueue()
-		d.wp.pool, d.rp.pool = q, q
+		d.se.pool = parallel.Shared().NewQueue()
 		// With more verifications outstanding than the queue can hold,
 		// the submitter would run them inline anyway.
-		d.rp.lag = make([]*parallel.Future[verifyResult], q.Cap())
+		d.rp.lag = make([]*parallel.Future[verifyResult], d.se.pool.Cap())
 	}
 	d.armTimers()
 	return nil
@@ -449,9 +443,9 @@ func (d *Device) close() {
 	if s.Err == nil {
 		s.Err = d.fs.err
 	}
-	if q := d.wp.pool; q != nil {
+	if q := d.se.pool; q != nil {
 		q.Close()
-		d.wp.pool, d.rp.pool = nil, nil
+		d.se.pool = nil
 	}
 }
 

@@ -13,21 +13,23 @@
 //   - frontend: closed-loop admission control with a deferred FIFO
 //     (frontend.go)
 //   - write path: SD merge → compressibility estimate → policy codec
-//     choice → codec execution → quantized slot placement (writepath.go)
+//     choice → the store step (writepath.go)
 //   - read path: host cache → mapping lookup → device read →
 //     decompression → optional verification (readpath.go)
-//   - store engine: slot allocator, mapping table, and the backend
-//     (engine.go)
+//   - store engine: slot allocator, mapping table, backend, and the one
+//     store step (codec hand-off, slot decision, allocation, device write)
+//     host writes, relocations and resplit all call (engine.go)
 //
 // Replay runs on a virtual-time event loop (internal/sim); codec work is
-// charged deterministic CPU cost from a CostModel, so results are
-// machine-independent and bit-reproducible. Whatever drives a Device —
-// Play, PlayUntil, or a serve shard's loop — brackets the run with open
-// and close (device.go): persistence and background timers armed, one
-// queue on the process-wide codec pool (internal/parallel) for both
-// paths, parked verifications joined at the end. ShardedDevice (replay)
-// and Server (live traffic) cut the volume by LBA with one partition
-// type and build their n independent pipelines from one ShardSetup.
+// charged deterministic cost through one codecCharge (cost.go), to the
+// host CPU or under Options.Offload to the device operation, so results
+// are machine-independent and bit-reproducible. Whatever drives a Device
+// — Play, PlayUntil, or a serve shard's loop — brackets the run with
+// open and close (device.go): persistence and background timers armed,
+// one queue on the process-wide codec pool (internal/parallel), parked
+// verifications joined at the end. ShardedDevice (replay) and Server
+// (live traffic) cut the volume by LBA with one partition type and build
+// their n independent pipelines from one ShardSetup.
 //
 // # Observability
 //

@@ -3,21 +3,35 @@ package core
 import (
 	"time"
 
+	"edc/internal/compress"
 	"edc/internal/dedup"
 	"edc/internal/maint"
 	"edc/internal/obs"
+	"edc/internal/parallel"
 )
 
 // storeEngine owns the storage side of the pipeline: the slot allocator,
 // the logical-to-device mapping table, the backend, the verify-mode
-// payload store, and the replay buffer freelist. The write path calls it
-// to place compressed runs; the read path calls it to plan and issue
-// device reads. It performs no policy decisions and observes no
-// statistics of its own.
+// payload store, and the replay buffer freelist. It holds the one store
+// step (paper Fig. 5) that host writes, maintenance relocations and
+// resplit migration all go through: hand the codec work off (async),
+// pick the slot (encoded), allocate it (allocSlot), write it (write).
+// The read path plans against its mapping and reads from its backend. It
+// performs no policy decisions and observes no statistics of its own.
 type storeEngine struct {
 	be      Backend
 	alloc   *Allocator
 	mapping *Mapping
+
+	// charge bills codec time to the host CPU or the device operation;
+	// exactSlots is the Options.ExactSlots ablation. NewDevice sets both.
+	charge     codecCharge
+	exactSlots bool
+
+	// pool is the queue Device.open registers on the process-wide codec
+	// pool for the write path, the read path and the maintainer alike; it
+	// exists only while the pipeline runs (nil: codec work runs inline).
+	pool *parallel.Queue
 
 	// obs/now feed slot alloc/free events to the observability layer;
 	// both are set by NewDevice (now is the owning engine's clock).
@@ -53,9 +67,10 @@ func newStoreEngine(be Backend, volBytes int64, verify bool) *storeEngine {
 	se := &storeEngine{
 		be:    be,
 		alloc: NewAllocator(be.LogicalBytes()),
-		// NewDevice rebinds now to the owning engine's clock; the default
-		// keeps bare store engines (unit tests) safe to touch.
-		now: func() time.Duration { return 0 },
+		// NewDevice rebinds now to the owning engine's clock and charge to
+		// its options; the defaults keep bare store engines (tests) usable.
+		now:    func() time.Duration { return 0 },
+		charge: codecCharge{host: DefaultCostModel()},
 	}
 	se.mapping = NewMapping(volBytes, se.alloc, se.freeExtent)
 	if verify {
@@ -163,10 +178,43 @@ func (se *storeEngine) putBuf(b []byte) {
 	se.freeBufs = append(se.freeBufs, b[:0])
 }
 
-// place allocates a slot of slotLen and maps [ext.Offset, +OrigLen) to
-// the extent, filling ext.DevOff. Any previous extents covering those
-// blocks are unmapped (and their slots freed).
-func (se *storeEngine) place(ext *Extent) error {
+// async hands the pure closure f to the run's pool queue, or runs it on
+// the spot when there is none, so every codec consumer joins a future.
+// f must be a function of immutable inputs only (content, codec, an
+// extent's placement-time fields): the inline case computes at dispatch
+// what the pooled case delivers at the join.
+func async[T any](se *storeEngine, f func() T) *parallel.Future[T] {
+	if se.pool == nil {
+		return parallel.Resolved(f())
+	}
+	return parallel.Go(se.pool, f)
+}
+
+// encoded is the slot decision: the extent (slot not yet allocated) for
+// version ver of the run [off, +origLen) that codec turned into payload,
+// and the bytes its slot will hold — the quantized class the output fits
+// (its exact size under the ablation) or, with no codec or an output
+// above 75 % (Sec. III-C; only then is fits false), the run uncompressed.
+func (se *storeEngine) encoded(off, origLen int64, ver uint32, codec compress.Codec, content, payload []byte) (ext *Extent, stored []byte, fits bool) {
+	ext = &Extent{Offset: off, OrigLen: origLen, CompLen: origLen, SlotLen: origLen, Version: ver}
+	if codec == nil {
+		return ext, content, true
+	}
+	compLen := int64(len(payload))
+	slotLen, fits := QuantizeSlot(origLen, compLen)
+	if !fits {
+		return ext, content, false
+	}
+	if se.exactSlots {
+		slotLen = compLen
+	}
+	ext.Tag, ext.CompLen, ext.SlotLen = codec.Tag(), compLen, slotLen
+	return ext, payload, true
+}
+
+// allocSlot allocates ext.SlotLen bytes on the device, fills ext.DevOff
+// and announces the slot.
+func (se *storeEngine) allocSlot(ext *Extent) error {
 	devOff, err := se.alloc.Alloc(ext.SlotLen)
 	if err != nil {
 		return err
@@ -174,6 +222,16 @@ func (se *storeEngine) place(ext *Extent) error {
 	ext.DevOff = devOff
 	if se.obs != nil {
 		se.obs.SlotAlloc(se.now(), ext.SlotLen)
+	}
+	return nil
+}
+
+// place allocates ext's slot and maps [ext.Offset, +OrigLen) to the
+// extent. Any previous extents covering those blocks are unmapped (and
+// their slots freed).
+func (se *storeEngine) place(ext *Extent) error {
+	if err := se.allocSlot(ext); err != nil {
+		return err
 	}
 	return se.mapping.Insert(ext)
 }
@@ -198,38 +256,13 @@ func (se *storeEngine) payload(ext *Extent) []byte {
 	return se.payloads[ext]
 }
 
-// realloc moves ext to a freshly allocated slot of the same size after
-// a hard write failure. The failed slot is abandoned, not freed — the
-// media there is bad — so its bytes stay accounted as in use for the
-// rest of the run.
-func (se *storeEngine) realloc(ext *Extent) error {
-	devOff, err := se.alloc.Alloc(ext.SlotLen)
-	if err != nil {
-		return err
-	}
-	ext.DevOff = devOff
-	if se.obs != nil {
-		se.obs.SlotAlloc(se.now(), ext.SlotLen)
-	}
-	return nil
-}
-
-// write issues a device write of the extent's slot; done fires when the
-// transfer (plus any device-side codec time in extra) completes, with
-// the operation outcome (nil, or an injected *fault.Error).
-func (se *storeEngine) write(devOff, slotLen int64, extra time.Duration, done func(err error)) {
-	se.be.Write(devOff, slotLen, extra, done)
-}
-
-// read issues a device read; done fires at transfer completion with the
-// operation outcome.
-func (se *storeEngine) read(devOff, bytes int64, extra time.Duration, done func(err error)) {
-	se.be.Read(devOff, bytes, extra, done)
-}
-
-// readPlan decomposes a block-aligned read into extents and holes.
-func (se *storeEngine) readPlan(off, size int64) ([]ReadSegment, error) {
-	return se.mapping.ReadPlan(off, size)
+// write issues the device write of ext's slot, carrying the codec time
+// when the device's own engine did the compressing; done fires when the
+// transfer completes, with the operation outcome (nil, or an injected
+// *fault.Error).
+func (se *storeEngine) write(ext *Extent, done func(err error)) {
+	_, extra := se.charge.compress(ext.Tag, ext.OrigLen)
+	se.be.Write(ext.DevOff, ext.SlotLen, extra, done)
 }
 
 // failState carries the first fatal replay error; every stage shares one

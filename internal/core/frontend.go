@@ -95,13 +95,7 @@ func (fe *frontend) arrive(r trace.Request) {
 		fe.fs.fail(fmt.Errorf("core: request at %v: %w: %q", r.Arrival, qos.ErrUnknownTenant, r.Tenant))
 		return
 	}
-	now := fe.eng.Now()
-	if d := fe.qs.shape(now, r.Tenant, r.Size); d > 0 {
-		// Charged once: the shaped re-arrival bypasses the bucket.
-		ts := fe.stats.Tenant(r.Tenant)
-		ts.Shaped++
-		ts.ShapeDelay += d
-		fe.obs.Shape(now, r.Offset, r.Size, r.Write, r.Tenant, d)
+	if d := fe.shape(r.Offset, r.Size, r.Write, r.Tenant); d > 0 {
 		fe.eng.ScheduleAfter(d, func() {
 			if !fe.fs.failed() {
 				fe.enqueue(r)
@@ -112,16 +106,37 @@ func (fe *frontend) arrive(r trace.Request) {
 	fe.enqueue(r)
 }
 
+// shape charges the tenant's bucket for one request and books any delay
+// it imposes. The bucket is charged once: the caller re-arrives the
+// request after the returned delay — replay through the event heap, a
+// serve shard as a parked housekeeping event — bypassing shape.
+func (fe *frontend) shape(off, size int64, write bool, tenant string) time.Duration {
+	now := fe.eng.Now()
+	d := fe.qs.shape(now, tenant, size)
+	if d > 0 {
+		ts := fe.stats.Tenant(tenant)
+		ts.Shaped++
+		ts.ShapeDelay += d
+		fe.obs.Shape(now, off, size, write, tenant, d)
+	}
+	return d
+}
+
+// reject books one request refused at its tenant's queue bound.
+func (fe *frontend) reject(off, size int64, write bool, tenant string) {
+	if ts := fe.stats.Tenant(tenant); ts != nil {
+		ts.Rejected++
+	}
+	fe.obs.AdmitReject(fe.eng.Now(), off, size, write, tenant, obs.RejectQueueDepth)
+}
+
 // enqueue admits one request under the closed-loop bound, deferring it
 // (or rejecting it past its tenant's queue bound) when the bound is
 // reached.
 func (fe *frontend) enqueue(r trace.Request) {
 	if fe.inFlight >= fe.maxInFlight {
 		if !fe.pushDeferred(r) {
-			if ts := fe.stats.Tenant(r.Tenant); ts != nil {
-				ts.Rejected++
-			}
-			fe.obs.AdmitReject(fe.eng.Now(), r.Offset, r.Size, r.Write, r.Tenant, obs.RejectQueueDepth)
+			fe.reject(r.Offset, r.Size, r.Write, r.Tenant)
 			return
 		}
 		fe.obs.Defer(fe.eng.Now(), r.Offset, r.Size, r.Write, fe.deferredLen())

@@ -49,8 +49,9 @@ import (
 //
 // A relocate of a dedup-shared extent must move every referring block,
 // wherever it is mapped; such relocations are appended with version
-// byte 2 in the same 60-byte "ER" layout, telling replay to remap the
-// whole table (ReplaceAll) instead of just the home range.
+// byte 2 in the same 60-byte "ER" layout, telling replay to resolve the
+// old placement by device slot and follow its references across the
+// whole table instead of just the home range.
 //
 // Insert records are 47 bytes, relocate records 60, ref 43, unref 39,
 // all little-endian, sharing one consecutive sequence-number space. A
@@ -103,45 +104,26 @@ func (j *Journal) Append(e *Extent) {
 	copy(rec[0:2], jnlMagic)
 	binary.LittleEndian.PutUint64(rec[2:], j.seq)
 	putJnlExtent(rec[10:], e)
-	binary.LittleEndian.PutUint32(rec[jnlCRCOffset:], crc32.ChecksumIEEE(rec[:jnlCRCOffset]))
-	j.buf = append(j.buf, rec[:]...)
-	j.seq++
-	j.n++
+	j.seal(rec[:])
 }
 
 // AppendRelocate records that maintenance rewrote old's run into the
 // already-written extent e, freeing old's slot. Appended only after
 // e's device write completed, so replay order matches durability order.
-func (j *Journal) AppendRelocate(old, e *Extent) {
+// global selects the dedup-era v2 version byte on the same layout: the
+// old placement may be referenced from outside its home range.
+func (j *Journal) AppendRelocate(old, e *Extent, global bool) {
 	var rec [jnlRelocRecordSize]byte
 	copy(rec[0:2], jnlRelocMagic)
 	rec[2] = jnlRelocVersion
+	if global {
+		rec[2] = jnlV2
+	}
 	binary.LittleEndian.PutUint64(rec[3:], j.seq)
 	binary.LittleEndian.PutUint64(rec[11:], uint64(old.DevOff))
 	binary.LittleEndian.PutUint32(rec[19:], uint32(old.SlotLen))
 	putJnlExtent(rec[23:], e)
-	binary.LittleEndian.PutUint32(rec[jnlRelocCRCOffset:], crc32.ChecksumIEEE(rec[:jnlRelocCRCOffset]))
-	j.buf = append(j.buf, rec[:]...)
-	j.seq++
-	j.n++
-	j.nReloc++
-}
-
-// AppendRelocateAll is AppendRelocate for a dedup-era relocation: the
-// same record layout with the v2 version byte, telling replay to remap
-// every block referencing the old placement, not just its home range.
-func (j *Journal) AppendRelocateAll(old, e *Extent) {
-	var rec [jnlRelocRecordSize]byte
-	copy(rec[0:2], jnlRelocMagic)
-	rec[2] = jnlV2
-	binary.LittleEndian.PutUint64(rec[3:], j.seq)
-	binary.LittleEndian.PutUint64(rec[11:], uint64(old.DevOff))
-	binary.LittleEndian.PutUint32(rec[19:], uint32(old.SlotLen))
-	putJnlExtent(rec[23:], e)
-	binary.LittleEndian.PutUint32(rec[jnlRelocCRCOffset:], crc32.ChecksumIEEE(rec[:jnlRelocCRCOffset]))
-	j.buf = append(j.buf, rec[:]...)
-	j.seq++
-	j.n++
+	j.seal(rec[:])
 	j.nReloc++
 }
 
@@ -157,10 +139,7 @@ func (j *Journal) AppendRef(off, size int64, target *Extent) {
 	binary.LittleEndian.PutUint32(rec[19:], uint32(size))
 	binary.LittleEndian.PutUint64(rec[23:], uint64(target.Offset))
 	binary.LittleEndian.PutUint64(rec[31:], uint64(target.DevOff))
-	binary.LittleEndian.PutUint32(rec[jnlRefCRCOffset:], crc32.ChecksumIEEE(rec[:jnlRefCRCOffset]))
-	j.buf = append(j.buf, rec[:]...)
-	j.seq++
-	j.n++
+	j.seal(rec[:])
 	j.nRef++
 }
 
@@ -178,11 +157,17 @@ func (j *Journal) AppendUnref(e *Extent) {
 	binary.LittleEndian.PutUint32(rec[19:], uint32(e.OrigLen))
 	binary.LittleEndian.PutUint64(rec[23:], uint64(e.DevOff))
 	binary.LittleEndian.PutUint32(rec[31:], uint32(e.SlotLen))
-	binary.LittleEndian.PutUint32(rec[jnlUnrefCRCOffset:], crc32.ChecksumIEEE(rec[:jnlUnrefCRCOffset]))
-	j.buf = append(j.buf, rec[:]...)
+	j.seal(rec[:])
+	j.nUnref++
+}
+
+// seal checksums a filled record, appends it and advances the sequence.
+func (j *Journal) seal(rec []byte) {
+	body := len(rec) - 4
+	binary.LittleEndian.PutUint32(rec[body:], crc32.ChecksumIEEE(rec[:body]))
+	j.buf = append(j.buf, rec...)
 	j.seq++
 	j.n++
-	j.nUnref++
 }
 
 // putJnlExtent writes the shared 33-byte extent body (offset, lengths,
@@ -438,13 +423,7 @@ func ReplayJournal(m *Mapping, data []byte) (int, error) {
 		}
 		devIdx = make(map[int64]*Extent)
 		released = make(map[int64]bool)
-		seen := make(map[*Extent]bool)
-		for _, e := range m.table {
-			if e != nil && !seen[e] {
-				seen[e] = true
-				devIdx[e.DevOff] = e
-			}
-		}
+		m.eachExtent(func(e *Extent) { devIdx[e.DevOff] = e })
 	}
 	for i, rec := range recs {
 		switch {
@@ -469,23 +448,19 @@ func ReplayJournal(m *Mapping, data []byte) (int, error) {
 					ErrBadJournal, i, rec.OldDevOff)
 			}
 			released[rec.OldDevOff] = true
-		case rec.Relocate && rec.Global:
-			ensureIdx()
-			old := devIdx[rec.OldDevOff]
-			if old == nil || old.live <= 0 || old.Offset != rec.Ext.Offset || old.OrigLen != rec.Ext.OrigLen {
-				return i, fmt.Errorf("%w: relocate record %d: old slot %d for run at %d not mapped (double free?)",
-					ErrBadJournal, i, rec.OldDevOff, rec.Ext.Offset)
-			}
-			if old.SlotLen != rec.OldSlotLen {
-				return i, fmt.Errorf("%w: relocate record %d: old slot size %d, mapping has %d",
-					ErrBadJournal, i, rec.OldSlotLen, old.SlotLen)
-			}
-			if err := m.ReplaceAll(old, rec.Ext); err != nil {
-				return i, fmt.Errorf("core: journal replay record %d: %w", i, err)
-			}
-			index(rec.Ext)
 		case rec.Relocate:
-			old := m.findExtent(rec.Ext.Offset, rec.Ext.OrigLen, rec.OldDevOff)
+			// A v2 record names the old placement by device slot: its
+			// references may sit anywhere. A v1 record promises they all sit
+			// in the home range, so no writer appends one for a shared extent.
+			var old *Extent
+			if rec.Global {
+				ensureIdx()
+				if e := devIdx[rec.OldDevOff]; e != nil && e.live > 0 && e.Offset == rec.Ext.Offset && e.OrigLen == rec.Ext.OrigLen {
+					old = e
+				}
+			} else {
+				old = m.findExtent(rec.Ext.Offset, rec.Ext.OrigLen, rec.OldDevOff)
+			}
 			if old == nil {
 				return i, fmt.Errorf("%w: relocate record %d: old slot %d for run at %d not mapped (double free?)",
 					ErrBadJournal, i, rec.OldDevOff, rec.Ext.Offset)
@@ -493,6 +468,9 @@ func ReplayJournal(m *Mapping, data []byte) (int, error) {
 			if old.SlotLen != rec.OldSlotLen {
 				return i, fmt.Errorf("%w: relocate record %d: old slot size %d, mapping has %d",
 					ErrBadJournal, i, rec.OldSlotLen, old.SlotLen)
+			}
+			if !rec.Global && old.shared {
+				return i, fmt.Errorf("core: journal replay record %d: v1 relocate of shared extent at %d", i, old.Offset)
 			}
 			if err := m.Replace(old, rec.Ext); err != nil {
 				return i, fmt.Errorf("core: journal replay record %d: %w", i, err)

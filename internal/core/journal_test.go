@@ -134,7 +134,7 @@ func TestJournalRelocateRoundTrip(t *testing.T) {
 	old := &Extent{Offset: 0, OrigLen: 4 * BlockSize, CompLen: 9000, SlotLen: 12288, Tag: compress.TagLZF, Version: 3, DevOff: 4096}
 	repl := &Extent{Offset: 0, OrigLen: 4 * BlockSize, CompLen: 3000, SlotLen: 4096, Tag: compress.TagGZ, Version: 3, DevOff: 65536}
 	j.Append(old)
-	j.AppendRelocate(old, repl)
+	j.AppendRelocate(old, repl, false)
 	if j.Records() != 2 || j.Relocations() != 1 {
 		t.Fatalf("records = %d, relocations = %d, want 2, 1", j.Records(), j.Relocations())
 	}
@@ -177,7 +177,7 @@ func TestJournalReplayRelocate(t *testing.T) {
 	old := &Extent{Offset: 0, OrigLen: 4 * BlockSize, CompLen: 9000, SlotLen: 12288, Tag: compress.TagLZF, Version: 1, DevOff: 0}
 	repl := &Extent{Offset: 0, OrigLen: 4 * BlockSize, CompLen: 3000, SlotLen: 4096, Tag: compress.TagGZ, Version: 1, DevOff: 32768}
 	j.Append(old)
-	j.AppendRelocate(old, repl)
+	j.AppendRelocate(old, repl, false)
 	alloc := NewAllocator(1 << 20)
 	m := NewMapping(64*BlockSize, alloc, nil)
 	n, err := ReplayJournal(m, j.Bytes())
@@ -204,8 +204,8 @@ func TestJournalReplayRelocateDoubleFree(t *testing.T) {
 		old := &Extent{Offset: 0, OrigLen: 4 * BlockSize, CompLen: 9000, SlotLen: 12288, Tag: compress.TagLZF, Version: 1, DevOff: 0}
 		repl := &Extent{Offset: 0, OrigLen: 4 * BlockSize, CompLen: 3000, SlotLen: 4096, Tag: compress.TagGZ, Version: 1, DevOff: 32768}
 		j.Append(old)
-		j.AppendRelocate(old, repl)
-		j.AppendRelocate(old, repl) // second free of the same slot
+		j.AppendRelocate(old, repl, false)
+		j.AppendRelocate(old, repl, false) // second free of the same slot
 		return j.Bytes(), old
 	}
 	img, _ := build()
@@ -222,7 +222,7 @@ func TestJournalReplayRelocateDoubleFree(t *testing.T) {
 	var j2 Journal
 	j2.AppendRelocate(
 		&Extent{Offset: 8 * BlockSize, OrigLen: 4 * BlockSize, CompLen: 9000, SlotLen: 12288, Tag: compress.TagLZF, Version: 1, DevOff: 4096},
-		&Extent{Offset: 8 * BlockSize, OrigLen: 4 * BlockSize, CompLen: 3000, SlotLen: 4096, Tag: compress.TagGZ, Version: 1, DevOff: 65536})
+		&Extent{Offset: 8 * BlockSize, OrigLen: 4 * BlockSize, CompLen: 3000, SlotLen: 4096, Tag: compress.TagGZ, Version: 1, DevOff: 65536}, false)
 	m2 := NewMapping(64*BlockSize, NewAllocator(1<<20), nil)
 	if _, err := ReplayJournal(m2, j2.Bytes()); !errors.Is(err, ErrBadJournal) {
 		t.Fatalf("unmapped relocate replay: err = %v, want ErrBadJournal", err)

@@ -8,7 +8,6 @@ import (
 	"edc/internal/maint"
 	"edc/internal/obs"
 	"edc/internal/parallel"
-	"edc/internal/sim"
 )
 
 // Background maintenance
@@ -153,11 +152,8 @@ func (mt *maintainer) step(now time.Duration, budget int) int {
 func (mt *maintainer) relocate(e *Extent, codec compress.Codec, reason string) {
 	mt.relocating[e] = struct{}{}
 	d := mt.d
-	var extra time.Duration
-	if d.rp.offload && e.Tag != compress.TagNone {
-		extra = time.Duration(float64(e.OrigLen) / d.rp.offloadCost.DecompressBps * float64(time.Second))
-	}
-	d.se.read(e.DevOff, e.CompLen, extra, func(err error) {
+	decCPU, extra := d.se.charge.decompress(e.Tag, e.OrigLen)
+	d.se.be.Read(e.DevOff, e.CompLen, extra, func(err error) {
 		if err != nil || d.fs.failed() || e.live == 0 {
 			mt.abort(e)
 			return
@@ -166,32 +162,19 @@ func (mt *maintainer) relocate(e *Extent, codec compress.Codec, reason string) {
 		// does: regenerated content and its re-encoding are pure functions
 		// of the extent's immutable identity (offset, length, version), so
 		// they run on the shared pool while the event loop advances;
-		// reencode joins the future at the same virtual-time event it
-		// would have computed inline.
-		var fut *parallel.Future[reencodedRun]
-		if d.wp.pool != nil {
-			cbuf, pbuf := d.se.getBuf(), d.se.getBuf()
-			off, olen, ver, c := e.Offset, e.OrigLen, e.Version, codec
-			fut = parallel.Go(d.wp.pool, func() reencodedRun {
-				content := d.wp.data.AppendBlock(cbuf, off, int(olen), ver)
-				return reencodedRun{
-					content: content,
-					payload: compress.AppendCompress(c, pbuf, content),
-				}
-			})
-		}
-		var cpu time.Duration
-		if !d.wp.offload {
-			cpu = d.wp.cost.DecompressTime(e.Tag, e.OrigLen) +
-				d.wp.cost.CompressTime(codec.Tag(), e.OrigLen)
-		}
-		if cpu > 0 {
-			d.cpu.Submit(sim.Job{Service: cpu, Done: func(_, _ time.Duration) {
-				mt.reencode(e, codec, reason, fut)
-			}})
-			return
-		}
-		mt.reencode(e, codec, reason, fut)
+		// reencode joins the future at the same virtual-time event either
+		// way.
+		cbuf, pbuf := d.se.getBuf(), d.se.getBuf()
+		off, olen, ver := e.Offset, e.OrigLen, e.Version
+		fut := async(d.se, func() reencodedRun {
+			content := d.wp.data.AppendBlock(cbuf, off, int(olen), ver)
+			return reencodedRun{
+				content: content,
+				payload: compress.AppendCompress(codec, pbuf, content),
+			}
+		})
+		encCPU, _ := d.se.charge.compress(codec.Tag(), e.OrigLen)
+		hostTime(d.cpu, decCPU+encCPU, func(_, _ time.Duration) { mt.reencode(e, codec, reason, fut) })
 	})
 }
 
@@ -202,102 +185,64 @@ type reencodedRun struct {
 	payload []byte
 }
 
-// reencode re-runs the codec over e's regenerated content (stored
-// bytes are a pure function of offset, length, and version), picks the
-// quantized slot, allocates it, and issues the device write for the
-// new placement. A cold move that would not shrink the slot aborts; a
-// hot demotion whose cheap codec misses every compressed class falls
-// back to an uncompressed slot, the cheapest possible read.
+// reencode joins the re-run of the codec over e's regenerated content
+// (stored bytes are a pure function of offset, length, and version),
+// places the result, and issues the device write for the new placement.
 func (mt *maintainer) reencode(e *Extent, codec compress.Codec, reason string, fut *parallel.Future[reencodedRun]) {
 	d := mt.d
 	// Join before any early return: the worker owns both buffers until
 	// the future resolves.
-	var content, payload []byte
-	if fut != nil {
-		r := fut.Wait()
-		content, payload = r.content, r.payload
-	}
-	if d.fs.failed() || e.live == 0 {
-		d.se.putBuf(content)
-		d.se.putBuf(payload)
+	r := fut.Wait()
+	newExt := mt.replacement(e, codec, reason, r)
+	d.se.putBuf(r.content)
+	d.se.putBuf(r.payload)
+	if newExt == nil {
 		mt.abort(e)
 		return
 	}
-	if fut == nil {
-		content = d.wp.data.AppendBlock(d.se.getBuf(), e.Offset, int(e.OrigLen), e.Version)
-		payload = compress.AppendCompress(codec, d.se.getBuf(), content)
-	}
-	tag := codec.Tag()
-	compLen := int64(len(payload))
-	slotLen, ok := QuantizeSlot(e.OrigLen, compLen)
-	stored := payload
-	switch {
-	case ok && d.wp.exactSlots:
-		slotLen = compLen
-	case !ok && reason == obs.RelocateHot:
-		tag = compress.TagNone
-		compLen = e.OrigLen
-		slotLen = e.OrigLen
-		stored = content
-	case !ok:
-		d.se.putBuf(content)
-		d.se.putBuf(payload)
-		mt.noWin[e] = e.Version
-		mt.abort(e)
-		return
-	}
-	if reason == obs.RelocateCold && slotLen >= e.SlotLen {
-		// No space win; keep the current placement and remember not to
-		// retry until an overwrite changes the content.
-		d.se.putBuf(content)
-		d.se.putBuf(payload)
-		mt.noWin[e] = e.Version
-		mt.abort(e)
-		return
-	}
-	devOff, err := d.se.alloc.Alloc(slotLen)
-	if err != nil {
-		// Device full: skip rather than fail a background move.
-		d.se.putBuf(content)
-		d.se.putBuf(payload)
-		mt.abort(e)
-		return
-	}
-	if d.se.obs != nil {
-		d.se.obs.SlotAlloc(d.se.now(), slotLen)
-	}
-	newExt := &Extent{
-		Offset:  e.Offset,
-		OrigLen: e.OrigLen,
-		CompLen: compLen,
-		SlotLen: slotLen,
-		Tag:     tag,
-		Version: e.Version,
-		DevOff:  devOff,
-	}
-	d.se.keepPayload(newExt, stored)
-	d.se.putBuf(content)
-	d.se.putBuf(payload)
-	var extra time.Duration
-	if d.wp.offload && tag != compress.TagNone {
-		extra = time.Duration(float64(e.OrigLen) / d.wp.offloadCost.CompressBps * float64(time.Second))
-	}
-	d.se.write(devOff, slotLen, extra, func(err error) {
+	d.se.write(newExt, func(err error) {
 		mt.commit(e, newExt, reason, err)
 	})
 }
 
+// replacement allocates the slot for e's re-encoded run and returns the
+// not-yet-mapped new extent — or nil when the move is off: the run failed
+// or e died meanwhile, a cold move would not shrink the slot, or the
+// device is full. A hot demotion whose cheap codec misses every
+// compressed class falls back to an uncompressed slot, the cheapest read.
+func (mt *maintainer) replacement(e *Extent, codec compress.Codec, reason string, r reencodedRun) *Extent {
+	d := mt.d
+	if d.fs.failed() || e.live == 0 {
+		return nil
+	}
+	newExt, stored, fits := d.se.encoded(e.Offset, e.OrigLen, e.Version, codec, r.content, r.payload)
+	if reason == obs.RelocateCold && (!fits || newExt.SlotLen >= e.SlotLen) {
+		// No space win; keep the current placement and remember not to
+		// retry until an overwrite changes the content.
+		mt.noWin[e] = e.Version
+		return nil
+	}
+	if err := d.se.allocSlot(newExt); err != nil {
+		// Device full: skip rather than fail a background move.
+		return nil
+	}
+	d.se.keepPayload(newExt, stored)
+	return newExt
+}
+
 // commit lands one relocation at its durable point (the new slot's
-// device write completed): journal the versioned relocate record, swap
-// the mapping to the new extent, and free the old slot. Mirrors the
-// write path, where the insert record is appended at write completion
-// so journal order is durability order.
+// device write completed): move the content-index entry to the new copy,
+// journal the versioned relocate record, remap every referring block —
+// dedup may have mapped foreign LBAs onto e — and flush the old slot's
+// deferred release (without dedup the first and last have nothing to
+// do). Mirrors the write path, where the insert record is appended at
+// write completion so journal order is durability order.
 func (mt *maintainer) commit(e, newExt *Extent, reason string, err error) {
 	d := mt.d
 	if err != nil || d.fs.failed() || e.live == 0 {
 		// The new slot was never mapped: quietly return it. (obs slot
-		// accounting sees the alloc without a free, matching realloc's
-		// treatment of abandoned slots.)
+		// accounting sees the alloc without a free, matching the write
+		// path's treatment of abandoned slots.)
 		d.se.alloc.Free(newExt.DevOff, newExt.SlotLen)
 		if d.se.payloads != nil {
 			delete(d.se.payloads, newExt)
@@ -306,29 +251,15 @@ func (mt *maintainer) commit(e, newExt *Extent, reason string, err error) {
 		return
 	}
 	oldTag, oldSlot := e.Tag, e.SlotLen
-	if d.se.dedup != nil {
-		// Dedup may have mapped foreign LBAs onto e: move the content-
-		// index entry (and fingerprint) to the new copy, journal a
-		// whole-table relocate, remap every referring block atomically,
-		// and flush the old slot's deferred release.
-		d.se.dedupRemap(e, newExt)
-		if d.wp.jnl != nil {
-			d.wp.jnl.AppendRelocateAll(e, newExt)
-		}
-		if rerr := d.se.mapping.ReplaceAll(e, newExt); rerr != nil {
-			d.fs.fail(rerr)
-			return
-		}
-		d.wp.flushDying(d.se.mapping.takeDying())
-	} else {
-		if d.wp.jnl != nil {
-			d.wp.jnl.AppendRelocate(e, newExt)
-		}
-		if rerr := d.se.mapping.Replace(e, newExt); rerr != nil {
-			d.fs.fail(rerr)
-			return
-		}
+	d.se.dedupRemap(e, newExt)
+	if d.wp.jnl != nil {
+		d.wp.jnl.AppendRelocate(e, newExt, d.se.dedup != nil)
 	}
+	if rerr := d.se.mapping.Replace(e, newExt); rerr != nil {
+		d.fs.fail(rerr)
+		return
+	}
+	d.wp.flushDying(d.se.mapping.takeDying())
 	delete(mt.relocating, e)
 	d.stats.MaintRelocations++
 	d.stats.MaintReclaimed += oldSlot - newExt.SlotLen
@@ -356,18 +287,8 @@ func (mt *maintainer) abort(e *Extent) {
 func (d *Device) heatHistogram() []int64 {
 	hist := make([]int64, maint.HistBuckets)
 	epoch := maint.Epoch(d.eng.Now(), d.se.epochLen)
-	var prev *Extent
-	seen := make(map[*Extent]struct{})
-	for _, e := range d.se.mapping.table {
-		if e == nil || e == prev {
-			continue
-		}
-		prev = e
-		if _, ok := seen[e]; ok {
-			continue
-		}
-		seen[e] = struct{}{}
+	d.se.mapping.eachExtent(func(e *Extent) {
 		hist[maint.HistBucket(e.Heat.Hits(epoch))]++
-	}
+	})
 	return hist
 }

@@ -251,26 +251,26 @@ func (m *Mapping) InsertRef(off, size int64, ext *Extent) error {
 // repl must describe the same logical run (Offset, OrigLen, Version)
 // with its new slot already allocated; blocks of the run that were
 // overwritten while the relocation was in flight stay with their newer
-// extents, so repl inherits exactly old's live count. Returns an error
-// if old is no longer referenced anywhere (the caller should have
+// extents, so repl inherits exactly old's references. Those sit in old's
+// home range unless dedup mapped foreign LBAs onto it; only then is the
+// whole table scanned (relocations are background-rate). Returns an
+// error if old is no longer referenced anywhere (the caller should have
 // aborted instead of double-freeing).
 func (m *Mapping) Replace(old, repl *Extent) error {
 	if old.live <= 0 {
 		return fmt.Errorf("core: replace of dead extent at %d", old.Offset)
 	}
-	if old.shared {
-		// Foreign references live outside the home range; the caller
-		// must use ReplaceAll to move them too.
-		return fmt.Errorf("core: replace of shared extent at %d", old.Offset)
-	}
 	if repl.Offset != old.Offset || repl.OrigLen != old.OrigLen {
 		return fmt.Errorf("core: replace changes run [%d,+%d) -> [%d,+%d)",
 			old.Offset, old.OrigLen, repl.Offset, repl.OrigLen)
 	}
-	first := old.Offset / BlockSize
-	n := old.OrigLen / BlockSize
+	lo := old.Offset / BlockSize
+	hi := lo + old.OrigLen/BlockSize
+	if old.foreign > 0 {
+		lo, hi = 0, int64(len(m.table))
+	}
 	var moved int32
-	for b := first; b < first+n; b++ {
+	for b := lo; b < hi; b++ {
 		if m.table[b] == old {
 			m.table[b] = repl
 			moved++
@@ -282,7 +282,8 @@ func (m *Mapping) Replace(old, repl *Extent) error {
 	}
 	repl.live = moved
 	repl.Heat = old.Heat
-	old.live = 0
+	repl.shared, repl.foreign = old.shared, old.foreign
+	old.live, old.foreign = 0, 0
 	if old.deadCounted {
 		// The slot was counted dead-space when its first block died;
 		// the replacement slot inherits that state at its own size.
@@ -294,44 +295,26 @@ func (m *Mapping) Replace(old, repl *Extent) error {
 	return nil
 }
 
-// ReplaceAll swaps old for repl in every block that references old,
-// wherever it is mapped — the remap half of relocating an extent that
-// dedup may have shared across LBAs. Unlike Replace it scans the whole
-// table (relocations are background-rate, so the scan is off the hot
-// path); like Replace, repl must describe the same logical run with its
-// slot already allocated, and inherits exactly old's references.
-func (m *Mapping) ReplaceAll(old, repl *Extent) error {
-	if old.live <= 0 {
-		return fmt.Errorf("core: replace of dead extent at %d", old.Offset)
-	}
-	if repl.Offset != old.Offset || repl.OrigLen != old.OrigLen {
-		return fmt.Errorf("core: replace changes run [%d,+%d) -> [%d,+%d)",
-			old.Offset, old.OrigLen, repl.Offset, repl.OrigLen)
-	}
-	var moved int32
-	for b, e := range m.table {
-		if e == old {
-			m.table[b] = repl
-			moved++
+// ReplaceAll is Replace, which follows foreign references by itself; the
+// name remains because the perf harness calls it.
+func (m *Mapping) ReplaceAll(old, repl *Extent) error { return m.Replace(old, repl) }
+
+// eachExtent calls fn once per distinct mapped extent, in table order of
+// first appearance — the deterministic walk recovery, the allocator
+// rebuild and the end-of-run gauges share.
+func (m *Mapping) eachExtent(fn func(*Extent)) {
+	seen := make(map[*Extent]struct{}, m.extents)
+	var prev *Extent
+	for _, e := range m.table {
+		if e == nil || e == prev {
+			continue
+		}
+		prev = e
+		if _, ok := seen[e]; !ok {
+			seen[e] = struct{}{}
+			fn(e)
 		}
 	}
-	if moved != old.live {
-		return fmt.Errorf("core: extent at %d: live=%d but %d blocks reference it",
-			old.Offset, old.live, moved)
-	}
-	repl.live = moved
-	repl.Heat = old.Heat
-	repl.shared = old.shared
-	repl.foreign = old.foreign
-	old.live = 0
-	old.foreign = 0
-	if old.deadCounted {
-		m.deadSpace += repl.SlotLen - old.SlotLen
-		old.deadCounted = false
-		repl.deadCounted = true
-	}
-	m.release(old)
-	return nil
 }
 
 // findExtent locates the live extent for the run starting at off whose

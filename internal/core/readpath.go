@@ -26,15 +26,12 @@ type readPath struct {
 	fs    *failState
 	stats *RunStats
 	se    *storeEngine
-	cost  CostModel
 	reg   *compress.Registry
 	data  *datagen.Generator
 	obs   *obs.Collector
 
-	hostCache   *cache.Cache
-	verify      bool
-	offload     bool
-	offloadCost CodecCost
+	hostCache *cache.Cache
+	verify    bool
 
 	// Real-CPU pipeline: verify-mode decompression dispatched at read
 	// submission runs on pool workers while the event loop advances
@@ -47,10 +44,10 @@ type readPath struct {
 	// extents, not in time: a serve shard that goes idle keeps its
 	// parked verifications unjoined until its next verified read or
 	// StopServe (DESIGN.md §16). The write path cannot lag the same way:
-	// store needs the payload length to quantise the slot. pool is the
-	// queue Device.open registers for both paths; it and the ring exist
-	// only while the pipeline runs.
-	pool    *parallel.Queue
+	// store needs the payload length to quantise the slot. The ring exists
+	// only while the store engine holds a pool queue; without one the
+	// check runs inline at the completion event, not through async, so the
+	// operation that fails stays the one whose completion ran the check.
 	lag     []*parallel.Future[verifyResult]
 	lagHead int
 	lagN    int
@@ -89,7 +86,7 @@ func (rp *readPath) read(arrival time.Duration, off, size int64, done func(time.
 		})
 		return
 	}
-	plan, err := rp.se.readPlan(off, size)
+	plan, err := rp.se.mapping.ReadPlan(off, size)
 	if err != nil {
 		rp.fs.fail(err)
 		rp.drop(1)
@@ -133,39 +130,27 @@ func (rp *readPath) read(arrival time.Duration, off, size int64, done func(time.
 			var payload []byte
 			if rp.verify {
 				payload = rp.se.payload(ext)
-				if rp.pool != nil {
+				if rp.se.pool != nil {
 					p, got, want := payload, rp.se.getBuf(), rp.se.getBuf()
-					vfut = parallel.Go(rp.pool, func() verifyResult {
+					vfut = parallel.Go(rp.se.pool, func() verifyResult {
 						return rp.verifyExtentWork(ext, p, got, want)
 					})
 				}
 			}
-			finishVerify := func() {
-				if !rp.verify {
-					return
-				}
-				if vfut != nil {
+			decoded := func(_, _ time.Duration) {
+				switch {
+				case !rp.verify:
+				case vfut != nil:
 					rp.park(vfut)
-					return
+				default:
+					rp.verifyExtent(ext, payload)
 				}
-				rp.verifyExtent(ext, payload)
+				complete()
 			}
-			if rp.offload {
-				// The device's codec engine decompresses in-line.
-				extra := time.Duration(float64(ext.OrigLen) / rp.offloadCost.DecompressBps * float64(time.Second))
-				rp.issueRead(ext.DevOff, ext.CompLen, extra, ext.Offset, ext.OrigLen, 0, func() {
-					finishVerify()
-					complete()
-				})
-				break
-			}
-			rp.issueRead(ext.DevOff, ext.CompLen, 0, ext.Offset, ext.OrigLen, 0, func() {
-				svc := rp.cost.DecompressTime(ext.Tag, ext.OrigLen)
-				rp.cpu.Submit(sim.Job{Service: svc, Done: func(_, _ time.Duration) {
-					finishVerify()
-					complete()
-				}})
-			})
+			// Decompression is host CPU time after the transfer, or rides
+			// on the transfer itself when the device's codec engine does it.
+			cpu, extra := rp.se.charge.decompress(ext.Tag, ext.OrigLen)
+			rp.issueRead(ext.DevOff, ext.CompLen, extra, ext.Offset, ext.OrigLen, 0, func() { hostTime(rp.cpu, cpu, decoded) })
 		}
 	}
 }
@@ -178,7 +163,7 @@ func (rp *readPath) read(arrival time.Duration, off, size int64, done func(time.
 // UnrecoveredReads. off/size locate the logical range for the event
 // stream.
 func (rp *readPath) issueRead(devOff, bytes int64, extra time.Duration, off, size int64, attempt int, done func()) {
-	rp.se.read(devOff, bytes, extra, func(err error) {
+	rp.se.be.Read(devOff, bytes, extra, func(err error) {
 		switch {
 		case err == nil:
 			done()

@@ -33,7 +33,7 @@ func attachVerifyProbe(d *Device, k int) *verifyProbe {
 	p := &verifyProbe{dev: d, k: k, victimOff: -1}
 	onRead := d.fe.onRead
 	d.fe.onRead = func(issue time.Duration, off, size int64, done func(time.Duration)) {
-		plan, err := d.se.readPlan(off, size)
+		plan, err := d.se.mapping.ReadPlan(off, size)
 		var ext *Extent
 		if err == nil && len(plan) == 1 && plan[0].Ext != nil && plan[0].Ext.Tag != compress.TagNone {
 			ext = plan[0].Ext

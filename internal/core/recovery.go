@@ -153,15 +153,8 @@ func RecoverMapping(snapshot, journal []byte, alloc *Allocator) (*Mapping, int, 
 // bad media by write re-allocation are not live and so return to the
 // free pool — the simulated device has no persistent bad-block list.
 func liveRanges(m *Mapping) []Range {
-	seen := make(map[*Extent]bool, m.extents)
 	rs := make([]Range, 0, m.extents)
-	for _, e := range m.table {
-		if e == nil || seen[e] {
-			continue
-		}
-		seen[e] = true
-		rs = append(rs, Range{Off: e.DevOff, Len: e.SlotLen})
-	}
+	m.eachExtent(func(e *Extent) { rs = append(rs, Range{Off: e.DevOff, Len: e.SlotLen}) })
 	sort.Slice(rs, func(i, j int) bool { return rs[i].Off < rs[j].Off })
 	return rs
 }
@@ -228,23 +221,18 @@ func RecoverDevice(eng *sim.Engine, be Backend, volumeBytes int64, opts Options,
 	// Resume the run version counter above every surviving extent, so
 	// regenerated content for post-recovery writes never collides with
 	// pre-crash versions of the same blocks.
-	seen := make(map[*Extent]bool, m.extents)
 	var maxVer uint32
-	for _, e := range m.table {
-		if e == nil || seen[e] {
-			continue
-		}
-		seen[e] = true
+	m.eachExtent(func(e *Extent) {
 		if e.Version >= maxVer {
 			maxVer = e.Version + 1
 		}
-		var content []byte
-		if d.se.dedup != nil || d.se.payloads != nil {
-			// Regenerate the stored bytes (content is a pure function of
-			// offset/length/version, so they match what the pre-crash
-			// device stored).
-			content = d.wp.data.AppendBlock(nil, e.Offset, int(e.OrigLen), e.Version)
+		if err != nil || (d.se.dedup == nil && d.se.payloads == nil) {
+			return
 		}
+		// Regenerate the stored bytes (content is a pure function of
+		// offset/length/version, so they match what the pre-crash device
+		// stored).
+		content := d.wp.data.AppendBlock(nil, e.Offset, int(e.OrigLen), e.Version)
 		if d.se.dedup != nil {
 			// Rebuild the content index: fingerprint every surviving
 			// extent and register it, first-wins in table order —
@@ -254,17 +242,20 @@ func RecoverDevice(eng *sim.Engine, be Backend, volumeBytes int64, opts Options,
 			e.hasSum = true
 			d.se.dedupRegister(e)
 		}
-		if d.se.payloads != nil {
-			if e.Tag == compress.TagNone {
-				d.se.payloads[e] = content
-			} else {
-				codec, err := d.rp.reg.ByTag(e.Tag)
-				if err != nil {
-					return nil, err
-				}
-				d.se.payloads[e] = compress.AppendCompress(codec, nil, content)
-			}
+		if d.se.payloads == nil {
+			return
 		}
+		if e.Tag != compress.TagNone {
+			var codec compress.Codec
+			if codec, err = d.rp.reg.ByTag(e.Tag); err != nil {
+				return
+			}
+			content = compress.AppendCompress(codec, nil, content)
+		}
+		d.se.payloads[e] = content
+	})
+	if err != nil {
+		return nil, err
 	}
 	d.wp.version = maxVer
 	d.stats.Recoveries = 1

@@ -219,22 +219,17 @@ func (sv *Server) splitShard(ss *serveShard) {
 		if e.pending || e.shared {
 			return nil, fmt.Errorf("core: extent at %d not movable (pending=%v shared=%v)", e.Offset, e.pending, e.shared)
 		}
-		devOff, err := nse.alloc.Alloc(e.SlotLen)
-		if err != nil {
-			return nil, err
-		}
 		ne := &Extent{
 			Offset:  e.Offset - localSplit,
 			OrigLen: e.OrigLen,
 			CompLen: e.CompLen,
 			SlotLen: e.SlotLen,
 			Tag:     e.Tag,
-			DevOff:  devOff,
 			Version: e.Version,
 			Heat:    e.Heat,
 		}
-		if nse.obs != nil {
-			nse.obs.SlotAlloc(nse.now(), ne.SlotLen)
+		if err := nse.allocSlot(ne); err != nil {
+			return nil, err
 		}
 		movedSlot += ne.SlotLen
 		return ne, nil

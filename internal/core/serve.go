@@ -530,9 +530,7 @@ func (ss *serveShard) admit(op *serveOp) {
 	}
 	if op.tenant != "" {
 		if max := d.fe.qs.maxDeferred(op.tenant); max > 0 && ss.inflightBy[op.tenant] >= max {
-			now := d.eng.Now()
-			d.stats.Tenant(op.tenant).Rejected++
-			d.obs.AdmitReject(now, op.off, op.size, op.write, op.tenant, obs.RejectQueueDepth)
+			d.fe.reject(op.off, op.size, op.write, op.tenant)
 			op.j.complete(0, fmt.Errorf("core: tenant %q: %w", op.tenant, qos.ErrAdmissionRejected))
 			return
 		}
@@ -572,10 +570,8 @@ func (ss *serveShard) arrive(op *serveOp) {
 		}
 		return
 	}
-	now := d.eng.Now()
 	if !op.shaped {
-		if delay := d.fe.qs.shape(now, op.tenant, op.size); delay > 0 {
-			// Charged once: the delayed re-arrival bypasses the bucket.
+		if delay := d.fe.shape(op.off, op.size, op.write, op.tenant); delay > 0 {
 			// The re-arrival parks as a housekeeping event — like the
 			// maintenance timers, a far-future deadline must not
 			// fast-forward the clock past arrival stamps still in
@@ -584,14 +580,11 @@ func (ss *serveShard) arrive(op *serveOp) {
 			// real traffic pushes the clock past them, or during the
 			// stop-drain.
 			op.shaped = true
-			ts := d.stats.Tenant(op.tenant)
-			ts.Shaped++
-			ts.ShapeDelay += delay
-			d.obs.Shape(now, op.off, op.size, op.write, op.tenant, delay)
 			d.eng.ScheduleHousekeepingAfter(delay, func() { ss.arrive(op) })
 			return
 		}
 	}
+	now := d.eng.Now()
 	ts := d.stats.Tenant(op.tenant) // nil for untagged traffic
 	wait := now - op.at             // ingress queueing ahead of admission
 	// The books and the hand-off are the ones replay admits through.

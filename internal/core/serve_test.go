@@ -341,18 +341,29 @@ func TestServeBackpressure(t *testing.T) {
 	}
 }
 
-// TestServeContextCancel checks a canceled context unblocks the waiting
-// submitter even though the operation itself may still complete
-// server-side.
+// TestServeContextCancel checks a cancelled context releases a waiter
+// whose operation is still in flight, and that the operation completes
+// server-side all the same. The server is paced so that "still in
+// flight" is a fact rather than a race: a paced shard releases no
+// completion past its newest arrival stamp until a later arrival or
+// Stop, so the result cannot be ready when the cancelled wait runs (with
+// both ready, select may pick either).
 func TestServeContextCancel(t *testing.T) {
-	sv := newTestServer(t, 1, 1<<20, 0, 0)
+	sv := newPacedServer(t, 1, 1<<20)
+	await, err := sv.SubmitAt(context.Background(), 0, 0, BlockSize, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sv.Write(ctx, 0, BlockSize); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Write with canceled ctx: %v, want context.Canceled", err)
+	if _, err := await(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("await with canceled ctx: %v, want context.Canceled", err)
 	}
 	if _, err := sv.Stop(); err != nil {
 		t.Fatal(err)
+	}
+	if lat, err := await(context.Background()); err != nil || lat <= 0 {
+		t.Fatalf("write abandoned by its waiter: latency %v, err %v", lat, err)
 	}
 }
 

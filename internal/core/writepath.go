@@ -51,17 +51,13 @@ type writePath struct {
 	est    *Estimator
 	data   *datagen.Generator
 	policy Policy
-	cost   CostModel
 
 	// qs resolves per-tenant intensity under QoS isolation; nil keeps
 	// the device-global policy signal.
 	qs *qosState
 
-	hostCache   *cache.Cache
-	disableSD   bool
-	exactSlots  bool
-	offload     bool
-	offloadCost CodecCost
+	hostCache *cache.Cache
+	disableSD bool
 
 	flushWait time.Duration
 	flushGen  int64
@@ -70,12 +66,6 @@ type writePath struct {
 	// jnl, when non-nil, records each durable extent at write completion
 	// (the crash-recovery journal).
 	jnl *Journal
-
-	// Real-CPU pipeline: codec work dispatched at processRun time runs
-	// on pool workers while the event loop advances virtual time; store
-	// joins on the future. pool is the queue Device.open registers on the
-	// process-wide codec pool; it exists only while the pipeline runs.
-	pool *parallel.Queue
 
 	// complete finishes one host write (response observation +
 	// closed-loop slot release); drop releases writes without observing
@@ -175,8 +165,7 @@ func (wp *writePath) processRun(run *Run) {
 		// job's completion time — lookup results must reflect the state
 		// when the CPU work is done, not when it was queued.
 		sum := dedup.HashSum(wp.se.dedupKey, content)
-		hashTime := time.Duration(float64(run.Size) / DedupHashBps * float64(time.Second))
-		wp.cpu.Submit(sim.Job{Service: hashTime, Done: func(_, _ time.Duration) {
+		wp.cpu.Submit(sim.Job{Service: bytesTime(run.Size, DedupHashBps), Done: func(_, _ time.Duration) {
 			wp.dedupResolve(run, content, sum, ver)
 		}})
 		return
@@ -225,7 +214,13 @@ func (wp *writePath) dedupHit(run *Run, tgt *Extent) {
 	}
 	wp.flushDying(dying)
 	wp.hostCache.InsertRange(run.Offset, run.Size)
-	for _, w := range run.Writes {
+	wp.finishWrites(run.Writes)
+}
+
+// finishWrites completes the host writes of a run that is now durable.
+func (wp *writePath) finishWrites(writes []PendingWrite) {
+	now := wp.eng.Now()
+	for _, w := range writes {
 		if w.Done != nil {
 			w.Done(now - w.Arrival)
 		}
@@ -314,27 +309,20 @@ func (wp *writePath) compressRun(run *Run, content []byte, sum dedup.Sum, hasSum
 		codec = wp.policy.Select(ciops)
 		wp.obs.PolicyChoice(now, run.Offset, run.Size, ciops, codecName(codec))
 	}
-	if codec != nil && !wp.offload {
-		cpuTime += wp.cost.CompressTime(codec.Tag(), run.Size)
-	}
 	// Pipeline the real codec work: compression is a pure function of
 	// (content, codec), so it can run on a worker goroutine while the
 	// event loop advances virtual time. store joins on the future, so
 	// virtual-time ordering and all statistics are unchanged.
 	var fut *parallel.Future[[]byte]
-	if codec != nil && wp.pool != nil {
-		c := codec
-		dst := wp.se.getBuf()
-		fut = parallel.Go(wp.pool, func() []byte {
+	if codec != nil {
+		cpu, _ := wp.se.charge.compress(codec.Tag(), run.Size)
+		cpuTime += cpu
+		c, dst := codec, wp.se.getBuf()
+		fut = async(wp.se, func() []byte {
 			return compress.AppendCompress(c, dst, content)
 		})
 	}
-	store := func(_, _ time.Duration) { wp.store(run, content, codec, fut, ver, sum, hasSum) }
-	if cpuTime > 0 {
-		wp.cpu.Submit(sim.Job{Service: cpuTime, Done: store})
-	} else {
-		store(now, now)
-	}
+	hostTime(wp.cpu, cpuTime, func(_, _ time.Duration) { wp.store(run, content, codec, fut, ver, sum, hasSum) })
 }
 
 // codecName renders a policy selection for the event stream ("none" when
@@ -346,8 +334,8 @@ func codecName(c compress.Codec) string {
 	return c.Name()
 }
 
-// store joins the codec result (or runs the codec inline), allocates the
-// quantized slot, updates the mapping, and issues the device write.
+// store joins the codec result, allocates the quantized slot, updates
+// the mapping, and issues the device write.
 func (wp *writePath) store(run *Run, content []byte, codec compress.Codec, fut *parallel.Future[[]byte], ver uint32, sum dedup.Sum, hasSum bool) {
 	var payload []byte
 	// Join before any early return: the worker owns the payload buffer
@@ -361,40 +349,17 @@ func (wp *writePath) store(run *Run, content []byte, codec compress.Codec, fut *
 		wp.se.putBuf(payload)
 		return
 	}
-	tag := compress.TagNone
-	compLen := run.Size
-	slotLen := run.Size
+	ext, stored, fits := wp.se.encoded(run.Offset, run.Size, ver, codec, content, payload)
 	if codec != nil {
-		if fut == nil {
-			payload = compress.AppendCompress(codec, wp.se.getBuf(), content)
-		}
-		slot, ok := QuantizeSlot(run.Size, int64(len(payload)))
-		if ok {
-			tag = codec.Tag()
-			compLen = int64(len(payload))
-			slotLen = slot
-			if wp.exactSlots {
-				slotLen = compLen // ablation: no quantization
-			}
-			wp.obs.SlotChoice(wp.eng.Now(), run.Offset, run.Size, codec.Name(), compLen, slotLen, false)
-		} else {
-			// Codec output above 75 %: keep uncompressed (Sec. III-C).
-			wp.stats.Oversize++
-			wp.obs.SlotChoice(wp.eng.Now(), run.Offset, run.Size, codec.Name(), int64(len(payload)), run.Size, true)
-			wp.se.putBuf(payload)
-			payload = nil
-		}
+		wp.obs.SlotChoice(wp.eng.Now(), run.Offset, run.Size, codec.Name(), int64(len(payload)), ext.SlotLen, !fits)
 	}
-	ext := &Extent{
-		Offset:  run.Offset,
-		OrigLen: run.Size,
-		CompLen: compLen,
-		SlotLen: slotLen,
-		Tag:     tag,
-		Version: ver,
-		sum:     sum,
-		hasSum:  hasSum,
+	if !fits {
+		// Codec output above 75 %: keep uncompressed (Sec. III-C).
+		wp.stats.Oversize++
+		wp.se.putBuf(payload)
+		payload = nil
 	}
+	ext.sum, ext.hasSum = sum, hasSum
 	wp.se.touch(ext) // born warm: written this epoch
 	ext.pending = true
 	if err := wp.se.place(ext); err != nil {
@@ -405,28 +370,20 @@ func (wp *writePath) store(run *Run, content []byte, codec compress.Codec, fut *
 		return
 	}
 	dying := wp.se.mapping.takeDying()
-	if tag != compress.TagNone {
-		wp.se.keepPayload(ext, payload)
-	} else {
-		wp.se.keepPayload(ext, content)
-	}
+	wp.se.keepPayload(ext, stored)
 	wp.stats.OrigBytes += run.Size
-	wp.stats.CompBytes += compLen
-	wp.stats.StoredBytes += slotLen
-	wp.stats.RunsByTag[tag]++
-	wp.stats.BytesByTag[tag] += run.Size
+	wp.stats.CompBytes += ext.CompLen
+	wp.stats.StoredBytes += ext.SlotLen
+	wp.stats.RunsByTag[ext.Tag]++
+	wp.stats.BytesByTag[ext.Tag] += run.Size
 	if ts := wp.stats.Tenant(runTenant(run)); ts != nil {
-		ts.RunsByTag[tag]++
+		ts.RunsByTag[ext.Tag]++
 	}
 	wp.se.putBuf(content)
 	wp.se.putBuf(payload)
 
-	var extra time.Duration
-	if wp.offload && tag != compress.TagNone {
-		extra = time.Duration(float64(run.Size) / wp.offloadCost.CompressBps * float64(time.Second))
-	}
 	wp.hostCache.InsertRange(run.Offset, run.Size)
-	wp.issueWrite(ext, run.Writes, dying, extra, 0, 0)
+	wp.issueWrite(ext, run.Writes, dying, 0, 0)
 }
 
 // issueWrite submits the device write for ext's slot and reacts to the
@@ -435,8 +392,8 @@ func (wp *writePath) store(run *Run, content []byte, codec compress.Codec, fut *
 // virtual-time backoff; a hard fault (or exhausted retries) moves the
 // run to a fresh slot and starts over. Only when every recovery avenue
 // is spent does the replay abort.
-func (wp *writePath) issueWrite(ext *Extent, writes []PendingWrite, dying []*Extent, extra time.Duration, attempt, reallocs int) {
-	wp.se.write(ext.DevOff, ext.SlotLen, extra, func(err error) {
+func (wp *writePath) issueWrite(ext *Extent, writes []PendingWrite, dying []*Extent, attempt, reallocs int) {
+	wp.se.write(ext, func(err error) {
 		switch {
 		case err == nil:
 			// Durable: journaled and safe for maintenance to relocate.
@@ -449,21 +406,18 @@ func (wp *writePath) issueWrite(ext *Extent, writes []PendingWrite, dying []*Ext
 			// so an unref record never precedes the insert that caused it.
 			wp.se.dedupRegister(ext)
 			wp.flushDying(dying)
-			now := wp.eng.Now()
-			for _, w := range writes {
-				if w.Done != nil {
-					w.Done(now - w.Arrival)
-				}
-				wp.complete(now - w.Arrival)
-			}
+			wp.finishWrites(writes)
 		case errors.Is(err, fault.ErrTransient) && attempt < maxRetries:
 			wp.stats.FaultRetries++
 			wp.obs.Retry(wp.eng.Now(), "write", ext.Offset, ext.OrigLen, attempt+1)
 			wp.eng.ScheduleAfter(retryBackoff<<attempt, func() {
-				wp.issueWrite(ext, writes, dying, extra, attempt+1, reallocs)
+				wp.issueWrite(ext, writes, dying, attempt+1, reallocs)
 			})
 		case reallocs < maxReallocs:
-			if rerr := wp.se.realloc(ext); rerr != nil {
+			// The failed slot is abandoned, not freed — the media there is
+			// bad — so its bytes stay accounted as in use for the rest of
+			// the run.
+			if rerr := wp.se.allocSlot(ext); rerr != nil {
 				wp.fs.fail(fmt.Errorf("re-allocating run at %d after %v: %w", ext.Offset, err, rerr))
 				wp.drop(len(writes))
 				wp.abandonDying(dying)
@@ -471,7 +425,7 @@ func (wp *writePath) issueWrite(ext *Extent, writes []PendingWrite, dying []*Ext
 			}
 			wp.stats.WriteReallocs++
 			wp.obs.Recover(wp.eng.Now(), obs.RecoverRealloc, ext.Offset, ext.OrigLen, 0)
-			wp.issueWrite(ext, writes, dying, extra, 0, reallocs+1)
+			wp.issueWrite(ext, writes, dying, 0, reallocs+1)
 		default:
 			wp.fs.fail(fmt.Errorf("writing run at %d: %w", ext.Offset, err))
 			wp.drop(len(writes))

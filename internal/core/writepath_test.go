@@ -39,7 +39,6 @@ func newTestWritePath(t *testing.T, policy Policy) (*writePath, *[]time.Duration
 		// fixed-codec case cannot fall into the oversize keep-raw path.
 		data:      datagen.New(datagen.LinuxSrc(), 7),
 		policy:    policy,
-		cost:      DefaultCostModel(),
 		hostCache: cache.New(0),
 	}
 	completions := &[]time.Duration{}

@@ -9,25 +9,29 @@ import (
 )
 
 // matrixFeature is one optional feature of the replay stack as the
-// determinism matrix turns it on: the options that enable it and, for a
-// feature that needs tagged traffic, what it does to the trace. on
-// reports whether a finished replay shows the feature at work, so a
-// combination cannot pass by quietly running without it.
+// determinism matrix turns it on: the options that enable it, its share
+// of the one fault plan a replay can carry and, for a feature that needs
+// tagged traffic, what it does to the trace. on reports whether a
+// finished replay shows the feature at work, so a combination cannot
+// pass by quietly running without it.
 type matrixFeature struct {
 	name  string
 	opts  []Option
+	plan  func(*FaultPlan)
 	trace func(*Trace) *Trace
 	on    func(*Results) bool
 }
 
-func matrixFeatures() []matrixFeature {
+// matrixFeatures builds the features for replays of base (the power cut
+// is placed by its arrival stamps).
+func matrixFeatures(base *Trace) []matrixFeature {
+	span := base.Requests[len(base.Requests)-1].Arrival
 	return []matrixFeature{
-		// No power cut, and rates high enough to bite on a short trace.
-		{name: "faults", opts: []Option{WithFaults(&FaultPlan{
-			Seed: 77, ReadTransient: 0.05, WriteTransient: 0.1,
-			WriteHard: 0.02, SpikeRate: 0.05, SpikeLatency: 2 * time.Millisecond,
-		})},
-			on: func(r *Results) bool { return r.Faults > 0 }},
+		// Rates high enough to bite on a short trace.
+		{name: "faults", plan: func(p *FaultPlan) {
+			p.ReadTransient, p.WriteTransient, p.WriteHard = 0.05, 0.1, 0.02
+			p.SpikeRate, p.SpikeLatency = 0.05, 2*time.Millisecond
+		}, on: func(r *Results) bool { return r.Faults > 0 }},
 		{name: "maint", opts: []Option{WithMaintenance(maintPolicy())},
 			on: func(r *Results) bool { return r.MaintTicks > 0 }},
 		{name: "dedup", opts: []Option{
@@ -48,18 +52,24 @@ func matrixFeatures() []matrixFeature {
 		}, on: func(r *Results) bool { return r.Tenants["batch"] != nil && r.Tenants["batch"].Shaped > 0 }},
 		{name: "cache+verify", opts: []Option{WithCache(4 << 20), WithVerify()},
 			on: func(r *Results) bool { return r.Cache.Hits > 0 }},
+		// Cut just after a mid-trace arrival, with checkpoints on, so the
+		// recovery replays a journal over a snapshot that is not the
+		// empty one. Refused at two shards.
+		{name: "powercut", opts: []Option{WithSnapshotEvery(span / 8)}, plan: func(p *FaultPlan) {
+			p.PowerCutAt = base.Requests[len(base.Requests)/2].Arrival + 20*time.Microsecond
+		}, on: func(r *Results) bool { return r.Recoveries == 1 }},
 	}
 }
 
 // TestFeatureMatrixDeterministic is the one determinism gate for feature
 // combinations (make matrixcheck runs it under -race on four procs):
-// every feature alone and every pair of features, at one and two shards,
-// replayed twice — the two machine-readable reports must match byte for
+// each of the six features alone and every pair of them, at one and two
+// shards, replayed twice — the two machine-readable reports must match byte for
 // byte, with codec work racing the event loop on the shared pool. A
 // combination the stack refuses or fails must fail the same way twice.
 func TestFeatureMatrixDeterministic(t *testing.T) {
 	base := smallTrace(t, 200)
-	names := matrixFeatures()
+	names := matrixFeatures(base)
 	for i := range names {
 		for j := i; j < len(names); j++ {
 			name := names[i].name
@@ -71,7 +81,7 @@ func TestFeatureMatrixDeterministic(t *testing.T) {
 					t.Parallel()
 					// Options are built per subtest: an Option value is not
 					// meant to configure two Systems at once.
-					feats := matrixFeatures()
+					feats := matrixFeatures(base)
 					combo := []matrixFeature{feats[i]}
 					if j > i {
 						combo = append(combo, feats[j])
@@ -99,8 +109,16 @@ func matrixReplay(t *testing.T, base *Trace, combo []matrixFeature, shards int) 
 	t.Helper()
 	opts := []Option{WithSSDConfig(smallSSD()), WithShards(shards), WithReplayWorkers(4)}
 	tr := base
+	var plan *FaultPlan
 	for _, f := range combo {
 		opts = append(opts, f.opts...)
+		if f.plan != nil {
+			if plan == nil {
+				plan = &FaultPlan{Seed: 77}
+				opts = append(opts, WithFaults(plan))
+			}
+			f.plan(plan)
+		}
 		if f.trace != nil {
 			tr = f.trace(tr)
 		}
