@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmtcheck doclint race raceall bench perfdiff corescale check cover matrixcheck clean
+.PHONY: all build test vet fmtcheck doclint race raceall bench fuzz perfdiff corescale check cover matrixcheck clean
 
 all: check
 
@@ -45,9 +45,18 @@ raceall:
 matrixcheck:
 	GOMAXPROCS=4 $(GO) test -race -run TestFeatureMatrix .
 
-# Codec + generator microbenchmarks with allocation counts.
+# Codec, generator and trace-format microbenchmarks with allocation
+# counts; the datagen and trace rows come in pairs, product and kept
+# reference.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/compress ./internal/datagen
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/compress ./internal/datagen ./internal/trace
+
+# Ten seconds of fuzzing per target: the payload RNG against math/rand,
+# and the two trace parsers (whose past crashers are in testdata/fuzz).
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 10s ./internal/datagen
+	$(GO) test -run '^$$' -fuzz FuzzParseSPC -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzParseMSR -fuzztime 10s ./internal/trace
 
 # Paired benchmark against a parent revision, by BENCHMARK.json's rule:
 # ten alternating parent/change pairs per workload plus a held-out seed,

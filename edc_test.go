@@ -2,8 +2,11 @@ package edc
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
+
+	"edc/internal/trace"
 )
 
 const testVolume = 64 << 20
@@ -338,5 +341,22 @@ func TestDeterministicReplay(t *testing.T) {
 		if b.RunsByTag[tag] != n {
 			t.Fatalf("tag %d runs differ: %d vs %d", tag, n, b.RunsByTag[tag])
 		}
+	}
+}
+
+// An MSR trace whose second record is older than its first used to parse
+// to a negative arrival, and Play panicked scheduling before time zero.
+func TestPlayMSRRecordOlderThanFirst(t *testing.T) {
+	in := "128166372003061629,usr,0,Write,4096,24576,0\n128166372003000000,usr,0,Read,0,512,0\n"
+	tr, err := trace.ParseMSR(strings.NewReader(in), "reordered")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Replay(tr, testVolume, WithSSDConfig(smallSSD()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Resp.Count() != 2 {
+		t.Fatalf("answered %d of 2", res.Resp.Count())
 	}
 }

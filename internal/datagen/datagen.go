@@ -13,7 +13,8 @@ package datagen
 
 import (
 	"fmt"
-	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -146,7 +147,7 @@ func Enterprise() Profile {
 }
 
 // Generator produces deterministic content for volume offsets. It is
-// safe for concurrent use: per-call scratch (the reseedable RNG and the
+// safe for concurrent use: per-call scratch (the reseedable source and the
 // binary-class match pool) lives in an internal sync.Pool, so steady-
 // state generation through AppendBlock allocates nothing.
 type Generator struct {
@@ -162,11 +163,10 @@ type Generator struct {
 	dupUniverse uint64
 }
 
-// genScratch is the reusable per-call state. Reseeding one rand.Rand
-// per region replaces the dominant allocation of the original
-// implementation (rand.NewSource builds a ~5 KiB state table per call).
+// genScratch is the reusable per-call state: one source, reseeded per
+// content chunk, and pooled because its register is ~5 KiB.
 type genScratch struct {
-	rng  *rand.Rand
+	rng  source
 	pool [256]byte // appendBinary's per-region match pool
 }
 
@@ -180,9 +180,7 @@ func New(p Profile, seed int64) *Generator {
 	if g.dupUniverse == 0 {
 		g.dupUniverse = 64
 	}
-	g.scratch.New = func() interface{} {
-		return &genScratch{rng: rand.New(rand.NewSource(0))}
-	}
+	g.scratch.New = func() interface{} { return new(genScratch) }
 	for _, cw := range p.Mixture {
 		g.cumSum += cw.Weight
 		g.cum = append(g.cum, g.cumSum)
@@ -234,16 +232,28 @@ func (g *Generator) classOf(h uint64) Class {
 	return g.p.Mixture[len(g.p.Mixture)-1].Class
 }
 
+// chunk resolves what fills the region containing pos: its content class
+// and the seed of the chunk that starts at pos under overwrite version.
+// Clone regions take both from the clone identity, not the region or the
+// version: every replica of a clone yields identical bytes at the same
+// intra-region alignment, and overwriting one rewrites the same bytes.
+func (g *Generator) chunk(pos int64, version uint32) (Class, int64) {
+	region := pos / classGrain
+	seed, at := uint64(g.seed), uint64(pos%classGrain)<<1
+	if id, ok := g.cloneID(region); ok {
+		return g.classOf(mix64(id*0x9e3779b97f4a7c15 ^ seed ^ dupSalt)),
+			int64(mix64(id*0x2545f4914f6cdd1d ^ seed ^ at))
+	}
+	return g.classOf(mix64(uint64(region) ^ seed*0x9e3779b97f4a7c15)),
+		int64(mix64(uint64(region)*0x2545f4914f6cdd1d ^ seed ^ uint64(version)<<32 ^ at))
+}
+
 // ClassAt returns the content class of the region containing offset.
 // Clone regions take their class from the clone identity, not the
-// region, so every replica of a clone has the same class (and therefore
-// the same bytes).
+// region, so every replica of a clone has the same class.
 func (g *Generator) ClassAt(offset int64) Class {
-	region := offset / classGrain
-	if id, ok := g.cloneID(region); ok {
-		return g.classOf(mix64(id*0x9e3779b97f4a7c15 ^ uint64(g.seed) ^ dupSalt))
-	}
-	return g.classOf(mix64(uint64(region) ^ uint64(g.seed)*0x9e3779b97f4a7c15))
+	cls, _ := g.chunk(offset, 0)
+	return cls
 }
 
 // Block returns size bytes of content for the given volume offset.
@@ -255,78 +265,93 @@ func (g *Generator) Block(offset int64, size int, version uint32) []byte {
 // AppendBlock appends size bytes of content for the given volume offset
 // to dst and returns the extended slice. Output is byte-identical to
 // Block; callers on hot paths pass a recycled buffer (as buf[:0]) so
-// generation is allocation-free in steady state.
+// generation is allocation-free in steady state. Only dst[len(dst):
+// len(dst)+size] is written, and dst is reallocated only when its spare
+// capacity is below size.
 func (g *Generator) AppendBlock(dst []byte, offset int64, size int, version uint32) []byte {
+	if size <= 0 {
+		return dst
+	}
+	dst = slices.Grow(dst, size) // once, not per region
 	st := g.scratch.Get().(*genScratch)
-	start := len(dst)
-	for len(dst)-start < size {
-		done := len(dst) - start
+	for done := 0; done < size; {
 		pos := offset + int64(done)
-		region := pos / classGrain
 		// Bytes remaining in this region.
-		n := int(classGrain - pos%classGrain)
-		if n > size-done {
-			n = size - done
-		}
-		cls := g.ClassAt(pos)
-		var sub uint64
-		if id, ok := g.cloneID(region); ok {
-			// Clone content is independent of region AND version: every
-			// replica of a clone yields identical bytes, and overwriting
-			// one rewrites the same bytes.
-			sub = mix64(id*0x2545f4914f6cdd1d ^ uint64(g.seed) ^ uint64(pos%classGrain)<<1)
-		} else {
-			sub = mix64(uint64(region)*0x2545f4914f6cdd1d ^ uint64(g.seed) ^ uint64(version)<<32 ^ uint64(pos%classGrain)<<1)
-		}
-		dst = appendContent(dst, cls, n, int64(sub), st)
+		n := min(int(classGrain-pos%classGrain), size-done)
+		cls, seed := g.chunk(pos, version)
+		dst = appendContent(dst, cls, n, seed, st)
+		done += n
 	}
 	g.scratch.Put(st)
 	return dst
 }
 
-// zeroChunk is a read-only source for zero fills.
-var zeroChunk [4096]byte
-
-// appendZeros appends n zero bytes without a temporary buffer.
-func appendZeros(dst []byte, n int) []byte {
-	for n > 0 {
-		k := n
-		if k > len(zeroChunk) {
-			k = len(zeroChunk)
-		}
-		dst = append(dst, zeroChunk[:k]...)
-		n -= k
-	}
-	return dst
+// extend grows dst by n bytes without initializing them and returns the
+// extended slice together with the n-byte window the caller must fill
+// completely. It reallocates only when dst has fewer than n bytes of spare
+// capacity.
+func extend(dst []byte, n int) (whole, window []byte) {
+	whole = slices.Grow(dst, n)[:len(dst)+n]
+	return whole, whole[len(dst):]
 }
 
-// appendContent appends n bytes of class cls content seeded by seed.
-// The reseeded scratch RNG yields exactly the stream a fresh
-// rand.New(rand.NewSource(seed)) would.
+// appendContent appends n bytes of class cls content seeded by seed:
+// exactly the bytes the reference bodies in ref_test.go produce from
+// rand.New(rand.NewSource(seed)). Zero chunks read no random numbers, so
+// they seed nothing.
 func appendContent(dst []byte, cls Class, n int, seed int64, st *genScratch) []byte {
-	rng := st.rng
+	if cls == ClassZero {
+		dst, out := extend(dst, n)
+		clear(out)
+		return dst
+	}
+	rng := &st.rng
 	rng.Seed(seed)
 	switch cls {
-	case ClassZero:
-		return appendZeros(dst, n)
 	case ClassText:
 		return appendText(dst, rng, n)
 	case ClassCode:
 		return appendCode(dst, rng, n)
 	case ClassBinary:
-		return appendBinary(dst, rng, n, st)
+		return appendBinary(dst, rng, n, &st.pool)
 	case ClassMedia:
-		// Fill the tail in place instead of staging through a temp
-		// buffer (the stream read is identical).
-		dst = appendZeros(dst, n)
-		rng.Read(dst[len(dst)-n:])
+		dst, out := extend(dst, n)
+		rng.Read(out)
 		return dst
 	default:
 		panic(fmt.Sprintf("datagen: unknown class %d", cls))
 	}
 }
 
-var textWords = []string{
+// A padded is a short string followed by padding, so a hot loop can copy
+// a fixed number of bytes — wide stores instead of a variable-length
+// memmove — and advance by n. The padding lands on bytes the next put
+// overwrites.
+type padded struct {
+	b [32]byte
+	n int
+}
+
+func pad(s string) (p padded) {
+	if p.n = copy(p.b[:], s); p.n < len(s) {
+		panic("datagen: " + s + " overflows a padded unit")
+	}
+	return p
+}
+
+// put writes p at out[i:] and returns the index after it. Near the end
+// of out it falls back to an exact copy, cut where out ends, so nothing
+// outside out is ever written; the returned index may then lie past it.
+func put(out []byte, i int, p *padded) int {
+	if len(out)-i >= len(p.b) {
+		*(*[len(p.b)]byte)(out[i:]) = p.b
+	} else if i < len(out) {
+		copy(out[i:], p.b[:p.n])
+	}
+	return i + p.n
+}
+
+var textWords = [...]string{
 	"storage", "system", "flash", "data", "compression", "elastic",
 	"performance", "space", "efficiency", "request", "response", "write",
 	"read", "block", "device", "queue", "latency", "throughput", "the",
@@ -334,28 +359,41 @@ var textWords = []string{
 	"workload", "intensity", "idle", "burst", "period", "algorithm",
 }
 
-func appendText(dst []byte, rng *rand.Rand, n int) []byte {
-	start := len(dst)
-	for len(dst)-start < n {
-		dst = append(dst, textWords[rng.Intn(len(textWords))]...)
-		switch rng.Intn(16) {
-		case 0:
-			dst = append(dst, ".\n"...)
-		case 1:
-			dst = append(dst, ", "...)
-		default:
-			dst = append(dst, ' ')
+// textSeps are the separators a word is followed by: the first two on
+// draws 0 and 1 of 16, the space on every other.
+var textSeps = [...]string{".\n", ", ", " "}
+
+// textUnits[w*len(textSeps)+s] is word w followed by separator s.
+var textUnits = func() (u [len(textWords) * len(textSeps)]padded) {
+	for w, word := range textWords {
+		for s, sep := range textSeps {
+			u[w*len(textSeps)+s] = pad(word + sep)
 		}
 	}
-	return dst[:start+n]
+	return u
+}()
+
+// appendText appends n bytes of words, each followed by a separator; the
+// last unit is cut at n.
+func appendText(dst []byte, rng *source, n int) []byte {
+	dst, out := extend(dst, n)
+	for i := 0; i < len(out); {
+		w := below(rng.word(), len(textWords))
+		for w < 0 {
+			w = below(rng.word(), len(textWords))
+		}
+		s := min(below(rng.word(), 16), len(textSeps)-1) // 16 rejects no draw
+		i = put(out, i, &textUnits[w*len(textSeps)+s])
+	}
+	return dst
 }
 
-var codeIdents = []string{
+var codeIdents = [...]string{
 	"req", "dev", "buf", "err", "ctx", "cfg", "size", "offset", "page",
 	"block", "queue", "state", "stats", "count", "index", "level",
 }
 
-var codeTemplates = []string{
+var codeTemplates = [...]string{
 	"func %s(%s int) error {\n",
 	"\tif %s != nil {\n\t\treturn %s\n\t}\n",
 	"\tfor %s := 0; %s < %s; %s++ {\n",
@@ -366,42 +404,70 @@ var codeTemplates = []string{
 	"\tswitch %s {\n\tcase %s:\n\t\tbreak\n\t}\n",
 }
 
-// appendCode expands a template, substituting a random identifier for
-// each %s verb in place (the templates contain no other verbs). This is
-// exactly fmt.Sprintf's output without its boxing and scratch
-// allocations, and the identifiers are drawn in the same RNG order.
-func appendCode(dst []byte, rng *rand.Rand, n int) []byte {
-	start := len(dst)
-	for len(dst)-start < n {
-		tpl := codeTemplates[rng.Intn(len(codeTemplates))]
-		for i := 0; i < len(tpl); {
-			if tpl[i] == '%' && i+1 < len(tpl) && tpl[i+1] == 's' {
-				dst = append(dst, codeIdents[rng.Intn(len(codeIdents))]...)
-				i += 2
-				continue
-			}
-			dst = append(dst, tpl[i])
-			i++
+// codeIdentUnits are codeIdents, padded.
+var codeIdentUnits = func() (u [len(codeIdents)]padded) {
+	for i, id := range codeIdents {
+		u[i] = pad(id)
+	}
+	return u
+}()
+
+// codeLits[t] is codeTemplates[t] split at its %s verbs (the templates
+// contain no other verbs): the literal text before the first identifier,
+// between identifiers, and after the last.
+var codeLits = func() (lits [len(codeTemplates)][]padded) {
+	for t, tpl := range codeTemplates {
+		for _, lit := range strings.Split(tpl, "%s") {
+			lits[t] = append(lits[t], pad(lit))
 		}
 	}
-	return dst[:start+n]
+	return lits
+}()
+
+// appendCode appends n bytes of expanded templates — fmt.Sprintf's output
+// with a random identifier per %s verb, drawn in verb order — cutting the
+// last one at n.
+func appendCode(dst []byte, rng *source, n int) []byte {
+	dst, out := extend(dst, n)
+	// Both tables have a power-of-two length, so below rejects no draw.
+	for i := 0; i < len(out); {
+		lits := codeLits[below(rng.word(), len(codeTemplates))]
+		i = put(out, i, &lits[0])
+		for k := 1; k < len(lits); k++ {
+			i = put(out, i, &codeIdentUnits[below(rng.word(), len(codeIdents))])
+			i = put(out, i, &lits[k])
+		}
+	}
+	return dst
 }
 
-// appendBinary emits 64-byte records: a 16-byte random key plus 48 bytes
-// drawn from a small per-region pool, giving LZ matches across records
-// (ratio ~1.5–2.5 under gz, like serialized application state).
-func appendBinary(dst []byte, rng *rand.Rand, n int, st *genScratch) []byte {
-	start := len(dst)
-	pool := st.pool[:]
-	rng.Read(pool)
-	for len(dst)-start < n {
-		var rec [64]byte
-		rng.Read(rec[:16])
-		for i := 16; i < 64; i += 8 {
-			off := rng.Intn(len(pool) - 8)
-			copy(rec[i:i+8], pool[off:off+8])
-		}
-		dst = append(dst, rec[:]...)
+// appendBinary appends n bytes of 64-byte records: a 16-byte random key
+// plus 48 bytes drawn from a small per-region pool, giving LZ matches
+// across records (ratio ~1.5–2.5 under gz, like serialized application
+// state). The last record is cut at n.
+func appendBinary(dst []byte, rng *source, n int, pool *[256]byte) []byte {
+	dst, out := extend(dst, n)
+	rng.Read(pool[:])
+	for ; len(out) >= binaryRecord; out = out[binaryRecord:] {
+		fillRecord((*[binaryRecord]byte)(out), rng, pool)
 	}
-	return dst[:start+n]
+	if len(out) > 0 {
+		var rec [binaryRecord]byte
+		fillRecord(&rec, rng, pool)
+		copy(out, rec[:])
+	}
+	return dst
+}
+
+const binaryRecord = 64
+
+func fillRecord(rec *[binaryRecord]byte, rng *source, pool *[256]byte) {
+	rng.Read(rec[:16])
+	for i := 16; i < len(rec); i += 8 {
+		off := below(rng.word(), len(pool)-8)
+		for off < 0 {
+			off = below(rng.word(), len(pool)-8)
+		}
+		copy(rec[i:i+8], pool[off:off+8])
+	}
 }

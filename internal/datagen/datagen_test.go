@@ -242,7 +242,9 @@ func BenchmarkGeneratorBlock(b *testing.B) {
 // to the fmt.Sprintf reference it replaced: same bytes, same RNG draws.
 func TestAppendCodeMatchesSprintf(t *testing.T) {
 	const n = 8192
-	got := appendCode(nil, rand.New(rand.NewSource(9)), n)
+	var src source
+	src.Seed(9)
+	got := appendCode(nil, &src, n)
 	rng := rand.New(rand.NewSource(9))
 	var ref []byte
 	for len(ref) < n {

@@ -8,9 +8,12 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -91,11 +94,16 @@ func (t *Trace) Stats() Stats {
 	return s
 }
 
-// SortByArrival orders requests by arrival time (stable).
+// SortByArrival orders requests by arrival time (stable). A trace that
+// is already in order — every generated one, and most real ones — is left
+// as it is after one pass.
 func (t *Trace) SortByArrival() {
-	sort.SliceStable(t.Requests, func(i, j int) bool {
+	byArrival := func(i, j int) bool {
 		return t.Requests[i].Arrival < t.Requests[j].Arrival
-	})
+	}
+	if !sort.SliceIsSorted(t.Requests, byArrival) {
+		sort.SliceStable(t.Requests, byArrival)
+	}
 }
 
 // Clip returns a copy containing at most n requests.
@@ -111,6 +119,72 @@ func (t *Trace) Clip(n int) *Trace {
 // ErrFormat reports an unparseable trace line.
 var ErrFormat = errors.New("trace: malformed record")
 
+// newLineScanner returns the scanner both parsers read records with.
+func newLineScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<16), 1<<20)
+	return sc
+}
+
+// cutFields splits the leading comma-separated fields of line into
+// fields, untrimmed, and returns what follows the comma after the last of
+// them: nil when the line ends with that field. ok is false when the line
+// has fewer fields than len(fields).
+func cutFields(line []byte, fields [][]byte) (rest []byte, ok bool) {
+	for i := range fields {
+		if line == nil {
+			return nil, false
+		}
+		if c := bytes.IndexByte(line, ','); c >= 0 {
+			fields[i], line = line[:c], line[c+1:]
+		} else {
+			fields[i], line = line, nil
+		}
+	}
+	return line, true
+}
+
+// lowerOp is strings.ToLower of a trimmed opcode or type field, without
+// allocating for the spellings the two formats document.
+func lowerOp(f []byte) string {
+	switch f = bytes.TrimSpace(f); string(f) {
+	case "r", "R":
+		return "r"
+	case "w", "W":
+		return "w"
+	case "Read":
+		return "read"
+	case "Write":
+		return "write"
+	}
+	return strings.ToLower(string(f))
+}
+
+// parseInt parses a field that may be padded with spaces. (A field of
+// ordinary length converts to a string on the stack, not the heap.)
+func parseInt(f []byte) (int64, error) {
+	return strconv.ParseInt(string(bytes.TrimSpace(f)), 10, 64)
+}
+
+// grow makes room for one more request, doubling a full slice: append's
+// own growth drops to 1.25x for large slices, which re-copies a long trace
+// five times over where doubling copies it twice.
+func grow(reqs []Request) []Request {
+	if len(reqs) < cap(reqs) {
+		return reqs
+	}
+	return slices.Grow(reqs, max(len(reqs), 256))
+}
+
+// intern returns b as a string, reusing *last when that already spells
+// it: a tagged trace names a handful of tenants, usually in runs.
+func intern(b []byte, last *string) string {
+	if string(b) != *last {
+		*last = string(b)
+	}
+	return *last
+}
+
 // ParseSPC reads the Storage Performance Council ASCII format used by the
 // UMass financial (Fin1/Fin2) traces:
 //
@@ -119,43 +193,51 @@ var ErrFormat = errors.New("trace: malformed record")
 // where LBA counts 512-byte sectors, Size is in bytes, Opcode is r/R or
 // w/W, and Timestamp is seconds from trace start. Extra trailing fields
 // are ignored, except a "tenant=NAME" field (the extension WriteSPC
-// emits for tagged requests), which sets Request.Tenant.
+// emits for tagged requests), which sets Request.Tenant. A record whose
+// timestamp does not fit a time.Duration, or whose byte range does not
+// fit an int64, is malformed.
 func ParseSPC(r io.Reader, name string) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
+	sc := newLineScanner(r)
 	t := &Trace{Name: name}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+	var lastTenant string
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		f := strings.Split(line, ",")
-		if len(f) < 5 {
+		var f [5][]byte // ASU, LBA, size, opcode, timestamp
+		extras, ok := cutFields(line, f[:])
+		if !ok {
 			return nil, fmt.Errorf("%w: line %d: %q", ErrFormat, lineNo, line)
 		}
-		lba, err1 := strconv.ParseInt(strings.TrimSpace(f[1]), 10, 64)
-		size, err2 := strconv.ParseInt(strings.TrimSpace(f[2]), 10, 64)
-		ts, err3 := strconv.ParseFloat(strings.TrimSpace(f[4]), 64)
+		lba, err1 := parseInt(f[1])
+		size, err2 := parseInt(f[2])
+		ts, err3 := strconv.ParseFloat(string(bytes.TrimSpace(f[4])), 64)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("%w: line %d: %q", ErrFormat, lineNo, line)
 		}
-		op := strings.ToLower(strings.TrimSpace(f[3]))
+		op := lowerOp(f[3])
 		if op != "r" && op != "w" {
 			return nil, fmt.Errorf("%w: line %d: opcode %q", ErrFormat, lineNo, f[3])
 		}
 		if size <= 0 || lba < 0 || ts < 0 {
 			return nil, fmt.Errorf("%w: line %d: negative field", ErrFormat, lineNo)
 		}
+		ns := ts * float64(time.Second)
+		// Written so that a NaN timestamp fails it too.
+		if !(ns < 1<<63) || lba > (math.MaxInt64-size)/SectorSize {
+			return nil, fmt.Errorf("%w: line %d: timestamp or offset out of range", ErrFormat, lineNo)
+		}
 		tenant := ""
-		for _, extra := range f[5:] {
-			if v, ok := strings.CutPrefix(strings.TrimSpace(extra), "tenant="); ok {
-				tenant = v
+		for extras != nil {
+			var extra [1][]byte
+			extras, _ = cutFields(extras, extra[:])
+			if v, ok := bytes.CutPrefix(bytes.TrimSpace(extra[0]), []byte("tenant=")); ok {
+				tenant = intern(v, &lastTenant)
 			}
 		}
-		t.Requests = append(t.Requests, Request{
-			Arrival: time.Duration(ts * float64(time.Second)),
+		t.Requests = append(grow(t.Requests), Request{
+			Arrival: time.Duration(ns),
 			Offset:  lba * SectorSize,
 			Size:    size,
 			Write:   op == "w",
@@ -174,63 +256,67 @@ func ParseSPC(r io.Reader, name string) (*Trace, error) {
 // the pre-tenant record byte for byte.
 func WriteSPC(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
+	var line []byte // "0,%d,%d,%s,%.6f[,tenant=%s]\n", without fmt
 	for _, r := range t.Requests {
-		op := "r"
+		line = append(line[:0], "0,"...)
+		line = strconv.AppendInt(line, r.Offset/SectorSize, 10)
+		line = append(line, ',')
+		line = strconv.AppendInt(line, r.Size, 10)
 		if r.Write {
-			op = "w"
-		}
-		var err error
-		if r.Tenant != "" {
-			_, err = fmt.Fprintf(bw, "0,%d,%d,%s,%.6f,tenant=%s\n",
-				r.Offset/SectorSize, r.Size, op, r.Arrival.Seconds(), r.Tenant)
+			line = append(line, ",w,"...)
 		} else {
-			_, err = fmt.Fprintf(bw, "0,%d,%d,%s,%.6f\n",
-				r.Offset/SectorSize, r.Size, op, r.Arrival.Seconds())
+			line = append(line, ",r,"...)
 		}
-		if err != nil {
+		line = strconv.AppendFloat(line, r.Arrival.Seconds(), 'f', 6, 64)
+		if r.Tenant != "" {
+			line = append(append(line, ",tenant="...), r.Tenant...)
+		}
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// msrEpochOffset converts Windows FILETIME (100 ns ticks since 1601) to a
-// trace-relative duration: we subtract the first record's timestamp, so
-// the absolute epoch does not matter.
+// maxTicks is the longest MSR trace, in 100 ns ticks, whose arrivals fit
+// a time.Duration.
+const maxTicks = math.MaxInt64 / 100
 
 // ParseMSR reads the MSR Cambridge CSV format:
 //
 //	Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
 //
-// Timestamp is in Windows FILETIME ticks (100 ns); Type is "Read" or
-// "Write"; Offset and Size are bytes. Arrival times are rebased to the
-// first record. A Hostname other than the synthetic default "edc" (or
-// empty) becomes Request.Tenant — MSR's host column is the natural
-// place to carry the submitting stream's identity.
+// Timestamp is in Windows FILETIME ticks (100 ns since 1601); Type is
+// "Read" or "Write"; Offset and Size are bytes. Arrival times are rebased
+// to the earliest record, wherever in the file it is, so the absolute
+// epoch does not matter; a trace spanning more than a time.Duration
+// (292 years) is malformed, as is a byte range that does not fit an
+// int64. A Hostname other than the synthetic default "edc" (or empty)
+// becomes Request.Tenant — MSR's host column is the natural place to
+// carry the submitting stream's identity.
 func ParseMSR(r io.Reader, name string) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
+	sc := newLineScanner(r)
 	t := &Trace{Name: name}
-	lineNo := 0
-	var base int64 = -1
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+	var lastTenant string
+	var base int64 = math.MaxInt64 // the earliest timestamp
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		f := strings.Split(line, ",")
-		if len(f) < 6 {
+		var f [6][]byte // timestamp, hostname, disk, type, offset, size
+		if _, ok := cutFields(line, f[:]); !ok {
 			return nil, fmt.Errorf("%w: line %d: %q", ErrFormat, lineNo, line)
 		}
-		ts, err1 := strconv.ParseInt(strings.TrimSpace(f[0]), 10, 64)
-		off, err2 := strconv.ParseInt(strings.TrimSpace(f[4]), 10, 64)
-		size, err3 := strconv.ParseInt(strings.TrimSpace(f[5]), 10, 64)
+		ts, err1 := parseInt(f[0])
+		off, err2 := parseInt(f[4])
+		size, err3 := parseInt(f[5])
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("%w: line %d: %q", ErrFormat, lineNo, line)
 		}
 		var write bool
-		switch strings.ToLower(strings.TrimSpace(f[3])) {
+		switch lowerOp(f[3]) {
 		case "write", "w":
 			write = true
 		case "read", "r":
@@ -241,15 +327,16 @@ func ParseMSR(r io.Reader, name string) (*Trace, error) {
 		if size <= 0 || off < 0 {
 			return nil, fmt.Errorf("%w: line %d: negative field", ErrFormat, lineNo)
 		}
-		if base < 0 {
-			base = ts
+		if off > math.MaxInt64-size {
+			return nil, fmt.Errorf("%w: line %d: offset out of range", ErrFormat, lineNo)
 		}
-		tenant := strings.TrimSpace(f[1])
-		if tenant == "edc" {
-			tenant = ""
+		base = min(base, ts)
+		tenant := ""
+		if host := bytes.TrimSpace(f[1]); string(host) != "edc" {
+			tenant = intern(host, &lastTenant)
 		}
-		t.Requests = append(t.Requests, Request{
-			Arrival: time.Duration(ts-base) * 100 * time.Nanosecond,
+		t.Requests = append(grow(t.Requests), Request{
+			Arrival: time.Duration(ts), // in ticks, until rebased below
 			Offset:  off,
 			Size:    size,
 			Write:   write,
@@ -258,6 +345,16 @@ func ParseMSR(r io.Reader, name string) (*Trace, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	for i := range t.Requests {
+		// Exact even where the int64 difference would overflow, because
+		// base is the minimum.
+		ticks := uint64(t.Requests[i].Arrival) - uint64(base)
+		if ticks > maxTicks {
+			return nil, fmt.Errorf("%w: record %d: timestamp more than %v after the earliest",
+				ErrFormat, i+1, time.Duration(maxTicks*100))
+		}
+		t.Requests[i].Arrival = time.Duration(ticks) * 100 * time.Nanosecond
 	}
 	t.SortByArrival()
 	return t, nil
@@ -268,18 +365,25 @@ func ParseMSR(r io.Reader, name string) (*Trace, error) {
 // default "edc", emitting the pre-tenant record byte for byte.
 func WriteMSR(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
+	var line []byte // "%d,%s,0,%s,%d,%d,0\n", without fmt
 	for _, r := range t.Requests {
-		typ := "Read"
+		line = strconv.AppendInt(line[:0], r.Arrival.Nanoseconds()/100, 10)
+		line = append(line, ',')
+		if r.Tenant != "" {
+			line = append(line, r.Tenant...)
+		} else {
+			line = append(line, "edc"...)
+		}
 		if r.Write {
-			typ = "Write"
+			line = append(line, ",0,Write,"...)
+		} else {
+			line = append(line, ",0,Read,"...)
 		}
-		host := r.Tenant
-		if host == "" {
-			host = "edc"
-		}
-		ticks := r.Arrival.Nanoseconds() / 100
-		if _, err := fmt.Fprintf(bw, "%d,%s,0,%s,%d,%d,0\n",
-			ticks, host, typ, r.Offset, r.Size); err != nil {
+		line = strconv.AppendInt(line, r.Offset, 10)
+		line = append(line, ',')
+		line = strconv.AppendInt(line, r.Size, 10)
+		line = append(line, ",0\n"...)
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -257,5 +260,65 @@ func TestSortByArrival(t *testing.T) {
 		if tr.Requests[i].Arrival < tr.Requests[i-1].Arrival {
 			t.Fatal("not sorted")
 		}
+	}
+}
+
+// Hostile SPC lines used to parse "successfully": a timestamp whose
+// nanoseconds overflow a Duration (or NaN, which compares false with
+// everything) and an LBA whose byte offset wraps negative. Each is
+// malformed; the largest values that do fit still parse exactly.
+func TestParseSPCRejectsOutOfRange(t *testing.T) {
+	for _, in := range []string{
+		"0,8,4096,w,1e300", "0,8,4096,w,NaN", "0,8,4096,w,+Inf", "0,8,4096,w,9223372036.9",
+		"0,18014398509481984,4096,w,0", "0,18014398509481983,4096,w,0",
+	} {
+		if tr, err := ParseSPC(strings.NewReader(in), "x"); !errors.Is(err, ErrFormat) {
+			t.Errorf("%q: parsed to %+v, error %v; want ErrFormat", in, tr, err)
+		}
+	}
+	tr, err := ParseSPC(strings.NewReader("0,18014398509481975,4096,r,9223372036.5\n0,1,1,w,0.026214"), "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := strconv.ParseFloat("9223372036.5", 64)
+	want := []Request{
+		{Arrival: time.Duration(0.026214 * float64(time.Second)), Offset: 512, Size: 1, Write: true},
+		{Arrival: time.Duration(ts * float64(time.Second)), Offset: 18014398509481975 * 512, Size: 4096},
+	}
+	if !reflect.DeepEqual(tr.Requests, want) {
+		t.Fatalf("parsed %+v; want %+v", tr.Requests, want)
+	}
+}
+
+// ParseMSR rebases on the earliest timestamp, not the first: a record
+// older than the first used to get a negative arrival. A span that does
+// not fit a Duration, and a byte range that does not fit an int64, are
+// malformed.
+func TestParseMSRRebasesOnEarliest(t *testing.T) {
+	in := "128166372003061629,usr,0,Write,4096,24576,0\n128166372003000000,usr,0,Read,0,512,0\n"
+	tr, err := ParseMSR(strings.NewReader(in), "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Request{
+		{Arrival: 0, Offset: 0, Size: 512, Tenant: "usr"},
+		{Arrival: 61629 * 100 * time.Nanosecond, Offset: 4096, Size: 24576, Write: true, Tenant: "usr"},
+	}
+	if !reflect.DeepEqual(tr.Requests, want) {
+		t.Fatalf("parsed %+v; want %+v", tr.Requests, want)
+	}
+	for _, in := range []string{
+		"-9223372036854775808,usr,0,Read,0,512,0\n9223372036854775807,usr,0,Read,0,512,0\n",
+		"0,usr,0,Read,0,512,0\n92233720368547759,usr,0,Read,0,512,0\n",
+		"0,usr,0,Read,9223372036854775807,512,0\n",
+	} {
+		if tr, err := ParseMSR(strings.NewReader(in), "x"); !errors.Is(err, ErrFormat) {
+			t.Errorf("%q: parsed to %+v, error %v; want ErrFormat", in, tr, err)
+		}
+	}
+	// The widest span that fits.
+	tr, err = ParseMSR(strings.NewReader("-1,usr,0,Read,0,512,0\n92233720368547756,usr,0,Read,0,512,0\n"), "x")
+	if err != nil || tr.Requests[1].Arrival != 92233720368547757*100*time.Nanosecond {
+		t.Fatalf("widest span: %+v, %v", tr, err)
 	}
 }
