@@ -19,7 +19,9 @@ fmtcheck:
 
 # Fail on undocumented exported identifiers in the audited packages
 # (root edc, internal/core, internal/metrics, internal/obs,
-# internal/maint, internal/dedup).
+# internal/maint, internal/dedup), and on any `edc.Identifier` that
+# README.md, DESIGN.md, OBSERVABILITY.md or EXPERIMENTS.md cites as code
+# but the root package does not export.
 doclint:
 	$(GO) run ./cmd/doclint
 
@@ -82,7 +84,10 @@ cover:
 	$(GO) test -coverprofile=coverage.out ./internal/core/...
 	$(GO) tool cover -func=coverage.out | tail -n 25
 
-# The tier-1 gate: everything a PR must keep green.
+# The tier-1 gate: everything a PR must keep green. (CI's check job runs
+# this list minus race and matrixcheck, which have jobs of their own
+# there: the 42-cell matrix runs under -race once per push, not four
+# times.)
 check: fmtcheck vet build doclint test race matrixcheck
 
 clean:

@@ -13,6 +13,12 @@
 // package, internal/core, internal/metrics, internal/obs,
 // internal/maint, and internal/dedup. Test files are ignored. Exits
 // non-zero listing every offender as file:line: identifier.
+//
+// The no-argument run also checks the other direction: every
+// `edc.Identifier` that README.md, DESIGN.md, OBSERVABILITY.md or
+// EXPERIMENTS.md writes in a code span or a code fence must be an
+// exported name of the root package, so deleting or renaming one cannot
+// leave the documents citing it.
 package main
 
 import (
@@ -21,6 +27,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -28,12 +35,22 @@ import (
 // defaultDirs is the audited API surface when no arguments are given.
 var defaultDirs = []string{".", "internal/core", "internal/metrics", "internal/obs", "internal/maint", "internal/dedup"}
 
+// docFiles are the documents whose edc.Identifier mentions must resolve
+// against the root package.
+var docFiles = []string{"README.md", "DESIGN.md", "OBSERVABILITY.md", "EXPERIMENTS.md"}
+
 func main() {
 	dirs := os.Args[1:]
+	var bad []string
 	if len(dirs) == 0 {
 		dirs = defaultDirs
+		stale, err := lintDocs(".", docFiles)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+			os.Exit(2)
+		}
+		bad = stale
 	}
-	var bad []string
 	for _, dir := range dirs {
 		offenders, err := lintDir(dir)
 		if err != nil {
@@ -47,9 +64,64 @@ func main() {
 		for _, b := range bad {
 			fmt.Println(b)
 		}
-		fmt.Fprintf(os.Stderr, "doclint: %d undocumented exported identifier(s)\n", len(bad))
+		fmt.Fprintf(os.Stderr, "doclint: %d undocumented exported identifier(s) or stale mention(s)\n", len(bad))
 		os.Exit(1)
 	}
+}
+
+// mention matches a package-qualified exported name of the root package.
+var mention = regexp.MustCompile(`\bedc\.([A-Z]\w*)`)
+
+// lintDocs returns, as file:line entries, every edc.Identifier a
+// document writes as code — inside a ``` fence or an inline code span —
+// that the package in pkgDir does not export.
+func lintDocs(pkgDir string, files []string) ([]string, error) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), pkgDir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		return nil, err
+	}
+	exported := make(map[string]bool)
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for name, obj := range file.Scope.Objects {
+				if ast.IsExported(name) && obj.Kind != ast.Bad {
+					exported[name] = true
+				}
+			}
+		}
+	}
+	var bad []string
+	for _, name := range files {
+		text, err := os.ReadFile(name)
+		if err != nil {
+			return nil, err
+		}
+		fenced := false
+		for i, line := range strings.Split(string(text), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			code := line
+			if !fenced {
+				// Outside a fence only the inline spans are code: the odd
+				// pieces of the line cut at backticks.
+				spans := strings.Split(line, "`")
+				code = ""
+				for j := 1; j < len(spans); j += 2 {
+					code += spans[j] + " "
+				}
+			}
+			for _, m := range mention.FindAllStringSubmatch(code, -1) {
+				if !exported[m[1]] {
+					bad = append(bad, fmt.Sprintf("%s:%d: %s is not exported by package edc", name, i+1, m[0]))
+				}
+			}
+		}
+	}
+	return bad, nil
 }
 
 // lintDir parses one package directory and returns its offenders.

@@ -28,7 +28,6 @@ import (
 
 	"edc"
 	"edc/internal/bench"
-	"edc/internal/ssd"
 )
 
 func main() {
@@ -75,25 +74,13 @@ func main() {
 		plan = p
 	}
 
+	// One Params carries the flags every mode shares.
+	p := bench.Params{Requests: *requests, VolumeMiB: *volumeMiB, Seed: *seed, Workers: *workers, Shards: *shards, Faults: plan, Maint: *maintOn,
+		Dedup: *dedupOn, DupRatio: *dupRatio, DupUniverse: *dupUni}
+
 	if *serve {
-		err := runServe(serveConfig{
-			spec:      *spec,
-			clients:   *clients,
-			scheme:    *scheme,
-			volumeMiB: *volumeMiB,
-			seed:      *seed,
-			workers:   *workers,
-			shards:    *shards,
-			mailbox:   *mailbox,
-			batch:     *batch,
-			faults:    plan,
-			maint:     *maintOn,
-			dedup:     *dedupOn,
-			dupRatio:  *dupRatio,
-			dupUni:    *dupUni,
-			format:    *format,
-			jsonOut:   *jsonOut,
-		})
+		err := runServe(bench.ServeParams{Params: p, Clients: *clients, Scheme: *scheme, Mailbox: *mailbox, Batch: *batch},
+			*spec, *format, *jsonOut)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "edcbench: %v\n", err)
 			os.Exit(1)
@@ -102,25 +89,13 @@ func main() {
 	}
 
 	if *replayWl != "" {
-		err := runReplay(replayConfig{
-			workload:    *replayWl,
-			scheme:      *scheme,
-			requests:    *requests,
-			volumeMiB:   *volumeMiB,
-			seed:        *seed,
-			workers:     *workers,
-			shards:      *shards,
-			faults:      plan,
-			maint:       *maintOn,
-			dedup:       *dedupOn,
-			dupRatio:    *dupRatio,
-			dupUni:      *dupUni,
+		err := runReplay(p, *replayWl, edc.Scheme(*scheme), replayOutputs{
 			traceOut:    *traceOut,
 			seriesOut:   *seriesOut,
 			seriesEvery: *seriesEvery,
 			metricsOut:  *metricsOut,
 			jsonOut:     *jsonOut,
-		})
+		}, os.Stdout)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "edcbench: %v\n", err)
 			os.Exit(1)
@@ -150,8 +125,6 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	p := bench.Params{Requests: *requests, VolumeMiB: *volumeMiB, Seed: *seed, Workers: *workers, Shards: *shards, Faults: plan, Maint: *maintOn,
-		Dedup: *dedupOn, DupRatio: *dupRatio, DupUniverse: *dupUni}
 	start := time.Now()
 	var (
 		tables []*bench.Table
@@ -188,20 +161,9 @@ func main() {
 	}
 }
 
-// replayConfig carries the -replay mode flags.
-type replayConfig struct {
-	workload    string
-	scheme      string
-	requests    int
-	volumeMiB   int
-	seed        int64
-	workers     int
-	shards      int
-	faults      *edc.FaultPlan
-	maint       bool
-	dedup       bool
-	dupRatio    float64
-	dupUni      int
+// replayOutputs carries the flags that say where a -replay run's
+// observers write.
+type replayOutputs struct {
 	traceOut    string
 	seriesOut   string
 	seriesEvery time.Duration
@@ -222,56 +184,14 @@ func outFile(path string) (io.Writer, func() error, error) {
 	return f, f.Close, nil
 }
 
-// runReplay performs one instrumented replay: generate the named
-// workload, attach whatever observers the flags request, play it, and
-// write the outputs. Seeds match the experiment harness (trace seed
-// 1000+seed, same 512 MiB single-SSD device model), so a -replay run is
-// directly comparable to the fig8/fig10 rows for the same workload.
-func runReplay(rc replayConfig) error {
-	volumeMiB := rc.volumeMiB
-	if volumeMiB <= 0 {
-		volumeMiB = 256
-	}
-	requests := rc.requests
-	if requests <= 0 {
-		requests = 12000
-	}
-	volume := int64(volumeMiB) << 20
-	prof, err := edc.WorkloadByName(rc.workload, volume)
-	if err != nil {
-		return err
-	}
-	tr, err := prof.GenerateN(requests, 1000+rc.seed)
-	if err != nil {
-		return err
-	}
-
-	ssdCfg := ssd.DefaultConfig()
-	ssdCfg.Blocks = 2048 // 512 MiB raw: the fig8/fig10 single-SSD model
-	opts := []edc.Option{
-		edc.WithScheme(edc.Scheme(rc.scheme)),
-		edc.WithSSDConfig(ssdCfg),
-	}
-	if rc.workers != 0 {
-		opts = append(opts, edc.WithReplayWorkers(rc.workers))
-	}
-	if rc.shards > 1 {
-		opts = append(opts, edc.WithShards(rc.shards))
-	}
-	if rc.faults != nil {
-		opts = append(opts, edc.WithFaults(rc.faults))
-	}
-	if rc.maint {
-		opts = append(opts, edc.WithMaintenance(edc.Maintenance{}))
-	}
-	if rc.dedup {
-		opts = append(opts, edc.WithDedup(edc.Dedup{}))
-	}
-	if rc.dupRatio > 0 {
-		opts = append(opts, edc.WithDataProfile(
-			edc.DataProfiles()["enterprise"].WithDup(rc.dupRatio, rc.dupUni), 1))
-	}
-
+// runReplay performs one instrumented replay: attach whatever observers
+// the flags request to the named workload's cell of the experiment
+// harness (bench.ReplayCell: same trace, payload seed and 512 MiB
+// single-SSD model), play it, and write the outputs — the summary to
+// stdout — so a -replay run is directly comparable to the fig8/fig10
+// rows for the same workload.
+func runReplay(p bench.Params, workload string, scheme edc.Scheme, rc replayOutputs, stdout io.Writer) error {
+	var opts []edc.Option
 	var jt *edc.JSONLTracer
 	if rc.traceOut != "" {
 		w, closeFn, err := outFile(rc.traceOut)
@@ -290,7 +210,7 @@ func runReplay(rc replayConfig) error {
 		opts = append(opts, edc.WithTracer(edc.TracerFunc(func(*edc.TraceEvent) {})))
 	}
 
-	res, err := edc.Replay(tr, volume, opts...)
+	res, err := bench.ReplayCell(p, workload, scheme, opts...)
 	if err != nil {
 		return err
 	}
@@ -329,7 +249,7 @@ func runReplay(rc replayConfig) error {
 	}
 
 	// Keep stdout clean for the trace stream when it goes there.
-	sum := os.Stdout
+	sum := stdout
 	if rc.traceOut == "-" || (rc.metricsOut == "-" && !rc.jsonOut) {
 		sum = os.Stderr
 	}

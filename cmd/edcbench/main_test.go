@@ -1,0 +1,91 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"strings"
+	"testing"
+	"time"
+
+	"edc"
+	"edc/internal/bench"
+	"edc/internal/parallel"
+)
+
+// replayReport runs the -replay path with -json and decodes what it
+// printed.
+func replayReport(t *testing.T, p bench.Params, workload string) (edc.Report, []byte) {
+	t.Helper()
+	var out bytes.Buffer
+	if err := runReplay(p, workload, edc.SchemeEDC, replayOutputs{jsonOut: true}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var rep edc.Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("-replay -json printed no report: %v\n%s", err, out.Bytes())
+	}
+	return rep, out.Bytes()
+}
+
+// TestReplayIsFigureCell pins the -replay promise end to end: what
+// `edcbench -replay fin2 -json` prints is the report of the harness's
+// Fin2/EDC cell (bench's TestReplayCellIsFigureCell ties that cell to
+// the fig8/fig10 sweep), at a non-zero -seed too.
+func TestReplayIsFigureCell(t *testing.T) {
+	p := bench.Params{Requests: 600, VolumeMiB: 64, Seed: 3}
+	_, printed := replayReport(t, p, "fin2")
+	cell, err := bench.ReplayCell(p, "fin2", edc.SchemeEDC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(cell.Report()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(printed, want.Bytes()) {
+		t.Fatalf("-replay printed\n%s\nthe harness cell is\n%s", printed, want.Bytes())
+	}
+}
+
+// TestReplayOverlayReachesStack is bench's TestParamsOverlayReachesStack
+// for the third mode: every shared flag, carried in one bench.Params,
+// shows in the report -replay prints.
+func TestReplayOverlayReachesStack(t *testing.T) {
+	p := bench.Params{
+		Requests: 800, VolumeMiB: 64,
+		Workers: 4, Shards: 2, Maint: true, Dedup: true,
+		DupRatio: 0.5, DupUniverse: 8,
+		Faults: &edc.FaultPlan{Seed: 7, ReadTransient: 0.05, WriteTransient: 0.1,
+			SpikeRate: 0.05, SpikeLatency: 2 * time.Millisecond},
+	}
+	pool := func() int64 {
+		st := parallel.Shared().Stats()
+		return st.Submitted + st.Inline
+	}
+	before := pool()
+	rep, _ := replayReport(t, p, "fin1")
+	pooled := pool() - before
+	p.DupRatio = 0
+	plain, _ := replayReport(t, p, "fin1")
+
+	if !strings.Contains(rep.Backend, "2-shard [") {
+		t.Errorf("-shards did not reach the stack: backend %q", rep.Backend)
+	}
+	if rep.DedupMisses == 0 {
+		t.Error("-dedup did not reach the stack: no dedup misses")
+	}
+	if rep.DedupHits <= plain.DedupHits {
+		t.Errorf("-dup-ratio did not reach the payload generator: %d dedup hits, %d without it", rep.DedupHits, plain.DedupHits)
+	}
+	if rep.MaintTicks == 0 {
+		t.Error("-maint did not reach the stack: no maintenance ticks")
+	}
+	if rep.Faults == 0 {
+		t.Error("-faults did not reach the stack: no injected faults")
+	}
+	if pooled == 0 {
+		t.Error("-workers did not reach the stack: the codec pool saw no job")
+	}
+}

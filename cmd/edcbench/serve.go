@@ -6,30 +6,9 @@ import (
 	"os"
 	"strings"
 
-	"edc"
 	"edc/internal/bench"
 	"edc/internal/workload"
 )
-
-// serveConfig carries the -serve mode flags.
-type serveConfig struct {
-	spec      string
-	clients   int
-	scheme    string
-	volumeMiB int
-	seed      int64
-	workers   int
-	shards    int
-	mailbox   int
-	batch     int
-	faults    *edc.FaultPlan
-	maint     bool
-	dedup     bool
-	dupRatio  float64
-	dupUni    int
-	format    string
-	jsonOut   bool
-}
 
 // loadSpec resolves the -spec value: an existing file is read whole;
 // anything else is treated as inline DSL with ';' standing in for
@@ -47,38 +26,23 @@ func loadSpec(v string) (workload.Spec, error) {
 	return workload.ParseSpec(src)
 }
 
-// runServe performs one open-loop serve run and prints the per-step
-// table (or, with -json, the full machine-readable ServeResult).
-func runServe(sc serveConfig) error {
-	spec, err := loadSpec(sc.spec)
+// runServe performs one open-loop serve run of the spec and prints the
+// per-step table (or, with -json, the full machine-readable
+// ServeResult).
+func runServe(sp bench.ServeParams, specArg, format string, jsonOut bool) error {
+	spec, err := loadSpec(specArg)
 	if err != nil {
 		return err
 	}
-	sr, err := bench.RunServe(bench.ServeParams{
-		Params: bench.Params{
-			VolumeMiB:   sc.volumeMiB,
-			Seed:        sc.seed,
-			Workers:     sc.workers,
-			Shards:      sc.shards,
-			Faults:      sc.faults,
-			Maint:       sc.maint,
-			Dedup:       sc.dedup,
-			DupRatio:    sc.dupRatio,
-			DupUniverse: sc.dupUni,
-		},
-		Spec:    spec,
-		Clients: sc.clients,
-		Scheme:  sc.scheme,
-		Mailbox: sc.mailbox,
-		Batch:   sc.batch,
-	})
+	sp.Spec = spec
+	sr, err := bench.RunServe(sp)
 	if err != nil {
 		return err
 	}
-	if sc.jsonOut {
+	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(sr)
 	}
-	return bench.WriteTables(os.Stdout, []*bench.Table{bench.ServeTable(sr)}, sc.format)
+	return bench.WriteTables(os.Stdout, []*bench.Table{bench.ServeTable(sr)}, format)
 }

@@ -1,6 +1,7 @@
 package edc
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -18,8 +19,8 @@ import (
 // internal/qos): a tenant table mapping names to traffic classes,
 // rclone-style time-of-day bandwidth schedules, and per-tenant queue
 // bounds, plus the Strict and Isolate global knobs. Attach one with
-// WithQoS or Config.QoS; nil keeps QoS off and untagged runs
-// bit-identical to earlier releases.
+// WithQoS; without one QoS stays off and untagged runs bit-identical to
+// earlier releases.
 type QoSConfig = qos.Config
 
 // QoSTenant is one tenant's treatment in a QoSConfig.
@@ -43,8 +44,8 @@ const (
 // compression, and a run whose fingerprint matches an already-stored
 // extent maps to it by reference instead of compressing and allocating a
 // new slot. Zero-valued fields take documented defaults. Attach one with
-// WithDedup or Config.Dedup; nil (or Enabled=false) keeps dedup off and
-// the replay bit-identical to earlier releases.
+// WithDedup; without one dedup stays off and the replay bit-identical to
+// earlier releases.
 type Dedup = dedup.Config
 
 // Maintenance configures temperature-aware background maintenance (see
@@ -52,8 +53,8 @@ type Dedup = dedup.Config
 // lzf/uncompressed extents with a heavier codec, demotes hot gz/bwz
 // extents to a cheap codec, and compacts fragmented slot free lists.
 // Zero-valued fields take documented defaults. Attach one with
-// WithMaintenance or Config.Maintenance; nil (or Enabled=false) keeps
-// maintenance off and the replay bit-identical to earlier releases.
+// WithMaintenance; without one maintenance stays off and the replay
+// bit-identical to earlier releases.
 type Maintenance = maint.Config
 
 // ResplitConfig tunes serve mode's heat-balanced shard repartitioning
@@ -61,16 +62,16 @@ type Maintenance = maint.Config
 // fair share for several evaluation windows splits its LBA range at a
 // quiesced, heat-balanced boundary into two independent event loops.
 // Zero-valued fields take documented defaults. Attach one with
-// WithResplit or Config.Resplit; nil (or Enabled=false) keeps the shard
-// map fixed. Splits are triggered by real-time traffic imbalance, so a
-// resplit-enabled run is not byte-deterministic across machines.
+// WithResplit; without one the shard map stays fixed. Splits are
+// triggered by real-time traffic imbalance, so a resplit-enabled run is
+// not byte-deterministic across machines.
 type ResplitConfig = core.ResplitConfig
 
 // FaultPlan is a seeded, virtual-time fault schedule (see
 // internal/fault): per-operation read/write error probabilities
 // (transient and hard), latency spikes, whole-device stall windows, and
-// an optional power cut. Attach one with WithFaults or Config.Faults;
-// parse one from JSON with ParseFaultPlan.
+// an optional power cut. Attach one with WithFaults; parse one from JSON
+// with ParseFaultPlan.
 type FaultPlan = fault.Plan
 
 // FaultStall is one whole-device outage window in a FaultPlan.
@@ -81,281 +82,166 @@ type FaultStall = fault.Stall
 // duration strings like "250ms").
 func ParseFaultPlan(s string) (*FaultPlan, error) { return fault.ParsePlan(s) }
 
-// Config is the plain-struct form of the facade's functional options:
-// every Option writes one field here, and NewSystemFromConfig consumes
-// a Config directly — build one literally, or start from
-// DefaultConfig() and adjust. The zero value of any field means "use
-// the default" exactly as the corresponding Option's absence does.
-type Config struct {
-	// Scheme selects the compression scheme (default SchemeEDC).
-	Scheme Scheme
-	// GzCeiling / LzfCeiling are EDC's calculated-IOPS thresholds:
-	// Gzip below GzCeiling, Lzf up to LzfCeiling, none above (Fig. 12).
-	// Zero keeps the calibrated defaults.
-	GzCeiling  float64
-	LzfCeiling float64
+// config is what the options write and what the builder reads. A value
+// a Device or Server consumes as is sits directly in the core struct
+// that consumes it (dev, serve, obs); the fields above them are the ones
+// the builder turns into something else — a policy, a backend, a payload
+// generator.
+type config struct {
+	scheme     Scheme
+	gzCeiling  float64 // EDC's calculated-IOPS ceilings (Fig. 12)
+	lzfCeiling float64
+	// noEstimator strips compressibility sampling from the policy.
+	noEstimator bool
 
-	// Backend selects the storage organization; Devices the array size
-	// (0 → 1 for SingleSSD, 5 for RAIS).
-	Backend BackendKind
-	Devices int
-	// SSD parameterizes the simulated devices (zero value → the
-	// X25-E-class DefaultSSDConfig).
-	SSD SSDConfig
-	// StripeUnitPages is the RAIS stripe unit in pages (0 → 16).
-	StripeUnitPages int
+	backend BackendKind
+	devices int // array size; fewer than 2 selects the paper's 5 for RAIS
+	ssd     SSDConfig
+	// stripeUnitPages is the RAIS stripe unit in pages.
+	stripeUnitPages int
 
-	// Data selects the synthetic payload model (zero value →
-	// enterprise) generated with DataSeed (0 → 1).
-	Data     DataProfile
-	DataSeed int64
-	// Cost overrides the CPU cost model (nil → calibrated default).
-	Cost CostModel
+	data     DataProfile
+	dataSeed int64
 
-	// Verify stores payloads and checks every read round-trips
-	// (memory-hungry; tests and demos).
-	Verify bool
-	// DisableSD turns off write merging (ablation).
-	DisableSD bool
-	// ExactSlots disables the 25/50/75/100 % slot quantization
-	// (ablation).
-	ExactSlots bool
-	// DisableEstimator turns off compressibility sampling (ablation).
-	DisableEstimator bool
-	// MaxRun caps SD merging in bytes (0 → default).
-	MaxRun int64
-	// FlushTimeout bounds SD buffering delay (0 → default; negative
-	// disables the timer).
-	FlushTimeout time.Duration
-
-	// CPUWorkers models a multicore host: parallel compression workers
-	// in virtual time (0 → 1, the paper's single-threaded prototype).
-	CPUWorkers int
-	// ReplayWorkers is the number of OS goroutines executing real codec
-	// work concurrently with the event loop; affects wall-clock speed
-	// only (0 → GOMAXPROCS).
-	ReplayWorkers int
-	// Shards partitions the volume into n independent pipelines
-	// replayed concurrently (<= 1 keeps the single pipeline).
-	Shards int
-
-	// CacheBytes enables a host DRAM read cache (0 disables).
-	CacheBytes int64
-	// Offload moves (de)compression into the device controller.
-	Offload bool
-
-	// Tracer streams one TraceEvent per pipeline decision.
-	Tracer Tracer
-	// TimeSeriesEvery samples IOPS/codec-mix/occupancy into bins of the
-	// given width (0 disables).
-	TimeSeriesEvery time.Duration
-
-	// ServeMailbox bounds each shard's serve-mode submission mailbox:
-	// when a shard's event loop falls behind, submitters block on the
-	// full mailbox instead of growing an unbounded queue (0 → 256).
-	ServeMailbox int
-	// ServeBatch caps how many submissions one serve-mode event-loop
-	// wakeup drains before running the engine (0 → 64).
-	ServeBatch int
-	// Resplit enables serve mode's heat-balanced shard repartitioning;
-	// nil (or Enabled=false) keeps the shard map fixed. Incompatible
-	// with Verify, Dedup, and QoS (see WithResplit).
-	Resplit *ResplitConfig
-	// PacedServe keeps each serve-mode shard's virtual clock at or
-	// below the highest arrival stamp it has admitted — determinism for
-	// stamp-ordered submitters; see WithPacedServe. Incompatible with
-	// Resplit and with the synchronous Read/Write wrappers.
-	PacedServe bool
-
-	// Maintenance enables temperature-aware background recompression
-	// and slot compaction; nil (or Enabled=false) runs no maintenance
-	// and the replay is bit-identical to a maintenance-free run.
-	Maintenance *Maintenance
-
-	// Dedup enables content-addressed deduplication of flushed write
-	// runs; nil (or Enabled=false) keeps dedup off and the replay
-	// bit-identical to a dedup-free run.
-	Dedup *Dedup
-
-	// QoS enables multi-tenant quality of service: per-tenant classes,
-	// bandwidth shaping, priority admission, and (with Isolate) per-
-	// tenant intensity windows for codec selection. Nil keeps QoS off;
-	// untagged requests behave identically either way.
-	QoS *QoSConfig
-
-	// Faults attaches a deterministic fault plan; nil injects nothing
-	// and the replay is bit-identical to a plan-free run.
-	Faults *FaultPlan
-	// SnapshotEvery checkpoints the mapping (snapshot + journal reset)
-	// at this virtual-time interval, bounding crash-recovery replay
-	// work. Zero disables periodic checkpoints; a power-cut run then
-	// recovers from one journal covering the whole run.
-	SnapshotEvery time.Duration
+	// dev carries the pass-through device settings; deviceOptions adds
+	// the per-device state (Policy, Data) and the QoS rate share.
+	dev core.Options
+	// serve carries the shard count and the live-server knobs; NewSystem
+	// adds the volume, the collector and the two factories.
+	serve core.ServeSetup
+	obs   obs.Config
 }
 
-// DefaultConfig returns the configuration NewSystem uses before options
-// apply: SchemeEDC over one default SSD with enterprise data.
-func DefaultConfig() Config {
-	return Config{
-		Scheme:          SchemeEDC,
-		GzCeiling:       core.DefaultGzCeiling,
-		LzfCeiling:      core.DefaultLzfCeiling,
-		Backend:         SingleSSD,
-		Devices:         1,
-		SSD:             ssd.DefaultConfig(),
-		Data:            datagen.Enterprise(),
-		DataSeed:        1,
-		StripeUnitPages: 16,
+// fillDefaults gives every field an option left at its zero value the
+// facade's default: SchemeEDC over one default SSD with enterprise data.
+// Every facade default is written here; zero-valued dev/serve fields
+// take internal/core's.
+func (c *config) fillDefaults() {
+	c.scheme = cmp.Or(c.scheme, SchemeEDC)
+	c.gzCeiling = cmp.Or(c.gzCeiling, core.DefaultGzCeiling)
+	c.lzfCeiling = cmp.Or(c.lzfCeiling, core.DefaultLzfCeiling)
+	c.ssd = cmp.Or(c.ssd, ssd.DefaultConfig())
+	c.stripeUnitPages = cmp.Or(c.stripeUnitPages, 16)
+	if len(c.data.Mixture) == 0 {
+		c.data = datagen.Enterprise()
 	}
+	c.dataSeed = cmp.Or(c.dataSeed, 1)
+	c.serve.Shards = max(c.serve.Shards, 1)
 }
 
-// normalize fills zero-valued fields with their documented defaults, so
-// a literally-constructed Config behaves like DefaultConfig plus the
-// fields the caller set.
-func (c *Config) normalize() {
-	if c.Scheme == "" {
-		c.Scheme = SchemeEDC
-	}
-	if c.GzCeiling == 0 {
-		c.GzCeiling = core.DefaultGzCeiling
-	}
-	if c.LzfCeiling == 0 {
-		c.LzfCeiling = core.DefaultLzfCeiling
-	}
-	if c.Devices == 0 && c.Backend == SingleSSD {
-		c.Devices = 1
-	}
-	if c.SSD == (ssd.Config{}) {
-		c.SSD = ssd.DefaultConfig()
-	}
-	if len(c.Data.Mixture) == 0 {
-		c.Data = datagen.Enterprise()
-	}
-	if c.DataSeed == 0 {
-		c.DataSeed = 1
-	}
-	if c.StripeUnitPages == 0 {
-		c.StripeUnitPages = 16
-	}
-}
-
-// Validate checks the configuration's internal consistency without
-// building anything. NewSystemFromConfig calls it; call it directly to
-// vet a config before an expensive sweep.
-func (c *Config) Validate() error {
-	switch c.Scheme {
+// validate checks the configuration's internal consistency without
+// building anything.
+func (c *config) validate() error {
+	switch c.scheme {
 	case SchemeNative, SchemeLzf, SchemeLz4, SchemeGzip, SchemeBzip2, SchemeEDC, SchemeEDCPlus:
 	default:
-		return fmt.Errorf("%w %q", ErrUnknownScheme, c.Scheme)
+		return fmt.Errorf("%w %q", ErrUnknownScheme, c.scheme)
 	}
-	switch c.Backend {
+	switch c.backend {
 	case SingleSSD, RAIS0, RAIS5:
 	default:
-		return fmt.Errorf("%w %d", ErrUnknownBackend, c.Backend)
+		return fmt.Errorf("%w %d", ErrUnknownBackend, c.backend)
 	}
-	if c.Devices < 0 {
-		return fmt.Errorf("edc: negative device count %d", c.Devices)
+	if c.devices < 0 {
+		return fmt.Errorf("edc: negative device count %d", c.devices)
 	}
-	if c.GzCeiling < 0 || c.LzfCeiling < 0 || c.GzCeiling > c.LzfCeiling {
+	if c.gzCeiling < 0 || c.lzfCeiling < 0 || c.gzCeiling > c.lzfCeiling {
 		return fmt.Errorf("edc: elastic thresholds gz=%g lzf=%g invalid (need 0 <= gz <= lzf)",
-			c.GzCeiling, c.LzfCeiling)
+			c.gzCeiling, c.lzfCeiling)
 	}
-	if c.StripeUnitPages < 0 {
-		return fmt.Errorf("edc: negative stripe unit %d", c.StripeUnitPages)
+	if c.stripeUnitPages < 0 {
+		return fmt.Errorf("edc: negative stripe unit %d", c.stripeUnitPages)
 	}
-	if c.MaxRun < 0 {
-		return fmt.Errorf("edc: negative max run %d", c.MaxRun)
+	d := &c.dev
+	if d.MaxRun < 0 {
+		return fmt.Errorf("edc: negative max run %d", d.MaxRun)
 	}
-	if c.CacheBytes < 0 {
-		return fmt.Errorf("edc: negative cache size %d", c.CacheBytes)
+	if d.CacheBytes < 0 {
+		return fmt.Errorf("edc: negative cache size %d", d.CacheBytes)
 	}
-	if c.SnapshotEvery < 0 {
-		return fmt.Errorf("edc: negative snapshot interval %v", c.SnapshotEvery)
+	if d.SnapshotEvery < 0 {
+		return fmt.Errorf("edc: negative snapshot interval %v", d.SnapshotEvery)
 	}
-	if c.ServeMailbox < 0 || c.ServeBatch < 0 {
+	if c.serve.Mailbox < 0 || c.serve.Batch < 0 {
 		return fmt.Errorf("edc: negative serve queue bounds mailbox=%d batch=%d",
-			c.ServeMailbox, c.ServeBatch)
+			c.serve.Mailbox, c.serve.Batch)
 	}
-	if c.Maintenance != nil && c.Maintenance.Enabled {
-		if err := c.Maintenance.Validate(); err != nil {
+	if d.Maint != nil && d.Maint.Enabled {
+		if err := d.Maint.Validate(); err != nil {
 			return err
 		}
 	}
-	if c.Dedup != nil && c.Dedup.Enabled {
-		if err := c.Dedup.Validate(); err != nil {
+	if d.Dedup != nil && d.Dedup.Enabled {
+		if err := d.Dedup.Validate(); err != nil {
 			return err
 		}
 	}
-	if err := c.QoS.Validate(); err != nil {
+	if err := d.QoS.Validate(); err != nil {
 		return err
 	}
-	if err := c.Faults.Validate(); err != nil {
+	if err := d.Faults.Validate(); err != nil {
 		return err
 	}
-	if c.Faults != nil && c.Faults.PowerCutAt > 0 && c.Shards > 1 {
-		return fmt.Errorf("edc: power-cut recovery is not supported with WithShards(%d): shards crash and recover independently of each other", c.Shards)
-	}
-	// Serve's own refusals (power cut, flushless SD) wait for Serve: a
-	// Config does not say which way its System will be driven.
-	feat := core.Options{Dedup: c.Dedup, VerifyReads: c.Verify, QoS: c.QoS}
-	if err := core.Incompatible(&feat, false, c.Resplit != nil && c.Resplit.Enabled, c.PacedServe); err != nil {
+	// Serve's own refusals (power cut, flushless SD) wait for Serve: the
+	// options do not say which way the System will be driven.
+	if err := c.serve.Incompatible(d, false); err != nil {
 		return fmt.Errorf("edc: %w", err)
 	}
 	return nil
 }
 
-// Option customizes a System by writing one Config field. Every Option
-// has a corresponding exported field, so functional and struct
-// configuration cannot drift apart.
-type Option func(*Config)
+// Option customizes a System; pass any number to NewSystem or Replay.
+// Later options override earlier ones, and a zero-valued argument means
+// the default, as if the option were absent.
+type Option func(*config)
 
 // WithScheme selects the compression scheme (default SchemeEDC).
-func WithScheme(s Scheme) Option { return func(c *Config) { c.Scheme = s } }
+func WithScheme(s Scheme) Option { return func(c *config) { c.scheme = s } }
 
 // WithElasticThresholds overrides EDC's calculated-IOPS ceilings: Gzip
 // below gzMax, Lzf between gzMax and lzfMax, none above (Fig. 12 sweeps
 // gzMax).
 func WithElasticThresholds(gzMax, lzfMax float64) Option {
-	return func(c *Config) { c.GzCeiling, c.LzfCeiling = gzMax, lzfMax }
+	return func(c *config) { c.gzCeiling, c.lzfCeiling = gzMax, lzfMax }
 }
 
 // WithBackend selects the storage organization and device count.
 func WithBackend(kind BackendKind, devices int) Option {
-	return func(c *Config) { c.Backend, c.Devices = kind, devices }
+	return func(c *config) { c.backend, c.devices = kind, devices }
 }
 
 // WithSSDConfig overrides the simulated device parameters.
-func WithSSDConfig(cfg SSDConfig) Option { return func(c *Config) { c.SSD = cfg } }
+func WithSSDConfig(cfg SSDConfig) Option { return func(c *config) { c.ssd = cfg } }
 
 // WithDataProfile selects the synthetic payload model and its seed.
 func WithDataProfile(p DataProfile, seed int64) Option {
-	return func(c *Config) { c.Data, c.DataSeed = p, seed }
+	return func(c *config) { c.data, c.dataSeed = p, seed }
 }
 
 // WithCostModel overrides the CPU cost model.
-func WithCostModel(cm CostModel) Option { return func(c *Config) { c.Cost = cm } }
+func WithCostModel(cm CostModel) Option { return func(c *config) { c.dev.Cost = cm } }
 
 // WithVerify stores payloads and checks every read round-trips
 // (memory-hungry; tests and demos).
-func WithVerify() Option { return func(c *Config) { c.Verify = true } }
+func WithVerify() Option { return func(c *config) { c.dev.VerifyReads = true } }
 
 // WithoutSD disables write merging (ablation).
-func WithoutSD() Option { return func(c *Config) { c.DisableSD = true } }
+func WithoutSD() Option { return func(c *config) { c.dev.DisableSD = true } }
 
 // WithExactSlots disables the 25/50/75/100 % slot quantization
 // (ablation).
-func WithExactSlots() Option { return func(c *Config) { c.ExactSlots = true } }
+func WithExactSlots() Option { return func(c *config) { c.dev.ExactSlots = true } }
 
 // WithoutEstimator disables EDC's compressibility sampling (ablation:
 // compress everything the intensity ladder selects).
-func WithoutEstimator() Option { return func(c *Config) { c.DisableEstimator = true } }
+func WithoutEstimator() Option { return func(c *config) { c.noEstimator = true } }
 
 // WithMaxRun caps SD merging in bytes.
-func WithMaxRun(bytes int64) Option { return func(c *Config) { c.MaxRun = bytes } }
+func WithMaxRun(bytes int64) Option { return func(c *config) { c.dev.MaxRun = bytes } }
 
 // WithCPUWorkers models a multicore host: n parallel compression
 // workers (default 1, the paper's single-threaded prototype).
-func WithCPUWorkers(n int) Option { return func(c *Config) { c.CPUWorkers = n } }
+func WithCPUWorkers(n int) Option { return func(c *config) { c.dev.CPUWorkers = n } }
 
 // WithReplayWorkers sets how many OS goroutines execute real codec work
 // concurrently with the virtual-time event loop (the replay pipeline).
@@ -364,11 +250,11 @@ func WithCPUWorkers(n int) Option { return func(c *Config) { c.CPUWorkers = n } 
 // setting. Default runtime.GOMAXPROCS(0); n <= 1 runs sequentially
 // inline.
 func WithReplayWorkers(n int) Option {
-	return func(c *Config) {
+	return func(c *config) {
 		if n < 1 {
 			n = 1
 		}
-		c.ReplayWorkers = n
+		c.dev.ReplayWorkers = n
 	}
 }
 
@@ -383,23 +269,23 @@ func WithReplayWorkers(n int) Option {
 // disjoint ranges: per-shard closed-loop bounds and shard-local SD merge
 // make n > 1 a different (deterministic) system, not a faster identical
 // one.
-func WithShards(n int) Option { return func(c *Config) { c.Shards = n } }
+func WithShards(n int) Option { return func(c *config) { c.serve.Shards = n } }
 
 // WithCache enables a host DRAM read cache of the given size (the upper
 // DRAM buffer in the paper's Fig. 4 architecture).
-func WithCache(bytes int64) Option { return func(c *Config) { c.CacheBytes = bytes } }
+func WithCache(bytes int64) Option { return func(c *config) { c.dev.CacheBytes = bytes } }
 
 // WithOffload moves compression into the device controller, as
 // FTL-integrated designs do (zFTL; hardware-assisted compression): the
 // host CPU is free, but every compressed operation occupies the device's
 // codec engine.
-func WithOffload() Option { return func(c *Config) { c.Offload = true } }
+func WithOffload() Option { return func(c *config) { c.dev.Offload = true } }
 
 // WithFlushTimeout bounds SD buffering delay (negative disables).
-func WithFlushTimeout(d time.Duration) Option { return func(c *Config) { c.FlushTimeout = d } }
+func WithFlushTimeout(d time.Duration) Option { return func(c *config) { c.dev.FlushTimeout = d } }
 
 // WithStripeUnit sets the RAIS stripe unit in pages (default 16).
-func WithStripeUnit(pages int) Option { return func(c *Config) { c.StripeUnitPages = pages } }
+func WithStripeUnit(pages int) Option { return func(c *config) { c.stripeUnitPages = pages } }
 
 // WithTracer streams one TraceEvent per pipeline decision to t
 // (admission, SD merge/flush, estimator verdict, codec choice, slot
@@ -409,7 +295,7 @@ func WithStripeUnit(pages int) Option { return func(c *Config) { c.StripeUnitPag
 // Under WithShards the per-shard streams merge deterministically by
 // (virtual time, shard, sequence) after the replay, so t sees a totally
 // ordered stream but only once the run completes.
-func WithTracer(t Tracer) Option { return func(c *Config) { c.Tracer = t } }
+func WithTracer(t Tracer) Option { return func(c *config) { c.obs.Tracer = t } }
 
 // WithTimeSeries samples calculated IOPS, codec mix, and slot occupancy
 // into fixed-interval bins of the given width (Results.Obs.Series).
@@ -417,11 +303,11 @@ func WithTracer(t Tracer) Option { return func(c *Config) { c.Tracer = t } }
 // never from added timer events — so it cannot perturb the replay.
 // d <= 0 selects one second.
 func WithTimeSeries(d time.Duration) Option {
-	return func(c *Config) {
+	return func(c *config) {
 		if d <= 0 {
 			d = time.Second
 		}
-		c.TimeSeriesEvery = d
+		c.obs.SeriesInterval = d
 	}
 }
 
@@ -430,7 +316,7 @@ func WithTimeSeries(d time.Duration) Option {
 // batch caps how many submissions one event-loop wakeup drains before
 // running the virtual-time engine. Zero keeps the defaults (256 / 64).
 func WithServeQueue(mailbox, batch int) Option {
-	return func(c *Config) { c.ServeMailbox, c.ServeBatch = mailbox, batch }
+	return func(c *config) { c.serve.Mailbox, c.serve.Batch = mailbox, batch }
 }
 
 // WithMaintenance enables temperature-aware background maintenance with
@@ -442,9 +328,9 @@ func WithServeQueue(mailbox, batch int) Option {
 // runs in virtual time on the device's own engine, so results stay
 // deterministic per seed, including under WithShards.
 func WithMaintenance(m Maintenance) Option {
-	return func(c *Config) {
+	return func(c *config) {
 		m.Enabled = true
-		c.Maintenance = &m
+		c.dev.Maint = &m
 	}
 }
 
@@ -459,9 +345,9 @@ func WithMaintenance(m Maintenance) Option {
 // deterministic per seed, including under WithShards (each shard
 // deduplicates its own LBA range with the same key).
 func WithDedup(d Dedup) Option {
-	return func(c *Config) {
+	return func(c *config) {
 		d.Enabled = true
-		c.Dedup = &d
+		c.dev.Dedup = &d
 	}
 }
 
@@ -480,9 +366,9 @@ func WithDedup(d Dedup) Option {
 // (shared references may span the boundary), and WithQoS (per-shard
 // rate shares assume a fixed shard count).
 func WithResplit(r ResplitConfig) Option {
-	return func(c *Config) {
+	return func(c *config) {
 		r.Enabled = true
-		c.Resplit = &r
+		c.serve.Resplit = r
 	}
 }
 
@@ -503,7 +389,7 @@ func WithResplit(r ResplitConfig) Option {
 // release it. Incompatible with WithResplit, whose quiesce protocol
 // must run the engine dry past the watermark.
 func WithPacedServe() Option {
-	return func(c *Config) { c.PacedServe = true }
+	return func(c *config) { c.serve.Paced = true }
 }
 
 // WithQoS enables multi-tenant quality of service with the given tenant
@@ -515,7 +401,7 @@ func WithPacedServe() Option {
 // Untagged requests are unaffected, so attaching a config leaves an
 // untagged run bit-identical.
 func WithQoS(q QoSConfig) Option {
-	return func(c *Config) { c.QoS = &q }
+	return func(c *config) { c.dev.QoS = &q }
 }
 
 // WithFaults attaches a deterministic fault plan: every device
@@ -525,18 +411,18 @@ func WithQoS(q QoSConfig) Option {
 // fresh slot for hard write failures, and journal-based crash recovery
 // for a planned power cut. Results are deterministic for a fixed plan
 // seed; with p == nil the replay is bit-identical to a plan-free run.
-func WithFaults(p *FaultPlan) Option { return func(c *Config) { c.Faults = p } }
+func WithFaults(p *FaultPlan) Option { return func(c *config) { c.dev.Faults = p } }
 
 // WithSnapshotEvery checkpoints the mapping at the given virtual-time
 // interval (snapshot + journal reset), bounding how much journal a
 // crash recovery must replay.
-func WithSnapshotEvery(d time.Duration) Option { return func(c *Config) { c.SnapshotEvery = d } }
+func WithSnapshotEvery(d time.Duration) Option { return func(c *config) { c.dev.SnapshotEvery = d } }
 
 // collector builds the obs collector a config calls for, nil when
 // observability is off.
-func (c *Config) collector() *obs.Collector {
-	if c.Tracer == nil && c.TimeSeriesEvery <= 0 {
+func (c *config) collector() *obs.Collector {
+	if c.obs.Tracer == nil && c.obs.SeriesInterval <= 0 {
 		return nil
 	}
-	return obs.New(obs.Config{Tracer: c.Tracer, SeriesInterval: c.TimeSeriesEvery})
+	return obs.New(c.obs)
 }

@@ -51,19 +51,17 @@ func TestDedupHitsAndVerify(t *testing.T) {
 	}
 }
 
-// TestDedupOffUnchanged checks the off switch: a config without Dedup
-// and one with Enabled=false produce identical results to each other
-// (this guards the in-process config plumbing).
+// TestDedupOffUnchanged checks the off switch: a device without a dedup
+// policy and one whose policy has Enabled=false produce identical
+// results to each other.
 func TestDedupOffUnchanged(t *testing.T) {
 	tr, prof := dupTrace(t, 2000)
 	base, err := edc.Replay(tr, 64<<20, edc.WithDataProfile(prof, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := edc.DefaultConfig()
-	cfg.Data, cfg.DataSeed = prof, 7
-	cfg.Dedup = &edc.Dedup{Enabled: false}
-	disabled, err := edc.ReplayConfig(tr, 64<<20, cfg)
+	disabled, err := edc.Replay(tr, 64<<20, edc.WithDataProfile(prof, 7),
+		edc.WithDedupPolicy(&edc.Dedup{Enabled: false}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,13 +161,10 @@ func TestDedupObsCounters(t *testing.T) {
 
 // TestDedupValidate exercises the config validation surface.
 func TestDedupValidate(t *testing.T) {
-	cfg := edc.DefaultConfig()
-	cfg.Dedup = &edc.Dedup{Enabled: true, MaxEntries: -1}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("expected Validate to reject negative MaxEntries")
+	if _, err := edc.NewSystem(64<<20, edc.WithDedup(edc.Dedup{MaxEntries: -1})); err == nil {
+		t.Fatal("expected NewSystem to reject negative MaxEntries")
 	}
-	cfg.Dedup = &edc.Dedup{Enabled: true}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("zero-valued enabled dedup config should validate: %v", err)
+	if _, err := edc.NewSystem(64<<20, edc.WithDedup(edc.Dedup{})); err != nil {
+		t.Fatalf("zero-valued dedup policy should validate: %v", err)
 	}
 }

@@ -18,10 +18,10 @@
 //	res, _ := edc.Replay(tr, 256<<20, edc.WithScheme(edc.SchemeEDC))
 //	fmt.Println(res.MeanResponse(), res.TrafficRatio())
 //
-// Configuration is available in two equivalent forms: functional
-// options (the With* family) or the plain Config struct consumed by
-// NewSystemFromConfig — every option writes exactly one Config field.
-// Failures surface as typed errors (ErrUnknownScheme,
+// Configuration is by functional options (the With* family) passed to
+// NewSystem or Replay; NewSystem validates their combination and builds
+// nothing — Play and Serve stamp the configured pipelines out when
+// called. Failures surface as typed errors (ErrUnknownScheme,
 // ErrUnknownWorkload, ErrReplayed, FaultError) for errors.Is/As.
 //
 // All simulation happens in virtual time: multi-hour traces replay in
@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 
 	"edc/internal/compress"
 	_ "edc/internal/compress/bwz"
@@ -184,22 +185,17 @@ const (
 	RAIS5                        // rotating-parity array (Fig. 11)
 )
 
-// System is one ready-to-replay EDC stack: virtual-time engine, backend
-// devices, and the EDC block layer — or, with WithShards(n>1), a router
-// over n such stacks. A System replays exactly one trace; a second Play
-// returns ErrReplayed.
+// System is one configured EDC stack — virtual-time engine, backend
+// devices, and the EDC block layer, or with WithShards(n>1) a router
+// over n such stacks — waiting to be driven: Play replays one trace
+// through it, Serve runs it live. Either consumes the System; a second
+// Play returns ErrReplayed.
 type System struct {
-	eng     *sim.Engine
-	dev     *core.Device
-	sharded *core.ShardedDevice
-	srv     *core.Server
-
-	// Power-cut orchestration state: rebuilding the post-crash device
-	// needs the full configuration.
-	cfg      Config
-	col      *obs.Collector
-	volBytes int64
-	played   bool
+	// cfg is the validated configuration; cfg.serve stamps out the
+	// pipelines for whichever way the System is driven.
+	cfg    config
+	srv    *core.Server
+	played bool
 }
 
 // DataProfiles maps the named payload models usable with
@@ -246,9 +242,9 @@ func StandardWorkloads(volumeBytes int64) []WorkloadProfile {
 }
 
 // policyFor builds the core policy for a scheme.
-func policyFor(c Config) (core.Policy, error) {
+func policyFor(c *config) (core.Policy, error) {
 	reg := compress.Default()
-	switch c.Scheme {
+	switch c.scheme {
 	case SchemeNative:
 		return core.Native(), nil
 	case SchemeLzf:
@@ -285,10 +281,10 @@ func policyFor(c Config) (core.Policy, error) {
 			return nil, err
 		}
 		elastic, err := core.NewElastic("EDC", []core.Level{
-			{MaxIOPS: c.GzCeiling, Codec: gz},
-			{MaxIOPS: c.LzfCeiling, Codec: lzf},
+			{MaxIOPS: c.gzCeiling, Codec: gz},
+			{MaxIOPS: c.lzfCeiling, Codec: lzf},
 		})
-		if err != nil || c.Scheme == SchemeEDC {
+		if err != nil || c.scheme == SchemeEDC {
 			return elastic, err
 		}
 		bwz, err := reg.ByName("bwz")
@@ -297,145 +293,104 @@ func policyFor(c Config) (core.Policy, error) {
 		}
 		return core.NewContentAware(elastic, bwz, 2.5)
 	default:
-		return nil, fmt.Errorf("%w %q", ErrUnknownScheme, c.Scheme)
+		return nil, fmt.Errorf("%w %q", ErrUnknownScheme, c.scheme)
 	}
 }
 
 // buildBackend constructs one backend instance on eng per the configured
-// organization. It is a factory (not inlined in NewSystem) so sharded
-// replay can stamp out one private backend per shard.
-func buildBackend(c Config, eng *sim.Engine) (core.Backend, error) {
-	switch c.Backend {
+// organization: every pipeline a System runs gets a private one.
+func buildBackend(c *config, eng *sim.Engine) (core.Backend, error) {
+	switch c.backend {
 	case SingleSSD:
-		d, err := ssd.New(c.SSD)
+		d, err := ssd.New(c.ssd)
 		if err != nil {
 			return nil, err
 		}
 		return core.NewSingleSSD(eng, d), nil
 	case RAIS0, RAIS5:
-		n := c.Devices
+		n := c.devices
 		if n < 2 {
 			n = 5 // the paper's array size
 		}
 		devs := make([]*ssd.SSD, n)
 		for i := range devs {
-			d, err := ssd.New(c.SSD)
+			d, err := ssd.New(c.ssd)
 			if err != nil {
 				return nil, err
 			}
 			devs[i] = d
 		}
 		level := rais.RAIS0
-		if c.Backend == RAIS5 {
+		if c.backend == RAIS5 {
 			level = rais.RAIS5
 		}
-		arr, err := rais.New(level, devs, c.StripeUnitPages)
+		arr, err := rais.New(level, devs, c.stripeUnitPages)
 		if err != nil {
 			return nil, err
 		}
 		return core.NewRAISBackend(eng, arr), nil
 	default:
-		return nil, fmt.Errorf("%w %d", ErrUnknownBackend, c.Backend)
+		return nil, fmt.Errorf("%w %d", ErrUnknownBackend, c.backend)
 	}
 }
 
-// deviceOptions builds core.Options from the facade config. Policy and
-// Data carry mutable state, so sharded replay calls this once per shard
-// for private instances.
-func deviceOptions(c Config) (core.Options, error) {
+// deviceOptions completes c.dev for one pipeline. Policy and Data carry
+// mutable state, so every pipeline gets private instances.
+func deviceOptions(c *config) (core.Options, error) {
 	pol, err := policyFor(c)
 	if err != nil {
 		return core.Options{}, err
 	}
-	if c.DisableEstimator {
+	if c.noEstimator {
 		pol = core.WithoutEstimator(pol)
 	}
-	share := c.Shards
-	if share < 1 {
-		share = 1
-	}
-	return core.Options{
-		Policy:        pol,
-		Cost:          c.Cost,
-		Data:          datagen.New(c.Data, c.DataSeed),
-		VerifyReads:   c.Verify,
-		DisableSD:     c.DisableSD,
-		ExactSlots:    c.ExactSlots,
-		CPUWorkers:    c.CPUWorkers,
-		ReplayWorkers: c.ReplayWorkers,
-		CacheBytes:    c.CacheBytes,
-		Offload:       c.Offload,
-		MaxRun:        c.MaxRun,
-		FlushTimeout:  c.FlushTimeout,
-		Faults:        c.Faults,
-		SnapshotEvery: c.SnapshotEvery,
-		Maint:         c.Maintenance,
-		Dedup:         c.Dedup,
-		QoS:           c.QoS,
-		// Each of n shards enforces 1/n of every tenant's schedule, so
-		// the aggregate device-wide rate matches the configured one.
-		QoSShare: share,
-	}, nil
+	o := c.dev
+	o.Policy = pol
+	o.Data = datagen.New(c.data, c.dataSeed)
+	// Each of n shards enforces 1/n of every tenant's schedule, so the
+	// aggregate device-wide rate matches the configured one.
+	o.QoSShare = c.serve.Shards
+	return o, nil
 }
 
-// shardSetup describes c's per-shard pipelines to internal/core, for
-// sharded replay and for serve alike. Codec futures of every shard go
-// to the one process-wide pool, so no per-shard worker budget is carved
-// out of GOMAXPROCS: an idle core helps whichever shard is hot.
-func (c Config) shardSetup(volumeBytes int64, col *obs.Collector) core.ShardSetup {
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
-	return core.ShardSetup{
-		Shards:      c.Shards,
-		VolumeBytes: volumeBytes,
-		Backend:     func(eng *sim.Engine) (core.Backend, error) { return buildBackend(c, eng) },
-		Options:     func(int) (core.Options, error) { return deviceOptions(c) },
-		Obs:         col,
-	}
-}
-
-// NewSystem builds a System exposing volumeBytes of logical space,
-// configured by options over DefaultConfig.
+// NewSystem configures a System exposing volumeBytes of logical space.
+// It validates the options and their combination and builds nothing:
+// Play or Serve stamps the pipelines out, so an error only building one
+// can find (say, a volume larger than the backend) comes from them.
 func NewSystem(volumeBytes int64, opts ...Option) (*System, error) {
-	cfg := DefaultConfig()
+	s := &System{}
+	c := &s.cfg
 	for _, opt := range opts {
-		opt(&cfg)
+		opt(c)
 	}
-	return NewSystemFromConfig(volumeBytes, cfg)
+	c.fillDefaults()
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
+	// Codec futures of every shard go to the one process-wide pool, so no
+	// per-shard worker budget is carved out of GOMAXPROCS: an idle core
+	// helps whichever shard is hot.
+	c.serve.VolumeBytes = volumeBytes
+	c.serve.Backend = func(eng *sim.Engine) (core.Backend, error) { return buildBackend(c, eng) }
+	c.serve.Options = func(int) (core.Options, error) { return deviceOptions(c) }
+	c.serve.Obs = c.collector()
+	if _, err := core.NewSharded(c.serve.ShardSetup); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
-// NewSystemFromConfig builds a System from an explicit Config (the
-// struct form of the With* options). Zero-valued fields take their
-// documented defaults; the config is validated first.
-func NewSystemFromConfig(volumeBytes int64, cfg Config) (*System, error) {
-	cfg.normalize()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	col := cfg.collector()
-	if cfg.Shards > 1 {
-		sharded, err := core.NewSharded(cfg.shardSetup(volumeBytes, col))
-		if err != nil {
-			return nil, err
-		}
-		return &System{sharded: sharded, cfg: cfg, col: col, volBytes: volumeBytes}, nil
-	}
-	eng := sim.NewEngine()
-	be, err := buildBackend(cfg, eng)
+// device stamps out the stock single pipeline of an unsharded replay: it
+// reports to the collector directly (a tracer streams), keeps its own
+// workload monitor, and returns errors unprefixed. A non-nil cs builds
+// it as recovered from that crash.
+func (s *System) device(cs *core.CrashState) (*core.Device, error) {
+	setup := &s.cfg.serve.ShardSetup
+	opts, err := setup.Options(0)
 	if err != nil {
 		return nil, err
 	}
-	dopts, err := deviceOptions(cfg)
-	if err != nil {
-		return nil, err
-	}
-	dopts.Obs = col
-	dev, err := core.NewDevice(eng, be, volumeBytes, dopts)
-	if err != nil {
-		return nil, err
-	}
-	return &System{eng: eng, dev: dev, cfg: cfg, col: col, volBytes: volumeBytes}, nil
+	return setup.BuildDevice(setup.VolumeBytes, opts, setup.Obs, cs)
 }
 
 // Play replays t and returns the measured results. A System is
@@ -445,13 +400,21 @@ func (s *System) Play(t *Trace) (*Results, error) {
 		return nil, ErrReplayed
 	}
 	s.played = true
-	if s.sharded != nil {
-		return s.sharded.Play(t)
+	if s.cfg.serve.Shards > 1 {
+		sharded, err := core.NewSharded(s.cfg.serve.ShardSetup)
+		if err != nil {
+			return nil, err
+		}
+		return sharded.Play(t)
 	}
-	if s.cfg.Faults != nil && s.cfg.Faults.PowerCutAt > 0 {
-		return s.playWithPowerCut(t)
+	dev, err := s.device(nil)
+	if err != nil {
+		return nil, err
 	}
-	return s.dev.Play(t)
+	if f := s.cfg.dev.Faults; f != nil && f.PowerCutAt > 0 {
+		return s.playWithPowerCut(dev, t, f.PowerCutAt)
+	}
+	return dev.Play(t)
 }
 
 // playWithPowerCut runs the planned crash: replay until the cut, lose
@@ -461,24 +424,13 @@ func (s *System) Play(t *Trace) (*Results, error) {
 // CrashLost, not in the response histograms). The recovered device's
 // fault injectors restart their decision streams from the plan seed, so
 // the whole crash-and-recover run is deterministic.
-func (s *System) playWithPowerCut(t *Trace) (*Results, error) {
-	cut := s.cfg.Faults.PowerCutAt
-	before, cs, err := s.dev.PlayUntil(t, cut)
+func (s *System) playWithPowerCut(dev *core.Device, t *Trace, cut time.Duration) (*Results, error) {
+	before, cs, err := dev.PlayUntil(t, cut)
 	if err != nil {
 		return before, err
 	}
-	eng := sim.NewEngine()
-	be, err := buildBackend(s.cfg, eng)
-	if err != nil {
-		return nil, err
-	}
-	dopts, err := deviceOptions(s.cfg)
-	if err != nil {
-		return nil, err
-	}
-	dopts.Obs = s.col // one collector spans both phases
-	dev, err := core.RecoverDevice(eng, be, s.volBytes, dopts, cs)
-	if err != nil {
+	// One collector spans both phases.
+	if dev, err = s.device(cs); err != nil {
 		return nil, err
 	}
 	// The restarted host re-issues only requests that arrive strictly
@@ -505,15 +457,6 @@ func (s *System) playWithPowerCut(t *Trace) (*Results, error) {
 // Replay is the one-shot form: build a System, play the trace.
 func Replay(t *Trace, volumeBytes int64, opts ...Option) (*Results, error) {
 	s, err := NewSystem(volumeBytes, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return s.Play(t)
-}
-
-// ReplayConfig is the one-shot struct-config form of Replay.
-func ReplayConfig(t *Trace, volumeBytes int64, cfg Config) (*Results, error) {
-	s, err := NewSystemFromConfig(volumeBytes, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,6 @@ package edc
 
 import (
 	"errors"
-	"io"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -13,112 +11,6 @@ func testFaultPlan() *FaultPlan {
 	return &FaultPlan{
 		Seed: 77, ReadTransient: 0.01, WriteTransient: 0.02,
 		WriteHard: 0.005, SpikeRate: 0.01, SpikeLatency: 2 * time.Millisecond,
-	}
-}
-
-// TestConfigOptionParity pins the facade's dual-form contract: every
-// functional option writes exactly the Config field(s) its struct-form
-// counterpart would, so the two configuration styles cannot drift.
-func TestConfigOptionParity(t *testing.T) {
-	jt := NewJSONLTracer(io.Discard)
-	cm := DefaultCostModel()
-	plan := testFaultPlan()
-	ssdCfg := smallSSD()
-	qcfg := QoSConfig{
-		Tenants: map[string]QoSTenant{"web": {Class: ClassLatency, Bandwidth: "4M"}},
-		Strict:  true,
-	}
-	cases := []struct {
-		name   string
-		opt    Option
-		direct func(*Config)
-	}{
-		{"WithScheme", WithScheme(SchemeLzf), func(c *Config) { c.Scheme = SchemeLzf }},
-		{"WithElasticThresholds", WithElasticThresholds(100, 900), func(c *Config) { c.GzCeiling, c.LzfCeiling = 100, 900 }},
-		{"WithBackend", WithBackend(RAIS5, 5), func(c *Config) { c.Backend, c.Devices = RAIS5, 5 }},
-		{"WithSSDConfig", WithSSDConfig(ssdCfg), func(c *Config) { c.SSD = ssdCfg }},
-		{"WithDataProfile", WithDataProfile(DataProfiles()["text"], 9), func(c *Config) { c.Data, c.DataSeed = DataProfiles()["text"], 9 }},
-		{"WithCostModel", WithCostModel(cm), func(c *Config) { c.Cost = cm }},
-		{"WithVerify", WithVerify(), func(c *Config) { c.Verify = true }},
-		{"WithoutSD", WithoutSD(), func(c *Config) { c.DisableSD = true }},
-		{"WithExactSlots", WithExactSlots(), func(c *Config) { c.ExactSlots = true }},
-		{"WithoutEstimator", WithoutEstimator(), func(c *Config) { c.DisableEstimator = true }},
-		{"WithMaxRun", WithMaxRun(1 << 16), func(c *Config) { c.MaxRun = 1 << 16 }},
-		{"WithFlushTimeout", WithFlushTimeout(5 * time.Millisecond), func(c *Config) { c.FlushTimeout = 5 * time.Millisecond }},
-		{"WithStripeUnit", WithStripeUnit(32), func(c *Config) { c.StripeUnitPages = 32 }},
-		{"WithCPUWorkers", WithCPUWorkers(4), func(c *Config) { c.CPUWorkers = 4 }},
-		{"WithReplayWorkers", WithReplayWorkers(8), func(c *Config) { c.ReplayWorkers = 8 }},
-		{"WithShards", WithShards(4), func(c *Config) { c.Shards = 4 }},
-		{"WithCache", WithCache(1 << 20), func(c *Config) { c.CacheBytes = 1 << 20 }},
-		{"WithOffload", WithOffload(), func(c *Config) { c.Offload = true }},
-		{"WithTracer", WithTracer(jt), func(c *Config) { c.Tracer = jt }},
-		{"WithTimeSeries", WithTimeSeries(2 * time.Second), func(c *Config) { c.TimeSeriesEvery = 2 * time.Second }},
-		{"WithFaults", WithFaults(plan), func(c *Config) { c.Faults = plan }},
-		{"WithSnapshotEvery", WithSnapshotEvery(time.Second), func(c *Config) { c.SnapshotEvery = time.Second }},
-		{"WithQoS", WithQoS(qcfg), func(c *Config) { q := qcfg; c.QoS = &q }},
-	}
-	for _, tc := range cases {
-		viaOpt := DefaultConfig()
-		tc.opt(&viaOpt)
-		viaStruct := DefaultConfig()
-		tc.direct(&viaStruct)
-		if !reflect.DeepEqual(viaOpt, viaStruct) {
-			t.Errorf("%s: option form %+v != struct form %+v", tc.name, viaOpt, viaStruct)
-		}
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	bad := DefaultConfig()
-	bad.Scheme = "Zstd"
-	if err := bad.Validate(); !errors.Is(err, ErrUnknownScheme) {
-		t.Fatalf("unknown scheme: err = %v, want ErrUnknownScheme", err)
-	}
-	bad = DefaultConfig()
-	bad.Backend = BackendKind(42)
-	if err := bad.Validate(); !errors.Is(err, ErrUnknownBackend) {
-		t.Fatalf("unknown backend: err = %v, want ErrUnknownBackend", err)
-	}
-	bad = DefaultConfig()
-	bad.Faults = &FaultPlan{Seed: 1, PowerCutAt: time.Second}
-	bad.Shards = 4
-	if err := bad.Validate(); err == nil {
-		t.Fatal("power cut + shards must be rejected")
-	}
-	bad = DefaultConfig()
-	bad.Faults = &FaultPlan{Seed: 1, ReadHard: 1.5}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("out-of-range fault probability must be rejected")
-	}
-	bad = DefaultConfig()
-	bad.QoS = &QoSConfig{Tenants: map[string]QoSTenant{"web": {Bandwidth: "nope"}}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("unparsable tenant bandwidth must be rejected")
-	}
-	bad = DefaultConfig()
-	bad.QoS = &QoSConfig{Tenants: map[string]QoSTenant{"web": {Class: QoSClass(42)}}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("unknown tenant class must be rejected")
-	}
-	good := DefaultConfig()
-	if err := good.Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-}
-
-func TestNewSystemFromConfigZeroValue(t *testing.T) {
-	// A literally-constructed zero Config normalizes to the defaults.
-	cfg := Config{SSD: smallSSD(), Verify: true}
-	sys, err := NewSystemFromConfig(testVolume, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Play(smallTrace(t, 300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Resp.Count() != 300 {
-		t.Fatalf("answered %d", res.Resp.Count())
 	}
 }
 

@@ -78,6 +78,40 @@ func (p Params) volume() int64 {
 	return int64(p.VolumeMiB) << 20
 }
 
+// options is the one translation of p into facade options, shared by
+// every mode that builds a System — the experiments' replay cells,
+// RunServe and edcbench -replay: scheme s with enterprise payloads
+// seeded by dataSeed on the single-SSD model (an array backend: five of
+// the array member model), then the overlay fields.
+func (p Params) options(s edc.Scheme, backend edc.BackendKind, dataSeed int64) []edc.Option {
+	prof := edc.DataProfiles()["enterprise"]
+	if p.DupRatio > 0 {
+		prof = prof.WithDup(p.DupRatio, p.DupUniverse)
+	}
+	ssdCfg := singleSSDConfig()
+	if backend != edc.SingleSSD {
+		ssdCfg = raisSSDConfig()
+	}
+	opts := []edc.Option{
+		edc.WithScheme(s),
+		edc.WithDataProfile(prof, dataSeed),
+		edc.WithBackend(backend, 5),
+		edc.WithSSDConfig(ssdCfg),
+		edc.WithShards(p.Shards),
+		edc.WithFaults(p.Faults),
+	}
+	if p.Workers != 0 {
+		opts = append(opts, edc.WithReplayWorkers(p.Workers))
+	}
+	if p.Maint {
+		opts = append(opts, edc.WithMaintenance(edc.Maintenance{}))
+	}
+	if p.Dedup {
+		opts = append(opts, edc.WithDedup(edc.Dedup{}))
+	}
+	return opts
+}
+
 // Table is one rendered result table.
 type Table struct {
 	ID     string

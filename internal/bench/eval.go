@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -72,38 +73,24 @@ func runEval(p Params, backend edc.BackendKind) (map[string]map[edc.Scheme]*edc.
 
 // replayScheme runs one (scheme, trace, backend) cell.
 func replayScheme(p Params, backend edc.BackendKind, tr *trace.Trace, s edc.Scheme, extra []edc.Option) (*edc.Results, error) {
-	prof := edc.DataProfiles()["enterprise"]
-	if p.DupRatio > 0 {
-		prof = prof.WithDup(p.DupRatio, p.DupUniverse)
+	return edc.Replay(tr, p.volume(), append(p.options(s, backend, 5+p.Seed), extra...)...)
+}
+
+// ReplayCell runs one cell of the fig8/fig10 sweep on its own — the
+// named standard workload (edc.WorkloadByName) under scheme s on the
+// single-SSD model, same trace and payload seeds — with extra options
+// (observers, say) on top. edcbench -replay is this call, so its report
+// is the figure's cell.
+func ReplayCell(p Params, name string, s edc.Scheme, extra ...edc.Option) (*edc.Results, error) {
+	prof, err := edc.WorkloadByName(name, p.volume())
+	if err != nil {
+		return nil, err
 	}
-	opts := []edc.Option{
-		edc.WithScheme(s),
-		edc.WithDataProfile(prof, 5+p.Seed),
+	tr, err := standardTrace(p, slices.Index(traceOrder, prof.Name))
+	if err != nil {
+		return nil, err
 	}
-	if p.Workers != 0 {
-		opts = append(opts, edc.WithReplayWorkers(p.Workers))
-	}
-	if p.Shards > 1 {
-		opts = append(opts, edc.WithShards(p.Shards))
-	}
-	if p.Faults != nil {
-		opts = append(opts, edc.WithFaults(p.Faults))
-	}
-	if p.Maint {
-		opts = append(opts, edc.WithMaintenance(edc.Maintenance{}))
-	}
-	if p.Dedup {
-		opts = append(opts, edc.WithDedup(edc.Dedup{}))
-	}
-	if backend == edc.SingleSSD {
-		opts = append(opts, edc.WithSSDConfig(singleSSDConfig()))
-	} else {
-		opts = append(opts,
-			edc.WithBackend(backend, 5),
-			edc.WithSSDConfig(raisSSDConfig()))
-	}
-	opts = append(opts, extra...)
-	return edc.Replay(tr, p.volume(), opts...)
+	return replayScheme(p, edc.SingleSSD, tr, s, extra)
 }
 
 // traceOrder is the paper's presentation order.

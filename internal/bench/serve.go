@@ -162,47 +162,24 @@ func RunServe(p ServeParams) (*ServeResult, error) {
 		return nil, err
 	}
 	clients := p.clients()
-	opts := []edc.Option{
-		edc.WithScheme(edc.Scheme(p.scheme())),
-		edc.WithSSDConfig(singleSSDConfig()),
+	// The dup knob is spec-global (Validate enforces it): the -dup-ratio
+	// flag wins, otherwise the spec's first step supplies it.
+	if p.DupRatio == 0 {
+		p.DupRatio, p.DupUniverse = p.Spec[0].Dup, p.Spec[0].DupUniverse
+	}
+	opts := append(p.options(edc.Scheme(p.scheme()), edc.SingleSSD, 1),
 		edc.WithServeQueue(p.Mailbox, p.Batch),
 		// The sequencer below submits in global stamp order and awaits
 		// concurrently — exactly the contract pacing requires — so the
 		// virtual-time results become a pure function of (spec, seed,
 		// clients, shards), independent of GOMAXPROCS and mailbox races.
-		edc.WithPacedServe(),
-	}
-	if p.Workers != 0 {
-		opts = append(opts, edc.WithReplayWorkers(p.Workers))
-	}
-	if p.Shards > 1 {
-		opts = append(opts, edc.WithShards(p.Shards))
-	}
-	if p.Faults != nil {
-		opts = append(opts, edc.WithFaults(p.Faults))
-	}
-	if p.Maint {
-		opts = append(opts, edc.WithMaintenance(edc.Maintenance{}))
-	}
-	if p.Dedup {
-		opts = append(opts, edc.WithDedup(edc.Dedup{}))
-	}
+		edc.WithPacedServe())
 	qcfg := p.QoS
 	if qcfg == nil && !p.NoQoS {
 		qcfg = p.Spec.QoSConfig()
 	}
 	if qcfg != nil {
 		opts = append(opts, edc.WithQoS(*qcfg))
-	}
-	// The dup knob is spec-global (Validate enforces it): the -dup-ratio
-	// flag wins, otherwise the spec's first step supplies it.
-	dup, uni := p.DupRatio, p.DupUniverse
-	if dup == 0 {
-		dup, uni = p.Spec[0].Dup, p.Spec[0].DupUniverse
-	}
-	if dup > 0 {
-		opts = append(opts, edc.WithDataProfile(
-			edc.DataProfiles()["enterprise"].WithDup(dup, uni), 1))
 	}
 	sys, err := edc.NewSystem(vol, opts...)
 	if err != nil {

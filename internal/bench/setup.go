@@ -24,14 +24,18 @@ func raisSSDConfig() ssd.Config {
 	return cfg
 }
 
-// standardTraces generates the paper's four evaluation traces at the
-// requested size. Seeds are fixed per trace (offset by p.Seed) so every
-// experiment sees identical request streams.
+// standardTrace generates the i-th of the paper's four evaluation traces
+// (traceOrder) at the requested size. Seeds are fixed per trace (offset
+// by p.Seed) so every experiment sees identical request streams.
+func standardTrace(p Params, i int) (*trace.Trace, error) {
+	return workload.Standard(p.volume())[i].GenerateN(p.requests(), 1000+int64(i)+p.Seed)
+}
+
+// standardTraces generates all four evaluation traces.
 func standardTraces(p Params) ([]*trace.Trace, error) {
-	profiles := workload.Standard(p.volume())
-	out := make([]*trace.Trace, len(profiles))
-	for i, prof := range profiles {
-		tr, err := prof.GenerateN(p.requests(), 1000+int64(i)+p.Seed)
+	out := make([]*trace.Trace, len(traceOrder))
+	for i := range out {
+		tr, err := standardTrace(p, i)
 		if err != nil {
 			return nil, err
 		}

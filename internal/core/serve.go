@@ -223,29 +223,27 @@ func NewServer(setup ServeSetup) (*Server, error) {
 }
 
 // Incompatible is the one table of feature combinations no stack is
-// built with: Config.Validate consults it, and every shard a Server
-// builds (at NewServer or by a resplit) goes through it with serve set.
-// The error carries no package prefix; callers add theirs.
-func Incompatible(o *Options, serve, resplit, paced bool) error {
-	if resplit {
-		switch {
-		case o.Dedup != nil && o.Dedup.Enabled:
-			return errors.New("resplit cannot migrate dedup-shared extents (references may span the split boundary); disable one of the two")
-		case o.VerifyReads:
-			return errors.New("resplit rebases extents to new shard-local offsets, which breaks offset-keyed read verification; disable one of the two")
-		case o.QoS != nil:
-			return errors.New("resplit changes the shard count mid-run, invalidating per-shard QoS rate shares; disable one of the two")
-		case paced:
-			return errors.New("resplit's quiesce protocol must run the engine past the paced-serve watermark; disable one of the two")
-		}
-	}
-	if serve {
-		switch {
-		case o.Faults != nil && o.Faults.PowerCutAt > 0:
-			return errors.New("serve mode does not support power-cut fault plans")
-		case o.FlushTimeout < 0 && !o.DisableSD:
-			return errors.New("serve mode requires a positive SD flush timeout (a disabled timer would buffer the last run forever)")
-		}
+// built with: the facade consults it when a System is configured, and
+// every shard a Server builds (at NewServer or by a resplit) goes
+// through it with serve set. The error carries no package prefix;
+// callers add theirs.
+func (s *ServeSetup) Incompatible(o *Options, serve bool) error {
+	resplit, powerCut := s.Resplit.Enabled, o.Faults != nil && o.Faults.PowerCutAt > 0
+	switch {
+	case resplit && o.Dedup != nil && o.Dedup.Enabled:
+		return errors.New("resplit cannot migrate dedup-shared extents (references may span the split boundary); disable one of the two")
+	case resplit && o.VerifyReads:
+		return errors.New("resplit rebases extents to new shard-local offsets, which breaks offset-keyed read verification; disable one of the two")
+	case resplit && o.QoS != nil:
+		return errors.New("resplit changes the shard count mid-run, invalidating per-shard QoS rate shares; disable one of the two")
+	case resplit && s.Paced:
+		return errors.New("resplit's quiesce protocol must run the engine past the paced-serve watermark; disable one of the two")
+	case serve && powerCut:
+		return errors.New("serve mode does not support power-cut fault plans")
+	case serve && o.FlushTimeout < 0 && !o.DisableSD:
+		return errors.New("serve mode requires a positive SD flush timeout (a disabled timer would buffer the last run forever)")
+	case powerCut && s.Shards > 1:
+		return fmt.Errorf("power-cut recovery is not supported with WithShards(%d): shards crash and recover independently of each other", s.Shards)
 	}
 	return nil
 }
@@ -263,12 +261,13 @@ func (sv *Server) buildShard(id int, vol int64) (*serveShard, *obs.Collector, er
 	if id == 0 {
 		sv.qcfg = opts.QoS
 	}
-	if err := Incompatible(&opts, true, sv.rcfg.Enabled, sv.setup.Paced); err != nil {
+	if err := sv.setup.Incompatible(&opts, true); err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
-	dev, kid, err := sv.setup.buildDevice(id, vol, opts)
+	kid := sv.setup.Obs.Child(id)
+	dev, err := sv.setup.BuildDevice(vol, opts, kid, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("core: shard %d: %w", id, err)
 	}
 	// The shard's loop opens the device's one run; detach the replay-only
 	// closed-loop callbacks — serve tracks completion per operation.

@@ -115,22 +115,21 @@ func (p partition) next(off, n int64) (shard int, local, size int64) {
 	return shard, off - p.bounds[shard], size
 }
 
-// buildDevice stamps out shard id's private pipeline over vol bytes: a
-// buffering child of the parent collector, a fresh engine and backend,
-// and a Device configured by opts (from the Options factory).
-func (s *ShardSetup) buildDevice(id int, vol int64, opts Options) (*Device, *obs.Collector, error) {
-	kid := s.Obs.Child(id)
-	opts.Obs = kid
+// BuildDevice stamps out one private pipeline over vol bytes, reporting
+// to col: a fresh engine and backend, and a Device configured by opts
+// (from the Options factory) — restored from cs when the run resumes
+// after a power cut. Every pipeline of every mode is built here.
+func (s *ShardSetup) BuildDevice(vol int64, opts Options, col *obs.Collector, cs *CrashState) (*Device, error) {
+	opts.Obs = col
 	eng := sim.NewEngine()
 	be, err := s.Backend(eng)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: shard %d backend: %w", id, err)
+		return nil, err
 	}
-	dev, err := NewDevice(eng, be, vol, opts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: shard %d: %w", id, err)
+	if cs != nil {
+		return RecoverDevice(eng, be, vol, opts, cs)
 	}
-	return dev, kid, nil
+	return NewDevice(eng, be, vol, opts)
 }
 
 // ShardedDevice routes requests to LBA-range shards and replays them in
@@ -203,8 +202,9 @@ func (s *ShardedDevice) Play(t *trace.Trace) (*RunStats, error) {
 			return nil, err
 		}
 		opts.Meter = snap
-		if devs[i], kids[i], err = s.setup.buildDevice(i, s.part.width(i), opts); err != nil {
-			return nil, err
+		kids[i] = s.setup.Obs.Child(i) // buffers: the streams merge after the join
+		if devs[i], err = s.setup.BuildDevice(s.part.width(i), opts, kids[i], nil); err != nil {
+			return nil, fmt.Errorf("core: shard %d: %w", i, err)
 		}
 	}
 	subs := s.split(t)

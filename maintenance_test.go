@@ -21,19 +21,16 @@ func maintPolicy() Maintenance {
 }
 
 // TestMaintenanceDisabledIsIdentical checks the off path is provably
-// unchanged: a config carrying a maintenance policy with Enabled=false
-// must replay bit-identically to one with no policy at all, across the
-// single-pipeline and sharded systems.
+// unchanged: a device handed a maintenance policy with Enabled=false
+// (WithMaintenance always sets the flag, so the test writes the policy
+// itself) must replay bit-identically to one with no policy at all,
+// across the single-pipeline and sharded systems.
 func TestMaintenanceDisabledIsIdentical(t *testing.T) {
 	tr := smallTrace(t, 1500)
 	for _, shards := range []int{1, 3} {
 		run := func(m *Maintenance) *Results {
-			cfg := DefaultConfig()
-			cfg.SSD = smallSSD()
-			cfg.Verify = true
-			cfg.Shards = shards
-			cfg.Maintenance = m
-			res, err := ReplayConfig(tr, testVolume, cfg)
+			res, err := Replay(tr, testVolume, WithSSDConfig(smallSSD()), WithVerify(),
+				WithShards(shards), func(c *config) { c.dev.Maint = m })
 			if err != nil {
 				t.Fatalf("shards=%d: %v", shards, err)
 			}

@@ -36,24 +36,10 @@ func (s *System) Serve() error {
 		return ErrReplayed
 	}
 	s.played = true
-	setup := core.ServeSetup{
-		ShardSetup: s.cfg.shardSetup(s.volBytes, s.col),
-		Mailbox:    s.cfg.ServeMailbox,
-		Batch:      s.cfg.ServeBatch,
-		Paced:      s.cfg.PacedServe,
-	}
-	if s.cfg.Resplit != nil {
-		setup.Resplit = *s.cfg.Resplit
-	}
-	srv, err := core.NewServer(setup)
+	srv, err := core.NewServer(s.cfg.serve)
 	if err != nil {
 		return err
 	}
-	// The replay stack built at construction is never used now; drop it
-	// so the serving pipelines are the only live simulation state.
-	s.dev = nil
-	s.sharded = nil
-	s.eng = nil
 	s.srv = srv
 	return nil
 }
