@@ -48,17 +48,24 @@ matrixcheck:
 	GOMAXPROCS=4 $(GO) test -race -run TestFeatureMatrix .
 
 # Codec, generator and trace-format microbenchmarks with allocation
-# counts; the datagen and trace rows come in pairs, product and kept
+# counts; the lzf/gz decode rows (BenchmarkDecode in their packages),
+# the datagen rows and the trace rows come in pairs, product and kept
 # reference.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/compress ./internal/datagen ./internal/trace
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/compress/... ./internal/datagen ./internal/trace
 
 # Ten seconds of fuzzing per target: the payload RNG against math/rand,
-# and the two trace parsers (whose past crashers are in testdata/fuzz).
+# the two trace parsers (whose past crashers are in testdata/fuzz), the
+# lzf and gz decoders against their kept references, and the EDCF frame
+# decoder (seeded with the frames whose header claims 3 840 MiB; it
+# minimises briefly: shrinking an input under a CRC seldom succeeds).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 10s ./internal/datagen
 	$(GO) test -run '^$$' -fuzz FuzzParseSPC -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzParseMSR -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzDecompress -fuzztime 10s ./internal/compress/lzf
+	$(GO) test -run '^$$' -fuzz FuzzDecompress -fuzztime 10s ./internal/compress/gz
+	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/compress
 
 # Paired benchmark against a parent revision, by BENCHMARK.json's rule:
 # ten alternating parent/change pairs per workload plus a held-out seed,

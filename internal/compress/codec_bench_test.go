@@ -6,33 +6,11 @@ import (
 
 	"edc/internal/compress"
 	_ "edc/internal/compress/bwz"
+	"edc/internal/compress/codectest"
 	_ "edc/internal/compress/gz"
 	_ "edc/internal/compress/lz4x"
 	_ "edc/internal/compress/lzf"
-	"edc/internal/datagen"
 )
-
-// benchSizes spans a single 4 KiB block, the SD merge grain, and a large
-// sequential run.
-var benchSizes = []struct {
-	name string
-	n    int
-}{
-	{"4KiB", 4 << 10},
-	{"64KiB", 64 << 10},
-	{"1MiB", 1 << 20},
-}
-
-// benchProfiles are the four payload models of the evaluation, from
-// highly compressible (linux-src) to incompressible (media).
-func benchProfiles() []datagen.Profile {
-	return []datagen.Profile{
-		datagen.LinuxSrc(),
-		datagen.FirefoxBin(),
-		datagen.Enterprise(),
-		datagen.Media(),
-	}
-}
 
 func benchCodecs(b *testing.B) []compress.Codec {
 	b.Helper()
@@ -48,100 +26,83 @@ func benchCodecs(b *testing.B) []compress.Codec {
 	return out
 }
 
-// BenchmarkCompress measures codec throughput and allocations over every
-// (codec, profile, size) cell. The AppendCompress rows are the device
-// hot path: steady-state they should run at zero or near-zero allocs/op.
-func BenchmarkCompress(b *testing.B) {
+// benchCells runs fn once per (codec, profile, size) cell as the
+// sub-benchmark codec/profile/size, over that cell's blocks: one op is
+// one walk over all of them (codectest.BenchBlocks: some thirty content
+// regions, so that a cell prices the profile's mixture and not one
+// class). With decode set, fn gets the cell's compressed streams instead.
+func benchCells(b *testing.B, decode bool, fn func(b *testing.B, c compress.Codec, n int, blocks [][]byte)) {
 	for _, c := range benchCodecs(b) {
-		for _, p := range benchProfiles() {
-			gen := datagen.New(p, 7)
-			for _, sz := range benchSizes {
-				src := gen.Block(0, sz.n, 0)
-				b.Run(fmt.Sprintf("%s/%s/%s", c.Name(), p.Name, sz.name), func(b *testing.B) {
-					b.ReportAllocs()
-					b.SetBytes(int64(sz.n))
-					for i := 0; i < b.N; i++ {
-						_ = c.Compress(src)
+		for _, p := range codectest.BenchProfiles() {
+			for _, sz := range codectest.BenchSizes {
+				b.Run(fmt.Sprintf("%s/%s/%s", c.Name(), p.Name, sz.Name), func(b *testing.B) {
+					blocks := codectest.BenchBlocks(p, sz.N)
+					if decode {
+						blocks = codectest.BenchStreams(c, p, sz.N)
 					}
+					b.ReportAllocs()
+					b.SetBytes(int64(sz.N * len(blocks)))
+					b.ResetTimer()
+					fn(b, c, sz.N, blocks)
 				})
 			}
 		}
 	}
+}
+
+// BenchmarkCompress measures codec throughput and allocations over every
+// (codec, profile, size) cell. The AppendCompress rows are the device
+// hot path: steady-state they should run at zero or near-zero allocs/op.
+func BenchmarkCompress(b *testing.B) {
+	benchCells(b, false, func(b *testing.B, c compress.Codec, _ int, blocks [][]byte) {
+		for i := 0; i < b.N; i++ {
+			for _, src := range blocks {
+				_ = c.Compress(src)
+			}
+		}
+	})
 }
 
 // BenchmarkAppendCompress measures the recycled-buffer path used by the
 // replay pipeline.
 func BenchmarkAppendCompress(b *testing.B) {
-	for _, c := range benchCodecs(b) {
-		a, ok := c.(compress.Appender)
-		if !ok {
-			continue
-		}
-		for _, p := range benchProfiles() {
-			gen := datagen.New(p, 7)
-			for _, sz := range benchSizes {
-				src := gen.Block(0, sz.n, 0)
-				b.Run(fmt.Sprintf("%s/%s/%s", c.Name(), p.Name, sz.name), func(b *testing.B) {
-					b.ReportAllocs()
-					b.SetBytes(int64(sz.n))
-					var buf []byte
-					for i := 0; i < b.N; i++ {
-						buf = a.AppendCompress(buf[:0], src)
-					}
-				})
+	benchCells(b, false, func(b *testing.B, c compress.Codec, _ int, blocks [][]byte) {
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			for _, src := range blocks {
+				buf = compress.AppendCompress(c, buf[:0], src)
 			}
 		}
-	}
+	})
 }
 
 // BenchmarkDecompressAppend measures the recycled-buffer read path used
 // by verify-mode replay: steady-state it should run at zero allocs/op.
+// lzf and gz pair these rows with their kept reference decoders in their
+// own packages (BenchmarkDecode, the …/ref rows).
 func BenchmarkDecompressAppend(b *testing.B) {
-	for _, c := range benchCodecs(b) {
-		da, ok := c.(compress.DecompressAppender)
-		if !ok {
-			continue
-		}
-		for _, p := range benchProfiles() {
-			gen := datagen.New(p, 7)
-			for _, sz := range benchSizes {
-				src := gen.Block(0, sz.n, 0)
-				comp := c.Compress(src)
-				b.Run(fmt.Sprintf("%s/%s/%s", c.Name(), p.Name, sz.name), func(b *testing.B) {
-					b.ReportAllocs()
-					b.SetBytes(int64(sz.n))
-					var buf []byte
-					for i := 0; i < b.N; i++ {
-						var err error
-						buf, err = da.DecompressAppend(buf[:0], comp, sz.n)
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
+	benchCells(b, true, func(b *testing.B, c compress.Codec, n int, comps [][]byte) {
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			for _, comp := range comps {
+				var err error
+				if buf, err = compress.DecompressAppend(c, buf[:0], comp, n); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	}
+	})
 }
 
 // BenchmarkDecompress covers the read path.
 func BenchmarkDecompress(b *testing.B) {
-	for _, c := range benchCodecs(b) {
-		for _, p := range benchProfiles() {
-			gen := datagen.New(p, 7)
-			for _, sz := range benchSizes {
-				src := gen.Block(0, sz.n, 0)
-				comp := c.Compress(src)
-				b.Run(fmt.Sprintf("%s/%s/%s", c.Name(), p.Name, sz.name), func(b *testing.B) {
-					b.ReportAllocs()
-					b.SetBytes(int64(sz.n))
-					for i := 0; i < b.N; i++ {
-						if _, err := c.Decompress(comp, sz.n); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
+	benchCells(b, true, func(b *testing.B, c compress.Codec, n int, comps [][]byte) {
+		for i := 0; i < b.N; i++ {
+			for _, comp := range comps {
+				if _, err := c.Decompress(comp, n); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	}
+	})
 }

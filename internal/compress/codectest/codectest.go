@@ -239,9 +239,10 @@ type Reference interface {
 // RunDifferential requires c to agree with ref byte for byte: on
 // AppendCompress over the standard corpus and a few thousand generated
 // blocks of 1 B to 70 KiB from three content profiles, and on
-// DecompressAppend — result and error, from an empty dst and after a
-// prefix — over those streams and over more than 20 000 damaged ones
+// DecompressAppend — DiffDecode: result, error and every byte around the
+// output — over those streams and over more than 20 000 damaged ones
 // (one bit flipped, truncated, extended, or decoded to a wrong length).
+// RunZoneBoundaries aims the damage at a two-zone decoder's hand-over.
 func RunDifferential(t *testing.T, c Reference, ref Reference) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(15))
@@ -273,13 +274,8 @@ func RunDifferential(t *testing.T, c Reference, ref Reference) {
 
 	pre := []byte{0xde, 0xad, 0xbe}
 	decode := func(what string, stream []byte, origLen int) {
-		for _, prefix := range [][]byte{nil, pre} {
-			want, wantErr := ref.DecompressAppend(append([]byte(nil), prefix...), stream, origLen)
-			got, gotErr := c.DecompressAppend(append([]byte(nil), prefix...), stream, origLen)
-			if gotErr != wantErr || !bytes.Equal(got, want) {
-				t.Fatalf("%s (stream %d B, origLen %d, prefix %d B): got %d B, %v; reference %d B, %v",
-					what, len(stream), origLen, len(prefix), len(got), gotErr, len(want), wantErr)
-			}
+		if d := DiffDecode(c, ref, stream, origLen); d != "" {
+			t.Fatalf("%s: %s", what, d)
 		}
 	}
 	damaged := 0

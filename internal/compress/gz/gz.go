@@ -384,17 +384,204 @@ func appendHuffman(dst, src []byte) []byte {
 
 // Decompress implements compress.Codec.
 func (c *Codec) Decompress(src []byte, origLen int) ([]byte, error) {
-	out, err := c.DecompressAppend(make([]byte, 0, origLen), src, origLen)
+	out, err := c.DecompressAppend(nil, src, origLen)
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
+// symInfo is what the two decoders report for a symbol in place of its
+// number (huffman.ResetValues), so that one table load tells the loops
+// all they keep per symbol: the number of extra bits that follow the code
+// in bits 0-3, the kind, and from bit infoValue the literal byte or the
+// base of the length or distance. End-of-block has neither kind bit.
+type symInfo uint32
+
+const (
+	infoLit   symInfo = 1 << 4
+	infoMatch symInfo = 1 << 5
+	infoValue         = 12
+)
+
+func (s symInfo) extra() uint { return uint(s) & 0xf }
+func (s symInfo) value() int  { return int(s >> infoValue) }
+
+// litInfo and distInfo describe every symbol of the two alphabets.
+var litInfo, distInfo = func() (lit [numLitLen]uint32, dist [numDist]uint32) {
+	for b := 0; b < 256; b++ {
+		lit[b] = uint32(infoLit) | uint32(b)<<infoValue
+	}
+	for i, c := range lengthCodes {
+		lit[257+i] = uint32(infoMatch) | uint32(c.extra) | uint32(c.base)<<infoValue
+	}
+	for i, c := range distCodes {
+		dist[i] = uint32(c.extra) | uint32(c.base)<<infoValue
+	}
+	return lit, dist
+}()
+
+// The fast zone runs while a refill can load a whole word and the
+// longest match, moved in whole words, still fits the output.
+const outSlack = (maxMatch + 7) &^ 7
+
+// maxExpand bounds the output one input byte can stand for: a match of
+// maxMatch bytes needs a length code and a distance code, a bit each.
+const maxExpand = maxMatch * 8 / 2
+
+// copy8 copies eight bytes from b[s:] to b[d:].
+func copy8(b []byte, d, s int) {
+	binary.LittleEndian.PutUint64(b[d:d+8:d+8], binary.LittleEndian.Uint64(b[s:s+8:s+8]))
+}
+
+// decodeFast decodes tokens from bit offset bit of src into out[o:] for
+// as long as the fast zone lasts, with the bit accumulator in locals —
+// one refill per token: at most 11+5+11+13 bits of it are used — and no
+// length checks, and returns where it stopped. It stops early, slow set,
+// in front of a token it leaves to the careful loop: one whose code is
+// longer than a table index, invalid, or end-of-block. ok is false when
+// a match reaches back past base.
+func (st *decState) decodeFast(out, src []byte, base, o, bit int) (oEnd, bitEnd int, slow, ok bool) {
+	litTab, distTab := st.litDec.Table(), st.distDec.Table()
+	pos := bit >> 3
+	if len(litTab) == 0 || pos+8 > len(src) {
+		return o, bit, false, true
+	}
+	litMask, distMask := uint64(len(litTab)-1), uint64(len(distTab)-1)
+	acc := uint64(src[pos]) >> (bit & 7)
+	nAcc := uint(8 - bit&7)
+	pos++
+	for pos+8 <= len(src) && o+outSlack <= len(out) {
+		// Refill to 56 bits or more. Whole bytes only are counted in; what
+		// the load brings above them is the stream's next bits, and the
+		// next refill writes the same bits there again.
+		acc |= binary.LittleEndian.Uint64(src[pos:pos+8:pos+8]) << (nAcc & 63)
+		pos += int(63-nAcc) >> 3
+		nAcc |= 56
+		start := nAcc
+
+		e := litTab[acc&litMask]
+		n, s := uint(e&0xf), symInfo(e>>4)
+		if s&infoLit != 0 {
+			acc >>= n
+			nAcc -= n
+			out[o] = byte(s.value())
+			o++
+			continue
+		}
+		if s&infoMatch == 0 || len(distTab) == 0 {
+			return o, pos*8 - int(start), true, true
+		}
+		acc >>= n
+		nAcc -= n
+		n = s.extra()
+		length := s.value() + int(acc&(1<<n-1))
+		acc >>= n
+		nAcc -= n
+
+		e = distTab[acc&distMask]
+		n, s = uint(e&0xf), symInfo(e>>4)
+		if n == 0 {
+			return o, pos*8 - int(start), true, true
+		}
+		acc >>= n
+		nAcc -= n
+		n = s.extra()
+		dist := s.value() + int(acc&(1<<n-1))
+		acc >>= n
+		nAcc -= n
+
+		ref := o - dist
+		if ref < base {
+			return o, 0, false, false
+		}
+		if dist >= 8 {
+			// Each load sees only bytes that earlier moves have finished.
+			copy8(out, o, ref)
+			for k := 8; k < length; k += 8 {
+				copy8(out, o+k, ref+k)
+			}
+		} else {
+			// Closer than a word: the copy must see its own output.
+			for k := 0; k < length; k++ {
+				out[o+k] = out[ref+k]
+			}
+		}
+		o += length
+	}
+	return o, pos*8 - int(nAcc), false, true
+}
+
+// decodeCareful is the symbol loop with every length checked, reading
+// through st.r: it decodes into out[o:] one token if one is set, else to
+// the end of the block, and reports whether the block ended.
+func (st *decState) decodeCareful(out []byte, base, o int, one bool) (oEnd int, done bool, err error) {
+	r, litDec, distDec := &st.r, &st.litDec, &st.distDec
+	for {
+		v, err := litDec.Decode(r)
+		if err != nil {
+			return o, false, compress.ErrCorrupt
+		}
+		switch s := symInfo(v); {
+		case s&infoLit != 0:
+			if o+1 > len(out) {
+				return o, false, compress.ErrCorrupt
+			}
+			out[o] = byte(s.value())
+			o++
+		case s&infoMatch == 0: // end of block
+			return o, true, nil
+		default:
+			length := s.value()
+			if eb := s.extra(); eb > 0 {
+				v, err := r.ReadBits(eb)
+				if err != nil {
+					return o, false, compress.ErrCorrupt
+				}
+				length += int(v)
+			}
+			v, err := distDec.Decode(r)
+			if err != nil {
+				return o, false, compress.ErrCorrupt
+			}
+			s = symInfo(v)
+			dist := s.value()
+			if eb := s.extra(); eb > 0 {
+				v, err := r.ReadBits(eb)
+				if err != nil {
+					return o, false, compress.ErrCorrupt
+				}
+				dist += int(v)
+			}
+			ref := o - dist
+			if ref < base || o+length > len(out) {
+				return o, false, compress.ErrCorrupt
+			}
+			if dist >= length {
+				copy(out[o:], out[ref:ref+length])
+			} else {
+				// Overlapping reference: the copy must see its own output.
+				for k := 0; k < length; k++ {
+					out[o+k] = out[ref+k]
+				}
+			}
+			o += length
+		}
+		if one {
+			return o, false, nil
+		}
+	}
+}
+
 // DecompressAppend implements compress.DecompressAppender: it appends
 // the decompressed form of src to dst (growing it as needed) and returns
 // the extended slice. Combined with the pooled decode scratch this makes
 // the read hot path allocation-free in steady state.
+//
+// The output is sized once — to origLen, or to what len(src) bytes can
+// expand to when that is less, so a lying origLen costs no memory — and
+// written by index; nothing outside dst[len(dst):len(dst)+origLen] is
+// touched, and on error dst comes back as it was passed.
 func (*Codec) DecompressAppend(dst, src []byte, origLen int) ([]byte, error) {
 	if len(src) == 0 {
 		return dst, compress.ErrCorrupt
@@ -425,87 +612,39 @@ func (*Codec) DecompressAppend(dst, src []byte, origLen int) ([]byte, error) {
 		return dst, compress.ErrCorrupt
 	}
 	st.distLens = distLens
-	if err := st.litDec.Reset(litLens); err != nil {
+	if err := st.litDec.ResetValues(litLens, litInfo[:]); err != nil {
 		return dst, compress.ErrCorrupt
 	}
-	litDec := &st.litDec
-	var distDec *huffman.Decoder
-	hasDist := false
-	for _, l := range distLens {
-		if l > 0 {
-			hasDist = true
-			break
-		}
+	// A stream of literals alone has no distance code: the decoder is then
+	// empty, and a length symbol finds nothing to decode its distance with.
+	if err := st.distDec.ResetValues(distLens, distInfo[:]); err != nil {
+		return dst, compress.ErrCorrupt
 	}
-	if hasDist {
-		if err := st.distDec.Reset(distLens); err != nil {
-			return dst, compress.ErrCorrupt
-		}
-		distDec = &st.distDec
-	}
+
 	base := len(dst)
-	out := dst
-	if origLen > 0 {
-		// Size the output once; every append below then stays in place.
-		out = slices.Grow(out, origLen)
-	}
+	grow := max(0, min(origLen, len(src)*maxExpand))
+	out := slices.Grow(dst, grow)[:base+grow]
+	o, bit := base, 8*len(src)-r.BitsRemaining()
 	for {
-		sym, err := litDec.Decode(r)
-		if err != nil {
+		var slow, ok bool
+		if o, bit, slow, ok = st.decodeFast(out, src, base, o, bit); !ok {
 			return dst, compress.ErrCorrupt
 		}
-		switch {
-		case sym < 256:
-			if len(out)-base+1 > origLen {
-				return dst, compress.ErrCorrupt
-			}
-			out = append(out, byte(sym))
-		case sym == eob:
-			if len(out)-base != origLen {
+		// Hand over at bit: one token the fast zone would not take, or,
+		// the zone having ended, the rest.
+		r.Reset(src[bit>>3:])
+		_, _ = r.ReadBits(uint(bit & 7)) // cannot fail: a bit past a byte's first lies inside src
+		var done bool
+		if o, done, err = st.decodeCareful(out, base, o, slow); err != nil {
+			return dst, err
+		}
+		if done {
+			if o-base != origLen {
 				return dst, compress.ErrSizeMismatch
 			}
 			return out, nil
-		default:
-			li := sym - 257
-			if li >= len(lengthCodes) {
-				return dst, compress.ErrCorrupt
-			}
-			length := lengthCodes[li].base
-			if eb := lengthCodes[li].extra; eb > 0 {
-				v, err := r.ReadBits(eb)
-				if err != nil {
-					return dst, compress.ErrCorrupt
-				}
-				length += int(v)
-			}
-			if distDec == nil {
-				return dst, compress.ErrCorrupt
-			}
-			ds, err := distDec.Decode(r)
-			if err != nil || ds >= numDist {
-				return dst, compress.ErrCorrupt
-			}
-			dist := distCodes[ds].base
-			if eb := distCodes[ds].extra; eb > 0 {
-				v, err := r.ReadBits(eb)
-				if err != nil {
-					return dst, compress.ErrCorrupt
-				}
-				dist += int(v)
-			}
-			ref := len(out) - dist
-			if ref < base || len(out)-base+length > origLen {
-				return dst, compress.ErrCorrupt
-			}
-			if dist >= length {
-				out = append(out, out[ref:ref+length]...)
-				continue
-			}
-			// Overlapping reference: the copy must see its own output.
-			for k := 0; k < length; k++ {
-				out = append(out, out[ref+k])
-			}
 		}
+		bit = 8*len(src) - r.BitsRemaining()
 	}
 }
 

@@ -1,7 +1,10 @@
 package gz
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
+	"slices"
 	"testing"
 
 	"edc/internal/bitio"
@@ -10,11 +13,11 @@ import (
 	"edc/internal/huffman"
 )
 
-// This file keeps the codec as it was before the loops in gz.go were
+// This file keeps the encoder as it was before the loops in gz.go were
 // rewritten for speed — hash heads refilled with -1 per call, byte-wise
 // match extension, linear scans for the length and distance codes, one
-// WriteBits per field, byte-wise match copy — as the definition of the
-// stream the fast loops must reproduce.
+// WriteBits per field — as the definition of the stream the fast loops
+// must reproduce, and the decoder as it was before its fast zone.
 
 // refLengthToCode maps a match length (3..258) to (symbol, extra value, bits).
 func refLengthToCode(l int) (sym, extraVal int, extraBits uint) {
@@ -126,7 +129,7 @@ func refParse(src []byte) []token {
 	return tokens
 }
 
-// refCodec is the old AppendCompress/DecompressAppend pair.
+// refCodec is the kept AppendCompress/DecompressAppend pair.
 type refCodec struct{}
 
 func (refCodec) AppendCompress(dst, src []byte) []byte {
@@ -141,9 +144,10 @@ func (refCodec) AppendCompress(dst, src []byte) []byte {
 	return out
 }
 
-func refAppendHuffman(dst, src []byte) []byte {
-	tokens := refParse(src)
+func refAppendHuffman(dst, src []byte) []byte { return refEncode(dst, refParse(src)) }
 
+// refEncode appends the Huffman container for tokens to dst.
+func refEncode(dst []byte, tokens []token) []byte {
 	litFreq := make([]int64, numLitLen)
 	distFreq := make([]int64, numDist)
 	litFreq[eob] = 1
@@ -208,6 +212,10 @@ func refAppendHuffman(dst, src []byte) []byte {
 	return w.Bytes()
 }
 
+// DecompressAppend is the decoder as it was before gz.go's became two
+// zones writing by index over a bit accumulator in locals: one loop, one
+// bitio.Reader call per field, one append per token. It stays as the
+// definition of the bytes and the error the fast decoder must return.
 func (refCodec) DecompressAppend(dst, src []byte, origLen int) ([]byte, error) {
 	if len(src) == 0 {
 		return dst, compress.ErrCorrupt
@@ -221,22 +229,27 @@ func (refCodec) DecompressAppend(dst, src []byte, origLen int) ([]byte, error) {
 	if src[0] != compressedMagic {
 		return dst, compress.ErrCorrupt
 	}
-	r := bitio.NewReader(src)
+	st := decPool.Get().(*decState)
+	defer decPool.Put(st)
+	r := &st.r
+	r.Reset(src)
 	if _, err := r.ReadBits(8); err != nil {
 		return dst, compress.ErrCorrupt
 	}
-	litLens, err := huffman.ReadLengths(r, numLitLen)
+	litLens, err := huffman.ReadLengthsInto(r, st.litLens, numLitLen)
 	if err != nil {
 		return dst, compress.ErrCorrupt
 	}
-	distLens, err := huffman.ReadLengths(r, numDist)
+	st.litLens = litLens
+	distLens, err := huffman.ReadLengthsInto(r, st.distLens, numDist)
 	if err != nil {
 		return dst, compress.ErrCorrupt
 	}
-	litDec, err := huffman.NewDecoderFromLengths(litLens)
-	if err != nil {
+	st.distLens = distLens
+	if err := st.litDec.Reset(litLens); err != nil {
 		return dst, compress.ErrCorrupt
 	}
+	litDec := &st.litDec
 	var distDec *huffman.Decoder
 	hasDist := false
 	for _, l := range distLens {
@@ -246,12 +259,17 @@ func (refCodec) DecompressAppend(dst, src []byte, origLen int) ([]byte, error) {
 		}
 	}
 	if hasDist {
-		if distDec, err = huffman.NewDecoderFromLengths(distLens); err != nil {
+		if err := st.distDec.Reset(distLens); err != nil {
 			return dst, compress.ErrCorrupt
 		}
+		distDec = &st.distDec
 	}
 	base := len(dst)
 	out := dst
+	if origLen > 0 {
+		// Size the output once; every append below then stays in place.
+		out = slices.Grow(out, origLen)
+	}
 	for {
 		sym, err := litDec.Decode(r)
 		if err != nil {
@@ -300,6 +318,11 @@ func (refCodec) DecompressAppend(dst, src []byte, origLen int) ([]byte, error) {
 			if ref < base || len(out)-base+length > origLen {
 				return dst, compress.ErrCorrupt
 			}
+			if dist >= length {
+				out = append(out, out[ref:ref+length]...)
+				continue
+			}
+			// Overlapping reference: the copy must see its own output.
 			for k := 0; k < length; k++ {
 				out = append(out, out[ref+k])
 			}
@@ -308,6 +331,7 @@ func (refCodec) DecompressAppend(dst, src []byte, origLen int) ([]byte, error) {
 }
 
 func TestMatchesReference(t *testing.T) { codectest.RunDifferential(t, New(), refCodec{}) }
+func TestZoneBoundaries(t *testing.T)   { codectest.RunZoneBoundaries(t, New(), refCodec{}) }
 
 // TestCodeTablesMatchReference holds the table and bits.Len forms to
 // the linear scans over every length and distance.
@@ -326,4 +350,68 @@ func TestCodeTablesMatchReference(t *testing.T) {
 			t.Fatalf("distance %d: (%d,%d,%d), reference (%d,%d,%d)", d, s, ev, eb, rs, rev, reb)
 		}
 	}
+}
+
+// BenchmarkDecode pairs every decode row with the reference decoder.
+func BenchmarkDecode(b *testing.B) { codectest.RunDecodeBench(b, New(), refCodec{}) }
+
+// overlapDiff hand-builds a stream for every distance 1…16 and every
+// match length 3…maxMatch — sixteen literals, the match, and then either
+// nothing, so that the careful loop decodes it, or enough literals that
+// the fast zone does — and returns the first one New() decodes
+// differently from the reference (codectest.DiffDecode), or "". Matches
+// closer than their length are the copies that must see their own output.
+func overlapDiff(t *testing.T) string {
+	t.Helper()
+	var seed [16]token
+	for i := range seed {
+		seed[i].lit = byte(0x41 + i)
+	}
+	pad := make([]token, outSlack+64)
+	for i := range pad {
+		pad[i].lit = '.'
+	}
+	for dist := 1; dist <= len(seed); dist++ {
+		for length := minMatch; length <= maxMatch; length++ {
+			for _, tail := range [][]token{nil, pad} {
+				tokens := append(seed[:len(seed):len(seed)], token{dist: int32(dist), len: int32(length)})
+				tokens = append(tokens, tail...)
+				var want []byte
+				for _, tk := range tokens {
+					if tk.dist == 0 {
+						want = append(want, tk.lit)
+					}
+					for k := int32(0); k < tk.len; k++ {
+						want = append(want, want[len(want)-dist])
+					}
+				}
+				stream := refEncode(nil, tokens)
+				got, err := refCodec{}.DecompressAppend(nil, stream, len(want))
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("distance %d, length %d: the reference does not decode the hand-built stream: %v", dist, length, err)
+				}
+				if d := codectest.DiffDecode(New(), refCodec{}, stream, len(want)); d != "" {
+					return fmt.Sprintf("distance %d, length %d, %d literals after the match: %s", dist, length, len(tail), d)
+				}
+			}
+		}
+	}
+	return ""
+}
+
+func TestOverlappingMatches(t *testing.T) {
+	if d := overlapDiff(t); d != "" {
+		t.Fatal(d)
+	}
+}
+
+// TestOverlapSweepCatchesMutation shows the sweep above has teeth: with
+// one length code's base off by one in the table both zones read, it
+// reports a difference, and none once the fault is undone.
+func TestOverlapSweepCatchesMutation(t *testing.T) {
+	codectest.RunCatchesMutation(t, func() string { return overlapDiff(t) }, func() func() {
+		old := litInfo[257+9]
+		litInfo[257+9] += 1 << infoValue
+		return func() { litInfo[257+9] = old }
+	})
 }

@@ -6,5 +6,5 @@ import (
 	"edc/internal/compress/codectest"
 )
 
-func FuzzDecompress(f *testing.F) { codectest.FuzzDecompress(f, New()) }
+func FuzzDecompress(f *testing.F) { codectest.FuzzDecompressDiff(f, New(), refCodec{}) }
 func FuzzRoundTrip(f *testing.F)  { codectest.FuzzRoundTrip(f, New()) }

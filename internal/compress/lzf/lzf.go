@@ -147,35 +147,129 @@ func (t *matchTable) appendCompress(out, src []byte) []byte {
 
 // Decompress implements compress.Codec.
 func (c *Codec) Decompress(src []byte, origLen int) ([]byte, error) {
-	out, err := c.DecompressAppend(make([]byte, 0, origLen), src, origLen)
+	out, err := c.DecompressAppend(nil, src, origLen)
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
+// The decoder's fast zone runs while one worst-case token still fits
+// before the end of both buffers, so inside it only a reference reaching
+// back past the start of the output needs a check. Both are whole words
+// because the fast copies move eight bytes at a time and may run up to
+// seven bytes past a token's own end.
+const (
+	inSlack  = (1 + maxLit + 7) &^ 7   // control byte and the longest literal run
+	outSlack = (maxMatch + 7 + 7) &^ 7 // the longest match, its word moves starting up to seven bytes in
+)
+
+// nearLead[d-1] is how many bytes of a match at distance d < 8 are
+// copied singly before word moves take over: the least multiple of d
+// that is 8 or more, less d.
+var nearLead = [7]uint8{7, 6, 6, 4, 5, 6, 7}
+
+// maxExpand bounds the output one input byte can stand for: the
+// three-byte extended match token yields maxMatch bytes, every other
+// token less per byte.
+const maxExpand = maxMatch / 3
+
+// copy8 copies eight bytes from src[s:] to dst[d:].
+func copy8(dst []byte, d int, src []byte, s int) {
+	binary.LittleEndian.PutUint64(dst[d:d+8:d+8], binary.LittleEndian.Uint64(src[s:s+8:s+8]))
+}
+
+// decodeFast decodes tokens of src into out from out[base] for as long
+// as both buffers keep their slack, without length checks and eight
+// bytes per move, and returns where it stopped in each; ok is false when
+// a reference reaches back past base.
+func decodeFast(out, src []byte, base int) (i, o int, ok bool) {
+	o = base
+	for i+inSlack <= len(src) && o+outSlack <= len(out) {
+		s := src[i : i+inSlack : i+inSlack]
+		ctrl := int(s[0])
+		if ctrl < 0x20 {
+			d := out[o : o+maxLit : o+maxLit]
+			binary.LittleEndian.PutUint64(d[0:], binary.LittleEndian.Uint64(s[1:]))
+			binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(s[9:]))
+			if ctrl >= 16 {
+				binary.LittleEndian.PutUint64(d[16:], binary.LittleEndian.Uint64(s[17:]))
+				binary.LittleEndian.PutUint64(d[24:], binary.LittleEndian.Uint64(s[25:]))
+			}
+			i += ctrl + 2
+			o += ctrl + 1
+			continue
+		}
+		mlen := ctrl>>5 + 2
+		low := int(s[1])
+		i += 2
+		if mlen == 7+2 {
+			mlen += low
+			low = int(s[2])
+			i++
+		}
+		off := (ctrl&0x1f)<<8 | low
+		ref := o - off - 1
+		if ref < base {
+			return i, o, false
+		}
+		if off < 7 {
+			// Closer than a word: the output repeats with period off+1.
+			// The first bytes go one at a time, until a whole number of
+			// periods, eight bytes or more, lies behind the next one;
+			// from there whole words can follow at that distance.
+			lead := int(nearLead[off])
+			for k := 0; k < lead; k++ {
+				out[o+k] = out[ref+k]
+			}
+			for k := lead; k < mlen; k += 8 {
+				copy8(out, o+k, out, ref+k-lead)
+			}
+			o += mlen
+			continue
+		}
+		// Distance of a word or more: each load sees only bytes that
+		// earlier moves have finished. Most matches fit the first word.
+		copy8(out, o, out, ref)
+		for k := 8; k < mlen; k += 8 {
+			copy8(out, o+k, out, ref+k)
+		}
+		o += mlen
+	}
+	return i, o, true
+}
+
 // DecompressAppend implements compress.DecompressAppender: it appends
 // the decompressed form of src to dst (growing it as needed) and returns
 // the extended slice. Back references are resolved relative to the bytes
 // appended by this call, so a dst prefix never leaks into the output.
+//
+// The output is sized once — to origLen, or to what len(src) bytes can
+// expand to when that is less, so a lying origLen costs no memory — and
+// written by index; nothing outside dst[len(dst):len(dst)+origLen] is
+// touched, and on error dst comes back as it was passed.
 func (*Codec) DecompressAppend(dst, src []byte, origLen int) ([]byte, error) {
 	base := len(dst)
-	out := dst
-	if origLen > 0 {
-		// Size the output once; every append below then stays in place.
-		out = slices.Grow(out, origLen)
+	grow := max(0, min(origLen, len(src)*maxExpand))
+	out := slices.Grow(dst, grow)[:base+grow]
+
+	i, o, ok := decodeFast(out, src, base)
+	if !ok {
+		return dst, compress.ErrCorrupt
 	}
-	i := 0
+
+	// Careful tail: the last tokens, every length checked.
 	for i < len(src) {
 		ctrl := int(src[i])
 		i++
 		if ctrl < 0x20 {
 			n := ctrl + 1
-			if i+n > len(src) || len(out)-base+n > origLen {
+			if i+n > len(src) || o+n > len(out) {
 				return dst, compress.ErrCorrupt
 			}
-			out = append(out, src[i:i+n]...)
+			copy(out[o:], src[i:i+n])
 			i += n
+			o += n
 			continue
 		}
 		l := ctrl >> 5
@@ -192,20 +286,21 @@ func (*Codec) DecompressAppend(dst, src []byte, origLen int) ([]byte, error) {
 		}
 		off := (ctrl&0x1f)<<8 | int(src[i])
 		i++
-		ref := len(out) - off - 1
-		if ref < base || len(out)-base+mlen > origLen {
+		ref := o - off - 1
+		if ref < base || o+mlen > len(out) {
 			return dst, compress.ErrCorrupt
 		}
 		if off+1 >= mlen {
-			out = append(out, out[ref:ref+mlen]...)
-			continue
+			copy(out[o:], out[ref:ref+mlen])
+		} else {
+			// Overlapping reference: the copy must see its own output.
+			for k := 0; k < mlen; k++ {
+				out[o+k] = out[ref+k]
+			}
 		}
-		// Overlapping reference: the copy must see its own output.
-		for k := 0; k < mlen; k++ {
-			out = append(out, out[ref+k])
-		}
+		o += mlen
 	}
-	if len(out)-base != origLen {
+	if o-base != origLen {
 		return dst, compress.ErrSizeMismatch
 	}
 	return out, nil

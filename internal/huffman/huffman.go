@@ -11,6 +11,7 @@ package huffman
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"edc/internal/bitio"
 )
@@ -301,15 +302,8 @@ func limitLengths(lengths []uint8, maxBits int) {
 	}
 }
 
-// reverseBits reverses the low n bits of v.
-func reverseBits(v uint16, n uint8) uint16 {
-	var r uint16
-	for i := uint8(0); i < n; i++ {
-		r = r<<1 | (v & 1)
-		v >>= 1
-	}
-	return r
-}
+// reverseBits reverses the low n bits of v (1 <= n <= 16).
+func reverseBits(v uint16, n uint8) uint16 { return bits.Reverse16(v) >> (16 - n) }
 
 // NewEncoderFromLengths builds an Encoder from canonical code lengths.
 func NewEncoderFromLengths(lengths []uint8) (*Encoder, error) {
@@ -423,21 +417,22 @@ func (e *Encoder) NumSymbols() int { return len(e.codes) }
 
 // Decoder decodes canonical Huffman codes using a one-level lookup table.
 type Decoder struct {
-	// table maps the next `tableBits` input bits to (symbol, length).
-	// Codes longer than tableBits are resolved by a slow path walk.
-	table     []tableEntry
+	// table maps the next tableBits input bits to value<<4 | code length,
+	// value being the symbol or what ResetValues gave for it; 0 marks an
+	// invalid or overlong entry. Codes longer than tableBits are resolved
+	// by a slow path walk.
+	table     []uint32
 	tableBits uint
 	maxLen    uint8
 	// slow-path canonical data
 	lengths []uint8
+	values  []uint32 // nil: a symbol's value is the symbol
 	// codes is Reset's scratch for the canonical code assignment.
 	codes []Code
 }
 
-type tableEntry struct {
-	sym uint16
-	len uint8 // 0 marks an invalid/overlong entry
-}
+// maxTableBits caps the lookup table at 2048 entries.
+const maxTableBits = 11
 
 // NewDecoderFromLengths builds a Decoder for the canonical code described
 // by lengths.
@@ -454,7 +449,14 @@ func NewDecoderFromLengths(lengths []uint8) (*Decoder, error) {
 // zero-value Decoder plus Reset makes repeated decodings allocation-free
 // in steady state. On error the decoder is left unusable until a
 // successful Reset.
-func (d *Decoder) Reset(lengths []uint8) error {
+func (d *Decoder) Reset(lengths []uint8) error { return d.ResetValues(lengths, nil) }
+
+// ResetValues is Reset for a caller that wants more from a lookup than
+// the symbol: Decode returns values[sym] in place of sym, and Table
+// hands out the lookup table itself, so that one load tells a decode
+// loop everything it keeps per symbol. Values are below 1<<28; the
+// decoder keeps the slice, which must outlive its use.
+func (d *Decoder) ResetValues(lengths []uint8, values []uint32) error {
 	codes, err := canonicalCodesInto(d.codes, lengths)
 	if err != nil {
 		d.maxLen = 0
@@ -462,6 +464,7 @@ func (d *Decoder) Reset(lengths []uint8) error {
 		return err
 	}
 	d.codes = codes
+	d.values = values
 	if cap(d.lengths) < len(lengths) {
 		d.lengths = make([]uint8, len(lengths))
 	}
@@ -479,32 +482,45 @@ func (d *Decoder) Reset(lengths []uint8) error {
 	if maxLen == 0 {
 		return nil
 	}
-	tb := uint(maxLen)
-	if tb > 11 {
-		tb = 11
-	}
+	tb := min(uint(maxLen), maxTableBits)
 	d.tableBits = tb
 	if cap(d.table) < 1<<tb {
-		d.table = make([]tableEntry, 1<<tb)
+		d.table = make([]uint32, 1<<tb)
 	}
 	d.table = d.table[:1<<tb]
-	for i := range d.table {
-		d.table[i] = tableEntry{}
-	}
+	clear(d.table)
 	for sym, c := range codes {
 		if c.Len == 0 || uint(c.Len) > tb {
 			continue
 		}
 		// Fill all table slots whose low c.Len bits equal the code.
-		step := 1 << uint(c.Len)
-		for i := int(c.Bits); i < len(d.table); i += step {
-			d.table[i] = tableEntry{sym: uint16(sym), len: c.Len}
+		e := d.value(sym)<<4 | uint32(c.Len)
+		for i := int(c.Bits); i < len(d.table); i += 1 << c.Len {
+			d.table[i] = e
 		}
 	}
 	return nil
 }
 
-// Decode reads one symbol from r.
+// value returns what Decode reports for sym.
+func (d *Decoder) value(sym int) uint32 {
+	if d.values == nil {
+		return uint32(sym)
+	}
+	return d.values[sym]
+}
+
+// Table returns the lookup table, for a caller that decodes from a bit
+// accumulator of its own instead of paying a bitio.Reader call per
+// symbol. It has a power of two of slots (none for an empty code); the
+// slot indexed by that many next input bits holds value<<4 | n for the
+// symbol whose n-bit code begins them, or 0 when their code is longer
+// than the index or no code at all — Decode resolves those. The table
+// is the decoder's own: valid until the next Reset, not to be written.
+func (d *Decoder) Table() []uint32 { return d.table }
+
+// Decode reads one symbol from r and returns it (its value, after
+// ResetValues).
 func (d *Decoder) Decode(r *bitio.Reader) (int, error) {
 	if d.maxLen == 0 {
 		return 0, ErrInvalidLengths
@@ -512,12 +528,16 @@ func (d *Decoder) Decode(r *bitio.Reader) (int, error) {
 	v, avail := r.Peek(d.tableBits)
 	if avail > 0 {
 		e := d.table[v]
-		if e.len > 0 && uint(e.len) <= avail {
-			r.Skip(uint(e.len))
-			return int(e.sym), nil
+		if n := uint(e & 0xf); n > 0 && n <= avail {
+			r.Skip(n)
+			return int(e >> 4), nil
 		}
 	}
-	return d.decodeSlow(r)
+	sym, err := d.decodeSlow(r)
+	if err != nil {
+		return 0, err
+	}
+	return int(d.value(sym)), nil
 }
 
 // decodeSlow walks the canonical code bit by bit. It handles codes longer

@@ -288,3 +288,72 @@ func BenchmarkDecode(b *testing.B) {
 		cnt++
 	}
 }
+
+// TestResetValuesAndTable holds the two decode-side views of one code to
+// each other: Decode returns the caller's value for the symbol, short
+// code or long, and every slot of Table names the symbol whose code
+// begins the slot's index, or nothing when no code that short does.
+func TestResetValuesAndTable(t *testing.T) {
+	freqs := make([]int64, 256)
+	f := int64(1)
+	for i := range freqs { // skewed: codes from 2 bits to the 15-bit limit
+		freqs[i] = f
+		if i%8 == 7 {
+			f *= 2
+		}
+	}
+	lengths, err := BuildLengths(freqs, MaxBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := NewEncoderFromLengths(lengths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := make([]uint32, len(lengths))
+	for sym := range values {
+		values[sym] = uint32(sym)*3 + 7
+	}
+	var dec Decoder
+	if err := dec.ResetValues(lengths, values); err != nil {
+		t.Fatal(err)
+	}
+	w := bitio.NewWriter(1024)
+	for sym := range lengths {
+		if err := enc.Encode(w, sym); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := bitio.NewReader(w.Bytes())
+	long := 0
+	for sym := range lengths {
+		got, err := dec.Decode(r)
+		if err != nil || got != int(values[sym]) {
+			t.Fatalf("Decode of symbol %d = %d, %v; want its value %d", sym, got, err, values[sym])
+		}
+		if enc.CodeLen(sym) > maxTableBits {
+			long++
+		}
+	}
+	if long == 0 {
+		t.Fatal("no code longer than the table index: the slow path went untested")
+	}
+	tab := dec.Table()
+	if len(tab) != 1<<maxTableBits {
+		t.Fatalf("table has %d slots, want %d", len(tab), 1<<maxTableBits)
+	}
+	for i, e := range tab {
+		want := uint32(0)
+		for sym := range lengths {
+			if c := enc.Code(sym); c.Len <= maxTableBits && i&(1<<c.Len-1) == int(c.Bits) {
+				want = values[sym]<<4 | uint32(c.Len)
+			}
+		}
+		if e != want {
+			t.Fatalf("slot %#x holds %#x, want %#x", i, e, want)
+		}
+	}
+	if err := dec.Reset(make([]uint8, 4)); err != nil || len(dec.Table()) != 0 {
+		t.Fatalf("empty code: Reset %v, table of %d slots; want nil and none", err, len(dec.Table()))
+	}
+}
