@@ -47,12 +47,13 @@ raceall:
 matrixcheck:
 	GOMAXPROCS=4 $(GO) test -race -run TestFeatureMatrix .
 
-# Codec, generator and trace-format microbenchmarks with allocation
-# counts; the lzf/gz decode rows (BenchmarkDecode in their packages),
-# the datagen rows and the trace rows come in pairs, product and kept
-# reference.
+# Codec, generator, trace-format and backend microbenchmarks with
+# allocation counts; the lzf/gz decode rows (BenchmarkDecode in their
+# packages), the datagen rows and the trace rows come in pairs, product
+# and kept reference; BenchmarkBackend times one single-SSD or RAIS5
+# operation through its member queue.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/compress/... ./internal/datagen ./internal/trace
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/compress/... ./internal/datagen ./internal/trace ./internal/core
 
 # Ten seconds of fuzzing per target: the payload RNG against math/rand,
 # the two trace parsers (whose past crashers are in testdata/fuzz), the

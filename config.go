@@ -95,7 +95,7 @@ type config struct {
 	noEstimator bool
 
 	backend BackendKind
-	devices int // array size; fewer than 2 selects the paper's 5 for RAIS
+	devices int // array size; fewer than 2 selects the paper's 5 for RAIS, HDD takes at most 1
 	ssd     SSDConfig
 	// stripeUnitPages is the RAIS stripe unit in pages.
 	stripeUnitPages int
@@ -138,12 +138,15 @@ func (c *config) validate() error {
 		return fmt.Errorf("%w %q", ErrUnknownScheme, c.scheme)
 	}
 	switch c.backend {
-	case SingleSSD, RAIS0, RAIS5:
+	case SingleSSD, RAIS0, RAIS5, HDD:
 	default:
 		return fmt.Errorf("%w %d", ErrUnknownBackend, c.backend)
 	}
 	if c.devices < 0 {
 		return fmt.Errorf("edc: negative device count %d", c.devices)
+	}
+	if c.backend == HDD && c.devices > 1 {
+		return fmt.Errorf("edc: the HDD backend is one disk, not %d", c.devices)
 	}
 	if c.gzCeiling < 0 || c.lzfCeiling < 0 || c.gzCeiling > c.lzfCeiling {
 		return fmt.Errorf("edc: elastic thresholds gz=%g lzf=%g invalid (need 0 <= gz <= lzf)",
@@ -205,7 +208,8 @@ func WithElasticThresholds(gzMax, lzfMax float64) Option {
 	return func(c *config) { c.gzCeiling, c.lzfCeiling = gzMax, lzfMax }
 }
 
-// WithBackend selects the storage organization and device count.
+// WithBackend selects the storage organization and device count (RAIS
+// arrays only; HDD refuses more than one).
 func WithBackend(kind BackendKind, devices int) Option {
 	return func(c *config) { c.backend, c.devices = kind, devices }
 }

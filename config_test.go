@@ -27,6 +27,7 @@ func TestNewSystemValidation(t *testing.T) {
 		{name: "unknown scheme", opts: []Option{WithScheme("Zstd")}, is: ErrUnknownScheme, want: `"Zstd"`},
 		{name: "unknown backend", opts: []Option{WithBackend(BackendKind(42), 1)}, is: ErrUnknownBackend, want: "42"},
 		{name: "negative devices", opts: []Option{WithBackend(RAIS5, -1)}, want: "negative device count"},
+		{name: "multi-disk HDD", opts: []Option{WithBackend(HDD, 2)}, want: "HDD backend is one disk"},
 		{name: "negative gz ceiling", opts: []Option{WithElasticThresholds(-1, 100)}, want: "elastic thresholds"},
 		{name: "gz above lzf ceiling", opts: []Option{WithElasticThresholds(900, 100)}, want: "elastic thresholds"},
 		{name: "negative stripe unit", opts: []Option{WithStripeUnit(-1)}, want: "negative stripe unit"},

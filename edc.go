@@ -43,6 +43,7 @@ import (
 	_ "edc/internal/compress/lzf"
 	"edc/internal/core"
 	"edc/internal/datagen"
+	"edc/internal/hdd"
 	"edc/internal/obs"
 	"edc/internal/rais"
 	"edc/internal/sim"
@@ -183,6 +184,7 @@ const (
 	SingleSSD BackendKind = iota // one device (Figs. 8-10)
 	RAIS0                        // striped array
 	RAIS5                        // rotating-parity array (Fig. 11)
+	HDD                          // one 7200 RPM disk (paper future work #2)
 )
 
 // System is one configured EDC stack — virtual-time engine, backend
@@ -299,14 +301,20 @@ func policyFor(c *config) (core.Policy, error) {
 
 // buildBackend constructs one backend instance on eng per the configured
 // organization: every pipeline a System runs gets a private one.
-func buildBackend(c *config, eng *sim.Engine) (core.Backend, error) {
+func buildBackend(c *config, eng *sim.Engine) (*core.Backend, error) {
 	switch c.backend {
 	case SingleSSD:
 		d, err := ssd.New(c.ssd)
 		if err != nil {
 			return nil, err
 		}
-		return core.NewSingleSSD(eng, d), nil
+		return core.NewSSDBackend(eng, d), nil
+	case HDD:
+		d, err := hdd.New(hdd.DefaultConfig())
+		if err != nil {
+			return nil, err
+		}
+		return core.NewDiskBackend(eng, d), nil
 	case RAIS0, RAIS5:
 		n := c.devices
 		if n < 2 {
@@ -328,7 +336,7 @@ func buildBackend(c *config, eng *sim.Engine) (core.Backend, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.NewRAISBackend(eng, arr), nil
+		return core.NewArrayBackend(eng, arr), nil
 	default:
 		return nil, fmt.Errorf("%w %d", ErrUnknownBackend, c.backend)
 	}
@@ -371,7 +379,7 @@ func NewSystem(volumeBytes int64, opts ...Option) (*System, error) {
 	// per-shard worker budget is carved out of GOMAXPROCS: an idle core
 	// helps whichever shard is hot.
 	c.serve.VolumeBytes = volumeBytes
-	c.serve.Backend = func(eng *sim.Engine) (core.Backend, error) { return buildBackend(c, eng) }
+	c.serve.Backend = func(eng *sim.Engine) (*core.Backend, error) { return buildBackend(c, eng) }
 	c.serve.Options = func(int) (core.Options, error) { return deviceOptions(c) }
 	c.serve.Obs = c.collector()
 	if _, err := core.NewSharded(c.serve.ShardSetup); err != nil {

@@ -18,7 +18,7 @@ var (
 	// recognize.
 	ErrUnknownWorkload = errors.New("edc: unknown workload")
 	// ErrUnknownBackend reports a BackendKind outside
-	// SingleSSD/RAIS0/RAIS5.
+	// SingleSSD/RAIS0/RAIS5/HDD.
 	ErrUnknownBackend = errors.New("edc: unknown backend kind")
 	// ErrReplayed reports a second Play on a single-use System.
 	ErrReplayed = core.ErrReplayed

@@ -82,20 +82,21 @@ func (p Params) volume() int64 {
 // every mode that builds a System — the experiments' replay cells,
 // RunServe and edcbench -replay: scheme s with enterprise payloads
 // seeded by dataSeed on the single-SSD model (an array backend: five of
-// the array member model), then the overlay fields.
+// the array member model; the disk: the stock one), then the overlay
+// fields.
 func (p Params) options(s edc.Scheme, backend edc.BackendKind, dataSeed int64) []edc.Option {
 	prof := edc.DataProfiles()["enterprise"]
 	if p.DupRatio > 0 {
 		prof = prof.WithDup(p.DupRatio, p.DupUniverse)
 	}
-	ssdCfg := singleSSDConfig()
-	if backend != edc.SingleSSD {
-		ssdCfg = raisSSDConfig()
+	ssdCfg, devices := singleSSDConfig(), 1
+	if backend == edc.RAIS0 || backend == edc.RAIS5 {
+		ssdCfg, devices = raisSSDConfig(), 5
 	}
 	opts := []edc.Option{
 		edc.WithScheme(s),
 		edc.WithDataProfile(prof, dataSeed),
-		edc.WithBackend(backend, 5),
+		edc.WithBackend(backend, devices),
 		edc.WithSSDConfig(ssdCfg),
 		edc.WithShards(p.Shards),
 		edc.WithFaults(p.Faults),

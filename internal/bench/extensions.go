@@ -7,10 +7,6 @@ import (
 	"edc"
 	"edc/internal/compress"
 	"edc/internal/core"
-	"edc/internal/datagen"
-	"edc/internal/hdd"
-	"edc/internal/sim"
-	"edc/internal/trace"
 	"edc/internal/workload"
 )
 
@@ -193,7 +189,7 @@ func runExtHDD(p Params) ([]*Table, error) {
 	// A gentle large-request stream that the disk can sustain: bursty
 	// traces saturate a ~100-IOPS disk and flatten every scheme into the
 	// queueing ceiling.
-	prof := workloadUniform("hdd-mix", 65536, 60, 0.5, p.volume())
+	prof := workload.Uniform("hdd-mix", 65536, 60, 0.5, p.volume())
 	tr, err := prof.GenerateN(p.requests()/2, 1005+p.Seed)
 	if err != nil {
 		return nil, err
@@ -205,7 +201,7 @@ func runExtHDD(p Params) ([]*Table, error) {
 	}
 	var natMean time.Duration
 	for _, s := range edc.Schemes() {
-		res, err := replayHDD(p, tr, s)
+		res, err := replayScheme(p, edc.HDD, tr, s, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -223,66 +219,6 @@ func runExtHDD(p Params) ([]*Table, error) {
 	t.Notes = append(t.Notes,
 		"On disks, seek+rotation dominate small I/O, so compression's size reduction buys less latency than on flash; space savings are unchanged.")
 	return []*Table{t}, nil
-}
-
-// replayHDD builds a core.Device over the disk backend directly (the
-// public facade only wires flash backends).
-func replayHDD(p Params, tr *trace.Trace, s edc.Scheme) (*core.RunStats, error) {
-	eng := sim.NewEngine()
-	cfg := hdd.DefaultConfig()
-	disk, err := hdd.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	be := core.NewHDDBackend(eng, disk)
-	pol, err := corePolicy(s)
-	if err != nil {
-		return nil, err
-	}
-	dev, err := core.NewDevice(eng, be, p.volume(), core.Options{
-		Policy: pol,
-		Data:   datagen.New(datagen.Enterprise(), 5+p.Seed),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dev.Play(tr)
-}
-
-// workloadUniform builds a constant-rate profile (IOmeter style).
-func workloadUniform(name string, size int64, iops, readRatio float64, volume int64) edc.WorkloadProfile {
-	return workload.Uniform(name, size, iops, readRatio, volume)
-}
-
-// corePolicy maps a public scheme name onto a core policy.
-func corePolicy(s edc.Scheme) (core.Policy, error) {
-	reg := compress.Default()
-	switch s {
-	case edc.SchemeNative:
-		return core.Native(), nil
-	case edc.SchemeLzf:
-		c, err := reg.ByName("lzf")
-		if err != nil {
-			return nil, err
-		}
-		return core.Fixed("Lzf", c), nil
-	case edc.SchemeGzip:
-		c, err := reg.ByName("gz")
-		if err != nil {
-			return nil, err
-		}
-		return core.Fixed("Gzip", c), nil
-	case edc.SchemeBzip2:
-		c, err := reg.ByName("bwz")
-		if err != nil {
-			return nil, err
-		}
-		return core.Fixed("Bzip2", c), nil
-	case edc.SchemeEDC:
-		return core.DefaultElastic(reg)
-	default:
-		return nil, fmt.Errorf("bench: unsupported scheme %q", s)
-	}
 }
 
 // runExtOffload contrasts host-side compression with the FTL-integrated

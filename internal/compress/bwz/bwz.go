@@ -16,6 +16,7 @@ package bwz
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 
 	"edc/internal/bitio"
@@ -443,47 +444,51 @@ func compressBlock(w *bitio.Writer, block []byte, st *scratch) {
 	_ = enc.Encode(w, symEOB)
 }
 
-// decompressBlockInto decodes one block of len(out) original bytes from
-// r directly into out, using st for every intermediate buffer.
-func decompressBlockInto(r *bitio.Reader, out []byte, st *decScratch) error {
-	blockLen := len(out)
+// decompressBlock decodes one block of blockLen original bytes from r
+// and appends them to out, using st for every intermediate buffer. out
+// grows only once the block's symbols have decoded to blockLen bytes, so
+// the length a header claims costs no memory until the input backs it.
+func decompressBlock(r *bitio.Reader, out []byte, blockLen int, st *decScratch) ([]byte, error) {
 	p64, err := r.ReadBits(24)
 	if err != nil {
-		return compress.ErrCorrupt
+		return out, compress.ErrCorrupt
 	}
 	lengths, err := huffman.ReadLengthsInto(r, st.lengths, numSyms)
 	if err != nil {
-		return compress.ErrCorrupt
+		return out, compress.ErrCorrupt
 	}
 	st.lengths = lengths
 	if err := st.dec.Reset(lengths); err != nil {
-		return compress.ErrCorrupt
+		return out, compress.ErrCorrupt
 	}
-	if cap(st.syms) < blockLen/2+8 {
-		st.syms = make([]uint16, 0, blockLen/2+8)
+	// Every symbol takes at least one bit of input.
+	if want := min(blockLen/2+8, r.BitsRemaining()+1); cap(st.syms) < want {
+		st.syms = make([]uint16, 0, want)
 	}
 	syms := st.syms[:0]
 	for {
 		s, err := st.dec.Decode(r)
 		if err != nil {
-			return compress.ErrCorrupt
+			return out, compress.ErrCorrupt
 		}
 		if s == symEOB {
 			break
 		}
 		if len(syms) > 3*blockLen+16 {
-			return compress.ErrCorrupt
+			return out, compress.ErrCorrupt
 		}
 		syms = append(syms, uint16(s))
 	}
 	st.syms = syms
 	mtfd, err := rleDecodeInto(st.mtfd[:0], syms, blockLen)
 	if err != nil {
-		return err
+		return out, err
 	}
 	st.mtfd = mtfd
 	unmtfInPlace(mtfd)
-	return unbwtInto(out, mtfd, int(p64), st)
+	pos := len(out)
+	out = slices.Grow(out, blockLen)[:pos+blockLen]
+	return out, unbwtInto(out[pos:], mtfd, int(p64), st)
 }
 
 // Compress implements compress.Codec.
@@ -515,7 +520,7 @@ func (*Codec) AppendCompress(dst, src []byte) []byte {
 
 // Decompress implements compress.Codec.
 func (c *Codec) Decompress(src []byte, origLen int) ([]byte, error) {
-	out, err := c.DecompressAppend(make([]byte, 0, origLen), src, origLen)
+	out, err := c.DecompressAppend(nil, src, origLen)
 	if err != nil {
 		return nil, err
 	}
@@ -523,36 +528,24 @@ func (c *Codec) Decompress(src []byte, origLen int) ([]byte, error) {
 }
 
 // DecompressAppend implements compress.DecompressAppender: it appends
-// the decompressed form of src to dst (growing it at most once) and
-// returns the extended slice. Each BWT block is inverted directly into
-// its final position; all intermediate state comes from the pooled
-// decScratch, so a steady-state call with a pre-sized dst allocates
-// nothing.
+// the decompressed form of src to dst and returns the extended slice.
+// Each BWT block is inverted directly into its final position, growing
+// dst block by block as the input proves each one; all intermediate
+// state comes from the pooled decScratch, so a steady-state call with a
+// pre-sized dst allocates nothing.
 func (*Codec) DecompressAppend(dst, src []byte, origLen int) ([]byte, error) {
-	base := len(dst)
 	out := dst
-	if cap(out) < base+origLen {
-		grown := make([]byte, base+origLen)
-		copy(grown, out)
-		out = grown
-	} else {
-		out = out[:base+origLen]
-	}
 	st := decPool.Get().(*decScratch)
 	defer decPool.Put(st)
 	r := &st.r
 	r.Reset(src)
-	pos := base
 	remaining := origLen
 	for {
-		blockLen := remaining
-		if blockLen > MaxBlock {
-			blockLen = MaxBlock
-		}
-		if err := decompressBlockInto(r, out[pos:pos+blockLen], st); err != nil {
+		blockLen := min(remaining, MaxBlock)
+		var err error
+		if out, err = decompressBlock(r, out, blockLen, st); err != nil {
 			return dst, err
 		}
-		pos += blockLen
 		remaining -= blockLen
 		if remaining == 0 {
 			break

@@ -10,17 +10,19 @@ import (
 	"testing"
 
 	"edc/internal/compress"
+	"edc/internal/compress/bwz"
 	"edc/internal/compress/codectest"
 	"edc/internal/compress/gz"
+	"edc/internal/compress/lz4x"
 	"edc/internal/compress/lzf"
 )
 
-// boundedRegistry holds the codecs whose decoders size their output by
-// the input as well as by the frame header's origLen: none, lzf and gz.
-// (lz4 and bwz still reserve origLen up front.)
+// boundedRegistry holds every shipped codec — none, lzf, gz, lz4 and
+// bwz — each of whose decoders sizes its output by the input as well as
+// by the frame header's origLen.
 func boundedRegistry() *compress.Registry {
 	reg := compress.NewRegistry()
-	for _, c := range []compress.Codec{lzf.New(), gz.New()} {
+	for _, c := range []compress.Codec{lzf.New(), gz.New(), lz4x.New(), bwz.New()} {
 		if err := reg.Register(c); err != nil {
 			panic(err)
 		}
@@ -57,6 +59,8 @@ func TestHostileFrameAllocatesByInput(t *testing.T) {
 		{"lzf", compress.TagLZF, []byte{0x00, 'a'}, compress.ErrSizeMismatch}, // one literal
 		{"gz", compress.TagGZ, []byte{0x00, 0x00}, compress.ErrCorrupt},       // code lengths cut short
 		{"gz-stored", compress.TagGZ, []byte{0x01, 'a'}, compress.ErrSizeMismatch},
+		{"lz4", compress.TagLZ4, []byte{0x10, 'a'}, compress.ErrSizeMismatch}, // one literal
+		{"bwz", compress.TagBWZ, []byte{0x00, 0x00}, compress.ErrCorrupt},     // primary index cut short
 	} {
 		f := frame(tc.tag, hostileOrigLen, tc.payload)
 		stream := append(binary.LittleEndian.AppendUint32(nil, uint32(len(f))), f...)
@@ -80,7 +84,7 @@ func TestHostileFrameAllocatesByInput(t *testing.T) {
 // nothing panics. The hostile frames above are seeds in testdata/fuzz.
 func FuzzDecodeFrame(f *testing.F) {
 	reg := boundedRegistry()
-	for _, name := range []string{"none", "lzf", "gz"} {
+	for _, name := range []string{"none", "lzf", "gz", "lz4", "bwz"} {
 		c, err := reg.ByName(name)
 		if err != nil {
 			f.Fatal(err)

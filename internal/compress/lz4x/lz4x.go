@@ -140,9 +140,15 @@ func (*Codec) AppendCompress(dst, src []byte) []byte {
 	return out
 }
 
-// Decompress implements compress.Codec.
+// maxExpand bounds the output one input byte can stand for: an extended
+// match-length byte adds up to 255 bytes, every other byte less.
+const maxExpand = 255
+
+// Decompress implements compress.Codec. The output is reserved for
+// origLen, or for what len(src) bytes can expand to when that is less,
+// so a lying origLen costs no memory.
 func (c *Codec) Decompress(src []byte, origLen int) ([]byte, error) {
-	out, err := c.DecompressAppend(make([]byte, 0, origLen), src, origLen)
+	out, err := c.DecompressAppend(make([]byte, 0, max(0, min(origLen, len(src)*maxExpand))), src, origLen)
 	if err != nil {
 		return nil, err
 	}

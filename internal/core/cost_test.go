@@ -53,9 +53,13 @@ func TestCodecChargeMatchesOldBranches(t *testing.T) {
 	}
 }
 
-// TestOffloadCostDefaults checks NewDevice still fills in the stock
-// engine when Offload is set without a throughput.
+// TestOffloadCostDefaults checks NewDevice charges offloaded codec work
+// at the stock engine's throughput and bills the host only without
+// Offload.
 func TestOffloadCostDefaults(t *testing.T) {
+	if got := newTestRig(t, Options{}).dev.se.charge; got.offload {
+		t.Fatalf("charge = %+v, want host-side", got)
+	}
 	d := newTestRig(t, Options{Offload: true}).dev
 	if got := d.se.charge; !got.offload || got.device != DefaultOffloadCost() {
 		t.Fatalf("charge = %+v, want offload at %+v", got, DefaultOffloadCost())

@@ -524,7 +524,6 @@ func TestPlayUntilRecoverDedup(t *testing.T) {
 
 	eng1, be1 := freshSSDRig(t)
 	o := opts()
-	o.Registry = defaultTestRegistry(t)
 	dev1, err := NewDevice(eng1, be1, 256<<20, o)
 	if err != nil {
 		t.Fatal(err)
@@ -539,7 +538,6 @@ func TestPlayUntilRecoverDedup(t *testing.T) {
 
 	eng2, be2 := freshSSDRig(t)
 	o2 := opts()
-	o2.Registry = defaultTestRegistry(t)
 	dev2, err := RecoverDevice(eng2, be2, 256<<20, o2, cs)
 	if err != nil {
 		t.Fatal(err)
@@ -587,7 +585,6 @@ func TestRecoveredMappingDefersFrees(t *testing.T) {
 		return Options{
 			Policy:      Native(),
 			Data:        datagen.New(prof, 11),
-			Registry:    defaultTestRegistry(t),
 			VerifyReads: true,
 			Dedup:       &dedup.Config{Enabled: true},
 		}

@@ -25,12 +25,6 @@ type Options struct {
 	Policy Policy
 	// Cost is the CPU cost model (default: DefaultCostModel).
 	Cost CostModel
-	// Registry resolves codec tags (default: compress.Default()).
-	Registry *compress.Registry
-	// MonitorWindow/MonitorBins configure the workload monitor
-	// (default: 1 s window, 10 bins).
-	MonitorWindow time.Duration
-	MonitorBins   int
 	// Meter overrides the local dual-window workload monitor with an
 	// external intensity source. Sharded replay injects a shared
 	// read-only IntensitySnapshot here so every shard sees the same
@@ -42,8 +36,6 @@ type Options struct {
 	// contiguous successor before being compressed anyway
 	// (default: 10 ms). Zero keeps the default; negative disables.
 	FlushTimeout time.Duration
-	// Estimator samples write payloads (default: NewEstimator).
-	Estimator *Estimator
 	// Data generates write payload content (default: datagen.Enterprise
 	// profile, seed 1).
 	Data *datagen.Generator
@@ -77,12 +69,9 @@ type Options struct {
 	CacheBytes int64
 	// Offload moves (de)compression into the device, as FTL-integrated
 	// designs do (zFTL [28]; hardware-assisted compression [23]): the
-	// host CPU is not charged, and the codec engine's time (OffloadCost)
-	// is added to the device operation instead.
+	// host CPU is not charged, and the codec engine's time
+	// (DefaultOffloadCost) is added to the device operation instead.
 	Offload bool
-	// OffloadCost is the device-side codec engine throughput (default:
-	// a hardware-assisted engine at 150/300 MB/s).
-	OffloadCost CodecCost
 	// Obs receives one event per pipeline decision plus counters and
 	// optional time series (see internal/obs). Nil disables observability
 	// entirely; the nil path is bit-identical to an uninstrumented
@@ -177,7 +166,7 @@ type Device struct {
 
 // NewDevice builds an EDC device over backend be exposing volumeBytes of
 // logical space. volumeBytes must fit the backend.
-func NewDevice(eng *sim.Engine, be Backend, volumeBytes int64, opts Options) (*Device, error) {
+func NewDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options) (*Device, error) {
 	if volumeBytes <= 0 {
 		return nil, errors.New("core: volumeBytes must be positive")
 	}
@@ -198,26 +187,11 @@ func NewDevice(eng *sim.Engine, be Backend, volumeBytes int64, opts Options) (*D
 	if err := opts.Cost.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Registry == nil {
-		opts.Registry = compress.Default()
-	}
-	if opts.MonitorWindow <= 0 {
-		opts.MonitorWindow = 500 * time.Millisecond
-	}
-	if opts.MonitorBins <= 0 {
-		opts.MonitorBins = 10
-	}
 	if opts.Meter == nil {
-		opts.Meter = newDualMonitor(opts.MonitorWindow, opts.MonitorBins)
-	}
-	if opts.Estimator == nil {
-		opts.Estimator = NewEstimator()
+		opts.Meter = newMonitor()
 	}
 	if opts.Data == nil {
 		opts.Data = datagen.New(datagen.Enterprise(), 1)
-	}
-	if opts.OffloadCost.CompressBps <= 0 || opts.OffloadCost.DecompressBps <= 0 {
-		opts.OffloadCost = DefaultOffloadCost()
 	}
 	switch {
 	case opts.FlushTimeout == 0:
@@ -253,7 +227,7 @@ func NewDevice(eng *sim.Engine, be Backend, volumeBytes int64, opts Options) (*D
 	se.obs = opts.Obs
 	se.now = eng.Now
 	se.exactSlots = opts.ExactSlots
-	se.charge = codecCharge{host: opts.Cost, offload: opts.Offload, device: opts.OffloadCost}
+	se.charge = codecCharge{host: opts.Cost, offload: opts.Offload, device: DefaultOffloadCost()}
 	// Heat epochs tick at the same length whether or not maintenance is
 	// on: heat is write-only on the foreground paths, so the disabled
 	// run is unchanged, and tests can inspect temperature either way.
@@ -283,9 +257,7 @@ func NewDevice(eng *sim.Engine, be Backend, volumeBytes int64, opts Options) (*D
 			return nil, err
 		}
 		var err error
-		qs, err = newQoSState(opts.QoS, opts.QoSShare, func() WorkloadMeter {
-			return newDualMonitor(opts.MonitorWindow, opts.MonitorBins)
-		})
+		qs, err = newQoSState(opts.QoS, opts.QoSShare, newMonitor)
 		if err != nil {
 			return nil, err
 		}
@@ -297,11 +269,7 @@ func NewDevice(eng *sim.Engine, be Backend, volumeBytes int64, opts Options) (*D
 			return nil, err
 		}
 		if opts.Faults.Active() {
-			fi, ok := be.(FaultInjectable)
-			if !ok {
-				return nil, fmt.Errorf("core: backend %s does not support fault injection", be.Describe())
-			}
-			fi.InjectFaults(opts.Faults, opts.Obs, stats)
+			be.injectFaults(opts.Faults, opts.Obs, stats)
 		}
 	}
 
@@ -315,7 +283,7 @@ func NewDevice(eng *sim.Engine, be Backend, volumeBytes int64, opts Options) (*D
 		obs:       opts.Obs,
 		qs:        qs,
 		sd:        NewSeqDetector(opts.MaxRun),
-		est:       opts.Estimator,
+		est:       NewEstimator(),
 		data:      opts.Data,
 		policy:    opts.Policy,
 		hostCache: hostCache,
@@ -328,7 +296,7 @@ func NewDevice(eng *sim.Engine, be Backend, volumeBytes int64, opts Options) (*D
 		fs:        fs,
 		stats:     stats,
 		se:        se,
-		reg:       opts.Registry,
+		reg:       compress.Default(),
 		data:      opts.Data,
 		obs:       opts.Obs,
 		hostCache: hostCache,
@@ -371,7 +339,7 @@ func NewDevice(eng *sim.Engine, be Backend, volumeBytes int64, opts Options) (*D
 		snapEvery:     opts.SnapshotEvery,
 	}
 	if opts.Maint != nil && opts.Maint.Enabled {
-		mnt, err := newMaintainer(d, maintCfg, opts.Registry)
+		mnt, err := newMaintainer(d, maintCfg, compress.Default())
 		if err != nil {
 			return nil, err
 		}

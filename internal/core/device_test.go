@@ -17,7 +17,7 @@ import (
 func TestNewDeviceValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	d, _ := ssd.New(ssd.DefaultConfig())
-	be := NewSingleSSD(eng, d)
+	be := NewSSDBackend(eng, d)
 	if _, err := NewDevice(eng, be, 0, Options{}); err == nil {
 		t.Fatal("zero volume should fail")
 	}
@@ -161,8 +161,8 @@ func TestElasticUsesIntensity(t *testing.T) {
 			Data:   datagen.New(datagen.LinuxSrc(), 7),
 			// A short window so the 0.2 s burst trace saturates the
 			// monitor quickly instead of spending the whole run warming
-			// the default 1 s window up.
-			MonitorWindow: 100 * time.Millisecond,
+			// the stock 500 ms window up.
+			Meter: newDualMonitor(100*time.Millisecond, 10),
 		})
 		// Write-only trace, non-contiguous offsets so runs stay small.
 		tr := &trace.Trace{Name: "x"}
@@ -265,7 +265,7 @@ func TestDeviceSpaceExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := NewSingleSSD(eng, d)
+	be := NewSSDBackend(eng, d)
 	dev, err := NewDevice(eng, be, be.LogicalBytes(), Options{Policy: Native()})
 	if err != nil {
 		t.Fatal(err)
@@ -356,11 +356,10 @@ func TestRAISBackendReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := NewRAISBackend(eng, arr)
+	be := NewArrayBackend(eng, arr)
 	edc, _ := DefaultElastic(reg)
 	dev, err := NewDevice(eng, be, 256<<20, Options{
 		Policy:      edc,
-		Registry:    reg,
 		Data:        datagen.New(datagen.Enterprise(), 10),
 		VerifyReads: true,
 	})

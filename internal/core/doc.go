@@ -4,7 +4,8 @@
 // estimator, the sequentiality detector (Sec. III-E, Fig. 7), the
 // quantized-slot mapping table (Sec. III-C, Fig. 5), the elastic policy
 // and its fixed-algorithm baselines, and the event-driven block device
-// that replays traces against a simulated SSD or RAIS backend.
+// that replays traces against a simulated backend: one SSD, a RAIS
+// array or a disk, all members of the one Backend type (backend.go).
 //
 // # Pipeline
 //
@@ -18,7 +19,9 @@
 //     decompression → optional verification (readpath.go)
 //   - store engine: slot allocator, mapping table, backend, and the one
 //     store step (codec hand-off, slot decision, allocation, device write)
-//     host writes, relocations and resplit all call (engine.go)
+//     host writes, relocations and resplit all call (engine.go), over
+//     the Backend: member devices with their own queues and fault
+//     streams behind a layout (backend.go)
 //
 // Replay runs on a virtual-time event loop (internal/sim); codec work is
 // charged deterministic cost through one codecCharge (cost.go), to the

@@ -19,7 +19,7 @@ import (
 // The read path plans against its mapping and reads from its backend. It
 // performs no policy decisions and observes no statistics of its own.
 type storeEngine struct {
-	be      Backend
+	be      *Backend
 	alloc   *Allocator
 	mapping *Mapping
 
@@ -63,7 +63,7 @@ type storeEngine struct {
 // newStoreEngine wires allocator + mapping over be for a volume of
 // volBytes. Freed extents trim their device range; in verify mode the
 // retained payload snapshot is dropped with the extent.
-func newStoreEngine(be Backend, volBytes int64, verify bool) *storeEngine {
+func newStoreEngine(be *Backend, volBytes int64, verify bool) *storeEngine {
 	se := &storeEngine{
 		be:    be,
 		alloc: NewAllocator(be.LogicalBytes()),

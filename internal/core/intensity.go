@@ -30,7 +30,11 @@ type dualMonitor struct {
 	fast *Monitor // short window: reacts to burst onsets
 }
 
-// newDualMonitor builds the stock slow+fast monitor pair.
+// newMonitor builds the stock workload monitor: a 500 ms window in ten
+// bins, paired with its fast twin.
+func newMonitor() WorkloadMeter { return newDualMonitor(500*time.Millisecond, 10) }
+
+// newDualMonitor builds a slow+fast monitor pair over window.
 func newDualMonitor(window time.Duration, bins int) *dualMonitor {
 	return &dualMonitor{
 		slow: NewMonitor(window, bins),

@@ -19,20 +19,19 @@ func newPacedServer(t *testing.T, shards int, vol int64) *Server {
 // per-shard options (registry and verification are filled in).
 func newPacedServerWith(t *testing.T, shards int, vol int64, opts Options) *Server {
 	t.Helper()
-	opts.Registry = defaultTestRegistry(t)
 	opts.VerifyReads = true
 	sv, err := NewServer(ServeSetup{
 		ShardSetup: ShardSetup{
 			Shards:      shards,
 			VolumeBytes: vol,
-			Backend: func(eng *sim.Engine) (Backend, error) {
+			Backend: func(eng *sim.Engine) (*Backend, error) {
 				cfg := ssd.DefaultConfig()
 				cfg.Blocks = 512
 				d, err := ssd.New(cfg)
 				if err != nil {
 					return nil, err
 				}
-				return NewSingleSSD(eng, d), nil
+				return NewSSDBackend(eng, d), nil
 			},
 			Options: func(int) (Options, error) { return opts, nil },
 		},
@@ -144,22 +143,21 @@ func TestPacedRefusesSyncSubmit(t *testing.T) {
 // with repartitioning (the quiesce protocol must run the engine dry
 // past the watermark).
 func TestPacedRefusesResplit(t *testing.T) {
-	reg := defaultTestRegistry(t)
 	_, err := NewServer(ServeSetup{
 		ShardSetup: ShardSetup{
 			Shards:      1,
 			VolumeBytes: 1 << 20,
-			Backend: func(eng *sim.Engine) (Backend, error) {
+			Backend: func(eng *sim.Engine) (*Backend, error) {
 				cfg := ssd.DefaultConfig()
 				cfg.Blocks = 512
 				d, err := ssd.New(cfg)
 				if err != nil {
 					return nil, err
 				}
-				return NewSingleSSD(eng, d), nil
+				return NewSSDBackend(eng, d), nil
 			},
 			Options: func(int) (Options, error) {
-				return Options{Registry: reg, Data: datagen.New(datagen.Enterprise(), 11)}, nil
+				return Options{Data: datagen.New(datagen.Enterprise(), 11)}, nil
 			},
 		},
 		Paced:   true,

@@ -207,7 +207,7 @@ func (d *Device) PlayUntil(t *trace.Trace, cut time.Duration) (*RunStats, *Crash
 // allocator rebuild, version-counter resume, and (in verify mode)
 // payload regeneration for surviving extents. The caller then Plays the
 // remainder of the trace on the returned device.
-func RecoverDevice(eng *sim.Engine, be Backend, volumeBytes int64, opts Options, cs *CrashState) (*Device, error) {
+func RecoverDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options, cs *CrashState) (*Device, error) {
 	d, err := NewDevice(eng, be, volumeBytes, opts)
 	if err != nil {
 		return nil, err

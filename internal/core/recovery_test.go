@@ -16,7 +16,7 @@ import (
 
 // freshSSDRig returns an engine + single-SSD backend without a device,
 // for tests that build the device themselves (RecoverDevice).
-func freshSSDRig(t *testing.T) (*sim.Engine, Backend) {
+func freshSSDRig(t *testing.T) (*sim.Engine, *Backend) {
 	t.Helper()
 	eng := sim.NewEngine()
 	cfg := ssd.DefaultConfig()
@@ -25,7 +25,7 @@ func freshSSDRig(t *testing.T) (*sim.Engine, Backend) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, NewSingleSSD(eng, d)
+	return eng, NewSSDBackend(eng, d)
 }
 
 func TestFaultWriteRetryRecovers(t *testing.T) {
@@ -84,7 +84,6 @@ func TestFaultReadHardAbandonsOnSingleSSD(t *testing.T) {
 }
 
 func TestFaultDegradedReadRAIS5(t *testing.T) {
-	reg := defaultTestRegistry(t)
 	eng := sim.NewEngine()
 	cfg := ssd.DefaultConfig()
 	cfg.Blocks = 1024
@@ -100,10 +99,9 @@ func TestFaultDegradedReadRAIS5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := NewRAISBackend(eng, arr)
+	be := NewArrayBackend(eng, arr)
 	dev, err := NewDevice(eng, be, 256<<20, Options{
 		Policy:      Native(),
-		Registry:    reg,
 		Data:        datagen.New(datagen.Enterprise(), 10),
 		VerifyReads: true,
 		Faults:      &fault.Plan{Seed: 5, ReadHard: 0.05},
@@ -250,7 +248,6 @@ func TestPlayUntilRecoverResume(t *testing.T) {
 	// Phase 1: replay until the cut.
 	eng1, be1 := freshSSDRig(t)
 	o := opts()
-	o.Registry = defaultTestRegistry(t)
 	dev1, err := NewDevice(eng1, be1, 256<<20, o)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +269,6 @@ func TestPlayUntilRecoverResume(t *testing.T) {
 	// Phase 2: recover onto a fresh device and replay the remainder.
 	eng2, be2 := freshSSDRig(t)
 	o2 := opts()
-	o2.Registry = defaultTestRegistry(t)
 	dev2, err := RecoverDevice(eng2, be2, 256<<20, o2, cs)
 	if err != nil {
 		t.Fatal(err)

@@ -108,23 +108,21 @@ func newResplitServer(t *testing.T, rc ResplitConfig, vol int64) *Server {
 // newResplitServerEvery is newResplitServer with a checkpoint interval.
 func newResplitServerEvery(t *testing.T, rc ResplitConfig, vol int64, snapEvery time.Duration) *Server {
 	t.Helper()
-	reg := defaultTestRegistry(t)
 	sv, err := NewServer(ServeSetup{
 		ShardSetup: ShardSetup{
 			Shards:      1,
 			VolumeBytes: vol,
-			Backend: func(eng *sim.Engine) (Backend, error) {
+			Backend: func(eng *sim.Engine) (*Backend, error) {
 				cfg := ssd.DefaultConfig()
 				cfg.Blocks = 512
 				d, err := ssd.New(cfg)
 				if err != nil {
 					return nil, err
 				}
-				return NewSingleSSD(eng, d), nil
+				return NewSSDBackend(eng, d), nil
 			},
 			Options: func(int) (Options, error) {
 				return Options{
-					Registry:      reg,
 					Data:          datagen.New(datagen.Enterprise(), 11),
 					SnapshotEvery: snapEvery,
 				}, nil
@@ -297,23 +295,22 @@ func TestResplitConcurrentClients(t *testing.T) {
 // TestResplitRefusesIncompatibleOptions checks the three feature
 // combinations resplit cannot support are refused at setup.
 func TestResplitRefusesIncompatibleOptions(t *testing.T) {
-	reg := defaultTestRegistry(t)
 	build := func(mut func(*Options)) error {
 		_, err := NewServer(ServeSetup{
 			ShardSetup: ShardSetup{
 				Shards:      1,
 				VolumeBytes: 1 << 20,
-				Backend: func(eng *sim.Engine) (Backend, error) {
+				Backend: func(eng *sim.Engine) (*Backend, error) {
 					cfg := ssd.DefaultConfig()
 					cfg.Blocks = 64
 					d, err := ssd.New(cfg)
 					if err != nil {
 						return nil, err
 					}
-					return NewSingleSSD(eng, d), nil
+					return NewSSDBackend(eng, d), nil
 				},
 				Options: func(int) (Options, error) {
-					o := Options{Registry: reg, Data: datagen.New(datagen.Enterprise(), 11)}
+					o := Options{Data: datagen.New(datagen.Enterprise(), 11)}
 					mut(&o)
 					return o, nil
 				},

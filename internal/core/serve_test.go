@@ -16,23 +16,21 @@ import (
 // newTestServer builds an n-shard live server over small private SSDs.
 func newTestServer(t *testing.T, n int, vol int64, mailbox, batch int) *Server {
 	t.Helper()
-	reg := defaultTestRegistry(t)
 	sv, err := NewServer(ServeSetup{
 		ShardSetup: ShardSetup{
 			Shards:      n,
 			VolumeBytes: vol,
-			Backend: func(eng *sim.Engine) (Backend, error) {
+			Backend: func(eng *sim.Engine) (*Backend, error) {
 				cfg := ssd.DefaultConfig()
 				cfg.Blocks = 512
 				d, err := ssd.New(cfg)
 				if err != nil {
 					return nil, err
 				}
-				return NewSingleSSD(eng, d), nil
+				return NewSSDBackend(eng, d), nil
 			},
 			Options: func(int) (Options, error) {
 				return Options{
-					Registry:    reg,
 					Data:        datagen.New(datagen.Enterprise(), 11),
 					VerifyReads: true,
 				}, nil
@@ -371,26 +369,24 @@ func TestServeContextCancel(t *testing.T) {
 // checks the fatal pipeline error reaches both the failing client and
 // Stop instead of stranding submitters forever.
 func TestServeFailurePropagation(t *testing.T) {
-	reg := defaultTestRegistry(t)
 	sv, err := NewServer(ServeSetup{
 		ShardSetup: ShardSetup{
 			Shards:      1,
 			VolumeBytes: 1 << 20,
-			Backend: func(eng *sim.Engine) (Backend, error) {
+			Backend: func(eng *sim.Engine) (*Backend, error) {
 				cfg := ssd.DefaultConfig()
 				cfg.Blocks = 64
 				d, err := ssd.New(cfg)
 				if err != nil {
 					return nil, err
 				}
-				return NewSingleSSD(eng, d), nil
+				return NewSSDBackend(eng, d), nil
 			},
 			Options: func(int) (Options, error) {
 				// Every device write hard-fails: retries and re-allocations
 				// exhaust, then the pipeline aborts.
 				return Options{
-					Registry: reg,
-					Faults:   &fault.Plan{Seed: 7, WriteHard: 1.0},
+					Faults: &fault.Plan{Seed: 7, WriteHard: 1.0},
 				}, nil
 			},
 		},
@@ -418,7 +414,7 @@ func TestServeFailurePropagation(t *testing.T) {
 
 // TestNewServerValidation covers the setup error paths.
 func TestNewServerValidation(t *testing.T) {
-	bf := func(eng *sim.Engine) (Backend, error) {
+	bf := func(eng *sim.Engine) (*Backend, error) {
 		t.Fatal("backend factory must not run for invalid setups")
 		return nil, nil
 	}
@@ -437,14 +433,14 @@ func TestNewServerValidation(t *testing.T) {
 	_, err := NewServer(ServeSetup{
 		ShardSetup: ShardSetup{
 			Shards: 1, VolumeBytes: 1 << 20,
-			Backend: func(eng *sim.Engine) (Backend, error) {
+			Backend: func(eng *sim.Engine) (*Backend, error) {
 				cfg := ssd.DefaultConfig()
 				cfg.Blocks = 64
 				d, err := ssd.New(cfg)
 				if err != nil {
 					return nil, err
 				}
-				return NewSingleSSD(eng, d), nil
+				return NewSSDBackend(eng, d), nil
 			},
 			Options: func(int) (Options, error) {
 				return Options{FlushTimeout: -1}, nil

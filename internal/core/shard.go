@@ -22,7 +22,7 @@ type ShardSetup struct {
 	// VolumeBytes is the full logical volume being partitioned.
 	VolumeBytes int64
 	// Backend builds one shard's private backend on its private engine.
-	Backend func(eng *sim.Engine) (Backend, error)
+	Backend func(eng *sim.Engine) (*Backend, error)
 	// Options builds one shard's Options. It must return fresh
 	// per-shard state for every call (Data generator, Estimator, Policy)
 	// — sharing any of them across shards races. Replay overwrites

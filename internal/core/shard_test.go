@@ -17,9 +17,9 @@ import (
 
 // unusedFactories satisfy NewSharded for tests that only exercise the
 // partition/routing logic and must never build a device.
-func unusedFactories(t *testing.T) (func(*sim.Engine) (Backend, error), func(int) (Options, error)) {
+func unusedFactories(t *testing.T) (func(*sim.Engine) (*Backend, error), func(int) (Options, error)) {
 	t.Helper()
-	return func(*sim.Engine) (Backend, error) {
+	return func(*sim.Engine) (*Backend, error) {
 			t.Fatal("backend factory called")
 			return nil, nil
 		}, func(int) (Options, error) {
@@ -242,22 +242,20 @@ func TestNewShardedValidation(t *testing.T) {
 // read verification on.
 func newTestSharded(t *testing.T, n int, vol int64) *ShardedDevice {
 	t.Helper()
-	reg := defaultTestRegistry(t)
 	sd, err := NewSharded(ShardSetup{
 		Shards:      n,
 		VolumeBytes: vol,
-		Backend: func(eng *sim.Engine) (Backend, error) {
+		Backend: func(eng *sim.Engine) (*Backend, error) {
 			cfg := ssd.DefaultConfig()
 			cfg.Blocks = 512
 			d, err := ssd.New(cfg)
 			if err != nil {
 				return nil, err
 			}
-			return NewSingleSSD(eng, d), nil
+			return NewSSDBackend(eng, d), nil
 		},
 		Options: func(int) (Options, error) {
 			return Options{
-				Registry:    reg,
 				Data:        datagen.New(datagen.Enterprise(), 11),
 				VerifyReads: true,
 			}, nil

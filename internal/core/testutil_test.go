@@ -45,10 +45,7 @@ func newTestRig(t testing.TB, opts Options) *testRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := NewSingleSSD(eng, d)
-	if opts.Registry == nil {
-		opts.Registry = defaultTestRegistry(t)
-	}
+	be := NewSSDBackend(eng, d)
 	if opts.Data == nil {
 		opts.Data = datagen.New(datagen.Enterprise(), 11)
 	}

@@ -24,7 +24,7 @@ func newTestWritePath(t *testing.T, policy Policy) (*writePath, *[]time.Duration
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := NewSingleSSD(eng, d)
+	be := NewSSDBackend(eng, d)
 	stats := newRunStats("test", "unit", be.Describe())
 	wp := &writePath{
 		eng:   eng,
