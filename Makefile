@@ -77,7 +77,7 @@ perfdiff:
 	@test -n "$(BASE)" || { echo "usage: make perfdiff BASE=<rev>"; exit 2; }
 	bash scripts/perfdiff.sh $(BASE)
 
-# Core-scaling sweep and gate: the same paced serve workload at
+# Core-scaling sweep and gate: the same stamp-ordered serve workload at
 # GOMAXPROCS 1/2/4. Always asserts the virtual-time results (per-step
 # counts, achieved QPS, percentiles) are byte-identical across the
 # three runs; with CORESCALE_MIN set (CI: 1.5 on 4-vCPU runners) also

@@ -51,8 +51,6 @@ func main() {
 		serve   = flag.Bool("serve", false, "run an open-loop serve workload (requires -spec) instead of an experiment")
 		spec    = flag.String("spec", "", "with -serve: workload spec — a file path, or inline DSL with ';' separating steps (e.g. \"d=2s qps=500 rw=0.5; qps=2000\")")
 		clients = flag.Int("clients", 0, "with -serve: client goroutines offering load (default 8)")
-		mailbox = flag.Int("mailbox", 0, "with -serve: per-shard submission mailbox bound (default 256)")
-		batch   = flag.Int("batch", 0, "with -serve: submissions drained per event-loop wakeup (default 64)")
 
 		replayWl    = flag.String("replay", "", "run one instrumented replay of the named workload (fin1, fin2, usr0, prxy0) instead of an experiment")
 		scheme      = flag.String("scheme", "EDC", "compression scheme for -replay (Native, Lzf, Lz4, Gzip, Bzip2, EDC, EDC+)")
@@ -79,7 +77,7 @@ func main() {
 		Dedup: *dedupOn, DupRatio: *dupRatio, DupUniverse: *dupUni}
 
 	if *serve {
-		err := runServe(bench.ServeParams{Params: p, Clients: *clients, Scheme: *scheme, Mailbox: *mailbox, Batch: *batch},
+		err := runServe(bench.ServeParams{Params: p, Clients: *clients, Scheme: *scheme},
 			*spec, *format, *jsonOut)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "edcbench: %v\n", err)

@@ -106,7 +106,7 @@ type config struct {
 	// dev carries the pass-through device settings; deviceOptions adds
 	// the per-device state (Policy, Data) and the QoS rate share.
 	dev core.Options
-	// serve carries the shard count and the live-server knobs; NewSystem
+	// serve carries the shard count and the resplit policy; NewSystem
 	// adds the volume, the collector and the two factories.
 	serve core.ServeSetup
 	obs   obs.Config
@@ -165,16 +165,12 @@ func (c *config) validate() error {
 	if d.SnapshotEvery < 0 {
 		return fmt.Errorf("edc: negative snapshot interval %v", d.SnapshotEvery)
 	}
-	if c.serve.Mailbox < 0 || c.serve.Batch < 0 {
-		return fmt.Errorf("edc: negative serve queue bounds mailbox=%d batch=%d",
-			c.serve.Mailbox, c.serve.Batch)
-	}
-	if d.Maint != nil && d.Maint.Enabled {
+	if d.Maint != nil {
 		if err := d.Maint.Validate(); err != nil {
 			return err
 		}
 	}
-	if d.Dedup != nil && d.Dedup.Enabled {
+	if d.Dedup != nil {
 		if err := d.Dedup.Validate(); err != nil {
 			return err
 		}
@@ -315,86 +311,49 @@ func WithTimeSeries(d time.Duration) Option {
 	}
 }
 
-// WithServeQueue bounds serve mode's per-shard submission queue: mailbox
-// is the channel capacity submitters block on when full (backpressure),
-// batch caps how many submissions one event-loop wakeup drains before
-// running the virtual-time engine. Zero keeps the defaults (256 / 64).
-func WithServeQueue(mailbox, batch int) Option {
-	return func(c *config) { c.serve.Mailbox, c.serve.Batch = mailbox, batch }
-}
-
 // WithMaintenance enables temperature-aware background maintenance with
-// the given policy (zero-valued fields take documented defaults; the
-// Enabled flag is set for the caller). During idle windows — calculated
-// IOPS at or below m.IdleIOPS — the device recompresses cold
-// lzf/uncompressed extents with m.ColdCodec, demotes hot gz/bwz extents
-// to m.HotCodec, and compacts fragmented slot free lists. Maintenance
-// runs in virtual time on the device's own engine, so results stay
-// deterministic per seed, including under WithShards.
-func WithMaintenance(m Maintenance) Option {
-	return func(c *config) {
-		m.Enabled = true
-		c.dev.Maint = &m
-	}
-}
+// the given policy (zero-valued fields take documented defaults). During
+// idle windows — calculated IOPS at or below m.IdleIOPS — the device
+// recompresses cold lzf/uncompressed extents with m.ColdCodec, demotes
+// hot gz/bwz extents to m.HotCodec, and compacts fragmented slot free
+// lists. Maintenance runs in virtual time on the device's own engine, so
+// results stay deterministic per seed, including under WithShards.
+func WithMaintenance(m Maintenance) Option { return func(c *config) { c.dev.Maint = &m } }
 
 // WithDedup enables content-addressed deduplication with the given
-// policy (zero-valued fields take documented defaults; the Enabled flag
-// is set for the caller). Every flushed write run is fingerprinted with
-// a keyed 128-bit hash after SD merging and before compression; a run
-// matching an already-stored extent maps to it by reference — skipping
-// estimation, compression, and slot allocation — and the extent is
-// released only when its last reference goes away. Dedup runs inside
-// each pipeline's event loop in virtual time, so results stay
-// deterministic per seed, including under WithShards (each shard
-// deduplicates its own LBA range with the same key).
-func WithDedup(d Dedup) Option {
-	return func(c *config) {
-		d.Enabled = true
-		c.dev.Dedup = &d
-	}
-}
+// policy (zero-valued fields take documented defaults). Every flushed
+// write run is fingerprinted with a keyed 128-bit hash after SD merging
+// and before compression; a run matching an already-stored extent maps
+// to it by reference — skipping estimation, compression, and slot
+// allocation — and the extent is released only when its last reference
+// goes away. Dedup runs inside each pipeline's event loop in virtual
+// time, so results stay deterministic per seed, including under
+// WithShards (each shard deduplicates its own LBA range with the same
+// key).
+func WithDedup(d Dedup) Option { return func(c *config) { c.dev.Dedup = &d } }
 
 // WithResplit enables serve mode's heat-balanced shard repartitioning
-// with the given policy (zero-valued fields take documented defaults;
-// the Enabled flag is set for the caller). When one shard's admitted-op
-// share stays above Factor times the post-split fair share for Streak
-// evaluation windows, its LBA range is split at a quiesced,
-// heat-balanced boundary into two shards with independent event loops —
-// extents beyond the boundary move to the new shard's device, and the
-// router re-routes without ever dropping or reordering a submission.
-// The trigger reacts to real-time traffic imbalance, so resplit-enabled
-// runs are not byte-deterministic across machines; replay mode ignores
-// the setting. Incompatible with WithVerify (expected read content is
-// keyed by shard-local offsets, which a move rebases), WithDedup
-// (shared references may span the boundary), and WithQoS (per-shard
-// rate shares assume a fixed shard count).
-func WithResplit(r ResplitConfig) Option {
-	return func(c *config) {
-		r.Enabled = true
-		c.serve.Resplit = r
-	}
-}
+// with the given policy (zero-valued fields take documented defaults).
+// When one shard's admitted-op share stays above Factor times the
+// post-split fair share for Streak evaluation windows, its LBA range is
+// split at a quiesced, heat-balanced boundary into two shards with
+// independent event loops — extents beyond the boundary move to the new
+// shard's device, and the router re-routes without ever dropping or
+// reordering a submission. The quiesce runs the splitting shard past its
+// arrival watermark and the trigger reacts to real-time traffic
+// imbalance, so resplit-enabled runs are not byte-deterministic across
+// machines; replay mode ignores the setting. Incompatible with
+// WithVerify (expected read content is keyed by shard-local offsets,
+// which a move rebases), WithDedup (shared references may span the
+// boundary), and WithQoS (per-shard rate shares assume a fixed shard
+// count).
+func WithResplit(r ResplitConfig) Option { return func(c *config) { c.serve.Resplit = &r } }
 
-// WithPacedServe makes serve mode's virtual-time results deterministic
-// for stamp-ordered submitters: each shard's engine runs only up to the
-// highest arrival stamp it has admitted so far (a conservative
-// watermark), so completions past the newest stamp wait for a later
-// arrival — or StopServe's final drain — instead of letting the clock
-// race ahead of arrivals still in flight. Without pacing, an engine
-// that runs dry before the next submission lands clamps that arrival
-// to wherever the clock happened to be, leaking real scheduling races
-// (GOMAXPROCS, mailbox batching) into virtual latencies. The contract
-// requires submitters to mail operations in globally non-decreasing
-// stamp order through SubmitAt/SubmitAtTag and to await completions
-// concurrently (internal/bench's serve driver does both); the
-// synchronous Read/Write wrappers are refused — a caller blocked on
-// its own completion can never send the later arrival that would
-// release it. Incompatible with WithResplit, whose quiesce protocol
-// must run the engine dry past the watermark.
-func WithPacedServe() Option {
-	return func(c *config) { c.serve.Paced = true }
-}
+// WithPacedServe does nothing: every serve shard runs paced, up to the
+// highest arrival stamp it has admitted (see System.Serve).
+//
+// Deprecated: pacing is how serve mode always runs.
+func WithPacedServe() Option { return func(*config) {} }
 
 // WithQoS enables multi-tenant quality of service with the given tenant
 // table: requests tagged with a tenant (trace records, tagged serve

@@ -34,8 +34,6 @@ func TestNewSystemValidation(t *testing.T) {
 		{name: "negative max run", opts: []Option{WithMaxRun(-1)}, want: "negative max run"},
 		{name: "negative cache", opts: []Option{WithCache(-1)}, want: "negative cache size"},
 		{name: "negative snapshot interval", opts: []Option{WithSnapshotEvery(-time.Second)}, want: "negative snapshot interval"},
-		{name: "negative mailbox", opts: []Option{WithServeQueue(-1, 0)}, want: "negative serve queue bounds"},
-		{name: "negative batch", opts: []Option{WithServeQueue(0, -1)}, want: "negative serve queue bounds"},
 		{name: "more shards than blocks", opts: []Option{WithShards(1 << 30)}, want: "shards exceed"},
 		{name: "fault probability out of range", opts: []Option{WithFaults(&FaultPlan{Seed: 1, ReadHard: 1.5})}, want: "read_hard"},
 		{name: "unparsable tenant bandwidth", opts: []Option{WithQoS(QoSConfig{Tenants: map[string]QoSTenant{"web": {Bandwidth: "nope"}}})}, want: `tenant "web"`},
@@ -46,7 +44,6 @@ func TestNewSystemValidation(t *testing.T) {
 		{name: "resplit × dedup", opts: []Option{WithResplit(ResplitConfig{}), WithDedup(Dedup{})}, want: "edc: resplit cannot migrate dedup-shared extents"},
 		{name: "resplit × verify", opts: []Option{WithResplit(ResplitConfig{}), WithVerify()}, want: "edc: resplit rebases extents"},
 		{name: "resplit × QoS", opts: []Option{WithResplit(ResplitConfig{}), WithQoS(qcfg)}, want: "edc: resplit changes the shard count"},
-		{name: "resplit × paced", opts: []Option{WithResplit(ResplitConfig{}), WithPacedServe()}, want: "edc: resplit's quiesce protocol"},
 		{name: "power cut × shards", opts: []Option{WithFaults(powerCut), WithShards(4)},
 			want: "edc: power-cut recovery is not supported with WithShards(4): shards crash and recover independently of each other"},
 		{name: "serve × power cut", opts: []Option{WithFaults(powerCut)}, serve: true, want: "serve mode does not support power-cut fault plans"},

@@ -51,27 +51,17 @@ func TestDedupHitsAndVerify(t *testing.T) {
 	}
 }
 
-// TestDedupOffUnchanged checks the off switch: a device without a dedup
-// policy and one whose policy has Enabled=false produce identical
-// results to each other.
+// TestDedupOffUnchanged checks the off switch: a replay without a dedup
+// policy, even of a duplicate-heavy trace, fingerprints nothing.
 func TestDedupOffUnchanged(t *testing.T) {
 	tr, prof := dupTrace(t, 2000)
-	base, err := edc.Replay(tr, 64<<20, edc.WithDataProfile(prof, 7))
+	res, err := edc.Replay(tr, 64<<20, edc.WithDataProfile(prof, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	disabled, err := edc.Replay(tr, 64<<20, edc.WithDataProfile(prof, 7),
-		edc.WithDedupPolicy(&edc.Dedup{Enabled: false}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Format() != disabled.Format() {
-		t.Fatalf("Enabled=false dedup config changed results:\n--- off ---\n%s\n--- disabled ---\n%s",
-			base.Format(), disabled.Format())
-	}
-	if disabled.DedupHits != 0 || disabled.DedupMisses != 0 {
-		t.Fatalf("dedup counters moved with dedup disabled: hits=%d misses=%d",
-			disabled.DedupHits, disabled.DedupMisses)
+	if res.DedupHits != 0 || res.DedupMisses != 0 {
+		t.Fatalf("dedup counters moved with dedup off: hits=%d misses=%d",
+			res.DedupHits, res.DedupMisses)
 	}
 }
 

@@ -29,10 +29,6 @@ type ServeParams struct {
 	Clients int
 	// Scheme is the compression scheme (default EDC).
 	Scheme string
-	// Mailbox and Batch bound the per-shard submission queues
-	// (0: the core defaults).
-	Mailbox int
-	Batch   int
 	// QoS overrides the QoS configuration attached to the System. Nil
 	// derives one from the spec's class/bw annotations
 	// (workload.Spec.QoSConfig); specs without annotations attach none.
@@ -124,8 +120,6 @@ type PoolActivity struct {
 	Workers int `json:"workers"`
 	// Submitted counts jobs handed to pool workers.
 	Submitted int64 `json:"submitted"`
-	// Stolen is always 0 (see parallel.PoolStats.Stolen).
-	Stolen int64 `json:"stolen"`
 	// Inline counts jobs the submitter ran itself on a full channel.
 	Inline int64 `json:"inline"`
 }
@@ -149,13 +143,14 @@ func (a *stepAccum) noteEnd(ns int64) {
 	}
 }
 
-// RunServe builds a System from p, switches it into serve mode (paced:
-// see edc.WithPacedServe), and drives it with p.Clients() open-loop
-// generator goroutines until the spec is exhausted. Virtual-time
-// results (counts, latencies, achieved QPS) are deterministic for a
-// fixed (spec, seed, clients, shards) — the corescale gate asserts
-// they are byte-identical across GOMAXPROCS; WallTime and Stalls vary
-// with the machine.
+// RunServe builds a System from p, switches it into serve mode, and
+// drives it with p.Clients() open-loop generator goroutines until the
+// spec is exhausted. The driver submits in global stamp order and
+// awaits concurrently, so the virtual-time results (counts, latencies,
+// achieved QPS) are a pure function of (spec, seed, clients, shards),
+// independent of GOMAXPROCS and mailbox races (see edc.System.Serve) —
+// the corescale gate asserts they are byte-identical across GOMAXPROCS;
+// WallTime and Stalls vary with the machine.
 func RunServe(p ServeParams) (*ServeResult, error) {
 	vol := p.volume()
 	if err := p.Spec.Validate(vol); err != nil {
@@ -167,13 +162,7 @@ func RunServe(p ServeParams) (*ServeResult, error) {
 	if p.DupRatio == 0 {
 		p.DupRatio, p.DupUniverse = p.Spec[0].Dup, p.Spec[0].DupUniverse
 	}
-	opts := append(p.options(edc.Scheme(p.scheme()), edc.SingleSSD, 1),
-		edc.WithServeQueue(p.Mailbox, p.Batch),
-		// The sequencer below submits in global stamp order and awaits
-		// concurrently — exactly the contract pacing requires — so the
-		// virtual-time results become a pure function of (spec, seed,
-		// clients, shards), independent of GOMAXPROCS and mailbox races.
-		edc.WithPacedServe())
+	opts := p.options(edc.Scheme(p.scheme()), edc.SingleSSD, 1)
 	qcfg := p.QoS
 	if qcfg == nil && !p.NoQoS {
 		qcfg = p.Spec.QoSConfig()
@@ -338,7 +327,6 @@ func RunServe(p ServeParams) (*ServeResult, error) {
 		pool = &PoolActivity{
 			Workers:   poolAfter.Workers,
 			Submitted: poolAfter.Submitted - poolBefore.Submitted,
-			Stolen:    poolAfter.Stolen - poolBefore.Stolen,
 			Inline:    poolAfter.Inline - poolBefore.Inline,
 		}
 	}

@@ -90,9 +90,9 @@ type Options struct {
 	SnapshotEvery time.Duration
 	// Maint enables temperature-aware background maintenance (see
 	// maintenance.go): idle-window recompression of cold extents,
-	// demotion of hot ones, and allocator compaction. Nil (or a config
-	// with Enabled false) runs no maintenance and the replay is
-	// bit-identical to a build without the maintenance seam.
+	// demotion of hot ones, and allocator compaction. Nil runs no
+	// maintenance and the replay is bit-identical to a build without the
+	// maintenance seam.
 	Maint *maint.Config
 	// QoS attaches the multi-tenant policy (per-tenant classes,
 	// bandwidth shaping, priority admission; see internal/qos). Nil
@@ -107,8 +107,8 @@ type Options struct {
 	// table (see writepath.go/engine.go): each merged run is
 	// fingerprinted before compression, and a run whose content is
 	// already stored maps onto the existing extent instead of storing a
-	// second copy. Nil (or Enabled false) builds no content index and
-	// the replay is bit-identical to a build without the dedup seam.
+	// second copy. Nil builds no content index and the replay is
+	// bit-identical to a build without the dedup seam.
 	Dedup *dedup.Config
 }
 
@@ -232,14 +232,14 @@ func NewDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options) (*
 	// on: heat is write-only on the foreground paths, so the disabled
 	// run is unchanged, and tests can inspect temperature either way.
 	maintCfg := maint.Config{}.Normalize()
-	if opts.Maint != nil && opts.Maint.Enabled {
+	if opts.Maint != nil {
 		if err := opts.Maint.Validate(); err != nil {
 			return nil, err
 		}
 		maintCfg = opts.Maint.Normalize()
 	}
 	se.epochLen = maintCfg.EpochLen
-	if opts.Dedup != nil && opts.Dedup.Enabled {
+	if opts.Dedup != nil {
 		if err := opts.Dedup.Validate(); err != nil {
 			return nil, err
 		}
@@ -338,7 +338,7 @@ func NewDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options) (*
 		faults:        opts.Faults,
 		snapEvery:     opts.SnapshotEvery,
 	}
-	if opts.Maint != nil && opts.Maint.Enabled {
+	if opts.Maint != nil {
 		mnt, err := newMaintainer(d, maintCfg, compress.Default())
 		if err != nil {
 			return nil, err

@@ -14,7 +14,6 @@ import (
 // after two quiet epochs.
 func maintTestConfig() *maint.Config {
 	return &maint.Config{
-		Enabled:    true,
 		Interval:   10 * time.Millisecond,
 		IdleIOPS:   1e9, // every tick idle: the tests control timing
 		EpochLen:   20 * time.Millisecond,
@@ -127,29 +126,16 @@ func TestMaintHotDemotion(t *testing.T) {
 	}
 }
 
-// TestMaintDisabledNoEffect replays the same trace with maintenance
-// absent and with an explicit Enabled=false config; both must produce
-// no maintenance activity and identical results.
+// TestMaintDisabledNoEffect replays a trace with maintenance absent: no
+// tick may run and no heat histogram may be reported.
 func TestMaintDisabledNoEffect(t *testing.T) {
-	tr := seqTrace(400, 2*time.Millisecond)
-	run := func(m *maint.Config) *RunStats {
-		rig := newTestRig(t, Options{Maint: m})
-		st, err := rig.dev.Play(tr)
-		if err != nil {
-			t.Fatalf("play: %v", err)
-		}
-		return st
+	rig := newTestRig(t, Options{})
+	st, err := rig.dev.Play(seqTrace(400, 2*time.Millisecond))
+	if err != nil {
+		t.Fatalf("play: %v", err)
 	}
-	absent := run(nil)
-	disabled := run(&maint.Config{})
-	if absent.MaintTicks != 0 || disabled.MaintTicks != 0 {
-		t.Fatalf("maintenance ticked while disabled: %d / %d", absent.MaintTicks, disabled.MaintTicks)
-	}
-	if absent.HeatHist != nil || disabled.HeatHist != nil {
-		t.Fatalf("heat histogram populated while disabled: %v / %v", absent.HeatHist, disabled.HeatHist)
-	}
-	if absent.Format() != disabled.Format() {
-		t.Fatalf("nil and Enabled=false configs diverge:\n%s\n%s", absent.Format(), disabled.Format())
+	if st.MaintTicks != 0 || st.HeatHist != nil {
+		t.Fatalf("maintenance ran while absent: %d ticks, heat histogram %v", st.MaintTicks, st.HeatHist)
 	}
 }
 

@@ -15,8 +15,9 @@ func newPacedServer(t *testing.T, shards int, vol int64) *Server {
 	return newPacedServerWith(t, shards, vol, Options{Data: datagen.New(datagen.Enterprise(), 11)})
 }
 
-// newPacedServerWith builds the paced verify-mode server over the given
-// per-shard options (registry and verification are filled in).
+// newPacedServerWith builds a verify-mode server (every server runs its
+// shards paced, up to their arrival watermarks) over the given per-shard
+// options.
 func newPacedServerWith(t *testing.T, shards int, vol int64, opts Options) *Server {
 	t.Helper()
 	opts.VerifyReads = true
@@ -35,7 +36,6 @@ func newPacedServerWith(t *testing.T, shards int, vol int64, opts Options) *Serv
 			},
 			Options: func(int) (Options, error) { return opts, nil },
 		},
-		Paced: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,60 +111,6 @@ func TestPacedServeDeterminism(t *testing.T) {
 		if smooth[i] != jittered[i] {
 			t.Fatalf("op %d: latency %v (smooth) != %v (jittered)", i, smooth[i], jittered[i])
 		}
-	}
-}
-
-// TestPacedRefusesSyncSubmit checks the synchronous wrappers are
-// refused under pacing: a blocked caller could never send the later
-// arrival that releases its own completion.
-func TestPacedRefusesSyncSubmit(t *testing.T) {
-	sv := newPacedServer(t, 1, 1<<20)
-	ctx := context.Background()
-	if _, err := sv.Read(ctx, 0, BlockSize); err == nil {
-		t.Fatal("synchronous Read accepted under paced serve")
-	}
-	if _, err := sv.WriteAt(ctx, time.Millisecond, 0, BlockSize); err == nil {
-		t.Fatal("synchronous WriteAt accepted under paced serve")
-	}
-	// The async form is the supported path.
-	aw, err := sv.SubmitAt(ctx, 0, 0, BlockSize, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sv.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := aw(ctx); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPacedRefusesResplit checks NewServer rejects pacing combined
-// with repartitioning (the quiesce protocol must run the engine dry
-// past the watermark).
-func TestPacedRefusesResplit(t *testing.T) {
-	_, err := NewServer(ServeSetup{
-		ShardSetup: ShardSetup{
-			Shards:      1,
-			VolumeBytes: 1 << 20,
-			Backend: func(eng *sim.Engine) (*Backend, error) {
-				cfg := ssd.DefaultConfig()
-				cfg.Blocks = 512
-				d, err := ssd.New(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return NewSSDBackend(eng, d), nil
-			},
-			Options: func(int) (Options, error) {
-				return Options{Data: datagen.New(datagen.Enterprise(), 11)}, nil
-			},
-		},
-		Paced:   true,
-		Resplit: ResplitConfig{Enabled: true},
-	})
-	if err == nil {
-		t.Fatal("NewServer accepted paced + resplit")
 	}
 }
 

@@ -41,12 +41,10 @@ import (
 // byte-deterministic across machines; it is off by default and every
 // determinism gate runs without it.
 
-// ResplitConfig tunes heat-balanced shard repartitioning in serve mode.
-// The zero value disables it; enabling it with zero thresholds applies
-// the defaults noted per field.
+// ResplitConfig tunes heat-balanced shard repartitioning in serve mode;
+// a nil config disables it, and zero thresholds apply the defaults noted
+// per field.
 type ResplitConfig struct {
-	// Enabled turns repartitioning on.
-	Enabled bool
 	// MaxShards caps the total shard count; splits stop once reached
 	// (0: twice the initial shard count).
 	MaxShards int
@@ -61,12 +59,13 @@ type ResplitConfig struct {
 	Streak int
 }
 
-// normalized applies the documented defaults against the initial shard
-// count; a disabled config normalizes to the zero value.
-func (c ResplitConfig) normalized(initialShards int) ResplitConfig {
-	if !c.Enabled {
-		return ResplitConfig{}
+// normalized returns a copy with the documented defaults applied against
+// the initial shard count; nil stays nil.
+func (cfg *ResplitConfig) normalized(initialShards int) *ResplitConfig {
+	if cfg == nil {
+		return nil
 	}
+	c := *cfg
 	if c.MaxShards <= 0 {
 		c.MaxShards = 2 * initialShards
 	}
@@ -79,7 +78,7 @@ func (c ResplitConfig) normalized(initialShards int) ResplitConfig {
 	if c.Streak <= 0 {
 		c.Streak = 3
 	}
-	return c
+	return &c
 }
 
 // maybeResplit evaluates the repartitioning trigger on this shard's
@@ -89,14 +88,20 @@ func (c ResplitConfig) normalized(initialShards int) ResplitConfig {
 // split attempt.
 func (ss *serveShard) maybeResplit() {
 	sv := ss.sv
-	if !sv.rcfg.Enabled || ss.splitting {
+	if sv.rcfg == nil || ss.splitting {
 		return
 	}
 	self := ss.ops.Load()
 	if self-ss.evalSelf < sv.rcfg.WindowOps {
 		return
 	}
-	sv.mu.RLock()
+	// Only try the router lock: another shard's split may be waiting for
+	// the write lock behind a submitter that holds the read lock while
+	// blocked on this shard's full mailbox, so this loop must keep
+	// draining rather than wait. The evaluation retries next batch.
+	if !sv.mu.TryRLock() {
+		return
+	}
 	n := len(sv.shards)
 	var total int64
 	for _, s := range sv.shards {

@@ -101,12 +101,12 @@ func TestSplitTailRefusesStraddle(t *testing.T) {
 
 // newResplitServer builds a single-shard server with the given
 // repartitioning policy (read verification off: resplit refuses it).
-func newResplitServer(t *testing.T, rc ResplitConfig, vol int64) *Server {
+func newResplitServer(t *testing.T, rc *ResplitConfig, vol int64) *Server {
 	return newResplitServerEvery(t, rc, vol, 0)
 }
 
 // newResplitServerEvery is newResplitServer with a checkpoint interval.
-func newResplitServerEvery(t *testing.T, rc ResplitConfig, vol int64, snapEvery time.Duration) *Server {
+func newResplitServerEvery(t *testing.T, rc *ResplitConfig, vol int64, snapEvery time.Duration) *Server {
 	t.Helper()
 	sv, err := NewServer(ServeSetup{
 		ShardSetup: ShardSetup{
@@ -143,13 +143,13 @@ func newResplitServerEvery(t *testing.T, rc ResplitConfig, vol int64, snapEvery 
 // the final occupancy.
 func TestResplitSplitsHotShard(t *testing.T) {
 	const vol = 1 << 20 // 256 blocks
-	rc := ResplitConfig{Enabled: true, MaxShards: 3, Factor: 1.0, WindowOps: 32, Streak: 1}
+	rc := &ResplitConfig{MaxShards: 3, Factor: 1.0, WindowOps: 32, Streak: 1}
 	sv := newResplitServer(t, rc, vol)
 	ctx := context.Background()
 	nblocks := int64(vol / BlockSize)
 	for pass := 0; pass < 2; pass++ {
 		for b := int64(0); b < nblocks; b++ {
-			if _, err := sv.Write(ctx, b*BlockSize, BlockSize); err != nil {
+			if _, err := sv.Do(ctx, 0, b*BlockSize, BlockSize, true, ""); err != nil {
 				t.Fatalf("pass %d write block %d: %v", pass, b, err)
 			}
 		}
@@ -160,11 +160,11 @@ func TestResplitSplitsHotShard(t *testing.T) {
 	// Reads across the whole volume exercise the re-routed boundaries,
 	// including one request fanning out over every shard.
 	for b := int64(0); b < nblocks; b++ {
-		if lat, err := sv.Read(ctx, b*BlockSize, BlockSize); err != nil || lat <= 0 {
+		if lat, err := sv.Do(ctx, 0, b*BlockSize, BlockSize, false, ""); err != nil || lat <= 0 {
 			t.Fatalf("read block %d: lat=%v err=%v", b, lat, err)
 		}
 	}
-	if lat, err := sv.Read(ctx, 0, vol); err != nil || lat <= 0 {
+	if lat, err := sv.Do(ctx, 0, 0, vol, false, ""); err != nil || lat <= 0 {
 		t.Fatalf("full-volume read: lat=%v err=%v", lat, err)
 	}
 	shards := sv.Shards()
@@ -203,12 +203,12 @@ func TestResplitSplitsHotShard(t *testing.T) {
 // and both halves must recover to what they hold live.
 func TestResplitKeepsShardsRecoverable(t *testing.T) {
 	const vol = 1 << 20
-	rc := ResplitConfig{Enabled: true, MaxShards: 3, Factor: 1.0, WindowOps: 32, Streak: 1}
+	rc := &ResplitConfig{MaxShards: 3, Factor: 1.0, WindowOps: 32, Streak: 1}
 	sv := newResplitServerEvery(t, rc, vol, 200*time.Microsecond)
 	ctx := context.Background()
 	for pass := 0; pass < 3; pass++ {
 		for off := int64(0); off < vol; off += BlockSize {
-			if _, err := sv.Write(ctx, off, BlockSize); err != nil {
+			if _, err := sv.Do(ctx, 0, off, BlockSize, true, ""); err != nil {
 				t.Fatalf("pass %d write at %d: %v", pass, off, err)
 			}
 		}
@@ -234,12 +234,12 @@ func TestResplitKeepsShardsRecoverable(t *testing.T) {
 // TestResplitMaxShardsCap checks splitting stops at the configured cap
 // even under a load that stays hot forever.
 func TestResplitMaxShardsCap(t *testing.T) {
-	rc := ResplitConfig{Enabled: true, MaxShards: 2, Factor: 1.0, WindowOps: 16, Streak: 1}
+	rc := &ResplitConfig{MaxShards: 2, Factor: 1.0, WindowOps: 16, Streak: 1}
 	sv := newResplitServer(t, rc, 1<<20)
 	ctx := context.Background()
 	for i := 0; i < 512; i++ {
 		off := int64(i%256) * BlockSize
-		if _, err := sv.Write(ctx, off, BlockSize); err != nil {
+		if _, err := sv.Do(ctx, 0, off, BlockSize, true, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,7 +254,7 @@ func TestResplitMaxShardsCap(t *testing.T) {
 // TestResplitConcurrentClients races submitters against splits (and the
 // final Stop) and checks no operation is lost or double-counted.
 func TestResplitConcurrentClients(t *testing.T) {
-	rc := ResplitConfig{Enabled: true, MaxShards: 4, Factor: 1.0, WindowOps: 32, Streak: 1}
+	rc := &ResplitConfig{MaxShards: 4, Factor: 1.0, WindowOps: 32, Streak: 1}
 	sv := newResplitServer(t, rc, 1<<20)
 	const clients, perClient = 4, 200
 	var wg sync.WaitGroup
@@ -268,9 +268,9 @@ func TestResplitConcurrentClients(t *testing.T) {
 				off := rng.Int63n(256) * BlockSize
 				var err error
 				if rng.Intn(2) == 0 {
-					_, err = sv.Write(ctx, off, BlockSize)
+					_, err = sv.Do(ctx, 0, off, BlockSize, true, "")
 				} else {
-					_, err = sv.Read(ctx, off, BlockSize)
+					_, err = sv.Do(ctx, 0, off, BlockSize, false, "")
 				}
 				if err != nil {
 					t.Error(err)
@@ -289,6 +289,50 @@ func TestResplitConcurrentClients(t *testing.T) {
 	}
 	if len(st.ShardLiveBlocks) != int(st.Resplits)+1 {
 		t.Fatalf("ShardLiveBlocks=%d entries, Resplits=%d", len(st.ShardLiveBlocks), st.Resplits)
+	}
+}
+
+// TestResplitStampOrderedAsync splits a shard under the paced client
+// shape — stamp-ordered SubmitAt, awaits running concurrently, Stop
+// before the tail is awaited — whose completions wait at the arrival
+// watermark until the quiesce runs the engine past it: the split must
+// still happen, lose nothing and leave every mapping consistent.
+func TestResplitStampOrderedAsync(t *testing.T) {
+	rc := &ResplitConfig{MaxShards: 3, Factor: 1.0, WindowOps: 32, Streak: 1}
+	sv := newResplitServer(t, rc, 1<<20)
+	ctx := context.Background()
+	const ops = 1024
+	errs := make(chan error, ops)
+	for i := 0; i < ops; i++ {
+		at := time.Duration(i) * 20 * time.Microsecond
+		aw, err := sv.SubmitAt(ctx, at, int64(i*7%256)*BlockSize, BlockSize, i%3 != 0)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		go func() {
+			_, err := aw(ctx)
+			errs <- err
+		}()
+	}
+	st, err := sv.Stop()
+	if err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+	for i := 0; i < ops; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.Resplits < 1 {
+		t.Fatal("the hot shard never split")
+	}
+	for i, ss := range sv.shards {
+		if err := ss.dev.se.mapping.CheckInvariants(); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+	}
+	if st.Requests != ops {
+		t.Fatalf("Requests=%d, want %d", st.Requests, ops)
 	}
 }
 
@@ -315,7 +359,7 @@ func TestResplitRefusesIncompatibleOptions(t *testing.T) {
 					return o, nil
 				},
 			},
-			Resplit: ResplitConfig{Enabled: true},
+			Resplit: &ResplitConfig{},
 		})
 		return err
 	}

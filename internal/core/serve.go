@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -22,50 +23,43 @@ import (
 // beyond the simulated device's capacity shows up as queueing collapse
 // (latency growing without bound) exactly as it would on hardware,
 // which closed-loop replay structurally cannot expose.
+//
+// Every shard runs its engine only up to the highest arrival stamp it
+// has admitted (its watermark): completions past the newest stamp wait
+// for a later arrival or the stop-drain, so for submitters that mail in
+// globally non-decreasing stamp order every virtual-time result is a
+// pure function of the operation sequence, independent of GOMAXPROCS
+// and mailbox batching. A caller blocked in Do cannot send the later
+// arrival that would release its own operation, so while one waits the
+// shard runs on past the watermark (see ingest).
 
-// DefaultServeMailbox bounds each shard's submission mailbox: when a
-// shard's event loop falls behind, submitters block on the full mailbox
+// serveMailbox bounds each shard's submission mailbox: when a shard's
+// event loop falls behind, submitters block on the full mailbox
 // (backpressure) instead of growing an unbounded queue.
-const DefaultServeMailbox = 256
+const serveMailbox = 256
 
-// DefaultServeBatch caps how many submissions one event-loop wakeup
-// drains from the mailbox before running the engine: batching amortizes
-// the channel handoff without letting one drain starve the clock.
-const DefaultServeBatch = 64
+// serveBatch caps how many submissions one event-loop wakeup drains
+// from the mailbox before running the engine: batching amortizes the
+// channel handoff without letting one drain starve the clock.
+const serveBatch = 64
 
 // ErrServeStopped reports a submission to — or a second Stop of — a
 // Server that has already been stopped.
 var ErrServeStopped = errors.New("core: server stopped")
 
 // ServeSetup describes a live serving stack: the ShardSetup sharded
-// replay uses, plus the knobs only a live server has.
+// replay uses, plus the knob only a live server has.
 type ServeSetup struct {
 	ShardSetup
-	// Mailbox bounds each shard's submission mailbox
-	// (0: DefaultServeMailbox).
-	Mailbox int
-	// Batch caps submissions drained per event-loop wakeup
-	// (0: DefaultServeBatch).
-	Batch int
 	// Resplit enables heat-balanced shard repartitioning: a shard whose
 	// admitted-op share stays above its fair share splits its LBA range
-	// at a quiesced, heat-balanced boundary (see ResplitConfig). The
-	// zero value keeps the shard map fixed.
-	Resplit ResplitConfig
-	// Paced keeps every shard's virtual clock at or below the highest
-	// arrival stamp it has admitted so far (a conservative watermark):
-	// completion events past the watermark stay queued until a later
-	// arrival — or the stop-drain — advances it. For submitters that
-	// mail operations in globally non-decreasing stamp order this makes
-	// every virtual-time result a pure function of the operation
-	// sequence, independent of GOMAXPROCS and mailbox batching; without
-	// it, an engine that ran dry ahead of an arrival still in flight
-	// clamps that arrival to wherever the clock happened to be — a real
-	// scheduling race leaking into virtual latency. The synchronous
-	// Read/Write wrappers are refused under pacing (their completion may
-	// only be released by a later arrival the blocked caller would never
-	// send), as is resplitting (see Incompatible).
-	Paced bool
+	// at a quiesced, heat-balanced boundary (see ResplitConfig). Nil
+	// keeps the shard map fixed.
+	Resplit *ResplitConfig
+
+	// mailbox overrides serveMailbox (0: serveMailbox); only tests set
+	// it, to force backpressure.
+	mailbox int
 }
 
 // serveResult is one completed facade operation: the open-loop latency
@@ -127,13 +121,14 @@ type serveOp struct {
 	write  bool
 	tenant string // submitting tenant ("" untagged)
 	shaped bool   // the tenant's bucket was already charged
+	wait   bool   // the caller is blocked on it (Do)
 	j      *joinOp
 }
 
 // Server routes live requests to LBA-range shards, each drained by a
 // long-lived event-loop goroutine. Build one with NewServer; submit with
-// Read/Write (goroutine-safe, any number of concurrent callers); Stop
-// drains the mailboxes and returns the merged RunStats.
+// Do or SubmitAt (goroutine-safe, any number of concurrent callers);
+// Stop drains the mailboxes and returns the merged RunStats.
 type Server struct {
 	part   partition
 	shards []*serveShard
@@ -141,9 +136,9 @@ type Server struct {
 	// setup keeps the (normalized) factories so a resplit can stamp out
 	// an additional shard pipeline mid-run.
 	setup ServeSetup
-	// rcfg is the normalized repartitioning policy (Enabled=false keeps
-	// the shard map fixed).
-	rcfg ResplitConfig
+	// rcfg is the normalized repartitioning policy (nil keeps the shard
+	// map fixed).
+	rcfg *ResplitConfig
 
 	// qcfg is the QoS configuration shared by every shard (nil when QoS
 	// is off); the facade-side strict-tenant check runs against it
@@ -169,6 +164,9 @@ type serveShard struct {
 	done chan struct{}
 
 	pending map[*serveOp]struct{}
+	// waited counts the pending operations whose caller is blocked on
+	// them.
+	waited int
 	// inflightBy counts pending operations per tenant; a tenant with a
 	// MaxDeferred bound is refused admission past it (the serve-mode
 	// analogue of the replay frontend's deferred-queue bound).
@@ -186,8 +184,8 @@ type serveShard struct {
 	// splitting marks a trySplit in progress, so the ingests that drain
 	// the mailbox while awaiting the router lock cannot re-enter it.
 	splitting bool
-	// horizon is the highest arrival stamp admitted so far — the paced
-	// mode watermark the engine may run up to.
+	// horizon is the highest arrival stamp admitted so far — the
+	// watermark the engine runs up to.
 	horizon time.Duration
 }
 
@@ -198,12 +196,7 @@ func NewServer(setup ServeSetup) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if setup.Mailbox <= 0 {
-		setup.Mailbox = DefaultServeMailbox
-	}
-	if setup.Batch <= 0 {
-		setup.Batch = DefaultServeBatch
-	}
+	setup.mailbox = cmp.Or(setup.mailbox, serveMailbox)
 	sv := &Server{
 		part:   part,
 		shards: make([]*serveShard, setup.Shards),
@@ -228,16 +221,14 @@ func NewServer(setup ServeSetup) (*Server, error) {
 // through it with serve set. The error carries no package prefix;
 // callers add theirs.
 func (s *ServeSetup) Incompatible(o *Options, serve bool) error {
-	resplit, powerCut := s.Resplit.Enabled, o.Faults != nil && o.Faults.PowerCutAt > 0
+	resplit, powerCut := s.Resplit != nil, o.Faults != nil && o.Faults.PowerCutAt > 0
 	switch {
-	case resplit && o.Dedup != nil && o.Dedup.Enabled:
+	case resplit && o.Dedup != nil:
 		return errors.New("resplit cannot migrate dedup-shared extents (references may span the split boundary); disable one of the two")
 	case resplit && o.VerifyReads:
 		return errors.New("resplit rebases extents to new shard-local offsets, which breaks offset-keyed read verification; disable one of the two")
 	case resplit && o.QoS != nil:
 		return errors.New("resplit changes the shard count mid-run, invalidating per-shard QoS rate shares; disable one of the two")
-	case resplit && s.Paced:
-		return errors.New("resplit's quiesce protocol must run the engine past the paced-serve watermark; disable one of the two")
 	case serve && powerCut:
 		return errors.New("serve mode does not support power-cut fault plans")
 	case serve && o.FlushTimeout < 0 && !o.DisableSD:
@@ -280,7 +271,7 @@ func (sv *Server) buildShard(id int, vol int64) (*serveShard, *obs.Collector, er
 		sv:         sv,
 		id:         id,
 		dev:        dev,
-		mail:       make(chan *serveOp, sv.setup.Mailbox),
+		mail:       make(chan *serveOp, sv.setup.mailbox),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 		pending:    make(map[*serveOp]struct{}),
@@ -300,33 +291,21 @@ func (sv *Server) Shards() int {
 // full and had to block (the backpressure signal).
 func (sv *Server) Stalls() int64 { return sv.stalls.Load() }
 
-// Read submits one read of [off, off+size) arriving as soon as possible
-// and blocks until it completes, returning its open-loop virtual
-// latency. Goroutine-safe; ctx cancels the wait (the operation itself
-// still completes server-side).
-func (sv *Server) Read(ctx context.Context, off, size int64) (time.Duration, error) {
-	return sv.submit(ctx, 0, off, size, false)
-}
-
-// Write submits one write of [off, off+size) arriving as soon as
-// possible and blocks until it completes. Goroutine-safe.
-func (sv *Server) Write(ctx context.Context, off, size int64) (time.Duration, error) {
-	return sv.submit(ctx, 0, off, size, true)
-}
-
-// ReadAt is Read with an explicit intended virtual arrival stamp (offset
-// from serve start): the shard admits the operation no earlier than at,
-// and the returned latency is measured from at — so a generator that
-// stamps arrivals from a seeded process gets coordinated-omission-free
-// open-loop latencies regardless of scheduling jitter on the way in.
-func (sv *Server) ReadAt(ctx context.Context, at time.Duration, off, size int64) (time.Duration, error) {
-	return sv.submit(ctx, at, off, size, false)
-}
-
-// WriteAt is Write with an explicit intended virtual arrival stamp; see
-// ReadAt.
-func (sv *Server) WriteAt(ctx context.Context, at time.Duration, off, size int64) (time.Duration, error) {
-	return sv.submit(ctx, at, off, size, true)
+// Do submits one operation on [off, off+size) with intended virtual
+// arrival stamp at (offset from serve start; 0 arrives as soon as
+// possible) and blocks until it completes, returning its open-loop
+// virtual latency, measured from at. tenant tags it as in SubmitAtTag.
+// The blocked caller is the one client that cannot send the later
+// arrival which would release its operation past the shard's
+// watermark, so the operation releases the watermark itself.
+// Goroutine-safe; ctx cancels the wait (the operation itself still
+// completes server-side).
+func (sv *Server) Do(ctx context.Context, at time.Duration, off, size int64, write bool, tenant string) (time.Duration, error) {
+	j, err := sv.mail(ctx, at, off, size, write, tenant, true)
+	if err != nil {
+		return 0, err
+	}
+	return j.wait(ctx)
 }
 
 // Await blocks for one submitted operation's completion and returns its
@@ -351,33 +330,19 @@ func (sv *Server) SubmitAt(ctx context.Context, at time.Duration, off, size int6
 // immediately with ErrUnknownTenant. The empty tag is untagged traffic
 // and behaves exactly as SubmitAt.
 func (sv *Server) SubmitAtTag(ctx context.Context, at time.Duration, off, size int64, write bool, tenant string) (Await, error) {
-	j, err := sv.mail(ctx, at, off, size, write, tenant)
+	j, err := sv.mail(ctx, at, off, size, write, tenant, false)
 	if err != nil {
 		return nil, err
 	}
 	return j.wait, nil
 }
 
-// submit is the synchronous form: mail, then wait.
-func (sv *Server) submit(ctx context.Context, at time.Duration, off, size int64, write bool) (time.Duration, error) {
-	if sv.setup.Paced {
-		// Under pacing a completion past the watermark is only released
-		// by a later arrival; a caller blocked here would never send it.
-		return 0, errors.New("core: synchronous submit would deadlock under paced serve; use SubmitAt and await concurrently")
-	}
-	j, err := sv.mail(ctx, at, off, size, write, "")
-	if err != nil {
-		return 0, err
-	}
-	return j.wait(ctx)
-}
-
 // mail aligns one facade operation against the volume, cuts it at
 // shard boundaries, and mails the pieces to their shards, blocking on
-// full mailboxes (backpressure). The read lock holds Stop off until
-// every piece is mailed, so a mailbox is never closed under a
-// submitter.
-func (sv *Server) mail(ctx context.Context, at time.Duration, off, size int64, write bool, tenant string) (*joinOp, error) {
+// full mailboxes (backpressure); wait marks pieces whose caller blocks
+// on them. The read lock holds Stop off until every piece is mailed, so
+// a mailbox is never closed under a submitter.
+func (sv *Server) mail(ctx context.Context, at time.Duration, off, size int64, write bool, tenant string, wait bool) (*joinOp, error) {
 	if at < 0 {
 		at = 0
 	}
@@ -404,7 +369,7 @@ func (sv *Server) mail(ctx context.Context, at time.Duration, off, size int64, w
 	j := &joinOp{remaining: pieces, res: make(chan serveResult, 1)}
 	for o, n := aOff, aSize; n > 0; {
 		i, local, c := sv.part.next(o, n)
-		op := &serveOp{at: at, off: local, size: c, write: write, tenant: tenant, j: j}
+		op := &serveOp{at: at, off: local, size: c, write: write, tenant: tenant, wait: wait, j: j}
 		ss := sv.shards[i]
 		select {
 		case ss.mail <- op:
@@ -480,14 +445,14 @@ func (ss *serveShard) run() {
 	}
 }
 
-// ingest admits one submission plus up to batch-1 more already waiting,
-// then runs the engine to quiescence. Admitting the whole batch before
+// ingest admits one submission plus up to serveBatch-1 more already
+// waiting, then runs the engine. Admitting the whole batch before
 // running lets simultaneous submissions sort into virtual-time order on
 // the event heap regardless of mailbox interleaving.
 func (ss *serveShard) ingest(first *serveOp) {
 	ss.admit(first)
 drain:
-	for n := 1; n < ss.sv.setup.Batch; n++ {
+	for n := 1; n < serveBatch; n++ {
 		select {
 		case op := <-ss.mail:
 			ss.admit(op)
@@ -496,18 +461,23 @@ drain:
 		}
 	}
 	// Re-arm the background timers for this batch (one that fired with
-	// nothing pending disarmed itself). RunPending — not Run — so the armed
-	// maintenance/checkpoint timers cannot fast-forward the clock ahead
-	// of arrival stamps still in flight; they fire when real traffic
-	// pushes the clock past their deadlines. Paced mode goes further:
-	// the engine stops at the arrival watermark itself, so completions
-	// past the newest stamp wait for the next batch (or the stop-drain)
-	// and the clock can never outrun a stamp-ordered submitter.
+	// nothing pending disarmed itself), then run up to the arrival
+	// watermark: completions past the newest stamp wait for the next
+	// batch (or the stop-drain), so the clock never outruns a
+	// stamp-ordered submitter. While a blocked caller waits on this
+	// shard, nothing it sends can release its operation, so the engine
+	// runs on: pending work first — RunPending, not Run, so the parked
+	// maintenance/checkpoint timers cannot fast-forward the clock — and
+	// then, should a shaper have parked the operation's arrival as
+	// housekeeping, the next timer.
 	ss.dev.armTimers()
-	if ss.sv.setup.Paced {
-		ss.dev.eng.RunUntil(ss.horizon)
-	} else {
-		ss.dev.eng.RunPending()
+	eng := ss.dev.eng
+	eng.RunUntil(ss.horizon)
+	for ss.waited > 0 {
+		eng.RunPending()
+		if ss.waited == 0 || !eng.Step() {
+			break
+		}
 	}
 	if ss.dev.fs.failed() {
 		ss.failAll()
@@ -544,12 +514,18 @@ func (ss *serveShard) admit(op *serveOp) {
 		ss.horizon = at
 	}
 	ss.pending[op] = struct{}{}
+	if op.wait {
+		ss.waited++
+	}
 	d.eng.SchedulePriority(at, func() { ss.arrive(op) })
 }
 
 // remove drops one pending operation from the shard's books.
 func (ss *serveShard) remove(op *serveOp) {
 	delete(ss.pending, op)
+	if op.wait {
+		ss.waited--
+	}
 	if op.tenant != "" {
 		ss.inflightBy[op.tenant]--
 	}

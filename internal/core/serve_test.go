@@ -13,8 +13,9 @@ import (
 	"edc/internal/ssd"
 )
 
-// newTestServer builds an n-shard live server over small private SSDs.
-func newTestServer(t *testing.T, n int, vol int64, mailbox, batch int) *Server {
+// newTestServer builds an n-shard live server over small private SSDs,
+// with per-shard mailboxes of the given depth (0: the default).
+func newTestServer(t *testing.T, n int, vol int64, mailbox int) *Server {
 	t.Helper()
 	sv, err := NewServer(ServeSetup{
 		ShardSetup: ShardSetup{
@@ -36,8 +37,7 @@ func newTestServer(t *testing.T, n int, vol int64, mailbox, batch int) *Server {
 				}, nil
 			},
 		},
-		Mailbox: mailbox,
-		Batch:   batch,
+		mailbox: mailbox,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,17 +48,17 @@ func newTestServer(t *testing.T, n int, vol int64, mailbox, batch int) *Server {
 // TestServeBasic drives a single-shard server from one client and checks
 // the merged statistics account for every operation.
 func TestServeBasic(t *testing.T) {
-	sv := newTestServer(t, 1, 1<<20, 0, 0)
+	sv := newTestServer(t, 1, 1<<20, 0)
 	ctx := context.Background()
 	const ops = 32
 	for i := 0; i < ops; i++ {
 		off := int64(i%64) * BlockSize
 		if i%2 == 0 {
-			if lat, err := sv.Write(ctx, off, BlockSize); err != nil || lat <= 0 {
+			if lat, err := sv.Do(ctx, 0, off, BlockSize, true, ""); err != nil || lat <= 0 {
 				t.Fatalf("write %d: lat=%v err=%v", i, lat, err)
 			}
 		} else {
-			if lat, err := sv.Read(ctx, off, BlockSize); err != nil || lat <= 0 {
+			if lat, err := sv.Do(ctx, 0, off, BlockSize, false, ""); err != nil || lat <= 0 {
 				t.Fatalf("read %d: lat=%v err=%v", i, lat, err)
 			}
 		}
@@ -90,7 +90,7 @@ func TestServeConcurrentClients(t *testing.T) {
 		perC    = 40
 		vol     = int64(4 << 20)
 	)
-	sv := newTestServer(t, 4, vol, 8, 4)
+	sv := newTestServer(t, 4, vol, 8)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -107,9 +107,9 @@ func TestServeConcurrentClients(t *testing.T) {
 				at := time.Duration(i) * 50 * time.Microsecond
 				var err error
 				if i%3 == 0 {
-					_, err = sv.ReadAt(ctx, at, off, BlockSize)
+					_, err = sv.Do(ctx, at, off, BlockSize, false, "")
 				} else {
-					_, err = sv.WriteAt(ctx, at, off, BlockSize)
+					_, err = sv.Do(ctx, at, off, BlockSize, true, "")
 				}
 				if err != nil {
 					errs <- err
@@ -146,7 +146,7 @@ func TestServeDeterministicCounts(t *testing.T) {
 	run := func() *RunStats {
 		const clients, perC = 4, 25
 		vol := int64(2 << 20)
-		sv := newTestServer(t, 2, vol, 4, 2)
+		sv := newTestServer(t, 2, vol, 4)
 		ctx := context.Background()
 		var wg sync.WaitGroup
 		for c := 0; c < clients; c++ {
@@ -158,9 +158,9 @@ func TestServeDeterministicCounts(t *testing.T) {
 				for i := 0; i < perC; i++ {
 					off := (int64(c*perC+i) * 104729 % blocks) * BlockSize
 					if (c+i)%4 == 0 {
-						sv.ReadAt(ctx, time.Duration(i)*time.Millisecond, off, BlockSize)
+						sv.Do(ctx, time.Duration(i)*time.Millisecond, off, BlockSize, false, "")
 					} else {
-						sv.WriteAt(ctx, time.Duration(i)*time.Millisecond, off, BlockSize)
+						sv.Do(ctx, time.Duration(i)*time.Millisecond, off, BlockSize, true, "")
 					}
 				}
 			}()
@@ -187,14 +187,14 @@ func TestServeDeterministicCounts(t *testing.T) {
 // completion.
 func TestServeShardSpanning(t *testing.T) {
 	vol := int64(1 << 20)
-	sv := newTestServer(t, 2, vol, 0, 0)
+	sv := newTestServer(t, 2, vol, 0)
 	bound := vol / 2 // two equal shards
 	ctx := context.Background()
-	lat, err := sv.Write(ctx, bound-BlockSize, 2*BlockSize)
+	lat, err := sv.Do(ctx, 0, bound-BlockSize, 2*BlockSize, true, "")
 	if err != nil || lat <= 0 {
 		t.Fatalf("spanning write: lat=%v err=%v", lat, err)
 	}
-	if lat2, err := sv.Read(ctx, bound-BlockSize, 2*BlockSize); err != nil || lat2 <= 0 {
+	if lat2, err := sv.Do(ctx, 0, bound-BlockSize, 2*BlockSize, false, ""); err != nil || lat2 <= 0 {
 		t.Fatalf("spanning read: lat=%v err=%v", lat2, err)
 	}
 	st, err := sv.Stop()
@@ -212,23 +212,23 @@ func TestServeShardSpanning(t *testing.T) {
 // measures only its own response time, while a stamp in the virtual past
 // is clamped to now and accrues the ingress wait.
 func TestServeOpenLoopLatency(t *testing.T) {
-	sv := newTestServer(t, 1, 1<<20, 0, 0)
+	sv := newTestServer(t, 1, 1<<20, 0)
 	ctx := context.Background()
 	// Advance the virtual clock well past zero.
 	for i := 0; i < 200; i++ {
-		if _, err := sv.Write(ctx, int64(i%32)*BlockSize, BlockSize); err != nil {
+		if _, err := sv.Do(ctx, 0, int64(i%32)*BlockSize, BlockSize, true, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Stamp 0 is now deep in the virtual past: the latency includes the
 	// whole clamp-to-now wait.
-	past, err := sv.WriteAt(ctx, 0, 0, BlockSize)
+	past, err := sv.Do(ctx, 0, 0, BlockSize, true, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A far-future stamp advances the clock instead: latency is response
 	// time only.
-	future, err := sv.WriteAt(ctx, time.Hour, 0, BlockSize)
+	future, err := sv.Do(ctx, time.Hour, 0, BlockSize, true, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +248,15 @@ func TestServeOpenLoopLatency(t *testing.T) {
 // SubmitAt — without waiting for earlier completions — must see
 // latencies bounded by genuine service and queueing time, never
 // inflated by the virtual clock racing ahead of stamps still to come.
+// The awaits run concurrently and Stop comes before the tail is awaited:
+// completions past the newest stamp wait for the stop-drain.
 func TestServeSubmitAtOrdered(t *testing.T) {
-	sv := newTestServer(t, 1, 1<<20, 0, 0)
+	sv := newTestServer(t, 1, 1<<20, 0)
 	ctx := context.Background()
 	const ops = 200
-	awaits := make([]Await, 0, ops)
+	lats := make([]time.Duration, ops)
+	errs := make([]error, ops)
+	var wg sync.WaitGroup
 	for i := 0; i < ops; i++ {
 		// 2 ms spacing: far below device capacity, so with in-order
 		// admission every wait is ~zero and latency is pure response
@@ -262,20 +266,24 @@ func TestServeSubmitAtOrdered(t *testing.T) {
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		awaits = append(awaits, aw)
-	}
-	for i, aw := range awaits {
-		lat, err := aw(ctx)
-		if err != nil {
-			t.Fatalf("await %d: %v", i, err)
-		}
-		if lat <= 0 || lat >= 2*time.Millisecond {
-			t.Fatalf("op %d: latency %v outside (0, 2ms): clock ran ahead of unsubmitted stamps", i, lat)
-		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			lats[i], errs[i] = aw(ctx)
+		}(i)
 	}
 	st, err := sv.Stop()
 	if err != nil {
 		t.Fatal(err)
+	}
+	wg.Wait()
+	for i, lat := range lats {
+		if errs[i] != nil {
+			t.Fatalf("await %d: %v", i, errs[i])
+		}
+		if lat <= 0 || lat >= 2*time.Millisecond {
+			t.Fatalf("op %d: latency %v outside (0, 2ms): clock ran ahead of unsubmitted stamps", i, lat)
+		}
 	}
 	if st.Requests != ops {
 		t.Fatalf("requests=%d, want %d", st.Requests, ops)
@@ -285,18 +293,18 @@ func TestServeSubmitAtOrdered(t *testing.T) {
 // TestServeStopped checks submissions and second Stops after Stop fail
 // with ErrServeStopped.
 func TestServeStopped(t *testing.T) {
-	sv := newTestServer(t, 1, 1<<20, 0, 0)
+	sv := newTestServer(t, 1, 1<<20, 0)
 	ctx := context.Background()
-	if _, err := sv.Write(ctx, 0, BlockSize); err != nil {
+	if _, err := sv.Do(ctx, 0, 0, BlockSize, true, ""); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sv.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sv.Write(ctx, 0, BlockSize); !errors.Is(err, ErrServeStopped) {
+	if _, err := sv.Do(ctx, 0, 0, BlockSize, true, ""); !errors.Is(err, ErrServeStopped) {
 		t.Fatalf("Write after Stop: %v, want ErrServeStopped", err)
 	}
-	if _, err := sv.Read(ctx, 0, BlockSize); !errors.Is(err, ErrServeStopped) {
+	if _, err := sv.Do(ctx, 0, 0, BlockSize, false, ""); !errors.Is(err, ErrServeStopped) {
 		t.Fatalf("Read after Stop: %v, want ErrServeStopped", err)
 	}
 	if _, err := sv.Stop(); !errors.Is(err, ErrServeStopped) {
@@ -309,7 +317,7 @@ func TestServeStopped(t *testing.T) {
 // block instead of losing work) and the stall counter must be coherent.
 func TestServeBackpressure(t *testing.T) {
 	const clients, perC = 8, 25
-	sv := newTestServer(t, 1, 1<<20, 1, 1)
+	sv := newTestServer(t, 1, 1<<20, 1)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -319,7 +327,7 @@ func TestServeBackpressure(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perC; i++ {
 				off := int64((c*perC+i)%128) * BlockSize
-				if _, err := sv.Write(ctx, off, BlockSize); err != nil {
+				if _, err := sv.Do(ctx, 0, off, BlockSize, true, ""); err != nil {
 					t.Errorf("client %d write %d: %v", c, i, err)
 					return
 				}
@@ -341,11 +349,11 @@ func TestServeBackpressure(t *testing.T) {
 
 // TestServeContextCancel checks a cancelled context releases a waiter
 // whose operation is still in flight, and that the operation completes
-// server-side all the same. The server is paced so that "still in
-// flight" is a fact rather than a race: a paced shard releases no
-// completion past its newest arrival stamp until a later arrival or
-// Stop, so the result cannot be ready when the cancelled wait runs (with
-// both ready, select may pick either).
+// server-side all the same. "Still in flight" is a fact rather than a
+// race: a shard releases no completion of an unwaited operation past its
+// newest arrival stamp until a later arrival or Stop, so the result
+// cannot be ready when the cancelled wait runs (with both ready, select
+// may pick either).
 func TestServeContextCancel(t *testing.T) {
 	sv := newPacedServer(t, 1, 1<<20)
 	await, err := sv.SubmitAt(context.Background(), 0, 0, BlockSize, true)
@@ -397,7 +405,7 @@ func TestServeFailurePropagation(t *testing.T) {
 	ctx := context.Background()
 	var opErr error
 	for i := 0; i < 64; i++ {
-		if _, opErr = sv.Write(ctx, int64(i)*BlockSize, BlockSize); opErr != nil {
+		if _, opErr = sv.Do(ctx, 0, int64(i)*BlockSize, BlockSize, true, ""); opErr != nil {
 			break
 		}
 	}

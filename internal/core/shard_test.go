@@ -203,7 +203,7 @@ func TestPartitionProperty(t *testing.T) {
 					split = append(split, piece{i, q.Offset, q.Size})
 				}
 			}
-			j, err := sv.mail(ctx, 0, r.Offset, r.Size, r.Write, "")
+			j, err := sv.mail(ctx, 0, r.Offset, r.Size, r.Write, "", false)
 			if err != nil {
 				t.Fatal(err)
 			}

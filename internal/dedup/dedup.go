@@ -70,15 +70,11 @@ const DefaultKey = 0xe7037ed1a0b428db
 // fully unique corpus), far above what the bundled traces store.
 const DefaultMaxEntries = 1 << 20
 
-// Config parameterizes content-addressed dedup. The zero value is
-// disabled; Normalize fills every other zero field with the documented
-// default so callers only set what they care about.
+// Config parameterizes content-addressed dedup; a device handed none
+// builds no content index and computes no fingerprints. Normalize fills
+// every zero field with the documented default so callers only set what
+// they care about.
 type Config struct {
-	// Enabled turns dedup on. When false the engine builds no content
-	// index, the write path computes no fingerprints, and the replay is
-	// bit-identical to a build without the dedup seam.
-	Enabled bool `json:"enabled"`
-
 	// Key seeds the per-device content fingerprint (default
 	// DefaultKey). Shards of one system share the key; because shards
 	// never exchange extents, per-shard indexes stay independent and
@@ -93,7 +89,7 @@ type Config struct {
 }
 
 // Normalize returns cfg with every zero tunable replaced by its
-// default. Enabled passes through unchanged.
+// default.
 func (c Config) Normalize() Config {
 	if c.Key == 0 {
 		c.Key = DefaultKey

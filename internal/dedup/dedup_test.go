@@ -106,22 +106,19 @@ func TestConfigNormalize(t *testing.T) {
 	if got := defaults.Normalize(); got != defaults {
 		t.Fatalf("Normalize is not idempotent: %+v", got)
 	}
-	if !(Config{Enabled: true}).Normalize().Enabled {
-		t.Fatal("Normalize dropped Enabled")
-	}
-	set := Config{Enabled: true, Key: 7, MaxEntries: 12}
+	set := Config{Key: 7, MaxEntries: 12}
 	if got := set.Normalize(); got != set {
 		t.Fatalf("Normalize changed explicit values: %+v -> %+v", set, got)
 	}
 }
 
 func TestConfigValidate(t *testing.T) {
-	for _, ok := range []Config{{}, {Enabled: true}, {Key: 1, MaxEntries: 1}, Config{}.Normalize()} {
+	for _, ok := range []Config{{}, {Key: 1, MaxEntries: 1}, Config{}.Normalize()} {
 		if err := ok.Validate(); err != nil {
 			t.Errorf("%+v: %v", ok, err)
 		}
 	}
-	for _, bad := range []Config{{MaxEntries: -1}, {Enabled: true, MaxEntries: -1 << 40}} {
+	for _, bad := range []Config{{MaxEntries: -1}, {Key: 1, MaxEntries: -1 << 40}} {
 		err := bad.Validate()
 		if !errors.Is(err, ErrBadConfig) {
 			t.Errorf("%+v: error %v, want ErrBadConfig", bad, err)

@@ -101,15 +101,10 @@ func HistBucket(hits uint16) int {
 	}
 }
 
-// Config parameterizes background maintenance. The zero value is
-// disabled; Normalize fills every other zero field with the documented
-// default so callers only set what they care about.
+// Config parameterizes background maintenance; a device handed none
+// runs no maintenance. Normalize fills every zero field with the
+// documented default so callers only set what they care about.
 type Config struct {
-	// Enabled turns background maintenance on. When false the engine
-	// never arms the scheduler and the replay is bit-identical to a
-	// build without maintenance.
-	Enabled bool `json:"enabled"`
-
 	// Interval is the virtual-time cadence of maintenance ticks
 	// (default 100ms). Every tick the scheduler samples workload
 	// intensity; only idle ticks do work.
@@ -155,7 +150,7 @@ type Config struct {
 }
 
 // Normalize returns cfg with every zero tunable replaced by its
-// default. Enabled passes through unchanged.
+// default.
 func (c Config) Normalize() Config {
 	if c.Interval <= 0 {
 		c.Interval = 100 * time.Millisecond

@@ -120,7 +120,7 @@ func TestHistBucket(t *testing.T) {
 }
 
 func TestConfigNormalizeDefaults(t *testing.T) {
-	c := Config{Enabled: true}.Normalize()
+	c := Config{}.Normalize()
 	if c.Interval != 100*time.Millisecond || c.IdleIOPS != 300 ||
 		c.BudgetPerTick != 8 || c.EpochLen != 250*time.Millisecond ||
 		c.ColdEpochs != 4 || c.HotHits != 4 ||
@@ -172,7 +172,7 @@ func (c *fakeClock) fire(d time.Duration) {
 }
 
 func TestSchedulerIdleGateAndBudget(t *testing.T) {
-	cfg := Config{Enabled: true}.Normalize()
+	cfg := Config{}.Normalize()
 	clock := &fakeClock{pending: 1}
 	idle := false
 	var budgets []int

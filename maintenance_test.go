@@ -20,29 +20,6 @@ func maintPolicy() Maintenance {
 	}
 }
 
-// TestMaintenanceDisabledIsIdentical checks the off path is provably
-// unchanged: a device handed a maintenance policy with Enabled=false
-// (WithMaintenance always sets the flag, so the test writes the policy
-// itself) must replay bit-identically to one with no policy at all,
-// across the single-pipeline and sharded systems.
-func TestMaintenanceDisabledIsIdentical(t *testing.T) {
-	tr := smallTrace(t, 1500)
-	for _, shards := range []int{1, 3} {
-		run := func(m *Maintenance) *Results {
-			res, err := Replay(tr, testVolume, WithSSDConfig(smallSSD()), WithVerify(),
-				WithShards(shards), func(c *config) { c.dev.Maint = m })
-			if err != nil {
-				t.Fatalf("shards=%d: %v", shards, err)
-			}
-			return res
-		}
-		disabled := maintPolicy() // Enabled left false
-		if !reflect.DeepEqual(run(nil), run(&disabled)) {
-			t.Fatalf("shards=%d: Enabled=false maintenance config changed the replay", shards)
-		}
-	}
-}
-
 // TestMaintenanceDeterminism replays the same trace twice with
 // maintenance enabled across a workers x shards matrix; every cell must
 // reproduce byte-identical Results, and verification must hold on every

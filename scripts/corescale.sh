@@ -50,7 +50,7 @@ field() {
 }
 
 echo "spec=$spec clients=$clients shards=$shards volume=${volume}MiB cores=$(nproc)"
-printf '%-10s  %-14s  %-10s  %s\n' "GOMAXPROCS" "ops/sec wall" "wall" "pool submitted/stolen/inline"
+printf '%-10s  %-14s  %-10s  %s\n' "GOMAXPROCS" "ops/sec wall" "wall" "pool submitted/inline"
 for procs in 1 2 4; do
 	GOMAXPROCS=$procs "$tmp/edcbench" -serve -spec "$spec" \
 		-clients "$clients" -shards "$shards" -volume "$volume" \
@@ -59,7 +59,7 @@ for procs in 1 2 4; do
 	wall=$(field "$tmp/run-$procs.json" '.wall_ns')
 	# The pool block is omitted when no jobs ran off-loop (GOMAXPROCS=1
 	# keeps a single worker, so it is normally present at every width).
-	pool=$(jq -r 'if .pool then "\(.pool.submitted)/\(.pool.stolen)/\(.pool.inline)" else "-" end' "$tmp/run-$procs.json")
+	pool=$(jq -r 'if .pool then "\(.pool.submitted)/\(.pool.inline)" else "-" end' "$tmp/run-$procs.json")
 	# Virtual-time fingerprint: the canonicalised steps array. Everything
 	# the simulation computes — counts, achieved QPS, percentiles — lives
 	# here; wall-clock fields deliberately do not.

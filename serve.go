@@ -12,12 +12,12 @@ import (
 // recorded trace: after Serve, any number of goroutines may call
 // Read/Write concurrently; requests route by LBA to per-shard pipelines
 // whose event loops run as long-lived goroutines draining bounded
-// submission mailboxes (WithServeQueue). Latency is open-loop in virtual
-// time — measured from each operation's intended arrival stamp to its
-// virtual completion — so offered load beyond the simulated device's
-// capacity surfaces as unbounded queueing delay, exactly the signal
-// closed-loop replay cannot produce. StopServe drains everything and
-// returns the same Results a replay would.
+// submission mailboxes. Latency is open-loop in virtual time — measured
+// from each operation's intended arrival stamp to its virtual
+// completion — so offered load beyond the simulated device's capacity
+// surfaces as unbounded queueing delay, exactly the signal closed-loop
+// replay cannot produce. StopServe drains everything and returns the
+// same Results a replay would.
 
 // ErrNotServing reports a serve-mode call (Read, Write, StopServe) on a
 // System that never entered serve mode.
@@ -29,8 +29,20 @@ var ErrServeStopped = core.ErrServeStopped
 
 // Serve switches the System into live serving. It consumes the System's
 // single use (a later Play returns ErrReplayed) and is incompatible with
-// power-cut fault plans. After Serve returns, Read/Write/ReadAt/WriteAt
-// are goroutine-safe.
+// power-cut fault plans. After Serve returns, every submission method is
+// goroutine-safe.
+//
+// Each shard runs its virtual clock only up to the highest arrival stamp
+// it has admitted (its watermark): a completion past the newest stamp
+// waits for a later arrival or StopServe, so an engine that ran dry can
+// never clamp an arrival still in flight to wherever its clock happened
+// to be. A load generator that submits in global stamp order through
+// SubmitAt and awaits concurrently therefore gets virtual-time results
+// that are a pure function of its operations, independent of GOMAXPROCS
+// and mailbox batching. The blocking calls (Read, Write, ReadAt,
+// WriteAt, ReadAtTag, WriteAtTag) wait on their own operation, which no
+// later arrival from their caller can release, so while one waits its
+// shard runs on past the watermark.
 func (s *System) Serve() error {
 	if s.played {
 		return ErrReplayed
@@ -48,19 +60,13 @@ func (s *System) Serve() error {
 // and blocks until it completes, returning the open-loop virtual
 // latency. Goroutine-safe; ctx cancels the wait.
 func (s *System) Read(ctx context.Context, off, size int64) (time.Duration, error) {
-	if s.srv == nil {
-		return 0, ErrNotServing
-	}
-	return s.srv.Read(ctx, off, size)
+	return s.do(ctx, 0, off, size, false, "")
 }
 
 // Write submits one write of [off, off+size) arriving as soon as
 // possible and blocks until it completes. Goroutine-safe.
 func (s *System) Write(ctx context.Context, off, size int64) (time.Duration, error) {
-	if s.srv == nil {
-		return 0, ErrNotServing
-	}
-	return s.srv.Write(ctx, off, size)
+	return s.do(ctx, 0, off, size, true, "")
 }
 
 // ReadAt is Read with an explicit intended virtual arrival stamp (offset
@@ -69,19 +75,13 @@ func (s *System) Write(ctx context.Context, off, size int64) (time.Duration, err
 // coordinated-omission-free open-loop measurement a stamped generator
 // wants.
 func (s *System) ReadAt(ctx context.Context, at time.Duration, off, size int64) (time.Duration, error) {
-	if s.srv == nil {
-		return 0, ErrNotServing
-	}
-	return s.srv.ReadAt(ctx, at, off, size)
+	return s.do(ctx, at, off, size, false, "")
 }
 
 // WriteAt is Write with an explicit intended virtual arrival stamp; see
 // ReadAt.
 func (s *System) WriteAt(ctx context.Context, at time.Duration, off, size int64) (time.Duration, error) {
-	if s.srv == nil {
-		return 0, ErrNotServing
-	}
-	return s.srv.WriteAt(ctx, at, off, size)
+	return s.do(ctx, at, off, size, true, "")
 }
 
 // ReadAtTag is ReadAt with the submitting tenant's tag: the operation
@@ -91,25 +91,21 @@ func (s *System) WriteAt(ctx context.Context, at time.Duration, off, size int64)
 // with ErrUnknownTenant. The empty tag is untagged traffic and behaves
 // exactly as ReadAt.
 func (s *System) ReadAtTag(ctx context.Context, at time.Duration, off, size int64, tenant string) (time.Duration, error) {
-	return s.submitTag(ctx, at, off, size, false, tenant)
+	return s.do(ctx, at, off, size, false, tenant)
 }
 
 // WriteAtTag is WriteAt with the submitting tenant's tag; see
 // ReadAtTag.
 func (s *System) WriteAtTag(ctx context.Context, at time.Duration, off, size int64, tenant string) (time.Duration, error) {
-	return s.submitTag(ctx, at, off, size, true, tenant)
+	return s.do(ctx, at, off, size, true, tenant)
 }
 
-// submitTag mails one tagged operation and waits for it.
-func (s *System) submitTag(ctx context.Context, at time.Duration, off, size int64, write bool, tenant string) (time.Duration, error) {
+// do is the one blocking call every blocking method makes.
+func (s *System) do(ctx context.Context, at time.Duration, off, size int64, write bool, tenant string) (time.Duration, error) {
 	if s.srv == nil {
 		return 0, ErrNotServing
 	}
-	aw, err := s.srv.SubmitAtTag(ctx, at, off, size, write, tenant)
-	if err != nil {
-		return 0, err
-	}
-	return aw(ctx)
+	return s.srv.Do(ctx, at, off, size, write, tenant)
 }
 
 // Await blocks for one submitted operation's completion; see SubmitAt.
@@ -121,7 +117,9 @@ type Await = core.Await
 // shard's virtual clock behind the stamps still to come, so the
 // reported open-loop latencies measure true queueing delay rather than
 // submission-order skew between client goroutines (internal/bench's
-// serve driver sequences its clients through this).
+// serve driver sequences its clients through this). A completion past
+// the newest stamp is released by a later arrival or by StopServe, so
+// await concurrently, or stop before awaiting the tail.
 func (s *System) SubmitAt(ctx context.Context, at time.Duration, off, size int64, write bool) (Await, error) {
 	if s.srv == nil {
 		return nil, ErrNotServing

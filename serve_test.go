@@ -3,6 +3,7 @@ package edc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -12,8 +13,7 @@ import (
 // goroutines and checks the merged Results account for every operation.
 func TestServeFacade(t *testing.T) {
 	s, err := NewSystem(testVolume,
-		WithSSDConfig(smallSSD()), WithShards(2), WithVerify(),
-		WithServeQueue(16, 8))
+		WithSSDConfig(smallSSD()), WithShards(2), WithVerify())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,6 +64,62 @@ func TestServeFacade(t *testing.T) {
 	}
 	if res.Scheme != string(SchemeEDC) {
 		t.Fatalf("scheme=%q", res.Scheme)
+	}
+}
+
+// TestBlockingCallsReturn checks each of the six blocking calls returns
+// its own operation's latency with no later arrival to release it past
+// the shard's watermark: with and without WithPacedServe, at one and two
+// shards — the stamped calls straddle the two-shard boundary — and
+// untagged or under a QoS table whose bandwidth schedule parks the
+// tagged calls' arrivals.
+func TestBlockingCallsReturn(t *testing.T) {
+	const mid = testVolume / 2 // the two-shard boundary
+	for _, paced := range []bool{false, true} {
+		for _, shards := range []int{1, 2} {
+			for _, tenant := range []string{"", "web"} {
+				t.Run(fmt.Sprintf("paced=%v/shards=%d/tenant=%q", paced, shards, tenant), func(t *testing.T) {
+					opts := []Option{WithSSDConfig(smallSSD()), WithShards(shards)}
+					if paced {
+						opts = append(opts, WithPacedServe())
+					}
+					if tenant != "" {
+						opts = append(opts, WithQoS(QoSConfig{Tenants: map[string]QoSTenant{tenant: {Bandwidth: "4k"}}}))
+					}
+					s, err := NewSystem(testVolume, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := s.Serve(); err != nil {
+						t.Fatal(err)
+					}
+					ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+					defer cancel()
+					for _, c := range []struct {
+						name string
+						call func() (time.Duration, error)
+					}{
+						{"Write", func() (time.Duration, error) { return s.Write(ctx, 0, 4096) }},
+						{"Read", func() (time.Duration, error) { return s.Read(ctx, 0, 4096) }},
+						{"WriteAt", func() (time.Duration, error) { return s.WriteAt(ctx, time.Millisecond, mid-4096, 8192) }},
+						{"ReadAt", func() (time.Duration, error) { return s.ReadAt(ctx, 2*time.Millisecond, mid-4096, 8192) }},
+						{"WriteAtTag", func() (time.Duration, error) { return s.WriteAtTag(ctx, 3*time.Millisecond, 8192, 4096, tenant) }},
+						{"ReadAtTag", func() (time.Duration, error) { return s.ReadAtTag(ctx, 4*time.Millisecond, 8192, 4096, tenant) }},
+					} {
+						if lat, err := c.call(); err != nil || lat <= 0 {
+							t.Errorf("%s: latency %v, err %v", c.name, lat, err)
+						}
+					}
+					res, err := s.StopServe()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tenant != "" && res.Tenants[tenant].Shaped == 0 {
+						t.Fatal("the bandwidth schedule parked no tagged call")
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -175,14 +231,13 @@ func TestServeResplit(t *testing.T) {
 }
 
 // TestResplitValidation checks the config-level incompatibility
-// refusals (verify, dedup, QoS, paced serve).
+// refusals (verify, dedup, QoS).
 func TestResplitValidation(t *testing.T) {
 	rc := ResplitConfig{}
 	bad := [][]Option{
 		{WithResplit(rc), WithVerify()},
 		{WithResplit(rc), WithDedup(Dedup{})},
 		{WithResplit(rc), WithQoS(QoSConfig{Tenants: map[string]QoSTenant{"a": {}}})},
-		{WithResplit(rc), WithPacedServe()},
 	}
 	for i, opts := range bad {
 		if _, err := NewSystem(1<<20, append(opts, WithSSDConfig(smallSSD()))...); err == nil {
