@@ -18,7 +18,7 @@ func newPacedServer(t *testing.T, shards int, vol int64) *Server {
 // newPacedServerWith builds a verify-mode server (every server runs its
 // shards paced, up to their arrival watermarks) over the given per-shard
 // options.
-func newPacedServerWith(t *testing.T, shards int, vol int64, opts Options) *Server {
+func newPacedServerWith(t testing.TB, shards int, vol int64, opts Options) *Server {
 	t.Helper()
 	opts.VerifyReads = true
 	sv, err := NewServer(ServeSetup{

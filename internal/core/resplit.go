@@ -152,8 +152,8 @@ wait:
 		select {
 		case <-lockc:
 			break wait
-		case op := <-ss.mail:
-			ss.ingest(op)
+		case req := <-ss.mail:
+			ss.ingest(req)
 		case <-stop:
 			// Stop is racing us; disable this case (a closed channel
 			// fires forever) and keep waiting for the lock — the closed
@@ -172,8 +172,8 @@ wait:
 	// and stay parked. Split only if truly nothing is left in flight.
 	for {
 		select {
-		case op := <-ss.mail:
-			ss.ingest(op)
+		case req := <-ss.mail:
+			ss.ingest(req)
 			continue
 		default:
 		}
@@ -181,6 +181,7 @@ wait:
 	}
 	ss.dev.armTimers()
 	ss.dev.eng.RunPending()
+	ss.publish()
 	if ss.dev.fs.failed() || len(ss.pending) > 0 {
 		return
 	}

@@ -70,59 +70,118 @@ type serveResult struct {
 	err error
 }
 
-// joinOp joins the per-shard sub-operations of one facade call: the
-// call's latency is the slowest sub-operation's, and the buffered result
-// channel lets completion outlive a caller that gave up on its context.
-type joinOp struct {
+// ticket joins the per-shard sub-operations of one facade call and hands
+// the joined result to its one awaiter: the call's latency is the slowest
+// sub-operation's, and the buffered result channel lets completion
+// outlive a caller that gave up on its context. Tickets are pooled, so
+// each use is one incarnation named by a generation: state packs
+// gen<<1|claimed, and an Await of a spent incarnation finds another
+// generation and fails instead of reading someone else's result.
+type ticket struct {
 	mu        sync.Mutex
 	remaining int
 	lat       time.Duration
 	err       error
 	res       chan serveResult
+	state     atomic.Uint64
+}
+
+// tickets recycles tickets across facade calls; an awaiter puts its
+// ticket back once it has taken a clean result.
+var tickets = sync.Pool{New: func() any { return &ticket{res: make(chan serveResult, 1)} }}
+
+// errAwaited reports a second call of one operation's Await.
+var errAwaited = errors.New("core: operation already awaited (an Await is one-shot)")
+
+// newTicket takes a ticket joining pieces sub-operations and returns it
+// with its current generation.
+func newTicket(pieces int) (*ticket, uint64) {
+	t := tickets.Get().(*ticket)
+	t.remaining, t.lat, t.err = pieces, 0, nil
+	return t, t.state.Load() >> 1
 }
 
 // complete folds one sub-operation's outcome in; the last one fires the
 // result channel. Sub-operations complete on their shard's event-loop
-// goroutine, so the fold is mutex-guarded.
-func (j *joinOp) complete(lat time.Duration, err error) {
-	j.mu.Lock()
-	if err != nil && j.err == nil {
-		j.err = err
+// goroutine, so the fold is mutex-guarded. Folding more outcomes than
+// the ticket has pieces is a bug in the shard's books, never a race
+// callers can provoke.
+func (t *ticket) complete(lat time.Duration, err error) {
+	t.mu.Lock()
+	if err != nil && t.err == nil {
+		t.err = err
 	}
-	if lat > j.lat {
-		j.lat = lat
+	if lat > t.lat {
+		t.lat = lat
 	}
-	j.remaining--
-	fire := j.remaining == 0
-	lat, err = j.lat, j.err
-	j.mu.Unlock()
-	if fire {
-		j.res <- serveResult{lat: lat, err: err}
+	t.remaining--
+	left := t.remaining
+	lat, err = t.lat, t.err
+	t.mu.Unlock()
+	if left < 0 {
+		panic("core: serve ticket completed more often than it has pieces")
+	}
+	if left == 0 {
+		t.res <- serveResult{lat: lat, err: err}
 	}
 }
 
-// wait blocks for the joined result or the context, whichever is first
-// (the operation itself still completes server-side).
-func (j *joinOp) wait(ctx context.Context) (time.Duration, error) {
+// wait blocks for incarnation gen's joined result or the context,
+// whichever is first (the operation itself still completes server-side).
+// A compare-and-swap claims the incarnation, so a concurrent or later
+// second call fails at once. A cancelled wait releases the claim, so a
+// retry still gets the result; a taken result spends the incarnation,
+// and a clean one recycles the ticket.
+func (t *ticket) wait(ctx context.Context, gen uint64) (time.Duration, error) {
+	if !t.state.CompareAndSwap(gen<<1, gen<<1|1) {
+		return 0, errAwaited
+	}
 	select {
-	case r := <-j.res:
+	case r := <-t.res:
+		t.state.Store((gen + 1) << 1)
+		if r.err == nil {
+			tickets.Put(t)
+		}
 		return r.lat, r.err
 	case <-ctx.Done():
+		t.state.Store(gen << 1)
 		return 0, ctx.Err()
 	}
 }
 
-// serveOp is one shard-local submission: an intended virtual arrival
-// stamp plus the (already shard-rebased) operation it carries.
-type serveOp struct {
+// serveReq is one shard-local submission, mailed by value: an intended
+// virtual arrival stamp, the (already shard-rebased) operation it
+// carries, and the ticket its completion folds into.
+type serveReq struct {
 	at     time.Duration // intended virtual arrival (offset from serve start)
 	off    int64         // shard-local byte offset
 	size   int64         // length in bytes
 	write  bool
-	tenant string // submitting tenant ("" untagged)
-	shaped bool   // the tenant's bucket was already charged
 	wait   bool   // the caller is blocked on it (Do)
-	j      *joinOp
+	tenant string // submitting tenant ("" untagged)
+	t      *ticket
+}
+
+// serveOp is a shard's record of one admitted submission. Records belong
+// to the shard's event-loop goroutine: admit takes one from the free
+// list, a normal completion puts it back. arrive and done are bound once
+// per record: the arrival event, a shaped re-arrival and the read/write
+// path's completion reuse them instead of a closure each.
+type serveOp struct {
+	serveReq
+	shaped bool          // the tenant's bucket was already charged
+	idx    int           // position in the shard's pending list; -1 off it
+	queued time.Duration // ingress queueing ahead of admission
+	ts     *TenantStats  // the tenant's row (nil for untagged traffic)
+	arrive func()
+	done   func(resp time.Duration)
+}
+
+// completion is one finished operation whose ticket the next publish
+// completes.
+type completion struct {
+	t   *ticket
+	lat time.Duration
 }
 
 // Server routes live requests to LBA-range shards, each drained by a
@@ -159,11 +218,17 @@ type serveShard struct {
 	sv   *Server
 	id   int
 	dev  *Device
-	mail chan *serveOp
+	mail chan serveReq
 	stop chan struct{}
 	done chan struct{}
 
-	pending map[*serveOp]struct{}
+	// pending lists the admitted operations not yet completed, each
+	// record holding its own index; free holds the records a normal
+	// completion returned, and finished the completions the next publish
+	// hands to their tickets.
+	pending  []*serveOp
+	free     []*serveOp
+	finished []completion
 	// waited counts the pending operations whose caller is blocked on
 	// them.
 	waited int
@@ -271,10 +336,9 @@ func (sv *Server) buildShard(id int, vol int64) (*serveShard, *obs.Collector, er
 		sv:         sv,
 		id:         id,
 		dev:        dev,
-		mail:       make(chan *serveOp, sv.setup.mailbox),
+		mail:       make(chan serveReq, sv.setup.mailbox),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
-		pending:    make(map[*serveOp]struct{}),
 		inflightBy: make(map[string]int),
 	}, kid, nil
 }
@@ -301,16 +365,19 @@ func (sv *Server) Stalls() int64 { return sv.stalls.Load() }
 // Goroutine-safe; ctx cancels the wait (the operation itself still
 // completes server-side).
 func (sv *Server) Do(ctx context.Context, at time.Duration, off, size int64, write bool, tenant string) (time.Duration, error) {
-	j, err := sv.mail(ctx, at, off, size, write, tenant, true)
+	t, gen, err := sv.mail(ctx, at, off, size, write, tenant, true)
 	if err != nil {
 		return 0, err
 	}
-	return j.wait(ctx)
+	return t.wait(ctx, gen)
 }
 
 // Await blocks for one submitted operation's completion and returns its
-// open-loop virtual latency. The operation completes server-side even if
-// the context cancels the wait.
+// open-loop virtual latency. Call it once: a call after one that
+// returned the result, or alongside one still waiting, fails at once and
+// never returns another operation's result. The operation completes
+// server-side even if the context cancels the wait, and a call after a
+// cancelled one still gets the result.
 type Await func(ctx context.Context) (time.Duration, error)
 
 // SubmitAt mails one operation to its shard(s) — blocking only on full
@@ -330,24 +397,25 @@ func (sv *Server) SubmitAt(ctx context.Context, at time.Duration, off, size int6
 // immediately with ErrUnknownTenant. The empty tag is untagged traffic
 // and behaves exactly as SubmitAt.
 func (sv *Server) SubmitAtTag(ctx context.Context, at time.Duration, off, size int64, write bool, tenant string) (Await, error) {
-	j, err := sv.mail(ctx, at, off, size, write, tenant, false)
+	t, gen, err := sv.mail(ctx, at, off, size, write, tenant, false)
 	if err != nil {
 		return nil, err
 	}
-	return j.wait, nil
+	return func(ctx context.Context) (time.Duration, error) { return t.wait(ctx, gen) }, nil
 }
 
 // mail aligns one facade operation against the volume, cuts it at
 // shard boundaries, and mails the pieces to their shards, blocking on
 // full mailboxes (backpressure); wait marks pieces whose caller blocks
-// on them. The read lock holds Stop off until every piece is mailed, so
-// a mailbox is never closed under a submitter.
-func (sv *Server) mail(ctx context.Context, at time.Duration, off, size int64, write bool, tenant string, wait bool) (*joinOp, error) {
+// on them. It returns the ticket the pieces join into and its
+// generation. The read lock holds Stop off until every piece is mailed,
+// so a mailbox is never closed under a submitter.
+func (sv *Server) mail(ctx context.Context, at time.Duration, off, size int64, write bool, tenant string, wait bool) (*ticket, uint64, error) {
 	if at < 0 {
 		at = 0
 	}
 	if tenant != "" && !sv.qcfg.Known(tenant) {
-		return nil, fmt.Errorf("core: tenant %q: %w", tenant, qos.ErrUnknownTenant)
+		return nil, 0, fmt.Errorf("core: tenant %q: %w", tenant, qos.ErrUnknownTenant)
 	}
 	aOff, aSize := alignRequest(sv.part.vol, trace.Request{Offset: off, Size: size, Write: write})
 	// The read lock covers both passes over the router: a resplit
@@ -356,7 +424,7 @@ func (sv *Server) mail(ctx context.Context, at time.Duration, off, size int64, w
 	sv.mu.RLock()
 	if sv.closed {
 		sv.mu.RUnlock()
-		return nil, ErrServeStopped
+		return nil, 0, ErrServeStopped
 	}
 	// Count the shard-boundary pieces first: the join needs the fan-out
 	// width before the first piece can be mailed.
@@ -366,27 +434,27 @@ func (sv *Server) mail(ctx context.Context, at time.Duration, off, size int64, w
 		o += c
 		n -= c
 	}
-	j := &joinOp{remaining: pieces, res: make(chan serveResult, 1)}
+	t, gen := newTicket(pieces)
 	for o, n := aOff, aSize; n > 0; {
 		i, local, c := sv.part.next(o, n)
-		op := &serveOp{at: at, off: local, size: c, write: write, tenant: tenant, wait: wait, j: j}
+		req := serveReq{at: at, off: local, size: c, write: write, wait: wait, tenant: tenant, t: t}
 		ss := sv.shards[i]
 		select {
-		case ss.mail <- op:
+		case ss.mail <- req:
 		default:
 			sv.stalls.Add(1)
 			select {
-			case ss.mail <- op:
+			case ss.mail <- req:
 			case <-ctx.Done():
 				sv.mu.RUnlock()
-				return nil, ctx.Err()
+				return nil, 0, ctx.Err()
 			}
 		}
 		o += c
 		n -= c
 	}
 	sv.mu.RUnlock()
-	return j, nil
+	return t, gen, nil
 }
 
 // Stop closes the intake, drains every shard's mailbox and pipeline,
@@ -429,13 +497,13 @@ func (ss *serveShard) run() {
 	}
 	for {
 		select {
-		case op := <-ss.mail:
-			ss.ingest(op)
+		case req := <-ss.mail:
+			ss.ingest(req)
 		case <-ss.stop:
 			for {
 				select {
-				case op := <-ss.mail:
-					ss.ingest(op)
+				case req := <-ss.mail:
+					ss.ingest(req)
 				default:
 					ss.finish()
 					return
@@ -446,16 +514,17 @@ func (ss *serveShard) run() {
 }
 
 // ingest admits one submission plus up to serveBatch-1 more already
-// waiting, then runs the engine. Admitting the whole batch before
-// running lets simultaneous submissions sort into virtual-time order on
-// the event heap regardless of mailbox interleaving.
-func (ss *serveShard) ingest(first *serveOp) {
+// waiting, runs the engine, and publishes the completions. Admitting the
+// whole batch before running lets simultaneous submissions sort into
+// virtual-time order on the event heap regardless of mailbox
+// interleaving.
+func (ss *serveShard) ingest(first serveReq) {
 	ss.admit(first)
 drain:
 	for n := 1; n < serveBatch; n++ {
 		select {
-		case op := <-ss.mail:
-			ss.admit(op)
+		case req := <-ss.mail:
+			ss.admit(req)
 		default:
 			break drain
 		}
@@ -479,6 +548,7 @@ drain:
 			break
 		}
 	}
+	ss.publish()
 	if ss.dev.fs.failed() {
 		ss.failAll()
 		return
@@ -491,38 +561,62 @@ drain:
 // pipeline could not have seen yet is admitted as soon as it can be.
 // A tenant with a MaxDeferred bound is refused admission past that many
 // pending operations in the shard (ErrAdmissionRejected).
-func (ss *serveShard) admit(op *serveOp) {
+func (ss *serveShard) admit(req serveReq) {
 	d := ss.dev
 	if d.fs.failed() {
-		op.j.complete(0, d.fs.err)
+		req.t.complete(0, d.fs.err)
 		return
 	}
-	if op.tenant != "" {
-		if max := d.fe.qs.maxDeferred(op.tenant); max > 0 && ss.inflightBy[op.tenant] >= max {
-			d.fe.reject(op.off, op.size, op.write, op.tenant)
-			op.j.complete(0, fmt.Errorf("core: tenant %q: %w", op.tenant, qos.ErrAdmissionRejected))
+	if req.tenant != "" {
+		if max := d.fe.qs.maxDeferred(req.tenant); max > 0 && ss.inflightBy[req.tenant] >= max {
+			d.fe.reject(req.off, req.size, req.write, req.tenant)
+			req.t.complete(0, fmt.Errorf("core: tenant %q: %w", req.tenant, qos.ErrAdmissionRejected))
 			return
 		}
-		ss.inflightBy[op.tenant]++
+		ss.inflightBy[req.tenant]++
 	}
 	ss.ops.Add(1)
-	at := op.at
+	at := req.at
 	if now := d.eng.Now(); at < now {
 		at = now
 	}
 	if at > ss.horizon {
 		ss.horizon = at
 	}
-	ss.pending[op] = struct{}{}
+	op := ss.record(req)
+	op.idx = len(ss.pending)
+	ss.pending = append(ss.pending, op)
 	if op.wait {
 		ss.waited++
 	}
-	d.eng.SchedulePriority(at, func() { ss.arrive(op) })
+	d.eng.SchedulePriority(at, op.arrive)
 }
 
-// remove drops one pending operation from the shard's books.
+// record fills an op record for req: a recycled one from the free list,
+// or a new one with its callbacks bound.
+func (ss *serveShard) record(req serveReq) *serveOp {
+	var op *serveOp
+	if n := len(ss.free); n > 0 {
+		op = ss.free[n-1]
+		ss.free = ss.free[:n-1]
+	} else {
+		op = &serveOp{}
+		op.arrive = func() { ss.arrive(op) }
+		op.done = func(resp time.Duration) { ss.finishOp(op, resp) }
+	}
+	op.serveReq, op.shaped = req, false
+	return op
+}
+
+// remove drops one pending operation from the shard's books: the last
+// pending record moves into its slot.
 func (ss *serveShard) remove(op *serveOp) {
-	delete(ss.pending, op)
+	last := len(ss.pending) - 1
+	moved := ss.pending[last]
+	ss.pending[op.idx], moved.idx = moved, op.idx
+	ss.pending[last] = nil
+	ss.pending = ss.pending[:last]
+	op.idx = -1
 	if op.wait {
 		ss.waited--
 	}
@@ -532,16 +626,16 @@ func (ss *serveShard) remove(op *serveOp) {
 }
 
 // arrive feeds one admitted operation into the pipeline at the current
-// virtual time, wiring a per-operation completion that measures the
-// open-loop latency from the intended stamp. A shaped tenant's bucket
-// may push the arrival later; the added delay is part of the measured
-// latency, exactly like ingress queueing.
+// virtual time, with the record's completion measuring the open-loop
+// latency from the intended stamp. A shaped tenant's bucket may push the
+// arrival later; the added delay is part of the measured latency,
+// exactly like ingress queueing.
 func (ss *serveShard) arrive(op *serveOp) {
 	d := ss.dev
 	if d.fs.failed() {
-		if _, ok := ss.pending[op]; ok {
+		if op.idx >= 0 {
 			ss.remove(op)
-			op.j.complete(0, d.fs.err)
+			op.t.complete(0, d.fs.err)
 		}
 		return
 	}
@@ -555,51 +649,79 @@ func (ss *serveShard) arrive(op *serveOp) {
 			// real traffic pushes the clock past them, or during the
 			// stop-drain.
 			op.shaped = true
-			d.eng.ScheduleHousekeepingAfter(delay, func() { ss.arrive(op) })
+			d.eng.ScheduleHousekeepingAfter(delay, op.arrive)
 			return
 		}
 	}
 	now := d.eng.Now()
-	ts := d.stats.Tenant(op.tenant) // nil for untagged traffic
-	wait := now - op.at             // ingress queueing ahead of admission
+	op.ts = d.stats.Tenant(op.tenant) // nil for untagged traffic
+	op.queued = now - op.at
 	// The books and the hand-off are the ones replay admits through.
-	d.fe.dispatch(now, op.off, op.size, op.write, op.tenant, ts, func(resp time.Duration) {
-		ss.remove(op)
-		lat := wait + resp
-		d.stats.Resp.Observe(lat)
-		if ts != nil {
-			ts.Resp.Observe(lat)
-		}
-		if op.write {
-			d.stats.RespWrite.Observe(lat)
-		} else {
-			d.stats.RespRead.Observe(lat)
-		}
-		op.j.complete(lat, nil)
-	})
+	d.fe.dispatch(now, op.off, op.size, op.write, op.tenant, op.ts, op.done)
+}
+
+// finishOp is one dispatched operation's completion: it observes the
+// latency, then queues the ticket's completion for the next publish and
+// recycles the record. A record failAll already failed keeps only the
+// observations — its ticket holds the shard's error, and the record is
+// never recycled, so a completion landing late touches nothing reused.
+func (ss *serveShard) finishOp(op *serveOp, resp time.Duration) {
+	d := ss.dev
+	lat := op.queued + resp
+	d.stats.Resp.Observe(lat)
+	if op.ts != nil {
+		op.ts.Resp.Observe(lat)
+	}
+	if op.write {
+		d.stats.RespWrite.Observe(lat)
+	} else {
+		d.stats.RespRead.Observe(lat)
+	}
+	if op.idx < 0 {
+		return
+	}
+	ss.remove(op)
+	ss.finished = append(ss.finished, completion{t: op.t, lat: lat})
+	op.serveReq, op.ts = serveReq{}, nil
+	ss.free = append(ss.free, op)
+}
+
+// publish completes the tickets of every operation finished since the
+// last publish, once per engine run rather than once per completion
+// event.
+func (ss *serveShard) publish() {
+	for _, c := range ss.finished {
+		c.t.complete(c.lat, nil)
+	}
+	clear(ss.finished)
+	ss.finished = ss.finished[:0]
 }
 
 // failAll completes every pending operation with the shard's fatal
 // error: once the pipeline has failed, nothing in flight will ever
-// complete normally, and a submitter must not block forever.
+// complete normally, and a submitter must not block forever. The
+// records stay off the free list: a failed one may still be referenced
+// by an event in flight.
 func (ss *serveShard) failAll() {
 	err := ss.dev.fs.err
 	if err == nil {
 		err = errors.New("core: serve pipeline failed")
 	}
-	for op := range ss.pending {
+	for len(ss.pending) > 0 {
+		op := ss.pending[len(ss.pending)-1]
 		ss.remove(op)
-		op.j.complete(0, err)
+		op.t.complete(0, err)
 	}
 }
 
 // finish drains the pipeline after the intake closed: run the engine
-// dry, flush any buffered SD run, fail whatever could not complete, and
-// close the device's run.
+// dry, flush any buffered SD run, publish what completed, fail whatever
+// could not complete, and close the device's run.
 func (ss *serveShard) finish() {
 	d := ss.dev
 	d.eng.Run()
 	d.wp.drain()
+	ss.publish()
 	if d.fs.failed() {
 		ss.failAll()
 	}

@@ -9,6 +9,7 @@ import (
 
 	"edc/internal/datagen"
 	"edc/internal/fault"
+	"edc/internal/race"
 	"edc/internal/sim"
 	"edc/internal/ssd"
 )
@@ -370,6 +371,159 @@ func TestServeContextCancel(t *testing.T) {
 	}
 	if lat, err := await(context.Background()); err != nil || lat <= 0 {
 		t.Fatalf("write abandoned by its waiter: latency %v, err %v", lat, err)
+	}
+}
+
+// TestAwaitOnce pins the one-shot Await: a call after the one that took
+// the result, or beside one still waiting, fails at once and never yields
+// another operation's result, while a call after a cancelled one still
+// gets the result. Every operation here is held behind its shard's
+// watermark until the next stamp arrives, so which call is waiting is a
+// fact, not a race.
+func TestAwaitOnce(t *testing.T) {
+	sv := newPacedServer(t, 1, 1<<20)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	at := time.Duration(0)
+	submit := func() Await {
+		t.Helper()
+		at += time.Millisecond
+		aw, err := sv.SubmitAt(ctx, at, 0, BlockSize, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return aw
+	}
+	spent := func(what string, aw Await) {
+		t.Helper()
+		if lat, err := aw(ctx); !errors.Is(err, errAwaited) {
+			t.Fatalf("%s: latency %v, err %v, want errAwaited", what, lat, err)
+		}
+	}
+
+	// Sequential: the second call fails, also once the ticket serves the
+	// next operation.
+	first := submit()
+	next := submit() // releases first
+	if lat, err := first(ctx); err != nil || lat <= 0 {
+		t.Fatalf("first await: latency %v, err %v", lat, err)
+	}
+	spent("second call", first)
+	later := submit() // releases next; may reuse first's ticket
+	if _, err := next(ctx); err != nil {
+		t.Fatal(err)
+	}
+	spent("second call after reuse", first)
+
+	// Concurrent: one call claims the operation, the other fails while the
+	// first still waits.
+	results := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() { _, err := later(ctx); results <- err }()
+	}
+	if err := <-results; !errors.Is(err, errAwaited) {
+		t.Fatalf("concurrent second call: %v, want errAwaited", err)
+	}
+	cancelled := submit() // releases later
+	if err := <-results; err != nil {
+		t.Fatalf("concurrent claiming call: %v", err)
+	}
+
+	// Retry after cancel: the result is still there, once.
+	dead, kill := context.WithCancel(ctx)
+	kill()
+	if _, err := cancelled(dead); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled await: %v, want context.Canceled", err)
+	}
+	submit() // releases cancelled
+	if lat, err := cancelled(ctx); err != nil || lat <= 0 {
+		t.Fatalf("await after cancel: latency %v, err %v", lat, err)
+	}
+	spent("call after the retry", cancelled)
+	if _, err := sv.Stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeHandoffAllocs guards the allocation-free hand-off on cache
+// hits: Do allocates only the read path's cache-hit closure, and SubmitAt
+// plus its Await one more, the Await itself.
+func TestServeHandoffAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	sv := newPacedServerWith(t, 1, 1<<20, Options{Data: datagen.New(datagen.Enterprise(), 11), CacheBytes: 1 << 20})
+	ctx := context.Background()
+	read := func() {
+		if _, err := sv.Do(ctx, 0, 0, BlockSize, false, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // a miss fills the cache
+	if got := testing.AllocsPerRun(200, read); got > 1 {
+		t.Errorf("Do: %.1f allocations per cache-hit read, want <= 1", got)
+	}
+	at := time.Second
+	prev, err := sv.SubmitAt(ctx, at, 0, BlockSize, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		at += time.Millisecond
+		aw, err := sv.SubmitAt(ctx, at, 0, BlockSize, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := prev(ctx); err != nil { // released by aw's arrival
+			t.Fatal(err)
+		}
+		prev = aw
+	}); got > 2 {
+		t.Errorf("SubmitAt+await: %.1f allocations per cache-hit read, want <= 2", got)
+	}
+	if _, err := sv.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prev(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkServeHandoff drives a paced single-shard server the way the
+// serve harness does — stamp-ordered SubmitAt from one goroutine, a FIFO
+// awaiter in another — on 4 KiB cache hits 50 µs apart, so what it times
+// is the submit, mailbox, event-loop and await hand-off.
+func BenchmarkServeHandoff(b *testing.B) {
+	sv := newPacedServerWith(b, 1, 1<<20, Options{Data: datagen.New(datagen.Enterprise(), 11), CacheBytes: 1 << 20})
+	ctx := context.Background()
+	awaits := make(chan Await, b.N)
+	var failed error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for aw := range awaits {
+			if _, err := aw(ctx); err != nil && failed == nil {
+				failed = err
+			}
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		aw, err := sv.SubmitAt(ctx, time.Duration(i)*50*time.Microsecond, int64(i%16)*BlockSize, BlockSize, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		awaits <- aw
+	}
+	if _, err := sv.Stop(); err != nil {
+		b.Fatal(err)
+	}
+	close(awaits)
+	<-done
+	b.StopTimer()
+	if failed != nil {
+		b.Fatal(failed)
 	}
 }
 

@@ -174,7 +174,7 @@ func TestPartitionProperty(t *testing.T) {
 		// most one piece in each.
 		sv := &Server{part: part, shards: make([]*serveShard, setup.Shards)}
 		for i := range sv.shards {
-			sv.shards[i] = &serveShard{mail: make(chan *serveOp, 1)}
+			sv.shards[i] = &serveShard{mail: make(chan serveReq, 1)}
 		}
 		for k := 0; k < 20; k++ {
 			r := trace.Request{
@@ -203,14 +203,14 @@ func TestPartitionProperty(t *testing.T) {
 					split = append(split, piece{i, q.Offset, q.Size})
 				}
 			}
-			j, err := sv.mail(ctx, 0, r.Offset, r.Size, r.Write, "", false)
+			j, _, err := sv.mail(ctx, 0, r.Offset, r.Size, r.Write, "", false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, ss := range sv.shards {
 				select {
-				case op := <-ss.mail:
-					mailed = append(mailed, piece{i, op.off, op.size})
+				case req := <-ss.mail:
+					mailed = append(mailed, piece{i, req.off, req.size})
 				default:
 				}
 			}

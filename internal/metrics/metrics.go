@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 )
@@ -112,7 +113,7 @@ func bucketIndex(d time.Duration) int {
 		us = 1
 	}
 	// octave = floor(log2(us)), position within octave by linear division.
-	oct := 63 - leadingZeros64(uint64(us))
+	oct := 63 - bits.LeadingZeros64(uint64(us))
 	if oct >= histOctaves {
 		return -1
 	}
@@ -122,18 +123,6 @@ func bucketIndex(d time.Duration) int {
 		sub = histSubBuckets - 1
 	}
 	return oct*histSubBuckets + sub
-}
-
-func leadingZeros64(v uint64) int {
-	n := 0
-	if v == 0 {
-		return 64
-	}
-	for v&(1<<63) == 0 {
-		v <<= 1
-		n++
-	}
-	return n
 }
 
 // bucketLow returns the lower bound duration of bucket i.

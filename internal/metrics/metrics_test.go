@@ -160,6 +160,47 @@ func TestLatencyHistMergeCommutative(t *testing.T) {
 	}
 }
 
+// refBucketIndex is bucketIndex as first written, finding the octave
+// with a bit-at-a-time leading-zero count; bucketIndex is held to it.
+func refBucketIndex(d time.Duration) int {
+	us := d.Microseconds()
+	if us < 1 {
+		us = 1
+	}
+	v, lz := uint64(us), 0
+	for v&(1<<63) == 0 {
+		v <<= 1
+		lz++
+	}
+	oct := 63 - lz
+	if oct >= histOctaves {
+		return -1
+	}
+	base := int64(1) << uint(oct)
+	sub := int((us - base) * histSubBuckets / base)
+	if sub >= histSubBuckets {
+		sub = histSubBuckets - 1
+	}
+	return oct*histSubBuckets + sub
+}
+
+// TestBucketIndexMatchesReference compares bucketIndex with the loop it
+// replaced at every octave edge — 2^k−1, 2^k and 2^k+1 microseconds (and
+// nanoseconds, for the sub-microsecond clamp) — and at the extremes.
+func TestBucketIndexMatchesReference(t *testing.T) {
+	ds := []time.Duration{0, 1, -1, math.MinInt64, math.MaxInt64}
+	for k := 0; k <= histOctaves; k++ {
+		for _, v := range []int64{1<<k - 1, 1 << k, 1<<k + 1} {
+			ds = append(ds, time.Duration(v), time.Duration(v)*time.Microsecond)
+		}
+	}
+	for _, d := range ds {
+		if got, want := bucketIndex(d), refBucketIndex(d); got != want {
+			t.Errorf("bucketIndex(%d) = %d, reference %d", int64(d), got, want)
+		}
+	}
+}
+
 func TestSummaryStdDevNearConstant(t *testing.T) {
 	// The naive sum-of-squares variance can go slightly negative on
 	// near-constant streams with a large offset; StdDev must clamp it to

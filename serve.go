@@ -109,6 +109,9 @@ func (s *System) do(ctx context.Context, at time.Duration, off, size int64, writ
 }
 
 // Await blocks for one submitted operation's completion; see SubmitAt.
+// Call it once: a second call fails at once instead of waiting, and
+// never returns another operation's result. A call whose context was
+// cancelled does not count; the next call still gets the result.
 type Await = core.Await
 
 // SubmitAt mails one stamped operation to its shard(s) and returns an
