@@ -51,9 +51,10 @@ matrixcheck:
 # allocation counts; the lzf/gz decode rows (BenchmarkDecode in their
 # packages), the datagen rows and the trace rows come in pairs, product
 # and kept reference; BenchmarkBackend times one single-SSD or RAIS5
-# operation through its member queue.
+# operation through its member queue; BenchmarkFutureJoin times one codec
+# pool join on an idle pool and behind eight queued jobs.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/compress/... ./internal/datagen ./internal/trace ./internal/core
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/compress/... ./internal/datagen ./internal/trace ./internal/core ./internal/parallel
 
 # Ten seconds of fuzzing per target: the payload RNG against math/rand,
 # the two trace parsers (whose past crashers are in testdata/fuzz), the

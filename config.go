@@ -221,8 +221,8 @@ func WithDataProfile(p DataProfile, seed int64) Option {
 // WithCostModel overrides the CPU cost model.
 func WithCostModel(cm CostModel) Option { return func(c *config) { c.dev.Cost = cm } }
 
-// WithVerify stores payloads and checks every read round-trips
-// (memory-hungry; tests and demos).
+// WithVerify keeps compressed payloads and checks every read of one
+// round-trips (memory-hungry; tests and demos).
 func WithVerify() Option { return func(c *config) { c.dev.VerifyReads = true } }
 
 // WithoutSD disables write merging (ablation).

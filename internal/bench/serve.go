@@ -110,16 +110,20 @@ type ServeResult struct {
 }
 
 // PoolActivity is the delta of the process-wide codec pool's counters
-// over one serve run: how much codec work the shards handed to pool
-// workers and how much ran inline on a submitting event loop because
-// the pool's channel was full (backpressure). The counters are
-// process-global, so concurrent runs would blend — the bench harness
-// runs one at a time.
+// over one serve run: how much codec work the shards put on the pool's
+// channel, how much of that a shard event loop ran itself while joining
+// a future, and how much ran inline on a submitting event loop because
+// the channel was full (backpressure). The counters are process-global,
+// so concurrent runs would blend — the bench harness runs one at a time.
 type PoolActivity struct {
 	// Workers is the pool's worker count (GOMAXPROCS at first use).
 	Workers int `json:"workers"`
-	// Submitted counts jobs handed to pool workers.
+	// Submitted counts jobs put on the pool's channel.
 	Submitted int64 `json:"submitted"`
+	// Stolen counts submitted jobs an event loop ran while it waited on a
+	// future instead of a worker: its own still-queued job, or another
+	// queued job while its own ran elsewhere.
+	Stolen int64 `json:"stolen"`
 	// Inline counts jobs the submitter ran itself on a full channel.
 	Inline int64 `json:"inline"`
 }
@@ -327,6 +331,7 @@ func RunServe(p ServeParams) (*ServeResult, error) {
 		pool = &PoolActivity{
 			Workers:   poolAfter.Workers,
 			Submitted: poolAfter.Submitted - poolBefore.Submitted,
+			Stolen:    poolAfter.Stolen - poolBefore.Stolen,
 			Inline:    poolAfter.Inline - poolBefore.Inline,
 		}
 	}

@@ -39,8 +39,9 @@ type Options struct {
 	// Data generates write payload content (default: datagen.Enterprise
 	// profile, seed 1).
 	Data *datagen.Generator
-	// VerifyReads stores compressed payloads and checks every read
-	// decompresses to the original content (tests only: memory-hungry).
+	// VerifyReads keeps a copy of every compressed payload and checks
+	// that every read of one decompresses to the original content (tests
+	// only: memory-hungry). Raw extents are neither kept nor checked.
 	VerifyReads bool
 	// DisableSD turns off write merging (ablation).
 	DisableSD bool

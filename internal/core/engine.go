@@ -38,7 +38,7 @@ type storeEngine struct {
 	obs *obs.Collector
 	now func() time.Duration
 
-	payloads map[*Extent][]byte // verify mode; nil otherwise
+	payloads map[*Extent][]byte // verify mode, compressed extents only; nil otherwise
 
 	// epochLen is the heat-epoch length used when stamping extent
 	// temperature; set by NewDevice (default even with maintenance off,
@@ -243,9 +243,11 @@ func (se *storeEngine) touch(ext *Extent) {
 	ext.Heat.Touch(maint.Epoch(se.now(), se.epochLen))
 }
 
-// keepPayload snapshots the stored bytes for verify-mode reads.
+// keepPayload snapshots the stored bytes for verify-mode reads. Only a
+// compressed extent gets one: a read of a raw extent decodes nothing, so
+// it verifies nothing.
 func (se *storeEngine) keepPayload(ext *Extent, data []byte) {
-	if se.payloads != nil {
+	if se.payloads != nil && ext.Tag != compress.TagNone {
 		se.payloads[ext] = append([]byte(nil), data...)
 	}
 }

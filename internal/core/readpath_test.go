@@ -120,6 +120,57 @@ func (p *verifyProbe) sameAs(t *testing.T, what string, q *verifyProbe) {
 	}
 }
 
+// checkVerifySnapshots requires verify mode to hold a payload for every
+// live compressed extent and for nothing else: a read of a raw extent
+// verifies nothing, so a snapshot of one would be dead weight.
+func checkVerifySnapshots(t *testing.T, what string, se *storeEngine) {
+	t.Helper()
+	raw, comp := 0, 0
+	se.mapping.eachExtent(func(e *Extent) {
+		_, kept := se.payloads[e]
+		if e.Tag == compress.TagNone {
+			raw++
+			if kept {
+				t.Errorf("%s: raw extent at %d holds a payload snapshot", what, e.Offset)
+			}
+			return
+		}
+		comp++
+		if !kept {
+			t.Errorf("%s: compressed extent at %d holds no payload snapshot", what, e.Offset)
+		}
+	})
+	if raw == 0 || comp == 0 {
+		t.Fatalf("%s: %d raw and %d compressed extents; the check needs both", what, raw, comp)
+	}
+	if len(se.payloads) != comp {
+		t.Fatalf("%s: %d payload snapshots for %d live compressed extents", what, len(se.payloads), comp)
+	}
+}
+
+// TestVerifyKeepsCompressedPayloadsOnly checks the snapshots a verify-mode
+// device keeps, live and after crash recovery rebuilt them.
+func TestVerifyKeepsCompressedPayloadsOnly(t *testing.T) {
+	opts := Options{Data: datagen.New(datagen.Enterprise(), 11), VerifyReads: true}
+	eng1, be1 := freshSSDRig(t)
+	dev1, err := NewDevice(eng1, be1, 256<<20, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cs, err := dev1.PlayUntil(seqTrace(600, 2*time.Millisecond), 500*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkVerifySnapshots(t, "live", dev1.se)
+
+	eng2, be2 := freshSSDRig(t)
+	dev2, err := RecoverDevice(eng2, be2, 256<<20, opts, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkVerifySnapshots(t, "recovered", dev2.se)
+}
+
 const verifyTraceOps = 900
 
 // verifyTrace fills 64 slots of 16 KiB with 8 KiB writes (far enough

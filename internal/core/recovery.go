@@ -205,8 +205,8 @@ func (d *Device) PlayUntil(t *trace.Trace, cut time.Duration) (*RunStats, *Crash
 // RecoverDevice builds a fresh device over be and restores the mapping
 // state from cs, as a restarted host would: snapshot + journal replay,
 // allocator rebuild, version-counter resume, and (in verify mode)
-// payload regeneration for surviving extents. The caller then Plays the
-// remainder of the trace on the returned device.
+// payload regeneration for surviving compressed extents. The caller
+// then Plays the remainder of the trace on the returned device.
 func RecoverDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options, cs *CrashState) (*Device, error) {
 	d, err := NewDevice(eng, be, volumeBytes, opts)
 	if err != nil {
@@ -226,7 +226,9 @@ func RecoverDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options
 		if e.Version >= maxVer {
 			maxVer = e.Version + 1
 		}
-		if err != nil || (d.se.dedup == nil && d.se.payloads == nil) {
+		// Verify mode snapshots compressed extents only (keepPayload).
+		snapshot := d.se.payloads != nil && e.Tag != compress.TagNone
+		if err != nil || (d.se.dedup == nil && !snapshot) {
 			return
 		}
 		// Regenerate the stored bytes (content is a pure function of
@@ -242,17 +244,14 @@ func RecoverDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options
 			e.hasSum = true
 			d.se.dedupRegister(e)
 		}
-		if d.se.payloads == nil {
+		if !snapshot {
 			return
 		}
-		if e.Tag != compress.TagNone {
-			var codec compress.Codec
-			if codec, err = d.rp.reg.ByTag(e.Tag); err != nil {
-				return
-			}
-			content = compress.AppendCompress(codec, nil, content)
+		var codec compress.Codec
+		if codec, err = d.rp.reg.ByTag(e.Tag); err != nil {
+			return
 		}
-		d.se.payloads[e] = content
+		d.se.payloads[e] = compress.AppendCompress(codec, nil, content)
 	})
 	if err != nil {
 		return nil, err

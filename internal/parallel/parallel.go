@@ -14,6 +14,25 @@
 // the result exactly where the sequential code would have produced it.
 // The virtual-time event order, and therefore every reported statistic,
 // is bit-identical for any worker count.
+//
+// Futures are help-first. Every future's job carries a claim, taken by
+// whichever goroutine runs it; a pool worker that dequeues a job already
+// claimed drops it. Wait first claims its own job: if that succeeds the
+// job is still queued, and the waiter runs it inline instead of waking a
+// worker and sleeping until it finishes. If a worker already holds the
+// job, the waiter does not park while other jobs are queued: it runs them
+// one at a time until its own result is ready. Only the goroutine that
+// executes a job changes, so results cannot.
+//
+// Helping cannot deadlock, because a job never waits: it submits
+// nothing, joins no future and takes no lock a waiter may hold (a codec
+// lookup's registry read lock is held for the lookup only). A claimed job
+// is therefore always running to completion on some goroutine, and a
+// waiter either receives its result or takes a job it can finish by
+// itself. A Wait made while its goroutine holds a lock (a serve shard
+// splitting under the router's write lock) holds it through the jobs it
+// helps with; those are jobs its own queued job sat behind, which the
+// pool had to run first anyway.
 package parallel
 
 import (
@@ -28,6 +47,11 @@ import (
 // pushed back onto its own core quickly.
 const queueCapPerWorker = 4
 
+// job is what the pool's channel carries: a Future of any result type.
+// run executes it unless another goroutine claimed it first, and reports
+// whether it did.
+type job interface{ run() bool }
+
 // SharedPool is a fixed set of worker goroutines ranging over one
 // bounded job channel. Every pipeline in the process (each replay
 // device, each serve shard) submits through its own Queue handle onto
@@ -35,12 +59,13 @@ const queueCapPerWorker = 4
 // Codec jobs are pure functions joined at fixed virtual-time events, so
 // which worker runs a job never changes results — only wall-clock speed.
 type SharedPool struct {
-	jobs    chan func()
+	jobs    chan job
 	workers int
 	wg      sync.WaitGroup
 
 	submitted atomic.Int64 // jobs accepted onto the channel
 	inline    atomic.Int64 // jobs run by the submitter (channel full)
+	stolen    atomic.Int64 // queued jobs run by a waiting goroutine
 }
 
 // PoolStats is a point-in-time snapshot of a SharedPool's activity
@@ -48,10 +73,12 @@ type SharedPool struct {
 type PoolStats struct {
 	// Workers is the pool's fixed worker-goroutine count.
 	Workers int `json:"workers"`
-	// Submitted counts jobs handed to a worker through the channel.
+	// Submitted counts jobs put on the channel.
 	Submitted int64 `json:"submitted"`
-	// Stolen is always 0: the pool has one channel and nothing to steal
-	// from. The field remains because the perf harness reads it.
+	// Stolen counts submitted jobs that a goroutine blocked in Wait ran
+	// instead of a worker: its own job, claimed while still queued, or
+	// another queued job it took while its own was running elsewhere.
+	// Submitted minus Stolen is what the workers ran.
 	Stolen int64 `json:"stolen"`
 	// Inline counts jobs the submitter ran itself because the channel
 	// was full (backpressure).
@@ -64,13 +91,13 @@ func NewSharedPool(n int) *SharedPool {
 	if n < 1 {
 		n = 1
 	}
-	p := &SharedPool{jobs: make(chan func(), queueCapPerWorker*n), workers: n}
+	p := &SharedPool{jobs: make(chan job, queueCapPerWorker*n), workers: n}
 	p.wg.Add(n)
 	for i := 0; i < n; i++ {
 		go func() {
 			defer p.wg.Done()
-			for f := range p.jobs {
-				f()
+			for j := range p.jobs {
+				j.run()
 			}
 		}()
 	}
@@ -95,21 +122,22 @@ func (p *SharedPool) Stats() PoolStats {
 	return PoolStats{
 		Workers:   p.workers,
 		Submitted: p.submitted.Load(),
+		Stolen:    p.stolen.Load(),
 		Inline:    p.inline.Load(),
 	}
 }
 
 // Close stops the workers once every job already on the channel has
 // run. Only private pools (tests) call this; the Shared singleton lives
-// for the process. No Queue of the pool may Submit afterwards.
+// for the process. No Queue of the pool may Go afterwards.
 func (p *SharedPool) Close() {
 	close(p.jobs)
 	p.wg.Wait()
 }
 
 // Queue is one client's handle on a SharedPool. A replay or serve
-// pipeline holds exactly one for as long as it runs; Submit is called
-// from its event-loop goroutine (any goroutine is safe).
+// pipeline holds exactly one for as long as it runs; Go is called from
+// its event-loop goroutine (any goroutine is safe).
 type Queue struct {
 	pool *SharedPool
 }
@@ -117,46 +145,47 @@ type Queue struct {
 // NewQueue returns a new client handle on the pool.
 func (p *SharedPool) NewQueue() *Queue { return &Queue{pool: p} }
 
-// Cap returns how many jobs can wait for a worker before Submit runs
-// the next one inline: 4 per pool worker. Clients that let results lag
+// Cap returns how many jobs can wait for a worker before Go runs the
+// next one inline: 4 per pool worker. Clients that let results lag
 // behind their consumer size that window from it.
 func (q *Queue) Cap() int { return cap(q.pool.jobs) }
 
-// Submit hands f to the pool's workers, or runs it inline on the caller
-// when the channel is full — backpressure that never blocks the event
-// loop behind work it could be doing itself.
-func (q *Queue) Submit(f func()) {
-	p := q.pool
-	select {
-	case p.jobs <- f:
-		p.submitted.Add(1)
-	default:
-		p.inline.Add(1)
-		f()
-	}
-}
-
 // Close marks the end of the client's run. It does not wait: jobs
-// submitted earlier still run on the pool's workers and their futures
-// still resolve, but nothing runs them inside Close. No client relies on
-// that — every pipeline joins the futures it dispatched before closing
-// its queue, and a power-cut replay abandons the ones it never joined.
+// submitted earlier still run, on a worker or on their waiter, and their
+// futures still resolve, but nothing runs them inside Close. No client
+// relies on that — every pipeline joins the futures it dispatched before
+// closing its queue, and a power-cut replay abandons the ones it never
+// joined.
 func (q *Queue) Close() {}
 
 // Future holds the eventual result of a closure submitted through a
-// Queue. It is single-consumer: exactly one goroutine may call Wait
-// (possibly repeatedly — the first call blocks, later calls return the
-// cached value). That consumer is the simulator's event-loop goroutine.
+// Queue, and is itself the job the pool's channel carries. It is
+// single-consumer: exactly one goroutine may call Wait (possibly
+// repeatedly — the first call joins, later calls return the cached
+// value). That consumer is the simulator's event-loop goroutine.
 type Future[T any] struct {
-	ch   chan T
-	v    T
-	done bool
+	fn      func() T // the job; only the goroutine holding the claim touches it
+	ch      chan T   // the result, when a goroutine other than the waiter ran fn
+	pool    *SharedPool
+	claimed atomic.Bool
+	done    bool
+	v       T
 }
 
-// Go submits f through q and returns a Future for its result.
+// Go puts f on the pool's channel through q and returns a Future for its
+// result. When the channel is full f runs inline on the caller instead —
+// backpressure that never blocks the event loop behind work it could be
+// doing itself.
 func Go[T any](q *Queue, f func() T) *Future[T] {
-	fut := &Future[T]{ch: make(chan T, 1)}
-	q.Submit(func() { fut.ch <- f() })
+	p := q.pool
+	fut := &Future[T]{fn: f, ch: make(chan T, 1), pool: p}
+	select {
+	case p.jobs <- fut:
+		p.submitted.Add(1)
+	default:
+		p.inline.Add(1)
+		fut.run()
+	}
 	return fut
 }
 
@@ -167,11 +196,62 @@ func Resolved[T any](v T) *Future[T] {
 	return &Future[T]{v: v, done: true}
 }
 
-// Wait blocks until the closure has run and returns its result.
-func (f *Future[T]) Wait() T {
-	if !f.done {
-		f.v = <-f.ch
-		f.done = true
+// claim takes the right to run the job; it succeeds exactly once.
+func (f *Future[T]) claim() func() T {
+	if !f.claimed.CompareAndSwap(false, true) {
+		return nil
 	}
-	return f.v
+	fn := f.fn
+	f.fn = nil
+	return fn
+}
+
+// run is the job side: a worker, a helping waiter or an inline submit
+// runs the closure and publishes its result, unless it was claimed first.
+func (f *Future[T]) run() bool {
+	fn := f.claim()
+	if fn == nil {
+		return false
+	}
+	f.ch <- fn()
+	return true
+}
+
+// Wait returns the closure's result. A job still queued runs here; a job
+// some other goroutine is running is waited for, while this goroutine
+// runs whatever else is queued in the meantime.
+func (f *Future[T]) Wait() T {
+	if f.done {
+		return f.v
+	}
+	p := f.pool
+	if fn := f.claim(); fn != nil {
+		p.stolen.Add(1)
+		f.v, f.done = fn(), true
+		return f.v
+	}
+	jobs := p.jobs
+	for {
+		select {
+		case v := <-f.ch:
+			f.v, f.done = v, true
+			return v
+		default:
+		}
+		select {
+		case v := <-f.ch:
+			f.v, f.done = v, true
+			return v
+		case j, ok := <-jobs:
+			if !ok {
+				// A private pool was closed: nothing is left to help with,
+				// and a nil channel never fires again.
+				jobs = nil
+				continue
+			}
+			if j.run() {
+				p.stolen.Add(1)
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -80,7 +81,7 @@ func TestCloseWaitsForInFlight(t *testing.T) {
 	q := p.NewQueue()
 	var n atomic.Int64
 	for i := 0; i < 64; i++ {
-		q.Submit(func() { n.Add(1) })
+		Go(q, func() int { return int(n.Add(1)) })
 	}
 	p.Close()
 	if n.Load() != 64 {
@@ -96,37 +97,34 @@ func TestSharedQueueInlineWhenFull(t *testing.T) {
 	q := p.NewQueue()
 	defer q.Close()
 
-	gate := make(chan struct{})
-	started := make(chan struct{})
-	q.Submit(func() { close(started); <-gate }) // occupies the only worker
-	<-started
+	release := blockWorker(q)
 	for i := 0; i < q.Cap(); i++ { // fill the channel
-		q.Submit(func() { <-gate })
+		Go(q, func() int { return 0 })
 	}
 	if s := p.Stats(); s.Inline != 0 || s.Submitted != int64(1+q.Cap()) {
 		t.Fatalf("before overflow: %+v", s)
 	}
 	ran := false
-	q.Submit(func() { ran = true }) // full: must run inline, synchronously
+	f := Go(q, func() int { ran = true; return 1 }) // full: must run inline, synchronously
 	if !ran {
-		t.Fatal("submit to a full channel did not run the job inline")
+		t.Fatal("Go on a full channel did not run the job inline")
 	}
 	if s := p.Stats(); s.Inline != 1 {
 		t.Fatalf("inline counter not bumped: %+v", s)
 	}
-	close(gate)
+	if f.Wait() != 1 {
+		t.Fatal("inline future lost its result")
+	}
+	release()
 }
 
 // Futures submitted before Queue.Close still resolve: Close does not
-// run or cancel them, the pool's workers get to them in their own time.
+// run or cancel them; a worker or their waiter runs them later.
 func TestQueueCloseLeavesFuturesResolvable(t *testing.T) {
 	p := NewSharedPool(1)
 	defer p.Close()
 	q := p.NewQueue()
-	gate := make(chan struct{})
-	started := make(chan struct{})
-	q.Submit(func() { close(started); <-gate })
-	<-started
+	release := blockWorker(q)
 	var n atomic.Int64
 	futs := []*Future[int]{
 		Go(q, func() int { return int(n.Add(1)) }),
@@ -136,7 +134,7 @@ func TestQueueCloseLeavesFuturesResolvable(t *testing.T) {
 	if n.Load() != 0 {
 		t.Fatalf("Close ran %d queued jobs itself", n.Load())
 	}
-	close(gate)
+	release()
 	for _, f := range futs {
 		f.Wait()
 	}
@@ -177,22 +175,202 @@ func TestSharedPoolConcurrentSubmitters(t *testing.T) {
 	if s.Submitted+s.Inline != submitters*perSubmitter {
 		t.Fatalf("stats lost jobs: %+v", s)
 	}
-	if s.Stolen != 0 {
-		t.Fatalf("a one-channel pool reported %d stolen jobs", s.Stolen)
+	if s.Stolen > s.Submitted {
+		t.Fatalf("waiters ran more queued jobs than were queued: %+v", s)
 	}
 }
 
-// A submitted job costs the future, its channel and the closure that
-// fills it — the same three allocations as before the pool became one
-// channel. A fourth would be per-operation overhead on every codec job.
+// A submitted job costs the future and its result channel; the future
+// is itself the job the channel carries, so no closure wraps it. A third
+// allocation would be per-operation overhead on every codec job.
 func TestGoAllocsPerJob(t *testing.T) {
 	p := NewSharedPool(2)
 	defer p.Close()
 	q := p.NewQueue()
 	got := testing.AllocsPerRun(2000, func() { Go(q, func() int { return 1 }).Wait() })
-	if got != 3 {
-		t.Fatalf("Go+Wait allocates %v times per job, want 3", got)
+	if got != 2 {
+		t.Fatalf("Go+Wait allocates %v times per job, want 2", got)
 	}
+}
+
+// blockWorker occupies the pool's only worker until the returned
+// function is called.
+func blockWorker(q *Queue) (release func()) {
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	Go(q, func() int { close(started); <-gate; return 0 })
+	<-started
+	return func() { close(gate) }
+}
+
+// A waiter whose job is still queued runs it itself: the only worker is
+// blocked, so nothing else could, and the pool counts one stolen job.
+func TestWaitRunsUnclaimedJobInline(t *testing.T) {
+	p := NewSharedPool(1)
+	defer p.Close()
+	q := p.NewQueue()
+	release := blockWorker(q)
+	defer release()
+	if got := Go(q, func() int { return 42 }).Wait(); got != 42 {
+		t.Fatalf("got %d, want 42", got)
+	}
+	if s := p.Stats(); s.Stolen != 1 || s.Submitted != 2 || s.Inline != 0 {
+		t.Fatalf("stats %+v; want 2 submitted, 1 stolen", s)
+	}
+}
+
+// A waiter whose job a worker holds runs the jobs queued behind it while
+// it waits. Here the worker's job cannot finish until every other queued
+// job has run, and nothing but the waiter is left to run them.
+func TestWaitHelpsWithQueuedJobs(t *testing.T) {
+	p := NewSharedPool(1)
+	defer p.Close()
+	q := p.NewQueue()
+	const others = 3
+	var ran atomic.Int64
+	release := make(chan struct{})
+	started := make(chan struct{})
+	own := Go(q, func() int { close(started); <-release; return -1 })
+	<-started
+	futs := make([]*Future[int], others)
+	for i := range futs {
+		futs[i] = Go(q, func() int {
+			if ran.Add(1) == others {
+				close(release)
+			}
+			return i
+		})
+	}
+	if got := own.Wait(); got != -1 {
+		t.Fatalf("own result %d, want -1", got)
+	}
+	if ran.Load() != others {
+		t.Fatalf("%d of %d queued jobs ran before the waiter's own result", ran.Load(), others)
+	}
+	for i, f := range futs {
+		if got := f.Wait(); got != i {
+			t.Fatalf("helped future %d = %d", i, got)
+		}
+	}
+	if s := p.Stats(); s.Stolen != others {
+		t.Fatalf("stats %+v; want %d stolen", s, others)
+	}
+}
+
+// Closing a private pool under a waiter must neither hand it a nil job
+// nor leave it blocked on the closed channel: it falls back to waiting
+// for its result. A Wait after Close returned resolves too.
+func TestWaitAfterPoolClose(t *testing.T) {
+	p := NewSharedPool(1)
+	q := p.NewQueue()
+	release := make(chan struct{})
+	started := make(chan struct{})
+	held := Go(q, func() int { close(started); <-release; return 7 })
+	<-started
+	closed := make(chan struct{})
+	go func() { p.Close(); close(closed) }()
+	// The channel is empty, so this receive returns only once Close has
+	// closed it.
+	if _, ok := <-p.jobs; ok {
+		t.Fatal("received a job from an empty pool")
+	}
+	// The worker finishes while, or before, the waiter finds the channel
+	// closed; either way Wait must return the worker's result.
+	go func() { close(release) }()
+	if got := held.Wait(); got != 7 {
+		t.Fatalf("got %d, want 7", got)
+	}
+	<-closed
+
+	p2 := NewSharedPool(1)
+	late := Go(p2.NewQueue(), func() int { return 8 })
+	p2.Close()
+	if got := late.Wait(); got != 8 {
+		t.Fatalf("Wait after Close: got %d, want 8", got)
+	}
+}
+
+// Eight submitters hand futures to eight waiters over a two-worker pool,
+// so the channel runs full, waiters claim and help, and workers skip
+// claimed jobs all at once. Under -race this is the help-first gate.
+func TestHelpFirstHammer(t *testing.T) {
+	p := NewSharedPool(2)
+	defer p.Close()
+	const submitters, waiters, perSubmitter = 8, 8, 400
+	type pending struct {
+		f    *Future[int]
+		want int
+	}
+	handoff := make(chan pending, 16)
+	var subWG, waitWG sync.WaitGroup
+	for s := 0; s < submitters; s++ {
+		subWG.Add(1)
+		q := p.NewQueue()
+		go func() {
+			defer subWG.Done()
+			for i := 0; i < perSubmitter; i++ {
+				x := s*perSubmitter + i
+				handoff <- pending{Go(q, func() int { return spin(x) }), spin(x)}
+			}
+		}()
+	}
+	var joined atomic.Int64
+	for w := 0; w < waiters; w++ {
+		waitWG.Add(1)
+		go func() {
+			defer waitWG.Done()
+			for pd := range handoff {
+				if got := pd.f.Wait(); got != pd.want {
+					t.Errorf("future returned %d, want %d", got, pd.want)
+				}
+				joined.Add(1)
+			}
+		}()
+	}
+	subWG.Wait()
+	close(handoff)
+	waitWG.Wait()
+	if joined.Load() != submitters*perSubmitter {
+		t.Fatalf("joined %d futures, want %d", joined.Load(), submitters*perSubmitter)
+	}
+	if s := p.Stats(); s.Submitted+s.Inline != submitters*perSubmitter || s.Stolen > s.Submitted {
+		t.Fatalf("inconsistent stats: %+v", s)
+	}
+}
+
+// spin is a small pure job: a few hundred dependent integer steps.
+func spin(x int) int {
+	for i := 0; i < 256; i++ {
+		x = x*1103515245 + 12345
+	}
+	return x
+}
+
+// BenchmarkFutureJoin times one join in the two shapes the pipelines
+// produce. idle: Go then Wait on an idle pool, a write's encode joined
+// at its store event. behind8: eight jobs queued ahead of the waiter's
+// own, a write queued behind a full ring of lagged verifications.
+func BenchmarkFutureJoin(b *testing.B) {
+	p := NewSharedPool(runtime.GOMAXPROCS(0))
+	defer p.Close()
+	q := p.NewQueue()
+	b.Run("idle", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Go(q, func() int { return spin(i) }).Wait()
+		}
+	})
+	b.Run("behind8", func(b *testing.B) {
+		var ahead [8]*Future[int]
+		for i := 0; i < b.N; i++ {
+			for k := range ahead {
+				ahead[k] = Go(q, func() int { return spin(i + k) })
+			}
+			Go(q, func() int { return spin(i) }).Wait()
+			for _, f := range ahead {
+				f.Wait()
+			}
+		}
+	})
 }
 
 func TestSharedSingletonWorkers(t *testing.T) {
