@@ -52,7 +52,9 @@ matrixcheck:
 # packages), the datagen rows and the trace rows come in pairs, product
 # and kept reference; BenchmarkBackend times one single-SSD or RAIS5
 # operation through its member queue; BenchmarkFutureJoin times one codec
-# pool join on an idle pool and behind eight queued jobs.
+# pool join on an idle pool and behind eight queued jobs; BenchmarkReplayFin1
+# replays 6 000 Fin1 requests with the codec work inline (workers-1) and on
+# a two-worker pool with the write path's trace lookahead (workers-2).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/compress/... ./internal/datagen ./internal/trace ./internal/core ./internal/parallel
 

@@ -1,6 +1,7 @@
 package edc
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -57,6 +58,90 @@ func TestReplayWorkersDeterminism(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// stormTrace is a trace built to defeat a predictor of write runs:
+// contiguous writes spaced just inside and just outside the flush
+// timeout, sequential stretches long enough to hit the run cap, reads
+// between writes, and phases whose arrival rate swings the calculated
+// IOPS across the gz and lzf ceilings, with bursts dense enough to
+// defer admission behind the outstanding-request bound.
+func stormTrace(n int) *Trace {
+	rng := rand.New(rand.NewSource(33))
+	gaps := [][]time.Duration{
+		{0, 0, time.Microsecond, 20 * time.Microsecond},                          // burst: deferral
+		{299 * time.Microsecond, 300 * time.Microsecond, 301 * time.Microsecond}, // at the flush timeout
+		{time.Millisecond, 2 * time.Millisecond},                                 // lzf band
+		{15 * time.Millisecond, 40 * time.Millisecond},                           // gz band
+	}
+	tr := &Trace{Name: "storm"}
+	var at time.Duration
+	var next int64 // end of the last write
+	for i := 0; i < n; i++ {
+		phase := gaps[(i/120)%len(gaps)]
+		at += phase[rng.Intn(len(phase))]
+		size := int64(1+rng.Intn(8)) * 4096
+		r := Request{Arrival: at, Size: size, Write: rng.Intn(5) > 0}
+		switch {
+		case !r.Write:
+			r.Offset = rng.Int63n(testVolume/4096-8) * 4096
+		case rng.Intn(3) > 0:
+			r.Offset = next
+		default:
+			r.Offset = rng.Int63n(testVolume/4096-64) * 4096
+		}
+		if r.Write {
+			next = (r.Offset + size) % (testVolume - 64<<10)
+		}
+		tr.Requests = append(tr.Requests, r)
+	}
+	return tr
+}
+
+// TestReplayMispredictStorm holds the write path's trace lookahead to
+// the same contract: whatever it guessed about the runs to come, a
+// replay at workers > 1 must return the sequential replay's results —
+// under a trace built to make its guesses wrong (stormTrace), a small
+// run cap, a codec ladder whose ceilings the trace keeps crossing, and a
+// fault plan that fails the run part way through.
+func TestReplayMispredictStorm(t *testing.T) {
+	tr := stormTrace(1500)
+	cases := []struct {
+		name string
+		opts []Option
+	}{
+		{"default", nil},
+		{"small-cap", []Option{WithMaxRun(12 << 10)}},
+		{"ceilings", []Option{WithElasticThresholds(2000, 4000)}},
+		{"fails", []Option{WithFaults(&FaultPlan{Seed: 5, WriteHard: 0.2})}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			type outcome struct {
+				res *Results
+				err string
+			}
+			runWith := func(workers int) outcome {
+				opts := append([]Option{WithSSDConfig(smallSSD()), WithVerify(), WithReplayWorkers(workers)}, tc.opts...)
+				res, err := Replay(tr, testVolume, opts...)
+				o := outcome{res: res}
+				if err != nil {
+					o.err = err.Error()
+				}
+				return o
+			}
+			seq := runWith(1)
+			if (seq.err != "") != (tc.name == "fails") {
+				t.Fatalf("sequential replay: error %q", seq.err)
+			}
+			for _, workers := range []int{2, 4} {
+				if par := runWith(workers); !reflect.DeepEqual(seq, par) {
+					t.Fatalf("results differ between workers=1 and workers=%d:\nseq: %v %+v\npar: %v %+v",
+						workers, seq.err, seq.res, par.err, par.res)
+				}
+			}
+		})
 	}
 }
 

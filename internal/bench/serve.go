@@ -126,6 +126,9 @@ type PoolActivity struct {
 	Stolen int64 `json:"stolen"`
 	// Inline counts jobs the submitter ran itself on a full channel.
 	Inline int64 `json:"inline"`
+	// Cancelled counts submitted jobs their owner claimed before any
+	// goroutine ran them (speculative work found unneeded).
+	Cancelled int64 `json:"cancelled"`
 }
 
 // stepAccum accumulates one step's completions across all clients.
@@ -333,6 +336,7 @@ func RunServe(p ServeParams) (*ServeResult, error) {
 			Submitted: poolAfter.Submitted - poolBefore.Submitted,
 			Stolen:    poolAfter.Stolen - poolBefore.Stolen,
 			Inline:    poolAfter.Inline - poolBefore.Inline,
+			Cancelled: poolAfter.Cancelled - poolBefore.Cancelled,
 		}
 	}
 	out := &ServeResult{

@@ -316,6 +316,7 @@ func NewDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options) (*
 	// Stage wiring: admission fans out to the write/read paths; both
 	// report completions back to the frontend's closed loop.
 	fe.onWrite = wp.admitWrite
+	wp.upcoming = fe.upcoming
 	fe.onRead = func(issue time.Duration, off, size int64, done func(time.Duration)) {
 		wp.noteRead() // a read breaks write contiguity (Fig. 7)
 		rp.read(issue, off, size, done)
@@ -387,10 +388,12 @@ func (d *Device) armTimers() {
 }
 
 // close ends the run open started: it joins the read path's parked
-// verifications (the last place a mismatch can fail the run), snapshots
-// end-of-run state into stats, and releases the pool queue.
+// verifications (the last place a mismatch can fail the run), cancels
+// the write path's lookahead, snapshots end-of-run state into stats, and
+// releases the pool queue.
 func (d *Device) close() {
 	d.rp.drainVerify()
+	d.wp.la.cancelFrom(0, d.se)
 	s := d.stats
 	s.LiveBlocks = d.se.mapping.LiveBlocks()
 	s.LiveSlotBytes = d.se.alloc.InUse()

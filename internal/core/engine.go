@@ -47,8 +47,11 @@ type storeEngine struct {
 
 	// freeBufs recycles content/payload buffers. It is only touched by
 	// the event-loop goroutine (workers receive buffers by closure and
-	// hand them back through the joined future), so no locking.
+	// hand them back through the joined future), so no locking. madeBufs
+	// counts the getBuf calls it could not serve, that is the buffers the
+	// pipeline made: once a run is closed every one is back in freeBufs.
 	freeBufs [][]byte
+	madeBufs int
 
 	// dedup is the content index: fingerprint -> stored extent. Nil
 	// unless dedup is enabled; entries are registered only once the
@@ -166,6 +169,7 @@ func (se *storeEngine) getBuf() []byte {
 		se.freeBufs = se.freeBufs[:n-1]
 		return b[:0]
 	}
+	se.madeBufs++
 	return nil
 }
 

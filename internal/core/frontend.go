@@ -40,6 +40,11 @@ type frontend struct {
 	// enforcing each tenant's MaxDeferred bound.
 	deferredBy map[string]int
 
+	// tail is the part of a streamed trace that has not arrived yet;
+	// streaming is set once start streams one (see upcoming).
+	tail      []trace.Request
+	streaming bool
+
 	// onWrite admits one aligned write (SD merge onward).
 	onWrite func(w PendingWrite)
 	// onRead admits one aligned read (pending-run flush + read plan).
@@ -70,17 +75,29 @@ func (fe *frontend) start(t *trace.Trace) {
 			return
 		}
 	}
-	i := 0
+	fe.tail, fe.streaming = reqs, true
 	var step func()
 	step = func() {
-		r := reqs[i]
-		i++
-		if i < len(reqs) {
-			fe.eng.SchedulePriority(reqs[i].Arrival, step)
+		r := fe.tail[0]
+		fe.tail = fe.tail[1:]
+		if len(fe.tail) > 0 {
+			fe.eng.SchedulePriority(fe.tail[0].Arrival, step)
 		}
 		fe.arrive(r)
 	}
 	fe.eng.SchedulePriority(reqs[0].Arrival, step)
+}
+
+// upcoming returns the streamed trace's requests that have not arrived
+// yet, in arrival order, for the write path's lookahead. ok is false
+// when the order in which they will be admitted is not the trace's:
+// nothing is streamed (serve, the out-of-order fallback) or requests
+// wait in the deferred queues.
+func (fe *frontend) upcoming() (reqs []trace.Request, ok bool) {
+	if !fe.streaming || fe.deferredLen() > 0 {
+		return nil, false
+	}
+	return fe.tail, true
 }
 
 // arrive handles one host request at the current virtual time: strict

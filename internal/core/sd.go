@@ -65,7 +65,7 @@ func (sd *SeqDetector) OnWrite(w PendingWrite) *Run {
 		return nil
 	}
 	cur := sd.cur
-	if cur != nil && w.Offset == cur.Offset+cur.Size && cur.Size+w.Size <= sd.maxRun {
+	if cur != nil && sd.extends(cur.Offset, cur.Size, w.Offset, w.Size) {
 		cur.Size += w.Size
 		cur.Writes = append(cur.Writes, w)
 		sd.merged++
@@ -74,6 +74,13 @@ func (sd *SeqDetector) OnWrite(w PendingWrite) *Run {
 	flushed := sd.take()
 	sd.cur = &Run{Offset: w.Offset, Size: w.Size, Writes: []PendingWrite{w}}
 	return flushed
+}
+
+// extends is the merge rule: a write of [off, +size) joins a pending run
+// of [runOff, +runSize) when it starts where the run ends and keeps the
+// run within the cap. The write path's lookahead predicts runs with it.
+func (sd *SeqDetector) extends(runOff, runSize, off, size int64) bool {
+	return off == runOff+runSize && runSize+size <= sd.maxRun
 }
 
 // OnRead flushes the pending run: a read breaks write contiguity

@@ -13,6 +13,7 @@ import (
 	"edc/internal/obs"
 	"edc/internal/parallel"
 	"edc/internal/sim"
+	"edc/internal/trace"
 )
 
 // Recovery bounds for injected device-write failures: a transient fault
@@ -58,6 +59,12 @@ type writePath struct {
 
 	hostCache *cache.Cache
 	disableSD bool
+
+	// upcoming exposes the frontend's not-yet-arrived trace requests (see
+	// frontend.upcoming) to la, the trace lookahead (lookahead.go); la is
+	// built at the first run that can use it.
+	upcoming func() ([]trace.Request, bool)
+	la       *lookahead
 
 	flushWait time.Duration
 	flushGen  int64
@@ -150,6 +157,7 @@ func (wp *writePath) drain() {
 // pipeline in compressRun.
 func (wp *writePath) processRun(run *Run) {
 	if wp.fs.failed() {
+		wp.la.cancelFrom(0, wp.se)
 		wp.drop(len(run.Writes))
 		return
 	}
@@ -157,7 +165,13 @@ func (wp *writePath) processRun(run *Run) {
 
 	ver := wp.version
 	wp.version++
-	content := wp.data.AppendBlock(wp.se.getBuf(), run.Offset, int(run.Size), ver)
+	pre := wp.la.take(runKey{run.Offset, run.Size, ver}, wp.se)
+	var content []byte
+	if pre != nil {
+		content = pre.content
+	} else {
+		content = wp.data.AppendBlock(wp.se.getBuf(), run.Offset, int(run.Size), ver)
+	}
 
 	if wp.se.dedup != nil {
 		// Hash now (the fingerprint is a pure function of the content),
@@ -170,7 +184,8 @@ func (wp *writePath) processRun(run *Run) {
 		}})
 		return
 	}
-	wp.compressRun(run, content, dedup.Sum{}, false, ver)
+	wp.compressRun(run, content, dedup.Sum{}, false, ver, pre)
+	wp.lookAhead()
 }
 
 // dedupResolve looks the fingerprinted run up in the content index and
@@ -188,7 +203,7 @@ func (wp *writePath) dedupResolve(run *Run, content []byte, sum dedup.Sum, ver u
 	}
 	wp.stats.DedupMisses++
 	wp.obs.DedupMiss(wp.eng.Now(), run.Offset, run.Size)
-	wp.compressRun(run, content, sum, true, ver)
+	wp.compressRun(run, content, sum, true, ver, nil)
 }
 
 // dedupHit completes a run whose content is already stored: remap the
@@ -277,15 +292,22 @@ func (wp *writePath) intensity(now time.Duration, run *Run) float64 {
 // compressRun runs the elastic pipeline for one run: compressibility
 // estimate → policy selection → codec dispatch → store. sum/hasSum
 // carry the dedup fingerprint (if one was computed) through to the
-// stored extent so it can be indexed at its durable point.
-func (wp *writePath) compressRun(run *Run, content []byte, sum dedup.Sum, hasSum bool, ver uint32) {
+// stored extent so it can be indexed at its durable point. pre, when
+// non-nil, is the run's joined lookahead slot: the estimate, the payload
+// for the codec it guessed, and that payload's buffer.
+func (wp *writePath) compressRun(run *Run, content []byte, sum dedup.Sum, hasSum bool, ver uint32, pre *aheadSlot) {
 	now := wp.eng.Now()
 
 	var codec compress.Codec
 	var cpuTime time.Duration
 	if wp.policy.ChecksCompressibility() {
 		cpuTime += EstimateCost
-		ratio := wp.est.EstimateRatio(content)
+		var ratio float64
+		if pre != nil {
+			ratio = pre.ratio
+		} else {
+			ratio = wp.est.EstimateRatio(content)
+		}
 		if ratio >= WriteThroughRatio {
 			wp.obs.Estimate(now, run.Offset, run.Size, ratio, false)
 			// Intensity is a pure read of the meter, so capturing it for
@@ -314,13 +336,27 @@ func (wp *writePath) compressRun(run *Run, content []byte, sum dedup.Sum, hasSum
 	// event loop advances virtual time. store joins on the future, so
 	// virtual-time ordering and all statistics are unchanged.
 	var fut *parallel.Future[[]byte]
-	if codec != nil {
-		cpu, _ := wp.se.charge.compress(codec.Tag(), run.Size)
-		cpuTime += cpu
-		c, dst := codec, wp.se.getBuf()
+	switch {
+	case codec == nil:
+		if pre != nil {
+			wp.se.putBuf(pre.payload)
+		}
+	case pre != nil && codec == pre.codec:
+		fut = pre.fut // its result is this codec's payload
+	default:
+		c, dst := codec, []byte(nil)
+		if pre != nil {
+			dst = pre.payload[:0]
+		} else {
+			dst = wp.se.getBuf()
+		}
 		fut = async(wp.se, func() []byte {
 			return compress.AppendCompress(c, dst, content)
 		})
+	}
+	if codec != nil {
+		cpu, _ := wp.se.charge.compress(codec.Tag(), run.Size)
+		cpuTime += cpu
 	}
 	hostTime(wp.cpu, cpuTime, func(_, _ time.Duration) { wp.store(run, content, codec, fut, ver, sum, hasSum) })
 }

@@ -24,6 +24,11 @@
 // one at a time until its own result is ready. Only the goroutine that
 // executes a job changes, so results cannot.
 //
+// Speculative work, which may turn out unneeded, goes through TryGo and
+// Cancel: TryGo never runs a job on its caller, and Cancel claims a job
+// nobody has started, leaving a dead entry that the next worker, or a
+// submitter that finds the channel full, drops.
+//
 // Helping cannot deadlock, because a job never waits: it submits
 // nothing, joins no future and takes no lock a waiter may hold (a codec
 // lookup's registry read lock is held for the lookup only). A claimed job
@@ -65,7 +70,8 @@ type SharedPool struct {
 
 	submitted atomic.Int64 // jobs accepted onto the channel
 	inline    atomic.Int64 // jobs run by the submitter (channel full)
-	stolen    atomic.Int64 // queued jobs run by a waiting goroutine
+	stolen    atomic.Int64 // queued jobs run by a waiting or submitting goroutine
+	cancelled atomic.Int64 // queued jobs their owner claimed without running
 }
 
 // PoolStats is a point-in-time snapshot of a SharedPool's activity
@@ -75,14 +81,19 @@ type PoolStats struct {
 	Workers int `json:"workers"`
 	// Submitted counts jobs put on the channel.
 	Submitted int64 `json:"submitted"`
-	// Stolen counts submitted jobs that a goroutine blocked in Wait ran
-	// instead of a worker: its own job, claimed while still queued, or
-	// another queued job it took while its own was running elsewhere.
-	// Submitted minus Stolen is what the workers ran.
+	// Stolen counts submitted jobs that a goroutine other than a worker
+	// ran: a goroutine blocked in Wait (its own job, claimed while still
+	// queued, or another queued job it took while its own was running
+	// elsewhere), or a submitter that found the channel full and ran its
+	// oldest live job. Submitted minus Stolen minus Cancelled is what the
+	// workers ran.
 	Stolen int64 `json:"stolen"`
 	// Inline counts jobs the submitter ran itself because the channel
 	// was full (backpressure).
 	Inline int64 `json:"inline"`
+	// Cancelled counts submitted jobs that their owner claimed through
+	// Cancel before any goroutine ran them; a worker drops them.
+	Cancelled int64 `json:"cancelled"`
 }
 
 // NewSharedPool starts a pool with n workers (n < 1 is clamped to 1)
@@ -124,6 +135,7 @@ func (p *SharedPool) Stats() PoolStats {
 		Submitted: p.submitted.Load(),
 		Stolen:    p.stolen.Load(),
 		Inline:    p.inline.Load(),
+		Cancelled: p.cancelled.Load(),
 	}
 }
 
@@ -164,8 +176,8 @@ func (q *Queue) Close() {}
 // repeatedly — the first call joins, later calls return the cached
 // value). That consumer is the simulator's event-loop goroutine.
 type Future[T any] struct {
-	fn      func() T // the job; only the goroutine holding the claim touches it
-	ch      chan T   // the result, when a goroutine other than the waiter ran fn
+	fn      func() T      // the job; only the goroutine holding the claim touches it
+	ch      chan struct{} // signalled once v is set, when a goroutine other than the waiter ran fn
 	pool    *SharedPool
 	claimed atomic.Bool
 	done    bool
@@ -175,18 +187,58 @@ type Future[T any] struct {
 // Go puts f on the pool's channel through q and returns a Future for its
 // result. When the channel is full f runs inline on the caller instead —
 // backpressure that never blocks the event loop behind work it could be
-// doing itself.
+// doing itself. A full channel is first cleared of claimed heads (see
+// offer), so jobs nobody will run do not push f inline.
 func Go[T any](q *Queue, f func() T) *Future[T] {
 	p := q.pool
-	fut := &Future[T]{fn: f, ch: make(chan T, 1), pool: p}
-	select {
-	case p.jobs <- fut:
-		p.submitted.Add(1)
-	default:
+	fut := &Future[T]{fn: f, ch: make(chan struct{}, 1), pool: p}
+	if !p.offer(fut) {
 		p.inline.Add(1)
 		fut.run()
 	}
 	return fut
+}
+
+// TryGo is Go for speculative work: when the channel is full it runs
+// nothing on the caller and returns nil.
+func TryGo[T any](q *Queue, f func() T) *Future[T] {
+	p := q.pool
+	if len(p.jobs) == cap(p.jobs) { // refuse before allocating the future
+		return nil
+	}
+	fut := &Future[T]{fn: f, ch: make(chan struct{}, 1), pool: p}
+	select {
+	case p.jobs <- fut:
+		p.submitted.Add(1)
+		return fut
+	default:
+		return nil
+	}
+}
+
+// offer puts j on the channel. While the channel is full it takes the
+// head instead: a head already claimed (by its waiter or by Cancel) is
+// one a worker would only drop, so it is dropped here and j tried again.
+// A live head ends the attempt: the caller runs it, as the next worker
+// would have, and offer reports false so that j runs on the caller too —
+// a channel full of live work still pushes back on its submitter.
+func (p *SharedPool) offer(j job) bool {
+	for {
+		select {
+		case p.jobs <- j:
+			p.submitted.Add(1)
+			return true
+		default:
+		}
+		select {
+		case h := <-p.jobs:
+			if h.run() {
+				p.stolen.Add(1)
+				return false
+			}
+		default:
+		}
+	}
 }
 
 // Resolved returns an already-completed Future carrying v; Wait returns
@@ -206,6 +258,21 @@ func (f *Future[T]) claim() func() T {
 	return fn
 }
 
+// Cancel claims a job no goroutine has started, so that it never runs,
+// and reports whether it did; the future then resolves to T's zero
+// value. False means the job is running or has run (or the future was
+// resolved from the start): Wait for it before reusing anything it
+// touches. Only the future's consumer may call Cancel.
+func (f *Future[T]) Cancel() bool {
+	if f.done || f.claim() == nil {
+		return false
+	}
+	f.pool.cancelled.Add(1)
+	var zero T
+	f.v, f.done = zero, true
+	return true
+}
+
 // run is the job side: a worker, a helping waiter or an inline submit
 // runs the closure and publishes its result, unless it was claimed first.
 func (f *Future[T]) run() bool {
@@ -213,7 +280,8 @@ func (f *Future[T]) run() bool {
 	if fn == nil {
 		return false
 	}
-	f.ch <- fn()
+	f.v = fn()
+	f.ch <- struct{}{}
 	return true
 }
 
@@ -233,15 +301,15 @@ func (f *Future[T]) Wait() T {
 	jobs := p.jobs
 	for {
 		select {
-		case v := <-f.ch:
-			f.v, f.done = v, true
-			return v
+		case <-f.ch:
+			f.done = true
+			return f.v
 		default:
 		}
 		select {
-		case v := <-f.ch:
-			f.v, f.done = v, true
-			return v
+		case <-f.ch:
+			f.done = true
+			return f.v
 		case j, ok := <-jobs:
 			if !ok {
 				// A private pool was closed: nothing is left to help with,

@@ -381,3 +381,118 @@ func TestSharedSingletonWorkers(t *testing.T) {
 		t.Fatalf("shared pool has %d workers", w)
 	}
 }
+
+// Cancel claims a job still on the channel: it never runs, its future
+// resolves to the zero value, and the pool counts it cancelled. A job
+// that already ran cannot be cancelled.
+func TestCancel(t *testing.T) {
+	p := NewSharedPool(1)
+	defer p.Close()
+	q := p.NewQueue()
+	release := blockWorker(q)
+	ran := false
+	f := Go(q, func() int { ran = true; return 5 })
+	if !f.Cancel() {
+		t.Fatal("Cancel of a queued job failed")
+	}
+	if f.Cancel() {
+		t.Fatal("second Cancel succeeded")
+	}
+	if got := f.Wait(); got != 0 {
+		t.Fatalf("cancelled future resolved to %d, want 0", got)
+	}
+	release()
+	done := Go(q, func() int { return 6 })
+	if done.Wait() != 6 || done.Cancel() {
+		t.Fatal("Cancel after Wait succeeded")
+	}
+	if ran {
+		t.Fatal("the worker ran a cancelled job")
+	}
+	if s := p.Stats(); s.Cancelled != 1 || s.Submitted != 3 {
+		t.Fatalf("stats %+v; want 3 submitted, 1 cancelled", s)
+	}
+	if Resolved(1).Cancel() {
+		t.Fatal("Cancel of a resolved future succeeded")
+	}
+}
+
+// A channel full of cancelled jobs is not backpressure: Go drops the
+// dead heads and queues its job instead of running it inline.
+func TestGoDropsCancelledHeads(t *testing.T) {
+	p := NewSharedPool(1)
+	defer p.Close()
+	q := p.NewQueue()
+	release := blockWorker(q)
+	for i := 0; i < q.Cap(); i++ {
+		if !Go(q, func() int { return i }).Cancel() {
+			t.Fatal("Cancel of a queued job failed")
+		}
+	}
+	ran := false
+	f := Go(q, func() int { ran = true; return 1 })
+	if ran {
+		t.Fatal("Go ran its job inline behind a channel of cancelled jobs")
+	}
+	if s := p.Stats(); s.Inline != 0 || s.Stolen != 0 {
+		t.Fatalf("stats %+v; want nothing inline or stolen", s)
+	}
+	release()
+	if f.Wait() != 1 || !ran {
+		t.Fatal("queued future lost its result")
+	}
+}
+
+// A live head is run by the submitter that finds the channel full — it
+// was next in line — and the submitter's own job then runs inline, even
+// with dead jobs queued behind that head.
+func TestGoRunsLiveHeadThenInline(t *testing.T) {
+	p := NewSharedPool(1)
+	defer p.Close()
+	q := p.NewQueue()
+	release := blockWorker(q)
+	defer release()
+	live := Go(q, func() int { return 7 })
+	for i := 0; i < q.Cap()-1; i++ {
+		Go(q, func() int { return i }).Cancel()
+	}
+	ran := false
+	own := Go(q, func() int { ran = true; return 8 })
+	if !ran {
+		t.Fatal("Go behind a live head did not run its job inline")
+	}
+	if s := p.Stats(); s.Inline != 1 || s.Stolen != 1 || s.Cancelled != int64(q.Cap()-1) {
+		t.Fatalf("stats %+v; want 1 inline, 1 stolen, %d cancelled", s, q.Cap()-1)
+	}
+	if live.Wait() != 7 || own.Wait() != 8 {
+		t.Fatal("futures lost their results")
+	}
+}
+
+// TryGo never runs a job on its caller: on a full channel it returns nil.
+func TestTryGoRefusesWhenFull(t *testing.T) {
+	p := NewSharedPool(1)
+	defer p.Close()
+	q := p.NewQueue()
+	release := blockWorker(q)
+	futs := make([]*Future[int], 0, q.Cap())
+	for i := 0; i < q.Cap(); i++ {
+		f := TryGo(q, func() int { return i })
+		if f == nil {
+			t.Fatalf("TryGo %d refused on a channel with room", i)
+		}
+		futs = append(futs, f)
+	}
+	if TryGo(q, func() int { t.Error("refused job ran"); return 0 }) != nil {
+		t.Fatal("TryGo accepted a job on a full channel")
+	}
+	if s := p.Stats(); s.Inline != 0 || s.Submitted != int64(1+q.Cap()) {
+		t.Fatalf("stats %+v", s)
+	}
+	release()
+	for i, f := range futs {
+		if f.Wait() != i {
+			t.Fatalf("future %d lost its result", i)
+		}
+	}
+}
