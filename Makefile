@@ -48,8 +48,9 @@ matrixcheck:
 	GOMAXPROCS=4 $(GO) test -race -run TestFeatureMatrix .
 
 # Codec, generator, trace-format and backend microbenchmarks with
-# allocation counts; the lzf/gz decode rows (BenchmarkDecode in their
-# packages), the datagen rows and the trace rows come in pairs, product
+# allocation counts; the lzf/gz decode and encode rows (BenchmarkDecode
+# and BenchmarkEncode in their packages), the datagen rows and the trace
+# rows come in pairs, product
 # and kept reference; BenchmarkBackend times one single-SSD or RAIS5
 # operation through its member queue; BenchmarkFutureJoin times one codec
 # pool join on an idle pool and behind eight queued jobs; BenchmarkReplayFin1
@@ -60,15 +61,20 @@ bench:
 
 # Ten seconds of fuzzing per target: the payload RNG against math/rand,
 # the two trace parsers (whose past crashers are in testdata/fuzz), the
-# lzf and gz decoders against their kept references, and the EDCF frame
+# lzf and gz decoders and encoders against their kept references, and the EDCF frame
 # decoder (seeded with the frames whose header claims 3 840 MiB; it
-# minimises briefly: shrinking an input under a CRC seldom succeeds).
+# minimises briefly: shrinking an input under a CRC seldom succeeds). The
+# encoder targets minimise briefly too: each try runs two encoders over
+# an input that can be a corpus block of 64 KiB, and a long minimisation
+# would take the whole ten seconds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 10s ./internal/datagen
 	$(GO) test -run '^$$' -fuzz FuzzParseSPC -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzParseMSR -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzDecompress -fuzztime 10s ./internal/compress/lzf
 	$(GO) test -run '^$$' -fuzz FuzzDecompress -fuzztime 10s ./internal/compress/gz
+	$(GO) test -run '^$$' -fuzz FuzzCompress -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/lzf
+	$(GO) test -run '^$$' -fuzz FuzzCompress -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/gz
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/compress
 
 # Paired benchmark against a parent revision, by BENCHMARK.json's rule:

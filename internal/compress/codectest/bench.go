@@ -96,3 +96,33 @@ func RunDecodeBench(b *testing.B, c compress.Codec, ref compress.DecompressAppen
 		}
 	}
 }
+
+// RunEncodeBench measures c.AppendCompress into a recycled buffer over
+// every (profile, size) cell of the corpus, each row followed by the same
+// blocks through ref (the …/ref rows): the kept reference encoder of a
+// codec whose match finder or entropy stage was rewritten.
+func RunEncodeBench(b *testing.B, c compress.Codec, ref compress.Appender) {
+	ac := c.(compress.Appender)
+	for _, p := range BenchProfiles() {
+		for _, sz := range BenchSizes {
+			cell := sync.OnceValue(func() [][]byte { return BenchBlocks(p, sz.N) })
+			run := func(name string, e compress.Appender) {
+				b.Run(name, func(b *testing.B) {
+					blocks := cell()
+					b.ReportAllocs()
+					b.SetBytes(int64(sz.N * len(blocks)))
+					buf := make([]byte, 0, sz.N+1)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for _, src := range blocks {
+							buf = e.AppendCompress(buf[:0], src)
+						}
+					}
+				})
+			}
+			name := fmt.Sprintf("%s/%s/%s", c.Name(), p.Name, sz.Name)
+			run(name, ac)
+			run(name+"/ref", ref)
+		}
+	}
+}

@@ -48,6 +48,30 @@ func FuzzDecompressDiff(f *testing.F, c compress.Codec, ref compress.DecompressA
 	})
 }
 
+// FuzzCompressDiff holds a codec with a kept reference encoder to it byte
+// for byte: on arbitrary input AppendCompress must return the reference's
+// stream, both into an empty dst and after a prefix it leaves alone.
+func FuzzCompressDiff(f *testing.F, c compress.Codec, ref compress.Appender) {
+	for _, src := range Corpus() {
+		f.Add(src)
+	}
+	ac := c.(compress.Appender)
+	pre := []byte{0xde, 0xad, 0xbe}
+	f.Fuzz(func(t *testing.T, src []byte) {
+		if len(src) > 1<<20 {
+			return
+		}
+		want := ref.AppendCompress(nil, src)
+		if got := ac.AppendCompress(nil, src); !bytes.Equal(got, want) {
+			t.Fatalf("%s: %d B in, %d B out, the reference's %d B or differing bytes", c.Name(), len(src), len(got), len(want))
+		}
+		got := ac.AppendCompress(append([]byte(nil), pre...), src)
+		if !bytes.Equal(got[:len(pre)], pre) || !bytes.Equal(got[len(pre):], want) {
+			t.Fatalf("%s: %d B in: after a prefix the output differs from the reference", c.Name(), len(src))
+		}
+	})
+}
+
 // FuzzRoundTrip compresses arbitrary input and requires exact recovery.
 func FuzzRoundTrip(f *testing.F, c compress.Codec) {
 	for _, src := range Corpus() {

@@ -136,9 +136,13 @@ type parseState struct {
 	// it. base moves past every position of a finished call plus
 	// maxDist, so whatever an earlier call left behind reads as further
 	// back than a match may reach and head is never refilled.
-	head     [hashSize]int32
-	base     int32
-	prev     []int32
+	head [hashSize]int32
+	base int32
+	// prev[i] is how far back the position chained before i under i's
+	// hash lies, or 0 when that is more than maxDist (or there is none):
+	// the walk would stop there anyway. Distances fit 16 bits, which
+	// halves the array the walk's dependent loads go through.
+	prev     []uint16
 	tokens   []token
 	litFreq  [numLitLen]int64
 	distFreq [numDist]int64
@@ -171,54 +175,61 @@ type decState struct {
 
 var decPool = sync.Pool{New: func() interface{} { return new(decState) }}
 
-// insert chains position i under its hash. The last three positions
-// have no four bytes to hash and are never inserted.
-func (st *parseState) insert(src []byte, prev []int32, base, i int) {
-	if i+4 > len(src) {
-		return
+// insert chains position i, whose four bytes hash to h, under h. The
+// last three positions have no four bytes to hash and are never
+// inserted.
+func (st *parseState) insert(prev []uint16, base, i int, h uint32) {
+	d := base + i - int(st.head[h])
+	if d > maxDist {
+		d = 0 // too far back, or left by an earlier call: end of chain
 	}
-	h := hash4(binary.LittleEndian.Uint32(src[i:]))
-	prev[i] = st.head[h]
+	prev[i] = uint16(d)
 	st.head[h] = int32(base + i)
 }
 
-// bestMatch finds the longest match for position i: the first of the
-// maxChain most recent positions with i's hash to reach that length.
-func (st *parseState) bestMatch(src []byte, prev []int32, base, i int) (dist, length int) {
-	if i+4 > len(src) {
+// bestMatch finds the longest match for position i, whose four bytes
+// hash to h: the first of the maxChain most recent positions with that
+// hash to reach that length. Only a match longer than seed counts; with
+// none it returns (0, 0). The lazy search seeds the length its answer
+// must beat to be taken. A seed below niceLength leaves the walk as it
+// is unseeded: the same candidates, up to the same first one of
+// niceLength or limit bytes.
+func (st *parseState) bestMatch(src []byte, prev []uint16, base, i int, h uint32, seed int) (dist, length int) {
+	limit := min(len(src)-i, maxMatch)
+	if seed >= limit {
 		return 0, 0
 	}
-	cur := binary.LittleEndian.Uint32(src[i:])
-	cand := st.head[hash4(cur)]
-	limit := len(src) - i
-	if limit > maxMatch {
-		limit = maxMatch
+	length = seed
+	// A candidate can only beat the best so far if it agrees with i on
+	// the bytes up to and including index length; test the last four of
+	// those (the first three while there is no match yet: a shorter
+	// agreement is no match at all) before counting. want and mask hold
+	// i's side of that test and change only with length.
+	off, want, mask := 0, binary.LittleEndian.Uint32(src[i:]), uint32(0xffffff)
+	if length >= minMatch {
+		off, mask = length-3, ^uint32(0)
+		want = binary.LittleEndian.Uint32(src[i+off:])
 	}
-	for chain := maxChain; chain > 0; chain-- {
-		c := int(cand) - base
-		if i-c > maxDist {
-			break // too far back, or left by an earlier call
-		}
-		// A candidate can only beat the best so far if it agrees with i
-		// on the bytes up to and including index length; test the last
-		// four of those (the first three while there is no match yet: a
-		// shorter agreement is no match at all) before counting.
-		var differ bool
-		if length >= minMatch {
-			differ = binary.LittleEndian.Uint32(src[c+length-3:]) != binary.LittleEndian.Uint32(src[i+length-3:])
-		} else {
-			differ = (binary.LittleEndian.Uint32(src[c:])^cur)&0xffffff != 0
-		}
-		if !differ {
+	c := int(st.head[h]) - base
+	for chain := maxChain; chain > 0 && i-c <= maxDist; chain-- {
+		if (binary.LittleEndian.Uint32(src[c+off:])^want)&mask == 0 {
 			if l := compress.MatchLen(src, c, i, limit); l > length {
-				length = l
-				dist = i - c
+				length, dist = l, i-c
 				if l >= niceLength || l >= limit {
 					break
 				}
+				off, mask = l-3, ^uint32(0)
+				want = binary.LittleEndian.Uint32(src[i+off:])
 			}
 		}
-		cand = prev[c]
+		d := prev[c]
+		if d == 0 {
+			break
+		}
+		c -= int(d)
+	}
+	if dist == 0 {
+		return 0, 0
 	}
 	return dist, length
 }
@@ -237,36 +248,41 @@ func (st *parseState) parse(src []byte) []token {
 	base := int(st.base)
 	st.base += int32(len(src)) + maxDist
 	if cap(st.prev) < len(src) {
-		st.prev = make([]int32, len(src))
+		st.prev = make([]uint16, len(src))
 	}
 	// Stale prev entries are unreachable: a position is only chained
 	// from head after insert overwrites its prev slot.
 	prev := st.prev[:len(src)]
+	hashAt := func(i int) uint32 { return hash4(binary.LittleEndian.Uint32(src[i:])) }
+	last := len(src) - 4 // the last position with four bytes to hash
 	i := 0
-	for i < len(src) {
-		dist, length := st.bestMatch(src, prev, base, i)
-		if length >= minMatch {
-			// Lazy: if the next position has a strictly better match, emit
-			// a literal instead and take the longer match next round.
-			st.insert(src, prev, base, i)
-			if length < niceLength && i+1 < len(src) {
-				d2, l2 := st.bestMatch(src, prev, base, i+1)
-				if l2 > length+1 {
-					tokens = append(tokens, token{lit: src[i]})
-					i++
-					dist, length = d2, l2
-				}
-			}
-			tokens = append(tokens, token{dist: int32(dist), len: int32(length)})
-			for j := i + 1; j < i+length; j++ {
-				st.insert(src, prev, base, j)
-			}
-			i += length
+	for i <= last {
+		h := hashAt(i)
+		dist, length := st.bestMatch(src, prev, base, i, h, 0)
+		st.insert(prev, base, i, h)
+		if length == 0 {
+			tokens = append(tokens, token{lit: src[i]})
+			i++
 			continue
 		}
-		st.insert(src, prev, base, i)
+		// Lazy: if the next position has a strictly better match, emit a
+		// literal instead and take the longer match next round. An answer
+		// of length+1 or less is not taken, so the search starts there.
+		if length < niceLength && i+1 <= last {
+			if d2, l2 := st.bestMatch(src, prev, base, i+1, hashAt(i+1), min(length+1, niceLength-1)); l2 > length+1 {
+				tokens = append(tokens, token{lit: src[i]})
+				i++
+				dist, length = d2, l2
+			}
+		}
+		tokens = append(tokens, token{dist: int32(dist), len: int32(length)})
+		for j := i + 1; j < min(i+length, last+1); j++ {
+			st.insert(prev, base, j, hashAt(j))
+		}
+		i += length
+	}
+	for ; i < len(src); i++ {
 		tokens = append(tokens, token{lit: src[i]})
-		i++
 	}
 	st.tokens = tokens
 	return tokens
@@ -290,22 +306,26 @@ func (c *Codec) Compress(src []byte) []byte {
 // extended slice. Combined with the pooled parse scratch this makes the
 // replay hot path allocation-free in steady state.
 func (*Codec) AppendCompress(dst, src []byte) []byte {
-	mark := len(dst)
-	out := appendHuffman(dst, src)
-	if len(out)-mark >= len(src)+1 {
-		// The Huffman form expanded: emit the stored container instead,
-		// overwriting it in place.
-		out = append(out[:mark], storedMagic)
-		return append(out, src...)
+	st := statePool.Get().(*parseState)
+	defer statePool.Put(st)
+	return st.appendCompress(dst, src)
+}
+
+// appendCompress is AppendCompress with the scratch st.
+func (st *parseState) appendCompress(dst, src []byte) []byte {
+	if out, ok := st.appendHuffman(dst, src); ok {
+		return out
 	}
-	return out
+	// The Huffman form would expand: emit the stored container instead.
+	return append(append(dst, storedMagic), src...)
 }
 
 // appendHuffman appends the Huffman container (with its leading format
-// byte) to dst.
-func appendHuffman(dst, src []byte) []byte {
-	st := statePool.Get().(*parseState)
-	defer statePool.Put(st)
+// byte) to dst. It reports false, leaving dst's length as it was, when
+// that container would not be shorter than the stored one, len(src)+1
+// bytes: the size is known exactly once the code lengths are, so such a
+// block is never bit-written.
+func (st *parseState) appendHuffman(dst, src []byte) ([]byte, bool) {
 	tokens := st.parse(src)
 
 	litFreq := st.litFreq[:]
@@ -337,6 +357,27 @@ func appendHuffman(dst, src []byte) []byte {
 		panic("gz: " + err.Error())
 	}
 	st.distLens = distLens
+
+	var w bitio.Writer
+	w.ResetBuf(dst)
+	w.WriteBits(compressedMagic, 8)
+	huffman.WriteLengths(&w, litLens)
+	huffman.WriteLengths(&w, distLens)
+	// The symbol stream is every symbol's code plus its extra bits.
+	size := int64(w.BitLen() - 8*len(dst))
+	for s, f := range litFreq {
+		size += f * int64(litLens[s])
+	}
+	for k, lc := range lengthCodes {
+		size += litFreq[257+k] * int64(lc.extra)
+	}
+	for s, f := range distFreq {
+		size += f * int64(uint(distLens[s])+distCodes[s].extra)
+	}
+	if (size+7)/8 >= int64(len(src))+1 {
+		return dst, false
+	}
+
 	if err := st.litEnc.Reset(litLens); err != nil {
 		panic("gz: " + err.Error())
 	}
@@ -355,12 +396,6 @@ func appendHuffman(dst, src []byte) []byte {
 		}
 		distEnc = &st.distEnc
 	}
-
-	var w bitio.Writer
-	w.ResetBuf(dst)
-	w.WriteBits(compressedMagic, 8)
-	huffman.WriteLengths(&w, litLens)
-	huffman.WriteLengths(&w, distLens)
 	for _, t := range tokens {
 		if t.dist == 0 {
 			c := litEnc.Code(int(t.lit))
@@ -379,7 +414,7 @@ func appendHuffman(dst, src []byte) []byte {
 	}
 	c := litEnc.Code(eob)
 	w.WriteBits(uint64(c.Bits), uint(c.Len))
-	return w.Bytes()
+	return w.Bytes(), true
 }
 
 // Decompress implements compress.Codec.

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"edc/internal/bitio"
 	"edc/internal/compress"
 	"edc/internal/compress/codectest"
+	"edc/internal/datagen"
 	"edc/internal/huffman"
 )
 
@@ -333,6 +336,130 @@ func (refCodec) DecompressAppend(dst, src []byte, origLen int) ([]byte, error) {
 func TestMatchesReference(t *testing.T) { codectest.RunDifferential(t, New(), refCodec{}) }
 func TestZoneBoundaries(t *testing.T)   { codectest.RunZoneBoundaries(t, New(), refCodec{}) }
 
+// checkEncode fails t unless st encodes src to the reference's bytes.
+func checkEncode(t *testing.T, st *parseState, what string, src []byte) {
+	t.Helper()
+	want := refCodec{}.AppendCompress(nil, src)
+	if got := st.appendCompress(nil, src); !bytes.Equal(got, want) {
+		t.Fatalf("%s (%d B): %d B, the reference %d B or differing bytes", what, len(src), len(got), len(want))
+	}
+}
+
+// skewed returns n random bytes drawn from the first k byte values:
+// compressible by Huffman alone, so a block keeps its symbol stream (a
+// stored one would hide the tokens), while 4-byte strings seldom repeat
+// and every hash chain runs through collisions of all distances.
+func skewed(rng *rand.Rand, n, k int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(rng.Intn(k))
+	}
+	return b
+}
+
+// TestLargeBlocksMatchReference holds blocks of 256 KiB and 1 MiB to the
+// reference. Over them a chain link spans up to maxDist bytes, the largest
+// distance prev stores, or more, which prev stores as the end of the
+// chain. The planted block holds four copies of a string of bytes its
+// filler never has, each maxDist-1, maxDist and then maxDist+1 bytes
+// after the one before, amid zeros: with nothing else in their hash
+// chains, the links between the copies are those distances exactly.
+func TestLargeBlocksMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	planted := skewed(rng, 1<<20, 64)
+	pat := make([]byte, 80)
+	for i := range pat {
+		pat[i] = byte(128 + rng.Intn(128))
+	}
+	const first = 1000
+	clear(planted[first : first+3*maxDist+len(pat)])
+	copy(planted[first:], pat)
+	for at, d := first, maxDist-1; d <= maxDist+1; d++ {
+		at += d
+		copy(planted[at:], pat)
+	}
+	sizes := []int{256 << 10, 1 << 20}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
+	st := &parseState{base: maxDist + 1}
+	for _, n := range sizes {
+		checkEncode(t, st, "planted", planted[:n])
+		for i, p := range codectest.BenchProfiles() {
+			checkEncode(t, st, p.Name, datagen.New(p, int64(i)).Block(0, n, 0))
+		}
+	}
+	if stream := (refCodec{}).AppendCompress(nil, planted); stream[0] != compressedMagic {
+		t.Fatal("the planted block is stored: its tokens are not compared")
+	}
+}
+
+// TestMatchesToTheLastByte holds to the reference short inputs over two
+// or three byte values, whose matches often run to the last byte: there
+// the lazy search's limit is at or below the length it must beat, and it
+// returns before walking. Runs of one byte value reach that at every
+// length up to and past maxMatch.
+func TestMatchesToTheLastByte(t *testing.T) {
+	st := &parseState{base: maxDist + 1}
+	rng := rand.New(rand.NewSource(35))
+	for n := 1; n <= maxMatch+16; n++ {
+		checkEncode(t, st, "run", bytes.Repeat([]byte{'a'}, n))
+		checkEncode(t, st, "run after a literal", append([]byte{'b'}, bytes.Repeat([]byte{'a'}, n)...))
+		for k := 2; k <= 3; k++ {
+			for try := 0; try < 4; try++ {
+				checkEncode(t, st, fmt.Sprintf("%d values", k), skewed(rng, n, k))
+			}
+		}
+	}
+}
+
+// TestLazySearchStopsAtNiceLength holds to the reference a lazy search
+// after a match of niceLength-1 bytes that meets a match of exactly
+// niceLength, the point where the walk stops, before a longer one further
+// back. Seeded with niceLength rather than niceLength-1 it would walk on
+// to the longer match and take it.
+func TestLazySearchStopsAtNiceLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	s := make([]byte, 300)
+	rng.Read(s)
+	filler := func() []byte {
+		b := make([]byte, 40)
+		rng.Read(b)
+		return b
+	}
+	// Oldest first, so the walk from i+1 meets them newest first: the
+	// 94-byte match, the niceLength one and then the long one.
+	src := slices.Concat(
+		s[1:1+niceLength+100], []byte{'W'}, filler(),
+		s[1:1+niceLength], []byte{'Z'}, filler(),
+		s[0:niceLength-1], []byte{'Y'}, filler(),
+		s[0:250], filler())
+	checkEncode(t, &parseState{base: maxDist + 1}, "nice-length lazy", src)
+}
+
+// TestStateSurvivesBaseWrap drives one parse state across the point
+// where its base would overflow: head is cleared there, and the output
+// stays the reference's on both sides of it, with the previous call's
+// chains of other content left behind each time.
+func TestStateSurvivesBaseWrap(t *testing.T) {
+	gen := datagen.New(datagen.Enterprise(), 8)
+	var srcs [][]byte
+	for i := 0; i < 6; i++ {
+		srcs = append(srcs, gen.Block(int64(i)<<16, 16<<10, uint32(i)))
+	}
+	step := int32(16<<10) + maxDist
+	st := &parseState{base: math.MaxInt32 - 3*step - 1}
+	wrapped := false
+	for i, src := range srcs {
+		before := st.base
+		checkEncode(t, st, fmt.Sprintf("call %d (base %d)", i, before), src)
+		wrapped = wrapped || st.base < before
+	}
+	if !wrapped {
+		t.Fatal("base never wrapped")
+	}
+}
+
 // TestCodeTablesMatchReference holds the table and bits.Len forms to
 // the linear scans over every length and distance.
 func TestCodeTablesMatchReference(t *testing.T) {
@@ -354,6 +481,9 @@ func TestCodeTablesMatchReference(t *testing.T) {
 
 // BenchmarkDecode pairs every decode row with the reference decoder.
 func BenchmarkDecode(b *testing.B) { codectest.RunDecodeBench(b, New(), refCodec{}) }
+
+// BenchmarkEncode pairs every encode row with the reference encoder.
+func BenchmarkEncode(b *testing.B) { codectest.RunEncodeBench(b, New(), refCodec{}) }
 
 // overlapDiff hand-builds a stream for every distance 1…16 and every
 // match length 3…maxMatch — sixteen literals, the match, and then either

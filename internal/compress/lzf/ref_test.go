@@ -159,6 +159,9 @@ func TestTableSurvivesBaseWrap(t *testing.T) {
 // BenchmarkDecode pairs every decode row with the reference decoder.
 func BenchmarkDecode(b *testing.B) { codectest.RunDecodeBench(b, New(), refCodec{}) }
 
+// BenchmarkEncode pairs every encode row with the reference encoder.
+func BenchmarkEncode(b *testing.B) { codectest.RunEncodeBench(b, New(), refCodec{}) }
+
 // overlapDiff hand-builds a stream for every distance 1…16 and every
 // match length 3…maxMatch — sixteen literals, the match, and then either
 // nothing, so that the careful tail decodes it, or enough literal runs

@@ -42,11 +42,6 @@ type maintainer struct {
 	// relocating guards extents with a move in flight (membership only;
 	// never iterated, so it cannot perturb determinism).
 	relocating map[*Extent]struct{}
-	// noWin remembers extents whose cold re-encode showed no space win
-	// at the recorded version, so the scanner stops re-reading them
-	// every pass; an overwrite bumps the version and retries. Membership
-	// only, like relocating.
-	noWin map[*Extent]uint32
 	// scanPos is the next mapping-table block to examine, persisting
 	// across ticks so every extent gets scanned regardless of budget.
 	scanPos int64
@@ -61,7 +56,6 @@ func newMaintainer(d *Device, cfg maint.Config, reg *compress.Registry) (*mainta
 		d:          d,
 		cfg:        cfg,
 		relocating: make(map[*Extent]struct{}),
-		noWin:      make(map[*Extent]uint32),
 	}
 	var err error
 	if cfg.ColdCodec != "none" {
@@ -122,7 +116,7 @@ func (mt *maintainer) step(now time.Duration, budget int) int {
 			started++
 		case mt.cold != nil && hits == 0 && e.Heat.IdleFor(epoch) >= mt.cfg.ColdEpochs &&
 			(e.Tag == compress.TagNone || e.Tag == compress.TagLZF):
-			if v, tried := mt.noWin[e]; tried && v == e.Version {
+			if e.noWin {
 				continue // re-encode already showed no space win for this content
 			}
 			mt.relocate(e, mt.cold, obs.RelocateCold)
@@ -218,8 +212,8 @@ func (mt *maintainer) replacement(e *Extent, codec compress.Codec, reason string
 	newExt, stored, fits := d.se.encoded(e.Offset, e.OrigLen, e.Version, codec, r.content, r.payload)
 	if reason == obs.RelocateCold && (!fits || newExt.SlotLen >= e.SlotLen) {
 		// No space win; keep the current placement and remember not to
-		// retry until an overwrite changes the content.
-		mt.noWin[e] = e.Version
+		// retry until an overwrite replaces the extent.
+		e.noWin = true
 		return nil
 	}
 	if err := d.se.allocSlot(newExt); err != nil {

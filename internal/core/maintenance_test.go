@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -209,4 +210,64 @@ func TestMergeRunStatsHeatHist(t *testing.T) {
 	if out.MaintCold != 5 || out.MaintReclaimed != 150 {
 		t.Fatalf("merged maint counters cold=%d reclaimed=%d", out.MaintCold, out.MaintReclaimed)
 	}
+}
+
+// TestMaintNoWinKeepsNoDeadExtent stores incompressible extents, lets
+// maintenance find that a cold re-encode wins no space on them, then
+// overwrites them. Once the run is over nothing may keep a replaced
+// extent alive: the no-win mark lives on the extent, not in a table the
+// maintainer keeps for the device's life.
+func TestMaintNoWinKeepsNoDeadExtent(t *testing.T) {
+	rig := newTestRig(t, Options{
+		Policy: Native(),
+		Maint:  maintTestConfig(),
+		Data:   datagen.New(datagen.Media(), 11),
+	})
+	const extents = 16
+	tr := &trace.Trace{Name: "maint-nowin"}
+	for _, at := range []time.Duration{0, 700 * time.Millisecond} {
+		for i := 0; i < extents; i++ {
+			tr.Requests = append(tr.Requests, trace.Request{
+				Arrival: at + time.Duration(i)*time.Millisecond,
+				Offset:  int64(i) * 16384, Size: 16384, Write: true,
+			})
+		}
+	}
+	for i := 0; i < 44; i++ { // keeps the maintenance scheduler ticking
+		tr.Requests = append(tr.Requests, trace.Request{
+			Arrival: 50*time.Millisecond + time.Duration(i)*25*time.Millisecond,
+			Offset:  8 << 20, Size: 4096, Write: i == 0,
+		})
+	}
+	tr.SortByArrival()
+
+	// Before the overwrite, put a finalizer on every extent marked no-win.
+	freed := make(chan struct{}, extents)
+	marked := 0
+	rig.eng.Schedule(600*time.Millisecond, func() {
+		var prev *Extent
+		for _, e := range rig.dev.se.mapping.table[:extents*16384/BlockSize] {
+			if e != nil && e != prev && e.noWin {
+				marked++
+				runtime.SetFinalizer(e, func(*Extent) { freed <- struct{}{} })
+			}
+			prev = e
+		}
+	})
+	st, err := rig.dev.Play(tr)
+	if err != nil {
+		t.Fatalf("play: %v", err)
+	}
+	if marked == 0 {
+		t.Fatalf("no extent was marked no-win (%d cold moves, %d aborted)", st.MaintCold, st.MaintAborted)
+	}
+	runtime.GC()
+	for got := 0; got < marked; got++ {
+		select {
+		case <-freed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d overwritten no-win extents are still reachable", marked-got, marked)
+		}
+	}
+	runtime.KeepAlive(rig.dev) // the device, not its collection, must let go
 }

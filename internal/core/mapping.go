@@ -34,6 +34,11 @@ type Extent struct {
 
 	live    int32 // logical blocks still mapped to this extent
 	pending bool  // device write not yet durable; maintenance must not move it
+	// noWin marks an extent whose cold re-encode showed no space win, so
+	// maintenance stops re-reading it every pass. The content is a pure
+	// function of (Offset, OrigLen, Version), all fixed for the extent's
+	// life; an overwrite makes a new extent, which is tried afresh.
+	noWin bool
 
 	// shared marks an extent currently referenced by blocks outside its
 	// home range [Offset, Offset+OrigLen) — a dedup hit mapped foreign

@@ -80,12 +80,16 @@ type RunStats struct {
 	DedupUnrefs     int64 // slots released after their last reference dropped
 
 	// Background maintenance (all zero unless maintenance is enabled):
-	MaintTicks        int64   // maintenance ticks fired
-	MaintIdleTicks    int64   // ticks that found the device idle
-	MaintRelocations  int64   // extents rewritten to a new slot
-	MaintCold         int64   // relocations that recompressed cold data
-	MaintHot          int64   // relocations that demoted hot data
-	MaintAborted      int64   // relocations abandoned mid-flight
+	MaintTicks       int64 // maintenance ticks fired
+	MaintIdleTicks   int64 // ticks that found the device idle
+	MaintRelocations int64 // extents rewritten to a new slot
+	MaintCold        int64 // relocations that recompressed cold data
+	MaintHot         int64 // relocations that demoted hot data
+	// MaintAborted counts relocations started but not committed. Most
+	// are a cold re-encode that showed no space win (on replay-usr0-bg
+	// every one is); the rest were abandoned mid-flight to a read error,
+	// an overwrite, a failed run or a full device.
+	MaintAborted      int64
 	MaintReclaimed    int64   // net live slot bytes freed by relocation
 	MaintCompactions  int64   // allocator free-list compactions
 	MaintCoalesced    int64   // adjacent free slots merged by compaction
