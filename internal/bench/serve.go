@@ -129,6 +129,9 @@ type PoolActivity struct {
 	// Cancelled counts submitted jobs their owner claimed before any
 	// goroutine ran them (speculative work found unneeded).
 	Cancelled int64 `json:"cancelled"`
+	// Refused counts speculative submissions turned away by a full
+	// channel (never submitted, so in none of the counts above).
+	Refused int64 `json:"refused"`
 }
 
 // stepAccum accumulates one step's completions across all clients.
@@ -337,6 +340,7 @@ func RunServe(p ServeParams) (*ServeResult, error) {
 			Stolen:    poolAfter.Stolen - poolBefore.Stolen,
 			Inline:    poolAfter.Inline - poolBefore.Inline,
 			Cancelled: poolAfter.Cancelled - poolBefore.Cancelled,
+			Refused:   poolAfter.Refused - poolBefore.Refused,
 		}
 	}
 	out := &ServeResult{

@@ -152,6 +152,7 @@ type Device struct {
 	obs *obs.Collector
 
 	replayWorkers int
+	sharedPool    *parallel.SharedPool // the pool open queues on; nil is parallel.Shared() (tests set a private one)
 	played        bool
 	stats         *RunStats
 
@@ -367,7 +368,10 @@ func (d *Device) open(journal bool) error {
 		return err
 	}
 	if d.replayWorkers > 1 {
-		d.se.pool = parallel.Shared().NewQueue()
+		if d.sharedPool == nil {
+			d.sharedPool = parallel.Shared()
+		}
+		d.se.pool = d.sharedPool.NewQueue()
 		// With more verifications outstanding than the queue can hold,
 		// the submitter would run them inline anyway.
 		d.rp.lag = make([]*parallel.Future[verifyResult], d.se.pool.Cap())

@@ -9,13 +9,8 @@ import (
 	"edc/internal/trace"
 )
 
-// lookaheadDepth is how many predicted runs the write path keeps ahead of
-// the event loop; lookaheadWalk bounds the trace requests one prediction
-// reads.
-const (
-	lookaheadDepth = 4
-	lookaheadWalk  = 256
-)
+// lookaheadWalk bounds the trace requests one prediction reads.
+const lookaheadWalk = 256
 
 // runKey identifies a run's work: content and estimate are pure functions
 // of it, and the payload of it and the codec.
@@ -26,7 +21,7 @@ type runKey struct {
 
 // aheadSlot is one predicted run's work. The event loop sets key, codec
 // and the buffers before the job is submitted and reads content, payload
-// and ratio only after joining fut.
+// and ratio only after joining fut. payload is nil when codec is.
 type aheadSlot struct {
 	key   runKey
 	codec compress.Codec // the policy's pick when the run was predicted
@@ -58,23 +53,34 @@ func (s *aheadSlot) run() []byte {
 
 // lookahead is the write path's trace lookahead (DESIGN.md §9): a ring of
 // slots for the next runs the detector will emit, whose work runs on the
-// pool before the event loop reaches them. A slot holds its buffers from
-// prediction on, whether or not the pool took its job, so the freelist
-// sees the same traffic for the same event order.
+// pool before the event loop reaches them. The ring is as long as the
+// pool queue's backlog, so every job the queue can hold has a slot. A
+// slot holds its buffers from prediction on, whether or not the pool
+// took its job, so the freelist sees the same traffic for the same event
+// order.
 type lookahead struct {
-	slots    [lookaheadDepth]aheadSlot
+	slots    []aheadSlot
 	head, n  int
-	keys     [lookaheadDepth]runKey // prediction scratch
+	keys     []runKey // prediction scratch, with room for len(slots)
 	volBytes int64
 
 	served, missed int64 // runs taken from a slot; rings cancelled on a key miss
+	// Served runs stored uncompressed from a slot with a payload buffer,
+	// and encoded from a slot without one (predicted none).
+	toNone, toCodec int64
+}
+
+// newLookahead returns an empty ring of depth slots over a volume of
+// volBytes.
+func newLookahead(depth int, volBytes int64) *lookahead {
+	return &lookahead{slots: make([]aheadSlot, depth), keys: make([]runKey, 0, depth), volBytes: volBytes}
 }
 
 // predict returns the runs the detector will emit next if the trace tail
 // is admitted as it arrives, by the detector's rules: a write it extends
 // joins the pending run; a read, any other write, an arrival after the
 // flush timer fired, or the end of the trace ends it. Run i gets version
-// ver+i.
+// ver+i; at most len(la.slots) runs are predicted.
 func (la *lookahead) predict(sd *SeqDetector, flushWait time.Duration, tail []trace.Request, ver uint32) []runKey {
 	keys := la.keys[:0]
 	var cur runKey // the pending run; size 0 when there is none
@@ -94,7 +100,7 @@ func (la *lookahead) predict(sd *SeqDetector, flushWait time.Duration, tail []tr
 		if cur.size > 0 && (size == 0 || !sd.extends(cur.off, cur.size, off, size) ||
 			flushWait > 0 && r.Arrival-last > flushWait) {
 			cur.ver = ver + uint32(len(keys))
-			if keys = append(keys, cur); len(keys) == lookaheadDepth {
+			if keys = append(keys, cur); len(keys) == len(la.slots) {
 				return keys
 			}
 			cur.size = 0
@@ -116,7 +122,7 @@ func (la *lookahead) predict(sd *SeqDetector, flushWait time.Duration, tail []tr
 
 // at is the i-th slot from the head.
 func (la *lookahead) at(i int) *aheadSlot {
-	return &la.slots[(la.head+i)%lookaheadDepth]
+	return &la.slots[(la.head+i)%len(la.slots)]
 }
 
 // take pops and joins the head slot if it holds the run k; otherwise it
@@ -136,7 +142,7 @@ func (la *lookahead) take(k runKey, se *storeEngine) *aheadSlot {
 	}
 	s.fut.Wait()
 	la.served++
-	la.head = (la.head + 1) % lookaheadDepth
+	la.head = (la.head + 1) % len(la.slots)
 	la.n--
 	return s
 }
@@ -179,7 +185,7 @@ func (wp *writePath) lookAhead() {
 	}
 	la := wp.la
 	if la == nil {
-		la = &lookahead{volBytes: wp.se.mapping.VolumeBlocks() * BlockSize}
+		la = newLookahead(wp.se.pool.Cap(), wp.se.mapping.VolumeBlocks()*BlockSize)
 		for i := range la.slots {
 			s := &la.slots[i]
 			s.data, s.check, s.job = wp.data, wp.policy.ChecksCompressibility(), s.run
@@ -197,7 +203,10 @@ func (wp *writePath) lookAhead() {
 	for _, k := range keys[i:] {
 		s := la.at(la.n)
 		s.key, s.codec, s.fut = k, codec, nil
-		s.content, s.payload = wp.slotBuf(), wp.slotBuf()
+		s.content, s.payload = wp.slotBuf(k.size), nil
+		if codec != nil {
+			s.payload = wp.slotBuf(k.size)
+		}
 		la.n++
 	}
 	for i := 0; i < la.n; i++ {
@@ -210,10 +219,11 @@ func (wp *writePath) lookAhead() {
 }
 
 // slotBuf is a freelist buffer that exists even when the freelist is
-// empty, so a slot gives a buffer back whether or not its job ran.
-func (wp *writePath) slotBuf() []byte {
+// empty, so a slot gives a buffer back whether or not its job ran. A
+// buffer made here is sized to the run it is for.
+func (wp *writePath) slotBuf(size int64) []byte {
 	if b := wp.se.getBuf(); b != nil {
 		return b
 	}
-	return make([]byte, 0, wp.sd.MaxRun())
+	return make([]byte, 0, size)
 }

@@ -294,7 +294,8 @@ func (wp *writePath) intensity(now time.Duration, run *Run) float64 {
 // carry the dedup fingerprint (if one was computed) through to the
 // stored extent so it can be indexed at its durable point. pre, when
 // non-nil, is the run's joined lookahead slot: the estimate, the payload
-// for the codec it guessed, and that payload's buffer.
+// for the codec it guessed, and that payload's buffer (nil when it
+// guessed none).
 func (wp *writePath) compressRun(run *Run, content []byte, sum dedup.Sum, hasSum bool, ver uint32, pre *aheadSlot) {
 	now := wp.eng.Now()
 
@@ -338,16 +339,20 @@ func (wp *writePath) compressRun(run *Run, content []byte, sum dedup.Sum, hasSum
 	var fut *parallel.Future[[]byte]
 	switch {
 	case codec == nil:
-		if pre != nil {
+		if pre != nil && pre.payload != nil {
+			wp.la.toNone++
 			wp.se.putBuf(pre.payload)
 		}
 	case pre != nil && codec == pre.codec:
 		fut = pre.fut // its result is this codec's payload
 	default:
 		c, dst := codec, []byte(nil)
-		if pre != nil {
+		if pre != nil && pre.payload != nil {
 			dst = pre.payload[:0]
 		} else {
+			if pre != nil {
+				wp.la.toCodec++
+			}
 			dst = wp.se.getBuf()
 		}
 		fut = async(wp.se, func() []byte {

@@ -72,6 +72,7 @@ type SharedPool struct {
 	inline    atomic.Int64 // jobs run by the submitter (channel full)
 	stolen    atomic.Int64 // queued jobs run by a waiting or submitting goroutine
 	cancelled atomic.Int64 // queued jobs their owner claimed without running
+	refused   atomic.Int64 // TryGo calls turned away by a full channel
 }
 
 // PoolStats is a point-in-time snapshot of a SharedPool's activity
@@ -94,6 +95,10 @@ type PoolStats struct {
 	// Cancelled counts submitted jobs that their owner claimed through
 	// Cancel before any goroutine ran them; a worker drops them.
 	Cancelled int64 `json:"cancelled"`
+	// Refused counts TryGo calls that found the channel full and were
+	// turned away; their jobs were never submitted. Beside Stolen it
+	// tells whether speculation is held back by the pool's backlog.
+	Refused int64 `json:"refused"`
 }
 
 // NewSharedPool starts a pool with n workers (n < 1 is clamped to 1)
@@ -136,6 +141,7 @@ func (p *SharedPool) Stats() PoolStats {
 		Stolen:    p.stolen.Load(),
 		Inline:    p.inline.Load(),
 		Cancelled: p.cancelled.Load(),
+		Refused:   p.refused.Load(),
 	}
 }
 
@@ -200,20 +206,20 @@ func Go[T any](q *Queue, f func() T) *Future[T] {
 }
 
 // TryGo is Go for speculative work: when the channel is full it runs
-// nothing on the caller and returns nil.
+// nothing on the caller, counts the refusal and returns nil.
 func TryGo[T any](q *Queue, f func() T) *Future[T] {
 	p := q.pool
-	if len(p.jobs) == cap(p.jobs) { // refuse before allocating the future
-		return nil
+	if len(p.jobs) < cap(p.jobs) { // refuse before allocating the future
+		fut := &Future[T]{fn: f, ch: make(chan struct{}, 1), pool: p}
+		select {
+		case p.jobs <- fut:
+			p.submitted.Add(1)
+			return fut
+		default:
+		}
 	}
-	fut := &Future[T]{fn: f, ch: make(chan struct{}, 1), pool: p}
-	select {
-	case p.jobs <- fut:
-		p.submitted.Add(1)
-		return fut
-	default:
-		return nil
-	}
+	p.refused.Add(1)
+	return nil
 }
 
 // offer puts j on the channel. While the channel is full it takes the

@@ -461,8 +461,8 @@ func TestGoRunsLiveHeadThenInline(t *testing.T) {
 	if !ran {
 		t.Fatal("Go behind a live head did not run its job inline")
 	}
-	if s := p.Stats(); s.Inline != 1 || s.Stolen != 1 || s.Cancelled != int64(q.Cap()-1) {
-		t.Fatalf("stats %+v; want 1 inline, 1 stolen, %d cancelled", s, q.Cap()-1)
+	if s := p.Stats(); s.Inline != 1 || s.Stolen != 1 || s.Cancelled != int64(q.Cap()-1) || s.Refused != 0 {
+		t.Fatalf("stats %+v; want 1 inline, 1 stolen, %d cancelled, none refused", s, q.Cap()-1)
 	}
 	if live.Wait() != 7 || own.Wait() != 8 {
 		t.Fatal("futures lost their results")
@@ -474,6 +474,13 @@ func TestTryGoRefusesWhenFull(t *testing.T) {
 	p := NewSharedPool(1)
 	defer p.Close()
 	q := p.NewQueue()
+	// Only a refusal counts: an accepted TryGo leaves Refused alone.
+	if f := TryGo(q, func() int { return -1 }); f == nil || f.Wait() != -1 {
+		t.Fatal("TryGo refused on an empty channel")
+	}
+	if s := p.Stats(); s.Refused != 0 {
+		t.Fatalf("refused %d after an accepted TryGo", s.Refused)
+	}
 	release := blockWorker(q)
 	futs := make([]*Future[int], 0, q.Cap())
 	for i := 0; i < q.Cap(); i++ {
@@ -486,7 +493,7 @@ func TestTryGoRefusesWhenFull(t *testing.T) {
 	if TryGo(q, func() int { t.Error("refused job ran"); return 0 }) != nil {
 		t.Fatal("TryGo accepted a job on a full channel")
 	}
-	if s := p.Stats(); s.Inline != 0 || s.Submitted != int64(1+q.Cap()) {
+	if s := p.Stats(); s.Inline != 0 || s.Submitted != int64(2+q.Cap()) || s.Refused != 1 {
 		t.Fatalf("stats %+v", s)
 	}
 	release()
