@@ -9,7 +9,7 @@ import (
 	"edc/internal/trace"
 )
 
-// lookaheadWalk bounds the trace requests one prediction reads.
+// lookaheadWalk bounds the tail requests one prediction reads.
 const lookaheadWalk = 256
 
 // runKey identifies a run's work: content and estimate are pure functions
@@ -51,11 +51,12 @@ func (s *aheadSlot) run() []byte {
 	return s.payload
 }
 
-// lookahead is the write path's trace lookahead (DESIGN.md §9): a ring of
-// slots for the next runs the detector will emit, whose work runs on the
-// pool before the event loop reaches them. The ring is as long as the
-// pool queue's backlog, so every job the queue can hold has a slot. A
-// slot holds its buffers from prediction on, whether or not the pool
+// lookahead is the write path's lookahead (DESIGN.md §9): a ring of
+// slots for the next runs the detector will emit from the tail (a
+// replay's trace, a serve shard's admitted operations), whose work runs
+// on the pool before the event loop reaches them. The ring is as long as
+// the pool queue's backlog, so every job the queue can hold has a slot.
+// A slot holds its buffers from prediction on, whether or not the pool
 // took its job, so the freelist sees the same traffic for the same event
 // order.
 type lookahead struct {
@@ -76,10 +77,10 @@ func newLookahead(depth int, volBytes int64) *lookahead {
 	return &lookahead{slots: make([]aheadSlot, depth), keys: make([]runKey, 0, depth), volBytes: volBytes}
 }
 
-// predict returns the runs the detector will emit next if the trace tail
-// is admitted as it arrives, by the detector's rules: a write it extends
+// predict returns the runs the detector will emit next if the tail is
+// admitted as it arrives, by the detector's rules: a write it extends
 // joins the pending run; a read, any other write, an arrival after the
-// flush timer fired, or the end of the trace ends it. Run i gets version
+// flush timer fired, or the end of the tail ends it. Run i gets version
 // ver+i; at most len(la.slots) runs are predicted.
 func (la *lookahead) predict(sd *SeqDetector, flushWait time.Duration, tail []trace.Request, ver uint32) []runKey {
 	keys := la.keys[:0]
@@ -168,11 +169,7 @@ func (la *lookahead) cancelFrom(i int, se *storeEngine) {
 // slot, and slots not yet on the pool are offered to it until it refuses
 // one (speculation never runs on the event loop).
 func (wp *writePath) lookAhead() {
-	// It needs a pool, a trace tail and a run whose work depends on its
-	// key alone: not so under dedup (hash before lookup), QoS (per-tenant
-	// meters, shaping), a RatioAware policy or DisableSD.
-	_, ratioAware := wp.policy.(RatioAware)
-	if wp.se.pool == nil || wp.upcoming == nil || wp.se.dedup != nil || wp.qs != nil || ratioAware || wp.disableSD {
+	if wp.upcoming == nil || !wp.canLookAhead() {
 		return
 	}
 	if wp.fs.failed() {
@@ -181,6 +178,12 @@ func (wp *writePath) lookAhead() {
 	}
 	tail, ok := wp.upcoming()
 	if !ok {
+		return
+	}
+	codec := wp.policy.Select(wp.meter.Intensity(wp.eng.Now()))
+	// A run stored raw is only generate + estimate, about what handing it
+	// to a parked worker costs: it starts no ring on an idle pool.
+	if codec == nil && (wp.la == nil || wp.la.n == 0) && wp.se.pool.Backlog() == 0 {
 		return
 	}
 	la := wp.la
@@ -199,7 +202,6 @@ func (wp *writePath) lookAhead() {
 		i++
 	}
 	la.cancelFrom(i, wp.se)
-	codec := wp.policy.Select(wp.meter.Intensity(wp.eng.Now()))
 	for _, k := range keys[i:] {
 		s := la.at(la.n)
 		s.key, s.codec, s.fut = k, codec, nil
@@ -216,6 +218,14 @@ func (wp *writePath) lookAhead() {
 			}
 		}
 	}
+}
+
+// canLookAhead reports whether the lookahead can run: with a pool, and
+// runs whose work depends on their key alone, which dedup (hash first),
+// QoS (per-tenant meters, shaping), RatioAware and DisableSD rule out.
+func (wp *writePath) canLookAhead() bool {
+	_, ratioAware := wp.policy.(RatioAware)
+	return wp.se.pool != nil && wp.se.dedup == nil && wp.qs == nil && !ratioAware && !wp.disableSD
 }
 
 // slotBuf is a freelist buffer that exists even when the freelist is

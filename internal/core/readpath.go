@@ -44,8 +44,8 @@ type readPath struct {
 	// extents, not in time: a serve shard that goes idle keeps its
 	// parked verifications unjoined until its next verified read or
 	// StopServe (DESIGN.md §16). The write path cannot lag its join, since
-	// store needs the payload length to quantise the slot; in replay it
-	// starts the work early instead (lookahead.go). The ring exists
+	// store needs the payload length to quantise the slot; it starts the
+	// work early instead (lookahead.go). The ring exists
 	// only while the store engine holds a pool queue; without one the
 	// check runs inline at the completion event, not through async, so the
 	// operation that fails stays the one whose completion ran the check.

@@ -259,6 +259,9 @@ func (sv *Server) splitShard(ss *serveShard) {
 		d.fs.fail(err)
 		return
 	}
+	// The source's lookahead ring was predicted over the unsplit range.
+	d.wp.la.cancelFrom(0, d.se)
+	d.wp.la = nil
 	// Splice the router: the new shard serves the tail of ss's range.
 	bounds := append(sv.part.bounds, 0)
 	copy(bounds[idx+2:], bounds[idx+1:])

@@ -107,7 +107,13 @@ func newResplitServer(t *testing.T, rc *ResplitConfig, vol int64) *Server {
 
 // newResplitServerEvery is newResplitServer with a checkpoint interval.
 func newResplitServerEvery(t *testing.T, rc *ResplitConfig, vol int64, snapEvery time.Duration) *Server {
+	return newResplitServerWith(t, rc, vol, Options{SnapshotEvery: snapEvery})
+}
+
+// newResplitServerWith is newResplitServer over the given shard options.
+func newResplitServerWith(t *testing.T, rc *ResplitConfig, vol int64, opts Options) *Server {
 	t.Helper()
+	opts.Data = datagen.New(datagen.Enterprise(), 11)
 	sv, err := NewServer(ServeSetup{
 		ShardSetup: ShardSetup{
 			Shards:      1,
@@ -121,12 +127,7 @@ func newResplitServerEvery(t *testing.T, rc *ResplitConfig, vol int64, snapEvery
 				}
 				return NewSSDBackend(eng, d), nil
 			},
-			Options: func(int) (Options, error) {
-				return Options{
-					Data:          datagen.New(datagen.Enterprise(), 11),
-					SnapshotEvery: snapEvery,
-				}, nil
-			},
+			Options: func(int) (Options, error) { return opts, nil },
 		},
 		Resplit: rc,
 	})
@@ -330,6 +331,57 @@ func TestResplitStampOrderedAsync(t *testing.T) {
 		if err := ss.dev.se.mapping.CheckInvariants(); err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
+	}
+	if st.Requests != ops {
+		t.Fatalf("Requests=%d, want %d", st.Requests, ops)
+	}
+}
+
+// TestResplitWithLookahead splits a shard whose write path runs the
+// serve lookahead — codec work on the pool, stamp-ordered writes to
+// scattered blocks at a rate the policy compresses — and checks that the
+// split drops the source's ring, loses nothing, and leaves every mapping
+// consistent, with a lookahead serving runs after it.
+func TestResplitWithLookahead(t *testing.T) {
+	rc := &ResplitConfig{MaxShards: 3, Factor: 1.0, WindowOps: 32, Streak: 1}
+	sv := newResplitServerWith(t, rc, 1<<20, Options{ReplayWorkers: 2})
+	ctx := context.Background()
+	const ops = 1024
+	errs := make(chan error, ops)
+	for i := 0; i < ops; i++ {
+		at := time.Duration(i) * time.Millisecond
+		aw, err := sv.SubmitAt(ctx, at, int64(i*7%256)*BlockSize, BlockSize, i%3 != 0)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		go func() {
+			_, err := aw(ctx)
+			errs <- err
+		}()
+	}
+	st, err := sv.Stop()
+	if err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+	for i := 0; i < ops; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.Resplits < 1 {
+		t.Fatal("the hot shard never split")
+	}
+	var served int64
+	for i, ss := range sv.shards {
+		if err := ss.dev.se.mapping.CheckInvariants(); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		if la := ss.dev.wp.la; la != nil {
+			served += la.served
+		}
+	}
+	if served == 0 {
+		t.Fatal("no lookahead served a run after the split")
 	}
 	if st.Requests != ops {
 		t.Fatalf("Requests=%d, want %d", st.Requests, ops)

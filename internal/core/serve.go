@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"edc/internal/obs"
+	"edc/internal/parallel"
 	"edc/internal/qos"
 	"edc/internal/trace"
 )
@@ -57,9 +58,11 @@ type ServeSetup struct {
 	// keeps the shard map fixed.
 	Resplit *ResplitConfig
 
-	// mailbox overrides serveMailbox (0: serveMailbox); only tests set
-	// it, to force backpressure.
+	// mailbox overrides serveMailbox (0: serveMailbox), to force
+	// backpressure, and pool the codec pool (nil: parallel.Shared());
+	// only tests set them.
 	mailbox int
+	pool    *parallel.SharedPool
 }
 
 // serveResult is one completed facade operation: the open-loop latency
@@ -171,6 +174,7 @@ type serveOp struct {
 	serveReq
 	shaped bool          // the tenant's bucket was already charged
 	idx    int           // position in the shard's pending list; -1 off it
+	seq    int64         // admission number (the shard's ops count)
 	queued time.Duration // ingress queueing ahead of admission
 	ts     *TenantStats  // the tenant's row (nil for untagged traffic)
 	arrive func()
@@ -252,6 +256,12 @@ type serveShard struct {
 	// horizon is the highest arrival stamp admitted so far — the
 	// watermark the engine runs up to.
 	horizon time.Duration
+	// tail[head:] lists the unarrived operations in admission order, for
+	// the write path's lookahead (kept only if ahead); an arrival out of
+	// that order spoils it until every admitted operation has arrived.
+	tail            []trace.Request
+	head, unarrived int
+	ahead, spoiled  bool
 }
 
 // NewServer validates the setup, stamps out one pipeline per shard, and
@@ -328,6 +338,7 @@ func (sv *Server) buildShard(id int, vol int64) (*serveShard, *obs.Collector, er
 	// The shard's loop opens the device's one run; detach the replay-only
 	// closed-loop callbacks — serve tracks completion per operation.
 	dev.stats.Trace = "serve"
+	dev.sharedPool = sv.setup.pool
 	dev.wp.complete = func(time.Duration) {}
 	dev.rp.complete = func(time.Duration) {}
 	dev.wp.drop = func(int) {}
@@ -495,6 +506,9 @@ func (ss *serveShard) run() {
 	if err := ss.dev.open(false); err != nil {
 		ss.dev.fs.fail(err)
 	}
+	if wp := ss.dev.wp; wp.canLookAhead() {
+		wp.upcoming, ss.ahead = ss.upcoming, true
+	}
 	for {
 		select {
 		case req := <-ss.mail:
@@ -575,7 +589,7 @@ func (ss *serveShard) admit(req serveReq) {
 		}
 		ss.inflightBy[req.tenant]++
 	}
-	ss.ops.Add(1)
+	seq := ss.ops.Add(1)
 	at := req.at
 	if now := d.eng.Now(); at < now {
 		at = now
@@ -583,7 +597,13 @@ func (ss *serveShard) admit(req serveReq) {
 	if at > ss.horizon {
 		ss.horizon = at
 	}
+	if ss.ahead {
+		if ss.unarrived++; !ss.spoiled {
+			ss.tail = append(ss.tail, trace.Request{Arrival: at, Offset: req.off, Size: req.size, Write: req.write})
+		}
+	}
 	op := ss.record(req)
+	op.seq = seq
 	op.idx = len(ss.pending)
 	ss.pending = append(ss.pending, op)
 	if op.wait {
@@ -632,6 +652,9 @@ func (ss *serveShard) remove(op *serveOp) {
 // exactly like ingress queueing.
 func (ss *serveShard) arrive(op *serveOp) {
 	d := ss.dev
+	if ss.ahead && !op.shaped {
+		ss.consume(op)
+	}
 	if d.fs.failed() {
 		if op.idx >= 0 {
 			ss.remove(op)
@@ -658,6 +681,28 @@ func (ss *serveShard) arrive(op *serveOp) {
 	op.queued = now - op.at
 	// The books and the hand-off are the ones replay admits through.
 	d.fe.dispatch(now, op.off, op.size, op.write, op.tenant, op.ts, op.done)
+}
+
+// consume takes an arriving operation off the tail: the head, or else
+// the whole tail, spoiled. The last arrival, which every ingest reaches
+// (RunUntil(horizon) fires every admitted stamp), empties the tail.
+func (ss *serveShard) consume(op *serveOp) {
+	switch ss.unarrived--; {
+	case ss.unarrived == 0:
+		ss.tail, ss.head, ss.spoiled = ss.tail[:0], 0, false
+	case ss.spoiled:
+	case op.seq != ss.ops.Load()-int64(ss.unarrived):
+		ss.tail, ss.head, ss.spoiled = ss.tail[:0], 0, true
+	default:
+		ss.head++
+	}
+}
+
+// upcoming is the write path's lookahead tail; ok is false while the
+// arrival order is not known (spoiled). A shard never defers admission:
+// a tenant past its bound is rejected.
+func (ss *serveShard) upcoming() (reqs []trace.Request, ok bool) {
+	return ss.tail[ss.head:], !ss.spoiled
 }
 
 // finishOp is one dispatched operation's completion: it observes the

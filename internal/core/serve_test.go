@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"edc/internal/datagen"
 	"edc/internal/fault"
+	"edc/internal/parallel"
 	"edc/internal/race"
 	"edc/internal/sim"
 	"edc/internal/ssd"
@@ -524,6 +527,56 @@ func BenchmarkServeHandoff(b *testing.B) {
 	b.StopTimer()
 	if failed != nil {
 		b.Fatal(failed)
+	}
+}
+
+// BenchmarkServeIngest serves the read-verify preload's shape — a
+// permuted fill of a 16 MiB volume with 16 KiB writes at 1 000/s,
+// stamp-ordered from one submitter — with the codec work inline
+// (workers-1) and on the shared pool with the serve lookahead
+// (workers-2). slot-share is the share of runs served from a lookahead
+// slot; stolen-share the share of the pool's jobs a waiter ran itself.
+func BenchmarkServeIngest(b *testing.B) {
+	const vol, chunk = 16 << 20, 16 << 10
+	perm := rand.New(rand.NewSource(1)).Perm(vol / chunk)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			before := parallel.Shared().Stats()
+			var served, runs int64
+			for i := 0; i < b.N; i++ {
+				sv := newPacedServerWith(b, 1, vol, Options{Data: datagen.New(datagen.Enterprise(), 11), ReplayWorkers: workers})
+				ctx := context.Background()
+				awaits := make([]Await, len(perm))
+				for j, c := range perm {
+					aw, err := sv.SubmitAt(ctx, time.Duration(j+1)*time.Millisecond, int64(c)*chunk, chunk, true)
+					if err != nil {
+						b.Fatal(err)
+					}
+					awaits[j] = aw
+				}
+				if _, err := sv.Stop(); err != nil {
+					b.Fatal(err)
+				}
+				for _, aw := range awaits {
+					if _, err := aw(ctx); err != nil {
+						b.Fatal(err)
+					}
+				}
+				d := sv.shards[0].dev
+				if runs += d.stats.SDRuns; d.wp.la != nil {
+					served += d.wp.la.served
+				}
+			}
+			after := parallel.Shared().Stats()
+			b.ReportMetric(float64(len(perm)*b.N)/b.Elapsed().Seconds(), "writes/s")
+			stolen := 0.0
+			if sub := after.Submitted - before.Submitted; sub > 0 {
+				stolen = float64(after.Stolen-before.Stolen) / float64(sub)
+			}
+			b.ReportMetric(stolen, "stolen-share")
+			b.ReportMetric(float64(served)/float64(max(runs, 1)), "slot-share")
+		})
 	}
 }
 

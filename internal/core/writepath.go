@@ -60,9 +60,9 @@ type writePath struct {
 	hostCache *cache.Cache
 	disableSD bool
 
-	// upcoming exposes the frontend's not-yet-arrived trace requests (see
-	// frontend.upcoming) to la, the trace lookahead (lookahead.go); la is
-	// built at the first run that can use it.
+	// upcoming exposes the requests that have not arrived yet (replay's
+	// frontend.upcoming, serveShard.upcoming) to la, the lookahead
+	// (lookahead.go), which is built at the first run that can use it.
 	upcoming func() ([]trace.Request, bool)
 	la       *lookahead
 
