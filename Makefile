@@ -51,17 +51,20 @@ matrixcheck:
 # allocation counts; the lzf/gz decode and encode rows (BenchmarkDecode
 # and BenchmarkEncode in their packages), the datagen rows and the trace
 # rows come in pairs, product
-# and kept reference; BenchmarkBackend times one single-SSD or RAIS5
-# operation through its member queue; BenchmarkFutureJoin times one codec
+# and kept reference; BenchmarkStreamNext times one open-loop draw on the
+# serve-hot-small and serve-read-verify steps; BenchmarkBackend times one
+# single-SSD or RAIS5 operation through its member queue; BenchmarkFutureJoin times one codec
 # pool join on an idle pool and behind eight queued jobs; BenchmarkReplayFin1
 # replays 6 000 Fin1 requests with the codec work inline (workers-1) and on
 # a two-worker pool with the write path's trace lookahead (workers-2).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/compress/... ./internal/datagen ./internal/trace ./internal/core ./internal/parallel
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/compress/... ./internal/datagen ./internal/trace ./internal/workload ./internal/core ./internal/parallel
 
 # Ten seconds of fuzzing per target: the payload RNG against math/rand,
-# the two trace parsers (whose past crashers are in testdata/fuzz), the
-# lzf and gz decoders and encoders against their kept references, and the EDCF frame
+# the two trace parsers (whose past crashers are in testdata/fuzz; the SPC
+# parser against its kept reference) and the SPC writer against its kept
+# reference, the lzf and gz decoders and encoders against their kept
+# references, and the EDCF frame
 # decoder (seeded with the frames whose header claims 3 840 MiB; it
 # minimises briefly: shrinking an input under a CRC seldom succeeds). The
 # encoder targets minimise briefly too: each try runs two encoders over
@@ -71,6 +74,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 10s ./internal/datagen
 	$(GO) test -run '^$$' -fuzz FuzzParseSPC -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzParseMSR -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzWriteSPC -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzDecompress -fuzztime 10s ./internal/compress/lzf
 	$(GO) test -run '^$$' -fuzz FuzzDecompress -fuzztime 10s ./internal/compress/gz
 	$(GO) test -run '^$$' -fuzz FuzzCompress -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/lzf

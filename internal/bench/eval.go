@@ -57,9 +57,9 @@ func runEval(p Params, backend edc.BackendKind) (map[string]map[edc.Scheme]*edc.
 	for _, tr := range traces {
 		byScheme := make(map[edc.Scheme]*edc.Results, 5)
 		for _, s := range edc.Schemes() {
-			res, err := replayScheme(p, backend, tr, s, nil)
+			res, err := sweepCell(p, backend, tr, s)
 			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", s, tr.Name, err)
+				return nil, err
 			}
 			byScheme[s] = res
 		}
@@ -69,6 +69,16 @@ func runEval(p Params, backend edc.BackendKind) (map[string]map[edc.Scheme]*edc.
 	evalCache[key] = out
 	evalMu.Unlock()
 	return out, nil
+}
+
+// sweepCell is one cell of runEval's sweep: scheme s over the standard
+// trace tr.
+func sweepCell(p Params, backend edc.BackendKind, tr *trace.Trace, s edc.Scheme) (*edc.Results, error) {
+	res, err := replayScheme(p, backend, tr, s, nil)
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s: %w", s, tr.Name, err)
+	}
+	return res, nil
 }
 
 // replayScheme runs one (scheme, trace, backend) cell.

@@ -2,12 +2,14 @@ package bench
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"edc"
 	"edc/internal/parallel"
+	"edc/internal/trace"
 )
 
 // overlayParams turns every overlay field of Params on at once, sized so
@@ -99,10 +101,11 @@ func TestParamsOverlayReachesStack(t *testing.T) {
 // report of ReplayCell under EDC is, byte for byte, the report of the
 // cell the fig8/fig10 sweep computes — at a non-zero seed, and for
 // workloads past the first, where the trace index and the payload seed
-// both matter.
+// both matter. It computes only those two cells of the sweep, as runEval
+// does: its traces, keyed by name, each through sweepCell.
 func TestReplayCellIsFigureCell(t *testing.T) {
 	p := Params{Requests: 400, VolumeMiB: 64, Seed: 3}
-	sweep, err := runEval(p, edc.SingleSSD)
+	traces, err := standardTraces(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +118,16 @@ func TestReplayCellIsFigureCell(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		i := slices.IndexFunc(traces, func(tr *trace.Trace) bool { return tr.Name == prof.Name })
+		if i < 0 {
+			t.Fatalf("%s: no standard trace named %q", name, prof.Name)
+		}
+		figure, err := sweepCell(p, edc.SingleSSD, traces[i], edc.SchemeEDC)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got, _ := json.Marshal(cell.Report())
-		want, _ := json.Marshal(sweep[prof.Name][edc.SchemeEDC].Report())
+		want, _ := json.Marshal(figure.Report())
 		if string(got) != string(want) {
 			t.Errorf("%s: ReplayCell differs from the figure's cell:\n cell:   %s\n figure: %s", name, got, want)
 		}

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"strconv"
@@ -266,6 +268,53 @@ func TestMatchesReference(t *testing.T) {
 			if _, err := f.parse(strings.NewReader(in), "x"); !errors.Is(err, trace.ErrFormat) {
 				t.Errorf("%s parser: %q: error %v, want ErrFormat", f.name, in, err)
 			}
+		}
+	}
+}
+
+// TestWriteSPCTimestamps holds WriteSPC's fixed-point timestamps to
+// strconv's on arrivals the corpus seldom draws: half-microsecond ties
+// (d%1000 == 500; k/128 s is one exactly, which strconv rounds half to
+// even) and their neighbours, random arrivals up to 48 h, the 2^53 µs edge
+// past which a float64 holds no fraction, and negative and extreme
+// durations.
+func TestWriteSPCTimestamps(t *testing.T) {
+	var arrivals []time.Duration
+	for us := int64(0); us < 20000; us++ {
+		for _, ns := range []int64{0, 1, 499, 500, 501, 999} {
+			arrivals = append(arrivals, time.Duration(us*1000+ns))
+		}
+	}
+	for k := int64(1); k < 4096; k++ { // k/128 s: exact ties, half of them odd
+		arrivals = append(arrivals, time.Duration(k*7812500))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		d := rng.Int63n(int64(48 * time.Hour))
+		arrivals = append(arrivals, time.Duration(d), time.Duration(d-d%1000+500))
+	}
+	for _, us := range []int64{1<<53 - 2, 1<<53 - 1, 1 << 53, 1<<53 + 1} {
+		arrivals = append(arrivals, time.Duration(us*1000), time.Duration(us*1000+500))
+	}
+	arrivals = append(arrivals, -1, -500, -1500, math.MaxInt64, math.MinInt64)
+	tr := &trace.Trace{}
+	for i, d := range arrivals {
+		tr.Requests = append(tr.Requests, trace.Request{Arrival: d, Offset: int64(i) * 512, Size: 4096})
+	}
+	var got, want bytes.Buffer
+	if err := trace.WriteSPC(&got, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := refWriteSPC(&want, tr); err != nil {
+		t.Fatal(err)
+	}
+	g, w := strings.Split(got.String(), "\n"), strings.Split(want.String(), "\n")
+	if len(g) != len(w) {
+		t.Fatalf("wrote %d lines, reference %d", len(g), len(w))
+	}
+	for i := range g {
+		if g[i] != w[i] {
+			t.Fatalf("arrival %d ns: wrote %q, reference %q", int64(arrivals[i]), g[i], w[i])
 		}
 	}
 }

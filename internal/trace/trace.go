@@ -201,6 +201,10 @@ func ParseSPC(r io.Reader, name string) (*Trace, error) {
 	t := &Trace{Name: name}
 	var lastTenant string
 	for lineNo := 1; sc.Scan(); lineNo++ {
+		if r, ok := scanSPC(sc.Bytes()); ok {
+			t.Requests = append(grow(t.Requests), r)
+			continue
+		}
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 || line[0] == '#' {
 			continue
@@ -251,6 +255,113 @@ func ParseSPC(r io.Reader, name string) (*Trace, error) {
 	return t, nil
 }
 
+// pow10[k] is 10^k, an exact float64 for every k a timestamp scanSPC
+// takes can have.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// scanDigits reads the 1 to 18 decimal digits at line[i:] and the comma
+// that must follow them, returning their value and the index past the
+// comma. Eighteen digits cannot overflow an int64.
+func scanDigits(line []byte, i int) (v int64, next int, ok bool) {
+	j := i
+	for ; j < len(line) && line[j]-'0' <= 9; j++ {
+		if j-i == 18 {
+			return 0, 0, false
+		}
+		v = v*10 + int64(line[j]-'0')
+	}
+	if j == i || j == len(line) || line[j] != ',' {
+		return 0, 0, false
+	}
+	return v, j + 1, true
+}
+
+// scanSPC parses a canonical SPC record — digit-only ASU, LBA and size
+// fields, a one-byte opcode, a plain decimal timestamp of at most 15
+// digits, and nothing else: no padding, sign, exponent or further field —
+// in one pass over its bytes. It reports false for every other line, and
+// for a canonical record the per-field path would reject, so that path
+// alone decides those lines' requests and error text.
+//
+// The timestamp is its digits m over 10^k, where k counts the digits after
+// the point. Both are exact float64 values (m < 10^15 < 2^53), so their
+// quotient is the correctly rounded value of the decimal, which is what
+// strconv.ParseFloat returns (Clinger's exact case).
+func scanSPC(line []byte) (Request, bool) {
+	_, i, ok := scanDigits(line, 0) // ASU, which ParseSPC ignores
+	if !ok {
+		return Request{}, false
+	}
+	lba, i, ok := scanDigits(line, i)
+	if !ok {
+		return Request{}, false
+	}
+	size, i, ok := scanDigits(line, i)
+	if !ok || i+2 >= len(line) || line[i+1] != ',' {
+		return Request{}, false
+	}
+	var write bool
+	switch line[i] {
+	case 'w', 'W':
+		write = true
+	case 'r', 'R':
+	default:
+		return Request{}, false
+	}
+	var m uint64
+	n, k := 0, -1 // digits read; digits after the point, -1 before it
+	for _, c := range line[i+2:] {
+		switch {
+		case c-'0' <= 9:
+			if n++; n > 15 {
+				return Request{}, false
+			}
+			m = m*10 + uint64(c-'0')
+			if k >= 0 {
+				k++
+			}
+		case c == '.' && k < 0 && n > 0:
+			k = 0
+		default:
+			return Request{}, false
+		}
+	}
+	ns := float64(m) / pow10[max(k, 0)] * float64(time.Second)
+	if size <= 0 || !(ns < 1<<63) || lba > (math.MaxInt64-size)/SectorSize {
+		return Request{}, false
+	}
+	return Request{Arrival: time.Duration(ns), Offset: lba * SectorSize, Size: size, Write: write}, true
+}
+
+// appendSeconds appends the duration d in seconds with six decimals, the
+// bytes of strconv.AppendFloat(dst, d.Seconds(), 'f', 6, 64), which with
+// an explicit precision always takes strconv's multiprecision path.
+//
+// u = x·10⁶ is within half an ulp of the exact product. When u is below
+// 2^53, where every integer is a float64, and its fraction is more than a
+// few ulps from ½, u and the exact product round to the same integer, whose
+// digits are the answer. A value near a half-microsecond tie, a negative
+// one and one too large take strconv.
+func appendSeconds(dst []byte, d time.Duration) []byte {
+	x := d.Seconds()
+	u := x * 1e6
+	if u >= 0 && u < 1<<53 {
+		n := math.Floor(u)
+		if f := u - n - 0.5; math.Abs(f) > 0x1p-50*u {
+			if f > 0 {
+				n++
+			}
+			v := uint64(n)
+			dst = strconv.AppendUint(dst, v/1e6, 10)
+			frac := v % 1e6
+			return append(dst, '.',
+				byte('0'+frac/1e5), byte('0'+frac/1e4%10), byte('0'+frac/1e3%10),
+				byte('0'+frac/1e2%10), byte('0'+frac/10%10), byte('0'+frac%10))
+		}
+	}
+	return strconv.AppendFloat(dst, x, 'f', 6, 64)
+}
+
 // WriteSPC writes t in the SPC ASCII format (ASU fixed to 0). Tagged
 // requests gain a trailing ",tenant=NAME" field; untagged requests emit
 // the pre-tenant record byte for byte.
@@ -267,7 +378,7 @@ func WriteSPC(w io.Writer, t *Trace) error {
 		} else {
 			line = append(line, ",r,"...)
 		}
-		line = strconv.AppendFloat(line, r.Arrival.Seconds(), 'f', 6, 64)
+		line = appendSeconds(line, r.Arrival)
 		if r.Tenant != "" {
 			line = append(append(line, ",tenant="...), r.Tenant...)
 		}

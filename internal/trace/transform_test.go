@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -113,5 +114,41 @@ func TestScaleOffsets(t *testing.T) {
 	}
 	if _, err := tr.ScaleOffsets(-1, 4096); err == nil {
 		t.Fatal("negative factor should fail")
+	}
+}
+
+// A scaled arrival or offset that does not fit an int64 used to convert
+// to an arbitrary value: 3 h times 10⁶ came out as -2 562 047 h, and an
+// offset of 2^40 times 10⁷ as -2^63. Both are errors now, as is a NaN or
+// infinite factor.
+func TestScaleTimeOutOfRange(t *testing.T) {
+	tr := &Trace{Requests: []Request{{Arrival: time.Second}, {Arrival: 3 * time.Hour}}}
+	for _, factor := range []float64{1e6, math.Inf(1), math.NaN()} {
+		if got, err := tr.ScaleTime(factor); err == nil {
+			t.Errorf("ScaleTime(%v) = %v, want an error", factor, got.Requests)
+		}
+	}
+	slow, err := tr.ScaleTime(1e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow.Duration() != 3000*time.Hour {
+		t.Fatalf("duration = %v; want 3000h", slow.Duration())
+	}
+}
+
+func TestScaleOffsetsOutOfRange(t *testing.T) {
+	tr := &Trace{Requests: []Request{{Offset: 4096, Size: 4096}, {Offset: 1 << 40, Size: 4096}}}
+	for _, factor := range []float64{1e7, math.Inf(1), math.NaN()} {
+		if got, err := tr.ScaleOffsets(factor, 4096); err == nil {
+			t.Errorf("ScaleOffsets(%v) = %v, want an error", factor, got.Requests)
+		}
+	}
+	wide, err := tr.ScaleOffsets(1e6, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := wide.Requests[1].Offset; got != 1<<40*1e6 {
+		t.Fatalf("offset = %d; want %d", got, int64(1<<40*1e6))
 	}
 }

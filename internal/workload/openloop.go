@@ -266,37 +266,37 @@ func (u uniformKeys) pick(rng *rand.Rand) int64 { return rng.Int63n(u.n) }
 // the volume instead of clustering at offset zero.
 type zipfKeys struct {
 	n     int64
-	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
+	rank1 float64 // 1 + 0.5^theta: a draw u·zetan below it is rank 1
 }
 
 // newZipfKeys precomputes the zeta terms (Gray et al.'s incremental
 // formulas as used by YCSB's ZipfianGenerator).
-func newZipfKeys(n int64, theta float64) zipfKeys {
+func newZipfKeys(n int64, theta float64) *zipfKeys {
 	var zetan float64
 	for i := int64(1); i <= n; i++ {
 		zetan += 1 / math.Pow(float64(i), theta)
 	}
 	zeta2 := 1 + 1/math.Pow(2, theta)
-	return zipfKeys{
+	return &zipfKeys{
 		n:     n,
-		theta: theta,
 		alpha: 1 / (1 - theta),
 		zetan: zetan,
 		eta:   (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta2/zetan),
+		rank1: 1 + math.Pow(0.5, theta),
 	}
 }
 
-func (z zipfKeys) pick(rng *rand.Rand) int64 {
+func (z *zipfKeys) pick(rng *rand.Rand) int64 {
 	u := rng.Float64()
 	uz := u * z.zetan
 	var rank int64
 	switch {
 	case uz < 1:
 		rank = 0
-	case uz < 1+math.Pow(0.5, z.theta):
+	case uz < z.rank1:
 		rank = 1
 	default:
 		rank = int64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
@@ -328,6 +328,8 @@ type Stream struct {
 	workers int
 
 	step  int           // current step index
+	cur   *Step         // &spec[step]
+	rate  float64       // this worker's arrivals per second in the step
 	base  time.Duration // virtual start of the current step
 	at    time.Duration // last arrival within the current step
 	reads keyPicker
@@ -359,11 +361,12 @@ func NewStream(spec Spec, volumeBytes int64, seed int64, worker, workers int) (*
 
 // enter positions the stream at the start of step i.
 func (s *Stream) enter(i int) {
-	st := s.spec[i]
+	st := &s.spec[i]
 	if s.step >= 0 {
-		s.base += s.spec[s.step].D
+		s.base += s.cur.D
 	}
-	s.step = i
+	s.step, s.cur = i, st
+	s.rate = st.QPS / float64(s.workers)
 	s.at = 0
 	nBlocks := s.vol / st.BS
 	if nBlocks < 1 {
@@ -386,13 +389,12 @@ func (s *Stream) enter(i int) {
 // exhausted.
 func (s *Stream) Next() (op Op, ok bool) {
 	for {
-		st := s.spec[s.step]
-		rate := st.QPS / float64(s.workers)
+		st := s.cur
 		var dt time.Duration
 		if st.AD == ArrivalUniform {
-			dt = time.Duration(1 / rate * float64(time.Second))
+			dt = time.Duration(1 / s.rate * float64(time.Second))
 		} else {
-			dt = time.Duration(s.rng.ExpFloat64() / rate * float64(time.Second))
+			dt = time.Duration(s.rng.ExpFloat64() / s.rate * float64(time.Second))
 		}
 		s.at += dt
 		if s.at >= st.D {
