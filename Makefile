@@ -56,7 +56,10 @@ matrixcheck:
 # single-SSD or RAIS5 operation through its member queue; BenchmarkFutureJoin times one codec
 # pool join on an idle pool and behind eight queued jobs; BenchmarkReplayFin1
 # replays 6 000 Fin1 requests with the codec work inline (workers-1) and on
-# a two-worker pool with the write path's trace lookahead (workers-2).
+# a two-worker pool with the write path's trace lookahead (workers-2);
+# BenchmarkServeHandoff times the serve hand-off on cache hits (hits) and
+# on serve-hot-small's 90/10 mix, whose raw writes show the event loop's
+# per-write cost (mix).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/compress/... ./internal/datagen ./internal/trace ./internal/workload ./internal/core ./internal/parallel
 

@@ -34,7 +34,7 @@ func main() {
 	var (
 		experiment = flag.String("experiment", "", "experiment ID (empty = all)")
 		list       = flag.Bool("list", false, "list experiment IDs and exit")
-		requests   = flag.Int("requests", 0, "requests per trace replay (default 12000)")
+		requests   = flag.Int("requests", 0, "requests per trace replay (default 12000); fig2 scales its codec corpus with it")
 		volumeMiB  = flag.Int("volume", 0, "logical volume size in MiB (default 256)")
 		seed       = flag.Int64("seed", 0, "seed offset for all generators")
 		format     = flag.String("format", "table", "output format: table, csv, json")

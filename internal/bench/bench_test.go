@@ -119,8 +119,18 @@ func TestFig1Linear(t *testing.T) {
 	}
 }
 
+// TestFig2Ordering holds the linux-src ratio ordering at the full 16 MiB
+// corpus; the race detector, which finds nothing in single-goroutine
+// codec code, checks it on tiny's 1 MiB.
 func TestFig2Ordering(t *testing.T) {
-	tables, err := Run("fig2", tiny)
+	p := Params{}
+	if race.Enabled {
+		p = tiny
+	}
+	if got, want := fig2Corpus(p), 16<<20; !race.Enabled && got != want {
+		t.Fatalf("fig2 corpus %d bytes at the default size, want %d", got, want)
+	}
+	tables, err := Run("fig2", p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,6 +74,17 @@ func runFig1(p Params) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
+// fig2Chunk is the unit fig2 compresses independently.
+const fig2Chunk = 128 << 10
+
+// fig2Corpus is the bytes fig2 compresses per dataset and codec: 16 MiB
+// at the default request count (12 000) and above, fewer whole chunks in
+// proportion below it, one at least.
+func fig2Corpus(p Params) int {
+	const full = 16 << 20 / fig2Chunk
+	return max(1, min(full, full*p.requests()/12000)) * fig2Chunk
+}
+
 // runFig2 measures every codec on the paper's two datasets: compression
 // ratio plus real (wall-clock) and modeled compress/decompress speeds.
 func runFig2(p Params) ([]*Table, error) {
@@ -81,8 +92,8 @@ func runFig2(p Params) ([]*Table, error) {
 	cost := core.DefaultCostModel()
 	datasets := []datagen.Profile{datagen.LinuxSrc(), datagen.FirefoxBin()}
 	codecNames := []string{"lzf", "lz4", "gz", "bwz"}
-	const total = 16 << 20
-	const chunk = 128 << 10
+	total := fig2Corpus(p)
+	const chunk = fig2Chunk
 	t := &Table{
 		ID:     "fig2",
 		Title:  "Compression efficiency per codec and dataset (ratio, measured MB/s, modeled MB/s)",

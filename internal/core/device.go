@@ -292,6 +292,9 @@ func NewDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options) (*
 		disableSD: opts.DisableSD,
 		flushWait: opts.FlushTimeout,
 	}
+	_, ratioAware := opts.Policy.(RatioAware)
+	wp.rawOK = se.dedup == nil && !opts.VerifyReads && opts.Obs == nil && !ratioAware
+	wp.raw = rawEstimates{stats: stats, se: se, data: opts.Data, est: wp.est}
 	rp := &readPath{
 		eng:       eng,
 		cpu:       cpu,
@@ -357,7 +360,7 @@ var ErrReplayed = errors.New("core: device already played a trace")
 // open starts the device's one run (a second is ErrReplayed), whichever
 // driver owns it — Play, PlayUntil, a serve shard's loop: persistence
 // armed if configured or if journal forces it, one pool queue for the
-// write and the read path with the lagged-verification ring sized to it,
+// write and the read path with the lag rings (lag.go) sized to it,
 // background timers armed.
 func (d *Device) open(journal bool) error {
 	if d.played {
@@ -372,10 +375,9 @@ func (d *Device) open(journal bool) error {
 			d.sharedPool = parallel.Shared()
 		}
 		d.se.pool = d.sharedPool.NewQueue()
-		// With more verifications outstanding than the queue can hold,
-		// the submitter would run them inline anyway.
-		d.rp.lag = make([]*parallel.Future[verifyResult], d.se.pool.Cap())
+		d.rp.lag = newLagRing(d.se.pool.Cap(), d.rp.settleVerify)
 	}
+	d.wp.raw.open()
 	d.armTimers()
 	return nil
 }
@@ -393,11 +395,12 @@ func (d *Device) armTimers() {
 
 // close ends the run open started: it joins the read path's parked
 // verifications (the last place a mismatch can fail the run), cancels
-// the write path's lookahead, snapshots end-of-run state into stats, and
-// releases the pool queue.
+// the write path's lookahead, settles its lagged write-through verdicts,
+// snapshots end-of-run state into stats, and releases the pool queue.
 func (d *Device) close() {
-	d.rp.drainVerify()
+	d.rp.lag.drain()
 	d.wp.la.cancelFrom(0, d.se)
+	d.wp.raw.drain()
 	s := d.stats
 	s.LiveBlocks = d.se.mapping.LiveBlocks()
 	s.LiveSlotBytes = d.se.alloc.InUse()

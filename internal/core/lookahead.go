@@ -181,9 +181,10 @@ func (wp *writePath) lookAhead() {
 		return
 	}
 	codec := wp.policy.Select(wp.meter.Intensity(wp.eng.Now()))
-	// A run stored raw is only generate + estimate, about what handing it
-	// to a parked worker costs: it starts no ring on an idle pool.
-	if codec == nil && (wp.la == nil || wp.la.n == 0) && wp.se.pool.Backlog() == 0 {
+	// A run predicted raw gets no slot when storeRaw will store it: its
+	// lagged estimate costs the loop less than a slot's join.
+	grow := codec != nil || !wp.rawOK
+	if !grow && (wp.la == nil || wp.la.n == 0) {
 		return
 	}
 	la := wp.la
@@ -202,6 +203,9 @@ func (wp *writePath) lookAhead() {
 		i++
 	}
 	la.cancelFrom(i, wp.se)
+	if !grow {
+		keys = keys[:i]
+	}
 	for _, k := range keys[i:] {
 		s := la.at(la.n)
 		s.key, s.codec, s.fut = k, codec, nil

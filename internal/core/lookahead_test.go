@@ -316,7 +316,9 @@ func TestLookaheadRingFollowsPool(t *testing.T) {
 // close, and that every buffer the pipeline made is back on the
 // freelist. The ceiling cases must take a codec for a slot predicted as
 // none (encoding into a freelist buffer) and none for a slot that holds
-// a payload buffer.
+// a payload buffer. A run predicted none gets a slot only where its
+// content is read beyond the estimate, so codec-after-none verifies its
+// reads.
 func TestLookaheadBalancesFreelist(t *testing.T) {
 	tr := fin1Trace(t, 2000)
 	cases := []struct {
@@ -329,7 +331,7 @@ func TestLookaheadBalancesFreelist(t *testing.T) {
 		{name: "short-timer", opts: Options{FlushTimeout: 20 * time.Microsecond}},
 		{name: "small-cap", opts: Options{MaxRun: 12 << 10}},
 		{name: "fails", opts: Options{Faults: &fault.Plan{Seed: 5, WriteHard: 0.2}}, fails: true},
-		{name: "codec-after-none", opts: Options{Policy: elastic(t, 1000, 6000)}, toCodec: true},
+		{name: "codec-after-none", opts: Options{Policy: elastic(t, 1000, 6000), VerifyReads: true}, toCodec: true},
 		{name: "none-after-codec", opts: Options{Policy: elastic(t, 3000, 6500)}, toNone: true},
 	}
 	for _, c := range cases {

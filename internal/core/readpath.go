@@ -36,22 +36,17 @@ type readPath struct {
 	// Real-CPU pipeline: verify-mode decompression dispatched at read
 	// submission runs on pool workers while the event loop advances
 	// virtual time. The completion event does not wait for it: it parks
-	// the future in lag, a fixed ring as deep as the pool queue's backlog,
-	// and joins only the oldest entry when the ring is full; drainVerify
-	// joins the rest at every exit. A mismatch is therefore reported
-	// len(lag) verified extents after the bad one completed (or at the
-	// exit), a point fixed by the operation order. The bound is in
-	// extents, not in time: a serve shard that goes idle keeps its
-	// parked verifications unjoined until its next verified read or
-	// StopServe (DESIGN.md §16). The write path cannot lag its join, since
-	// store needs the payload length to quantise the slot; it starts the
-	// work early instead (lookahead.go). The ring exists
-	// only while the store engine holds a pool queue; without one the
-	// check runs inline at the completion event, not through async, so the
-	// operation that fails stays the one whose completion ran the check.
-	lag     []*parallel.Future[verifyResult]
-	lagHead int
-	lagN    int
+	// the future in lag (lag.go), which joins only its oldest entry when
+	// full and drains at every exit. A mismatch is therefore reported
+	// up to the ring's depth of verified extents after the bad one
+	// completed (or at the exit), a point fixed by the operation order.
+	// The bound is in extents, not in time: a serve shard that goes idle
+	// keeps its parked verifications unjoined until its next verified read
+	// or StopServe (DESIGN.md §16). The ring exists only while the store
+	// engine holds a pool queue; without one the check runs inline at the
+	// completion event, not through async, so the operation that fails
+	// stays the one whose completion ran the check.
+	lag *lagRing[verifyResult]
 
 	// complete finishes one host read; drop releases a read without
 	// observing it on a failed run.
@@ -142,7 +137,7 @@ func (rp *readPath) read(arrival time.Duration, off, size int64, done func(time.
 				switch {
 				case !rp.verify:
 				case vfut != nil:
-					rp.park(vfut)
+					rp.lag.park(vfut)
 				default:
 					rp.verifyExtent(ext, payload)
 				}
@@ -182,36 +177,13 @@ func (rp *readPath) issueRead(devOff, bytes int64, extra time.Duration, off, siz
 	})
 }
 
-// park records the verification of a read that just completed, joining
-// the oldest parked one first when the ring is full.
-func (rp *readPath) park(f *parallel.Future[verifyResult]) {
-	if rp.lagN == len(rp.lag) {
-		rp.joinOldest()
-	}
-	rp.lag[(rp.lagHead+rp.lagN)%len(rp.lag)] = f
-	rp.lagN++
-}
-
-// joinOldest waits for the oldest parked verification, recycles its
-// buffers and records a mismatch.
-func (rp *readPath) joinOldest() {
-	res := rp.lag[rp.lagHead].Wait()
-	rp.lag[rp.lagHead] = nil
-	rp.lagHead = (rp.lagHead + 1) % len(rp.lag)
-	rp.lagN--
+// settleVerify recycles a joined verification's buffers and records a
+// mismatch.
+func (rp *readPath) settleVerify(res verifyResult) {
 	rp.se.putBuf(res.got)
 	rp.se.putBuf(res.want)
 	if res.err != nil {
 		rp.fs.fail(res.err)
-	}
-}
-
-// drainVerify joins every parked verification. Device.close calls it,
-// so no run returns its results — or releases its queue — with one
-// outstanding.
-func (rp *readPath) drainVerify() {
-	for rp.lagN > 0 {
-		rp.joinOldest()
 	}
 }
 
@@ -228,12 +200,7 @@ func tagName(reg *compress.Registry, tag compress.Tag) string {
 // and compares it with the regenerated original content (the inline,
 // no-pool path; buffers come from and return to the freelist here).
 func (rp *readPath) verifyExtent(ext *Extent, payload []byte) {
-	res := rp.verifyExtentWork(ext, payload, rp.se.getBuf(), rp.se.getBuf())
-	rp.se.putBuf(res.got)
-	rp.se.putBuf(res.want)
-	if res.err != nil {
-		rp.fs.fail(res.err)
-	}
+	rp.settleVerify(rp.verifyExtentWork(ext, payload, rp.se.getBuf(), rp.se.getBuf()))
 }
 
 // verifyResult carries a completed verification back to the event loop:

@@ -84,7 +84,7 @@ func (p *verifyProbe) check(t *testing.T, what string, err error, pooled bool) {
 	rp := p.dev.rp
 	window := 0
 	if pooled {
-		window = len(rp.lag)
+		window = len(rp.lag.futs)
 		q := parallel.Shared().NewQueue()
 		backlog := q.Cap()
 		q.Close()
@@ -100,10 +100,13 @@ func (p *verifyProbe) check(t *testing.T, what string, err error, pooled bool) {
 		t.Fatalf("%s: inline verification noticed the failure at read %d, not at the corrupted read %d",
 			what, p.noticed, p.victimDone)
 	}
-	if rp.lagN != 0 {
-		t.Fatalf("%s: %d verifications still parked after the run", what, rp.lagN)
+	if rp.lag == nil {
+		return
 	}
-	for i, f := range rp.lag {
+	if rp.lag.n != 0 {
+		t.Fatalf("%s: %d verifications still parked after the run", what, rp.lag.n)
+	}
+	for i, f := range rp.lag.futs {
 		if f != nil {
 			t.Fatalf("%s: ring slot %d still holds a future", what, i)
 		}

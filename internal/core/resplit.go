@@ -137,11 +137,17 @@ func (ss *serveShard) trySplit() {
 	sv := ss.sv
 	ss.splitting = true
 	defer func() { ss.splitting = false }()
-	lockc := make(chan struct{})
+	started, lockc := make(chan struct{}), make(chan struct{})
 	go func() {
+		close(started)
 		sv.mu.Lock()
 		close(lockc)
 	}()
+	// Drain on only once the helper runs: a writer queued on the lock
+	// holds new readers off, so the submitters soon stop. A loop that
+	// always finds mail would otherwise keep the helper off a processor
+	// while a submitter mails its whole load, and Stops, first.
+	<-started
 	// Keep draining our own mailbox while the helper waits for the
 	// write lock: a submitter holding the read lock may be blocked
 	// mailing to this very shard, and the write lock is not granted

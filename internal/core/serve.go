@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,12 +38,12 @@ import (
 // serveMailbox bounds each shard's submission mailbox: when a shard's
 // event loop falls behind, submitters block on the full mailbox
 // (backpressure) instead of growing an unbounded queue.
-const serveMailbox = 256
+const serveMailbox = 512
 
 // serveBatch caps how many submissions one event-loop wakeup drains
 // from the mailbox before running the engine: batching amortizes the
 // channel handoff without letting one drain starve the clock.
-const serveBatch = 64
+const serveBatch = 256
 
 // ErrServeStopped reports a submission to — or a second Stop of — a
 // Server that has already been stopped.
@@ -75,23 +76,26 @@ type serveResult struct {
 
 // ticket joins the per-shard sub-operations of one facade call and hands
 // the joined result to its one awaiter: the call's latency is the slowest
-// sub-operation's, and the buffered result channel lets completion
-// outlive a caller that gave up on its context. Tickets are pooled, so
-// each use is one incarnation named by a generation: state packs
-// gen<<1|claimed, and an Await of a spent incarnation finds another
-// generation and fails instead of reading someone else's result.
+// sub-operation's. An awaiter that finds the result ready takes it from
+// the ticket's fields; one that must block parks on res, which the first
+// such wait makes and the ticket keeps across uses, so a result waiting
+// for a slow awaiter holds no channel. Tickets are pooled, so each use is
+// one incarnation named by a generation: state packs gen<<1|claimed, and
+// an Await of a spent incarnation finds another generation and fails
+// instead of reading someone else's result.
 type ticket struct {
 	mu        sync.Mutex
 	remaining int
 	lat       time.Duration
 	err       error
-	res       chan serveResult
+	res       chan serveResult // one-buffered; empty between incarnations
+	parked    bool             // a waiter blocks on res
 	state     atomic.Uint64
 }
 
 // tickets recycles tickets across facade calls; an awaiter puts its
 // ticket back once it has taken a clean result.
-var tickets = sync.Pool{New: func() any { return &ticket{res: make(chan serveResult, 1)} }}
+var tickets = sync.Pool{New: func() any { return new(ticket) }}
 
 // errAwaited reports a second call of one operation's Await.
 var errAwaited = errors.New("core: operation already awaited (an Await is one-shot)")
@@ -104,11 +108,11 @@ func newTicket(pieces int) (*ticket, uint64) {
 	return t, t.state.Load() >> 1
 }
 
-// complete folds one sub-operation's outcome in; the last one fires the
-// result channel. Sub-operations complete on their shard's event-loop
-// goroutine, so the fold is mutex-guarded. Folding more outcomes than
-// the ticket has pieces is a bug in the shard's books, never a race
-// callers can provoke.
+// complete folds one sub-operation's outcome in; the last one hands the
+// result to a parked waiter. Sub-operations complete on their shard's
+// event-loop goroutine, so the fold is mutex-guarded. Folding more
+// outcomes than the ticket has pieces is a bug in the shard's books,
+// never a race callers can provoke.
 func (t *ticket) complete(lat time.Duration, err error) {
 	t.mu.Lock()
 	if err != nil && t.err == nil {
@@ -119,13 +123,12 @@ func (t *ticket) complete(lat time.Duration, err error) {
 	}
 	t.remaining--
 	left := t.remaining
-	lat, err = t.lat, t.err
+	if left == 0 && t.parked {
+		t.res <- serveResult{lat: t.lat, err: t.err} // buffered: never blocks
+	}
 	t.mu.Unlock()
 	if left < 0 {
 		panic("core: serve ticket completed more often than it has pieces")
-	}
-	if left == 0 {
-		t.res <- serveResult{lat: lat, err: err}
 	}
 }
 
@@ -139,17 +142,44 @@ func (t *ticket) wait(ctx context.Context, gen uint64) (time.Duration, error) {
 	if !t.state.CompareAndSwap(gen<<1, gen<<1|1) {
 		return 0, errAwaited
 	}
+	t.mu.Lock()
+	if t.remaining == 0 {
+		r := serveResult{lat: t.lat, err: t.err}
+		t.mu.Unlock()
+		return t.spend(gen, r)
+	}
+	if t.res == nil {
+		t.res = make(chan serveResult, 1)
+	}
+	t.parked = true
+	t.mu.Unlock()
 	select {
 	case r := <-t.res:
-		t.state.Store((gen + 1) << 1)
-		if r.err == nil {
-			tickets.Put(t)
-		}
-		return r.lat, r.err
+		t.parked = false // complete sent under the lock and is done with t
+		return t.spend(gen, r)
 	case <-ctx.Done():
+		// Unpark, and drop a result sent meanwhile: the fields still hold
+		// it for a retry, and res must be empty for the next incarnation.
+		t.mu.Lock()
+		t.parked = false
+		select {
+		case <-t.res:
+		default:
+		}
+		t.mu.Unlock()
 		t.state.Store(gen << 1)
 		return 0, ctx.Err()
 	}
+}
+
+// spend ends incarnation gen with its result r, recycling a ticket whose
+// result is clean.
+func (t *ticket) spend(gen uint64, r serveResult) (time.Duration, error) {
+	t.state.Store((gen + 1) << 1)
+	if r.err == nil {
+		tickets.Put(t)
+	}
+	return r.lat, r.err
 }
 
 // serveReq is one shard-local submission, mailed by value: an intended
@@ -262,6 +292,11 @@ type serveShard struct {
 	tail            []trace.Request
 	head, unarrived int
 	ahead, spoiled  bool
+	// last is the ticket of the last operation the previous publish
+	// completed, in incarnation lastGen: still that incarnation, its
+	// result has not been taken.
+	last    *ticket
+	lastGen uint64
 }
 
 // NewServer validates the setup, stamps out one pipeline per shard, and
@@ -733,10 +768,25 @@ func (ss *serveShard) finishOp(op *serveOp, resp time.Duration) {
 
 // publish completes the tickets of every operation finished since the
 // last publish, once per engine run rather than once per completion
-// event.
+// event. If the last result of the previous publish has not been taken
+// yet and mail is already waiting, the loop then yields its processor
+// once: Go runs a goroutine this one woke on the same processor, after
+// it, so a loop that never blocks would keep its awaiters off the CPU
+// while their results, and their tickets, pile up.
 func (ss *serveShard) publish() {
+	if len(ss.finished) == 0 {
+		return
+	}
+	behind := ss.last != nil && ss.last.state.Load()>>1 == ss.lastGen
+	// The generation is read while the result is still unpublished, so
+	// it cannot have been spent yet.
+	last := ss.finished[len(ss.finished)-1].t
+	ss.last, ss.lastGen = last, last.state.Load()>>1
 	for _, c := range ss.finished {
 		c.t.complete(c.lat, nil)
+	}
+	if behind && len(ss.mail) > 0 {
+		runtime.Gosched()
 	}
 	clear(ss.finished)
 	ss.finished = ss.finished[:0]

@@ -494,39 +494,53 @@ func TestServeHandoffAllocs(t *testing.T) {
 
 // BenchmarkServeHandoff drives a paced single-shard server the way the
 // serve harness does — stamp-ordered SubmitAt from one goroutine, a FIFO
-// awaiter in another — on 4 KiB cache hits 50 µs apart, so what it times
-// is the submit, mailbox, event-loop and await hand-off.
+// awaiter in another — on 4 KiB operations 50 µs apart. hits reads 16
+// cached blocks, so what it times is the submit, mailbox, event-loop and
+// await hand-off; mix is serve-hot-small's 90/10 read/write mix, whose
+// writes the stamps' 20 000 ops/s put above the lzf ceiling, so it adds
+// the event loop's cost of a write stored raw.
 func BenchmarkServeHandoff(b *testing.B) {
-	sv := newPacedServerWith(b, 1, 1<<20, Options{Data: datagen.New(datagen.Enterprise(), 11), CacheBytes: 1 << 20})
-	ctx := context.Background()
-	awaits := make(chan Await, b.N)
-	var failed error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for aw := range awaits {
-			if _, err := aw(ctx); err != nil && failed == nil {
-				failed = err
+	for _, c := range []struct {
+		name   string
+		writes bool
+	}{{"hits", false}, {"mix", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			sv := newPacedServerWith(b, 1, 1<<20, Options{Data: datagen.New(datagen.Enterprise(), 11), CacheBytes: 1 << 20})
+			ctx := context.Background()
+			awaits := make(chan Await, b.N)
+			var failed error
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for aw := range awaits {
+					if _, err := aw(ctx); err != nil && failed == nil {
+						failed = err
+					}
+				}
+			}()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off, write := int64(i%16)*BlockSize, c.writes && i%10 == 9
+				if write {
+					off = int64(i*37%256) * BlockSize
+				}
+				aw, err := sv.SubmitAt(ctx, time.Duration(i)*50*time.Microsecond, off, BlockSize, write)
+				if err != nil {
+					b.Fatal(err)
+				}
+				awaits <- aw
 			}
-		}
-	}()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		aw, err := sv.SubmitAt(ctx, time.Duration(i)*50*time.Microsecond, int64(i%16)*BlockSize, BlockSize, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		awaits <- aw
-	}
-	if _, err := sv.Stop(); err != nil {
-		b.Fatal(err)
-	}
-	close(awaits)
-	<-done
-	b.StopTimer()
-	if failed != nil {
-		b.Fatal(failed)
+			if _, err := sv.Stop(); err != nil {
+				b.Fatal(err)
+			}
+			close(awaits)
+			<-done
+			b.StopTimer()
+			if failed != nil {
+				b.Fatal(failed)
+			}
+		})
 	}
 }
 

@@ -66,6 +66,14 @@ type writePath struct {
 	upcoming func() ([]trace.Request, bool)
 	la       *lookahead
 
+	// rawOK is set when nothing but the estimator reads a run's content:
+	// no dedup fingerprint, no verify snapshot, no observer, and a policy
+	// that does not select by ratio. Then a run the policy stores raw at
+	// its intensity is stored without its content, and raw lags its
+	// write-through verdict (lag.go).
+	rawOK bool
+	raw   rawEstimates
+
 	flushWait time.Duration
 	flushGen  int64
 	version   uint32
@@ -166,6 +174,11 @@ func (wp *writePath) processRun(run *Run) {
 	ver := wp.version
 	wp.version++
 	pre := wp.la.take(runKey{run.Offset, run.Size, ver}, wp.se)
+	if pre == nil && wp.rawOK && wp.policy.Select(wp.intensity(wp.eng.Now(), run)) == nil {
+		wp.storeRaw(run, ver)
+		wp.lookAhead()
+		return
+	}
 	var content []byte
 	if pre != nil {
 		content = pre.content
@@ -186,6 +199,22 @@ func (wp *writePath) processRun(run *Run) {
 	}
 	wp.compressRun(run, content, dedup.Sum{}, false, ver, pre)
 	wp.lookAhead()
+}
+
+// storeRaw stores a run the policy keeps raw whose content nothing
+// reads: it is neither generated nor estimated here. The estimate is
+// still charged (EstimateCost), and its write-through verdict, which
+// decides nothing else for a run stored raw, is counted when its batch
+// settles (rawEstimates). Select is a pure function of the intensity, so
+// asking it before the estimate, as processRun does, picks what
+// compressRun would.
+func (wp *writePath) storeRaw(run *Run, ver uint32) {
+	var cpuTime time.Duration
+	if wp.policy.ChecksCompressibility() {
+		cpuTime = EstimateCost
+		wp.raw.add(runKey{run.Offset, run.Size, ver}, runTenant(run))
+	}
+	hostTime(wp.cpu, cpuTime, func(_, _ time.Duration) { wp.store(run, nil, nil, nil, ver, dedup.Sum{}, false) })
 }
 
 // dedupResolve looks the fingerprinted run up in the content index and

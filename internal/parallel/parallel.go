@@ -168,11 +168,6 @@ func (p *SharedPool) NewQueue() *Queue { return &Queue{pool: p} }
 // behind their consumer size that window from it.
 func (q *Queue) Cap() int { return cap(q.pool.jobs) }
 
-// Backlog returns how many jobs wait on the channel right now, dead
-// entries included: 0 when every worker is idle or busy with the last
-// job it took, Cap() when the channel is full.
-func (q *Queue) Backlog() int { return len(q.pool.jobs) }
-
 // Close marks the end of the client's run. It does not wait: jobs
 // submitted earlier still run, on a worker or on their waiter, and their
 // futures still resolve, but nothing runs them inside Close. No client

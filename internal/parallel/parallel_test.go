@@ -64,7 +64,7 @@ func TestPoolMinWorkers(t *testing.T) {
 	}
 }
 
-// The lagged-verify ring in internal/core is sized from Cap, so the
+// The lag rings in internal/core are sized from Cap, so the
 // backlog-to-worker ratio is part of the contract.
 func TestQueueCapFourPerWorker(t *testing.T) {
 	for _, workers := range []int{1, 2, 5} {
@@ -73,34 +73,6 @@ func TestQueueCapFourPerWorker(t *testing.T) {
 			t.Errorf("%d workers: Cap() = %d, want %d", workers, got, 4*workers)
 		}
 		p.Close()
-	}
-}
-
-// The write path's lookahead reads Backlog to tell an idle pool: 0 with
-// every worker idle or busy and nothing queued, Cap() on a full channel.
-func TestQueueBacklog(t *testing.T) {
-	p := NewSharedPool(1)
-	defer p.Close()
-	q := p.NewQueue()
-	if b := q.Backlog(); b != 0 {
-		t.Fatalf("Backlog() = %d on an idle pool", b)
-	}
-	release := blockWorker(q)
-	if b := q.Backlog(); b != 0 {
-		t.Fatalf("Backlog() = %d with the worker busy and nothing queued", b)
-	}
-	futs := make([]*Future[int], q.Cap())
-	for i := range futs {
-		futs[i] = Go(q, func() int { return i })
-	}
-	if b := q.Backlog(); b != q.Cap() {
-		t.Fatalf("Backlog() = %d on a full channel, want %d", b, q.Cap())
-	}
-	release()
-	for i, f := range futs {
-		if f.Wait() != i {
-			t.Fatalf("future %d lost its result", i)
-		}
 	}
 }
 
