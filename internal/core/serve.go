@@ -109,11 +109,12 @@ func newTicket(pieces int) (*ticket, uint64) {
 }
 
 // complete folds one sub-operation's outcome in; the last one hands the
-// result to a parked waiter. Sub-operations complete on their shard's
-// event-loop goroutine, so the fold is mutex-guarded. Folding more
-// outcomes than the ticket has pieces is a bug in the shard's books,
-// never a race callers can provoke.
-func (t *ticket) complete(lat time.Duration, err error) {
+// result to a parked waiter, and reports whether it woke one.
+// Sub-operations complete on their shard's event-loop goroutine, so the
+// fold is mutex-guarded. Folding more outcomes than the ticket has
+// pieces is a bug in the shard's books, never a race callers can
+// provoke.
+func (t *ticket) complete(lat time.Duration, err error) (woke bool) {
 	t.mu.Lock()
 	if err != nil && t.err == nil {
 		t.err = err
@@ -125,11 +126,13 @@ func (t *ticket) complete(lat time.Duration, err error) {
 	left := t.remaining
 	if left == 0 && t.parked {
 		t.res <- serveResult{lat: t.lat, err: t.err} // buffered: never blocks
+		woke = true
 	}
 	t.mu.Unlock()
 	if left < 0 {
 		panic("core: serve ticket completed more often than it has pieces")
 	}
+	return woke
 }
 
 // wait blocks for incarnation gen's joined result or the context,
@@ -768,11 +771,12 @@ func (ss *serveShard) finishOp(op *serveOp, resp time.Duration) {
 
 // publish completes the tickets of every operation finished since the
 // last publish, once per engine run rather than once per completion
-// event. If the last result of the previous publish has not been taken
-// yet and mail is already waiting, the loop then yields its processor
-// once: Go runs a goroutine this one woke on the same processor, after
-// it, so a loop that never blocks would keep its awaiters off the CPU
-// while their results, and their tickets, pile up.
+// event. With mail already waiting, the loop then yields its processor
+// once if it woke a parked waiter, or if the last result of the previous
+// publish has not been taken yet: Go runs a goroutine this one woke on
+// the same processor, after it, so a loop that never blocks would keep
+// its awaiters off the CPU while their results, and their tickets, pile
+// up.
 func (ss *serveShard) publish() {
 	if len(ss.finished) == 0 {
 		return
@@ -782,10 +786,11 @@ func (ss *serveShard) publish() {
 	// it cannot have been spent yet.
 	last := ss.finished[len(ss.finished)-1].t
 	ss.last, ss.lastGen = last, last.state.Load()>>1
+	woke := false
 	for _, c := range ss.finished {
-		c.t.complete(c.lat, nil)
+		woke = c.t.complete(c.lat, nil) || woke
 	}
-	if behind && len(ss.mail) > 0 {
+	if (woke || behind) && len(ss.mail) > 0 {
 		runtime.Gosched()
 	}
 	clear(ss.finished)
