@@ -19,14 +19,23 @@
 // EXPERIMENTS.md writes in a code span or a code fence must be an
 // exported name of the root package, so deleting or renaming one cannot
 // leave the documents citing it.
+//
+// It also holds the line budget: sizes.txt lists the wc -l line count of
+// the non-test .go files of every package directory, and of DESIGN.md.
+// When any count differs from the tree, the run fails and prints the
+// fresh file. There is no flag to rewrite it: the edit to sizes.txt is
+// how a change in size shows up for review.
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -39,6 +48,9 @@ var defaultDirs = []string{".", "internal/core", "internal/metrics", "internal/o
 // against the root package.
 var docFiles = []string{"README.md", "DESIGN.md", "OBSERVABILITY.md", "EXPERIMENTS.md"}
 
+// sizesFile is the committed line budget.
+const sizesFile = "sizes.txt"
+
 func main() {
 	dirs := os.Args[1:]
 	var bad []string
@@ -50,6 +62,16 @@ func main() {
 			os.Exit(2)
 		}
 		bad = stale
+		fresh, err := sizes(".")
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+			os.Exit(2)
+		}
+		// A missing file differs like any other.
+		if old, _ := os.ReadFile(sizesFile); !bytes.Equal(old, fresh) {
+			fmt.Printf("%s differs from the tree; the fresh file:\n%s", sizesFile, fresh)
+			bad = append(bad, sizesFile+": line counts differ")
+		}
 	}
 	for _, dir := range dirs {
 		offenders, err := lintDir(dir)
@@ -64,7 +86,7 @@ func main() {
 		for _, b := range bad {
 			fmt.Println(b)
 		}
-		fmt.Fprintf(os.Stderr, "doclint: %d undocumented exported identifier(s) or stale mention(s)\n", len(bad))
+		fmt.Fprintf(os.Stderr, "doclint: %d undocumented exported identifier(s), stale mention(s) or changed line count(s)\n", len(bad))
 		os.Exit(1)
 	}
 }
@@ -122,6 +144,53 @@ func lintDocs(pkgDir string, files []string) ([]string, error) {
 		}
 	}
 	return bad, nil
+}
+
+// sizes renders the line budget of the tree at root: one "path lines"
+// line per package directory (its non-test .go files; hidden and
+// testdata directories skipped), then DESIGN.md's, each counted as
+// wc -l counts: newline bytes.
+func sizes(root string) ([]byte, error) {
+	count := func(path string) (int, error) {
+		b, err := os.ReadFile(path)
+		return bytes.Count(b, []byte("\n")), err
+	}
+	lines := map[string]int{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		n, err := count(path)
+		lines[filepath.ToSlash(filepath.Dir(path))] += n
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	dirs := make([]string, 0, len(lines))
+	for dir := range lines {
+		dirs = append(dirs, dir)
+	}
+	sort.Strings(dirs)
+	var b bytes.Buffer
+	b.WriteString("# Line budget, checked by go run ./cmd/doclint: non-test Go lines per\n" +
+		"# package directory, then DESIGN.md's lines (wc -l).\n")
+	for _, dir := range dirs {
+		fmt.Fprintf(&b, "%s %d\n", dir, lines[dir])
+	}
+	n, err := count(filepath.Join(root, "DESIGN.md"))
+	fmt.Fprintf(&b, "DESIGN.md %d\n", n)
+	return b.Bytes(), err
 }
 
 // lintDir parses one package directory and returns its offenders.

@@ -57,16 +57,6 @@ type Dedup = dedup.Config
 // bit-identical to earlier releases.
 type Maintenance = maint.Config
 
-// ResplitConfig tunes serve mode's heat-balanced shard repartitioning
-// (see internal/core): a shard whose admitted-op share stays above its
-// fair share for several evaluation windows splits its LBA range at a
-// quiesced, heat-balanced boundary into two independent event loops.
-// Zero-valued fields take documented defaults. Attach one with
-// WithResplit; without one the shard map stays fixed. Splits are
-// triggered by real-time traffic imbalance, so a resplit-enabled run is
-// not byte-deterministic across machines.
-type ResplitConfig = core.ResplitConfig
-
 // FaultPlan is a seeded, virtual-time fault schedule (see
 // internal/fault): per-operation read/write error probabilities
 // (transient and hard), latency spikes, whole-device stall windows, and
@@ -106,8 +96,8 @@ type config struct {
 	// dev carries the pass-through device settings; deviceOptions adds
 	// the per-device state (Policy, Data) and the QoS rate share.
 	dev core.Options
-	// serve carries the shard count and the resplit policy; NewSystem
-	// adds the volume, the collector and the two factories.
+	// serve carries the shard count; NewSystem adds the volume, the
+	// collector and the two factories.
 	serve core.ServeSetup
 	obs   obs.Config
 }
@@ -331,23 +321,6 @@ func WithMaintenance(m Maintenance) Option { return func(c *config) { c.dev.Main
 // WithShards (each shard deduplicates its own LBA range with the same
 // key).
 func WithDedup(d Dedup) Option { return func(c *config) { c.dev.Dedup = &d } }
-
-// WithResplit enables serve mode's heat-balanced shard repartitioning
-// with the given policy (zero-valued fields take documented defaults).
-// When one shard's admitted-op share stays above Factor times the
-// post-split fair share for Streak evaluation windows, its LBA range is
-// split at a quiesced, heat-balanced boundary into two shards with
-// independent event loops — extents beyond the boundary move to the new
-// shard's device, and the router re-routes without ever dropping or
-// reordering a submission. The quiesce runs the splitting shard past its
-// arrival watermark and the trigger reacts to real-time traffic
-// imbalance, so resplit-enabled runs are not byte-deterministic across
-// machines; replay mode ignores the setting. Incompatible with
-// WithVerify (expected read content is keyed by shard-local offsets,
-// which a move rebases), WithDedup (shared references may span the
-// boundary), and WithQoS (per-shard rate shares assume a fixed shard
-// count).
-func WithResplit(r ResplitConfig) Option { return func(c *config) { c.serve.Resplit = &r } }
 
 // WithPacedServe does nothing: every serve shard runs paced, up to the
 // highest arrival stamp it has admitted (see System.Serve).

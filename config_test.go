@@ -16,7 +16,6 @@ import (
 // combination out.
 func TestNewSystemValidation(t *testing.T) {
 	powerCut := &FaultPlan{Seed: 1, PowerCutAt: time.Second}
-	qcfg := QoSConfig{Tenants: map[string]QoSTenant{"a": {}}}
 	for _, tc := range []struct {
 		name  string
 		opts  []Option
@@ -41,9 +40,6 @@ func TestNewSystemValidation(t *testing.T) {
 		{name: "negative maintenance interval", opts: []Option{WithMaintenance(Maintenance{Interval: -time.Second})}, want: "negative interval"},
 		{name: "negative dedup entries", opts: []Option{WithDedup(Dedup{MaxEntries: -1})}, want: "negative max entries"},
 
-		{name: "resplit × dedup", opts: []Option{WithResplit(ResplitConfig{}), WithDedup(Dedup{})}, want: "edc: resplit cannot migrate dedup-shared extents"},
-		{name: "resplit × verify", opts: []Option{WithResplit(ResplitConfig{}), WithVerify()}, want: "edc: resplit rebases extents"},
-		{name: "resplit × QoS", opts: []Option{WithResplit(ResplitConfig{}), WithQoS(qcfg)}, want: "edc: resplit changes the shard count"},
 		{name: "power cut × shards", opts: []Option{WithFaults(powerCut), WithShards(4)},
 			want: "edc: power-cut recovery is not supported with WithShards(4): shards crash and recover independently of each other"},
 		{name: "serve × power cut", opts: []Option{WithFaults(powerCut)}, serve: true, want: "serve mode does not support power-cut fault plans"},
@@ -71,7 +67,6 @@ func TestNewSystemValidation(t *testing.T) {
 	// The same stack minus the clash is accepted: no row fires alone.
 	for name, opts := range map[string][]Option{
 		"defaults":         nil,
-		"resplit alone":    {WithResplit(ResplitConfig{})},
 		"power cut":        {WithFaults(powerCut)},
 		"flushless SD off": {WithFlushTimeout(-1), WithoutSD()},
 	} {

@@ -143,11 +143,6 @@ const (
 	// EvAdmitReject: admission control refused one request (tenant
 	// queue-depth bound).
 	EvAdmitReject = obs.EvAdmitReject
-	// EvResplit: serve mode split a hot shard's LBA range in two
-	// (Off: split offset within the source shard, Records: extents
-	// migrated, Slot: slot bytes migrated, LeftBlocks/RightBlocks: the
-	// two halves' occupancy after the split).
-	EvResplit = obs.EvResplit
 )
 
 // NewJSONLTracer returns a Tracer writing one JSON event per line to w

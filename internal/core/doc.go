@@ -19,9 +19,9 @@
 //     decompression → optional verification (readpath.go)
 //   - store engine: slot allocator, mapping table, backend, and the one
 //     store step (codec hand-off, slot decision, allocation, device write)
-//     host writes, relocations and resplit all call (engine.go), over
-//     the Backend: member devices with their own queues and fault
-//     streams behind a layout (backend.go)
+//     host writes and relocations both call (engine.go), over the
+//     Backend: member devices with their own queues and fault streams
+//     behind a layout (backend.go)
 //
 // Replay runs on a virtual-time event loop (internal/sim); codec work is
 // charged deterministic cost through one codecCharge (cost.go), to the

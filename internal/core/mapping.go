@@ -343,55 +343,6 @@ func (m *Mapping) findExtent(off, origLen, devOff int64) *Extent {
 	return nil
 }
 
-// SplitTail copies every block mapping at or beyond byte offset off
-// into dst, a fresh mapping whose volume covers the tail rebased to
-// start at zero. clone is called once per distinct source extent to
-// build its rebased copy (the caller allocates the destination slot);
-// blocks keep exactly the references they had, so partially-overwritten
-// runs stay partially overwritten rather than being resurrected by a
-// whole-run re-insert. Every extent mapped in the tail must have its
-// home offset at or beyond off (the caller picks a non-straddling
-// boundary). The source table is not modified — the caller trims the
-// tail once the move is committed. Returns the number of extents
-// cloned; on error dst is partially built and must be discarded.
-func (m *Mapping) SplitTail(off int64, dst *Mapping, clone func(*Extent) (*Extent, error)) (int, error) {
-	if off <= 0 || off%BlockSize != 0 {
-		return 0, fmt.Errorf("core: split at unaligned offset %d", off)
-	}
-	first := off / BlockSize
-	clones := make(map[*Extent]*Extent)
-	for b := first; b < int64(len(m.table)); b++ {
-		e := m.table[b]
-		if e == nil {
-			continue
-		}
-		if e.Offset < off {
-			return len(clones), fmt.Errorf("core: extent at %d straddles split offset %d", e.Offset, off)
-		}
-		ne, ok := clones[e]
-		if !ok {
-			var err error
-			ne, err = clone(e)
-			if err != nil {
-				return len(clones), err
-			}
-			clones[e] = ne
-			dst.extents++
-		}
-		nb := b - first
-		if nb >= int64(len(dst.table)) {
-			return len(clones), fmt.Errorf("core: split tail block %d beyond destination volume (%d blocks)", nb, len(dst.table))
-		}
-		dst.table[nb] = ne
-		dst.liveBlocks++
-		ne.live++
-	}
-	for _, ne := range clones {
-		dst.settleDead(ne)
-	}
-	return len(clones), nil
-}
-
 // Trim unmaps a block-aligned range (host discard).
 func (m *Mapping) Trim(off, size int64) error {
 	if err := m.checkRange(off, size); err != nil {

@@ -41,7 +41,7 @@ type persister struct {
 // run needs them: a checkpoint interval, a planned power cut in the
 // fault plan, or force (PlayUntil). The initial snapshot captures the
 // mapping as it stands — empty on a fresh device, recovered state after
-// a crash, the migrated tail on a resplit shard.
+// a crash — and the journal starts empty.
 func (d *Device) armPersistence(force bool) error {
 	if d.per != nil {
 		return nil
@@ -51,23 +51,11 @@ func (d *Device) armPersistence(force bool) error {
 	}
 	d.per = &persister{dev: d, jnl: &Journal{}}
 	d.wp.jnl = d.per.jnl
-	return d.per.rebase()
-}
-
-// rebase snapshots the live mapping and empties the journal. Sound only
-// with nothing in flight, when the live mapping is the durable one: at
-// open, and after a resplit trimmed the migrated tail off a quiesced
-// shard (a move the journal does not record). p may be nil.
-func (p *persister) rebase() error {
-	if p == nil {
-		return nil
-	}
 	var buf bytes.Buffer
-	if err := p.dev.se.mapping.SaveSnapshot(&buf); err != nil {
+	if err := d.se.mapping.SaveSnapshot(&buf); err != nil {
 		return err
 	}
-	p.snapshot = buf.Bytes()
-	p.jnl.Reset()
+	d.per.snapshot = buf.Bytes()
 	return nil
 }
 

@@ -50,14 +50,9 @@ const serveBatch = 256
 var ErrServeStopped = errors.New("core: server stopped")
 
 // ServeSetup describes a live serving stack: the ShardSetup sharded
-// replay uses, plus the knob only a live server has.
+// replay uses, plus two overrides only tests set.
 type ServeSetup struct {
 	ShardSetup
-	// Resplit enables heat-balanced shard repartitioning: a shard whose
-	// admitted-op share stays above its fair share splits its LBA range
-	// at a quiesced, heat-balanced boundary (see ResplitConfig). Nil
-	// keeps the shard map fixed.
-	Resplit *ResplitConfig
 
 	// mailbox overrides serveMailbox (0: serveMailbox), to force
 	// backpressure, and pool the codec pool (nil: parallel.Shared());
@@ -224,17 +219,15 @@ type completion struct {
 // Server routes live requests to LBA-range shards, each drained by a
 // long-lived event-loop goroutine. Build one with NewServer; submit with
 // Do or SubmitAt (goroutine-safe, any number of concurrent callers);
-// Stop drains the mailboxes and returns the merged RunStats.
+// Stop drains the mailboxes and returns the merged RunStats. The
+// router (part, shards, kids) is fixed once NewServer returns.
 type Server struct {
 	part   partition
 	shards []*serveShard
 
-	// setup keeps the (normalized) factories so a resplit can stamp out
-	// an additional shard pipeline mid-run.
+	// setup keeps the (normalized) factories for the shards' options and
+	// the merge at Stop.
 	setup ServeSetup
-	// rcfg is the normalized repartitioning policy (nil keeps the shard
-	// map fixed).
-	rcfg *ResplitConfig
 
 	// qcfg is the QoS configuration shared by every shard (nil when QoS
 	// is off); the facade-side strict-tenant check runs against it
@@ -243,7 +236,7 @@ type Server struct {
 
 	kids []*obs.Collector
 
-	mu     sync.RWMutex // guards closed and the shard router (part/shards/kids)
+	mu     sync.RWMutex // guards closed
 	closed bool
 	stalls atomic.Int64 // submissions that found a full mailbox
 }
@@ -274,18 +267,8 @@ type serveShard struct {
 	// analogue of the replay frontend's deferred-queue bound).
 	inflightBy map[string]int
 
-	// ops counts admitted operations; written by this shard's event-loop
-	// goroutine, read by other shards evaluating the resplit trigger.
-	ops atomic.Int64
-	// Resplit trigger state, touched only by this shard's goroutine:
-	// the ops/total marks of the last evaluation and how many
-	// consecutive windows this shard exceeded its fair share.
-	evalSelf  int64
-	evalTotal int64
-	streak    int
-	// splitting marks a trySplit in progress, so the ingests that drain
-	// the mailbox while awaiting the router lock cannot re-enter it.
-	splitting bool
+	// ops counts admitted operations.
+	ops int64
 	// horizon is the highest arrival stamp admitted so far — the
 	// watermark the engine runs up to.
 	horizon time.Duration
@@ -314,7 +297,6 @@ func NewServer(setup ServeSetup) (*Server, error) {
 		part:   part,
 		shards: make([]*serveShard, setup.Shards),
 		setup:  setup,
-		rcfg:   setup.Resplit.normalized(setup.Shards),
 		kids:   make([]*obs.Collector, setup.Shards),
 	}
 	for i := range sv.shards {
@@ -330,18 +312,11 @@ func NewServer(setup ServeSetup) (*Server, error) {
 
 // Incompatible is the one table of feature combinations no stack is
 // built with: the facade consults it when a System is configured, and
-// every shard a Server builds (at NewServer or by a resplit) goes
-// through it with serve set. The error carries no package prefix;
-// callers add theirs.
+// every shard NewServer builds goes through it with serve set. The
+// error carries no package prefix; callers add theirs.
 func (s *ServeSetup) Incompatible(o *Options, serve bool) error {
-	resplit, powerCut := s.Resplit != nil, o.Faults != nil && o.Faults.PowerCutAt > 0
+	powerCut := o.Faults != nil && o.Faults.PowerCutAt > 0
 	switch {
-	case resplit && o.Dedup != nil:
-		return errors.New("resplit cannot migrate dedup-shared extents (references may span the split boundary); disable one of the two")
-	case resplit && o.VerifyReads:
-		return errors.New("resplit rebases extents to new shard-local offsets, which breaks offset-keyed read verification; disable one of the two")
-	case resplit && o.QoS != nil:
-		return errors.New("resplit changes the shard count mid-run, invalidating per-shard QoS rate shares; disable one of the two")
 	case serve && powerCut:
 		return errors.New("serve mode does not support power-cut fault plans")
 	case serve && o.FlushTimeout < 0 && !o.DisableSD:
@@ -353,10 +328,9 @@ func (s *ServeSetup) Incompatible(o *Options, serve bool) error {
 }
 
 // buildShard stamps out one shard pipeline from the setup factories:
-// id is its observability shard tag, vol its LBA-range width. Used by
-// NewServer for the initial partition and by a resplit for the shard
-// it adds mid-run; the caller registers the returned shard and child
-// collector in the router.
+// id is its shard index and observability tag, vol its LBA-range width.
+// NewServer registers the returned shard and child collector in the
+// router.
 func (sv *Server) buildShard(id int, vol int64) (*serveShard, *obs.Collector, error) {
 	opts, err := sv.setup.Options(id)
 	if err != nil {
@@ -390,14 +364,6 @@ func (sv *Server) buildShard(id int, vol int64) (*serveShard, *obs.Collector, er
 		done:       make(chan struct{}),
 		inflightBy: make(map[string]int),
 	}, kid, nil
-}
-
-// Shards returns the current shard count — the initial partition width
-// plus one per resplit so far.
-func (sv *Server) Shards() int {
-	sv.mu.RLock()
-	defer sv.mu.RUnlock()
-	return len(sv.shards)
 }
 
 // Stalls returns how many submissions so far found their shard mailbox
@@ -458,7 +424,8 @@ func (sv *Server) SubmitAtTag(ctx context.Context, at time.Duration, off, size i
 // full mailboxes (backpressure); wait marks pieces whose caller blocks
 // on them. It returns the ticket the pieces join into and its
 // generation. The read lock holds Stop off until every piece is mailed,
-// so a mailbox is never closed under a submitter.
+// so no shard starts its stop-drain with a piece of this call still on
+// its way.
 func (sv *Server) mail(ctx context.Context, at time.Duration, off, size int64, write bool, tenant string, wait bool) (*ticket, uint64, error) {
 	if at < 0 {
 		at = 0
@@ -467,9 +434,6 @@ func (sv *Server) mail(ctx context.Context, at time.Duration, off, size int64, w
 		return nil, 0, fmt.Errorf("core: tenant %q: %w", tenant, qos.ErrUnknownTenant)
 	}
 	aOff, aSize := alignRequest(sv.part.vol, trace.Request{Offset: off, Size: size, Write: write})
-	// The read lock covers both passes over the router: a resplit
-	// (holding the write lock) must not move a boundary between the
-	// piece count and the mailing.
 	sv.mu.RLock()
 	if sv.closed {
 		sv.mu.RUnlock()
@@ -603,9 +567,7 @@ drain:
 	ss.publish()
 	if ss.dev.fs.failed() {
 		ss.failAll()
-		return
 	}
-	ss.maybeResplit()
 }
 
 // admit schedules one submission's arrival at max(virtual now, its
@@ -627,7 +589,7 @@ func (ss *serveShard) admit(req serveReq) {
 		}
 		ss.inflightBy[req.tenant]++
 	}
-	seq := ss.ops.Add(1)
+	ss.ops++
 	at := req.at
 	if now := d.eng.Now(); at < now {
 		at = now
@@ -641,7 +603,7 @@ func (ss *serveShard) admit(req serveReq) {
 		}
 	}
 	op := ss.record(req)
-	op.seq = seq
+	op.seq = ss.ops
 	op.idx = len(ss.pending)
 	ss.pending = append(ss.pending, op)
 	if op.wait {
@@ -729,7 +691,7 @@ func (ss *serveShard) consume(op *serveOp) {
 	case ss.unarrived == 0:
 		ss.tail, ss.head, ss.spoiled = ss.tail[:0], 0, false
 	case ss.spoiled:
-	case op.seq != ss.ops.Load()-int64(ss.unarrived):
+	case op.seq != ss.ops-int64(ss.unarrived):
 		ss.tail, ss.head, ss.spoiled = ss.tail[:0], 0, true
 	default:
 		ss.head++

@@ -39,8 +39,7 @@ type ShardSetup struct {
 }
 
 // partition is a volume cut into contiguous block-aligned LBA ranges:
-// shard i serves [bounds[i], bounds[i+1]). A serve-mode resplit splices
-// a bound in under the router's write lock.
+// shard i serves [bounds[i], bounds[i+1]).
 type partition struct {
 	vol    int64
 	bounds []int64 // ascending, bounds[0] = 0, bounds[len-1] = vol

@@ -64,13 +64,8 @@ type RunStats struct {
 	// mailbox full and had to block (backpressure events; zero in replay).
 	SubmitStalls int64
 
-	// Resplits counts serve-mode heat-balanced shard splits (zero in
-	// replay and with resplitting disabled; omitted from JSON then so
-	// earlier runs' serialized form is unchanged).
-	Resplits int64 `json:"Resplits,omitempty"`
 	// ShardLiveBlocks is the per-shard live-block occupancy, in LBA
-	// order, at the end of a serve run — the occupancy counters a
-	// resplit rebalances (nil outside serve mode).
+	// order, at the end of a serve run (nil outside serve mode).
 	ShardLiveBlocks []int64 `json:"ShardLiveBlocks,omitempty"`
 
 	// Content-addressed dedup (all zero unless dedup is enabled):
@@ -242,7 +237,6 @@ func MergeRunStats(parts []*RunStats) *RunStats {
 		out.SDMerged += p.SDMerged
 		out.SDRuns += p.SDRuns
 		out.SubmitStalls += p.SubmitStalls
-		out.Resplits += p.Resplits
 		out.DedupHits += p.DedupHits
 		out.DedupMisses += p.DedupMisses
 		out.DedupBytesSaved += p.DedupBytesSaved

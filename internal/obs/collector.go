@@ -409,22 +409,6 @@ func (c *Collector) Compact(now time.Duration, classes, merged int, reclaimed in
 		Classes: classes, Merged: merged, Reclaimed: reclaimed})
 }
 
-// Resplit records serve mode splitting this shard's LBA range at the
-// heat-balanced boundary splitOff (shard-local bytes): moved extents
-// carrying movedSlot slot bytes migrated to a new shard, leaving
-// left/right live blocks on the two sides. Emitted by the source
-// shard's collector, so Event.Shard identifies which shard split.
-func (c *Collector) Resplit(now time.Duration, splitOff int64, moved int, movedSlot, left, right int64) {
-	if c == nil {
-		return
-	}
-	c.counters["edc_resplit_total"]++
-	c.counters["edc_resplit_moved_extents_total"] += int64(moved)
-	c.counters["edc_resplit_moved_slot_bytes_total"] += movedSlot
-	c.emit(Event{TUS: now.Microseconds(), Type: EvResplit, Off: splitOff,
-		Records: moved, Slot: movedSlot, LeftBlocks: left, RightBlocks: right})
-}
-
 // DedupHit records a flushed run whose fingerprint matched the extent
 // at targetOff: the run at [off, off+size) mapped by reference and
 // skipped compression and allocation of slot bytes.
@@ -518,40 +502,37 @@ type Report struct {
 
 // counterHelp documents each counter family for the text exposition.
 var counterHelp = map[string]string{
-	"edc_events_total":                   "decision events emitted",
-	"edc_admitted_total":                 "host requests admitted by the frontend",
-	"edc_deferred_total":                 "host requests parked by the closed-loop bound",
-	"edc_sd_merged_total":                "writes merged into a pending run",
-	"edc_sd_flushes_total":               "pending runs flushed, by reason",
-	"edc_estimates_total":                "sampling-estimator verdicts",
-	"edc_policy_runs_total":              "stored runs by selected codec",
-	"edc_slots_total":                    "quantized slot placements by class",
-	"edc_slot_oversize_total":            "runs whose codec output missed the 75% class",
-	"edc_slot_waste_bytes_total":         "slot bytes beyond codec output (internal fragmentation)",
-	"edc_slot_alloc_bytes_total":         "slot bytes allocated",
-	"edc_slot_free_bytes_total":          "slot bytes freed by dead extents",
-	"edc_cache_lookups_total":            "host-cache read lookups by result",
-	"edc_decompress_total":               "read segments requiring decompression, by codec",
-	"edc_faults_total":                   "injected device faults by operation and kind",
-	"edc_retries_total":                  "operations re-issued after transient faults",
-	"edc_degraded_reads_total":           "RAIS5 reads reconstructed from surviving members",
-	"edc_recoveries_total":               "recovery decisions by reason",
-	"edc_maint_recompress_total":         "extents rewritten by background maintenance, by reason",
-	"edc_maint_reclaimed_bytes_total":    "slot bytes reclaimed by cold recompression",
-	"edc_maint_compactions_total":        "allocator free-list compactions",
-	"edc_maint_coalesced_total":          "adjacent free slots merged by compaction",
-	"edc_dedup_hits_total":               "flushed runs deduplicated against an existing extent",
-	"edc_dedup_misses_total":             "flushed runs fingerprinted but unseen in the content index",
-	"edc_dedup_saved_bytes_total":        "slot bytes dedup hits avoided allocating",
-	"edc_dedup_unrefs_total":             "shared extents released on their last unref",
-	"edc_tenant_requests_total":          "tenant-tagged requests admitted, by tenant",
-	"edc_tenant_bytes_total":             "tenant-tagged bytes admitted, by tenant",
-	"edc_tenant_shaped_total":            "requests delayed by a tenant bandwidth schedule",
-	"edc_tenant_shape_delay_us_total":    "virtual microseconds of bandwidth-shaping delay, by tenant",
-	"edc_tenant_rejected_total":          "requests refused admission, by tenant",
-	"edc_resplit_total":                  "serve-mode shard splits at heat-balanced boundaries",
-	"edc_resplit_moved_extents_total":    "extents migrated to new shards by resplits",
-	"edc_resplit_moved_slot_bytes_total": "slot bytes migrated to new shards by resplits",
+	"edc_events_total":                "decision events emitted",
+	"edc_admitted_total":              "host requests admitted by the frontend",
+	"edc_deferred_total":              "host requests parked by the closed-loop bound",
+	"edc_sd_merged_total":             "writes merged into a pending run",
+	"edc_sd_flushes_total":            "pending runs flushed, by reason",
+	"edc_estimates_total":             "sampling-estimator verdicts",
+	"edc_policy_runs_total":           "stored runs by selected codec",
+	"edc_slots_total":                 "quantized slot placements by class",
+	"edc_slot_oversize_total":         "runs whose codec output missed the 75% class",
+	"edc_slot_waste_bytes_total":      "slot bytes beyond codec output (internal fragmentation)",
+	"edc_slot_alloc_bytes_total":      "slot bytes allocated",
+	"edc_slot_free_bytes_total":       "slot bytes freed by dead extents",
+	"edc_cache_lookups_total":         "host-cache read lookups by result",
+	"edc_decompress_total":            "read segments requiring decompression, by codec",
+	"edc_faults_total":                "injected device faults by operation and kind",
+	"edc_retries_total":               "operations re-issued after transient faults",
+	"edc_degraded_reads_total":        "RAIS5 reads reconstructed from surviving members",
+	"edc_recoveries_total":            "recovery decisions by reason",
+	"edc_maint_recompress_total":      "extents rewritten by background maintenance, by reason",
+	"edc_maint_reclaimed_bytes_total": "slot bytes reclaimed by cold recompression",
+	"edc_maint_compactions_total":     "allocator free-list compactions",
+	"edc_maint_coalesced_total":       "adjacent free slots merged by compaction",
+	"edc_dedup_hits_total":            "flushed runs deduplicated against an existing extent",
+	"edc_dedup_misses_total":          "flushed runs fingerprinted but unseen in the content index",
+	"edc_dedup_saved_bytes_total":     "slot bytes dedup hits avoided allocating",
+	"edc_dedup_unrefs_total":          "shared extents released on their last unref",
+	"edc_tenant_requests_total":       "tenant-tagged requests admitted, by tenant",
+	"edc_tenant_bytes_total":          "tenant-tagged bytes admitted, by tenant",
+	"edc_tenant_shaped_total":         "requests delayed by a tenant bandwidth schedule",
+	"edc_tenant_shape_delay_us_total": "virtual microseconds of bandwidth-shaping delay, by tenant",
+	"edc_tenant_rejected_total":       "requests refused admission, by tenant",
 }
 
 // WritePrometheus renders the counters in the Prometheus text

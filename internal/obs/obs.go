@@ -111,12 +111,6 @@ const (
 	// EvAdmitReject: admission control refused a request (Reason
 	// "queue_depth" when the tenant's deferred bound overflowed).
 	EvAdmitReject EventType = "admit_reject"
-	// EvResplit: serve mode split a sustained-hot shard's LBA range at a
-	// quiesced, heat-balanced boundary (Off is the split offset within
-	// the source shard, Records the extents migrated, Slot the slot
-	// bytes migrated, LeftBlocks/RightBlocks the live-block occupancy of
-	// the two halves after the split).
-	EvResplit EventType = "resplit"
 )
 
 // SD flush reasons recorded in Event.Reason.
@@ -241,12 +235,6 @@ type Event struct {
 	// DelayUS is the virtual delay a shape event added, in
 	// microseconds.
 	DelayUS int64 `json:"delay_us,omitempty"`
-	// LeftBlocks is the live-block occupancy kept by the source shard
-	// after a resplit.
-	LeftBlocks int64 `json:"left_blocks,omitempty"`
-	// RightBlocks is the live-block occupancy migrated to the new shard
-	// by a resplit.
-	RightBlocks int64 `json:"right_blocks,omitempty"`
 }
 
 // Tracer consumes pipeline decision events. Implementations must not

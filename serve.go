@@ -148,16 +148,6 @@ func (s *System) ServeStalls() int64 {
 	return s.srv.Stalls()
 }
 
-// ServeShards returns the current shard count: the configured partition
-// width, plus one per heat-balanced resplit so far (WithResplit).
-// Returns 0 when the System is not serving.
-func (s *System) ServeShards() int {
-	if s.srv == nil {
-		return 0
-	}
-	return s.srv.Shards()
-}
-
 // StopServe closes the intake, drains every shard's mailbox and
 // pipeline, and returns the merged Results (the same shape a replay
 // produces, plus Results.SubmitStalls).

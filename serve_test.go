@@ -195,60 +195,6 @@ func TestServeObs(t *testing.T) {
 	}
 }
 
-// TestServeResplit drives a resplit-enabled single-shard System hot
-// enough to split and checks the facade reports the grown shard map and
-// the merged Results carry the split accounting.
-func TestServeResplit(t *testing.T) {
-	s, err := NewSystem(1<<20, WithSSDConfig(smallSSD()),
-		WithResplit(ResplitConfig{MaxShards: 3, Factor: 1, WindowOps: 32, Streak: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Serve(); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for i := 0; i < 512; i++ {
-		off := int64(i%256) * 4096
-		if _, err := s.Write(ctx, off, 4096); err != nil {
-			t.Fatal(err)
-		}
-	}
-	shards := s.ServeShards()
-	if shards < 2 || shards > 3 {
-		t.Fatalf("ServeShards=%d after hot load, want in [2,3]", shards)
-	}
-	res, err := s.StopServe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Resplits != int64(shards-1) {
-		t.Fatalf("Resplits=%d, want %d", res.Resplits, shards-1)
-	}
-	if len(res.ShardLiveBlocks) != shards {
-		t.Fatalf("ShardLiveBlocks has %d entries, want %d", len(res.ShardLiveBlocks), shards)
-	}
-}
-
-// TestResplitValidation checks the config-level incompatibility
-// refusals (verify, dedup, QoS).
-func TestResplitValidation(t *testing.T) {
-	rc := ResplitConfig{}
-	bad := [][]Option{
-		{WithResplit(rc), WithVerify()},
-		{WithResplit(rc), WithDedup(Dedup{})},
-		{WithResplit(rc), WithQoS(QoSConfig{Tenants: map[string]QoSTenant{"a": {}}})},
-	}
-	for i, opts := range bad {
-		if _, err := NewSystem(1<<20, append(opts, WithSSDConfig(smallSSD()))...); err == nil {
-			t.Fatalf("case %d: incompatible resplit config accepted", i)
-		}
-	}
-	if _, err := NewSystem(1<<20, WithResplit(rc), WithSSDConfig(smallSSD())); err != nil {
-		t.Fatalf("resplit alone refused: %v", err)
-	}
-}
-
 // TestServeRejectsPowerCut checks serve mode refuses crash-orchestration
 // fault plans (there is no trace timeline to cut).
 func TestServeRejectsPowerCut(t *testing.T) {
