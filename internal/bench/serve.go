@@ -38,6 +38,9 @@ type ServeParams struct {
 	// but no shaping, isolation, or priority applies — the
 	// interference baseline the qos experiment compares against.
 	NoQoS bool
+
+	// extra options go on top of the ones the fields above render.
+	extra []edc.Option
 }
 
 func (p ServeParams) clients() int {
@@ -180,6 +183,7 @@ func RunServe(p ServeParams) (*ServeResult, error) {
 	if qcfg != nil {
 		opts = append(opts, edc.WithQoS(*qcfg))
 	}
+	opts = append(opts, p.extra...)
 	sys, err := edc.NewSystem(vol, opts...)
 	if err != nil {
 		return nil, err
