@@ -196,8 +196,28 @@ type Future[T any] struct {
 // doing itself. A full channel is first cleared of claimed heads (see
 // offer), so jobs nobody will run do not push f inline.
 func Go[T any](q *Queue, f func() T) *Future[T] {
+	return GoInto(q, nil, f)
+}
+
+// GoInto is Go with the future recycled: fut, unless nil, is a future of
+// this consumer's that is settled (its Wait returned, or Cancel
+// succeeded), and it is re-armed with f instead of allocating a new one.
+// The consumer must be done with the previous result. A pipeline that
+// binds f once per record and keeps the record's future submits without
+// allocating. A settled future may still sit in the channel, claimed and
+// dead; re-arming revives that entry too, so whichever of the two
+// copies is dequeued first runs f, and the other is dropped.
+func GoInto[T any](q *Queue, fut *Future[T], f func() T) *Future[T] {
 	p := q.pool
-	fut := &Future[T]{fn: f, ch: make(chan struct{}, 1), pool: p}
+	if fut == nil {
+		fut = &Future[T]{ch: make(chan struct{}, 1)}
+	} else if !fut.done {
+		panic("parallel: GoInto on a future that has not settled")
+	}
+	var zero T
+	fut.fn, fut.pool, fut.v, fut.done = f, p, zero, false
+	// Publishes fn to whichever goroutine claims it next.
+	fut.claimed.Store(false)
 	if !p.offer(fut) {
 		p.inline.Add(1)
 		fut.run()

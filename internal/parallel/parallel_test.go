@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"edc/internal/race"
 )
 
 func TestSharedPoolRunsAllJobs(t *testing.T) {
@@ -190,6 +192,55 @@ func TestGoAllocsPerJob(t *testing.T) {
 	got := testing.AllocsPerRun(2000, func() { Go(q, func() int { return 1 }).Wait() })
 	if got != 2 {
 		t.Fatalf("Go+Wait allocates %v times per job, want 2", got)
+	}
+}
+
+// A future re-armed by GoInto costs nothing: the job is a function
+// bound once, and the future and its channel are the previous job's.
+func TestGoIntoAllocsPerJob(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	p := NewSharedPool(2)
+	defer p.Close()
+	q := p.NewQueue()
+	job := func() int { return 1 }
+	fut := Go(q, job)
+	fut.Wait()
+	got := testing.AllocsPerRun(2000, func() { GoInto(q, fut, job).Wait() })
+	if got != 0 {
+		t.Fatalf("GoInto+Wait allocates %v times per job, want 0", got)
+	}
+}
+
+// A future its waiter ran inline stays in the channel, claimed. Re-armed,
+// both copies are live: the job must still run exactly once, and Wait
+// must return its result, whichever copy a goroutine takes first.
+func TestGoIntoRevivesStaleEntry(t *testing.T) {
+	p := NewSharedPool(1)
+	defer p.Close()
+	q := p.NewQueue()
+	for round := 0; round < 50; round++ {
+		release := blockWorker(q)
+		var ran atomic.Int32
+		fut := Go(q, func() int { ran.Add(1); return -1 })
+		if got := fut.Wait(); got != -1 { // claimed and run here; its entry stays queued
+			t.Fatalf("round %d: first job returned %d", round, got)
+		}
+		fut = GoInto(q, fut, func() int { ran.Add(1); return round })
+		if round%2 == 1 {
+			release() // the worker may take the stale copy before Wait
+			runtime.Gosched()
+		}
+		if got := fut.Wait(); got != round {
+			t.Fatalf("round %d: re-armed job returned %d", round, got)
+		}
+		if round%2 == 0 {
+			release()
+		}
+		if n := ran.Load(); n != 2 {
+			t.Fatalf("round %d: %d runs of two jobs", round, n)
+		}
 	}
 }
 
