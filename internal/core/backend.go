@@ -39,6 +39,26 @@ type Backend struct {
 
 	fobs   *obs.Collector
 	fstats *RunStats
+
+	free []*memberOp // recycled member-operation records
+}
+
+// memberOp is one member operation in its queue: the outcome to report
+// and the callback to report it to. fire, its completion, is bound once
+// per record, and the record is recycled before the callback runs.
+type memberOp struct {
+	b    *Backend
+	done func(err error)
+	ferr *fault.Error
+	fire func(_, _ time.Duration)
+}
+
+// finish recycles the record and reports the outcome.
+func (op *memberOp) finish(_, _ time.Duration) {
+	done, err := op.done, op.ferr.AsError()
+	op.done, op.ferr = nil, nil
+	op.b.free = append(op.b.free, op)
+	done(err)
 }
 
 // member is one device under a Backend — an SSD or a disk; exactly one
@@ -229,7 +249,16 @@ func (b *Backend) submit(i int, write bool, off, bytes int64, extra time.Duratio
 		}})
 		return
 	}
-	m.st.Submit(sim.Job{Service: svc + extra, Done: func(_, _ time.Duration) { done(ferr.AsError()) }})
+	var op *memberOp
+	if n := len(b.free); n > 0 {
+		op = b.free[n-1]
+		b.free = b.free[:n-1]
+	} else {
+		op = &memberOp{b: b}
+		op.fire = op.finish
+	}
+	op.done, op.ferr = done, ferr
+	m.st.Submit(sim.Job{Service: svc + extra, Done: op.fire})
 }
 
 // degradedRead reconstructs member failed's stripe unit by reading the

@@ -67,8 +67,7 @@ func (s *MultiStation) dispatch() {
 	for s.busy < s.workers && len(s.queue) > 0 {
 		j := s.queue[0]
 		arr := s.arrivals[0]
-		s.queue = s.queue[1:]
-		s.arrivals = s.arrivals[1:]
+		s.queue, s.arrivals = popFront(s.queue), popFront(s.arrivals)
 		s.busy++
 		start := s.eng.Now()
 		s.waitTime += start - arr

@@ -230,11 +230,18 @@ type Station struct {
 	maxQueue  int
 	lastStart time.Duration
 	arrivals  []time.Duration // parallel to queue: arrival times of queued jobs
+
+	// cur is the job in service (started at lastStart); finish, its
+	// completion event, is bound once.
+	cur    Job
+	finish func()
 }
 
 // NewStation returns an idle station attached to e.
 func NewStation(e *Engine, name string) *Station {
-	return &Station{eng: e, name: name}
+	s := &Station{eng: e, name: name}
+	s.finish = s.complete
+	return s
 }
 
 // Name returns the station's name.
@@ -267,26 +274,42 @@ func (s *Station) startNext() {
 	}
 	j := s.queue[0]
 	arr := s.arrivals[0]
-	s.queue = s.queue[1:]
-	s.arrivals = s.arrivals[1:]
+	s.queue, s.arrivals = popFront(s.queue), popFront(s.arrivals)
 	s.busy = true
 	start := s.eng.Now()
 	s.lastStart = start
 	s.waitTime += start - arr
-	s.eng.ScheduleAfter(j.Service, func() {
-		end := s.eng.Now()
-		s.jobs++
-		s.busyTime += end - start
-		if j.Done != nil {
-			j.Done(start, end)
-		}
-		s.startNext()
-	})
+	s.cur = j
+	s.eng.ScheduleAfter(j.Service, s.finish)
+}
+
+// complete ends the job in service and starts the next.
+func (s *Station) complete() {
+	j, start, end := s.cur, s.lastStart, s.eng.Now()
+	s.cur = Job{}
+	s.jobs++
+	s.busyTime += end - start
+	if j.Done != nil {
+		j.Done(start, end)
+	}
+	s.startNext()
 }
 
 // QueueLen returns the number of waiting jobs (excluding the one in
 // service).
 func (s *Station) QueueLen() int { return len(s.queue) }
+
+// popFront drops q's head. A queue that empties restarts at the front of
+// its array, so a station that is mostly idle or one job deep appends
+// into the same array instead of sliding off its end into a new one.
+func popFront[T any](q []T) []T {
+	var zero T
+	q[0] = zero // release what the job holds
+	if len(q) == 1 {
+		return q[:0]
+	}
+	return q[1:]
+}
 
 // Busy reports whether the server is occupied.
 func (s *Station) Busy() bool { return s.busy }
