@@ -406,7 +406,7 @@ func (d *Device) close() {
 	s.LiveSlotBytes = d.se.alloc.InUse()
 	s.PeakSlotBytes = d.se.alloc.PeakUse()
 	s.DeadSlotBytes = d.se.mapping.DeadSlotBytes()
-	s.AllocClasses = len(d.se.alloc.SizeClasses())
+	s.AllocClasses = d.se.alloc.classCount()
 	s.SDMerged = d.wp.sd.Merged()
 	s.CPU = d.cpu.Stats()
 	s.Cache = d.wp.hostCache.Stats()

@@ -123,7 +123,7 @@ func (mt *maintainer) step(now time.Duration, budget int) int {
 			started++
 		}
 	}
-	if classes := len(d.se.alloc.SizeClasses()); classes >= mt.cfg.CompactClasses {
+	if classes := d.se.alloc.classCount(); classes >= mt.cfg.CompactClasses {
 		coalesced, reclaimed := d.se.alloc.Compact()
 		if coalesced > 0 || reclaimed > 0 {
 			d.stats.MaintCompactions++
@@ -238,9 +238,7 @@ func (mt *maintainer) commit(e, newExt *Extent, reason string, err error) {
 		// accounting sees the alloc without a free, matching the write
 		// path's treatment of abandoned slots.)
 		d.se.alloc.Free(newExt.DevOff, newExt.SlotLen)
-		if d.se.payloads != nil {
-			delete(d.se.payloads, newExt)
-		}
+		d.se.dropPayload(newExt)
 		mt.abort(e)
 		return
 	}

@@ -60,6 +60,11 @@ type Extent struct {
 	// hasSum (dedup enabled and the extent went through the write path).
 	sum    dedup.Sum
 	hasSum bool
+
+	// pins counts the verified reads whose check of the extent's payload
+	// snapshot has not settled (storeEngine.pin); the snapshot's buffer
+	// is recycled only once the extent has died and pins is 0.
+	pins int32
 }
 
 // Compressed reports whether the extent stores transformed data.
@@ -375,10 +380,14 @@ type ReadSegment struct {
 // holes) it touches. Adjacent blocks of the same extent collapse into a
 // single segment, so each extent is fetched and decompressed once.
 func (m *Mapping) ReadPlan(off, size int64) ([]ReadSegment, error) {
+	return m.appendReadPlan(nil, off, size)
+}
+
+// appendReadPlan is ReadPlan appending to plan.
+func (m *Mapping) appendReadPlan(plan []ReadSegment, off, size int64) ([]ReadSegment, error) {
 	if err := m.checkRange(off, size); err != nil {
-		return nil, err
+		return plan, err
 	}
-	var plan []ReadSegment
 	first := off / BlockSize
 	n := size / BlockSize
 	for b := first; b < first+n; b++ {

@@ -36,22 +36,78 @@ type readPath struct {
 	// Real-CPU pipeline: verify-mode decompression dispatched at read
 	// submission runs on pool workers while the event loop advances
 	// virtual time. The completion event does not wait for it: it parks
-	// the future in lag (lag.go), which joins only its oldest entry when
-	// full and drains at every exit. A mismatch is therefore reported
-	// up to the ring's depth of verified extents after the bad one
-	// completed (or at the exit), a point fixed by the operation order.
-	// The bound is in extents, not in time: a serve shard that goes idle
-	// keeps its parked verifications unjoined until its next verified read
-	// or StopServe (DESIGN.md §16). The ring exists only while the store
-	// engine holds a pool queue; without one the check runs inline at the
-	// completion event, not through async, so the operation that fails
+	// the segment's future in lag (lag.go), which joins only its oldest
+	// entry when full and drains at every exit. A mismatch is therefore
+	// reported up to the ring's depth of verified extents after the bad
+	// one completed (or at the exit), a point fixed by the operation
+	// order. The bound is in extents, not in time: a serve shard that
+	// goes idle keeps its parked verifications unjoined until its next
+	// verified read or StopServe (DESIGN.md §16). The ring exists only
+	// while the store engine holds a pool queue; without one the check
+	// runs inline at the completion event, so the operation that fails
 	// stays the one whose completion ran the check.
-	lag *lagRing[verifyResult]
+	lag *lagRing[*readSeg]
+
+	// ops and segs recycle the per-read records (event-loop goroutine
+	// only). A record abandoned by a power cut is never returned. plan is
+	// the read plan's scratch, lent to one read at a time.
+	ops  []*readOp
+	segs []*readSeg
+	plan []ReadSegment
 
 	// complete finishes one host read; drop releases a read without
 	// observing it on a failed run.
 	complete func(resp time.Duration)
 	drop     func(n int)
+}
+
+// readOp is one host read in flight: the request, its completion
+// callback and the count of device segments still outstanding. Records
+// are pooled and hit, the cache-hit completion, is bound once per
+// record, as serveOp binds its callbacks.
+type readOp struct {
+	rp        *readPath
+	arrival   time.Duration
+	off, size int64
+	done      func(time.Duration)
+	remaining int
+	hit       func()
+}
+
+// readSeg is one device read of a host read: a hole, a raw extent or a
+// compressed one. Its callbacks — the device completion, the retry, the
+// end of decompression and the pool job that verifies — are bound once
+// per record, and fut is re-armed (parallel.GoInto) rather than
+// allocated, so a steady-state verified read allocates nothing. A
+// segment with a verification on the pool is returned to the free list
+// only when the lag ring settles it.
+type readSeg struct {
+	rp *readPath
+	op *readOp
+
+	// The device read and its logical range (for the event stream).
+	devOff, bytes int64
+	extra         time.Duration
+	off, size     int64
+	attempt       int
+
+	// ext is the compressed extent decoded (nil for a hole or a raw
+	// extent), cpu the host decompression time after the transfer.
+	ext *Extent
+	cpu time.Duration
+
+	// Verify mode: payload is the snapshot pinned at submission; res is
+	// the verification's outcome and scratch buffers, owned by the pool
+	// job while lagged is set and fut unsettled.
+	payload []byte
+	res     verifyResult
+	lagged  bool
+	fut     *parallel.Future[*readSeg]
+
+	ioDone  func(err error)
+	retry   func()
+	decoded func(_, _ time.Duration)
+	job     func() *readSeg
 }
 
 // finishRead completes one host read: the optional per-operation done
@@ -62,6 +118,63 @@ func (rp *readPath) finishRead(done func(time.Duration), resp time.Duration) {
 		done(resp)
 	}
 	rp.complete(resp)
+}
+
+// newOp takes a read record from the free list, or makes one.
+func (rp *readPath) newOp(arrival time.Duration, off, size int64, done func(time.Duration)) *readOp {
+	var op *readOp
+	if n := len(rp.ops); n > 0 {
+		op = rp.ops[n-1]
+		rp.ops = rp.ops[:n-1]
+	} else {
+		op = &readOp{rp: rp}
+		op.hit = func() { op.finish() }
+	}
+	op.arrival, op.off, op.size, op.done = arrival, off, size, done
+	return op
+}
+
+// finish completes the read and recycles its record. The record goes
+// back only after the completion callbacks, which may admit a read that
+// would otherwise take it while it is still in use.
+func (op *readOp) finish() {
+	rp := op.rp
+	rp.finishRead(op.done, rp.eng.Now()-op.arrival)
+	op.done = nil
+	rp.ops = append(rp.ops, op)
+}
+
+// segDone counts one segment complete; the last fills the host cache and
+// completes the read.
+func (op *readOp) segDone() {
+	if op.remaining--; op.remaining == 0 {
+		op.rp.hostCache.InsertRange(op.off, op.size)
+		op.finish()
+	}
+}
+
+// newSeg takes a segment record of op from the free list, or makes one
+// with its callbacks bound.
+func (rp *readPath) newSeg(op *readOp) *readSeg {
+	var s *readSeg
+	if n := len(rp.segs); n > 0 {
+		s = rp.segs[n-1]
+		rp.segs = rp.segs[:n-1]
+	} else {
+		s = &readSeg{rp: rp}
+		s.ioDone = s.onIO
+		s.retry = s.submit
+		s.decoded = s.onDecoded
+		s.job = s.verify
+	}
+	s.op = op
+	return s
+}
+
+// putSeg recycles a segment record the pipeline is done with.
+func (rp *readPath) putSeg(s *readSeg) {
+	s.op, s.ext, s.payload, s.res, s.lagged = nil, nil, nil, verifyResult{}, false
+	rp.segs = append(rp.segs, s)
 }
 
 // read plans and issues one host read. Fully cached reads are served
@@ -77,113 +190,138 @@ func (rp *readPath) read(arrival time.Duration, off, size int64, done func(time.
 		rp.obs.CacheLookup(rp.eng.Now(), off, size, hit)
 	}
 	if hit {
-		rp.eng.ScheduleAfter(CacheHitLatency, func() {
-			rp.finishRead(done, rp.eng.Now()-arrival)
-		})
+		rp.eng.ScheduleAfter(CacheHitLatency, rp.newOp(arrival, off, size, done).hit)
 		return
 	}
-	plan, err := rp.se.mapping.ReadPlan(off, size)
+	plan, err := rp.se.mapping.appendReadPlan(rp.plan[:0], off, size)
+	// A read issued from a completion below plans into a scratch of its
+	// own.
+	rp.plan = nil
+	defer func() { rp.plan = plan[:0] }()
 	if err != nil {
 		rp.fs.fail(err)
 		rp.drop(1)
 		return
 	}
-	remaining := len(plan)
-	if remaining == 0 {
+	if len(plan) == 0 {
 		rp.finishRead(done, rp.eng.Now()-arrival)
 		return
 	}
-	complete := func() {
-		remaining--
-		if remaining == 0 {
-			rp.hostCache.InsertRange(off, size)
-			rp.finishRead(done, rp.eng.Now()-arrival)
-		}
-	}
+	op := rp.newOp(arrival, off, size, done)
+	op.remaining = len(plan)
 	for _, seg := range plan {
 		if seg.Ext != nil {
 			rp.se.touch(seg.Ext)
 		}
+		// A segment that completes at once may complete op: op is not
+		// touched after the last segment is issued.
+		s := rp.newSeg(op)
 		switch {
 		case seg.Ext == nil:
 			// Hole: the device still transfers zero pages.
-			rp.issueRead(0, seg.Bytes, 0, off, seg.Bytes, 0, complete)
+			s.devOff, s.bytes, s.extra, s.off, s.size = 0, seg.Bytes, 0, off, seg.Bytes
 		case seg.Ext.Tag == compress.TagNone:
-			rp.issueRead(seg.Ext.DevOff, seg.Bytes, 0, seg.Ext.Offset, seg.Bytes, 0, complete)
+			s.devOff, s.bytes, s.extra, s.off, s.size = seg.Ext.DevOff, seg.Bytes, 0, seg.Ext.Offset, seg.Bytes
 		default:
 			ext := seg.Ext
 			if rp.obs != nil {
 				rp.obs.Decompress(rp.eng.Now(), ext.Offset, ext.OrigLen, tagName(rp.reg, ext.Tag), ext.CompLen)
 			}
-			// Snapshot the payload now: an overwrite may free the extent
-			// while this read is in flight (the host still gets the data
-			// captured at submission time). With a worker pool, the whole
-			// verification (decompress + regenerate + compare) is pure CPU
-			// work over that immutable snapshot, so it is dispatched here
-			// and parked at the completion event — the freelist buffers are
-			// taken and returned on the event-loop goroutine only.
-			var vfut *parallel.Future[verifyResult]
-			var payload []byte
+			// Pin the payload snapshot now: an overwrite may kill the
+			// extent while this read is in flight (the host still gets the
+			// data captured at submission time), and the pin keeps its
+			// buffer from being recycled until the check settles. With a
+			// worker pool, the whole verification (decompress + regenerate
+			// + compare) is pure CPU work over that immutable snapshot, so
+			// it is dispatched here and parked at the completion event —
+			// the freelist buffers are taken and returned on the
+			// event-loop goroutine only.
+			s.ext = ext
 			if rp.verify {
-				payload = rp.se.payload(ext)
+				s.payload = rp.se.pin(ext)
 				if rp.se.pool != nil {
-					p, got, want := payload, rp.se.getBuf(), rp.se.getBuf()
-					vfut = parallel.Go(rp.se.pool, func() verifyResult {
-						return rp.verifyExtentWork(ext, p, got, want)
-					})
+					s.res.got, s.res.want, s.lagged = rp.se.getBuf(), rp.se.getBuf(), true
+					s.fut = parallel.GoInto(rp.se.pool, s.fut, s.job)
 				}
-			}
-			decoded := func(_, _ time.Duration) {
-				switch {
-				case !rp.verify:
-				case vfut != nil:
-					rp.lag.park(vfut)
-				default:
-					rp.verifyExtent(ext, payload)
-				}
-				complete()
 			}
 			// Decompression is host CPU time after the transfer, or rides
 			// on the transfer itself when the device's codec engine does it.
-			cpu, extra := rp.se.charge.decompress(ext.Tag, ext.OrigLen)
-			rp.issueRead(ext.DevOff, ext.CompLen, extra, ext.Offset, ext.OrigLen, 0, func() { hostTime(rp.cpu, cpu, decoded) })
+			var extra time.Duration
+			s.cpu, extra = rp.se.charge.decompress(ext.Tag, ext.OrigLen)
+			s.devOff, s.bytes, s.extra, s.off, s.size = ext.DevOff, ext.CompLen, extra, ext.Offset, ext.OrigLen
 		}
+		s.attempt = 0
+		s.submit()
 	}
 }
 
-// issueRead submits one device read and reacts to the outcome: a
-// transient fault retries after a virtual-time backoff; a hard fault
-// that survived the backend's own redundancy (RAIS5 reconstructs
-// internally and reports success) means the data is gone — the read is
-// served anyway so the replay continues, and the loss is counted in
-// UnrecoveredReads. off/size locate the logical range for the event
-// stream.
-func (rp *readPath) issueRead(devOff, bytes int64, extra time.Duration, off, size int64, attempt int, done func()) {
-	rp.se.be.Read(devOff, bytes, extra, func(err error) {
-		switch {
-		case err == nil:
-			done()
-		case errors.Is(err, fault.ErrTransient) && attempt < maxRetries:
-			rp.stats.FaultRetries++
-			rp.obs.Retry(rp.eng.Now(), "read", off, size, attempt+1)
-			rp.eng.ScheduleAfter(retryBackoff<<attempt, func() {
-				rp.issueRead(devOff, bytes, extra, off, size, attempt+1, done)
-			})
-		default:
-			rp.stats.UnrecoveredReads++
-			rp.obs.Recover(rp.eng.Now(), obs.RecoverReadAbandon, off, size, 0)
-			done()
-		}
-	})
+// submit issues the segment's device read (again, on a retry).
+func (s *readSeg) submit() {
+	s.rp.se.be.Read(s.devOff, s.bytes, s.extra, s.ioDone)
 }
 
-// settleVerify recycles a joined verification's buffers and records a
-// mismatch.
-func (rp *readPath) settleVerify(res verifyResult) {
-	rp.se.putBuf(res.got)
-	rp.se.putBuf(res.want)
-	if res.err != nil {
-		rp.fs.fail(res.err)
+// onIO reacts to the device read's outcome: a transient fault retries
+// after a virtual-time backoff; a hard fault that survived the backend's
+// own redundancy (RAIS5 reconstructs internally and reports success)
+// means the data is gone — the read is served anyway so the replay
+// continues, and the loss is counted in UnrecoveredReads.
+func (s *readSeg) onIO(err error) {
+	rp := s.rp
+	switch {
+	case err == nil:
+	case errors.Is(err, fault.ErrTransient) && s.attempt < maxRetries:
+		rp.stats.FaultRetries++
+		rp.obs.Retry(rp.eng.Now(), "read", s.off, s.size, s.attempt+1)
+		rp.eng.ScheduleAfter(retryBackoff<<s.attempt, s.retry)
+		s.attempt++
+		return
+	default:
+		rp.stats.UnrecoveredReads++
+		rp.obs.Recover(rp.eng.Now(), obs.RecoverReadAbandon, s.off, s.size, 0)
+	}
+	if s.ext == nil {
+		op := s.op
+		rp.putSeg(s)
+		op.segDone()
+		return
+	}
+	hostTime(rp.cpu, s.cpu, s.decoded)
+}
+
+// onDecoded ends a compressed segment: its verification is parked
+// (pooled), run inline, or absent, then the segment counts complete.
+func (s *readSeg) onDecoded(_, _ time.Duration) {
+	rp, op := s.rp, s.op
+	switch {
+	case !rp.verify:
+		rp.putSeg(s)
+	case s.lagged:
+		rp.lag.park(s.fut)
+	default:
+		s.res = rp.verifyExtentWork(s.ext, s.payload, rp.se.getBuf(), rp.se.getBuf())
+		rp.settleVerify(s)
+	}
+	op.segDone()
+}
+
+// verify is the segment's pool job: it reads only the pinned snapshot,
+// the extent's placement-time fields and its own scratch buffers.
+func (s *readSeg) verify() *readSeg {
+	s.res = s.rp.verifyExtentWork(s.ext, s.payload, s.res.got, s.res.want)
+	return s
+}
+
+// settleVerify ends a verification: its scratch buffers go back to the
+// freelist, its pin is released, the segment is recycled and a mismatch
+// fails the run.
+func (rp *readPath) settleVerify(s *readSeg) {
+	rp.se.putBuf(s.res.got)
+	rp.se.putBuf(s.res.want)
+	rp.se.unpin(s.ext, s.payload)
+	err := s.res.err
+	rp.putSeg(s)
+	if err != nil {
+		rp.fs.fail(err)
 	}
 }
 
@@ -194,13 +332,6 @@ func tagName(reg *compress.Registry, tag compress.Tag) string {
 		return c.Name()
 	}
 	return fmt.Sprintf("tag%d", tag)
-}
-
-// verifyExtent decompresses the payload snapshot taken at read submission
-// and compares it with the regenerated original content (the inline,
-// no-pool path; buffers come from and return to the freelist here).
-func (rp *readPath) verifyExtent(ext *Extent, payload []byte) {
-	rp.settleVerify(rp.verifyExtentWork(ext, payload, rp.se.getBuf(), rp.se.getBuf()))
 }
 
 // verifyResult carries a completed verification back to the event loop:

@@ -210,6 +210,7 @@ func RecoverDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options
 	// regenerated content for post-recovery writes never collides with
 	// pre-crash versions of the same blocks.
 	var maxVer uint32
+	var content, payload []byte // scratch, reused across extents
 	m.eachExtent(func(e *Extent) {
 		if e.Version >= maxVer {
 			maxVer = e.Version + 1
@@ -222,7 +223,7 @@ func RecoverDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options
 		// Regenerate the stored bytes (content is a pure function of
 		// offset/length/version, so they match what the pre-crash device
 		// stored).
-		content := d.wp.data.AppendBlock(nil, e.Offset, int(e.OrigLen), e.Version)
+		content = d.wp.data.AppendBlock(content[:0], e.Offset, int(e.OrigLen), e.Version)
 		if d.se.dedup != nil {
 			// Rebuild the content index: fingerprint every surviving
 			// extent and register it, first-wins in table order —
@@ -239,7 +240,8 @@ func RecoverDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options
 		if codec, err = d.rp.reg.ByTag(e.Tag); err != nil {
 			return
 		}
-		d.se.payloads[e] = compress.AppendCompress(codec, nil, content)
+		payload = compress.AppendCompress(codec, payload[:0], content)
+		d.se.keepPayload(e, payload)
 	})
 	if err != nil {
 		return nil, err
