@@ -60,14 +60,7 @@ func (e *Estimator) EstimateRatio(data []byte) float64 {
 	if n == 0 {
 		return 1
 	}
-	ss := e.SampleSize
-	if ss <= 0 {
-		ss = stdWindow
-	}
-	k := e.Samples
-	if k <= 0 {
-		k = 3
-	}
+	ss, k := e.windows()
 	if ss*k >= n {
 		return e.estimateWindow(data)
 	}
@@ -83,6 +76,30 @@ func (e *Estimator) EstimateRatio(data []byte) float64 {
 		sum += e.estimateWindow(data[off : off+ss])
 	}
 	return sum / float64(k)
+}
+
+// windows returns the window size and count, defaults applied.
+func (e *Estimator) windows() (size, count int) {
+	size, count = e.SampleSize, e.Samples
+	if size <= 0 {
+		size = stdWindow
+	}
+	if count <= 0 {
+		count = 3
+	}
+	return size, count
+}
+
+// sampledPrefix is how many leading bytes of an n-byte block
+// EstimateRatio reads: up to the end of its last window, or all n when
+// the windows cover the block. The estimate of a block whose bytes past
+// that prefix are anything at all is the estimate of the block.
+func (e *Estimator) sampledPrefix(n int) int {
+	ss, k := e.windows()
+	if ss*k >= n {
+		return n
+	}
+	return (k-1)*((n-ss)/k) + ss
 }
 
 // estimateWindow predicts the ratio of one window.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"edc/internal/datagen"
 	"edc/internal/parallel"
 )
@@ -82,10 +84,15 @@ type rawBatch struct {
 	job     func() *rawBatch // run, bound once
 }
 
-// run generates and estimates every run of the batch.
+// run estimates every run of the batch. It generates only the prefix of
+// each run the estimator reads, into a buffer grown to the run's length:
+// the bytes past the prefix are stale scratch the estimate never sees.
 func (b *rawBatch) run() *rawBatch {
 	for i, r := range b.runs {
-		b.buf = b.data.AppendBlock(b.buf[:0], r.key.off, int(r.key.size), r.key.ver)
+		n := int(r.key.size)
+		p := b.est.sampledPrefix(n)
+		b.buf = b.data.AppendBlock(b.buf[:0], r.key.off, p, r.key.ver)
+		b.buf = slices.Grow(b.buf, n-p)[:n]
 		b.through[i] = b.est.EstimateRatio(b.buf) < WriteThroughRatio
 	}
 	return b

@@ -319,3 +319,36 @@ func TestCloneSelectionStable(t *testing.T) {
 		t.Fatalf("ratio 0.5 over 64 regions: %d clones, %d unique; want both > 0", clones, unique)
 	}
 }
+
+// TestAppendBlockPrefix holds the property a sampled estimate relies on:
+// generating the first p bytes of a block gives exactly the first p bytes
+// of generating all n, for every class, inside a region and across a
+// region boundary into a region of every class.
+func TestAppendBlockPrefix(t *testing.T) {
+	g := New(Enterprise(), 5)
+	first := map[Class]int64{} // class -> the first region of it
+	for r := int64(1); len(first) < int(numClasses) && r < 1<<12; r++ {
+		if c := g.ClassAt(r * classGrain); first[c] == 0 {
+			first[c] = r
+		}
+	}
+	if len(first) < int(numClasses) {
+		t.Fatalf("found regions of only %d of %d classes", len(first), numClasses)
+	}
+	const n = 4096
+	var whole, part []byte
+	for c, r := range first {
+		// Inside the region, and straddling the boundary out of the
+		// region before it into this one.
+		for _, off := range []int64{r*classGrain + 8192, r*classGrain - n/2 - 5} {
+			whole = g.AppendBlock(whole[:0], off, n, 3)
+			for _, p := range []int{1, 7, 256, n/2 - 1, n / 2, n/2 + 9, 2816, n - 1} {
+				part = g.AppendBlock(part[:0], off, p, 3)
+				if !bytes.Equal(part, whole[:p]) {
+					t.Fatalf("%v region at %d: AppendBlock(%d, %d) is not the first %d bytes of AppendBlock(%d, %d)",
+						c, r*classGrain, off, p, p, off, n)
+				}
+			}
+		}
+	}
+}
