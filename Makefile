@@ -59,7 +59,9 @@ matrixcheck:
 # a two-worker pool with the write path's trace lookahead (workers-2);
 # BenchmarkServeHandoff times the serve hand-off on cache hits (hits) and
 # on serve-hot-small's 90/10 mix, whose raw writes show the event loop's
-# per-write cost (mix).
+# per-write cost (mix); BenchmarkVerifiedRead times one steady-state
+# verified read of a compressed 8 KiB extent, its pool job included (0
+# allocs/op: TestVerifiedReadAllocs holds it there).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/compress/... ./internal/datagen ./internal/trace ./internal/workload ./internal/core ./internal/parallel
 

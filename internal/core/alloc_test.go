@@ -180,7 +180,7 @@ func TestFreeBytesAccounting(t *testing.T) {
 	if a.FreeBytes() != 10240 {
 		t.Fatalf("free after free = %d", a.FreeBytes())
 	}
-	if len(a.SizeClasses()) != 1 {
-		t.Fatalf("size classes = %v", a.SizeClasses())
+	if n := a.classCount(); n != 1 {
+		t.Fatalf("%d size classes, want 1", n)
 	}
 }
