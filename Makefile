@@ -61,9 +61,11 @@ matrixcheck:
 # on serve-hot-small's 90/10 mix, whose raw writes show the event loop's
 # per-write cost (mix); BenchmarkVerifiedRead times one steady-state
 # verified read of a compressed 8 KiB extent, its pool job included (0
-# allocs/op: TestVerifiedReadAllocs holds it there).
+# allocs/op: TestVerifiedReadAllocs holds it there); BenchmarkWrite4K
+# times one 4 KiB flash write through the FTL and BenchmarkNew builds a
+# default 2 GiB SSD model (page-map chunks come with the first write).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/compress/... ./internal/datagen ./internal/trace ./internal/workload ./internal/core ./internal/parallel
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/compress/... ./internal/datagen ./internal/trace ./internal/workload ./internal/core ./internal/parallel ./internal/ssd
 
 # Ten seconds of fuzzing per target: the payload RNG against math/rand,
 # the two trace parsers (whose past crashers are in testdata/fuzz; the SPC

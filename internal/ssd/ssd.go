@@ -13,6 +13,7 @@ package ssd
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -32,12 +33,13 @@ type Config struct {
 	GCHighWater float64 // GC reclaims until this free fraction is reached
 }
 
-// DefaultConfig models an Intel X25-E-class SLC SATA device, scaled to a
-// 2 GiB address space so simulations stay laptop-sized. The timing
-// constants preserve the X25-E's externally visible characteristics
-// (~75 µs read / ~85 µs buffered write per 4 KiB, ~250 MB/s interface);
-// the deeper write penalty of flash shows up through garbage collection
-// (page relocations and multi-millisecond erases), as in real devices.
+// DefaultConfig models an Intel X25-E-class SLC SATA device with a 2 GiB
+// address space; the model's memory follows the pages written, not this
+// capacity (see pageMap). The timing constants preserve the X25-E's
+// externally visible characteristics (~75 µs read / ~85 µs buffered
+// write per 4 KiB, ~250 MB/s interface); the deeper write penalty of
+// flash shows up through garbage collection (page relocations and
+// multi-millisecond erases), as in real devices.
 func DefaultConfig() Config {
 	return Config{
 		PageSize:        4096,
@@ -62,6 +64,8 @@ func (c Config) Validate() error {
 		return errors.New("ssd: PagesPerBlock must be positive")
 	case c.Blocks < 4:
 		return errors.New("ssd: need at least 4 blocks")
+	case c.Blocks > math.MaxInt32/c.PagesPerBlock:
+		return errors.New("ssd: Blocks*PagesPerBlock overflows int32 page numbers")
 	case c.OverProvision < 0 || c.OverProvision >= 0.5:
 		return errors.New("ssd: OverProvision out of range [0, 0.5)")
 	case c.TransferBW <= 0:
@@ -94,7 +98,45 @@ func (s Stats) WriteAmplification() float64 {
 
 const (
 	ppnInvalid = int32(-1)
+
+	chunkShift = 12 // 4 096 entries, 16 KiB per page-map chunk
+	chunkLen   = 1 << chunkShift
 )
+
+// pageMap maps page numbers to page numbers in chunks allocated on first
+// write, so its memory follows the pages written rather than the device
+// capacity. An untouched entry reads ppnInvalid, and storing ppnInvalid
+// into an untouched chunk allocates nothing.
+type pageMap struct {
+	chunks []*[chunkLen]int32
+}
+
+func newPageMap(n int32) pageMap {
+	return pageMap{chunks: make([]*[chunkLen]int32, (int(n)+chunkLen-1)>>chunkShift)}
+}
+
+func (m *pageMap) get(i int32) int32 {
+	c := m.chunks[i>>chunkShift]
+	if c == nil {
+		return ppnInvalid
+	}
+	return c[i&(chunkLen-1)]
+}
+
+func (m *pageMap) set(i, v int32) {
+	c := m.chunks[i>>chunkShift]
+	if c == nil {
+		if v == ppnInvalid {
+			return
+		}
+		c = new([chunkLen]int32)
+		for j := range c {
+			c[j] = ppnInvalid
+		}
+		m.chunks[i>>chunkShift] = c
+	}
+	c[i&(chunkLen-1)] = v
+}
 
 type blockState struct {
 	valid  int32 // valid pages in this block
@@ -110,8 +152,8 @@ type SSD struct {
 	logicalPages int32
 	totalPages   int32
 
-	l2p []int32 // logical page -> physical page (ppnInvalid if unmapped)
-	p2l []int32 // physical page -> logical page (ppnInvalid if free/stale)
+	l2p pageMap // logical page -> physical page (ppnInvalid if unmapped)
+	p2l pageMap // physical page -> logical page (ppnInvalid if free/stale)
 
 	blocks     []blockState
 	active     int32 // block currently receiving writes
@@ -120,7 +162,8 @@ type SSD struct {
 	stats Stats
 }
 
-// New creates a device with all pages free.
+// New creates a device with all pages free. It allocates the block array
+// and the page maps' chunk directories; chunks come with the first write.
 func New(cfg Config) (*SSD, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -131,16 +174,10 @@ func New(cfg Config) (*SSD, error) {
 		cfg:          cfg,
 		logicalPages: logical,
 		totalPages:   total,
-		l2p:          make([]int32, logical),
-		p2l:          make([]int32, total),
+		l2p:          newPageMap(logical),
+		p2l:          newPageMap(total),
 		blocks:       make([]blockState, cfg.Blocks),
 		freeBlocks:   int32(cfg.Blocks),
-	}
-	for i := range d.l2p {
-		d.l2p[i] = ppnInvalid
-	}
-	for i := range d.p2l {
-		d.p2l[i] = ppnInvalid
 	}
 	d.active = 0
 	d.freeBlocks-- // active block is allocated
@@ -222,14 +259,14 @@ func (d *SSD) Trim(lpn int64, n int64) error {
 
 // invalidate drops the current mapping of logical page l, if any.
 func (d *SSD) invalidate(l int32) {
-	ppn := d.l2p[l]
+	ppn := d.l2p.get(l)
 	if ppn == ppnInvalid {
 		return
 	}
 	b := ppn / int32(d.cfg.PagesPerBlock)
 	d.blocks[b].valid--
-	d.p2l[ppn] = ppnInvalid
-	d.l2p[l] = ppnInvalid
+	d.p2l.set(ppn, ppnInvalid)
+	d.l2p.set(l, ppnInvalid)
 }
 
 // writePage maps logical page l to a fresh physical page, returning any
@@ -238,8 +275,8 @@ func (d *SSD) writePage(l int32) time.Duration {
 	d.invalidate(l)
 	gcTime := d.ensureSpace()
 	ppn := d.allocPage()
-	d.l2p[l] = ppn
-	d.p2l[ppn] = l
+	d.l2p.set(l, ppn)
+	d.p2l.set(ppn, l)
 	b := ppn / int32(d.cfg.PagesPerBlock)
 	d.blocks[b].valid++
 	return gcTime
@@ -327,16 +364,16 @@ func (d *SSD) collect(victim int32) time.Duration {
 	start := victim * ppb
 	var moved int64
 	for p := start; p < start+ppb; p++ {
-		l := d.p2l[p]
+		l := d.p2l.get(p)
 		if l == ppnInvalid {
 			continue
 		}
 		// Relocate: read + program into the active block.
-		d.p2l[p] = ppnInvalid
+		d.p2l.set(p, ppnInvalid)
 		d.blocks[victim].valid--
 		ppn := d.allocPage()
-		d.l2p[l] = ppn
-		d.p2l[ppn] = l
+		d.l2p.set(l, ppn)
+		d.p2l.set(ppn, l)
 		d.blocks[ppn/ppb].valid++
 		moved++
 	}
@@ -349,33 +386,43 @@ func (d *SSD) collect(victim int32) time.Duration {
 }
 
 // CheckInvariants validates internal FTL consistency; tests call it after
-// workloads. It returns nil when the state is consistent.
+// workloads. It returns nil when the state is consistent. It walks the
+// page maps' allocated chunks only.
 func (d *SSD) CheckInvariants() error {
 	ppb := int32(d.cfg.PagesPerBlock)
 	validPerBlock := make([]int32, d.cfg.Blocks)
 	mapped := 0
-	for l, ppn := range d.l2p {
-		if ppn == ppnInvalid {
-			continue
+	for ci, c := range d.l2p.chunks {
+		for j := 0; c != nil && j < chunkLen; j++ {
+			l, ppn := int32(ci<<chunkShift+j), c[j]
+			if ppn == ppnInvalid {
+				continue
+			}
+			if l >= d.logicalPages || ppn < 0 || ppn >= d.totalPages {
+				return fmt.Errorf("l2p[%d]=%d out of range", l, ppn)
+			}
+			if d.p2l.get(ppn) != l {
+				return fmt.Errorf("l2p[%d]=%d but p2l[%d]=%d", l, ppn, ppn, d.p2l.get(ppn))
+			}
+			validPerBlock[ppn/ppb]++
+			mapped++
 		}
-		if ppn < 0 || ppn >= d.totalPages {
-			return fmt.Errorf("l2p[%d]=%d out of range", l, ppn)
-		}
-		if d.p2l[ppn] != int32(l) {
-			return fmt.Errorf("l2p[%d]=%d but p2l[%d]=%d", l, ppn, ppn, d.p2l[ppn])
-		}
-		validPerBlock[ppn/ppb]++
-		mapped++
 	}
 	back := 0
-	for p, l := range d.p2l {
-		if l == ppnInvalid {
-			continue
+	for ci, c := range d.p2l.chunks {
+		for j := 0; c != nil && j < chunkLen; j++ {
+			p, l := int32(ci<<chunkShift+j), c[j]
+			if l == ppnInvalid {
+				continue
+			}
+			if p >= d.totalPages || l < 0 || l >= d.logicalPages {
+				return fmt.Errorf("p2l[%d]=%d out of range", p, l)
+			}
+			if d.l2p.get(l) != p {
+				return fmt.Errorf("p2l[%d]=%d but l2p[%d]=%d", p, l, l, d.l2p.get(l))
+			}
+			back++
 		}
-		if d.l2p[l] != int32(p) {
-			return fmt.Errorf("p2l[%d]=%d but l2p[%d]=%d", p, l, l, d.l2p[l])
-		}
-		back++
 	}
 	if mapped != back {
 		return fmt.Errorf("mapping asymmetry: %d forward vs %d backward", mapped, back)
