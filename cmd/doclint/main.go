@@ -17,8 +17,10 @@
 // The no-argument run also checks the other direction: every
 // `edc.Identifier` that README.md, DESIGN.md, OBSERVABILITY.md or
 // EXPERIMENTS.md writes in a code span or a code fence must be an
-// exported name of the root package, so deleting or renaming one cannot
-// leave the documents citing it.
+// exported name of the root package, and every unqualified WithX or
+// WithoutX there must name an exported func or method declared in a
+// non-test file of the module, so deleting or renaming one cannot leave
+// the documents citing it.
 //
 // It also holds the line budget: sizes.txt lists the wc -l line count of
 // the non-test .go files of every package directory, and of DESIGN.md.
@@ -44,8 +46,8 @@ import (
 // defaultDirs is the audited API surface when no arguments are given.
 var defaultDirs = []string{".", "internal/core", "internal/metrics", "internal/obs", "internal/maint", "internal/dedup"}
 
-// docFiles are the documents whose edc.Identifier mentions must resolve
-// against the root package.
+// docFiles are the documents whose edc.Identifier and bare WithX
+// mentions must resolve against the code.
 var docFiles = []string{"README.md", "DESIGN.md", "OBSERVABILITY.md", "EXPERIMENTS.md"}
 
 // sizesFile is the committed line budget.
@@ -94,11 +96,17 @@ func main() {
 // mention matches a package-qualified exported name of the root package.
 var mention = regexp.MustCompile(`\bedc\.([A-Z]\w*)`)
 
+// bare matches an unqualified option-style name: WithX or WithoutX not
+// preceded by a word character or a package or receiver qualifier.
+var bare = regexp.MustCompile(`(?:^|[^\w.])(With(?:out)?[A-Z]\w*)`)
+
 // lintDocs returns, as file:line entries, every edc.Identifier a
-// document writes as code — inside a ``` fence or an inline code span —
-// that the package in pkgDir does not export.
-func lintDocs(pkgDir string, files []string) ([]string, error) {
-	pkgs, err := parser.ParseDir(token.NewFileSet(), pkgDir, func(fi os.FileInfo) bool {
+// document under root writes as code — inside a ``` fence or an inline
+// code span — that the root package does not export, and every bare
+// WithX there that no non-test file of the module declares as an
+// exported func or method.
+func lintDocs(root string, files []string) ([]string, error) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), root, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, 0)
 	if err != nil {
@@ -114,9 +122,13 @@ func lintDocs(pkgDir string, files []string) ([]string, error) {
 			}
 		}
 	}
+	funcs, err := moduleFuncs(root)
+	if err != nil {
+		return nil, err
+	}
 	var bad []string
 	for _, name := range files {
-		text, err := os.ReadFile(name)
+		text, err := os.ReadFile(filepath.Join(root, name))
 		if err != nil {
 			return nil, err
 		}
@@ -141,22 +153,40 @@ func lintDocs(pkgDir string, files []string) ([]string, error) {
 					bad = append(bad, fmt.Sprintf("%s:%d: %s is not exported by package edc", name, i+1, m[0]))
 				}
 			}
+			for _, m := range bare.FindAllStringSubmatch(code, -1) {
+				if !funcs[m[1]] {
+					bad = append(bad, fmt.Sprintf("%s:%d: %s is not an exported func or method of the module", name, i+1, m[1]))
+				}
+			}
 		}
 	}
 	return bad, nil
 }
 
-// sizes renders the line budget of the tree at root: one "path lines"
-// line per package directory (its non-test .go files; hidden and
-// testdata directories skipped), then DESIGN.md's, each counted as
-// wc -l counts: newline bytes.
-func sizes(root string) ([]byte, error) {
-	count := func(path string) (int, error) {
-		b, err := os.ReadFile(path)
-		return bytes.Count(b, []byte("\n")), err
-	}
-	lines := map[string]int{}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+// moduleFuncs returns the names of the exported funcs and methods
+// declared in the non-test .go files under root.
+func moduleFuncs(root string) (map[string]bool, error) {
+	names := make(map[string]bool)
+	fset := token.NewFileSet()
+	err := walkGo(root, func(path string) error {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+				names[fd.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	return names, err
+}
+
+// walkGo calls fn with the path of every non-test .go file under root,
+// skipping hidden and testdata directories.
+func walkGo(root string, fn func(path string) error) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -170,6 +200,21 @@ func sizes(root string) ([]byte, error) {
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
+		return fn(path)
+	})
+}
+
+// sizes renders the line budget of the tree at root: one "path lines"
+// line per package directory (its non-test .go files; hidden and
+// testdata directories skipped), then DESIGN.md's, each counted as
+// wc -l counts: newline bytes.
+func sizes(root string) ([]byte, error) {
+	count := func(path string) (int, error) {
+		b, err := os.ReadFile(path)
+		return bytes.Count(b, []byte("\n")), err
+	}
+	lines := map[string]int{}
+	err := walkGo(root, func(path string) error {
 		n, err := count(path)
 		lines[filepath.ToSlash(filepath.Dir(path))] += n
 		return err

@@ -1,0 +1,44 @@
+package main
+
+import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+)
+
+// TestLintDocsStaleMentions runs the document check over a two-package
+// module: a stale edc.X, a stale bare WithX, and a bare WithX that is a
+// live method of another package, which must pass.
+func TestLintDocsStaleMentions(t *testing.T) {
+	root := t.TempDir()
+	write := func(name, text string) {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("edc.go", "package edc\n\n// Live is exported.\nfunc Live() {}\n")
+	write("edc_test.go", "package edc\n\nfunc WithTestOnly() {}\n")
+	write("internal/datagen/datagen.go",
+		"package datagen\n\n// Profile is a profile.\ntype Profile struct{}\n\n// WithDup is a method.\nfunc (p Profile) WithDup() Profile { return p }\n")
+	write("README.md", "Call `edc.Live`, not `edc.Gone`.\n\n"+
+		"Set `WithGone(2)`; a profile takes `WithDup`.\n\n"+
+		"```\nx := WithTestOnly()\n```\n")
+
+	got, err := lintDocs(root, []string{"README.md"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"README.md:1: edc.Gone is not exported by package edc",
+		"README.md:3: WithGone is not an exported func or method of the module",
+		"README.md:6: WithTestOnly is not an exported func or method of the module",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("lintDocs = %q\nwant %q", got, want)
+	}
+}

@@ -155,6 +155,11 @@ func (c *config) validate() error {
 	if d.SnapshotEvery < 0 {
 		return fmt.Errorf("edc: negative snapshot interval %v", d.SnapshotEvery)
 	}
+	if d.Cost != nil {
+		if err := d.Cost.Validate(); err != nil {
+			return err
+		}
+	}
 	if d.Maint != nil {
 		if err := d.Maint.Validate(); err != nil {
 			return err
@@ -229,10 +234,6 @@ func WithoutEstimator() Option { return func(c *config) { c.noEstimator = true }
 // WithMaxRun caps SD merging in bytes.
 func WithMaxRun(bytes int64) Option { return func(c *config) { c.dev.MaxRun = bytes } }
 
-// WithCPUWorkers models a multicore host: n parallel compression
-// workers (default 1, the paper's single-threaded prototype).
-func WithCPUWorkers(n int) Option { return func(c *config) { c.dev.CPUWorkers = n } }
-
 // WithReplayWorkers sets how many OS goroutines execute real codec work
 // concurrently with the virtual-time event loop (the replay pipeline).
 // This changes only wall-clock replay speed: compressed output is a pure
@@ -251,9 +252,11 @@ func WithReplayWorkers(n int) Option {
 // WithShards partitions the volume into n contiguous LBA ranges, each
 // served by an independent pipeline instance — its own virtual-time
 // engine, backend device (or array), allocator, and mapping — replayed
-// concurrently on OS goroutines. All shards read the same trace-derived
-// global intensity signal, so codec selection matches the paper's
-// whole-device feedback loop rather than fragmenting per shard. Results
+// concurrently on OS goroutines. Under replay all shards read the same
+// trace-derived global intensity signal, so codec selection matches the
+// paper's whole-device feedback loop rather than fragmenting per shard.
+// Serve has no trace to derive that signal from: each serve shard's own
+// workload monitor measures only its slice of the traffic. Results
 // are deterministic for a fixed n; n <= 1 keeps the stock single
 // pipeline. Sharding models an array of n EDC devices front-ending
 // disjoint ranges: per-shard closed-loop bounds and shard-local SD merge
@@ -264,12 +267,6 @@ func WithShards(n int) Option { return func(c *config) { c.serve.Shards = n } }
 // WithCache enables a host DRAM read cache of the given size (the upper
 // DRAM buffer in the paper's Fig. 4 architecture).
 func WithCache(bytes int64) Option { return func(c *config) { c.dev.CacheBytes = bytes } }
-
-// WithOffload moves compression into the device controller, as
-// FTL-integrated designs do (zFTL; hardware-assisted compression): the
-// host CPU is free, but every compressed operation occupies the device's
-// codec engine.
-func WithOffload() Option { return func(c *config) { c.dev.Offload = true } }
 
 // WithFlushTimeout bounds SD buffering delay (negative disables).
 func WithFlushTimeout(d time.Duration) Option { return func(c *config) { c.dev.FlushTimeout = d } }

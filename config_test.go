@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"edc/internal/compress"
 )
 
 // TestNewSystemValidation is the one table of what a System refuses to
@@ -33,6 +35,7 @@ func TestNewSystemValidation(t *testing.T) {
 		{name: "negative max run", opts: []Option{WithMaxRun(-1)}, want: "negative max run"},
 		{name: "negative cache", opts: []Option{WithCache(-1)}, want: "negative cache size"},
 		{name: "negative snapshot interval", opts: []Option{WithSnapshotEvery(-time.Second)}, want: "negative snapshot interval"},
+		{name: "unpriced codec", opts: []Option{WithScheme(SchemeGzip), WithCostModel(CostModel{compress.TagLZF: {CompressBps: 40e6, DecompressBps: 150e6}})}, want: "unpriced"},
 		{name: "more shards than blocks", opts: []Option{WithShards(1 << 30)}, want: "shards exceed"},
 		{name: "fault probability out of range", opts: []Option{WithFaults(&FaultPlan{Seed: 1, ReadHard: 1.5})}, want: "read_hard"},
 		{name: "unparsable tenant bandwidth", opts: []Option{WithQoS(QoSConfig{Tenants: map[string]QoSTenant{"web": {Bandwidth: "nope"}}})}, want: `tenant "web"`},

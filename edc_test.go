@@ -237,7 +237,6 @@ func TestMoreFacadeOptions(t *testing.T) {
 		WithSSDConfig(smallSSD()),
 		WithCostModel(DefaultCostModel()),
 		WithMaxRun(32<<10),
-		WithCPUWorkers(2),
 		WithCache(4<<20),
 		WithStripeUnit(8),
 	)
@@ -263,23 +262,6 @@ func TestRAIS0Backend(t *testing.T) {
 	}
 	if len(res.Devices) != 4 {
 		t.Fatalf("devices = %d", len(res.Devices))
-	}
-}
-
-func TestOffloadOption(t *testing.T) {
-	tr := smallTrace(t, 400)
-	res, err := Replay(tr, testVolume,
-		WithScheme(SchemeLzf),
-		WithOffload(),
-		WithSSDConfig(smallSSD()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CPU.BusyTime != 0 {
-		t.Fatalf("offload left host CPU busy %v", res.CPU.BusyTime)
-	}
-	if res.TrafficRatio() <= 1 {
-		t.Fatal("offloaded compression still compresses")
 	}
 }
 

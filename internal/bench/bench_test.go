@@ -352,8 +352,6 @@ func TestExtensionsRun(t *testing.T) {
 		"ext-endurance": 5,
 		"ext-energy":    5,
 		"ext-hdd":       5,
-		"ext-multicore": 4,
-		"ext-offload":   4,
 		"ext-cache":     4,
 		"ext-tail":      5,
 	}
@@ -365,20 +363,6 @@ func TestExtensionsRun(t *testing.T) {
 		if len(tables) != 1 || len(tables[0].Rows) != rows {
 			t.Fatalf("%s: rows = %d; want %d", id, len(tables[0].Rows), rows)
 		}
-	}
-}
-
-func TestExtOffloadFreesHostCPU(t *testing.T) {
-	tables, err := Run("ext-offload", tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tables[0].Rows
-	// Row 1 = Lzf host-side, row 2 = Lzf in-FTL; CPU column is last.
-	host, _ := strconv.ParseFloat(rows[1][4], 64)
-	ftl, _ := strconv.ParseFloat(rows[2][4], 64)
-	if ftl >= host/2 {
-		t.Fatalf("offload CPU %v not far below host %v", ftl, host)
 	}
 }
 

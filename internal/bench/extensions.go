@@ -16,8 +16,6 @@ func init() {
 	register("ext-endurance", "Flash endurance by scheme (paper future work #4)", runExtEndurance)
 	register("ext-energy", "Energy estimate by scheme (paper future work #3)", runExtEnergy)
 	register("ext-hdd", "EDC on an HDD backend (paper future work #2)", runExtHDD)
-	register("ext-multicore", "Fixed Gzip with 1/2/4 compression workers", runExtMulticore)
-	register("ext-offload", "Host-side vs in-FTL (offloaded) compression", runExtOffload)
 	register("ext-tail", "Tail latency percentiles by scheme", runExtTail)
 }
 
@@ -221,48 +219,6 @@ func runExtHDD(p Params) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// runExtOffload contrasts host-side compression with the FTL-integrated
-// designs in the paper's related work (zFTL, hardware-assisted
-// compression): offloading frees the host CPU, but every compressed
-// operation occupies the device's codec engine, so under load the device
-// queue absorbs what the CPU queue used to.
-func runExtOffload(p Params) ([]*Table, error) {
-	tr, err := standardProfilesByName(p)["Fin1"].GenerateN(p.requests(), 1010+p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:     "ext-offload",
-		Title:  "Host-side vs device-offloaded compression (Fin1, single SSD)",
-		Header: []string{"variant", "mean resp ms", "p99 ms", "ratio", "host CPU busy ms"},
-	}
-	for _, v := range []struct {
-		name   string
-		scheme edc.Scheme
-		opts   []edc.Option
-	}{
-		{"Native", edc.SchemeNative, nil},
-		{"Lzf host-side", edc.SchemeLzf, nil},
-		{"Lzf in-FTL (150 MB/s engine)", edc.SchemeLzf, []edc.Option{edc.WithOffload()}},
-		{"EDC host-side", edc.SchemeEDC, nil},
-	} {
-		res, err := replayScheme(p, edc.SingleSSD, tr, v.scheme, v.opts)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			v.name,
-			f3(float64(res.MeanResponse()) / float64(time.Millisecond)),
-			f3(float64(res.Resp.Percentile(99)) / float64(time.Millisecond)),
-			f2(res.TrafficRatio()),
-			f1(float64(res.CPU.BusyTime) / float64(time.Millisecond)),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"Offloading removes the host CPU cost (the objection the paper raises against FTL-integrated compression is device resource consumption, which shows up here as device-queue time).")
-	return []*Table{t}, nil
-}
-
 // runExtTail reports the full latency distribution per scheme — tail
 // percentiles tell the queueing story the paper's mean-only Fig. 10
 // compresses away: heavy codecs hurt the p99/p999 far more than the
@@ -291,46 +247,5 @@ func runExtTail(p Params) ([]*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"The mean understates fixed-codec damage: bursts inflate the tail first. EDC's burst skipping shows up as a flat p99.")
-	return []*Table{t}, nil
-}
-
-// runExtMulticore shows modern multicore absorbing fixed-Gzip's CPU
-// cost: with enough workers the latency penalty shrinks toward the
-// device floor, narrowing (but not closing) the gap to EDC.
-func runExtMulticore(p Params) ([]*Table, error) {
-	profiles := standardProfilesByName(p)
-	tr, err := profiles["Fin1"].GenerateN(p.requests(), 1006+p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:     "ext-multicore",
-		Title:  "Fixed Gzip vs EDC as compression workers scale (Fin1, single SSD)",
-		Header: []string{"variant", "workers", "mean resp ms", "p99 ms", "ratio"},
-	}
-	add := func(name string, s edc.Scheme, workers int) error {
-		res, err := replayScheme(p, edc.SingleSSD, tr, s,
-			[]edc.Option{edc.WithCPUWorkers(workers)})
-		if err != nil {
-			return err
-		}
-		t.Rows = append(t.Rows, []string{
-			name, fmt.Sprintf("%d", workers),
-			f3(float64(res.MeanResponse()) / float64(time.Millisecond)),
-			f3(float64(res.Resp.Percentile(99)) / float64(time.Millisecond)),
-			f2(res.TrafficRatio()),
-		})
-		return nil
-	}
-	for _, w := range []int{1, 2, 4} {
-		if err := add("Gzip", edc.SchemeGzip, w); err != nil {
-			return nil, err
-		}
-	}
-	if err := add("EDC", edc.SchemeEDC, 1); err != nil {
-		return nil, err
-	}
-	t.Notes = append(t.Notes,
-		"Parallel compression hides throughput, not per-request latency: each request still waits for its own compression, so EDC keeps an edge during bursts.")
 	return []*Table{t}, nil
 }

@@ -116,24 +116,22 @@ func (b *Backend) LogicalBytes() int64 { return b.size }
 // PageSize is the device page granularity in bytes.
 func (b *Backend) PageSize() int { return int(b.ps) }
 
-// Read fetches bytes at devOff; extra adds device-side service time
-// (e.g. an in-FTL decompression engine).
-func (b *Backend) Read(devOff, bytes int64, extra time.Duration, done func(err error)) {
-	b.issue(false, devOff, bytes, extra, done)
+// Read fetches bytes at devOff.
+func (b *Backend) Read(devOff, bytes int64, done func(err error)) {
+	b.issue(false, devOff, bytes, done)
 }
 
-// Write stores bytes at devOff; extra adds device-side service time
-// (e.g. an in-FTL compression engine).
-func (b *Backend) Write(devOff, bytes int64, extra time.Duration, done func(err error)) {
-	b.issue(true, devOff, bytes, extra, done)
+// Write stores bytes at devOff.
+func (b *Backend) Write(devOff, bytes int64, done func(err error)) {
+	b.issue(true, devOff, bytes, done)
 }
 
 // issue maps one operation through the layout and submits its
 // sub-operations.
-func (b *Backend) issue(write bool, devOff, bytes int64, extra time.Duration, done func(err error)) {
+func (b *Backend) issue(write bool, devOff, bytes int64, done func(err error)) {
 	if b.arr == nil {
 		off, n := b.place(devOff, bytes)
-		b.submit(0, write, off, n, extra, done)
+		b.submit(0, write, off, n, done)
 		return
 	}
 	lpn, pages := span(devOff, bytes, b.ps, b.pages)
@@ -155,16 +153,16 @@ func (b *Backend) issue(write bool, devOff, bytes int64, extra time.Duration, do
 		// Read-modify-write: the old data and parity reads complete before
 		// any write is issued; a failed read phase aborts the write phase
 		// and reports the read error.
-		b.fanOut(ops, false, 0, func(err error) {
+		b.fanOut(ops, false, func(err error) {
 			if err != nil {
 				done(err)
 				return
 			}
-			b.fanOut(ops, true, extra, done)
+			b.fanOut(ops, true, done)
 		})
 		return
 	}
-	b.fanOut(ops, write, extra, done)
+	b.fanOut(ops, write, done)
 }
 
 // place is the identity layout: an SSD keeps the transfer size and
@@ -188,11 +186,10 @@ func hasReads(ops []rais.SubOp) bool {
 	return false
 }
 
-// fanOut submits the sub-ops whose direction is write, in order, adding
-// extra service time to each (e.g. a per-device in-FTL codec engine),
-// and calls next when all complete with the first (by completion)
-// sub-op error.
-func (b *Backend) fanOut(ops []rais.SubOp, write bool, extra time.Duration, next func(err error)) {
+// fanOut submits the sub-ops whose direction is write, in order, and
+// calls next when all complete with the first (by completion) sub-op
+// error.
+func (b *Backend) fanOut(ops []rais.SubOp, write bool, next func(err error)) {
 	remaining := 0
 	for _, op := range ops {
 		if op.Write == write {
@@ -218,7 +215,7 @@ func (b *Backend) fanOut(ops []rais.SubOp, write bool, extra time.Duration, next
 	}
 	for _, op := range ops {
 		if op.Write == write {
-			b.submit(op.Dev, write, op.LPN*b.ps, op.Bytes, extra, sub)
+			b.submit(op.Dev, write, op.LPN*b.ps, op.Bytes, sub)
 		}
 	}
 }
@@ -227,7 +224,7 @@ func (b *Backend) fanOut(ops []rais.SubOp, write bool, extra time.Duration, next
 // decision (taken at submit time, so the stream is deterministic), then
 // the queued job. A hard read failure on a RAIS5 member becomes a
 // degraded read once the failed attempt's service time has passed.
-func (b *Backend) submit(i int, write bool, off, bytes int64, extra time.Duration, done func(err error)) {
+func (b *Backend) submit(i int, write bool, off, bytes int64, done func(err error)) {
 	m := &b.members[i]
 	svc, err := m.service(write, off, bytes)
 	if err != nil {
@@ -244,7 +241,7 @@ func (b *Backend) submit(i int, write bool, off, bytes int64, extra time.Duratio
 		}
 	}
 	if ferr != nil && !write && !ferr.Transient && b.arr != nil && b.arr.Level() == rais.RAIS5 {
-		m.st.Submit(sim.Job{Service: svc + extra, Done: func(_, _ time.Duration) {
+		m.st.Submit(sim.Job{Service: svc, Done: func(_, _ time.Duration) {
 			b.degradedRead(i, off, bytes, done)
 		}})
 		return
@@ -258,7 +255,7 @@ func (b *Backend) submit(i int, write bool, off, bytes int64, extra time.Duratio
 		op.fire = op.finish
 	}
 	op.done, op.ferr = done, ferr
-	m.st.Submit(sim.Job{Service: svc + extra, Done: op.fire})
+	m.st.Submit(sim.Job{Service: svc, Done: op.fire})
 }
 
 // degradedRead reconstructs member failed's stripe unit by reading the

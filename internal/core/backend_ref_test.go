@@ -29,12 +29,10 @@ type refBackend interface {
 	LogicalBytes() int64
 	// PageSize is the device page granularity in bytes.
 	PageSize() int
-	// Read fetches bytes at devOff; extra adds device-side service time
-	// (e.g. an in-FTL decompression engine).
-	Read(devOff, bytes int64, extra time.Duration, done func(err error))
-	// Write stores bytes at devOff; extra adds device-side service time
-	// (e.g. an in-FTL compression engine).
-	Write(devOff, bytes int64, extra time.Duration, done func(err error))
+	// Read fetches bytes at devOff.
+	Read(devOff, bytes int64, done func(err error))
+	// Write stores bytes at devOff.
+	Write(devOff, bytes int64, done func(err error))
 	// Trim discards whole pages covered by [devOff, devOff+bytes).
 	Trim(devOff, bytes int64)
 	// DeviceStats snapshots per-member device counters.
@@ -133,25 +131,25 @@ func (b *refSingleSSD) LogicalBytes() int64 { return b.dev.LogicalBytes() }
 func (b *refSingleSSD) PageSize() int { return b.dev.Config().PageSize }
 
 // Read implements refBackend.
-func (b *refSingleSSD) Read(devOff, bytes int64, extra time.Duration, done func(err error)) {
+func (b *refSingleSSD) Read(devOff, bytes int64, done func(err error)) {
 	lpn, pages := refSpan(devOff, bytes, b.PageSize(), b.dev.LogicalPages())
 	svc, err := b.dev.ReadTime(lpn, pages*int64(b.PageSize()))
 	if err != nil {
 		panic(fmt.Sprintf("core: backend read: %v", err))
 	}
 	ferr, fextra := b.decide(false, lpn, bytes)
-	b.st.Submit(sim.Job{Service: svc + extra + fextra, Done: func(_, _ time.Duration) { done(ferr.AsError()) }})
+	b.st.Submit(sim.Job{Service: svc + fextra, Done: func(_, _ time.Duration) { done(ferr.AsError()) }})
 }
 
 // Write implements refBackend.
-func (b *refSingleSSD) Write(devOff, bytes int64, extra time.Duration, done func(err error)) {
+func (b *refSingleSSD) Write(devOff, bytes int64, done func(err error)) {
 	lpn, pages := refSpan(devOff, bytes, b.PageSize(), b.dev.LogicalPages())
 	svc, err := b.dev.WriteTime(lpn, pages*int64(b.PageSize()))
 	if err != nil {
 		panic(fmt.Sprintf("core: backend write: %v", err))
 	}
 	ferr, fextra := b.decide(true, lpn, bytes)
-	b.st.Submit(sim.Job{Service: svc + extra + fextra, Done: func(_, _ time.Duration) { done(ferr.AsError()) }})
+	b.st.Submit(sim.Job{Service: svc + fextra, Done: func(_, _ time.Duration) { done(ferr.AsError()) }})
 }
 
 // Trim implements refBackend.
@@ -227,13 +225,12 @@ func (b *refRAISBackend) LogicalBytes() int64 { return b.arr.LogicalBytes() }
 // PageSize implements refBackend.
 func (b *refRAISBackend) PageSize() int { return b.arr.PageSize() }
 
-// issueExtra submits sub-ops to member stations (adding extra service
-// time to each, e.g. a per-device in-FTL codec engine), calling next
-// when all complete. Fault outcomes are decided at submit time in
+// issue submits sub-ops to member stations, calling next when all
+// complete. Fault outcomes are decided at submit time in
 // sub-op order, so the decision stream is deterministic; next receives
 // the first (by completion) sub-op error, with RAIS5 hard read failures
 // absorbed by degraded reads.
-func (b *refRAISBackend) issueExtra(ops []rais.SubOp, extra time.Duration, next func(err error)) {
+func (b *refRAISBackend) issue(ops []rais.SubOp, next func(err error)) {
 	if len(ops) == 0 {
 		next(nil)
 		return
@@ -275,13 +272,13 @@ func (b *refRAISBackend) issueExtra(ops []rais.SubOp, extra time.Duration, next 
 			// The member failed the read for good; after the attempt's
 			// service time, rebuild its stripe unit from the survivors.
 			op := op
-			b.sts[op.Dev].Submit(sim.Job{Service: svc + extra, Done: func(_, _ time.Duration) {
+			b.sts[op.Dev].Submit(sim.Job{Service: svc, Done: func(_, _ time.Duration) {
 				b.degradedRead(op, sub)
 			}})
 			continue
 		}
 		e := ferr.AsError()
-		b.sts[op.Dev].Submit(sim.Job{Service: svc + extra, Done: func(_, _ time.Duration) { sub(e) }})
+		b.sts[op.Dev].Submit(sim.Job{Service: svc, Done: func(_, _ time.Duration) { sub(e) }})
 	}
 }
 
@@ -315,7 +312,7 @@ func (b *refRAISBackend) degradedRead(op rais.SubOp, done func(err error)) {
 }
 
 // Read implements refBackend.
-func (b *refRAISBackend) Read(devOff, bytes int64, extra time.Duration, done func(err error)) {
+func (b *refRAISBackend) Read(devOff, bytes int64, done func(err error)) {
 	lpn, pages := refSpan(devOff, bytes, b.PageSize(), b.arr.LogicalPages())
 	if pages == 0 {
 		done(nil)
@@ -325,11 +322,11 @@ func (b *refRAISBackend) Read(devOff, bytes int64, extra time.Duration, done fun
 	if err != nil {
 		panic(fmt.Sprintf("core: rais read map: %v", err))
 	}
-	b.issueExtra(ops, extra, done)
+	b.issue(ops, done)
 }
 
 // Write implements refBackend.
-func (b *refRAISBackend) Write(devOff, bytes int64, extra time.Duration, done func(err error)) {
+func (b *refRAISBackend) Write(devOff, bytes int64, done func(err error)) {
 	lpn, pages := refSpan(devOff, bytes, b.PageSize(), b.arr.LogicalPages())
 	if pages == 0 {
 		done(nil)
@@ -350,12 +347,12 @@ func (b *refRAISBackend) Write(devOff, bytes int64, extra time.Duration, done fu
 			reads = append(reads, op)
 		}
 	}
-	b.issueExtra(reads, 0, func(err error) {
+	b.issue(reads, func(err error) {
 		if err != nil {
 			done(err)
 			return
 		}
-		b.issueExtra(writes, extra, done)
+		b.issue(writes, done)
 	})
 }
 
@@ -448,25 +445,25 @@ func (b *refHDDBackend) LogicalBytes() int64 { return b.dev.LogicalBytes() }
 func (b *refHDDBackend) PageSize() int { return b.dev.Config().BlockSize }
 
 // Read implements refBackend.
-func (b *refHDDBackend) Read(devOff, bytes int64, extra time.Duration, done func(err error)) {
+func (b *refHDDBackend) Read(devOff, bytes int64, done func(err error)) {
 	off, n := b.clamp(devOff, bytes)
 	svc, err := b.dev.ReadTime(off, n)
 	if err != nil {
 		panic(fmt.Sprintf("core: hdd read: %v", err))
 	}
 	ferr, fextra := b.decide(false, off, n)
-	b.st.Submit(sim.Job{Service: svc + extra + fextra, Done: func(_, _ time.Duration) { done(ferr.AsError()) }})
+	b.st.Submit(sim.Job{Service: svc + fextra, Done: func(_, _ time.Duration) { done(ferr.AsError()) }})
 }
 
 // Write implements refBackend.
-func (b *refHDDBackend) Write(devOff, bytes int64, extra time.Duration, done func(err error)) {
+func (b *refHDDBackend) Write(devOff, bytes int64, done func(err error)) {
 	off, n := b.clamp(devOff, bytes)
 	svc, err := b.dev.WriteTime(off, n)
 	if err != nil {
 		panic(fmt.Sprintf("core: hdd write: %v", err))
 	}
 	ferr, fextra := b.decide(true, off, n)
-	b.st.Submit(sim.Job{Service: svc + extra + fextra, Done: func(_, _ time.Duration) { done(ferr.AsError()) }})
+	b.st.Submit(sim.Job{Service: svc + fextra, Done: func(_, _ time.Duration) { done(ferr.AsError()) }})
 }
 
 // clamp bounds an access to the disk capacity.

@@ -89,7 +89,6 @@ type backendOp struct {
 	at         time.Duration
 	kind       int // 0 read, 1 write, 2 trim
 	off, bytes int64
-	extra      time.Duration
 }
 
 // randomOps draws n operations with offsets up to a tenth past the end
@@ -114,7 +113,6 @@ func randomOps(seed int64, n int, capacity int64) []backendOp {
 		}
 		ops[i] = backendOp{
 			at: at, kind: rng.Intn(3), off: rng.Int63n(capacity + capacity/10), bytes: bytes,
-			extra: time.Duration(rng.Intn(3)) * 50 * time.Microsecond,
 		}
 	}
 	return ops
@@ -155,9 +153,9 @@ func drive(eng *sim.Engine, be refBackend, ops []backendOp, inject func(*obs.Col
 			done := func(err error) { res[i] = opResult{done: true, at: eng.Now(), err: err} }
 			switch o.kind {
 			case 0:
-				be.Read(o.off, o.bytes, o.extra, done)
+				be.Read(o.off, o.bytes, done)
 			case 1:
-				be.Write(o.off, o.bytes, o.extra, done)
+				be.Write(o.off, o.bytes, done)
 			default:
 				be.Trim(o.off, o.bytes)
 				done(nil)
@@ -229,9 +227,9 @@ func TestHDDBackendClamp(t *testing.T) {
 	be := NewDiskBackend(eng, mustDisk(t))
 	done := 0
 	eng.Schedule(0, func() {
-		be.Read(be.LogicalBytes()-1024, 1<<20, 0, func(error) { done++ }) // clamped
-		be.Write(-5, 4096, 0, func(error) { done++ })                     // clamped
-		be.Read(0, 0, 0, func(error) { done++ })                          // zero bytes
+		be.Read(be.LogicalBytes()-1024, 1<<20, func(error) { done++ }) // clamped
+		be.Write(-5, 4096, func(error) { done++ })                     // clamped
+		be.Read(0, 0, func(error) { done++ })                          // zero bytes
 	})
 	eng.Run()
 	if done != 3 {
@@ -256,9 +254,9 @@ func TestSingleSSDAllocs(t *testing.T) {
 			off := int64(0)
 			return testing.AllocsPerRun(200, func() {
 				if write {
-					be.Write(off, 6000, 0, done)
+					be.Write(off, 6000, done)
 				} else {
-					be.Read(off, 6000, 0, done)
+					be.Read(off, 6000, done)
 				}
 				eng.Run()
 				off = (off + 1<<20) % be.LogicalBytes()
@@ -295,9 +293,9 @@ func BenchmarkBackend(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if mode == "read" {
-						be.Read(off, 6000, 0, done)
+						be.Read(off, 6000, done)
 					} else {
-						be.Write(off, 6000, 0, done)
+						be.Write(off, 6000, done)
 					}
 					eng.Run()
 					off = (off + 40960) % be.LogicalBytes()

@@ -66,11 +66,19 @@ func (cm CostModel) DecompressTime(tag compress.Tag, origBytes int64) time.Durat
 	return bytesTime(origBytes, c.DecompressBps)
 }
 
-// Validate checks that every listed codec has positive throughputs.
+// Validate checks that every listed codec has positive throughputs and
+// that every codec of compress.Default() is priced: a policy may pick
+// any of them, and charging an unpriced one panics mid-run.
 func (cm CostModel) Validate() error {
 	for tag, c := range cm {
 		if c.CompressBps <= 0 || c.DecompressBps <= 0 {
 			return fmt.Errorf("core: cost model for tag %d has non-positive throughput", tag)
+		}
+	}
+	for tag := compress.TagNone + 1; tag <= compress.MaxTag; tag++ {
+		c, err := compress.Default().ByTag(tag)
+		if _, priced := cm[tag]; err == nil && !priced {
+			return fmt.Errorf("core: cost model leaves codec %s (tag %d) unpriced", c.Name(), tag)
 		}
 	}
 	return nil
@@ -82,47 +90,9 @@ func bytesTime(n int64, bps float64) time.Duration {
 	return time.Duration(float64(n) / bps * float64(time.Second))
 }
 
-// codecCharge decides where the modelled time of a codec call lands: on
-// the host CPU station (the paper's software engine) or, with
-// Options.Offload, on the device operation that carries the data, at the
-// in-device engine's tag-independent throughput.
-type codecCharge struct {
-	host    CostModel
-	offload bool
-	device  CodecCost // the in-device engine; read only when offload
-}
-
-// time splits the cost of (de)compressing n uncompressed bytes under tag
-// into host-CPU service time and extra device-operation time. At most
-// one is non-zero; TagNone is free on both sides.
-func (c *codecCharge) time(tag compress.Tag, n int64, decompress bool) (cpu, extra time.Duration) {
-	switch {
-	case tag == compress.TagNone || n <= 0:
-		return 0, 0
-	case c.offload && decompress:
-		return 0, bytesTime(n, c.device.DecompressBps)
-	case c.offload:
-		return 0, bytesTime(n, c.device.CompressBps)
-	case decompress:
-		return c.host.DecompressTime(tag, n), 0
-	default:
-		return c.host.CompressTime(tag, n), 0
-	}
-}
-
-// compress is the charge for compressing n bytes with the codec of tag.
-func (c *codecCharge) compress(tag compress.Tag, n int64) (cpu, extra time.Duration) {
-	return c.time(tag, n, false)
-}
-
-// decompress is the charge for decompressing back to n bytes.
-func (c *codecCharge) decompress(tag compress.Tag, n int64) (cpu, extra time.Duration) {
-	return c.time(tag, n, true)
-}
-
 // hostTime runs done once the cpu station has served svc, or at once when
-// nothing was charged to the host (offloaded or uncompressed work).
-func hostTime(cpu sim.Server, svc time.Duration, done func(_, _ time.Duration)) {
+// nothing was charged (uncompressed work).
+func hostTime(cpu *sim.Station, svc time.Duration, done func(_, _ time.Duration)) {
 	if svc > 0 {
 		cpu.Submit(sim.Job{Service: svc, Done: done})
 		return

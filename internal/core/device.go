@@ -34,7 +34,8 @@ type Options struct {
 	MaxRun int64
 	// FlushTimeout bounds how long a pending run may wait for a
 	// contiguous successor before being compressed anyway
-	// (default: 10 ms). Zero keeps the default; negative disables.
+	// (default: DefaultFlushTimeout, 300 µs). Zero keeps the default;
+	// negative disables.
 	FlushTimeout time.Duration
 	// Data generates write payload content (default: datagen.Enterprise
 	// profile, seed 1).
@@ -49,16 +50,13 @@ type Options struct {
 	// allocates compressed runs at their exact size (ablation: shows the
 	// fragmentation/relocation cost quantization avoids, Sec. III-C).
 	ExactSlots bool
-	// CPUWorkers is the number of parallel compression workers (default
-	// 1, the paper's single-threaded engine; raise it to model a
-	// multicore host absorbing compression cost).
-	CPUWorkers int
 	// ReplayWorkers is the number of OS goroutines executing *real*
-	// codec work concurrently with the virtual-time event loop (the
-	// wall-clock analogue of CPUWorkers, which only models virtual CPU
-	// time). Compressed output is a pure function of (content, codec),
-	// so results are bit-identical for any setting. Default
-	// runtime.GOMAXPROCS(0); values < 0 (or 1) run sequentially inline.
+	// codec work concurrently with the virtual-time event loop. It is
+	// wall-clock parallelism only: virtual codec time is always charged
+	// to the one host CPU station. Compressed output is a pure function
+	// of (content, codec), so results are bit-identical for any setting.
+	// Default runtime.GOMAXPROCS(0); values < 0 (or 1) run sequentially
+	// inline.
 	ReplayWorkers int
 	// MaxOutstanding bounds host requests in flight (closed-loop replay:
 	// arrivals beyond the bound are admitted as earlier requests
@@ -68,11 +66,6 @@ type Options struct {
 	// CacheBytes enables a host DRAM read cache of the given size
 	// (0 disables). Hits skip both the device read and decompression.
 	CacheBytes int64
-	// Offload moves (de)compression into the device, as FTL-integrated
-	// designs do (zFTL [28]; hardware-assisted compression [23]): the
-	// host CPU is not charged, and the codec engine's time
-	// (DefaultOffloadCost) is added to the device operation instead.
-	Offload bool
 	// Obs receives one event per pipeline decision plus counters and
 	// optional time series (see internal/obs). Nil disables observability
 	// entirely; the nil path is bit-identical to an uninstrumented
@@ -113,12 +106,6 @@ type Options struct {
 	Dedup *dedup.Config
 }
 
-// DefaultOffloadCost models a hardware compression engine in the device
-// controller.
-func DefaultOffloadCost() CodecCost {
-	return CodecCost{CompressBps: 150e6, DecompressBps: 300e6}
-}
-
 // CacheHitLatency is the DRAM service time for a fully cached read.
 const CacheHitLatency = 10 * time.Microsecond
 
@@ -141,7 +128,7 @@ const DefaultFlushTimeout = 300 * time.Microsecond
 // unit-testable in isolation.
 type Device struct {
 	eng *sim.Engine
-	cpu sim.Server
+	cpu *sim.Station
 
 	fs *failState
 	fe *frontend
@@ -207,12 +194,7 @@ func NewDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options) (*
 	case opts.MaxOutstanding < 0:
 		opts.MaxOutstanding = 1 << 30 // effectively unbounded
 	}
-	var cpu sim.Server
-	if opts.CPUWorkers > 1 {
-		cpu = sim.NewMultiStation(eng, "cpu", opts.CPUWorkers)
-	} else {
-		cpu = sim.NewStation(eng, "cpu")
-	}
+	cpu := sim.NewStation(eng, "cpu")
 	switch {
 	case opts.ReplayWorkers == 0:
 		opts.ReplayWorkers = runtime.GOMAXPROCS(0)
@@ -229,7 +211,7 @@ func NewDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options) (*
 	se.obs = opts.Obs
 	se.now = eng.Now
 	se.exactSlots = opts.ExactSlots
-	se.charge = codecCharge{host: opts.Cost, offload: opts.Offload, device: DefaultOffloadCost()}
+	se.cost = opts.Cost
 	// Heat epochs tick at the same length whether or not maintenance is
 	// on: heat is write-only on the foreground paths, so the disabled
 	// run is unchanged, and tests can inspect temperature either way.

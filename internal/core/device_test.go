@@ -457,34 +457,6 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 	}
 }
 
-func TestOffloadMovesCompressionOffHostCPU(t *testing.T) {
-	reg := defaultTestRegistry(t)
-	lzf, _ := reg.ByName("lzf")
-	mk := func(offload bool) *RunStats {
-		rig := newTestRig(t, Options{Policy: Fixed("Lzf", lzf), Offload: offload})
-		st, err := rig.dev.Play(seqTrace(500, 300*time.Microsecond))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	host := mk(false)
-	dev := mk(true)
-	if dev.CPU.BusyTime >= host.CPU.BusyTime/10 {
-		t.Fatalf("offload host CPU busy %v; want far below host-side %v",
-			dev.CPU.BusyTime, host.CPU.BusyTime)
-	}
-	// Same data stored either way.
-	if dev.StoredBytes != host.StoredBytes {
-		t.Fatalf("stored bytes differ: %d vs %d", dev.StoredBytes, host.StoredBytes)
-	}
-	// The device queue absorbs the codec engine time instead.
-	if dev.Queues[0].BusyTime <= host.Queues[0].BusyTime {
-		t.Fatalf("offload device busy %v not above host-side %v",
-			dev.Queues[0].BusyTime, host.Queues[0].BusyTime)
-	}
-}
-
 func TestRunStatsStringAndHelpers(t *testing.T) {
 	rig := newTestRig(t, Options{Policy: Native()})
 	st, err := rig.dev.Play(seqTrace(60, time.Millisecond))

@@ -24,9 +24,8 @@
 //     behind a layout (backend.go)
 //
 // Replay runs on a virtual-time event loop (internal/sim); codec work is
-// charged deterministic cost through one codecCharge (cost.go), to the
-// host CPU or under Options.Offload to the device operation, so results
-// are machine-independent and bit-reproducible. Whatever drives a Device
+// charged the deterministic CostModel time (cost.go) on the one host CPU
+// station, so results are machine-independent and bit-reproducible. Whatever drives a Device
 // — Play, PlayUntil, or a serve shard's loop — brackets the run with
 // open and close (device.go): persistence and background timers armed,
 // one queue on the process-wide codec pool (internal/parallel), parked

@@ -24,9 +24,9 @@ type storeEngine struct {
 	alloc   *Allocator
 	mapping *Mapping
 
-	// charge bills codec time to the host CPU or the device operation;
-	// exactSlots is the Options.ExactSlots ablation. NewDevice sets both.
-	charge     codecCharge
+	// cost prices codec time on the host CPU; exactSlots is the
+	// Options.ExactSlots ablation. NewDevice sets both.
+	cost       CostModel
 	exactSlots bool
 
 	// pool is the queue Device.open registers on the process-wide codec
@@ -76,10 +76,10 @@ func newStoreEngine(be *Backend, volBytes int64, verify bool) *storeEngine {
 	se := &storeEngine{
 		be:    be,
 		alloc: NewAllocator(be.LogicalBytes()),
-		// NewDevice rebinds now to the owning engine's clock and charge to
+		// NewDevice rebinds now to the owning engine's clock and cost to
 		// its options; the defaults keep bare store engines (tests) usable.
-		now:    func() time.Duration { return 0 },
-		charge: codecCharge{host: DefaultCostModel()},
+		now:  func() time.Duration { return 0 },
+		cost: DefaultCostModel(),
 	}
 	se.mapping = NewMapping(volBytes, se.alloc, se.freeExtent)
 	if verify {
@@ -299,13 +299,11 @@ func (se *storeEngine) unpin(ext *Extent, buf []byte) {
 	}
 }
 
-// write issues the device write of ext's slot, carrying the codec time
-// when the device's own engine did the compressing; done fires when the
+// write issues the device write of ext's slot; done fires when the
 // transfer completes, with the operation outcome (nil, or an injected
 // *fault.Error).
 func (se *storeEngine) write(ext *Extent, done func(err error)) {
-	_, extra := se.charge.compress(ext.Tag, ext.OrigLen)
-	se.be.Write(ext.DevOff, ext.SlotLen, extra, done)
+	se.be.Write(ext.DevOff, ext.SlotLen, done)
 }
 
 // failState carries the first fatal replay error; every stage shares one

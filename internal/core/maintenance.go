@@ -146,8 +146,7 @@ func (mt *maintainer) step(now time.Duration, budget int) int {
 func (mt *maintainer) relocate(e *Extent, codec compress.Codec, reason string) {
 	mt.relocating[e] = struct{}{}
 	d := mt.d
-	decCPU, extra := d.se.charge.decompress(e.Tag, e.OrigLen)
-	d.se.be.Read(e.DevOff, e.CompLen, extra, func(err error) {
+	d.se.be.Read(e.DevOff, e.CompLen, func(err error) {
 		if err != nil || d.fs.failed() || e.live == 0 {
 			mt.abort(e)
 			return
@@ -167,8 +166,8 @@ func (mt *maintainer) relocate(e *Extent, codec compress.Codec, reason string) {
 				payload: compress.AppendCompress(codec, pbuf, content),
 			}
 		})
-		encCPU, _ := d.se.charge.compress(codec.Tag(), e.OrigLen)
-		hostTime(d.cpu, decCPU+encCPU, func(_, _ time.Duration) { mt.reencode(e, codec, reason, fut) })
+		cpu := d.se.cost.DecompressTime(e.Tag, e.OrigLen) + d.se.cost.CompressTime(codec.Tag(), e.OrigLen)
+		hostTime(d.cpu, cpu, func(_, _ time.Duration) { mt.reencode(e, codec, reason, fut) })
 	})
 }
 

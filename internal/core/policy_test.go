@@ -132,6 +132,13 @@ func TestCostModelValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero throughput should fail validation")
 	}
+	partial := CostModel{compress.TagLZF: {CompressBps: 1, DecompressBps: 1}}
+	if err := partial.Validate(); err == nil {
+		t.Fatal("a model leaving registered codecs unpriced should fail validation")
+	}
+	if err := DefaultCostModel().Validate(); err != nil {
+		t.Fatalf("default model: %v", err)
+	}
 }
 
 func TestCostModelPanicsOnUnknownTag(t *testing.T) {

@@ -16,13 +16,13 @@ import (
 )
 
 // readPath is the read stage of the request pipeline: host-cache check →
-// mapping lookup → device read → decompression (host CPU station or
-// in-device codec engine) → optional round-trip verification. Device I/O
-// and the mapping go through the store engine; completions return to the
-// frontend via the complete/drop callbacks.
+// mapping lookup → device read → decompression on the host CPU station →
+// optional round-trip verification. Device I/O and the mapping go through
+// the store engine; completions return to the frontend via the
+// complete/drop callbacks.
 type readPath struct {
 	eng   *sim.Engine
-	cpu   sim.Server
+	cpu   *sim.Station
 	fs    *failState
 	stats *RunStats
 	se    *storeEngine
@@ -87,7 +87,6 @@ type readSeg struct {
 
 	// The device read and its logical range (for the event stream).
 	devOff, bytes int64
-	extra         time.Duration
 	off, size     int64
 	attempt       int
 
@@ -219,9 +218,9 @@ func (rp *readPath) read(arrival time.Duration, off, size int64, done func(time.
 		switch {
 		case seg.Ext == nil:
 			// Hole: the device still transfers zero pages.
-			s.devOff, s.bytes, s.extra, s.off, s.size = 0, seg.Bytes, 0, off, seg.Bytes
+			s.devOff, s.bytes, s.off, s.size = 0, seg.Bytes, off, seg.Bytes
 		case seg.Ext.Tag == compress.TagNone:
-			s.devOff, s.bytes, s.extra, s.off, s.size = seg.Ext.DevOff, seg.Bytes, 0, seg.Ext.Offset, seg.Bytes
+			s.devOff, s.bytes, s.off, s.size = seg.Ext.DevOff, seg.Bytes, seg.Ext.Offset, seg.Bytes
 		default:
 			ext := seg.Ext
 			if rp.obs != nil {
@@ -244,11 +243,9 @@ func (rp *readPath) read(arrival time.Duration, off, size int64, done func(time.
 					s.fut = parallel.GoInto(rp.se.pool, s.fut, s.job)
 				}
 			}
-			// Decompression is host CPU time after the transfer, or rides
-			// on the transfer itself when the device's codec engine does it.
-			var extra time.Duration
-			s.cpu, extra = rp.se.charge.decompress(ext.Tag, ext.OrigLen)
-			s.devOff, s.bytes, s.extra, s.off, s.size = ext.DevOff, ext.CompLen, extra, ext.Offset, ext.OrigLen
+			// Decompression is host CPU time after the transfer.
+			s.cpu = rp.se.cost.DecompressTime(ext.Tag, ext.OrigLen)
+			s.devOff, s.bytes, s.off, s.size = ext.DevOff, ext.CompLen, ext.Offset, ext.OrigLen
 		}
 		s.attempt = 0
 		s.submit()
@@ -257,7 +254,7 @@ func (rp *readPath) read(arrival time.Duration, off, size int64, done func(time.
 
 // submit issues the segment's device read (again, on a retry).
 func (s *readSeg) submit() {
-	s.rp.se.be.Read(s.devOff, s.bytes, s.extra, s.ioDone)
+	s.rp.se.be.Read(s.devOff, s.bytes, s.ioDone)
 }
 
 // onIO reacts to the device read's outcome: a transient fault retries

@@ -41,7 +41,7 @@ const DedupHashBps = 4e9
 // complete/drop callbacks.
 type writePath struct {
 	eng   *sim.Engine
-	cpu   sim.Server
+	cpu   *sim.Station
 	fs    *failState
 	stats *RunStats
 	se    *storeEngine
@@ -389,8 +389,7 @@ func (wp *writePath) compressRun(run *Run, content []byte, sum dedup.Sum, hasSum
 		})
 	}
 	if codec != nil {
-		cpu, _ := wp.se.charge.compress(codec.Tag(), run.Size)
-		cpuTime += cpu
+		cpuTime += wp.se.cost.CompressTime(codec.Tag(), run.Size)
 	}
 	hostTime(wp.cpu, cpuTime, func(_, _ time.Duration) { wp.store(run, content, codec, fut, ver, sum, hasSum) })
 }

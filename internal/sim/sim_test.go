@@ -160,6 +160,30 @@ func TestStationFIFOAndTiming(t *testing.T) {
 	}
 }
 
+func TestStationQueueAccounting(t *testing.T) {
+	e := NewEngine()
+	s := NewStation(e, "cpu")
+	e.Schedule(0, func() {
+		for i := 0; i < 5; i++ {
+			s.Submit(Job{Service: time.Millisecond})
+		}
+		if !s.Busy() {
+			t.Error("station idle with jobs queued")
+		}
+		if s.QueueLen() != 4 {
+			t.Errorf("queue = %d; want 4", s.QueueLen())
+		}
+	})
+	e.Run()
+	if s.Busy() || s.QueueLen() != 0 {
+		t.Fatalf("busy = %v, queue = %d after the run", s.Busy(), s.QueueLen())
+	}
+	// Job i waits i ms: 0+1+2+3+4.
+	if st := s.Stats(); st.MaxQueue != 5 || st.WaitTime != 10*time.Millisecond {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
 func TestStationIdlePeriod(t *testing.T) {
 	e := NewEngine()
 	s := NewStation(e, "dev")
