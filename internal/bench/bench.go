@@ -16,9 +16,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"edc"
 )
@@ -222,21 +222,27 @@ type experiment struct {
 	run   func(Params) ([]*Table, error)
 }
 
-var (
-	registryMu sync.Mutex
-	registry   []experiment
-)
+// registry is filled by init functions and only read after.
+var registry []experiment
 
 func register(id, title string, run func(Params) ([]*Table, error)) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
 	registry = append(registry, experiment{id: id, title: title, run: run})
+}
+
+// registerCells registers a replay experiment: a declared list of cells
+// and render, which turns their results, in order, into its table.
+func registerCells(id, title string, cells func(Params) []cell, render func(Params, []*edc.Results) *Table) {
+	register(id, title, func(p Params) ([]*Table, error) {
+		res, err := runCells(cells(p))
+		if err != nil {
+			return nil, err
+		}
+		return []*Table{render(p, res)}, nil
+	})
 }
 
 // Experiments lists the registered experiment IDs in run order.
 func Experiments() []string {
-	registryMu.Lock()
-	defer registryMu.Unlock()
 	out := make([]string, len(registry))
 	for i, e := range registry {
 		out[i] = e.id
@@ -246,8 +252,6 @@ func Experiments() []string {
 
 // Describe returns id -> title.
 func Describe() map[string]string {
-	registryMu.Lock()
-	defer registryMu.Unlock()
 	out := make(map[string]string, len(registry))
 	for _, e := range registry {
 		out[e.id] = e.title
@@ -257,21 +261,13 @@ func Describe() map[string]string {
 
 // Run executes one experiment by ID.
 func Run(id string, p Params) ([]*Table, error) {
-	registryMu.Lock()
-	var exp *experiment
-	for i := range registry {
-		if registry[i].id == id {
-			exp = &registry[i]
-			break
-		}
-	}
-	registryMu.Unlock()
-	if exp == nil {
+	i := slices.IndexFunc(registry, func(e experiment) bool { return e.id == id })
+	if i < 0 {
 		known := Experiments()
 		sort.Strings(known)
 		return nil, fmt.Errorf("bench: unknown experiment %q (have %s)", id, strings.Join(known, ", "))
 	}
-	return exp.run(p)
+	return registry[i].run(p)
 }
 
 // RunAll executes every experiment in registration order.

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,21 +14,18 @@ import (
 // tiny keeps test replays fast.
 var tiny = Params{Requests: 800, VolumeMiB: 128}
 
+// TestExperimentsRegistered holds the registry to every experiment, in
+// the order RunAll runs them.
 func TestExperimentsRegistered(t *testing.T) {
 	ids := Experiments()
 	want := []string{
-		"tab1", "tab2", "fig1", "fig2", "fig3",
+		"ablation-sd", "ablation-sampling", "ablation-slots", "dedup",
 		"fig8", "fig9", "fig10", "fig11", "fig12",
-		"ablation-sd", "ablation-sampling", "ablation-slots",
+		"ext-cache", "ext-hints", "ext-endurance", "ext-energy", "ext-hdd", "ext-tail",
+		"maint", "fig1", "fig2", "fig3", "qos", "tab1", "tab2",
 	}
-	have := map[string]bool{}
-	for _, id := range ids {
-		have[id] = true
-	}
-	for _, id := range want {
-		if !have[id] {
-			t.Errorf("experiment %q not registered", id)
-		}
+	if !slices.Equal(ids, want) {
+		t.Errorf("registered experiments\n %q\nwant\n %q", ids, want)
 	}
 	desc := Describe()
 	for _, id := range ids {

@@ -9,7 +9,6 @@ import (
 
 	"edc"
 	"edc/internal/parallel"
-	"edc/internal/trace"
 )
 
 // overlayParams turns every overlay field of Params on at once, sized so
@@ -101,33 +100,30 @@ func TestParamsOverlayReachesStack(t *testing.T) {
 // report of ReplayCell under EDC is, byte for byte, the report of the
 // cell the fig8/fig10 sweep computes — at a non-zero seed, and for
 // workloads past the first, where the trace index and the payload seed
-// both matter. It computes only those two cells of the sweep, as runEval
-// does: its traces, keyed by name, each through sweepCell.
+// both matter. It runs only those two cells of the sweep's declared list,
+// through the experiments' runner.
 func TestReplayCellIsFigureCell(t *testing.T) {
 	p := Params{Requests: 400, VolumeMiB: 64, Seed: 3}
-	traces, err := standardTraces(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sweep := sweepCells(edc.SingleSSD)(p)
 	for _, name := range []string{"fin2", "prxy_0"} {
 		prof, err := edc.WorkloadByName(name, p.volume())
 		if err != nil {
 			t.Fatal(err)
 		}
-		cell, err := ReplayCell(p, name, edc.SchemeEDC)
+		res, err := ReplayCell(p, name, edc.SchemeEDC)
 		if err != nil {
 			t.Fatal(err)
 		}
-		i := slices.IndexFunc(traces, func(tr *trace.Trace) bool { return tr.Name == prof.Name })
+		i := slices.IndexFunc(sweep, func(c cell) bool { return c.trace.profile == prof.Name && c.scheme == edc.SchemeEDC })
 		if i < 0 {
-			t.Fatalf("%s: no standard trace named %q", name, prof.Name)
+			t.Fatalf("%s: no sweep cell on a trace named %q", name, prof.Name)
 		}
-		figure, err := sweepCell(p, edc.SingleSSD, traces[i], edc.SchemeEDC)
+		figure, err := runCells(sweep[i : i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ := json.Marshal(cell.Report())
-		want, _ := json.Marshal(figure.Report())
+		got, _ := json.Marshal(res.Report())
+		want, _ := json.Marshal(figure[0].Report())
 		if string(got) != string(want) {
 			t.Errorf("%s: ReplayCell differs from the figure's cell:\n cell:   %s\n figure: %s", name, got, want)
 		}

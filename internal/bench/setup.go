@@ -6,7 +6,6 @@ import (
 
 	"edc/internal/ssd"
 	"edc/internal/trace"
-	"edc/internal/workload"
 )
 
 // singleSSDConfig is the device model for single-SSD experiments:
@@ -22,26 +21,6 @@ func raisSSDConfig() ssd.Config {
 	cfg := ssd.DefaultConfig()
 	cfg.Blocks = 1024 // 256 MiB each; 5-device RAIS5 ≈ 950 MiB logical
 	return cfg
-}
-
-// standardTrace generates the i-th of the paper's four evaluation traces
-// (traceOrder) at the requested size. Seeds are fixed per trace (offset
-// by p.Seed) so every experiment sees identical request streams.
-func standardTrace(p Params, i int) (*trace.Trace, error) {
-	return workload.Standard(p.volume())[i].GenerateN(p.requests(), 1000+int64(i)+p.Seed)
-}
-
-// standardTraces generates all four evaluation traces.
-func standardTraces(p Params) ([]*trace.Trace, error) {
-	out := make([]*trace.Trace, len(traceOrder))
-	for i := range out {
-		tr, err := standardTrace(p, i)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = tr
-	}
-	return out, nil
 }
 
 func init() {
@@ -77,16 +56,16 @@ func runTab1(p Params) ([]*Table, error) {
 }
 
 func runTab2(p Params) ([]*Table, error) {
-	traces, err := standardTraces(p)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:     "tab2",
 		Title:  "Key characteristics of evaluation workloads (Table II analogue)",
 		Header: []string{"trace", "requests", "read%", "avg KB", "mean IOPS", "peak/mean", "footprint MiB"},
 	}
-	for _, tr := range traces {
+	for _, ts := range standardTraces {
+		tr, err := ts.at(p).generate()
+		if err != nil {
+			return nil, err
+		}
 		st := tr.Stats()
 		mean, peak := burstStats(tr)
 		pm := 0.0
