@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -87,5 +89,33 @@ func TestReplayOverlayReachesStack(t *testing.T) {
 	}
 	if pooled == 0 {
 		t.Error("-workers did not reach the stack: the codec pool saw no job")
+	}
+}
+
+// TestProfilesEveryMode runs a short -replay and a short -serve with
+// -cpuprofile and -memprofile: every mode writes both profiles, not only
+// the experiment path.
+func TestProfilesEveryMode(t *testing.T) {
+	dir := t.TempDir()
+	for _, mode := range []struct {
+		name string
+		args []string
+	}{
+		{"replay", []string{"-replay", "fin1", "-requests", "300", "-volume", "64"}},
+		{"serve", []string{"-serve", "-spec", "d=100ms qps=500 rw=0.5", "-volume", "64", "-clients", "2"}},
+	} {
+		cpu, mem := filepath.Join(dir, mode.name+".prof"), filepath.Join(dir, mode.name+".mem")
+		var out bytes.Buffer
+		if err := run(append(mode.args, "-cpuprofile", cpu, "-memprofile", mem), &out); err != nil {
+			t.Fatalf("%s: %v", mode.name, err)
+		}
+		for _, path := range []string{cpu, mem} {
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Errorf("%s: %v", mode.name, err)
+			} else if st.Size() == 0 {
+				t.Errorf("%s: %s is empty", mode.name, filepath.Base(path))
+			}
+		}
 	}
 }

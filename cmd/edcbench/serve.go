@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -29,7 +30,7 @@ func loadSpec(v string) (workload.Spec, error) {
 // runServe performs one open-loop serve run of the spec and prints the
 // per-step table (or, with -json, the full machine-readable
 // ServeResult).
-func runServe(sp bench.ServeParams, specArg, format string, jsonOut bool) error {
+func runServe(sp bench.ServeParams, specArg, format string, jsonOut bool, stdout io.Writer) error {
 	spec, err := loadSpec(specArg)
 	if err != nil {
 		return err
@@ -40,9 +41,9 @@ func runServe(sp bench.ServeParams, specArg, format string, jsonOut bool) error 
 		return err
 	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(sr)
 	}
-	return bench.WriteTables(os.Stdout, []*bench.Table{bench.ServeTable(sr)}, format)
+	return bench.WriteTables(stdout, []*bench.Table{bench.ServeTable(sr)}, format)
 }
