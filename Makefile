@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmtcheck doclint race raceall bench fuzz perfdiff corescale check cover matrixcheck clean
+.PHONY: all build test vet fmtcheck doclint race raceall bench fuzz perfdiff tablediff corescale check cover matrixcheck clean
 
 all: check
 
@@ -96,6 +96,17 @@ fuzz:
 perfdiff:
 	@test -n "$(BASE)" || { echo "usage: make perfdiff BASE=<rev>"; exit 2; }
 	bash scripts/perfdiff.sh $(BASE)
+
+# Every experiment's tables against a base revision, byte for byte: each
+# experiment ID run on its own at -requests 1500 (FULL=1: also at the
+# default size) with -format csv, fig2's measured MB/s columns blanked;
+# exit 1 on any difference. The acceptance check of a change that must
+# keep every table byte-identical. Minutes (FULL=1: tens of minutes), so
+# not part of check or CI.
+#   make tablediff BASE=HEAD~1 [FULL=1]
+tablediff:
+	@test -n "$(BASE)" || { echo "usage: make tablediff BASE=<rev> [FULL=1]"; exit 2; }
+	FULL=$(FULL) bash scripts/tablediff.sh $(BASE)
 
 # Core-scaling sweep and gate: the same stamp-ordered serve workload at
 # GOMAXPROCS 1/2/4. Always asserts the virtual-time results (per-step
