@@ -225,11 +225,11 @@ func (mt *maintainer) replacement(e *Extent, codec compress.Codec, reason string
 
 // commit lands one relocation at its durable point (the new slot's
 // device write completed): move the content-index entry to the new copy,
-// journal the versioned relocate record, remap every referring block —
-// dedup may have mapped foreign LBAs onto e — and flush the old slot's
-// deferred release (without dedup the first and last have nothing to
-// do). Mirrors the write path, where the insert record is appended at
-// write completion so journal order is durability order.
+// remap every referring block — dedup may have mapped foreign LBAs onto
+// e — then journal the versioned relocate record and flush the old
+// slot's deferred release (without dedup the first and last have nothing
+// to do). With a journal armed the last two wait, like every mapping
+// mutation, for the inserts mapped before this one (writePath.mutated).
 func (mt *maintainer) commit(e, newExt *Extent, reason string, err error) {
 	d := mt.d
 	if err != nil || d.fs.failed() || e.live == 0 {
@@ -243,14 +243,17 @@ func (mt *maintainer) commit(e, newExt *Extent, reason string, err error) {
 	}
 	oldTag, oldSlot := e.Tag, e.SlotLen
 	d.se.dedupRemap(e, newExt)
-	if d.wp.jnl != nil {
-		d.wp.jnl.AppendRelocate(e, newExt, d.se.dedup != nil)
-	}
 	if rerr := d.se.mapping.Replace(e, newExt); rerr != nil {
 		d.fs.fail(rerr)
 		return
 	}
-	d.wp.flushDying(d.se.mapping.takeDying())
+	if d.wp.jnl != nil {
+		global := d.se.dedup != nil
+		d.wp.mutated(&mutation{durable: true, dying: d.se.mapping.takeDying(),
+			record: func(j *Journal) { j.AppendRelocate(e, newExt, global) }})
+	} else {
+		d.wp.flushDying(d.se.mapping.takeDying())
+	}
 	delete(mt.relocating, e)
 	d.stats.MaintRelocations++
 	d.stats.MaintReclaimed += oldSlot - newExt.SlotLen

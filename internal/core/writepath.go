@@ -78,9 +78,11 @@ type writePath struct {
 	flushGen  int64
 	version   uint32
 
-	// jnl, when non-nil, records each durable extent at write completion
-	// (the crash-recovery journal).
+	// jnl, when non-nil, is the crash-recovery journal. jq then holds
+	// the mapping mutations whose records are not appended yet, in the
+	// order they changed the live mapping (see mutation).
 	jnl *Journal
+	jq  []*mutation
 
 	// complete finishes one host write (response observation +
 	// closed-loop slot release); drop releases writes without observing
@@ -253,12 +255,72 @@ func (wp *writePath) dedupHit(run *Run, tgt *Extent) {
 	wp.stats.DedupBytesSaved += tgt.SlotLen
 	wp.stats.OrigBytes += run.Size
 	wp.obs.DedupHit(now, run.Offset, run.Size, tgt.Offset, tgt.SlotLen)
-	if wp.jnl != nil {
-		wp.jnl.AppendRef(run.Offset, run.Size, tgt)
-	}
-	wp.flushDying(dying)
 	wp.hostCache.InsertRange(run.Offset, run.Size)
-	wp.finishWrites(run.Writes)
+	if wp.jnl == nil {
+		wp.flushDying(dying)
+		wp.finishWrites(run.Writes)
+		return
+	}
+	off, size := run.Offset, run.Size
+	wp.mutated(&mutation{durable: true, dying: dying, writes: run.Writes,
+		record: func(j *Journal) { j.AppendRef(off, size, tgt) }})
+}
+
+// mutation is one change to the live mapping on its way into the
+// journal. Replay applies records in journal order, and a ref, a
+// relocate or an unref can depend on an insert mapped before it; but an
+// insert maps its run when its slot is placed and is durable only when
+// its device write completes, and writes complete out of order. So with
+// a journal armed every mutation waits in writePath.jq until it is
+// durable and every mutation mapped before it has been journaled. Its
+// deferred frees and the host writes it acknowledges wait with it: a
+// slot is reused, and a write acknowledged, only once the record that
+// accounts for it is in the journal.
+type mutation struct {
+	durable bool
+	record  func(j *Journal)
+	dying   []*Extent
+	writes  []PendingWrite
+}
+
+// mutated queues a mutation that just changed the live mapping (a
+// journal is armed) and journals whatever it unblocked.
+func (wp *writePath) mutated(m *mutation) {
+	wp.jq = append(wp.jq, m)
+	wp.settle()
+}
+
+// settle journals the durable mutations at the head of jq, in order:
+// each appends its record, then flushes its deferred frees and
+// completes its host writes.
+func (wp *writePath) settle() {
+	for len(wp.jq) > 0 && wp.jq[0].durable {
+		m := wp.jq[0]
+		wp.jq[0] = nil
+		wp.jq = wp.jq[1:]
+		m.record(wp.jnl)
+		wp.flushDying(m.dying)
+		wp.finishWrites(m.writes)
+	}
+}
+
+// abandonFrom gives up m, whose write failed for good, and every
+// mutation queued behind it: none of their records can be journaled in
+// order any more. Their writes are dropped and their dying batches freed
+// without unref records, as a failed insert's own are.
+func (wp *writePath) abandonFrom(m *mutation) {
+	for i, q := range wp.jq {
+		if q != m {
+			continue
+		}
+		for _, a := range wp.jq[i:] {
+			wp.drop(len(a.writes))
+			wp.abandonDying(a.dying)
+		}
+		clear(wp.jq[i:])
+		wp.jq = wp.jq[:i]
+		return
+	}
 }
 
 // finishWrites completes the host writes of a run that is now durable.
@@ -452,35 +514,43 @@ func (wp *writePath) store(run *Run, content []byte, codec compress.Codec, fut *
 	wp.se.putBuf(payload)
 
 	wp.hostCache.InsertRange(run.Offset, run.Size)
-	wp.issueWrite(ext, run.Writes, dying, 0, 0)
+	var m *mutation
+	if wp.jnl != nil {
+		m = &mutation{dying: dying, writes: run.Writes,
+			record: func(j *Journal) { j.Append(ext) }}
+		wp.jq = append(wp.jq, m)
+	}
+	wp.issueWrite(ext, run.Writes, dying, m, 0, 0)
 }
 
 // issueWrite submits the device write for ext's slot and reacts to the
-// outcome: success journals the extent (when a journal is attached) and
-// completes the merged host writes; a transient fault retries after a
-// virtual-time backoff; a hard fault (or exhausted retries) moves the
-// run to a fresh slot and starts over. Only when every recovery avenue
-// is spent does the replay abort.
-func (wp *writePath) issueWrite(ext *Extent, writes []PendingWrite, dying []*Extent, attempt, reallocs int) {
+// outcome: success completes the merged host writes (with a journal
+// armed, m, queued when ext was placed, does so once journaled); a
+// transient fault retries after a virtual-time backoff; a hard fault (or
+// exhausted retries) moves the run to a fresh slot and starts over. Only
+// when every recovery avenue is spent does the replay abort.
+func (wp *writePath) issueWrite(ext *Extent, writes []PendingWrite, dying []*Extent, m *mutation, attempt, reallocs int) {
 	wp.se.write(ext, func(err error) {
 		switch {
 		case err == nil:
-			// Durable: journaled and safe for maintenance to relocate.
+			// Durable: safe for maintenance to relocate.
 			ext.pending = false
-			if wp.jnl != nil {
-				wp.jnl.Append(ext)
-			}
 			// Only a durably stored extent enters the content index, and
 			// the extents its insert dereferenced are released only now —
 			// so an unref record never precedes the insert that caused it.
 			wp.se.dedupRegister(ext)
+			if m != nil {
+				m.durable = true
+				wp.settle()
+				return
+			}
 			wp.flushDying(dying)
 			wp.finishWrites(writes)
 		case errors.Is(err, fault.ErrTransient) && attempt < maxRetries:
 			wp.stats.FaultRetries++
 			wp.obs.Retry(wp.eng.Now(), "write", ext.Offset, ext.OrigLen, attempt+1)
 			wp.eng.ScheduleAfter(retryBackoff<<attempt, func() {
-				wp.issueWrite(ext, writes, dying, attempt+1, reallocs)
+				wp.issueWrite(ext, writes, dying, m, attempt+1, reallocs)
 			})
 		case reallocs < maxReallocs:
 			// The failed slot is abandoned, not freed — the media there is
@@ -488,17 +558,27 @@ func (wp *writePath) issueWrite(ext *Extent, writes []PendingWrite, dying []*Ext
 			// the run.
 			if rerr := wp.se.allocSlot(ext); rerr != nil {
 				wp.fs.fail(fmt.Errorf("re-allocating run at %d after %v: %w", ext.Offset, err, rerr))
-				wp.drop(len(writes))
-				wp.abandonDying(dying)
+				wp.abandon(writes, dying, m)
 				return
 			}
 			wp.stats.WriteReallocs++
 			wp.obs.Recover(wp.eng.Now(), obs.RecoverRealloc, ext.Offset, ext.OrigLen, 0)
-			wp.issueWrite(ext, writes, dying, 0, reallocs+1)
+			wp.issueWrite(ext, writes, dying, m, 0, reallocs+1)
 		default:
 			wp.fs.fail(fmt.Errorf("writing run at %d: %w", ext.Offset, err))
-			wp.drop(len(writes))
-			wp.abandonDying(dying)
+			wp.abandon(writes, dying, m)
 		}
 	})
+}
+
+// abandon releases a run whose write failed for good: its writes are
+// dropped and its dying batch freed unjournaled, together with every
+// mutation queued behind it when a journal is armed.
+func (wp *writePath) abandon(writes []PendingWrite, dying []*Extent, m *mutation) {
+	if m != nil {
+		wp.abandonFrom(m)
+		return
+	}
+	wp.drop(len(writes))
+	wp.abandonDying(dying)
 }
