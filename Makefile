@@ -51,8 +51,9 @@ matrixcheck:
 # allocation counts; the lzf/gz decode and encode rows (BenchmarkDecode
 # and BenchmarkEncode in their packages), the datagen rows and the trace
 # rows come in pairs, product
-# and kept reference; BenchmarkStreamNext times one open-loop draw on the
-# serve-hot-small and serve-read-verify steps; BenchmarkBackend times one
+# and kept reference; BenchmarkStreamNext times one open-loop draw with
+# zipfian-0.99 and with uniform read keys at 32 MiB / 4 KiB, each beside a
+# /pow row without the zipfian rank lookup; BenchmarkBackend times one
 # single-SSD or RAIS5 operation through its member queue; BenchmarkFutureJoin times one codec
 # pool join on an idle pool and behind eight queued jobs; BenchmarkReplayFin1
 # replays 6 000 Fin1 requests with the codec work inline (workers-1) and on
@@ -76,7 +77,8 @@ bench:
 # minimises briefly: shrinking an input under a CRC seldom succeeds). The
 # encoder targets minimise briefly too: each try runs two encoders over
 # an input that can be a corpus block of 64 KiB, and a long minimisation
-# would take the whole ten seconds.
+# would take the whole ten seconds. The zipfian rank lookup is fuzzed
+# against its math.Pow expression, at random draws and next to its cuts.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 10s ./internal/datagen
 	$(GO) test -run '^$$' -fuzz FuzzParseSPC -fuzztime 10s ./internal/trace
@@ -87,6 +89,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCompress -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/lzf
 	$(GO) test -run '^$$' -fuzz FuzzCompress -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/gz
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/compress
+	$(GO) test -run '^$$' -fuzz FuzzZipfRank -fuzztime 10s ./internal/workload
 
 # Paired benchmark against a parent revision, by BENCHMARK.json's rule:
 # ten alternating parent/change pairs per workload plus a held-out seed,

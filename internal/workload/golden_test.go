@@ -106,25 +106,44 @@ func TestStreamGolden(t *testing.T) {
 	}
 }
 
-// BenchmarkStreamNext times one draw on the serve-hot-small step (a
-// zipfian read key) and on the serve-read-verify step.
+// BenchmarkStreamNext times one draw at 32 MiB / 4 KiB on the
+// serve-hot-small step (zipfian-0.99 read keys) and on the same step with
+// uniform read keys. Each /pow row runs the same stream with its zipfian
+// pickers' rank lookup removed: every draw past rank 1 evaluates
+// math.Pow, as the generator did before the lookup (a uniform stream has
+// none, so its /pow row is a control).
 func BenchmarkStreamNext(b *testing.B) {
+	uniform := hotSmall
+	uniform.RKD = KeyChoice{Kind: KeyUniform}
 	for _, c := range []struct {
 		name string
 		step Step
-		vol  int64
-	}{{"hot-small", hotSmall, 32 << 20}, {"read-verify", readVerify, 256 << 20}} {
-		b.Run(c.name, func(b *testing.B) {
-			s, err := NewStream(Spec{c.step}, c.vol, 1, 0, 1)
-			if err != nil {
-				b.Fatal(err)
+	}{{"zipfian-0.99", hotSmall}, {"uniform", uniform}} {
+		for _, pow := range []bool{false, true} {
+			name := c.name
+			if pow {
+				name += "/pow"
 			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, ok := s.Next(); !ok {
-					b.Fatal("stream ended")
+			b.Run(name, func(b *testing.B) {
+				s, err := NewStream(Spec{c.step}, 32<<20, 1, 0, 1)
+				if err != nil {
+					b.Fatal(err)
 				}
-			}
-		})
+				if pow {
+					for _, p := range s.pickers {
+						if z, ok := p.(*zipfKeys); ok {
+							z.cuts = nil
+						}
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, ok := s.Next(); !ok {
+						b.Fatal("stream ended")
+					}
+				}
+			})
+		}
 	}
 }

@@ -11,7 +11,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -260,59 +259,34 @@ type uniformKeys struct{ n int64 }
 
 func (u uniformKeys) pick(rng *rand.Rand) int64 { return rng.Int63n(u.n) }
 
-// zipfKeys is the YCSB bounded zipfian over n items with skew theta in
-// (0, 1) — Go's rand.Zipf requires s > 1 and cannot express this range.
-// Ranks are scrambled through splitmix64 so the hot keys scatter across
-// the volume instead of clustering at offset zero.
-type zipfKeys struct {
-	n     int64
-	alpha float64
-	zetan float64
-	eta   float64
-	rank1 float64 // 1 + 0.5^theta: a draw u·zetan below it is rank 1
+// pickerKey names a key picker: its distribution (theta zero for
+// uniform, which ignores it) and block count.
+type pickerKey struct {
+	kc KeyChoice
+	n  int64
 }
 
-// newZipfKeys precomputes the zeta terms (Gray et al.'s incremental
-// formulas as used by YCSB's ZipfianGenerator).
-func newZipfKeys(n int64, theta float64) *zipfKeys {
-	var zetan float64
-	for i := int64(1); i <= n; i++ {
-		zetan += 1 / math.Pow(float64(i), theta)
+// picker returns the stream's picker for one direction of one step,
+// built on first use: a zipfian picker costs n math.Pow calls and its
+// rank lookup, and is a pure function of its key, so a step's two
+// directions and consecutive steps that agree share one.
+func (s *Stream) picker(kc KeyChoice, nBlocks int64) keyPicker {
+	if kc.Kind != KeyZipfian {
+		kc.Theta = 0
 	}
-	zeta2 := 1 + 1/math.Pow(2, theta)
-	return &zipfKeys{
-		n:     n,
-		alpha: 1 / (1 - theta),
-		zetan: zetan,
-		eta:   (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta2/zetan),
-		rank1: 1 + math.Pow(0.5, theta),
+	key := pickerKey{kc, nBlocks}
+	if p, ok := s.pickers[key]; ok {
+		return p
 	}
-}
-
-func (z *zipfKeys) pick(rng *rand.Rand) int64 {
-	u := rng.Float64()
-	uz := u * z.zetan
-	var rank int64
-	switch {
-	case uz < 1:
-		rank = 0
-	case uz < z.rank1:
-		rank = 1
-	default:
-		rank = int64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
-		if rank >= z.n {
-			rank = z.n - 1
-		}
-	}
-	return int64(splitmix64(uint64(rank)) % uint64(z.n))
-}
-
-// newKeyPicker builds the picker for one direction of one step.
-func newKeyPicker(kc KeyChoice, nBlocks int64) keyPicker {
+	var p keyPicker = uniformKeys{n: nBlocks}
 	if kc.Kind == KeyZipfian {
-		return newZipfKeys(nBlocks, kc.Theta)
+		p = newZipfKeys(nBlocks, kc.Theta)
 	}
-	return uniformKeys{n: nBlocks}
+	if s.pickers == nil {
+		s.pickers = make(map[pickerKey]keyPicker)
+	}
+	s.pickers[key] = p
+	return p
 }
 
 // Stream generates one worker's share of an open-loop Spec: worker w of
@@ -334,6 +308,8 @@ type Stream struct {
 	at    time.Duration // last arrival within the current step
 	reads keyPicker
 	wris  keyPicker
+
+	pickers map[pickerKey]keyPicker // every picker built so far
 }
 
 // NewStream validates the spec and builds worker w of W (0 <= w < W).
@@ -372,8 +348,8 @@ func (s *Stream) enter(i int) {
 	if nBlocks < 1 {
 		nBlocks = 1
 	}
-	s.reads = newKeyPicker(st.RKD, nBlocks)
-	s.wris = newKeyPicker(st.WKD, nBlocks)
+	s.reads = s.picker(st.RKD, nBlocks)
+	s.wris = s.picker(st.WKD, nBlocks)
 	if st.AD == ArrivalUniform {
 		// Phase-stagger the workers so W uniform trains interleave into
 		// one smooth aggregate instead of W-wide arrival spikes. at sits

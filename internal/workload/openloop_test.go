@@ -268,3 +268,37 @@ func fitSlope(xs, ys []float64) float64 {
 	}
 	return num / den
 }
+
+// TestStreamSharesPickers checks a stream builds one key picker per
+// (kind, theta, block count): a step's two directions share one when
+// they agree, a later step reuses an earlier step's, and a uniform
+// choice's theta, which it ignores, does not split it.
+func TestStreamSharesPickers(t *testing.T) {
+	z := KeyChoice{Kind: KeyZipfian, Theta: 0.99}
+	spec := Spec{
+		{D: time.Second, QPS: 1000, RW: 0.5, BS: 4 << 10, RKD: z, WKD: z},
+		{D: time.Second, QPS: 1000, RW: 0.5, BS: 4 << 10, RKD: z, WKD: KeyChoice{Kind: KeyUniform, Theta: 0.3}},
+		{D: time.Second, QPS: 1000, RW: 0.5, BS: 8 << 10, RKD: z, WKD: KeyChoice{Kind: KeyUniform}},
+	}
+	s, err := NewStream(spec, 32<<20, 1, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := s.reads
+	if s.wris != hot {
+		t.Fatal("step 1: equal read and write choices built two pickers")
+	}
+	for step := 1; step < len(spec); step++ {
+		for s.step < step {
+			if _, ok := s.Next(); !ok {
+				t.Fatalf("stream ended before step %d", step+1)
+			}
+		}
+		if same := s.reads == hot; same != (step == 1) {
+			t.Errorf("step %d: read picker shared with step 1 = %v", step+1, same)
+		}
+	}
+	if len(s.pickers) != 4 {
+		t.Errorf("built %d pickers, want 4 (zipfian and uniform at two block counts)", len(s.pickers))
+	}
+}
