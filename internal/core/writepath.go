@@ -304,25 +304,6 @@ func (wp *writePath) settle() {
 	}
 }
 
-// abandonFrom gives up m, whose write failed for good, and every
-// mutation queued behind it: none of their records can be journaled in
-// order any more. Their writes are dropped and their dying batches freed
-// without unref records, as a failed insert's own are.
-func (wp *writePath) abandonFrom(m *mutation) {
-	for i, q := range wp.jq {
-		if q != m {
-			continue
-		}
-		for _, a := range wp.jq[i:] {
-			wp.drop(len(a.writes))
-			wp.abandonDying(a.dying)
-		}
-		clear(wp.jq[i:])
-		wp.jq = wp.jq[:i]
-		return
-	}
-}
-
 // finishWrites completes the host writes of a run that is now durable.
 func (wp *writePath) finishWrites(writes []PendingWrite) {
 	now := wp.eng.Now()
@@ -572,13 +553,24 @@ func (wp *writePath) issueWrite(ext *Extent, writes []PendingWrite, dying []*Ext
 }
 
 // abandon releases a run whose write failed for good: its writes are
-// dropped and its dying batch freed unjournaled, together with every
-// mutation queued behind it when a journal is armed.
+// dropped and its dying batch freed unjournaled. With a journal armed,
+// every mutation queued behind its own (m) goes the same way: none of
+// their records can be journaled in order any more.
 func (wp *writePath) abandon(writes []PendingWrite, dying []*Extent, m *mutation) {
-	if m != nil {
-		wp.abandonFrom(m)
+	if m == nil {
+		wp.drop(len(writes))
+		wp.abandonDying(dying)
 		return
 	}
-	wp.drop(len(writes))
-	wp.abandonDying(dying)
+	for i, q := range wp.jq {
+		if q == m {
+			for _, a := range wp.jq[i:] {
+				wp.drop(len(a.writes))
+				wp.abandonDying(a.dying)
+			}
+			clear(wp.jq[i:])
+			wp.jq = wp.jq[:i]
+			return
+		}
+	}
 }

@@ -282,9 +282,6 @@ func (s *Stream) picker(kc KeyChoice, nBlocks int64) keyPicker {
 	if kc.Kind == KeyZipfian {
 		p = newZipfKeys(nBlocks, kc.Theta)
 	}
-	if s.pickers == nil {
-		s.pickers = make(map[pickerKey]keyPicker)
-	}
 	s.pickers[key] = p
 	return p
 }
@@ -330,6 +327,7 @@ func NewStream(spec Spec, volumeBytes int64, seed int64, worker, workers int) (*
 		worker:  worker,
 		workers: workers,
 		step:    -1,
+		pickers: make(map[pickerKey]keyPicker),
 	}
 	s.enter(0)
 	return s, nil

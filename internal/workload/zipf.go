@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -13,7 +14,7 @@ import (
 // A draw u past rank 1 takes the rank int64(n·(eta·u−eta+1)^alpha)
 // (powRank), one math.Pow each. The lookup returns that same rank
 // without it: the formula rises with u, so for every rank r in
-// [2, min(n, zipfTableRanks)] newZipfKeys places the draw cut[r−2] at
+// [2, min(n−1, zipfTableRanks)] newZipfKeys places the draw cuts[r−2] at
 // which it reaches r by inverting the formula, and a draw clear of every
 // cut by more than guard takes the rank of the cuts below it. Draws
 // within guard of a cut, and ranks past the last cut, run powRank.
@@ -25,17 +26,19 @@ type zipfKeys struct {
 	rank1 float64 // 1 + 0.5^theta: a draw u·zetan below it is rank 1
 
 	cuts  []float64 // cuts[j]: the draw at which powRank reaches j+2; nil for no lookup
-	first []uint32  // first[b]: how many cuts lie below b/2^16
+	first []uint32  // first[b]: how many cuts lie below b/len(first)
 	guard float64   // the half-width of the window around each cut that runs powRank
 	last  int       // the highest count of cuts below a draw that names its rank
 }
 
-// zipfTableRanks caps the lookup at 2^16 cuts: 512 KiB of cuts plus the
-// 256 KiB index, whatever n is. The first ranks carry nearly all the
-// draws, so the larger ranks of a larger volume keep powRank.
+// zipfTableRanks caps the lookup at 2^16 cuts: 512 KiB of cuts plus an
+// index of at most 256 KiB, whatever n is. The first ranks carry nearly
+// all the draws, so the larger ranks of a larger volume keep powRank.
 const zipfTableRanks = 1 << 16
 
-// zipfIndexBits is how many leading bits of a draw index the cuts.
+// zipfIndexBits caps how many leading bits of a draw index the cuts. The
+// index has four entries per cut, rounded up to a power of two, so that
+// its size follows n below the cap.
 const zipfIndexBits = 16
 
 // newZipfKeys precomputes the zeta terms (Gray et al.'s incremental
@@ -91,7 +94,7 @@ func (z *zipfKeys) lookup(u float64) (rank int64, ok bool) {
 	if c == nil {
 		return 0, false
 	}
-	k := int(z.first[int(u*(1<<zipfIndexBits))])
+	k := int(z.first[int(u*float64(len(z.first)))])
 	for k < len(c) && c[k] <= u {
 		k++
 	}
@@ -141,10 +144,10 @@ func (z *zipfKeys) buildLookup() {
 		}
 		cuts = append(cuts, c)
 	}
-	first := make([]uint32, 1<<zipfIndexBits)
+	first := make([]uint32, 1<<min(bits.Len(uint(len(cuts)))+2, zipfIndexBits))
 	k := 0
 	for b := range first {
-		for k < len(cuts) && cuts[k] < float64(b)/(1<<zipfIndexBits) {
+		for k < len(cuts) && cuts[k] < float64(b)/float64(len(first)) {
 			k++
 		}
 		first[b] = uint32(k)
