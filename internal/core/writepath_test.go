@@ -139,3 +139,44 @@ func TestPlayDrainsTrailingRuns(t *testing.T) {
 		t.Errorf("observed %d responses, want %d", got, n)
 	}
 }
+
+// TestJournalQueueOrder holds the journal to the mapping's order: a
+// mutation durable at once (a dedup ref) waits behind an insert mapped
+// before it, and its host write is acknowledged only once its record is
+// appended; a write that fails for good drops every mutation queued
+// behind it, journaling none of them.
+func TestJournalQueueOrder(t *testing.T) {
+	wp, completions := newTestWritePath(t, Native())
+	wp.jnl = &Journal{}
+	dropped := 0
+	wp.drop = func(n int) { dropped += n }
+	tgt := mkExtent(t, wp.se.mapping, wp.se.alloc, 0, 4*BlockSize, compress.TagNone)
+	insert := func() *mutation {
+		m := &mutation{writes: make([]PendingWrite, 1), record: func(j *Journal) { j.Append(tgt) }}
+		wp.jq = append(wp.jq, m)
+		return m
+	}
+	ref := func() {
+		wp.mutated(&mutation{durable: true, writes: make([]PendingWrite, 1),
+			record: func(j *Journal) { j.AppendRef(8*BlockSize, 4*BlockSize, tgt) }})
+	}
+
+	first := insert()
+	ref()
+	if n := len(mustDecode(t, wp.jnl.Bytes())); n != 0 || len(*completions) != 0 {
+		t.Fatalf("ref ahead of its insert: %d records, %d writes acknowledged", n, len(*completions))
+	}
+	first.durable = true
+	wp.settle()
+	recs := mustDecode(t, wp.jnl.Bytes())
+	if len(recs) != 2 || recs[0].Ref || !recs[1].Ref || len(*completions) != 2 || len(wp.jq) != 0 {
+		t.Fatalf("after the insert: %d records (%+v), %d acknowledged, %d queued", len(recs), recs, len(*completions), len(wp.jq))
+	}
+
+	failed := insert()
+	ref()
+	wp.abandon(nil, nil, failed)
+	if n := len(mustDecode(t, wp.jnl.Bytes())); n != 2 || dropped != 2 || len(*completions) != 2 || len(wp.jq) != 0 {
+		t.Fatalf("after a failed insert: %d records, %d dropped, %d acknowledged, %d queued", n, dropped, len(*completions), len(wp.jq))
+	}
+}
