@@ -261,9 +261,8 @@ func (wp *writePath) dedupHit(run *Run, tgt *Extent) {
 		wp.finishWrites(run.Writes)
 		return
 	}
-	off, size := run.Offset, run.Size
 	wp.mutated(&mutation{durable: true, dying: dying, writes: run.Writes,
-		record: func(j *Journal) { j.AppendRef(off, size, tgt) }})
+		record: func(j *Journal) { j.AppendRef(run.Offset, run.Size, tgt) }})
 }
 
 // mutation is one change to the live mapping on its way into the
