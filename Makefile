@@ -51,7 +51,9 @@ matrixcheck:
 # allocation counts; the lzf/gz decode and encode rows (BenchmarkDecode
 # and BenchmarkEncode in their packages), the datagen rows and the trace
 # rows come in pairs, product
-# and kept reference; BenchmarkStreamNext times one open-loop draw with
+# and kept reference; gz's BenchmarkAppendCompressWithin times budgeted
+# encodes of 64 KiB media, text and binary blocks at 3/4, 1/2 and 1/4 of
+# the input, each beside a /full row; BenchmarkStreamNext times one open-loop draw with
 # zipfian-0.99 and with uniform read keys at 32 MiB / 4 KiB, each beside a
 # /pow row without the zipfian rank lookup; BenchmarkBackend times one
 # single-SSD or RAIS5 operation through its member queue; BenchmarkFutureJoin times one codec

@@ -50,7 +50,9 @@ func FuzzDecompressDiff(f *testing.F, c compress.Codec, ref compress.DecompressA
 
 // FuzzCompressDiff holds a codec with a kept reference encoder to it byte
 // for byte: on arbitrary input AppendCompress must return the reference's
-// stream, both into an empty dst and after a prefix it leaves alone.
+// stream, both into an empty dst and after a prefix it leaves alone, and
+// a budgeted encode (DiffWithin) one byte short of that stream must fail
+// and one at its length must return it.
 func FuzzCompressDiff(f *testing.F, c compress.Codec, ref compress.Appender) {
 	for _, src := range Corpus() {
 		f.Add(src)
@@ -68,6 +70,11 @@ func FuzzCompressDiff(f *testing.F, c compress.Codec, ref compress.Appender) {
 		got := ac.AppendCompress(append([]byte(nil), pre...), src)
 		if !bytes.Equal(got[:len(pre)], pre) || !bytes.Equal(got[len(pre):], want) {
 			t.Fatalf("%s: %d B in: after a prefix the output differs from the reference", c.Name(), len(src))
+		}
+		for _, max := range []int{len(want) - 1, len(want)} {
+			if d := DiffWithin(c, src, want, max); d != "" {
+				t.Fatalf("%s: %s", c.Name(), d)
+			}
 		}
 	})
 }

@@ -76,6 +76,32 @@ func AppendCompress(c Codec, dst, src []byte) []byte {
 	return append(dst, c.Compress(src)...)
 }
 
+// BoundedAppender is an optional Codec extension for encodes that are
+// only worth keeping below a size: AppendCompressWithin returns the
+// AppendCompress output and true when that output is at most max bytes,
+// and otherwise dst unextended and false. An implementation may stop as
+// soon as it can prove the output would be longer, so an encode that
+// cannot fit costs less than a whole one. gz implements it.
+type BoundedAppender interface {
+	AppendCompressWithin(dst, src []byte, max int) ([]byte, bool)
+}
+
+// AppendCompressWithin is AppendCompress kept only within max bytes: it
+// returns the extended dst and true when c's output for src is at most
+// max bytes long, and dst unextended and false otherwise. A codec that
+// does not implement BoundedAppender runs the whole encode, then checks
+// the length.
+func AppendCompressWithin(c Codec, dst, src []byte, max int) ([]byte, bool) {
+	if b, ok := c.(BoundedAppender); ok {
+		return b.AppendCompressWithin(dst, src, max)
+	}
+	out := AppendCompress(c, dst, src)
+	if len(out)-len(dst) > max {
+		return dst, false
+	}
+	return out, true
+}
+
 // DecompressAppender is the read-side twin of Appender: DecompressAppend
 // appends the decompressed form of src to dst (usually a pooled buffer
 // passed as buf[:0]) and returns the extended slice, which may be a

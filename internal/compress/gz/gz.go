@@ -146,6 +146,7 @@ type parseState struct {
 	tokens   []token
 	litFreq  [numLitLen]int64
 	distFreq [numDist]int64
+	counted  int // tokens already in litFreq/distFreq
 
 	// Entropy-coding scratch: the code-length builder, the length
 	// vectors, and the canonical encoders are all reused across
@@ -236,10 +237,14 @@ func (st *parseState) bestMatch(src []byte, prev []uint16, base, i int, h uint32
 
 // parse runs hash-chain LZ77 with one-token lazy evaluation, reusing the
 // state's scratch buffers. The returned token slice aliases st.tokens.
-func (st *parseState) parse(src []byte) []token {
+// With a budget (budget >= 0) it counts the tokens into st's frequency
+// tables every proofStride input bytes and gives up, reporting false,
+// as soon as those so far need more than budget bytes (prefixOver);
+// with none it counts nothing and always finishes.
+func (st *parseState) parse(src []byte, budget int) ([]token, bool) {
 	tokens := st.tokens[:0]
 	if len(src) == 0 {
-		return tokens
+		return tokens, true
 	}
 	if int64(st.base)+int64(len(src))+maxDist > math.MaxInt32 {
 		st.head = [hashSize]int32{}
@@ -255,8 +260,19 @@ func (st *parseState) parse(src []byte) []token {
 	prev := st.prev[:len(src)]
 	hashAt := func(i int) uint32 { return hash4(binary.LittleEndian.Uint32(src[i:])) }
 	last := len(src) - 4 // the last position with four bytes to hash
+	check := math.MaxInt // with no budget the check never fires
+	if budget >= 0 {
+		check = proofStride
+	}
 	i := 0
 	for i <= last {
+		if i >= check {
+			if st.prefixOver(tokens, budget) {
+				st.tokens = tokens
+				return tokens, false
+			}
+			check = i + proofStride
+		}
 		h := hashAt(i)
 		dist, length := st.bestMatch(src, prev, base, i, h, 0)
 		st.insert(prev, base, i, h)
@@ -285,7 +301,151 @@ func (st *parseState) parse(src []byte) []token {
 		tokens = append(tokens, token{lit: src[i]})
 	}
 	st.tokens = tokens
-	return tokens
+	return tokens, true
+}
+
+// resetFreq empties the frequency tables but for the one end-of-block.
+func (st *parseState) resetFreq() {
+	st.litFreq = [numLitLen]int64{}
+	st.distFreq = [numDist]int64{}
+	st.litFreq[eob] = 1
+	st.counted = 0
+}
+
+// count adds tokens to the frequency tables.
+func (st *parseState) count(tokens []token) {
+	for _, t := range tokens {
+		if t.dist == 0 {
+			st.litFreq[t.lit]++
+			continue
+		}
+		s, _, _ := lengthToCode(int(t.len))
+		st.litFreq[s]++
+		ds, _, _ := distToCode(int(t.dist))
+		st.distFreq[ds]++
+	}
+	st.counted += len(tokens)
+}
+
+// prefixOver counts the tokens parsed since its last call and reports
+// whether those so far cannot fit budget bytes. The block's code lengths
+// are not known yet, but whatever they turn out to be, each alphabet's
+// code is a prefix code, and by Gibbs' inequality a prefix code spends
+// at least the entropy of the counts on any multiset of its symbols —
+// these tokens among them. Extra bits are exact, and the format byte
+// comes first; the code-length header is left out, which only lowers
+// the bound. While the entropies could not reach the budget even at
+// their most — every symbol at the log of its alphabet's size — they
+// are not computed.
+func (st *parseState) prefixOver(tokens []token, budget int) bool {
+	st.count(tokens[st.counted:])
+	bits, matches := 8.0, 0.0
+	for k, lc := range lengthCodes {
+		bits += float64(st.litFreq[257+k]) * float64(lc.extra)
+	}
+	for s, f := range st.distFreq {
+		bits += float64(f) * float64(distCodes[s].extra)
+		matches += float64(f)
+	}
+	limit := 8 * float64(budget)
+	if bits+float64(st.counted+1)*log2LitLen+matches*log2Dist <= limit {
+		return false
+	}
+	return bits+entropyBits(st.litFreq[:])+entropyBits(st.distFreq[:]) > limit
+}
+
+// The most bits per symbol an entropy over either alphabet can reach.
+var log2LitLen, log2Dist = math.Log2(numLitLen), math.Log2(numDist)
+
+// entropyBits is a lower bound on the bits any prefix code spends on the
+// symbols counted in freq: their number times the entropy of their
+// distribution, less a margin far above the rounding error of the sum.
+func entropyBits(freq []int64) float64 {
+	n, sum := 0.0, 0.0
+	for _, f := range freq {
+		if f > 0 {
+			x := float64(f)
+			n += x
+			sum += x * math.Log2(x)
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	nlog := n * math.Log2(n)
+	return nlog - sum - (1e-9*nlog + 1)
+}
+
+// proofStride is how many input bytes a budgeted parse covers between
+// two of its prefixOver checks.
+const proofStride = 4096
+
+// litHashBits sizes the forced-literal scan's bitmap: one bit per 3-byte
+// hash, 2^20 bits.
+const litHashBits = 20
+
+// literalBitmap is the forced-literal scan's record of the 3-byte hashes
+// it has seen. It has its own pool, apart from parseState, so that only
+// budgeted encodes keep one alive.
+type literalBitmap [1 << (litHashBits - 6)]uint64
+
+var bitmapPool = sync.Pool{New: func() interface{} { return new(literalBitmap) }}
+
+// hash3 is the bitmap index of the 3-gram at src[k:].
+func hash3(src []byte, k int) uint32 {
+	v := uint32(src[k]) | uint32(src[k+1])<<8 | uint32(src[k+2])<<16
+	return (v * 2654435761) >> (32 - litHashBits)
+}
+
+// forcedLiteralsOver reports whether the literals every LZ77 parse of src
+// must emit already need more than budget bytes. A match covers a byte
+// only if some three of the match's bytes around it — the 3-gram starting
+// at that byte or at one of the two before — also start earlier in src,
+// so a byte none of those three 3-grams repeats is a literal in any parse.
+// The scan tests repeats on a bitmap of 3-byte hashes: a collision, and
+// ignoring the 32 KiB window, can only make a byte look coverable, which
+// weakens the bound and keeps it sound. The forced literals are coded by
+// the literal/length code, so they cost at least their entropy
+// (entropyBits). The scan gives up as soon as the forced literals found,
+// plus every byte not yet scanned at eight bits, could no longer exceed
+// the budget.
+func forcedLiteralsOver(src []byte, budget int) (over bool) {
+	bm := bitmapPool.Get().(*literalBitmap)
+	var freq [256]int64
+	forced, lastRep := 0, -3 // lastRep: the last position whose 3-gram starts earlier too
+	defer func() {
+		*bm = literalBitmap{}
+		bitmapPool.Put(bm)
+	}()
+	k := 0
+	for check := proofStride; k+3 <= len(src); k++ {
+		if k == check {
+			if forced+len(src)-k+1 <= budget {
+				return false
+			}
+			if forced+1 > budget && 8+entropyBits(freq[:]) > 8*float64(budget) {
+				return true
+			}
+			check += proofStride
+		}
+		h := hash3(src, k)
+		if w, b := &bm[h>>6], uint64(1)<<(h&63); *w&b != 0 {
+			lastRep = k
+		} else {
+			*w |= b
+		}
+		if lastRep < k-2 {
+			freq[src[k]]++
+			forced++
+		}
+	}
+	for i := k; i < len(src); i++ { // the last two bytes start no 3-gram
+		if lastRep < i-2 {
+			freq[src[i]]++
+			forced++
+		}
+	}
+	return 8+entropyBits(freq[:]) > 8*float64(budget)
 }
 
 // storedMagic marks a stored (uncompressed) container: emitted when the
@@ -313,40 +473,52 @@ func (*Codec) AppendCompress(dst, src []byte) []byte {
 
 // appendCompress is AppendCompress with the scratch st.
 func (st *parseState) appendCompress(dst, src []byte) []byte {
-	if out, ok := st.appendHuffman(dst, src); ok {
+	if out, ok := st.appendHuffman(dst, src, -1); ok {
 		return out
 	}
 	// The Huffman form would expand: emit the stored container instead.
 	return append(append(dst, storedMagic), src...)
 }
 
+// AppendCompressWithin implements compress.BoundedAppender. An output
+// over max bytes is ruled out as early as one of three lower bounds on
+// it exceeds max: the forced literals' (forcedLiteralsOver, only where
+// max is above half the input: below that it seldom decides), the parsed
+// prefix's (prefixOver) and the exact size, taken before any bit is
+// written. Output that fits is AppendCompress's, byte for byte.
+func (c *Codec) AppendCompressWithin(dst, src []byte, max int) ([]byte, bool) {
+	if max > len(src) {
+		return c.AppendCompress(dst, src), true // even the stored form fits
+	}
+	if max <= 0 {
+		return dst, false // every container starts with its format byte
+	}
+	if 2*max > len(src) && forcedLiteralsOver(src, max) {
+		return dst, false
+	}
+	st := statePool.Get().(*parseState)
+	defer statePool.Put(st)
+	return st.appendHuffman(dst, src, max)
+}
+
 // appendHuffman appends the Huffman container (with its leading format
 // byte) to dst. It reports false, leaving dst's length as it was, when
-// that container would not be shorter than the stored one, len(src)+1
-// bytes: the size is known exactly once the code lengths are, so such a
-// block is never bit-written.
-func (st *parseState) appendHuffman(dst, src []byte) ([]byte, bool) {
-	tokens := st.parse(src)
-
-	litFreq := st.litFreq[:]
-	distFreq := st.distFreq[:]
-	for i := range litFreq {
-		litFreq[i] = 0
+// that container would be longer than budget bytes or, with no budget
+// (budget < 0), not shorter than the stored one, len(src)+1 bytes: the
+// size is known exactly once the code lengths are, so such a block is
+// never bit-written, and with a budget the parse may stop far earlier.
+func (st *parseState) appendHuffman(dst, src []byte, budget int) ([]byte, bool) {
+	limit := budget
+	if budget < 0 {
+		limit = len(src)
 	}
-	for i := range distFreq {
-		distFreq[i] = 0
+	st.resetFreq()
+	tokens, ok := st.parse(src, budget)
+	if !ok {
+		return dst, false
 	}
-	litFreq[eob] = 1
-	for _, t := range tokens {
-		if t.dist == 0 {
-			litFreq[t.lit]++
-			continue
-		}
-		s, _, _ := lengthToCode(int(t.len))
-		litFreq[s]++
-		ds, _, _ := distToCode(int(t.dist))
-		distFreq[ds]++
-	}
+	st.count(tokens[st.counted:])
+	litFreq, distFreq := st.litFreq[:], st.distFreq[:]
 	litLens, err := st.builder.Build(st.litLens, litFreq, huffman.MaxBits)
 	if err != nil {
 		panic("gz: " + err.Error()) // unreachable: valid freqs by construction
@@ -374,7 +546,7 @@ func (st *parseState) appendHuffman(dst, src []byte) ([]byte, bool) {
 	for s, f := range distFreq {
 		size += f * int64(uint(distLens[s])+distCodes[s].extra)
 	}
-	if (size+7)/8 >= int64(len(src))+1 {
+	if (size+7)/8 > int64(limit) {
 		return dst, false
 	}
 

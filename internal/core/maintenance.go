@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"edc/internal/compress"
@@ -157,25 +158,68 @@ func (mt *maintainer) relocate(e *Extent, codec compress.Codec, reason string) {
 		// they run on the shared pool while the event loop advances;
 		// reencode joins the future at the same virtual-time event either
 		// way.
-		cbuf, pbuf := d.se.getBuf(), d.se.getBuf()
-		off, olen, ver := e.Offset, e.OrigLen, e.Version
-		fut := async(d.se, func() reencodedRun {
-			content := d.wp.data.AppendBlock(cbuf, off, int(olen), ver)
-			return reencodedRun{
-				content: content,
-				payload: compress.AppendCompress(codec, pbuf, content),
-			}
-		})
+		//
+		// A cold move is kept only if its output is at most winLimit
+		// bytes, so its encode is budgeted at that and stops as soon as
+		// the output is shown to be longer; with no smaller class than
+		// e's slot there is nothing to regenerate or encode. A hot move
+		// keeps any output.
+		limit := math.MaxInt
+		if reason == obs.RelocateCold {
+			limit = winLimit(e, d.se.exactSlots)
+		}
+		var fut *parallel.Future[reencodedRun]
+		if limit < 0 {
+			fut = parallel.Resolved(reencodedRun{noWin: true})
+		} else {
+			cbuf, pbuf := d.se.getBuf(), d.se.getBuf()
+			off, olen, ver := e.Offset, e.OrigLen, e.Version
+			fut = async(d.se, func() reencodedRun {
+				r := reencodedRun{content: d.wp.data.AppendBlock(cbuf, off, int(olen), ver)}
+				var fits bool
+				r.payload, fits = compress.AppendCompressWithin(codec, pbuf, r.content, limit)
+				r.noWin = !fits
+				return r
+			})
+		}
 		cpu := d.se.cost.DecompressTime(e.Tag, e.OrigLen) + d.se.cost.CompressTime(codec.Tag(), e.OrigLen)
 		hostTime(d.cpu, cpu, func(_, _ time.Duration) { mt.reencode(e, codec, reason, fut) })
 	})
 }
 
 // reencodedRun carries a relocation's regenerated content and codec
-// output from a pool worker back to the event loop.
+// output from a pool worker back to the event loop. noWin reports a cold
+// re-encode shown to win no smaller slot before it finished (payload is
+// then empty).
 type reencodedRun struct {
 	content []byte
 	payload []byte
+	noWin   bool
+}
+
+// winLimit is the longest cold re-encode of e that still wins: the
+// output length at or below which replacement would give it a smaller
+// slot than e's. Quantized, that is the largest slot class QuantizeSlot
+// offers below e's slot; with exact slots, one byte under e's slot,
+// capped at the largest class (above it the run is stored raw). It is
+// -1 when no output can win.
+func winLimit(e *Extent, exactSlots bool) int {
+	if e.OrigLen <= 0 {
+		return -1
+	}
+	quarter := (e.OrigLen + 3) / 4
+	top := (e.OrigLen - 1) / quarter * quarter // the largest class below OrigLen
+	if top <= 0 {
+		return -1
+	}
+	if exactSlots {
+		return int(min(top, e.SlotLen-1))
+	}
+	below := (e.SlotLen - 1) / quarter * quarter // the largest class below SlotLen
+	if below <= 0 {
+		return -1
+	}
+	return int(min(top, below))
 }
 
 // reencode joins the re-run of the codec over e's regenerated content
@@ -186,7 +230,7 @@ func (mt *maintainer) reencode(e *Extent, codec compress.Codec, reason string, f
 	// Join before any early return: the worker owns both buffers until
 	// the future resolves.
 	r := fut.Wait()
-	newExt := mt.replacement(e, codec, reason, r)
+	newExt := mt.replacement(e, codec, r)
 	d.se.putBuf(r.content)
 	d.se.putBuf(r.payload)
 	if newExt == nil {
@@ -200,21 +244,22 @@ func (mt *maintainer) reencode(e *Extent, codec compress.Codec, reason string, f
 
 // replacement allocates the slot for e's re-encoded run and returns the
 // not-yet-mapped new extent — or nil when the move is off: the run failed
-// or e died meanwhile, a cold move would not shrink the slot, or the
-// device is full. A hot demotion whose cheap codec misses every
-// compressed class falls back to an uncompressed slot, the cheapest read.
-func (mt *maintainer) replacement(e *Extent, codec compress.Codec, reason string, r reencodedRun) *Extent {
+// or e died meanwhile, a cold move's output was over winLimit (it would
+// not shrink the slot), or the device is full. A hot demotion whose cheap
+// codec misses every compressed class falls back to an uncompressed slot,
+// the cheapest read.
+func (mt *maintainer) replacement(e *Extent, codec compress.Codec, r reencodedRun) *Extent {
 	d := mt.d
 	if d.fs.failed() || e.live == 0 {
 		return nil
 	}
-	newExt, stored, fits := d.se.encoded(e.Offset, e.OrigLen, e.Version, codec, r.content, r.payload)
-	if reason == obs.RelocateCold && (!fits || newExt.SlotLen >= e.SlotLen) {
+	if r.noWin {
 		// No space win; keep the current placement and remember not to
 		// retry until an overwrite replaces the extent.
 		e.noWin = true
 		return nil
 	}
+	newExt, stored, _ := d.se.encoded(e.Offset, e.OrigLen, e.Version, codec, r.content, r.payload)
 	if err := d.se.allocSlot(newExt); err != nil {
 		// Device full: skip rather than fail a background move.
 		return nil

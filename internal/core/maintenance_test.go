@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	"edc/internal/compress"
 	"edc/internal/datagen"
 	"edc/internal/maint"
 	"edc/internal/trace"
@@ -270,4 +272,104 @@ func TestMaintNoWinKeepsNoDeadExtent(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(rig.dev) // the device, not its collection, must let go
+}
+
+// TestWinLimit holds winLimit to replacement's own rule — a cold move
+// wins when its output fits a compressed slot smaller than the extent's
+// — quantized and with exact slots, for a slot at every class: the
+// table's limit, and every output length up to OrigLen+1 through
+// storeEngine.encoded.
+func TestWinLimit(t *testing.T) {
+	gz, err := defaultTestRegistry(t).ByName("gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		orig, slot   int64
+		quant, exact int
+	}{
+		{1, 1, -1, -1},
+		{5, 2, -1, 1}, {5, 3, -1, 2}, {5, 4, 2, 3}, {5, 5, 4, 4},
+		{4096, 1024, -1, 1023}, {4096, 2048, 1024, 2047}, {4096, 3072, 2048, 3071}, {4096, 4096, 3072, 3072},
+		{65537, 16385, -1, 16384}, {65537, 32770, 16385, 32769}, {65537, 49155, 32770, 49154}, {65537, 65537, 49155, 49155},
+	}
+	payload := make([]byte, 65538)
+	for _, c := range cases {
+		for _, exact := range []bool{false, true} {
+			want := c.quant
+			if exact {
+				want = c.exact
+			} else if s, _ := QuantizeSlot(c.orig, c.slot); s != c.slot {
+				continue // not a quantized slot: only exact slots hold it
+			}
+			e := &Extent{OrigLen: c.orig, SlotLen: c.slot}
+			if got := winLimit(e, exact); got != want {
+				t.Errorf("OrigLen %d, slot %d, exact %v: winLimit %d, want %d", c.orig, c.slot, exact, got, want)
+			}
+			se := &storeEngine{exactSlots: exact}
+			for n := 1; n <= int(c.orig)+1; n++ {
+				ext, _, fits := se.encoded(0, c.orig, 0, gz, nil, payload[:n])
+				if wins := fits && ext.SlotLen < c.slot; wins != (n <= want) {
+					t.Fatalf("OrigLen %d, slot %d, exact %v: a %d-byte output wins %v, winLimit %d", c.orig, c.slot, exact, n, wins, want)
+				}
+			}
+		}
+	}
+}
+
+// unbounded hides a codec's BoundedAppender method, so a budgeted encode
+// of it runs the whole encode and then checks the length.
+type unbounded struct{ compress.Codec }
+
+// TestMaintBudgetedEncodeChangesNothing replays cold relocations of lzf
+// extents at every slot class and of raw ones, some of which win and
+// some not, twice: once as built and once with the cold codec's budgeted
+// encode hidden. Cutting an encode short must change no decision, so
+// the two reports must be equal, field for field.
+func TestMaintBudgetedEncodeChangesNothing(t *testing.T) {
+	lzf, err := defaultTestRegistry(t).ByName("lzf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &trace.Trace{Name: "maint-budget"}
+	for i := 0; i < 64; i++ {
+		tr.Requests = append(tr.Requests, trace.Request{
+			Arrival: time.Duration(i) * time.Millisecond,
+			Offset:  int64(i) * 16384, Size: 4096 << (i % 3), Write: true,
+		})
+	}
+	for i := 0; i < 40; i++ {
+		tr.Requests = append(tr.Requests, trace.Request{
+			Arrival: 100*time.Millisecond + time.Duration(i)*25*time.Millisecond,
+			Offset:  8 << 20, Size: 4096, Write: i == 0,
+		})
+	}
+	tr.SortByArrival()
+	for _, exact := range []bool{false, true} {
+		play := func(hide bool) *RunStats {
+			rig := newTestRig(t, Options{
+				Policy:     Fixed("Lzf", lzf),
+				Maint:      maintTestConfig(),
+				ExactSlots: exact,
+			})
+			if _, ok := rig.dev.mnt.cold.(compress.BoundedAppender); !ok {
+				t.Fatal("the cold codec has no budgeted encode to hide")
+			}
+			if hide {
+				rig.dev.mnt.cold = unbounded{rig.dev.mnt.cold}
+			}
+			st, err := rig.dev.Play(tr)
+			if err != nil {
+				t.Fatalf("play: %v", err)
+			}
+			return st
+		}
+		got, want := play(false), play(true)
+		if want.MaintCold == 0 || want.MaintAborted == 0 {
+			t.Fatalf("exact %v: %d cold moves, %d aborted: the trace must show both a win and a no-win", exact, want.MaintCold, want.MaintAborted)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("exact %v: the budgeted encode changed the run:\n%+v\nwant\n%+v", exact, got, want)
+		}
+	}
 }
