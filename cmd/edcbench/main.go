@@ -56,7 +56,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		volumeMiB  = fs.Int("volume", 0, "logical volume size in MiB (default 256)")
 		seed       = fs.Int64("seed", 0, "seed offset for all generators")
 		format     = fs.String("format", "table", "output format: table, csv, json")
-		workers    = fs.Int("workers", 0, "replay pipeline width: codec goroutines per replay (0 = GOMAXPROCS, 1 = sequential; results are identical for any value)")
+		workers    = fs.Int("workers", 0, "codec work: >1 = on the shared pool of GOMAXPROCS workers, 1 = inline (0 = GOMAXPROCS; results are identical for any value)")
 		shards     = fs.Int("shards", 0, "LBA shards per replay: n > 1 partitions the volume across n independent pipelines run concurrently (changes the simulated system; deterministic for fixed n)")
 		faults     = fs.String("faults", "", "JSON fault plan injected into every replay (see DESIGN.md §11; deterministic for a fixed plan seed)")
 		maintOn    = fs.Bool("maint", false, "enable temperature-aware background maintenance (default policy) in every replay (see DESIGN.md §13; deterministic for a fixed seed)")

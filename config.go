@@ -39,22 +39,24 @@ const (
 	ClassBulk = qos.ClassBulk
 )
 
-// Dedup configures content-addressed deduplication (see internal/dedup):
-// every flushed write run is fingerprinted after SD merging and before
-// compression, and a run whose fingerprint matches an already-stored
-// extent maps to it by reference instead of compressing and allocating a
-// new slot. Zero-valued fields take documented defaults. Attach one with
-// WithDedup; without one dedup stays off and the replay bit-identical to
-// earlier releases.
+// Dedup switches on content-addressed deduplication (see
+// internal/dedup): every flushed write run is fingerprinted after SD
+// merging and before compression, and a run whose fingerprint matches an
+// already-stored extent maps to it by reference instead of compressing
+// and allocating a new slot. It has no fields: the fingerprint key and
+// the 2^20-entry index bound are fixed. Attach one with WithDedup;
+// without one dedup stays off and the replay bit-identical to earlier
+// releases.
 type Dedup = dedup.Config
 
 // Maintenance configures temperature-aware background maintenance (see
 // internal/maint): during idle windows the device recompresses cold
 // lzf/uncompressed extents with a heavier codec, demotes hot gz/bwz
 // extents to a cheap codec, and compacts fragmented slot free lists.
-// Zero-valued fields take documented defaults. Attach one with
-// WithMaintenance; without one maintenance stays off and the replay
-// bit-identical to earlier releases.
+// Zero-valued fields of its four (Interval, IdleIOPS, EpochLen,
+// ColdEpochs) take documented defaults; the rest is fixed. Attach one
+// with WithMaintenance; without one maintenance stays off and the
+// replay bit-identical to earlier releases.
 type Maintenance = maint.Config
 
 // FaultPlan is a seeded, virtual-time fault schedule (see
@@ -155,18 +157,8 @@ func (c *config) validate() error {
 	if d.SnapshotEvery < 0 {
 		return fmt.Errorf("edc: negative snapshot interval %v", d.SnapshotEvery)
 	}
-	if d.Cost != nil {
-		if err := d.Cost.Validate(); err != nil {
-			return err
-		}
-	}
 	if d.Maint != nil {
 		if err := d.Maint.Validate(); err != nil {
-			return err
-		}
-	}
-	if d.Dedup != nil {
-		if err := d.Dedup.Validate(); err != nil {
 			return err
 		}
 	}
@@ -213,9 +205,6 @@ func WithDataProfile(p DataProfile, seed int64) Option {
 	return func(c *config) { c.data, c.dataSeed = p, seed }
 }
 
-// WithCostModel overrides the CPU cost model.
-func WithCostModel(cm CostModel) Option { return func(c *config) { c.dev.Cost = cm } }
-
 // WithVerify keeps compressed payloads and checks every read of one
 // round-trips (memory-hungry; tests and demos).
 func WithVerify() Option { return func(c *config) { c.dev.VerifyReads = true } }
@@ -234,12 +223,12 @@ func WithoutEstimator() Option { return func(c *config) { c.noEstimator = true }
 // WithMaxRun caps SD merging in bytes.
 func WithMaxRun(bytes int64) Option { return func(c *config) { c.dev.MaxRun = bytes } }
 
-// WithReplayWorkers sets how many OS goroutines execute real codec work
-// concurrently with the virtual-time event loop (the replay pipeline).
-// This changes only wall-clock replay speed: compressed output is a pure
-// function of (content, codec), so results are bit-identical for any
-// setting. Default runtime.GOMAXPROCS(0); n <= 1 runs sequentially
-// inline.
+// WithReplayWorkers selects where real codec work runs: any n > 1 runs
+// it on the process-wide pool of GOMAXPROCS workers, concurrently with
+// the virtual-time event loop (n is not a goroutine count), and n <= 1
+// runs it inline. This changes only wall-clock replay speed: compressed
+// output is a pure function of (content, codec), so results are
+// bit-identical for any setting. Default runtime.GOMAXPROCS(0).
 func WithReplayWorkers(n int) Option {
 	return func(c *config) {
 		if n < 1 {
@@ -301,22 +290,22 @@ func WithTimeSeries(d time.Duration) Option {
 // WithMaintenance enables temperature-aware background maintenance with
 // the given policy (zero-valued fields take documented defaults). During
 // idle windows — calculated IOPS at or below m.IdleIOPS — the device
-// recompresses cold lzf/uncompressed extents with m.ColdCodec, demotes
-// hot gz/bwz extents to m.HotCodec, and compacts fragmented slot free
-// lists. Maintenance runs in virtual time on the device's own engine, so
-// results stay deterministic per seed, including under WithShards.
+// recompresses cold lzf/uncompressed extents with gz, demotes hot gz/bwz
+// extents to lzf, and compacts fragmented slot free lists, starting at
+// most 8 relocations per tick. Maintenance runs in virtual time on the
+// device's own engine, so results stay deterministic per seed, including
+// under WithShards.
 func WithMaintenance(m Maintenance) Option { return func(c *config) { c.dev.Maint = &m } }
 
-// WithDedup enables content-addressed deduplication with the given
-// policy (zero-valued fields take documented defaults). Every flushed
-// write run is fingerprinted with a keyed 128-bit hash after SD merging
-// and before compression; a run matching an already-stored extent maps
-// to it by reference — skipping estimation, compression, and slot
-// allocation — and the extent is released only when its last reference
-// goes away. Dedup runs inside each pipeline's event loop in virtual
-// time, so results stay deterministic per seed, including under
-// WithShards (each shard deduplicates its own LBA range with the same
-// key).
+// WithDedup enables content-addressed deduplication (d is Dedup{}, which
+// has no fields). Every flushed write run is fingerprinted with a keyed
+// 128-bit hash after SD merging and before compression; a run matching
+// an already-stored extent maps to it by reference — skipping
+// estimation, compression, and slot allocation — and the extent is
+// released only when its last reference goes away. Dedup runs inside
+// each pipeline's event loop in virtual time, so results stay
+// deterministic per seed, including under WithShards (each shard
+// deduplicates its own LBA range with the same fixed key).
 func WithDedup(d Dedup) Option { return func(c *config) { c.dev.Dedup = &d } }
 
 // WithPacedServe does nothing: every serve shard runs paced, up to the

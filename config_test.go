@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"edc/internal/compress"
 )
 
 // TestNewSystemValidation is the one table of what a System refuses to
@@ -35,13 +33,11 @@ func TestNewSystemValidation(t *testing.T) {
 		{name: "negative max run", opts: []Option{WithMaxRun(-1)}, want: "negative max run"},
 		{name: "negative cache", opts: []Option{WithCache(-1)}, want: "negative cache size"},
 		{name: "negative snapshot interval", opts: []Option{WithSnapshotEvery(-time.Second)}, want: "negative snapshot interval"},
-		{name: "unpriced codec", opts: []Option{WithScheme(SchemeGzip), WithCostModel(CostModel{compress.TagLZF: {CompressBps: 40e6, DecompressBps: 150e6}})}, want: "unpriced"},
 		{name: "more shards than blocks", opts: []Option{WithShards(1 << 30)}, want: "shards exceed"},
 		{name: "fault probability out of range", opts: []Option{WithFaults(&FaultPlan{Seed: 1, ReadHard: 1.5})}, want: "read_hard"},
 		{name: "unparsable tenant bandwidth", opts: []Option{WithQoS(QoSConfig{Tenants: map[string]QoSTenant{"web": {Bandwidth: "nope"}}})}, want: `tenant "web"`},
 		{name: "unknown tenant class", opts: []Option{WithQoS(QoSConfig{Tenants: map[string]QoSTenant{"web": {Class: QoSClass(42)}}})}, want: "unknown class"},
 		{name: "negative maintenance interval", opts: []Option{WithMaintenance(Maintenance{Interval: -time.Second})}, want: "negative interval"},
-		{name: "negative dedup entries", opts: []Option{WithDedup(Dedup{MaxEntries: -1})}, want: "negative max entries"},
 
 		{name: "power cut × shards", opts: []Option{WithFaults(powerCut), WithShards(4)},
 			want: "edc: power-cut recovery is not supported with WithShards(4): shards crash and recover independently of each other"},

@@ -149,11 +149,8 @@ func TestDedupObsCounters(t *testing.T) {
 	}
 }
 
-// TestDedupValidate exercises the config validation surface.
+// TestDedupValidate: Dedup has no settings, so its one value validates.
 func TestDedupValidate(t *testing.T) {
-	if _, err := edc.NewSystem(64<<20, edc.WithDedup(edc.Dedup{MaxEntries: -1})); err == nil {
-		t.Fatal("expected NewSystem to reject negative MaxEntries")
-	}
 	if _, err := edc.NewSystem(64<<20, edc.WithDedup(edc.Dedup{})); err != nil {
 		t.Fatalf("zero-valued dedup policy should validate: %v", err)
 	}

@@ -69,8 +69,6 @@ type (
 	WorkloadProfile = workload.Profile
 	// SSDConfig parameterizes the simulated device.
 	SSDConfig = ssd.Config
-	// CostModel maps codecs to CPU throughput in the simulator.
-	CostModel = core.CostModel
 	// Report is the machine-readable (JSON) form of Results.
 	Report = core.Report
 	// Tracer consumes one TraceEvent per pipeline decision (WithTracer).
@@ -469,6 +467,3 @@ func Replay(t *Trace, volumeBytes int64, opts ...Option) (*Results, error) {
 // DefaultSSDConfig returns the X25-E-class device model used throughout
 // the evaluation.
 func DefaultSSDConfig() SSDConfig { return ssd.DefaultConfig() }
-
-// DefaultCostModel returns the calibrated CPU cost model.
-func DefaultCostModel() CostModel { return core.DefaultCostModel() }

@@ -235,7 +235,6 @@ func TestMoreFacadeOptions(t *testing.T) {
 	res, err := Replay(tr, testVolume,
 		WithScheme(SchemeLz4),
 		WithSSDConfig(smallSSD()),
-		WithCostModel(DefaultCostModel()),
 		WithMaxRun(32<<10),
 		WithCache(4<<20),
 		WithStripeUnit(8),

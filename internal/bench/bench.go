@@ -33,9 +33,9 @@ type Params struct {
 	VolumeMiB int
 	// Seed offsets all generator seeds (default 0: the published seeds).
 	Seed int64
-	// Workers is the replay pipeline width passed to
-	// edc.WithReplayWorkers (default 0: runtime.GOMAXPROCS(0)). It only
-	// affects wall-clock speed; results are identical for any setting.
+	// Workers is passed to edc.WithReplayWorkers (default 0: GOMAXPROCS):
+	// above 1, codec work runs on the process-wide pool of GOMAXPROCS
+	// workers; 1 runs it inline. Results are identical for any setting.
 	Workers int
 	// Shards is the LBA-shard count passed to edc.WithShards (default 0:
 	// the stock single pipeline). Unlike Workers, n > 1 changes the

@@ -708,7 +708,7 @@ func TestAbandonDyingFreesWithoutJournal(t *testing.T) {
 	jnl := &Journal{}
 	wp.jnl = jnl
 	e := mkExtent(t, se.mapping, se.alloc, 0, 4*BlockSize, compress.TagLZF)
-	e.sum, e.hasSum = dedup.HashSum(se.dedupKey, []byte("x")), true
+	e.sum, e.hasSum = dedup.HashSum(dedup.DefaultKey, []byte("x")), true
 	se.dedupRegister(e)
 	mkExtent(t, se.mapping, se.alloc, 0, 4*BlockSize, compress.TagGZ)
 	dying := se.mapping.takeDying()
@@ -823,5 +823,51 @@ func TestDedupSnapshotJournalOrder(t *testing.T) {
 				e.SlotLen != r.SlotLen || e.CompLen != r.CompLen || e.Tag != r.Tag || e.Version != r.Version) {
 			t.Fatalf("block %d: recovered %+v, live %+v", b, r, e)
 		}
+	}
+}
+
+// TestDedupIndexBound lowers the content index's bound to two entries
+// and stores three distinct 64 KiB runs: the third stores normally but
+// is not indexed, so a later duplicate of it misses, while a duplicate
+// of the first still hits the entry the full index left alone.
+func TestDedupIndexBound(t *testing.T) {
+	const run = 64 << 10
+	gen := datagen.New(datagen.Enterprise().WithDup(1, 8), 3)
+	// Every region is one of eight clones: find three distinct ones and a
+	// later region repeating the first and the third.
+	byClone := map[dedup.Sum][]int64{}
+	var order []dedup.Sum
+	for off := int64(0); off < 256*run; off += run {
+		s := dedup.HashSum(dedup.DefaultKey, gen.Block(off, run, 1))
+		if byClone[s] == nil {
+			order = append(order, s)
+		}
+		byClone[s] = append(byClone[s], off)
+	}
+	if len(order) < 3 || len(byClone[order[0]]) < 2 || len(byClone[order[2]]) < 2 {
+		t.Fatalf("clone layout %v has no three distinct runs with repeats", byClone)
+	}
+	first, third := byClone[order[0]], byClone[order[2]]
+	tr := &trace.Trace{Name: "dedup-bound"}
+	for i, off := range []int64{first[0], byClone[order[1]][0], third[0], third[1], first[1]} {
+		tr.Requests = append(tr.Requests, trace.Request{
+			Arrival: time.Duration(i) * 5 * time.Millisecond, Offset: off, Size: run, Write: true,
+		})
+	}
+	rig := newTestRig(t, Options{Policy: Native(), Data: gen, Dedup: &dedup.Config{}})
+	rig.dev.se.dedupMax = 2
+	st, err := rig.dev.Play(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DedupMisses != 4 || st.DedupHits != 1 {
+		t.Fatalf("%d misses, %d hits, want 4 and 1", st.DedupMisses, st.DedupHits)
+	}
+	idx := rig.dev.se.dedup
+	if len(idx) != 2 || idx[order[0]] == nil || idx[order[1]] == nil {
+		t.Fatalf("index holds %d entries, want the first two runs'", len(idx))
+	}
+	if got := rig.dev.se.mapping.Lookup(third[1]); got == nil || got == rig.dev.se.mapping.Lookup(third[0]) {
+		t.Fatal("the unindexed run's duplicate shares its extent")
 	}
 }

@@ -50,13 +50,13 @@ type Options struct {
 	// allocates compressed runs at their exact size (ablation: shows the
 	// fragmentation/relocation cost quantization avoids, Sec. III-C).
 	ExactSlots bool
-	// ReplayWorkers is the number of OS goroutines executing *real*
-	// codec work concurrently with the virtual-time event loop. It is
-	// wall-clock parallelism only: virtual codec time is always charged
-	// to the one host CPU station. Compressed output is a pure function
-	// of (content, codec), so results are bit-identical for any setting.
-	// Default runtime.GOMAXPROCS(0); values < 0 (or 1) run sequentially
-	// inline.
+	// ReplayWorkers selects where *real* codec work runs: any n > 1
+	// queues it on the process-wide pool (parallel.Shared: GOMAXPROCS
+	// workers, whatever n is), concurrent with the event loop; 1 or less
+	// than 0 runs it inline. Wall-clock only: virtual codec time is always
+	// charged to the one host CPU station, and compressed output is a pure
+	// function of (content, codec), so results are bit-identical for any
+	// setting. Default runtime.GOMAXPROCS(0).
 	ReplayWorkers int
 	// MaxOutstanding bounds host requests in flight (closed-loop replay:
 	// arrivals beyond the bound are admitted as earlier requests
@@ -147,6 +147,7 @@ type Device struct {
 	faults    *fault.Plan
 	snapEvery time.Duration
 	per       *persister
+	ckpt      *sim.Timer // the checkpoint timer; nil without snapEvery
 
 	// mnt drives background recompression/compaction; nil when
 	// maintenance is off (see maintenance.go).
@@ -224,13 +225,8 @@ func NewDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options) (*
 	}
 	se.epochLen = maintCfg.EpochLen
 	if opts.Dedup != nil {
-		if err := opts.Dedup.Validate(); err != nil {
-			return nil, err
-		}
-		dcfg := opts.Dedup.Normalize()
 		se.dedup = make(map[dedup.Sum]*Extent)
-		se.dedupKey = dcfg.Key
-		se.dedupMax = dcfg.MaxEntries
+		se.dedupMax = dedup.DefaultMaxEntries
 		// Frees become deferred: the write path flushes them at each
 		// mutation's durable point so journal order stays replayable.
 		se.mapping.deferFrees = true
@@ -327,11 +323,7 @@ func NewDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options) (*
 		snapEvery:     opts.SnapshotEvery,
 	}
 	if opts.Maint != nil {
-		mnt, err := newMaintainer(d, maintCfg, compress.Default())
-		if err != nil {
-			return nil, err
-		}
-		d.mnt = mnt
+		d.mnt = newMaintainer(d, maintCfg)
 	}
 	return d, nil
 }
@@ -369,9 +361,9 @@ func (d *Device) open(journal bool) error {
 // a timer that fires with nothing else pending disarms itself, and the
 // heap empties between batches.
 func (d *Device) armTimers() {
-	d.per.arm()
+	d.ckpt.Arm()
 	if d.mnt != nil {
-		d.mnt.sched.Arm()
+		d.mnt.timer.Arm()
 	}
 }
 
@@ -396,8 +388,6 @@ func (d *Device) close() {
 	s.Queues = d.se.be.QueueStats()
 	s.Duration = d.eng.Now()
 	if d.mnt != nil {
-		s.MaintTicks = d.mnt.sched.Ticks()
-		s.MaintIdleTicks = d.mnt.sched.IdleTicks()
 		s.HeatHist = d.heatHistogram()
 	}
 	s.Obs = d.obs.Report()

@@ -62,10 +62,9 @@ type storeEngine struct {
 	// dedup is the content index: fingerprint -> stored extent. Nil
 	// unless dedup is enabled; entries are registered only once the
 	// extent's device write is durable, and removed when the extent's
-	// slot is released. dedupKey seeds the fingerprint; dedupMax caps
-	// the index size. Event-loop goroutine only.
+	// slot is released. dedupMax caps the index size
+	// (dedup.DefaultMaxEntries). Event-loop goroutine only.
 	dedup    map[dedup.Sum]*Extent
-	dedupKey uint64
 	dedupMax int
 }
 

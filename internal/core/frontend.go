@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"edc/internal/obs"
@@ -58,22 +60,17 @@ type frontend struct {
 // trace. Arrivals use the engine's priority class, which reproduces
 // exactly the ordering of a fully pre-scheduled trace: at equal virtual
 // times arrivals run before any plain event, and among themselves in
-// trace order. Traces with out-of-order arrival stamps (which streaming
-// could not schedule without going backwards) fall back to pre-scheduling
-// every request, the pre-streaming behaviour.
+// trace order. A trace whose stamps are out of order streams a stably
+// sorted copy; t itself is left as it is.
 func (fe *frontend) start(t *trace.Trace) {
 	reqs := t.Requests
 	if len(reqs) == 0 {
 		return
 	}
-	for i := 1; i < len(reqs); i++ {
-		if reqs[i].Arrival < reqs[i-1].Arrival {
-			for _, r := range reqs {
-				r := r
-				fe.eng.SchedulePriority(r.Arrival, func() { fe.arrive(r) })
-			}
-			return
-		}
+	byArrival := func(a, b trace.Request) int { return cmp.Compare(a.Arrival, b.Arrival) }
+	if !slices.IsSortedFunc(reqs, byArrival) {
+		reqs = slices.Clone(reqs)
+		slices.SortStableFunc(reqs, byArrival)
 	}
 	fe.tail, fe.streaming = reqs, true
 	var step func()
@@ -91,8 +88,7 @@ func (fe *frontend) start(t *trace.Trace) {
 // upcoming returns the streamed trace's requests that have not arrived
 // yet, in arrival order, for the write path's lookahead. ok is false
 // when the order in which they will be admitted is not the trace's:
-// nothing is streamed (serve, the out-of-order fallback) or requests
-// wait in the deferred queues.
+// nothing is streamed (serve) or requests wait in the deferred queues.
 func (fe *frontend) upcoming() (reqs []trace.Request, ok bool) {
 	if !fe.streaming || fe.deferredLen() > 0 {
 		return nil, false

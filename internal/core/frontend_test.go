@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -58,8 +59,9 @@ func req(idx int, at time.Duration, write bool) trace.Request {
 
 // TestFrontendAdmissionOrder drives the closed-loop admission seam
 // through its cases: unbounded admission at arrival time, deferral past
-// the outstanding bound with FIFO release on completion, and the
-// pre-scheduling fallback for traces with out-of-order arrival stamps.
+// the outstanding bound with FIFO release on completion, and traces with
+// out-of-order arrival stamps, which stream a stably sorted copy and
+// leave the caller's requests as they were.
 func TestFrontendAdmissionOrder(t *testing.T) {
 	const svc = 100 * time.Microsecond
 	cases := []struct {
@@ -106,7 +108,7 @@ func TestFrontendAdmissionOrder(t *testing.T) {
 			wantAt:  []time.Duration{0, svc + 50*time.Microsecond},
 		},
 		{
-			name:        "unsorted trace falls back to pre-scheduling",
+			name:        "unsorted trace streams a sorted copy",
 			maxInFlight: 1 << 30,
 			reqs: []trace.Request{
 				req(0, 20*time.Microsecond, true), req(1, 0, true), req(2, 10*time.Microsecond, false),
@@ -114,11 +116,25 @@ func TestFrontendAdmissionOrder(t *testing.T) {
 			wantIdx: []int{1, 2, 0},
 			wantAt:  []time.Duration{0, 10 * time.Microsecond, 20 * time.Microsecond},
 		},
+		{
+			name:        "equal out-of-order stamps admit in trace order",
+			maxInFlight: 1 << 30,
+			reqs: []trace.Request{
+				req(0, 20*time.Microsecond, true), req(1, 10*time.Microsecond, false),
+				req(2, 20*time.Microsecond, false), req(3, 10*time.Microsecond, true),
+			},
+			wantIdx: []int{1, 3, 0, 2},
+			wantAt:  []time.Duration{10 * time.Microsecond, 10 * time.Microsecond, 20 * time.Microsecond, 20 * time.Microsecond},
+		},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			given := slices.Clone(tc.reqs)
 			got := runFrontend(t, tc.maxInFlight, svc, tc.reqs)
+			if !slices.Equal(tc.reqs, given) {
+				t.Fatalf("start reordered the caller's requests: %v, was %v", tc.reqs, given)
+			}
 			if len(got) != len(tc.wantIdx) {
 				t.Fatalf("admitted %d requests, want %d", len(got), len(tc.wantIdx))
 			}

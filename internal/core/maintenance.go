@@ -1,14 +1,16 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"time"
 
 	"edc/internal/compress"
+	"edc/internal/compress/gz"
+	"edc/internal/compress/lzf"
 	"edc/internal/maint"
 	"edc/internal/obs"
 	"edc/internal/parallel"
+	"edc/internal/sim"
 )
 
 // Background maintenance
@@ -17,11 +19,11 @@ import (
 // instantaneous calculated IOPS — so a burst-written extent stays
 // lzf/none forever even after it goes cold, and freed quantized slots
 // fragment with no reclaim path. The maintainer closes both gaps: a
-// virtual-time scheduler (internal/maint) ticks while the engine has
-// work pending, and on ticks where the intensity monitor reports the
-// device idle it (1) relocates cold lzf/none extents to a heavier codec
-// for space, (2) demotes hot gz/bwz extents to a cheap codec for read
-// latency, and (3) compacts the allocator's fragmented free lists.
+// housekeeping timer (sim.Timer) ticks while the engine has work
+// pending, and on ticks where the intensity monitor reports the device
+// idle it (1) relocates cold lzf/none extents to gz for space, (2)
+// demotes hot gz/bwz extents to lzf for read latency, and (3) compacts
+// the allocator's fragmented free lists.
 // Relocation reuses the same primitives as the foreground pipeline
 // (store-engine reads and writes, CPU-station charges, quantized
 // allocation, journal append at the durable point, mapping swap), so a
@@ -36,9 +38,9 @@ import (
 type maintainer struct {
 	d     *Device
 	cfg   maint.Config
-	sched *maint.Scheduler
-	cold  compress.Codec // target for cold lzf/none extents (nil: off)
-	hot   compress.Codec // target for hot gz/bwz extents (nil: off)
+	timer *sim.Timer
+	cold  compress.Codec // target for cold lzf/none extents: gz
+	hot   compress.Codec // target for hot gz/bwz extents: lzf
 
 	// relocating guards extents with a move in flight (membership only;
 	// never iterated, so it cannot perturb determinism).
@@ -48,51 +50,44 @@ type maintainer struct {
 	scanPos int64
 }
 
-// newMaintainer resolves the configured codec names against the
-// device's registry and wires the tick scheduler onto its engine. cfg
-// must already be normalized. A codec name of "none" disables that
-// direction.
-func newMaintainer(d *Device, cfg maint.Config, reg *compress.Registry) (*maintainer, error) {
+// newMaintainer wires the maintenance timer onto d's engine. cfg must
+// already be normalized.
+func newMaintainer(d *Device, cfg maint.Config) *maintainer {
 	mt := &maintainer{
-		d:          d,
-		cfg:        cfg,
+		d: d, cfg: cfg, cold: gz.New(), hot: lzf.New(),
 		relocating: make(map[*Extent]struct{}),
 	}
-	var err error
-	if cfg.ColdCodec != "none" {
-		if mt.cold, err = reg.ByName(cfg.ColdCodec); err != nil {
-			return nil, fmt.Errorf("core: maintenance cold codec: %w", err)
-		}
-	}
-	if cfg.HotCodec != "none" {
-		if mt.hot, err = reg.ByName(cfg.HotCodec); err != nil {
-			return nil, fmt.Errorf("core: maintenance hot codec: %w", err)
-		}
-	}
-	mt.sched = maint.NewScheduler(cfg, d.eng, mt.idle, mt.step)
-	return mt, nil
+	mt.timer = sim.NewTimer(d.eng, cfg.Interval, mt.tick)
+	return mt
 }
 
-// idle is the scheduler's idle-window probe: maintenance only acts
-// when the workload monitor's calculated IOPS sits at or below the
-// configured ceiling — the same signal that would make the foreground
-// policy pick its heaviest codec — and the run has not failed.
-func (mt *maintainer) idle(now time.Duration) bool {
-	return !mt.d.fs.failed() && mt.d.wp.meter.Intensity(now) <= mt.cfg.IdleIOPS
+// tick is one maintenance timer tick. The device is idle when the
+// workload monitor's calculated IOPS sits at or below the configured
+// ceiling — the same signal that would make the foreground policy pick
+// its heaviest codec — and the run has not failed; only an idle tick
+// does work. The timer always goes on.
+func (mt *maintainer) tick() bool {
+	d, now := mt.d, mt.d.eng.Now()
+	d.stats.MaintTicks++
+	if !d.fs.failed() && d.wp.meter.Intensity(now) <= mt.cfg.IdleIOPS {
+		d.stats.MaintIdleTicks++
+		mt.step(now)
+	}
+	return true
 }
 
 // step is one idle tick's worth of maintenance: scan the mapping table
-// from where the last tick stopped, start up to budget relocations,
-// then compact the allocator if its free lists have fragmented across
-// enough size classes. Returns the number of actions started.
-func (mt *maintainer) step(now time.Duration, budget int) int {
+// from where the last tick stopped, start up to maint.BudgetPerTick
+// relocations, then compact the allocator if its free lists have
+// fragmented across enough size classes.
+func (mt *maintainer) step(now time.Duration) {
 	d := mt.d
 	table := d.se.mapping.table
 	n := int64(len(table))
 	epoch := maint.Epoch(now, mt.cfg.EpochLen)
 	started := 0
 	var prev *Extent
-	for scanned := int64(0); scanned < n && started < budget; scanned++ {
+	for scanned := int64(0); scanned < n && started < maint.BudgetPerTick; scanned++ {
 		b := mt.scanPos
 		mt.scanPos++
 		if mt.scanPos >= n {
@@ -111,11 +106,10 @@ func (mt *maintainer) step(now time.Duration, budget int) int {
 		}
 		hits := e.Heat.Hits(epoch)
 		switch {
-		case mt.hot != nil && hits >= mt.cfg.HotHits &&
-			(e.Tag == compress.TagGZ || e.Tag == compress.TagBWZ):
+		case hits >= maint.HotHits && (e.Tag == compress.TagGZ || e.Tag == compress.TagBWZ):
 			mt.relocate(e, mt.hot, obs.RelocateHot)
 			started++
-		case mt.cold != nil && hits == 0 && e.Heat.IdleFor(epoch) >= mt.cfg.ColdEpochs &&
+		case hits == 0 && e.Heat.IdleFor(epoch) >= mt.cfg.ColdEpochs &&
 			(e.Tag == compress.TagNone || e.Tag == compress.TagLZF):
 			if e.noWin {
 				continue // re-encode already showed no space win for this content
@@ -124,7 +118,7 @@ func (mt *maintainer) step(now time.Duration, budget int) int {
 			started++
 		}
 	}
-	if classes := d.se.alloc.classCount(); classes >= mt.cfg.CompactClasses {
+	if classes := d.se.alloc.classCount(); classes >= maint.CompactClasses {
 		coalesced, reclaimed := d.se.alloc.Compact()
 		if coalesced > 0 || reclaimed > 0 {
 			d.stats.MaintCompactions++
@@ -133,10 +127,8 @@ func (mt *maintainer) step(now time.Duration, budget int) int {
 			if d.obs != nil {
 				d.obs.Compact(now, classes, coalesced, reclaimed)
 			}
-			started++
 		}
 	}
-	return started
 }
 
 // relocate starts moving extent e to codec: read the stored payload

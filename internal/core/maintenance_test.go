@@ -92,7 +92,6 @@ func TestMaintHotDemotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := maintTestConfig()
-	cfg.HotHits = 3
 	cfg.EpochLen = 500 * time.Millisecond // hits accumulate within one epoch
 	rig := newTestRig(t, Options{
 		Policy: Fixed("Gzip", gz),
@@ -109,7 +108,7 @@ func TestMaintHotDemotion(t *testing.T) {
 		})
 	}
 	// Read the same region over and over: each read bumps every touched
-	// extent's heat, crossing HotHits well before the trace ends.
+	// extent's heat, crossing maint.HotHits well before the trace ends.
 	for i := 0; i < 80; i++ {
 		tr.Requests = append(tr.Requests, trace.Request{
 			Arrival: 20*time.Millisecond + time.Duration(i)*10*time.Millisecond,
@@ -370,6 +369,37 @@ func TestMaintBudgetedEncodeChangesNothing(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("exact %v: the budgeted encode changed the run:\n%+v\nwant\n%+v", exact, got, want)
+		}
+	}
+}
+
+// levelMeter reports a settable calculated IOPS.
+type levelMeter struct{ iops float64 }
+
+func (*levelMeter) Record(time.Duration, int64)       {}
+func (m *levelMeter) Intensity(time.Duration) float64 { return m.iops }
+
+// TestMaintTickBudget drives the maintenance timer's tick by hand over
+// a table of cold uncompressed extents: a busy tick starts nothing, an
+// idle one starts at most maint.BudgetPerTick relocations, and the next
+// idle tick goes on from where the scan stopped.
+func TestMaintTickBudget(t *testing.T) {
+	meter := &levelMeter{iops: 2e9} // above maintTestConfig's 1e9 ceiling
+	rig := newTestRig(t, Options{Policy: Native(), Maint: maintTestConfig(), Meter: meter})
+	se, mt := rig.dev.se, rig.dev.mnt
+	const extents = 3*maint.BudgetPerTick - 1
+	for i := int64(0); i < extents; i++ {
+		mkExtent(t, se.mapping, se.alloc, i*16384, 16384, compress.TagNone)
+	}
+	rig.eng.RunUntil(time.Second) // 50 epochs: every extent is cold
+	st := rig.dev.stats
+	if !mt.tick() || st.MaintTicks != 1 || st.MaintIdleTicks != 0 || len(mt.relocating) != 0 {
+		t.Fatalf("busy tick: ticks %d, idle %d, %d relocations started", st.MaintTicks, st.MaintIdleTicks, len(mt.relocating))
+	}
+	meter.iops = 0
+	for tick, want := range []int{maint.BudgetPerTick, 2 * maint.BudgetPerTick, extents} {
+		if !mt.tick() || st.MaintIdleTicks != int64(tick+1) || len(mt.relocating) != want {
+			t.Fatalf("idle tick %d: %d idle ticks, %d relocations in flight, want %d", tick+1, st.MaintIdleTicks, len(mt.relocating), want)
 		}
 	}
 }

@@ -28,13 +28,12 @@ import (
 // the same images a recovery consumes.
 
 // persister owns a device's crash-consistency state: the latest mapping
-// snapshot, the journal of writes completed since, and the checkpoint
-// schedule that periodically folds the journal into a fresh snapshot.
+// snapshot and the journal of writes completed since. The device's
+// checkpoint timer periodically folds the journal into a fresh snapshot.
 type persister struct {
 	dev      *Device
 	snapshot []byte
 	jnl      *Journal
-	armed    bool // a checkpoint timer is queued
 }
 
 // armPersistence turns on snapshotting + journaling at open when the
@@ -51,6 +50,9 @@ func (d *Device) armPersistence(force bool) error {
 	}
 	d.per = &persister{dev: d, jnl: &Journal{}}
 	d.wp.jnl = d.per.jnl
+	if d.snapEvery > 0 {
+		d.ckpt = sim.NewTimer(d.eng, d.snapEvery, d.per.tick)
+	}
 	var buf bytes.Buffer
 	if err := d.se.mapping.SaveSnapshot(&buf); err != nil {
 		return err
@@ -59,30 +61,17 @@ func (d *Device) armPersistence(force bool) error {
 	return nil
 }
 
-// arm schedules the next checkpoint unless one is queued (or
-// checkpointing is off; p may be nil). The timer re-arms itself only
-// while non-housekeeping events are pending so the event loop can
-// drain, and is scheduled as housekeeping for the same reason:
-// otherwise it and the maintenance tick would each count the other as
-// pending work and re-arm forever.
-func (p *persister) arm() {
-	if p == nil || p.dev.snapEvery <= 0 || p.armed {
-		return
+// tick is the checkpoint timer's tick: one checkpoint, unless the run
+// has failed. A failed run, or a failed checkpoint, stops the timer.
+func (p *persister) tick() bool {
+	if p.dev.fs.failed() {
+		return false
 	}
-	p.armed = true
-	p.dev.eng.ScheduleHousekeepingAfter(p.dev.snapEvery, func() {
-		p.armed = false
-		if p.dev.fs.failed() {
-			return
-		}
-		if err := p.checkpoint(); err != nil {
-			p.dev.fs.fail(err)
-			return
-		}
-		if p.dev.eng.PendingWork() > 0 {
-			p.arm()
-		}
-	})
+	if err := p.checkpoint(); err != nil {
+		p.dev.fs.fail(err)
+		return false
+	}
+	return true
 }
 
 // checkpoint folds the journal into the previous snapshot and resets
@@ -229,7 +218,7 @@ func RecoverDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options
 			// extent and register it, first-wins in table order —
 			// deterministic, like the live path's registration at each
 			// extent's durable point.
-			e.sum = dedup.HashSum(d.se.dedupKey, content)
+			e.sum = dedup.HashSum(dedup.DefaultKey, content)
 			e.hasSum = true
 			d.se.dedupRegister(e)
 		}

@@ -193,7 +193,7 @@ func (wp *writePath) processRun(run *Run) {
 		// charge the CPU for it, and resolve against the index at the
 		// job's completion time — lookup results must reflect the state
 		// when the CPU work is done, not when it was queued.
-		sum := dedup.HashSum(wp.se.dedupKey, content)
+		sum := dedup.HashSum(dedup.DefaultKey, content)
 		wp.cpu.Submit(sim.Job{Service: bytesTime(run.Size, DedupHashBps), Done: func(_, _ time.Duration) {
 			wp.dedupResolve(run, content, sum, ver)
 		}})

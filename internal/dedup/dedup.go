@@ -1,18 +1,14 @@
 // Package dedup holds the policy side of content-addressed
 // deduplication: the 128-bit content fingerprint the write path computes
-// for every merged run, and the configuration knob the facade exposes.
+// for every merged run, and the configuration switch the facade exposes.
 // Like internal/maint it is deliberately mechanism-free — the content
 // index itself (fingerprint -> stored extent) lives in the simulator
 // core, which owns extent lifetimes; this package only defines the hash
-// and its tuning so the fingerprint can be tested in isolation and
+// and its constants so the fingerprint can be tested in isolation and
 // shared with tooling.
 package dedup
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
+import "encoding/binary"
 
 // Sum is a 128-bit content fingerprint. Two runs with equal Sums are
 // treated as byte-identical by the dedup layer; at 128 bits the
@@ -34,12 +30,12 @@ func splitmix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// HashSum fingerprints p under the given key. The key is fixed per
-// device (Config.Key), so the fingerprint of a payload is deterministic
-// across runs of the same configuration — the property the determinism
-// gates (make matrixcheck) rely on. The two lanes are seeded from
-// different key expansions and fed decorrelated views of each word, so
-// a collision requires defeating both independently.
+// HashSum fingerprints p under the given key. Devices use DefaultKey,
+// so the fingerprint of a payload is deterministic across runs — the
+// property the determinism gates (make matrixcheck) rely on. The two
+// lanes are seeded from different key expansions and fed decorrelated
+// views of each word, so a collision requires defeating both
+// independently.
 func HashSum(key uint64, p []byte) Sum {
 	h1 := splitmix(key ^ 0x243f6a8885a308d3)
 	h2 := splitmix(key ^ 0x452821e638d01377)
@@ -60,54 +56,22 @@ func HashSum(key uint64, p []byte) Sum {
 	return Sum{Hi: splitmix(h1 ^ n), Lo: splitmix(h2 ^ n)}
 }
 
-// DefaultKey seeds the fingerprint when the configuration leaves Key
-// zero: an arbitrary odd constant, fixed so artifacts (journals,
-// benchmark outputs) are comparable across runs by default.
+// DefaultKey seeds every content fingerprint: an arbitrary odd
+// constant, fixed so artifacts (journals, benchmark outputs) are
+// comparable across runs. Shards of one system share it; because
+// shards never exchange extents, per-shard indexes stay independent
+// and deterministic regardless.
 const DefaultKey = 0xe7037ed1a0b428db
 
-// DefaultMaxEntries bounds the content index when the configuration
-// leaves MaxEntries zero: 1Mi fingerprints (~48 MiB of index for a
-// fully unique corpus), far above what the bundled traces store.
+// DefaultMaxEntries bounds the content index: 1Mi fingerprints (~48 MiB
+// of index for a fully unique corpus), far above what the bundled
+// traces store. When the index is full, new fingerprints are simply not
+// registered — misses still store normally — so the bound is a memory
+// ceiling, not a correctness knob.
 const DefaultMaxEntries = 1 << 20
 
-// Config parameterizes content-addressed dedup; a device handed none
-// builds no content index and computes no fingerprints. Normalize fills
-// every zero field with the documented default so callers only set what
-// they care about.
-type Config struct {
-	// Key seeds the per-device content fingerprint (default
-	// DefaultKey). Shards of one system share the key; because shards
-	// never exchange extents, per-shard indexes stay independent and
-	// deterministic regardless.
-	Key uint64 `json:"key,omitempty"`
-
-	// MaxEntries caps the content index (default DefaultMaxEntries).
-	// When the index is full, new fingerprints are simply not
-	// registered — misses still store normally — so the bound is a
-	// memory ceiling, not a correctness knob.
-	MaxEntries int `json:"max_entries,omitempty"`
-}
-
-// Normalize returns cfg with every zero tunable replaced by its
-// default.
-func (c Config) Normalize() Config {
-	if c.Key == 0 {
-		c.Key = DefaultKey
-	}
-	if c.MaxEntries == 0 {
-		c.MaxEntries = DefaultMaxEntries
-	}
-	return c
-}
-
-// ErrBadConfig reports a dedup configuration that cannot be normalized
-// into something runnable.
-var ErrBadConfig = errors.New("dedup: invalid config")
-
-// Validate rejects values Normalize would otherwise silently replace.
-func (c Config) Validate() error {
-	if c.MaxEntries < 0 {
-		return fmt.Errorf("%w: negative max entries", ErrBadConfig)
-	}
-	return nil
-}
+// Config switches content-addressed dedup on; a device handed none
+// builds no content index and computes no fingerprints. It has no
+// fields: the fingerprint key and the index bound are DefaultKey and
+// DefaultMaxEntries.
+type Config struct{}

@@ -1,9 +1,6 @@
 package dedup
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 // payload is n bytes of a fixed pattern that is neither constant nor
 // zero-tailed.
@@ -94,38 +91,6 @@ func TestHashSumSensitiveToLength(t *testing.T) {
 		}
 		if HashSum(DefaultKey, append(p, 0)) == whole {
 			t.Fatalf("len %d: appending a zero byte left the sum unchanged", n)
-		}
-	}
-}
-
-func TestConfigNormalize(t *testing.T) {
-	defaults := Config{Key: DefaultKey, MaxEntries: DefaultMaxEntries}
-	if got := (Config{}).Normalize(); got != defaults {
-		t.Fatalf("zero config normalized to %+v", got)
-	}
-	if got := defaults.Normalize(); got != defaults {
-		t.Fatalf("Normalize is not idempotent: %+v", got)
-	}
-	set := Config{Key: 7, MaxEntries: 12}
-	if got := set.Normalize(); got != set {
-		t.Fatalf("Normalize changed explicit values: %+v -> %+v", set, got)
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	for _, ok := range []Config{{}, {Key: 1, MaxEntries: 1}, Config{}.Normalize()} {
-		if err := ok.Validate(); err != nil {
-			t.Errorf("%+v: %v", ok, err)
-		}
-	}
-	for _, bad := range []Config{{MaxEntries: -1}, {Key: 1, MaxEntries: -1 << 40}} {
-		err := bad.Validate()
-		if !errors.Is(err, ErrBadConfig) {
-			t.Errorf("%+v: error %v, want ErrBadConfig", bad, err)
-		}
-		// Normalize must not paper over what Validate refuses.
-		if bad.Normalize().Validate() == nil {
-			t.Errorf("%+v: Normalize made a refused config valid", bad)
 		}
 	}
 }

@@ -121,16 +121,14 @@ func TestHistBucket(t *testing.T) {
 
 func TestConfigNormalizeDefaults(t *testing.T) {
 	c := Config{}.Normalize()
-	if c.Interval != 100*time.Millisecond || c.IdleIOPS != 300 ||
-		c.BudgetPerTick != 8 || c.EpochLen != 250*time.Millisecond ||
-		c.ColdEpochs != 4 || c.HotHits != 4 ||
-		c.ColdCodec != "gz" || c.HotCodec != "lzf" || c.CompactClasses != 12 {
-		t.Fatalf("unexpected defaults: %+v", c)
+	want := Config{Interval: 100 * time.Millisecond, IdleIOPS: 300, EpochLen: 250 * time.Millisecond, ColdEpochs: 4}
+	if c != want {
+		t.Fatalf("defaults %+v, want %+v", c, want)
 	}
 	// Explicit values survive normalization.
-	c2 := Config{Interval: time.Second, ColdCodec: "bwz"}.Normalize()
-	if c2.Interval != time.Second || c2.ColdCodec != "bwz" {
-		t.Fatalf("explicit fields overwritten: %+v", c2)
+	set := Config{Interval: time.Second, IdleIOPS: 1, EpochLen: time.Millisecond, ColdEpochs: 9}
+	if got := set.Normalize(); got != set {
+		t.Fatalf("explicit fields overwritten: %+v", got)
 	}
 }
 
@@ -139,84 +137,10 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("zero config invalid: %v", err)
 	}
 	for _, bad := range []Config{
-		{Interval: -1}, {EpochLen: -1}, {IdleIOPS: -1},
-		{BudgetPerTick: -1}, {ColdEpochs: -1}, {CompactClasses: -1},
+		{Interval: -1}, {EpochLen: -1}, {IdleIOPS: -1}, {ColdEpochs: -1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil, want error", bad)
 		}
-	}
-}
-
-// fakeClock is a minimal deterministic Clock for scheduler tests.
-type fakeClock struct {
-	now     time.Duration
-	pending int
-	timers  []func()
-}
-
-func (c *fakeClock) Now() time.Duration { return c.now }
-func (c *fakeClock) ScheduleHousekeepingAfter(d time.Duration, fn func()) {
-	c.timers = append(c.timers, fn)
-}
-func (c *fakeClock) PendingWork() int { return c.pending }
-
-// fire runs every queued timer, advancing the clock by d per timer.
-func (c *fakeClock) fire(d time.Duration) {
-	timers := c.timers
-	c.timers = nil
-	for _, fn := range timers {
-		c.now += d
-		fn()
-	}
-}
-
-func TestSchedulerIdleGateAndBudget(t *testing.T) {
-	cfg := Config{}.Normalize()
-	clock := &fakeClock{pending: 1}
-	idle := false
-	var budgets []int
-	s := NewScheduler(cfg, clock, func(time.Duration) bool { return idle },
-		func(_ time.Duration, budget int) int {
-			budgets = append(budgets, budget)
-			return 3
-		})
-	s.Arm()
-	s.Arm() // second arm is a no-op
-	if len(clock.timers) != 1 {
-		t.Fatalf("double Arm queued %d timers, want 1", len(clock.timers))
-	}
-	clock.fire(cfg.Interval) // busy tick: no step
-	if len(budgets) != 0 {
-		t.Fatalf("busy tick ran the step")
-	}
-	idle = true
-	clock.fire(cfg.Interval) // idle tick: budgeted step
-	if len(budgets) != 1 || budgets[0] != cfg.BudgetPerTick {
-		t.Fatalf("budgets = %v, want [%d]", budgets, cfg.BudgetPerTick)
-	}
-	if s.Ticks() != 2 || s.IdleTicks() != 1 || s.Actions() != 3 {
-		t.Fatalf("counters = %d/%d/%d, want 2/1/3",
-			s.Ticks(), s.IdleTicks(), s.Actions())
-	}
-	// Once nothing is pending the scheduler disarms itself...
-	clock.pending = 0
-	clock.fire(cfg.Interval)
-	if len(clock.timers) != 0 {
-		t.Fatalf("scheduler re-armed with an empty event queue")
-	}
-	// ...and a later Arm (the serve-mode ingest hook) revives it.
-	clock.pending = 1
-	s.Arm()
-	if len(clock.timers) != 1 {
-		t.Fatalf("Arm after disarm did not schedule")
-	}
-}
-
-func TestSchedulerNil(t *testing.T) {
-	var s *Scheduler
-	s.Arm() // must not panic
-	if s.Ticks() != 0 || s.IdleTicks() != 0 || s.Actions() != 0 {
-		t.Fatal("nil scheduler counters nonzero")
 	}
 }

@@ -1,9 +1,10 @@
 // Package sim is a small discrete-event simulation kernel: a virtual
-// clock, an event heap, and single-server FIFO stations. The EDC replay
-// engine models the host as a tandem of stations — a CPU station where
-// (de)compression executes and one device station per SSD — so queueing
-// delay under bursty arrivals emerges naturally, which is the mechanism
-// behind the paper's Fig. 10 (heavy codecs inflate the I/O queue).
+// clock, an event heap, periodic housekeeping timers and single-server
+// FIFO stations. The EDC replay engine models the host as a tandem of
+// stations — a CPU station where (de)compression executes and one
+// device station per SSD — so queueing delay under bursty arrivals
+// emerges naturally, which is the mechanism behind the paper's Fig. 10
+// (heavy codecs inflate the I/O queue).
 package sim
 
 import (
@@ -185,11 +186,11 @@ func (e *Engine) RunUntil(t time.Duration) {
 func (e *Engine) Pending() int { return len(e.events) }
 
 // ScheduleHousekeepingAfter runs fn after delay d like ScheduleAfter,
-// but counts the event as housekeeping: PendingWork excludes it. Timer
-// loops that re-arm only while the engine has other work (periodic
-// checkpoints, background maintenance ticks) schedule themselves in
-// this class — gating on Pending alone, two such loops would each see
-// the other's timer and keep the heap alive forever.
+// but counts the event as housekeeping: PendingWork excludes it. Timers
+// (checkpoints, maintenance ticks), which re-arm only while the engine
+// has other work, schedule themselves in this class — gating on Pending
+// alone, two of them would each see the other and keep the heap alive
+// forever.
 func (e *Engine) ScheduleHousekeepingAfter(d time.Duration, fn func()) {
 	e.hk++
 	e.ScheduleAfter(d, func() {
@@ -205,6 +206,43 @@ func (e *Engine) PendingWork() int { return len(e.events) - e.hk }
 
 // Executed returns the number of events executed so far.
 func (e *Engine) Executed() int64 { return e.ran }
+
+// Timer is a periodic housekeeping timer: every interval of virtual
+// time it runs its tick, and it re-arms itself while the tick asks to
+// continue and the engine has other work pending. A timer that finds
+// nothing else queued disarms itself, so two timers on one engine never
+// keep each other alive; a later Arm (a serve shard's next batch)
+// brings it back.
+type Timer struct {
+	eng   *Engine
+	every time.Duration
+	tick  func() bool
+	fire  func()
+	armed bool
+}
+
+// NewTimer returns a disarmed timer on e that runs tick every interval
+// once armed; tick reports whether the timer should go on.
+func NewTimer(e *Engine, every time.Duration, tick func() bool) *Timer {
+	t := &Timer{eng: e, every: every, tick: tick}
+	t.fire = func() {
+		t.armed = false
+		if t.tick() && t.eng.PendingWork() > 0 {
+			t.Arm()
+		}
+	}
+	return t
+}
+
+// Arm schedules the next tick unless one is queued. A nil timer is
+// switched off and Arm does nothing.
+func (t *Timer) Arm() {
+	if t == nil || t.armed {
+		return
+	}
+	t.armed = true
+	t.eng.ScheduleHousekeepingAfter(t.every, t.fire)
+}
 
 // Job is one unit of work for a Station.
 type Job struct {
