@@ -23,7 +23,8 @@
 // the documents citing it.
 //
 // It also holds the line budget: sizes.txt lists the wc -l line count of
-// the non-test .go files of every package directory, and of DESIGN.md.
+// the non-test .go files of every package directory, and of DESIGN.md,
+// then the number of options: the root package's exported With* funcs.
 // When any count differs from the tree, the run fails and prints the
 // fresh file. There is no flag to rewrite it: the edit to sizes.txt is
 // how a change in size shows up for review.
@@ -72,7 +73,7 @@ func main() {
 		// A missing file differs like any other.
 		if old, _ := os.ReadFile(sizesFile); !bytes.Equal(old, fresh) {
 			fmt.Printf("%s differs from the tree; the fresh file:\n%s", sizesFile, fresh)
-			bad = append(bad, sizesFile+": line counts differ")
+			bad = append(bad, sizesFile+": line or option counts differ")
 		}
 	}
 	for _, dir := range dirs {
@@ -207,7 +208,8 @@ func walkGo(root string, fn func(path string) error) error {
 // sizes renders the line budget of the tree at root: one "path lines"
 // line per package directory (its non-test .go files; hidden and
 // testdata directories skipped), then DESIGN.md's, each counted as
-// wc -l counts: newline bytes.
+// wc -l counts: newline bytes; last, "options N", the exported With*
+// funcs (WithoutX too) of the package at root.
 func sizes(root string) ([]byte, error) {
 	count := func(path string) (int, error) {
 		b, err := os.ReadFile(path)
@@ -229,13 +231,39 @@ func sizes(root string) ([]byte, error) {
 	sort.Strings(dirs)
 	var b bytes.Buffer
 	b.WriteString("# Line budget, checked by go run ./cmd/doclint: non-test Go lines per\n" +
-		"# package directory, then DESIGN.md's lines (wc -l).\n")
+		"# package directory, then DESIGN.md's lines (wc -l), then the root\n" +
+		"# package's exported With* options.\n")
 	for _, dir := range dirs {
 		fmt.Fprintf(&b, "%s %d\n", dir, lines[dir])
 	}
 	n, err := count(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		return nil, err
+	}
 	fmt.Fprintf(&b, "DESIGN.md %d\n", n)
+	opts, err := options(root)
+	fmt.Fprintf(&b, "options %d\n", opts)
 	return b.Bytes(), err
+}
+
+// options counts the exported package-level funcs named With* declared
+// in the non-test .go files of the package at root.
+func options(root string) (int, error) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), root, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.SkipObjectResolution)
+	n := 0
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() &&
+					strings.HasPrefix(fd.Name.Name, "With") {
+					n++
+				}
+			}
+		}
+	}
+	return n, err
 }
 
 // lintDir parses one package directory and returns its offenders.

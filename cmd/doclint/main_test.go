@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -40,5 +41,35 @@ func TestLintDocsStaleMentions(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("lintDocs = %q\nwant %q", got, want)
+	}
+}
+
+// TestSizesCountsOptions renders the budget of a small module: the
+// options line counts the root package's exported With* funcs, WithoutX
+// included, and neither methods, unexported funcs, other packages nor
+// test files.
+func TestSizesCountsOptions(t *testing.T) {
+	root := t.TempDir()
+	write := func(name, text string) {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("edc.go", "package edc\n\ntype T struct{}\n\nfunc WithA() {}\nfunc WithoutB() {}\nfunc withC() {}\nfunc (T) WithD() {}\n")
+	write("edc_test.go", "package edc\n\nfunc WithTestOnly() {}\n")
+	write("internal/x/x.go", "package x\n\nfunc WithX() {}\n")
+	write("DESIGN.md", "one\ntwo\n")
+	got, err := sizes(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(got), "\n"), "\n")
+	want := []string{"DESIGN.md 2", "options 2"}
+	if tail := lines[len(lines)-len(want):]; !reflect.DeepEqual(tail, want) {
+		t.Fatalf("sizes ends %q, want %q", tail, want)
 	}
 }

@@ -89,8 +89,6 @@ type config struct {
 	backend BackendKind
 	devices int // array size; fewer than 2 selects the paper's 5 for RAIS, HDD takes at most 1
 	ssd     SSDConfig
-	// stripeUnitPages is the RAIS stripe unit in pages.
-	stripeUnitPages int
 
 	data     DataProfile
 	dataSeed int64
@@ -113,7 +111,6 @@ func (c *config) fillDefaults() {
 	c.gzCeiling = cmp.Or(c.gzCeiling, core.DefaultGzCeiling)
 	c.lzfCeiling = cmp.Or(c.lzfCeiling, core.DefaultLzfCeiling)
 	c.ssd = cmp.Or(c.ssd, ssd.DefaultConfig())
-	c.stripeUnitPages = cmp.Or(c.stripeUnitPages, 16)
 	if len(c.data.Mixture) == 0 {
 		c.data = datagen.Enterprise()
 	}
@@ -144,13 +141,7 @@ func (c *config) validate() error {
 		return fmt.Errorf("edc: elastic thresholds gz=%g lzf=%g invalid (need 0 <= gz <= lzf)",
 			c.gzCeiling, c.lzfCeiling)
 	}
-	if c.stripeUnitPages < 0 {
-		return fmt.Errorf("edc: negative stripe unit %d", c.stripeUnitPages)
-	}
 	d := &c.dev
-	if d.MaxRun < 0 {
-		return fmt.Errorf("edc: negative max run %d", d.MaxRun)
-	}
 	if d.CacheBytes < 0 {
 		return fmt.Errorf("edc: negative cache size %d", d.CacheBytes)
 	}
@@ -168,7 +159,7 @@ func (c *config) validate() error {
 	if err := d.Faults.Validate(); err != nil {
 		return err
 	}
-	// Serve's own refusals (power cut, flushless SD) wait for Serve: the
+	// Serve's own refusal (power cut) waits for Serve: the
 	// options do not say which way the System will be driven.
 	if err := c.serve.Incompatible(d, false); err != nil {
 		return fmt.Errorf("edc: %w", err)
@@ -220,9 +211,6 @@ func WithExactSlots() Option { return func(c *config) { c.dev.ExactSlots = true 
 // compress everything the intensity ladder selects).
 func WithoutEstimator() Option { return func(c *config) { c.noEstimator = true } }
 
-// WithMaxRun caps SD merging in bytes.
-func WithMaxRun(bytes int64) Option { return func(c *config) { c.dev.MaxRun = bytes } }
-
 // WithReplayWorkers selects where real codec work runs: any n > 1 runs
 // it on the process-wide pool of GOMAXPROCS workers, concurrently with
 // the virtual-time event loop (n is not a goroutine count), and n <= 1
@@ -256,12 +244,6 @@ func WithShards(n int) Option { return func(c *config) { c.serve.Shards = n } }
 // WithCache enables a host DRAM read cache of the given size (the upper
 // DRAM buffer in the paper's Fig. 4 architecture).
 func WithCache(bytes int64) Option { return func(c *config) { c.dev.CacheBytes = bytes } }
-
-// WithFlushTimeout bounds SD buffering delay (negative disables).
-func WithFlushTimeout(d time.Duration) Option { return func(c *config) { c.dev.FlushTimeout = d } }
-
-// WithStripeUnit sets the RAIS stripe unit in pages (default 16).
-func WithStripeUnit(pages int) Option { return func(c *config) { c.stripeUnitPages = pages } }
 
 // WithTracer streams one TraceEvent per pipeline decision to t
 // (admission, SD merge/flush, estimator verdict, codec choice, slot

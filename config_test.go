@@ -29,8 +29,6 @@ func TestNewSystemValidation(t *testing.T) {
 		{name: "multi-disk HDD", opts: []Option{WithBackend(HDD, 2)}, want: "HDD backend is one disk"},
 		{name: "negative gz ceiling", opts: []Option{WithElasticThresholds(-1, 100)}, want: "elastic thresholds"},
 		{name: "gz above lzf ceiling", opts: []Option{WithElasticThresholds(900, 100)}, want: "elastic thresholds"},
-		{name: "negative stripe unit", opts: []Option{WithStripeUnit(-1)}, want: "negative stripe unit"},
-		{name: "negative max run", opts: []Option{WithMaxRun(-1)}, want: "negative max run"},
 		{name: "negative cache", opts: []Option{WithCache(-1)}, want: "negative cache size"},
 		{name: "negative snapshot interval", opts: []Option{WithSnapshotEvery(-time.Second)}, want: "negative snapshot interval"},
 		{name: "more shards than blocks", opts: []Option{WithShards(1 << 30)}, want: "shards exceed"},
@@ -42,7 +40,6 @@ func TestNewSystemValidation(t *testing.T) {
 		{name: "power cut × shards", opts: []Option{WithFaults(powerCut), WithShards(4)},
 			want: "edc: power-cut recovery is not supported with WithShards(4): shards crash and recover independently of each other"},
 		{name: "serve × power cut", opts: []Option{WithFaults(powerCut)}, serve: true, want: "serve mode does not support power-cut fault plans"},
-		{name: "serve × flushless SD", opts: []Option{WithFlushTimeout(-1)}, serve: true, want: "serve mode requires a positive SD flush timeout"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := NewSystem(testVolume, append([]Option{WithSSDConfig(smallSSD())}, tc.opts...)...)
@@ -65,9 +62,8 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 	// The same stack minus the clash is accepted: no row fires alone.
 	for name, opts := range map[string][]Option{
-		"defaults":         nil,
-		"power cut":        {WithFaults(powerCut)},
-		"flushless SD off": {WithFlushTimeout(-1), WithoutSD()},
+		"defaults":  nil,
+		"power cut": {WithFaults(powerCut)},
 	} {
 		if _, err := NewSystem(testVolume, opts...); err != nil {
 			t.Errorf("%s: refused: %v", name, err)
@@ -91,7 +87,7 @@ func TestZeroValuedOptionsKeepDefaults(t *testing.T) {
 		return out
 	}
 	zeroed := report(WithScheme(""), WithElasticThresholds(0, 0), WithSSDConfig(SSDConfig{}),
-		WithDataProfile(DataProfile{}, 0), WithStripeUnit(0), WithShards(0), WithFaults(nil))
+		WithDataProfile(DataProfile{}, 0), WithShards(0), WithFaults(nil))
 	if plain := report(); !bytes.Equal(zeroed, plain) {
 		t.Fatalf("zero-valued options changed the replay:\n zeroed: %s\n plain:  %s", zeroed, plain)
 	}

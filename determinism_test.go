@@ -102,9 +102,10 @@ func stormTrace(n int) *Trace {
 // TestReplayMispredictStorm holds the write path's trace lookahead to
 // the same contract: whatever it guessed about the runs to come, a
 // replay at workers > 1 must return the sequential replay's results —
-// under a trace built to make its guesses wrong (stormTrace), a small
-// run cap, a codec ladder whose ceilings the trace keeps crossing, and a
-// fault plan that fails the run part way through.
+// under a trace built to make its guesses wrong (stormTrace), a codec
+// ladder whose ceilings the trace keeps crossing, and a fault plan that
+// fails the run part way through. The same trace at a 12 KiB run cap is
+// internal/core's TestLookaheadRingFollowsPool/storm-small-cap.
 func TestReplayMispredictStorm(t *testing.T) {
 	tr := stormTrace(1500)
 	cases := []struct {
@@ -112,7 +113,6 @@ func TestReplayMispredictStorm(t *testing.T) {
 		opts []Option
 	}{
 		{"default", nil},
-		{"small-cap", []Option{WithMaxRun(12 << 10)}},
 		{"ceilings", []Option{WithElasticThresholds(2000, 4000)}},
 		{"fails", []Option{WithFaults(&FaultPlan{Seed: 5, WriteHard: 0.2})}},
 	}

@@ -292,6 +292,10 @@ func policyFor(c *config) (core.Policy, error) {
 	}
 }
 
+// stripeUnitPages is the RAIS stripe unit: the pages a stripe puts on
+// one member before it moves to the next.
+const stripeUnitPages = 16
+
 // buildBackend constructs one backend instance on eng per the configured
 // organization: every pipeline a System runs gets a private one.
 func buildBackend(c *config, eng *sim.Engine) (*core.Backend, error) {
@@ -325,7 +329,7 @@ func buildBackend(c *config, eng *sim.Engine) (*core.Backend, error) {
 		if c.backend == RAIS5 {
 			level = rais.RAIS5
 		}
-		arr, err := rais.New(level, devs, c.stripeUnitPages)
+		arr, err := rais.New(level, devs, stripeUnitPages)
 		if err != nil {
 			return nil, err
 		}
@@ -348,9 +352,6 @@ func deviceOptions(c *config) (core.Options, error) {
 	o := c.dev
 	o.Policy = pol
 	o.Data = datagen.New(c.data, c.dataSeed)
-	// Each of n shards enforces 1/n of every tenant's schedule, so the
-	// aggregate device-wide rate matches the configured one.
-	o.QoSShare = c.serve.Shards
 	return o, nil
 }
 

@@ -196,13 +196,17 @@ func TestWithoutSDOption(t *testing.T) {
 	}
 }
 
+// TestFlushTimeoutOption checks that the SD idle flush timer (300 µs,
+// core.DefaultFlushTimeout) compresses a lone buffered write instead of
+// holding it for a successor: without the timer the first write would
+// wait 10 ms for the second, which is not contiguous.
 func TestFlushTimeoutOption(t *testing.T) {
 	tr := &Trace{Name: "lone", Requests: []Request{
 		{Arrival: 0, Offset: 0, Size: 4096, Write: true},
+		{Arrival: 10 * time.Millisecond, Offset: 1 << 20, Size: 4096, Write: true},
 	}}
 	res, err := Replay(tr, testVolume,
 		WithScheme(SchemeNative),
-		WithFlushTimeout(time.Millisecond),
 		WithSSDConfig(smallSSD()))
 	if err != nil {
 		t.Fatal(err)
@@ -235,9 +239,7 @@ func TestMoreFacadeOptions(t *testing.T) {
 	res, err := Replay(tr, testVolume,
 		WithScheme(SchemeLz4),
 		WithSSDConfig(smallSSD()),
-		WithMaxRun(32<<10),
 		WithCache(4<<20),
-		WithStripeUnit(8),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,6 @@ func main() {
 			edc.WithScheme(scheme),
 			edc.WithBackend(edc.RAIS5, 5),
 			edc.WithSSDConfig(ssd),
-			edc.WithStripeUnit(16),
 			edc.WithDataProfile(edc.DataProfiles()["enterprise"], 3))
 		if err != nil {
 			log.Fatalf("%s: %v", scheme, err)

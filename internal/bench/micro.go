@@ -89,7 +89,6 @@ func fig2Corpus(p Params) int {
 // ratio plus real (wall-clock) and modeled compress/decompress speeds.
 func runFig2(p Params) ([]*Table, error) {
 	reg := compress.Default()
-	cost := core.DefaultCostModel()
 	datasets := []datagen.Profile{datagen.LinuxSrc(), datagen.FirefoxBin()}
 	codecNames := []string{"lzf", "lz4", "gz", "bwz"}
 	total := fig2Corpus(p)
@@ -129,7 +128,7 @@ func runFig2(p Params) ([]*Table, error) {
 				}
 				return float64(total) / d.Seconds() / 1e6
 			}
-			cc := cost[c.Tag()]
+			cc := core.CostOf(c.Tag())
 			t.Rows = append(t.Rows, []string{
 				ds.Name, name,
 				f2(compress.Ratio(total, int(compBytes))),

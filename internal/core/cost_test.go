@@ -9,10 +9,9 @@ import (
 
 // TestCodecChargeMatchesOldBranches pins the codec-time charge the write
 // path, the read path and the maintainer each bill to the host CPU: the
-// CostModel time, uncompressed bytes over the codec's throughput, with
-// TagNone free.
+// cost table's time, uncompressed bytes over the codec's throughput,
+// with TagNone free.
 func TestCodecChargeMatchesOldBranches(t *testing.T) {
-	cost := DefaultCostModel()
 	oldFormula := func(n int64, bps float64) time.Duration {
 		return time.Duration(float64(n) / bps * float64(time.Second))
 	}
@@ -21,15 +20,32 @@ func TestCodecChargeMatchesOldBranches(t *testing.T) {
 		for _, n := range []int64{BlockSize, 16 * BlockSize, 65536 + BlockSize} {
 			var wantEnc, wantDec time.Duration
 			if tag != compress.TagNone {
-				wantEnc = oldFormula(n, cost[tag].CompressBps)
-				wantDec = oldFormula(n, cost[tag].DecompressBps)
+				wantEnc = oldFormula(n, CostOf(tag).CompressBps)
+				wantDec = oldFormula(n, CostOf(tag).DecompressBps)
 			}
-			if got := cost.CompressTime(tag, n); got != wantEnc {
+			if got := CompressTime(tag, n); got != wantEnc {
 				t.Errorf("CompressTime(tag %d, %d) = %v, want %v", tag, n, got, wantEnc)
 			}
-			if got := cost.DecompressTime(tag, n); got != wantDec {
+			if got := DecompressTime(tag, n); got != wantDec {
 				t.Errorf("DecompressTime(tag %d, %d) = %v, want %v", tag, n, got, wantDec)
 			}
+		}
+	}
+}
+
+// TestCostPricesEveryCodec holds the cost table to the registry: a
+// policy may pick any codec of compress.Default(), and charging one
+// without a price panics mid-run, so every one has positive compress and
+// decompress throughputs.
+func TestCostPricesEveryCodec(t *testing.T) {
+	reg := defaultTestRegistry(t)
+	for tag := compress.TagNone + 1; tag <= compress.MaxTag; tag++ {
+		c, err := reg.ByTag(tag)
+		if err != nil {
+			continue // no codec at this tag
+		}
+		if cc := CostOf(tag); cc.CompressBps <= 0 || cc.DecompressBps <= 0 {
+			t.Errorf("codec %s (tag %d) priced at %+v", c.Name(), tag, cc)
 		}
 	}
 }

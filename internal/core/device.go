@@ -23,20 +23,11 @@ import (
 type Options struct {
 	// Policy selects the compression scheme (default: DefaultElastic).
 	Policy Policy
-	// Cost is the CPU cost model (default: DefaultCostModel).
-	Cost CostModel
 	// Meter overrides the local dual-window workload monitor with an
 	// external intensity source. Sharded replay injects a shared
 	// read-only IntensitySnapshot here so every shard sees the same
 	// global signal. Nil keeps the local monitors.
 	Meter WorkloadMeter
-	// MaxRun caps SD merging in bytes (default: DefaultMaxRun).
-	MaxRun int64
-	// FlushTimeout bounds how long a pending run may wait for a
-	// contiguous successor before being compressed anyway
-	// (default: DefaultFlushTimeout, 300 µs). Zero keeps the default;
-	// negative disables.
-	FlushTimeout time.Duration
 	// Data generates write payload content (default: datagen.Enterprise
 	// profile, seed 1).
 	Data *datagen.Generator
@@ -58,11 +49,6 @@ type Options struct {
 	// function of (content, codec), so results are bit-identical for any
 	// setting. Default runtime.GOMAXPROCS(0).
 	ReplayWorkers int
-	// MaxOutstanding bounds host requests in flight (closed-loop replay:
-	// arrivals beyond the bound are admitted as earlier requests
-	// complete, as a real block layer's bounded queue does). Zero keeps
-	// the default of 64; negative disables the bound.
-	MaxOutstanding int
 	// CacheBytes enables a host DRAM read cache of the given size
 	// (0 disables). Hits skip both the device read and decompression.
 	CacheBytes int64
@@ -93,10 +79,6 @@ type Options struct {
 	// disables QoS and the pipeline is bit-identical to a pre-QoS
 	// build; untagged requests are unaffected either way.
 	QoS *qos.Config
-	// QoSShare divides each tenant's bandwidth schedule across sharded
-	// pipelines: with n shards each enforcing rate/n, the aggregate
-	// stays at the configured rate. 0 or 1 keeps the full rate.
-	QoSShare int
 	// Dedup enables content-addressed deduplication under the mapping
 	// table (see writepath.go/engine.go): each merged run is
 	// fingerprinted before compression, and a run whose content is
@@ -104,17 +86,26 @@ type Options struct {
 	// second copy. Nil builds no content index and the replay is
 	// bit-identical to a build without the dedup seam.
 	Dedup *dedup.Config
+
+	// qosShare divides each tenant's bandwidth schedule across sharded
+	// pipelines: with n shards each enforcing rate/n, the aggregate
+	// stays at the configured rate. ShardSetup.BuildDevice sets it to
+	// the shard count; 0 or 1 keeps the full rate.
+	qosShare int
 }
 
 // CacheHitLatency is the DRAM service time for a fully cached read.
 const CacheHitLatency = 10 * time.Microsecond
 
-// DefaultMaxOutstanding is the stock host queue-depth bound.
+// DefaultMaxOutstanding bounds host requests in flight (closed-loop
+// replay: arrivals beyond the bound are admitted as earlier requests
+// complete, as a real block layer's bounded queue does).
 const DefaultMaxOutstanding = 64
 
-// DefaultFlushTimeout bounds SD buffering delay. It is short relative
-// to burst inter-arrival gaps so the merge wait does not dominate write
-// response time.
+// DefaultFlushTimeout bounds how long a pending SD run may wait for a
+// contiguous successor before it is compressed anyway. It is short
+// relative to burst inter-arrival gaps so the merge wait does not
+// dominate write response time.
 const DefaultFlushTimeout = 300 * time.Microsecond
 
 // Device is the EDC block device: the paper's three modules — Workload
@@ -171,29 +162,11 @@ func NewDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options) (*
 		}
 		opts.Policy = p
 	}
-	if opts.Cost == nil {
-		opts.Cost = DefaultCostModel()
-	}
-	if err := opts.Cost.Validate(); err != nil {
-		return nil, err
-	}
 	if opts.Meter == nil {
 		opts.Meter = newMonitor()
 	}
 	if opts.Data == nil {
 		opts.Data = datagen.New(datagen.Enterprise(), 1)
-	}
-	switch {
-	case opts.FlushTimeout == 0:
-		opts.FlushTimeout = DefaultFlushTimeout
-	case opts.FlushTimeout < 0:
-		opts.FlushTimeout = 0 // disabled
-	}
-	switch {
-	case opts.MaxOutstanding == 0:
-		opts.MaxOutstanding = DefaultMaxOutstanding
-	case opts.MaxOutstanding < 0:
-		opts.MaxOutstanding = 1 << 30 // effectively unbounded
 	}
 	cpu := sim.NewStation(eng, "cpu")
 	switch {
@@ -212,7 +185,6 @@ func NewDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options) (*
 	se.obs = opts.Obs
 	se.now = eng.Now
 	se.exactSlots = opts.ExactSlots
-	se.cost = opts.Cost
 	// Heat epochs tick at the same length whether or not maintenance is
 	// on: heat is write-only on the foreground paths, so the disabled
 	// run is unchanged, and tests can inspect temperature either way.
@@ -237,7 +209,7 @@ func NewDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options) (*
 			return nil, err
 		}
 		var err error
-		qs, err = newQoSState(opts.QoS, opts.QoSShare, newMonitor)
+		qs, err = newQoSState(opts.QoS, opts.qosShare, newMonitor)
 		if err != nil {
 			return nil, err
 		}
@@ -262,13 +234,13 @@ func NewDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options) (*
 		meter:     opts.Meter,
 		obs:       opts.Obs,
 		qs:        qs,
-		sd:        NewSeqDetector(opts.MaxRun),
+		sd:        NewSeqDetector(DefaultMaxRun),
 		est:       NewEstimator(),
 		data:      opts.Data,
 		policy:    opts.Policy,
 		hostCache: hostCache,
 		disableSD: opts.DisableSD,
-		flushWait: opts.FlushTimeout,
+		flushWait: DefaultFlushTimeout,
 	}
 	_, ratioAware := opts.Policy.(RatioAware)
 	wp.rawOK = se.dedup == nil && !opts.VerifyReads && opts.Obs == nil && !ratioAware
@@ -293,7 +265,7 @@ func NewDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options) (*
 		obs:         opts.Obs,
 		qs:          qs,
 		volBytes:    volBytes,
-		maxInFlight: int64(opts.MaxOutstanding),
+		maxInFlight: DefaultMaxOutstanding,
 	}
 	// Stage wiring: admission fans out to the write/read paths; both
 	// report completions back to the frontend's closed loop.
@@ -344,14 +316,16 @@ func (d *Device) open(journal bool) error {
 	if err := d.armPersistence(journal); err != nil {
 		return err
 	}
+	depth := 0 // without a pool, each lagged result settles as it is parked
 	if d.replayWorkers > 1 {
 		if d.sharedPool == nil {
 			d.sharedPool = parallel.Shared()
 		}
 		d.se.pool = d.sharedPool.NewQueue()
-		d.rp.lag = newLagRing(d.se.pool.Cap(), d.rp.settleVerify)
+		depth = d.se.pool.Cap()
 	}
-	d.wp.raw.open()
+	d.rp.lag = newLagRing(depth, d.rp.settleVerify)
+	d.wp.raw.lag = newLagRing(depth, d.wp.raw.settle)
 	d.armTimers()
 	return nil
 }

@@ -24,9 +24,6 @@ func TestNewDeviceValidation(t *testing.T) {
 	if _, err := NewDevice(eng, be, be.LogicalBytes()+1, Options{}); err == nil {
 		t.Fatal("volume beyond backend should fail")
 	}
-	if _, err := NewDevice(eng, be, 1<<20, Options{Cost: CostModel{compress.TagLZF: {}}}); err == nil {
-		t.Fatal("invalid cost model should fail")
-	}
 }
 
 func TestPlayNativeRoundTrip(t *testing.T) {

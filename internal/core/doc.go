@@ -24,7 +24,7 @@
 //     behind a layout (backend.go)
 //
 // Replay runs on a virtual-time event loop (internal/sim); codec work is
-// charged the deterministic CostModel time (cost.go) on the one host CPU
+// charged the deterministic per-codec time (cost.go) on the one host CPU
 // station, so results are machine-independent and bit-reproducible. Whatever drives a Device
 // — Play, PlayUntil, or a serve shard's loop — brackets the run with
 // open and close (device.go): persistence and background timers armed,

@@ -24,14 +24,17 @@ type storeEngine struct {
 	alloc   *Allocator
 	mapping *Mapping
 
-	// cost prices codec time on the host CPU; exactSlots is the
-	// Options.ExactSlots ablation. NewDevice sets both.
-	cost       CostModel
+	// exactSlots is the Options.ExactSlots ablation; NewDevice sets it.
 	exactSlots bool
 
 	// pool is the queue Device.open registers on the process-wide codec
 	// pool for the write path, the read path and the maintainer alike; it
-	// exists only while the pipeline runs (nil: codec work runs inline).
+	// exists only while the pipeline runs. Nil runs codec work inline:
+	// parallel.Go on a nil queue runs the closure at dispatch and returns
+	// it resolved, so every codec consumer joins a future either way. A
+	// closure must be a function of immutable inputs only (content,
+	// codec, an extent's placement-time fields): the inline case computes
+	// at dispatch what the pooled case delivers at the join.
 	pool *parallel.Queue
 
 	// obs/now feed slot alloc/free events to the observability layer;
@@ -75,10 +78,9 @@ func newStoreEngine(be *Backend, volBytes int64, verify bool) *storeEngine {
 	se := &storeEngine{
 		be:    be,
 		alloc: NewAllocator(be.LogicalBytes()),
-		// NewDevice rebinds now to the owning engine's clock and cost to
-		// its options; the defaults keep bare store engines (tests) usable.
-		now:  func() time.Duration { return 0 },
-		cost: DefaultCostModel(),
+		// NewDevice rebinds now to the owning engine's clock; the default
+		// keeps bare store engines (tests) usable.
+		now: func() time.Duration { return 0 },
 	}
 	se.mapping = NewMapping(volBytes, se.alloc, se.freeExtent)
 	if verify {
@@ -183,18 +185,6 @@ func (se *storeEngine) putBuf(b []byte) {
 		return
 	}
 	se.freeBufs = append(se.freeBufs, b[:0])
-}
-
-// async hands the pure closure f to the run's pool queue, or runs it on
-// the spot when there is none, so every codec consumer joins a future.
-// f must be a function of immutable inputs only (content, codec, an
-// extent's placement-time fields): the inline case computes at dispatch
-// what the pooled case delivers at the join.
-func async[T any](se *storeEngine, f func() T) *parallel.Future[T] {
-	if se.pool == nil {
-		return parallel.Resolved(f())
-	}
-	return parallel.Go(se.pool, f)
 }
 
 // encoded is the slot decision: the extent (slot not yet allocated) for

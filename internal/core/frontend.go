@@ -63,14 +63,9 @@ type frontend struct {
 // trace order. A trace whose stamps are out of order streams a stably
 // sorted copy; t itself is left as it is.
 func (fe *frontend) start(t *trace.Trace) {
-	reqs := t.Requests
+	reqs := byArrival(t.Requests)
 	if len(reqs) == 0 {
 		return
-	}
-	byArrival := func(a, b trace.Request) int { return cmp.Compare(a.Arrival, b.Arrival) }
-	if !slices.IsSortedFunc(reqs, byArrival) {
-		reqs = slices.Clone(reqs)
-		slices.SortStableFunc(reqs, byArrival)
 	}
 	fe.tail, fe.streaming = reqs, true
 	var step func()
@@ -83,6 +78,17 @@ func (fe *frontend) start(t *trace.Trace) {
 		fe.arrive(r)
 	}
 	fe.eng.SchedulePriority(reqs[0].Arrival, step)
+}
+
+// byArrival returns reqs in arrival order, stably: reqs itself when it is
+// in order already, else a sorted copy.
+func byArrival(reqs []trace.Request) []trace.Request {
+	arrival := func(a, b trace.Request) int { return cmp.Compare(a.Arrival, b.Arrival) }
+	if !slices.IsSortedFunc(reqs, arrival) {
+		reqs = slices.Clone(reqs)
+		slices.SortStableFunc(reqs, arrival)
+	}
+	return reqs
 }
 
 // upcoming returns the streamed trace's requests that have not arrived

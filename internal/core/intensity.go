@@ -76,7 +76,8 @@ type IntensitySnapshot struct {
 // NewIntensitySnapshot indexes t's arrivals (sizes aligned against
 // volBytes, matching what the frontend records) over the device's
 // default 500 ms slow window; the fast window is slow/8, mirroring the
-// local dual monitor.
+// local dual monitor. t must be in arrival order (ShardedDevice.Play
+// sorts it).
 func NewIntensitySnapshot(t *trace.Trace, volBytes int64) *IntensitySnapshot {
 	const slow = 500 * time.Millisecond
 	s := &IntensitySnapshot{
@@ -91,20 +92,6 @@ func NewIntensitySnapshot(t *trace.Trace, volBytes int64) *IntensitySnapshot {
 		s.arrivals = append(s.arrivals, r.Arrival)
 		sum += units(size)
 		s.prefix = append(s.prefix, sum)
-	}
-	if !sort.SliceIsSorted(s.arrivals, func(i, j int) bool { return s.arrivals[i] < s.arrivals[j] }) {
-		idx := make([]int, len(s.arrivals))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool { return s.arrivals[idx[a]] < s.arrivals[idx[b]] })
-		arr := make([]time.Duration, len(idx))
-		pre := make([]float64, len(idx)+1)
-		for i, j := range idx {
-			arr[i] = s.arrivals[j]
-			pre[i+1] = pre[i] + (s.prefix[j+1] - s.prefix[j])
-		}
-		s.arrivals, s.prefix = arr, pre
 	}
 	return s
 }

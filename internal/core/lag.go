@@ -114,17 +114,7 @@ type rawEstimates struct {
 
 	cur  *rawBatch // the batch being filled; nil until the next add
 	free []*rawBatch
-	lag  *lagRing[*rawBatch]
-}
-
-// open sizes the ring to the store engine's pool queue (depth 0, settling
-// each batch at once, without one).
-func (re *rawEstimates) open() {
-	depth := 0
-	if re.se.pool != nil {
-		depth = re.se.pool.Cap()
-	}
-	re.lag = newLagRing(depth, re.settle)
+	lag  *lagRing[*rawBatch] // sized by Device.open to the pool queue
 }
 
 // add queues the verdict of run k, attributed to tenant, and hands the
@@ -152,7 +142,7 @@ func (re *rawEstimates) add(k runKey, tenant string) {
 func (re *rawEstimates) flush() {
 	if b := re.cur; b != nil {
 		re.cur = nil
-		re.lag.park(async(re.se, b.job))
+		re.lag.park(parallel.Go(re.se.pool, b.job))
 	}
 }
 

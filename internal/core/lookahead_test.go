@@ -143,22 +143,23 @@ func fin1Trace(tb testing.TB, n int) *trace.Trace {
 // count.
 func playFin1(tb testing.TB, tr *trace.Trace, workers int, opts Options) (*Device, *RunStats) {
 	tb.Helper()
-	dev, st, err := tryFin1(tb, tr, workers, opts)
+	dev, st, err := tryFin1(tb, tr, workers, opts, tuning{})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return dev, st
 }
 
-// tryFin1 is playFin1 for a replay that may fail.
-func tryFin1(tb testing.TB, tr *trace.Trace, workers int, opts Options) (*Device, *RunStats, error) {
+// tryFin1 is playFin1 for a replay that may fail, on a device tuned by
+// tu.
+func tryFin1(tb testing.TB, tr *trace.Trace, workers int, opts Options, tu tuning) (*Device, *RunStats, error) {
 	tb.Helper()
-	return tryOnPool(tb, tr, workers, nil, opts)
+	return tryOnPool(tb, tr, workers, nil, opts, tu)
 }
 
 // tryOnPool is tryFin1 with the device's queue on pool (nil: the
 // process-wide one).
-func tryOnPool(tb testing.TB, tr *trace.Trace, workers int, pool *parallel.SharedPool, opts Options) (*Device, *RunStats, error) {
+func tryOnPool(tb testing.TB, tr *trace.Trace, workers int, pool *parallel.SharedPool, opts Options, tu tuning) (*Device, *RunStats, error) {
 	tb.Helper()
 	eng := sim.NewEngine()
 	cfg := ssd.DefaultConfig()
@@ -174,6 +175,7 @@ func tryOnPool(tb testing.TB, tr *trace.Trace, workers int, pool *parallel.Share
 		tb.Fatal(err)
 	}
 	dev.sharedPool = pool
+	tu.apply(dev)
 	st, err := dev.Play(tr)
 	return dev, st, err
 }
@@ -184,9 +186,15 @@ func tryOnPool(tb testing.TB, tr *trace.Trace, workers int, pool *parallel.Share
 // as the pool queue's backlog.
 func TestLookaheadPredictsEveryRun(t *testing.T) {
 	tr := fin1Trace(t, 3000)
-	opts := Options{MaxOutstanding: -1}
-	_, seq := playFin1(t, tr, 1, opts)
-	dev, par := playFin1(t, tr, 2, opts)
+	unbounded := tuning{maxInFlight: -1}
+	_, seq, err := tryFin1(t, tr, 1, Options{}, unbounded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, par, err := tryFin1(t, tr, 2, Options{}, unbounded)
+	if err != nil {
+		t.Fatal(err)
+	}
 	la := dev.wp.la
 	if la == nil {
 		t.Fatal("the lookahead never ran")
@@ -276,12 +284,13 @@ func TestLookaheadRingFollowsPool(t *testing.T) {
 		name string
 		tr   *trace.Trace
 		opts Options
+		tune tuning
 	}{
-		{"fin1", fin1, Options{}},
-		{"storm", storm, Options{VerifyReads: true}},
-		{"storm-small-cap", storm, Options{VerifyReads: true, MaxRun: 12 << 10}},
-		{"storm-ceilings", storm, Options{VerifyReads: true, Policy: elastic(t, 2000, 4000)}},
-		{"storm-fails", storm, Options{VerifyReads: true, Faults: &fault.Plan{Seed: 5, WriteHard: 0.2}}},
+		{"fin1", fin1, Options{}, tuning{}},
+		{"storm", storm, Options{VerifyReads: true}, tuning{}},
+		{"storm-small-cap", storm, Options{VerifyReads: true}, tuning{maxRun: 12 << 10}},
+		{"storm-ceilings", storm, Options{VerifyReads: true, Policy: elastic(t, 2000, 4000)}, tuning{}},
+		{"storm-fails", storm, Options{VerifyReads: true, Faults: &fault.Plan{Seed: 5, WriteHard: 0.2}}, tuning{}},
 	}
 	pools := map[int]*parallel.SharedPool{1: parallel.NewSharedPool(1), 4: parallel.NewSharedPool(4)}
 	for _, p := range pools {
@@ -289,9 +298,9 @@ func TestLookaheadRingFollowsPool(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, seq, seqErr := tryFin1(t, c.tr, 1, c.opts)
+			_, seq, seqErr := tryFin1(t, c.tr, 1, c.opts, c.tune)
 			for workers, pool := range pools {
-				dev, par, parErr := tryOnPool(t, c.tr, 2, pool, c.opts)
+				dev, par, parErr := tryOnPool(t, c.tr, 2, pool, c.opts, c.tune)
 				if fmt.Sprint(seqErr) != fmt.Sprint(parErr) || !reflect.DeepEqual(seq, par) {
 					t.Fatalf("pool of %d differs from workers 1: %v vs %v", workers, parErr, seqErr)
 				}
@@ -324,23 +333,24 @@ func TestLookaheadBalancesFreelist(t *testing.T) {
 	cases := []struct {
 		name            string
 		opts            Options
+		tune            tuning
 		fails           bool
 		toCodec, toNone bool // the slot paths the case must take
 	}{
-		{name: "deferred", opts: Options{MaxOutstanding: 2}},
-		{name: "short-timer", opts: Options{FlushTimeout: 20 * time.Microsecond}},
-		{name: "small-cap", opts: Options{MaxRun: 12 << 10}},
+		{name: "deferred", tune: tuning{maxInFlight: 2}},
+		{name: "short-timer", tune: tuning{flushWait: 20 * time.Microsecond}},
+		{name: "small-cap", tune: tuning{maxRun: 12 << 10}},
 		{name: "fails", opts: Options{Faults: &fault.Plan{Seed: 5, WriteHard: 0.2}}, fails: true},
 		{name: "codec-after-none", opts: Options{Policy: elastic(t, 1000, 6000), VerifyReads: true}, toCodec: true},
 		{name: "none-after-codec", opts: Options{Policy: elastic(t, 3000, 6500)}, toNone: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, seq, seqErr := tryFin1(t, tr, 1, c.opts)
+			_, seq, seqErr := tryFin1(t, tr, 1, c.opts, c.tune)
 			if (seqErr != nil) != c.fails {
 				t.Fatalf("sequential replay: %v", seqErr)
 			}
-			dev, par, parErr := tryFin1(t, tr, 2, c.opts)
+			dev, par, parErr := tryFin1(t, tr, 2, c.opts, c.tune)
 			if fmt.Sprint(seqErr) != fmt.Sprint(parErr) || !reflect.DeepEqual(seq, par) {
 				t.Fatalf("workers 2 differ from workers 1: %v vs %v", parErr, seqErr)
 			}

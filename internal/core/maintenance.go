@@ -166,7 +166,7 @@ func (mt *maintainer) relocate(e *Extent, codec compress.Codec, reason string) {
 		} else {
 			cbuf, pbuf := d.se.getBuf(), d.se.getBuf()
 			off, olen, ver := e.Offset, e.OrigLen, e.Version
-			fut = async(d.se, func() reencodedRun {
+			fut = parallel.Go(d.se.pool, func() reencodedRun {
 				r := reencodedRun{content: d.wp.data.AppendBlock(cbuf, off, int(olen), ver)}
 				var fits bool
 				r.payload, fits = compress.AppendCompressWithin(codec, pbuf, r.content, limit)
@@ -174,7 +174,7 @@ func (mt *maintainer) relocate(e *Extent, codec compress.Codec, reason string) {
 				return r
 			})
 		}
-		cpu := d.se.cost.DecompressTime(e.Tag, e.OrigLen) + d.se.cost.CompressTime(codec.Tag(), e.OrigLen)
+		cpu := DecompressTime(e.Tag, e.OrigLen) + CompressTime(codec.Tag(), e.OrigLen)
 		hostTime(d.cpu, cpu, func(_, _ time.Duration) { mt.reencode(e, codec, reason, fut) })
 	})
 }

@@ -26,7 +26,8 @@ func TestSDFlushReasons(t *testing.T) {
 		if e.Type == obs.EvSDFlush {
 			events = append(events, *e)
 		}
-	})}, Options{FlushTimeout: -1}) // no idle timer: reasons stay deterministic here
+	})}, Options{})
+	tuning{flushWait: -1}.apply(rig.dev) // no idle timer: reasons stay deterministic here
 
 	const blk = BlockSize
 	ms := func(n int64) time.Duration { return time.Duration(n) * time.Millisecond }

@@ -95,60 +95,49 @@ func TestNewElasticValidation(t *testing.T) {
 }
 
 func TestCostModel(t *testing.T) {
-	cm := DefaultCostModel()
-	if err := cm.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	got := cm.CompressTime(compress.TagGZ, 1<<20)
-	want := time.Duration(float64(1<<20) / cm[compress.TagGZ].CompressBps * float64(time.Second))
+	got := CompressTime(compress.TagGZ, 1<<20)
+	want := time.Duration(float64(1<<20) / CostOf(compress.TagGZ).CompressBps * float64(time.Second))
 	if d := got - want; d > time.Millisecond || d < -time.Millisecond {
 		t.Fatalf("compress time = %v; want ~%v", got, want)
 	}
-	if cm.CompressTime(compress.TagNone, 1<<20) != 0 {
+	if CompressTime(compress.TagNone, 1<<20) != 0 {
 		t.Fatal("TagNone must cost nothing")
 	}
-	if cm.DecompressTime(compress.TagNone, 1<<20) != 0 {
+	if DecompressTime(compress.TagNone, 1<<20) != 0 {
 		t.Fatal("TagNone must cost nothing")
 	}
-	if cm.CompressTime(compress.TagLZF, 0) != 0 {
+	if CompressTime(compress.TagLZF, 0) != 0 {
 		t.Fatal("zero bytes must cost nothing")
 	}
 	// Ordering: bwz slowest, lz4 fastest.
-	if !(cm.CompressTime(compress.TagBWZ, 1<<20) > cm.CompressTime(compress.TagGZ, 1<<20) &&
-		cm.CompressTime(compress.TagGZ, 1<<20) > cm.CompressTime(compress.TagLZF, 1<<20) &&
-		cm.CompressTime(compress.TagLZF, 1<<20) > cm.CompressTime(compress.TagLZ4, 1<<20)) {
+	if !(CompressTime(compress.TagBWZ, 1<<20) > CompressTime(compress.TagGZ, 1<<20) &&
+		CompressTime(compress.TagGZ, 1<<20) > CompressTime(compress.TagLZF, 1<<20) &&
+		CompressTime(compress.TagLZF, 1<<20) > CompressTime(compress.TagLZ4, 1<<20)) {
 		t.Fatal("cost ordering violated")
 	}
 	// Decompression faster than compression for every codec.
 	for _, tag := range []compress.Tag{compress.TagLZF, compress.TagLZ4, compress.TagGZ, compress.TagBWZ} {
-		if cm.DecompressTime(tag, 1<<20) >= cm.CompressTime(tag, 1<<20) {
+		if DecompressTime(tag, 1<<20) >= CompressTime(tag, 1<<20) {
 			t.Fatalf("tag %d: decompress not faster than compress", tag)
 		}
 	}
 }
 
-func TestCostModelValidate(t *testing.T) {
-	bad := CostModel{compress.TagLZF: {CompressBps: 0, DecompressBps: 1}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero throughput should fail validation")
-	}
-	partial := CostModel{compress.TagLZF: {CompressBps: 1, DecompressBps: 1}}
-	if err := partial.Validate(); err == nil {
-		t.Fatal("a model leaving registered codecs unpriced should fail validation")
-	}
-	if err := DefaultCostModel().Validate(); err != nil {
-		t.Fatalf("default model: %v", err)
-	}
-}
-
+// TestCostModelPanicsOnUnknownTag charges a tag no codec is priced at,
+// both ways.
 func TestCostModelPanicsOnUnknownTag(t *testing.T) {
-	cm := CostModel{}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unknown tag")
-		}
-	}()
-	cm.CompressTime(compress.TagLZF, 100)
+	for name, charge := range map[string]func(compress.Tag, int64) time.Duration{
+		"compress": CompressTime, "decompress": DecompressTime,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic for unknown tag", name)
+				}
+			}()
+			charge(compress.MaxTag, 100)
+		}()
+	}
 }
 
 func TestContentAwareUpgrade(t *testing.T) {

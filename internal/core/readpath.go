@@ -33,19 +33,19 @@ type readPath struct {
 	hostCache *cache.Cache
 	verify    bool
 
-	// Real-CPU pipeline: verify-mode decompression dispatched at read
-	// submission runs on pool workers while the event loop advances
-	// virtual time. The completion event does not wait for it: it parks
-	// the segment's future in lag (lag.go), which joins only its oldest
-	// entry when full and drains at every exit. A mismatch is therefore
-	// reported up to the ring's depth of verified extents after the bad
-	// one completed (or at the exit), a point fixed by the operation
-	// order. The bound is in extents, not in time: a serve shard that
-	// goes idle keeps its parked verifications unjoined until its next
-	// verified read or StopServe (DESIGN.md §16). The ring exists only
-	// while the store engine holds a pool queue; without one the check
-	// runs inline at the completion event, so the operation that fails
-	// stays the one whose completion ran the check.
+	// Real-CPU pipeline: the verify-mode check (decompress, regenerate,
+	// compare) is dispatched at read submission and, with a pool queue,
+	// runs on pool workers while the event loop advances virtual time.
+	// The completion event does not wait for it: it parks the segment's
+	// future in lag (lag.go), which joins only its oldest entry when full
+	// and drains at every exit. A mismatch is therefore reported up to
+	// the ring's depth of verified extents after the bad one completed
+	// (or at the exit), a point fixed by the operation order. The bound
+	// is in extents, not in time: a serve shard that goes idle keeps its
+	// parked verifications unjoined until its next verified read or
+	// StopServe (DESIGN.md §16). Without a pool the check runs at
+	// submission and the ring has depth 0, so the completion event
+	// settles it and the operation that fails is the one that completed.
 	lag *lagRing[*readSeg]
 
 	// ops and segs recycle the per-read records (event-loop goroutine
@@ -79,8 +79,8 @@ type readOp struct {
 // end of decompression and the pool job that verifies — are bound once
 // per record, and fut is re-armed (parallel.GoInto) rather than
 // allocated, so a steady-state verified read allocates nothing. A
-// segment with a verification on the pool is returned to the free list
-// only when the lag ring settles it.
+// verified segment is returned to the free list only when the lag ring
+// settles it.
 type readSeg struct {
 	rp *readPath
 	op *readOp
@@ -96,11 +96,10 @@ type readSeg struct {
 	cpu time.Duration
 
 	// Verify mode: payload is the snapshot pinned at submission; res is
-	// the verification's outcome and scratch buffers, owned by the pool
-	// job while lagged is set and fut unsettled.
+	// the verification's outcome and scratch buffers, owned by the job
+	// while fut is unsettled.
 	payload []byte
 	res     verifyResult
-	lagged  bool
 	fut     *parallel.Future[*readSeg]
 
 	ioDone  func(err error)
@@ -172,7 +171,7 @@ func (rp *readPath) newSeg(op *readOp) *readSeg {
 
 // putSeg recycles a segment record the pipeline is done with.
 func (rp *readPath) putSeg(s *readSeg) {
-	s.op, s.ext, s.payload, s.res, s.lagged = nil, nil, nil, verifyResult{}, false
+	s.op, s.ext, s.payload, s.res = nil, nil, nil, verifyResult{}
 	rp.segs = append(rp.segs, s)
 }
 
@@ -229,22 +228,20 @@ func (rp *readPath) read(arrival time.Duration, off, size int64, done func(time.
 			// Pin the payload snapshot now: an overwrite may kill the
 			// extent while this read is in flight (the host still gets the
 			// data captured at submission time), and the pin keeps its
-			// buffer from being recycled until the check settles. With a
-			// worker pool, the whole verification (decompress + regenerate
-			// + compare) is pure CPU work over that immutable snapshot, so
-			// it is dispatched here and parked at the completion event —
-			// the freelist buffers are taken and returned on the
-			// event-loop goroutine only.
+			// buffer from being recycled until the check settles. The
+			// whole verification (decompress + regenerate + compare) is
+			// pure CPU work over that immutable snapshot, so it is
+			// dispatched here and parked at the completion event — the
+			// freelist buffers are taken and returned on the event-loop
+			// goroutine only.
 			s.ext = ext
 			if rp.verify {
 				s.payload = rp.se.pin(ext)
-				if rp.se.pool != nil {
-					s.res.got, s.res.want, s.lagged = rp.se.getBuf(), rp.se.getBuf(), true
-					s.fut = parallel.GoInto(rp.se.pool, s.fut, s.job)
-				}
+				s.res.got, s.res.want = rp.se.getBuf(), rp.se.getBuf()
+				s.fut = parallel.GoInto(rp.se.pool, s.fut, s.job)
 			}
 			// Decompression is host CPU time after the transfer.
-			s.cpu = rp.se.cost.DecompressTime(ext.Tag, ext.OrigLen)
+			s.cpu = DecompressTime(ext.Tag, ext.OrigLen)
 			s.devOff, s.bytes, s.off, s.size = ext.DevOff, ext.CompLen, ext.Offset, ext.OrigLen
 		}
 		s.attempt = 0
@@ -285,18 +282,14 @@ func (s *readSeg) onIO(err error) {
 	hostTime(rp.cpu, s.cpu, s.decoded)
 }
 
-// onDecoded ends a compressed segment: its verification is parked
-// (pooled), run inline, or absent, then the segment counts complete.
+// onDecoded ends a compressed segment: its verification, if any, is
+// parked, then the segment counts complete.
 func (s *readSeg) onDecoded(_, _ time.Duration) {
 	rp, op := s.rp, s.op
-	switch {
-	case !rp.verify:
-		rp.putSeg(s)
-	case s.lagged:
+	if rp.verify {
 		rp.lag.park(s.fut)
-	default:
-		s.res = rp.verifyExtentWork(s.ext, s.payload, rp.se.getBuf(), rp.se.getBuf())
-		rp.settleVerify(s)
+	} else {
+		rp.putSeg(s)
 	}
 	op.segDone()
 }

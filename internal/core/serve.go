@@ -319,8 +319,6 @@ func (s *ServeSetup) Incompatible(o *Options, serve bool) error {
 	switch {
 	case serve && powerCut:
 		return errors.New("serve mode does not support power-cut fault plans")
-	case serve && o.FlushTimeout < 0 && !o.DisableSD:
-		return errors.New("serve mode requires a positive SD flush timeout (a disabled timer would buffer the last run forever)")
 	case powerCut && s.Shards > 1:
 		return fmt.Errorf("power-cut recovery is not supported with WithShards(%d): shards crash and recover independently of each other", s.Shards)
 	}

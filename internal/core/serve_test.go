@@ -658,25 +658,4 @@ func TestNewServerValidation(t *testing.T) {
 			t.Errorf("NewServer(%+v) accepted invalid setup", tc)
 		}
 	}
-	// A disabled flush timeout would strand buffered runs forever.
-	_, err := NewServer(ServeSetup{
-		ShardSetup: ShardSetup{
-			Shards: 1, VolumeBytes: 1 << 20,
-			Backend: func(eng *sim.Engine) (*Backend, error) {
-				cfg := ssd.DefaultConfig()
-				cfg.Blocks = 64
-				d, err := ssd.New(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return NewSSDBackend(eng, d), nil
-			},
-			Options: func(int) (Options, error) {
-				return Options{FlushTimeout: -1}, nil
-			},
-		},
-	})
-	if err == nil {
-		t.Error("NewServer accepted a disabled flush timeout")
-	}
 }

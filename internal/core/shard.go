@@ -117,9 +117,12 @@ func (p partition) next(off, n int64) (shard int, local, size int64) {
 // BuildDevice stamps out one private pipeline over vol bytes, reporting
 // to col: a fresh engine and backend, and a Device configured by opts
 // (from the Options factory) — restored from cs when the run resumes
-// after a power cut. Every pipeline of every mode is built here.
+// after a power cut. Every pipeline of every mode is built here. Each of
+// the Shards pipelines enforces 1/Shards of every tenant's bandwidth
+// schedule, so the aggregate rate matches the configured one.
 func (s *ShardSetup) BuildDevice(vol int64, opts Options, col *obs.Collector, cs *CrashState) (*Device, error) {
 	opts.Obs = col
+	opts.qosShare = s.Shards
 	eng := sim.NewEngine()
 	be, err := s.Backend(eng)
 	if err != nil {
@@ -153,8 +156,9 @@ func NewSharded(setup ShardSetup) (*ShardedDevice, error) {
 
 // split routes t across the shards: each request is aligned against the
 // full volume (exactly as an unsharded device would), cut at shard
-// boundaries, and rebased into shard-local offsets. Arrival order within
-// a shard is trace order, so per-shard replay stays deterministic.
+// boundaries, and rebased into shard-local offsets. Order within a shard
+// is trace order, so per-shard replay stays deterministic; Play hands in
+// a trace sorted by arrival.
 func (s *ShardedDevice) split(t *trace.Trace) []*trace.Trace {
 	subs := make([]*trace.Trace, s.part.shards())
 	for i := range subs {
@@ -187,6 +191,9 @@ func (s *ShardedDevice) Play(t *trace.Trace) (*RunStats, error) {
 		return nil, ErrReplayed
 	}
 	s.played = true
+	// One stably sorted copy of an unsorted trace, as the frontend streams
+	// one: the snapshot and the shards' slices all read it.
+	t = &trace.Trace{Name: t.Name, Requests: byArrival(t.Requests)}
 
 	// The shared global workload signal: every shard selects codecs
 	// against the same trace-wide intensity, not its own slice of it.

@@ -28,6 +28,36 @@ func defaultTestRegistry(t testing.TB) *compress.Registry {
 	return reg
 }
 
+// tuning moves the pipeline's fixed constants on a built Device, before
+// it plays: the closed-loop bound (DefaultMaxOutstanding), the SD merge
+// cap (DefaultMaxRun) and the idle flush wait (DefaultFlushTimeout). A
+// zero field keeps the default; a negative maxInFlight lifts the bound
+// and a negative flushWait switches the idle timer off.
+type tuning struct {
+	maxInFlight int64
+	maxRun      int64
+	flushWait   time.Duration
+}
+
+// apply sets t on d.
+func (t tuning) apply(d *Device) {
+	switch {
+	case t.maxInFlight < 0:
+		d.fe.maxInFlight = 1 << 30 // effectively unbounded
+	case t.maxInFlight > 0:
+		d.fe.maxInFlight = t.maxInFlight
+	}
+	if t.maxRun > 0 {
+		d.wp.sd = NewSeqDetector(t.maxRun)
+	}
+	switch {
+	case t.flushWait < 0:
+		d.wp.flushWait = 0
+	case t.flushWait > 0:
+		d.wp.flushWait = t.flushWait
+	}
+}
+
 // testRig bundles a fresh engine + single-SSD device for core tests.
 type testRig struct {
 	eng *sim.Engine

@@ -426,12 +426,12 @@ func (wp *writePath) compressRun(run *Run, content []byte, sum dedup.Sum, hasSum
 			}
 			dst = wp.se.getBuf()
 		}
-		fut = async(wp.se, func() []byte {
+		fut = parallel.Go(wp.se.pool, func() []byte {
 			return compress.AppendCompress(c, dst, content)
 		})
 	}
 	if codec != nil {
-		cpuTime += wp.se.cost.CompressTime(codec.Tag(), run.Size)
+		cpuTime += CompressTime(codec.Tag(), run.Size)
 	}
 	hostTime(wp.cpu, cpuTime, func(_, _ time.Duration) { wp.store(run, content, codec, fut, ver, sum, hasSum) })
 }

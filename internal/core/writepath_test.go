@@ -117,10 +117,9 @@ func TestWritePathStageComposition(t *testing.T) {
 // final flush strands those writes ("requests never completed"); the
 // drain loop must keep flushing until the detector is empty.
 func TestPlayDrainsTrailingRuns(t *testing.T) {
-	rig := newTestRig(t, Options{
-		MaxOutstanding: 1,
-		FlushTimeout:   -1, // disabled: only the end-of-run drain flushes
-	})
+	rig := newTestRig(t, Options{})
+	// The idle timer is off: only the end-of-run drain flushes.
+	tuning{maxInFlight: 1, flushWait: -1}.apply(rig.dev)
 	tr := &trace.Trace{Name: "tail"}
 	const n = 3
 	for i := 0; i < n; i++ {

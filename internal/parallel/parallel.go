@@ -194,7 +194,9 @@ type Future[T any] struct {
 // result. When the channel is full f runs inline on the caller instead —
 // backpressure that never blocks the event loop behind work it could be
 // doing itself. A full channel is first cleared of claimed heads (see
-// offer), so jobs nobody will run do not push f inline.
+// offer), so jobs nobody will run do not push f inline. A nil q runs f
+// on the caller and returns the future resolved: a client with no queue
+// keeps the join point it has with one.
 func Go[T any](q *Queue, f func() T) *Future[T] {
 	return GoInto(q, nil, f)
 }
@@ -208,12 +210,19 @@ func Go[T any](q *Queue, f func() T) *Future[T] {
 // dead; re-arming revives that entry too, so whichever of the two
 // copies is dequeued first runs f, and the other is dropped.
 func GoInto[T any](q *Queue, fut *Future[T], f func() T) *Future[T] {
-	p := q.pool
 	if fut == nil {
-		fut = &Future[T]{ch: make(chan struct{}, 1)}
+		fut = &Future[T]{}
 	} else if !fut.done {
 		panic("parallel: GoInto on a future that has not settled")
 	}
+	if q == nil {
+		fut.v, fut.done = f(), true
+		return fut
+	}
+	if fut.ch == nil {
+		fut.ch = make(chan struct{}, 1)
+	}
+	p := q.pool
 	var zero T
 	fut.fn, fut.pool, fut.v, fut.done = f, p, zero, false
 	// Publishes fn to whichever goroutine claims it next.

@@ -55,6 +55,26 @@ func TestResolved(t *testing.T) {
 	}
 }
 
+// Without a queue, Go and GoInto run the job on the caller and hand back
+// a resolved future; GoInto re-arms the settled one it is given, and a
+// future resolved that way can go on a pool later.
+func TestGoWithoutQueueRunsInline(t *testing.T) {
+	n := 0
+	job := func() int { n++; return n }
+	fut := Go(nil, job)
+	if n != 1 || fut.Wait() != 1 {
+		t.Fatalf("Go(nil) ran the job %d times, Wait = %d", n, fut.Wait())
+	}
+	if again := GoInto(nil, fut, job); again != fut || n != 2 || fut.Wait() != 2 {
+		t.Fatalf("GoInto(nil) did not re-arm the future in place: ran %d times, Wait = %d", n, fut.Wait())
+	}
+	p := NewSharedPool(1)
+	defer p.Close()
+	if got := GoInto(p.NewQueue(), fut, job).Wait(); got != 3 {
+		t.Fatalf("pooled re-arm of an inline future: Wait = %d, want 3", got)
+	}
+}
+
 func TestPoolMinWorkers(t *testing.T) {
 	p := NewSharedPool(0) // clamped to 1
 	defer p.Close()

@@ -1,7 +1,12 @@
 package edc
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -68,5 +73,32 @@ func TestWithShardsRAIS(t *testing.T) {
 	}
 	if want := 2 * 5; len(res.Devices) != want {
 		t.Errorf("merged stats carry %d devices, want %d", len(res.Devices), want)
+	}
+}
+
+// TestWithShardsShuffledTrace replays a shuffled trace at two shards and
+// its stably sorted twin: the sharded replay sorts an unsorted trace once,
+// and the intensity snapshot and every shard's slice read that copy, so
+// the two reports are byte-identical.
+func TestWithShardsShuffledTrace(t *testing.T) {
+	shuffled := smallTrace(t, 1200)
+	rand.New(rand.NewSource(7)).Shuffle(len(shuffled.Requests), func(i, j int) {
+		shuffled.Requests[i], shuffled.Requests[j] = shuffled.Requests[j], shuffled.Requests[i]
+	})
+	sorted := &Trace{Name: shuffled.Name, Requests: slices.Clone(shuffled.Requests)}
+	slices.SortStableFunc(sorted.Requests, func(a, b Request) int { return cmp.Compare(a.Arrival, b.Arrival) })
+	report := func(tr *Trace) []byte {
+		res, err := Replay(tr, testVolume, WithSSDConfig(smallSSD()), WithShards(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(res.Report())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if a, b := report(shuffled), report(sorted); !bytes.Equal(a, b) {
+		t.Fatalf("shuffled and sorted traces report differently:\nshuffled: %s\nsorted:   %s", a, b)
 	}
 }
