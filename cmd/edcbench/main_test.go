@@ -14,15 +14,24 @@ import (
 	"edc/internal/parallel"
 )
 
+// replayKeys are the report keys the tests below read.
+type replayKeys struct {
+	Backend     string `json:"backend"`
+	DedupHits   int64  `json:"dedup_hits"`
+	DedupMisses int64  `json:"dedup_misses"`
+	MaintTicks  int64  `json:"maint_ticks"`
+	Faults      int64  `json:"faults"`
+}
+
 // replayReport runs the -replay path with -json and decodes what it
 // printed.
-func replayReport(t *testing.T, p bench.Params, workload string) (edc.Report, []byte) {
+func replayReport(t *testing.T, p bench.Params, workload string) (replayKeys, []byte) {
 	t.Helper()
 	var out bytes.Buffer
 	if err := runReplay(p, workload, edc.SchemeEDC, replayOutputs{jsonOut: true}, &out); err != nil {
 		t.Fatal(err)
 	}
-	var rep edc.Report
+	var rep replayKeys
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("-replay -json printed no report: %v\n%s", err, out.Bytes())
 	}

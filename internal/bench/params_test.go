@@ -33,21 +33,20 @@ func overlayParams() Params {
 // give it more.
 func checkOverlay(t *testing.T, mode string, res, plain *edc.Results, pooled int64) {
 	t.Helper()
-	rep := res.Report()
-	if want := "2-shard ["; !strings.Contains(rep.Backend, want) {
-		t.Errorf("%s: Shards did not reach the stack: backend %q lacks %q", mode, rep.Backend, want)
+	if want := "2-shard ["; !strings.Contains(res.Backend, want) {
+		t.Errorf("%s: Shards did not reach the stack: backend %q lacks %q", mode, res.Backend, want)
 	}
-	if rep.DedupMisses == 0 {
+	if res.DedupMisses == 0 {
 		t.Errorf("%s: Dedup did not reach the stack: no dedup misses", mode)
 	}
-	if rep.DedupHits <= plain.DedupHits {
+	if res.DedupHits <= plain.DedupHits {
 		t.Errorf("%s: DupRatio did not reach the payload generator: %d dedup hits, %d without it",
-			mode, rep.DedupHits, plain.DedupHits)
+			mode, res.DedupHits, plain.DedupHits)
 	}
-	if rep.MaintTicks == 0 {
+	if res.MaintTicks == 0 {
 		t.Errorf("%s: Maint did not reach the stack: no maintenance ticks", mode)
 	}
-	if rep.Faults == 0 {
+	if res.Faults == 0 {
 		t.Errorf("%s: Faults did not reach the stack: no injected faults", mode)
 	}
 	if pooled == 0 {

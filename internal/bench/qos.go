@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"edc/internal/compress"
 	"edc/internal/workload"
 )
 
@@ -72,18 +73,15 @@ func runQoS(p Params) ([]*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("qos: %s: %w", m.name, err)
 		}
-		rep := sr.Result.Report()
-		vt := rep.Tenants["web"]
+		vt := sr.Result.Tenants["web"]
 		if vt == nil {
 			return nil, fmt.Errorf("qos: %s: no victim tenant section in results", m.name)
 		}
-		var runs, none int64
-		for codec, n := range vt.RunsByCodec {
+		var runs int64
+		for _, n := range vt.RunsByTag {
 			runs += n
-			if codec == "none" {
-				none += n
-			}
 		}
+		none := vt.RunsByTag[compress.TagNone]
 		compPct := "-"
 		if runs > 0 {
 			compPct = f1(100 * float64(runs-none) / float64(runs))
@@ -94,16 +92,13 @@ func runQoS(p Params) ([]*Table, error) {
 				aggrQPS = f1(ss.AchievedQPS)
 			}
 		}
-		if at := rep.Tenants["batch"]; at != nil {
+		if at := sr.Result.Tenants["batch"]; at != nil {
 			aggrShaped = fmt.Sprintf("%d", at.Shaped)
-		}
-		us := func(v float64) string {
-			return time.Duration(v * float64(time.Microsecond)).Round(time.Microsecond).String()
 		}
 		t.Rows = append(t.Rows, []string{
 			m.name,
-			us(vt.P99US),
-			us(vt.MeanUS),
+			vt.Resp.Percentile(99).Round(time.Microsecond).String(),
+			vt.Resp.Mean().Round(time.Microsecond).String(),
 			compPct,
 			fmt.Sprintf("%d", none),
 			aggrQPS,

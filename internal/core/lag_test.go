@@ -79,9 +79,9 @@ func lagDevice(t *testing.T, opts Options) *Device {
 // wall-clock scheduling decides (SubmitStalls).
 func reportJSON(t *testing.T, st *RunStats) string {
 	t.Helper()
-	rep := st.Report()
-	rep.Obs, rep.SubmitStalls = nil, 0
-	out, err := json.Marshal(rep)
+	c := *st
+	c.Obs, c.SubmitStalls = nil, 0
+	out, err := json.Marshal(c.Report())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,10 @@ func TestMaintenanceHeatHistogramMerge(t *testing.T) {
 			t.Fatalf("%s: Format() missing the heat line:\n%s", name, res.Format())
 		}
 	}
-	rep := sharded.Report()
+	var rep struct {
+		HeatHist []int64 `json:"heat_hist"`
+	}
+	decodeReport(t, sharded, &rep)
 	if len(rep.HeatHist) != 5 {
 		t.Fatalf("report heat histogram %v, want 5 buckets", rep.HeatHist)
 	}

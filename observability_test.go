@@ -124,6 +124,20 @@ func TestShardedTracerDeterministic(t *testing.T) {
 	}
 }
 
+// decodeReport marshals res's machine-readable report, decodes it into
+// v and returns the JSON.
+func decodeReport(t *testing.T, res *Results, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(res.Report())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, v); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestReportJSONRoundTrip checks the machine-readable RunStats form
 // (edcbench -json) survives encoding/json unchanged, with the obs
 // snapshot attached.
@@ -134,17 +148,19 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := res.Report()
-	if rep.Obs == nil || rep.Obs.Series == nil {
+	var keys struct {
+		Obs              *ObsReport `json:"obs"`
+		WriteThroughRate float64    `json:"write_through_rate"`
+		OversizeRate     float64    `json:"oversize_rate"`
+	}
+	b := decodeReport(t, res, &keys)
+	if keys.Obs == nil || keys.Obs.Series == nil {
 		t.Fatal("report missing obs snapshot")
 	}
-	if rep.WriteThroughRate != res.WriteThroughRate() || rep.OversizeRate != res.OversizeRate() {
+	if keys.WriteThroughRate != res.WriteThroughRate() || keys.OversizeRate != res.OversizeRate() {
 		t.Fatal("report rates disagree with RunStats accessors")
 	}
-	b, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := res.Report()
 	var back Report
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
