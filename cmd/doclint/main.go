@@ -22,6 +22,10 @@
 // non-test file of the module, so deleting or renaming one cannot leave
 // the documents citing it.
 //
+// It also holds OBSERVABILITY.md's counter table to the collector's
+// counter families (internal/obs.Families): one row per family, with
+// the family's labels and its help text as the meaning, word for word.
+//
 // It also holds the line budget: sizes.txt lists the wc -l line count of
 // the non-test .go files of every package directory, and of DESIGN.md,
 // then the number of options: the root package's exported With* funcs.
@@ -40,8 +44,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
+
+	"edc/internal/obs"
 )
 
 // defaultDirs is the audited API surface when no arguments are given.
@@ -50,6 +57,9 @@ var defaultDirs = []string{".", "internal/core", "internal/metrics", "internal/o
 // docFiles are the documents whose edc.Identifier and bare WithX
 // mentions must resolve against the code.
 var docFiles = []string{"README.md", "DESIGN.md", "OBSERVABILITY.md", "EXPERIMENTS.md"}
+
+// countersDoc is the document whose counter table lists obs.Families.
+const countersDoc = "OBSERVABILITY.md"
 
 // sizesFile is the committed line budget.
 const sizesFile = "sizes.txt"
@@ -65,6 +75,12 @@ func main() {
 			os.Exit(2)
 		}
 		bad = stale
+		doc, err := os.ReadFile(countersDoc)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+			os.Exit(2)
+		}
+		bad = append(bad, lintCounters(countersDoc, doc, obs.Families())...)
 		fresh, err := sizes(".")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
@@ -162,6 +178,62 @@ func lintDocs(root string, files []string) ([]string, error) {
 		}
 	}
 	return bad, nil
+}
+
+// lintCounters returns, as file:line entries, every row of the counter
+// table in text (the rows under "| counter | labels | meaning |") whose
+// labels or meaning differ from the family of that name in fams, or that
+// names no family, and every family the table does not list.
+func lintCounters(name string, text []byte, fams []obs.Family) []string {
+	byName := make(map[string]obs.Family, len(fams))
+	for _, f := range fams {
+		byName[f.Name] = f
+	}
+	var bad []string
+	listed := make(map[string]bool)
+	inTable := false
+	for i, line := range strings.Split(string(text), "\n") {
+		switch {
+		case strings.HasPrefix(line, "| counter | labels | meaning |"):
+			inTable = true
+			continue
+		case !inTable || strings.HasPrefix(line, "|---"):
+			continue
+		case !strings.HasPrefix(line, "|"):
+			inTable = false
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		for j := range cells {
+			cells[j] = strings.TrimSpace(cells[j])
+		}
+		fam := strings.Trim(cells[0], "`")
+		var labels []string
+		if len(cells) > 1 && cells[1] != "—" {
+			for _, l := range strings.Split(cells[1], ",") {
+				labels = append(labels, strings.Trim(strings.TrimSpace(l), "`"))
+			}
+		}
+		meaning := ""
+		if len(cells) > 2 {
+			meaning = cells[2]
+		}
+		listed[fam] = true
+		f, ok := byName[fam]
+		switch {
+		case !ok:
+			bad = append(bad, fmt.Sprintf("%s:%d: %s is not a counter family of internal/obs", name, i+1, fam))
+		case !slices.Equal(labels, f.Labels) || meaning != f.Help:
+			bad = append(bad, fmt.Sprintf("%s:%d: %s reads labels %q, meaning %q; the code declares %q, %q",
+				name, i+1, fam, labels, meaning, f.Labels, f.Help))
+		}
+	}
+	for _, f := range fams {
+		if !listed[f.Name] {
+			bad = append(bad, fmt.Sprintf("%s: the counter table does not list %s", name, f.Name))
+		}
+	}
+	return bad
 }
 
 // moduleFuncs returns the names of the exported funcs and methods

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"edc/internal/obs"
 )
 
 // TestLintDocsStaleMentions runs the document check over a two-package
@@ -41,6 +43,33 @@ func TestLintDocsStaleMentions(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("lintDocs = %q\nwant %q", got, want)
+	}
+}
+
+// TestLintCounters checks a counter table against two families: a row
+// that matches, one whose meaning drifted, one whose labels did, one
+// naming no family, and a family the table leaves out.
+func TestLintCounters(t *testing.T) {
+	fams := []obs.Family{
+		{Name: "edc_a_total", Help: "a things"},
+		{Name: "edc_b_total", Labels: []string{"op", "kind"}, Help: "b things by op and kind"},
+		{Name: "edc_c_total", Labels: []string{"op"}, Help: "c things"},
+		{Name: "edc_d_total", Help: "d things"},
+	}
+	doc := "## Counters\n\n| counter | labels | meaning |\n|---|---|---|\n" +
+		"| `edc_a_total` | — | a things |\n" +
+		"| `edc_b_total` | `op`, `kind` | b things, by op and kind |\n" +
+		"| `edc_c_total` | `op`, `kind` | c things |\n" +
+		"| `edc_x_total` | — | x things |\n\nAfter the table.\n| not | a | row |\n"
+	got := lintCounters("OBS.md", []byte(doc), fams)
+	want := []string{
+		`OBS.md:6: edc_b_total reads labels ["op" "kind"], meaning "b things, by op and kind"; the code declares ["op" "kind"], "b things by op and kind"`,
+		`OBS.md:7: edc_c_total reads labels ["op" "kind"], meaning "c things"; the code declares ["op"], "c things"`,
+		"OBS.md:8: edc_x_total is not a counter family of internal/obs",
+		"OBS.md: the counter table does not list edc_d_total",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("lintCounters = %q\nwant %q", got, want)
 	}
 }
 

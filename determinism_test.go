@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"edc/internal/race"
 )
 
 // TestReplayWorkersDeterminism checks the pipeline's core contract: the
@@ -17,9 +19,15 @@ import (
 // any idle pool worker may execute any job), so matching at both 2 and 8
 // workers also pins down that which worker ran a job cannot reorder
 // results. Run under -race this exercises the pool's handoff of
-// content/payload buffers between the event loop and the workers.
+// content/payload buffers between the event loop and the workers; there
+// only EDC at workers 1 and 2 runs, on both backends, and the whole
+// scheme × workers matrix runs without the race detector.
 func TestReplayWorkersDeterminism(t *testing.T) {
 	tr := smallTrace(t, 1500)
+	schemes, workerSet := []Scheme{SchemeEDC, SchemeEDCPlus}, []int{2, 8}
+	if race.Enabled {
+		schemes, workerSet = schemes[:1], workerSet[:1]
+	}
 	backends := []struct {
 		name string
 		opts []Option
@@ -27,7 +35,7 @@ func TestReplayWorkersDeterminism(t *testing.T) {
 		{"single-ssd", []Option{WithSSDConfig(smallSSD())}},
 		{"rais5", []Option{WithBackend(RAIS5, 5), WithSSDConfig(smallSSD())}},
 	}
-	for _, s := range []Scheme{SchemeEDC, SchemeEDCPlus} {
+	for _, s := range schemes {
 		for _, be := range backends {
 			s, be := s, be
 			t.Run(string(s)+"/"+be.name, func(t *testing.T) {
@@ -43,7 +51,7 @@ func TestReplayWorkersDeterminism(t *testing.T) {
 					return res
 				}
 				seq := runWith(1)
-				for _, workers := range []int{2, 8} {
+				for _, workers := range workerSet {
 					par := runWith(workers)
 					if !reflect.DeepEqual(seq, par) {
 						report := func(r *Results) []interface{} {

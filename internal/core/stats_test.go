@@ -1,0 +1,46 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+)
+
+// TestStatsTablesCoverEveryCounter holds runStats and tenantStats to the
+// structs they declare: every integer or duration field, nested structs'
+// included, has exactly one row — so a new counter cannot miss the
+// merge or the reports — and every row's field exists.
+func TestStatsTablesCoverEveryCounter(t *testing.T) {
+	checkStatsTable(t, runStats)
+	checkStatsTable(t, tenantStats)
+}
+
+func checkStatsTable[S any](t *testing.T, table []stat[S]) {
+	t.Helper()
+	rows := map[string]int{}
+	var zero S
+	for i := range table {
+		r := &table[i]
+		if r.field == "" {
+			continue
+		}
+		rows[r.field]++
+		if !r.fieldOf(&zero).IsValid() {
+			t.Errorf("%T: row names field %q, which does not exist", zero, r.field)
+		}
+	}
+	var walk func(prefix string, typ reflect.Type)
+	walk = func(prefix string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch f.Type.Kind() {
+			case reflect.Struct:
+				walk(prefix+f.Name+".", f.Type)
+			case reflect.Int, reflect.Int64:
+				if n := rows[prefix+f.Name]; n != 1 {
+					t.Errorf("%T: field %s%s has %d rows, want 1", zero, prefix, f.Name, n)
+				}
+			}
+		}
+	}
+	walk("", reflect.TypeOf(zero))
+}
