@@ -232,7 +232,7 @@ func (fe *frontend) dispatch(now time.Duration, off, size int64, write bool, ten
 	if m := fe.qs.meter(tenant); m != nil {
 		m.Record(now, size)
 	}
-	fe.obs.AdmitTenant(now, off, size, write, tenant)
+	fe.obs.Admit(now, off, size, write, tenant)
 	fe.stats.Requests++
 	if ts != nil {
 		ts.Requests++

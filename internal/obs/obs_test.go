@@ -14,7 +14,7 @@ import (
 // the disabled path must be safe to call unconditionally.
 func TestNilCollectorHooksAreNoOps(t *testing.T) {
 	var c *Collector
-	c.Admit(0, 0, 4096, true)
+	c.Admit(0, 0, 4096, true, "")
 	c.Defer(0, 0, 4096, false, 3)
 	c.SDMerge(0, 0, 4096, 2)
 	c.SDFlush(0, FlushRead, 0, 8192, 2)
@@ -26,7 +26,7 @@ func TestNilCollectorHooksAreNoOps(t *testing.T) {
 	c.CacheLookup(0, 0, 4096, true)
 	c.Decompress(0, 0, 8192, "lz4", 3000)
 	c.Absorb([]*Collector{nil})
-	if c.Events() != nil || c.Counters() != nil || c.Report() != nil {
+	if c.Counters() != nil || c.Report() != nil {
 		t.Fatal("nil collector must report nothing")
 	}
 	if c.Child(1) != nil {
@@ -40,7 +40,7 @@ func TestJSONLTracerValidLines(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewJSONLTracer(&buf)
 	c := New(Config{Tracer: tr})
-	c.Admit(10*time.Microsecond, 4096, 8192, true)
+	c.Admit(10*time.Microsecond, 4096, 8192, true, "")
 	c.SDFlush(20*time.Microsecond, FlushMaxRun, 4096, 65536, 16)
 	c.PolicyChoice(30*time.Microsecond, 4096, 65536, 812.5, "gz")
 	c.SlotChoice(40*time.Microsecond, 4096, 65536, "gz", 20000, 32768, false)
@@ -94,8 +94,8 @@ func TestSlotClassPct(t *testing.T) {
 // the report.
 func TestCountersAndReport(t *testing.T) {
 	c := New(Config{SeriesInterval: time.Second})
-	c.Admit(0, 0, 4096, true)
-	c.Admit(time.Second, 4096, 4096, false)
+	c.Admit(0, 0, 4096, true, "")
+	c.Admit(time.Second, 4096, 4096, false, "")
 	c.SDFlush(time.Second, FlushNonContig, 0, 8192, 2)
 	c.Estimate(time.Second, 0, 8192, 1.1, true)
 	c.PolicyChoice(time.Second, 0, 8192, 500, "lzf")
@@ -174,10 +174,10 @@ func TestAbsorbDeterministicMerge(t *testing.T) {
 			kids[i] = parent.Child(i)
 		}
 		// Interleaved virtual times across shards.
-		kids[1].Admit(5*time.Microsecond, 0, 1, true)
-		kids[0].Admit(5*time.Microsecond, 0, 2, true)
-		kids[2].Admit(3*time.Microsecond, 0, 3, true)
-		kids[0].Admit(5*time.Microsecond, 0, 4, true)
+		kids[1].Admit(5*time.Microsecond, 0, 1, true, "")
+		kids[0].Admit(5*time.Microsecond, 0, 2, true, "")
+		kids[2].Admit(3*time.Microsecond, 0, 3, true, "")
+		kids[0].Admit(5*time.Microsecond, 0, 4, true, "")
 		var out []Event
 		parent.tracer = TracerFunc(func(e *Event) { out = append(out, *e) })
 		shuffled := make([]*Collector, len(kids))
@@ -204,7 +204,7 @@ func TestAbsorbDeterministicMerge(t *testing.T) {
 // TYPE lines, parseable samples.
 func TestWritePrometheus(t *testing.T) {
 	c := New(Config{})
-	c.Admit(0, 0, 4096, true)
+	c.Admit(0, 0, 4096, true, "")
 	c.CacheLookup(0, 0, 4096, true)
 	var buf bytes.Buffer
 	if err := c.Report().WritePrometheus(&buf); err != nil {
