@@ -64,7 +64,9 @@ matrixcheck:
 # on serve-hot-small's 90/10 mix, whose raw writes show the event loop's
 # per-write cost (mix); BenchmarkVerifiedRead times one steady-state
 # verified read of a compressed 8 KiB extent, its pool job included (0
-# allocs/op: TestVerifiedReadAllocs holds it there); BenchmarkWrite4K
+# allocs/op: TestVerifiedReadAllocs holds it there); BenchmarkRawBatch
+# times one pool job of raw-run write-through verdicts (32 Enterprise
+# 4 KiB runs); BenchmarkWrite4K
 # times one 4 KiB flash write through the FTL and BenchmarkNew builds a
 # default 2 GiB SSD model (page-map chunks come with the first write).
 bench:
@@ -81,6 +83,8 @@ bench:
 # an input that can be a corpus block of 64 KiB, and a long minimisation
 # would take the whole ten seconds. The zipfian rank lookup is fuzzed
 # against its math.Pow expression, at random draws and next to its cuts.
+# The estimator's certain verdict (a raw run settled from its regions'
+# byte alphabets) is fuzzed against the estimate of the generated run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 10s ./internal/datagen
 	$(GO) test -run '^$$' -fuzz FuzzParseSPC -fuzztime 10s ./internal/trace
@@ -92,6 +96,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCompress -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/gz
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/compress
 	$(GO) test -run '^$$' -fuzz FuzzZipfRank -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz FuzzCertainVerdict -fuzztime 10s ./internal/core
 
 # Paired benchmark against a parent revision, by BENCHMARK.json's rule:
 # ten alternating parent/change pairs per workload plus a held-out seed,

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+
+	"edc/internal/datagen"
 )
 
 // Estimator predicts a block's compressibility from small samples without
@@ -100,6 +102,43 @@ func (e *Estimator) sampledPrefix(n int) int {
 		return n
 	}
 	return (k-1)*((n-ss)/k) + ss
+}
+
+// certainAlphabet is the most distinct byte values a window can hold and
+// still be sure to clear WriteThroughRatio, by a relative margin of 1e-9
+// that covers the rounding of the entropy sum and of the windows' mean.
+// A window of d values has entropy at most log2 d, and windowRatio only
+// falls as the entropy rises and never falls below its match-free value,
+// so it is at least windowRatio(log2 d, 0). That bound reaches 4/3 at
+// d = 64: certainAlphabet is 63.
+var certainAlphabet = func() int {
+	d := 1
+	for windowRatio(math.Log2(float64(d+1)), 0) >= WriteThroughRatio*(1+1e-9) {
+		d++
+	}
+	return d
+}()
+
+// certainlyCompressible reports whether EstimateRatio of any version of
+// the n bytes data generates at off must clear WriteThroughRatio,
+// without generating them: every window it would sample (the whole block
+// when its windows cover it) holds at most certainAlphabet byte values.
+// It is false for n <= 0, whose estimate is 1.
+func (e *Estimator) certainlyCompressible(data *datagen.Generator, off int64, n int) bool {
+	if n <= 0 {
+		return false
+	}
+	ss, k := e.windows()
+	if ss*k >= n {
+		return data.Alphabet(off, n) <= certainAlphabet
+	}
+	stride := (n - ss) / k
+	for i := 0; i < k; i++ {
+		if data.Alphabet(off+int64(i*stride), ss) > certainAlphabet {
+			return false
+		}
+	}
+	return true
 }
 
 // estimateWindow predicts the ratio of one window.

@@ -228,3 +228,84 @@ func BenchmarkEstimate16K(b *testing.B) {
 		_ = e.EstimateRatio(data)
 	}
 }
+
+// certainProfiles are the datasets the alphabet rule is checked over,
+// each also with a quarter of its regions drawn from eight clones.
+func certainProfiles() []datagen.Profile {
+	var ps []datagen.Profile
+	for _, p := range []datagen.Profile{datagen.Enterprise(), datagen.LinuxSrc(), datagen.FirefoxBin(), datagen.Media()} {
+		ps = append(ps, p, p.WithDup(0.25, 8))
+	}
+	return ps
+}
+
+// certainHolds requires the estimate of the n bytes g generates at off
+// under version ver to clear the write-through threshold when e's
+// alphabet rule says it must, and reports whether the rule fired.
+func certainHolds(t *testing.T, g *datagen.Generator, e *Estimator, off int64, n int, ver uint32) bool {
+	t.Helper()
+	if !e.certainlyCompressible(g, off, n) {
+		return false
+	}
+	if r := e.EstimateRatio(g.Block(off, n, ver)); r < WriteThroughRatio {
+		t.Fatalf("%s at %d, %d B, version %d, %dx%d windows: certain, but the estimate is %v",
+			g.Profile().Name, off, n, ver, e.SampleSize, e.Samples, r)
+	}
+	return true
+}
+
+// TestCertainVerdictAgrees draws runs of 512 B to 256 KiB, a third of
+// them across a region boundary, over four datasets with and without
+// clones, and requires every run the alphabet rule settles to estimate
+// at or above the write-through threshold, under three window shapes.
+// Each shape must settle some runs and leave others to the estimate.
+func TestCertainVerdictAgrees(t *testing.T) {
+	shapes := []*Estimator{{SampleSize: 256, Samples: 3}, {SampleSize: 100, Samples: 5}, {SampleSize: 4096, Samples: 1}}
+	fired := make([]int, len(shapes))
+	rng := rand.New(rand.NewSource(52))
+	keys := 0
+	for _, p := range certainProfiles() {
+		g := datagen.New(p, rng.Int63n(1000))
+		for _, e := range shapes {
+			if e.certainlyCompressible(g, 0, 0) || e.certainlyCompressible(g, 0, -1) {
+				t.Fatalf("%s: an empty block is certain; its estimate is 1", p.Name)
+			}
+		}
+		for i := 0; i < 60; i++ {
+			n := 512 << rng.Intn(10)
+			n = max(512, n-rng.Intn(n/2))
+			off := int64(rng.Intn(1<<14)) * BlockSize
+			if i%3 == 0 {
+				off = int64(rng.Intn(512)+8)<<16 - int64(rng.Intn(n-1)+1)
+			}
+			ver := uint32(rng.Intn(4))
+			for s, e := range shapes {
+				if certainHolds(t, g, e, off, n, ver) {
+					fired[s]++
+				}
+			}
+			keys++
+		}
+	}
+	for s, e := range shapes {
+		if fired[s] == 0 || fired[s] == keys {
+			t.Fatalf("%dx%d windows: the rule settled %d of %d runs", e.SampleSize, e.Samples, fired[s], keys)
+		}
+	}
+}
+
+// FuzzCertainVerdict checks the alphabet rule on one run: dataset and
+// seed, offset, size up to 256 KiB, version and window shape (0 takes
+// the default).
+func FuzzCertainVerdict(f *testing.F) {
+	f.Add(int64(3), uint64(0), uint32(4096), uint32(0), uint16(256), uint8(3))
+	f.Add(int64(12), uint64(1<<16-1000), uint32(3000), uint32(7), uint16(100), uint8(5))
+	f.Add(int64(5), uint64(1<<20), uint32(256<<10), uint32(1), uint16(4096), uint8(1))
+	f.Add(int64(0), uint64(0), uint32(0), uint32(0), uint16(0), uint8(0))
+	profiles := certainProfiles()
+	f.Fuzz(func(t *testing.T, seed int64, off uint64, size, ver uint32, ss uint16, k uint8) {
+		g := datagen.New(profiles[uint64(seed)%uint64(len(profiles))], seed)
+		e := &Estimator{SampleSize: int(ss % 8193), Samples: int(k % 9)}
+		certainHolds(t, g, e, int64(off%(1<<36)), int(size%(256<<10+1)), ver)
+	})
+}

@@ -78,18 +78,28 @@ type rawRun struct {
 type rawBatch struct {
 	runs    []rawRun
 	through []bool // through[i]: runs[i] is written through
+	certain int    // runs whose verdict their alphabets settled
 	data    *datagen.Generator
 	est     Estimator // the job's own: an Estimator's hash sets are scratch
 	buf     []byte
 	job     func() *rawBatch // run, bound once
 }
 
-// run estimates every run of the batch. It generates only the prefix of
-// each run the estimator reads, into a buffer grown to the run's length:
-// the bytes past the prefix are stale scratch the estimate never sees.
+// run estimates every run of the batch. A run whose sampled windows can
+// only hold a few byte values is not written through whatever its bytes
+// (Estimator.certainlyCompressible), so it is neither generated nor
+// estimated. Of any other run it generates only the prefix the estimator
+// reads, into a buffer grown to the run's length: the bytes past the
+// prefix are stale scratch the estimate never sees.
 func (b *rawBatch) run() *rawBatch {
+	b.certain = 0
 	for i, r := range b.runs {
 		n := int(r.key.size)
+		if b.est.certainlyCompressible(b.data, r.key.off, n) {
+			b.through[i] = false
+			b.certain++
+			continue
+		}
 		p := b.est.sampledPrefix(n)
 		b.buf = b.data.AppendBlock(b.buf[:0], r.key.off, p, r.key.ver)
 		b.buf = slices.Grow(b.buf, n-p)[:n]
@@ -115,6 +125,8 @@ type rawEstimates struct {
 	cur  *rawBatch // the batch being filled; nil until the next add
 	free []*rawBatch
 	lag  *lagRing[*rawBatch] // sized by Device.open to the pool queue
+
+	certain int // settled runs whose alphabets decided their verdict
 }
 
 // add queues the verdict of run k, attributed to tenant, and hands the
@@ -156,6 +168,7 @@ func (re *rawEstimates) settle(b *rawBatch) {
 			}
 		}
 	}
+	re.certain += b.certain
 	b.runs = b.runs[:0]
 	re.free = append(re.free, b)
 }

@@ -89,13 +89,17 @@ func reportJSON(t *testing.T, st *RunStats) string {
 }
 
 // checkLagged requires the untraced run to have taken the lagged path
-// (settled batches, nothing parked, at most a ring's depth plus the one
-// being filled ever made) and the traced run not to have.
+// (settled batches, some verdicts settled by their alphabets, nothing
+// parked, at most a ring's depth plus the one being filled ever made)
+// and the traced run not to have.
 func checkLagged(t *testing.T, untraced, tracedDev *Device) {
 	t.Helper()
 	re := &untraced.wp.raw
 	if !untraced.wp.rawOK || len(re.free) == 0 {
 		t.Fatal("no raw run took the lagged path")
+	}
+	if re.certain == 0 {
+		t.Fatal("no raw run's verdict was settled by its alphabet")
 	}
 	if re.cur != nil || re.lag.n != 0 {
 		t.Fatalf("after close: a batch being filled (%v) and %d parked", re.cur != nil, re.lag.n)
@@ -284,5 +288,20 @@ func TestLagRingBound(t *testing.T) {
 		if len(settled) != 20 || r.n != 0 {
 			t.Fatalf("depth %d: %d settled, %d parked after drain", depth, len(settled), r.n)
 		}
+	}
+}
+
+// BenchmarkRawBatch times one pool job of the raw path: the write-through
+// verdicts of 32 Enterprise 4 KiB runs, one per 1 MiB, so their regions
+// draw the profile's mixture of classes.
+func BenchmarkRawBatch(b *testing.B) {
+	batch := &rawBatch{through: make([]bool, rawBatchRuns),
+		data: datagen.New(datagen.Enterprise(), 3), est: *NewEstimator()}
+	for i := 0; i < rawBatchRuns; i++ {
+		batch.runs = append(batch.runs, rawRun{key: runKey{int64(i) << 20, BlockSize, 0}})
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		batch.run()
 	}
 }

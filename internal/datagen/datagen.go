@@ -13,6 +13,7 @@ package datagen
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -255,6 +256,59 @@ func (g *Generator) ClassAt(offset int64) Class {
 	cls, _ := g.chunk(offset, 0)
 	return cls
 }
+
+// Alphabet returns how many distinct byte values any version of the
+// size bytes at offset can hold: the union of the alphabets of the
+// classes of the regions they span (0 when size <= 0). A region's class
+// does not depend on the version, so neither does the union.
+func (g *Generator) Alphabet(offset int64, size int) int {
+	var set byteSet
+	for done := 0; done < size; {
+		pos := offset + int64(done)
+		set.union(&classAlphabets[g.ClassAt(pos)])
+		done += min(int(classGrain-pos%classGrain), size-done)
+	}
+	return set.len()
+}
+
+// byteSet is a set of byte values, one bit each.
+type byteSet [4]uint64
+
+func (s *byteSet) add(p []byte) {
+	for _, b := range p {
+		s[b>>6] |= 1 << (b & 63)
+	}
+}
+
+func (s *byteSet) union(o *byteSet) {
+	for i := range s {
+		s[i] |= o[i]
+	}
+}
+
+func (s *byteSet) len() (n int) {
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// classAlphabets[c] is every byte value class c's content can hold, read
+// off the tables its generator copies from: text's units, code's
+// template literals and identifiers, zero's 0. Binary and media bytes
+// are random, so they can be anything.
+var classAlphabets = func() (a [numClasses]byteSet) {
+	a[ClassZero].add([]byte{0})
+	for _, u := range textUnits {
+		a[ClassText].add(u.b[:u.n])
+	}
+	for _, u := range append(slices.Concat(codeLits[:]...), codeIdentUnits[:]...) {
+		a[ClassCode].add(u.b[:u.n])
+	}
+	a[ClassBinary] = byteSet{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	a[ClassMedia] = a[ClassBinary]
+	return a
+}()
 
 // Block returns size bytes of content for the given volume offset.
 // version distinguishes successive overwrites of the same block.

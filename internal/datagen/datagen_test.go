@@ -352,3 +352,74 @@ func TestAppendBlockPrefix(t *testing.T) {
 		}
 	}
 }
+
+// TestClassAlphabets holds the byte alphabets Alphabet counts to what
+// each class generates: over many seeds, offsets, sizes and versions,
+// with and without clones, every byte of a block lies in the union of
+// its regions' class alphabets, Alphabet is that union's size, and every
+// byte of a class's alphabet turns up. Text's 27 values, code's 44 and
+// the 45 of text, code and zero together are pinned, so a vocabulary
+// edit that widens them fails here first.
+func TestClassAlphabets(t *testing.T) {
+	sizes := [numClasses]int{ClassZero: 1, ClassText: 27, ClassCode: 44, ClassBinary: 256, ClassMedia: 256}
+	for cls, want := range sizes {
+		if got := classAlphabets[cls].len(); got != want {
+			t.Fatalf("%v: %d byte values, want %d", Class(cls), got, want)
+		}
+	}
+	low := classAlphabets[ClassZero]
+	low.union(&classAlphabets[ClassText])
+	low.union(&classAlphabets[ClassCode])
+	if low.len() != 45 {
+		t.Fatalf("zero, text and code together: %d byte values, want 45", low.len())
+	}
+
+	// check generates a block at a random offset, size and version,
+	// requires its bytes to lie in the union of its regions' alphabets
+	// and Alphabet to count that union, and returns the bytes seen.
+	rng := rand.New(rand.NewSource(7))
+	check := func(g *Generator) byteSet {
+		off, n, ver := rng.Int63n(1<<26), 1+rng.Intn(1<<rng.Intn(18)), uint32(rng.Intn(8))
+		var want, got byteSet
+		for r := off / classGrain; r <= (off+int64(n)-1)/classGrain; r++ {
+			want.union(&classAlphabets[g.ClassAt(r*classGrain)])
+		}
+		got.add(g.Block(off, n, ver))
+		both := got
+		both.union(&want)
+		if both != want {
+			t.Fatalf("%s at %d, %d B, version %d: bytes outside the regions' alphabets", g.Profile().Name, off, n, ver)
+		}
+		if a := g.Alphabet(off, n); a != want.len() {
+			t.Fatalf("%s at %d, %d B: Alphabet %d, want %d", g.Profile().Name, off, n, a, want.len())
+		}
+		return got
+	}
+	for cls := Class(0); cls < numClasses; cls++ {
+		var seen byteSet
+		for _, dup := range []float64{0, 0.5} {
+			p := Profile{Name: cls.String(), Mixture: []ClassWeight{{cls, 1}}}.WithDup(dup, 4)
+			for seed := int64(0); seed < 8; seed++ {
+				g := New(p, seed)
+				if g.Alphabet(0, 0) != 0 {
+					t.Fatal("an empty range holds byte values")
+				}
+				for i := 0; i < 8; i++ {
+					got := check(g)
+					seen.union(&got)
+				}
+			}
+		}
+		if seen != classAlphabets[cls] {
+			t.Fatalf("%v: %d of its %d byte values generated", cls, seen.len(), classAlphabets[cls].len())
+		}
+	}
+	for _, p := range []Profile{Enterprise(), Enterprise().WithDup(0.5, 4), LinuxSrc().WithDup(0.25, 8)} {
+		for seed := int64(0); seed < 4; seed++ {
+			g := New(p, seed)
+			for i := 0; i < 16; i++ {
+				check(g)
+			}
+		}
+	}
+}
