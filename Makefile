@@ -68,9 +68,13 @@ matrixcheck:
 # times one pool job of raw-run write-through verdicts (32 Enterprise
 # 4 KiB runs); BenchmarkWrite4K
 # times one 4 KiB flash write through the FTL and BenchmarkNew builds a
-# default 2 GiB SSD model (page-map chunks come with the first write).
+# default 2 GiB SSD model (page-map chunks come with the first write);
+# BenchmarkEngineServeBatch times one serve batch on the event engine,
+# 256 priority arrivals each scheduling one plain completion and then
+# RunUntil, with the stamps in order (ordered: they take the FIFO lane)
+# and shuffled (unordered: most go to the heap).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/compress/... ./internal/datagen ./internal/trace ./internal/workload ./internal/core ./internal/parallel ./internal/ssd
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/compress/... ./internal/datagen ./internal/trace ./internal/workload ./internal/core ./internal/parallel ./internal/ssd ./internal/sim
 
 # Ten seconds of fuzzing per target: the payload RNG against math/rand,
 # the two trace parsers (whose past crashers are in testdata/fuzz; the SPC
@@ -85,6 +89,8 @@ bench:
 # against its math.Pow expression, at random draws and next to its cuts.
 # The estimator's certain verdict (a raw run settled from its regions'
 # byte alphabets) is fuzzed against the estimate of the generated run.
+# The event engine (FIFO arrival lane plus heap) runs fuzzed programs in
+# lockstep with a sorted-slice reference queue.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 10s ./internal/datagen
 	$(GO) test -run '^$$' -fuzz FuzzParseSPC -fuzztime 10s ./internal/trace
@@ -97,6 +103,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/compress
 	$(GO) test -run '^$$' -fuzz FuzzZipfRank -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzCertainVerdict -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime 10s ./internal/sim
 
 # Paired benchmark against a parent revision, by BENCHMARK.json's rule:
 # ten alternating parent/change pairs per workload plus a held-out seed,
