@@ -79,13 +79,10 @@ bench:
 # Ten seconds of fuzzing per target: the payload RNG against math/rand,
 # the two trace parsers (whose past crashers are in testdata/fuzz; the SPC
 # parser against its kept reference) and the SPC writer against its kept
-# reference, the lzf and gz decoders and encoders against their kept
-# references, and the EDCF frame
-# decoder (seeded with the frames whose header claims 3 840 MiB; it
-# minimises briefly: shrinking an input under a CRC seldom succeeds). The
-# encoder targets minimise briefly too: each try runs two encoders over
-# an input that can be a corpus block of 64 KiB, and a long minimisation
-# would take the whole ten seconds. The zipfian rank lookup is fuzzed
+# reference, and the lzf and gz decoders and encoders against their kept
+# references. The encoder targets minimise briefly: each try runs two
+# encoders over an input that can be a corpus block of 64 KiB, and a long
+# minimisation would take the whole ten seconds. The zipfian rank lookup is fuzzed
 # against its math.Pow expression, at random draws and next to its cuts.
 # The estimator's certain verdict (a raw run settled from its regions'
 # byte alphabets) is fuzzed against the estimate of the generated run.
@@ -100,7 +97,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecompress -fuzztime 10s ./internal/compress/gz
 	$(GO) test -run '^$$' -fuzz FuzzCompress -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/lzf
 	$(GO) test -run '^$$' -fuzz FuzzCompress -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/gz
-	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/compress
 	$(GO) test -run '^$$' -fuzz FuzzZipfRank -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzCertainVerdict -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime 10s ./internal/sim

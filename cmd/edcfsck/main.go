@@ -1,15 +1,13 @@
 // Command edcfsck checks EDC on-disk artifacts: mapping-table snapshots
-// (written by core.Mapping.SaveSnapshot), append-only write journals
-// (written by core.Journal), and compressed frame streams (written by
-// compress.FrameWriter). It verifies structure, checksums and internal
-// invariants, and prints a summary.
+// (written by core.Mapping.SaveSnapshot) and append-only write journals
+// (written by core.Journal). It verifies structure, checksums and
+// internal invariants, and prints a summary.
 //
 // Usage:
 //
 //	edcfsck -kind snapshot -capacity 512 mapping.edcm
 //	edcfsck -kind journal journal.edcj
 //	edcfsck -kind journal -snapshot mapping.edcm -capacity 512 journal.edcj
-//	edcfsck -kind frames archive.edcf
 //
 // With -snapshot, the journal is replayed on top of the snapshot the
 // way crash recovery would, and the recovered mapping's invariants are
@@ -27,30 +25,23 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"edc/internal/compress"
-	_ "edc/internal/compress/bwz"
-	_ "edc/internal/compress/gz"
-	_ "edc/internal/compress/lz4x"
-	_ "edc/internal/compress/lzf"
 	"edc/internal/core"
 )
 
 func main() {
 	var (
-		kind     = flag.String("kind", "snapshot", "artifact kind: snapshot, journal or frames")
-		capacity = flag.Int64("capacity", 1024, "backing device capacity in MiB (snapshot/journal check)")
-		decode   = flag.Bool("decode", false, "frames: fully decompress every frame, not just CRC-check")
+		kind     = flag.String("kind", "snapshot", "artifact kind: snapshot or journal")
+		capacity = flag.Int64("capacity", 1024, "backing device capacity in MiB")
 		snapPath = flag.String("snapshot", "", "journal: replay onto this snapshot and check the recovered mapping")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: edcfsck [-kind snapshot|journal|frames] <file>")
+		fmt.Fprintln(os.Stderr, "usage: edcfsck [-kind snapshot|journal] <file>")
 		os.Exit(2)
 	}
 	f, err := os.Open(flag.Arg(0))
@@ -127,29 +118,6 @@ func main() {
 		fmt.Printf("journal OK: %d records (%d inserts, %d relocates%s)%s; recovery OK: %d replayed onto snapshot, %d live blocks in %d extents, %.1f MiB slots in use\n",
 			records, inserts, relocs, dedupTail, tail, replayed, m.LiveBlocks(), m.Extents(),
 			float64(alloc.InUse())/(1<<20))
-	case "frames":
-		if *decode {
-			fr := compress.NewFrameReader(f, compress.Default())
-			var frames, bytes int64
-			for {
-				blk, err := fr.ReadBlock()
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				if err != nil {
-					fatalf("frame %d invalid: %v", frames, err)
-				}
-				frames++
-				bytes += int64(len(blk))
-			}
-			fmt.Printf("frames OK: %d frames, %d decoded bytes\n", frames, bytes)
-			return
-		}
-		n, err := compress.VerifyStream(f)
-		if err != nil {
-			fatalf("stream invalid after %d good frames: %v", n, err)
-		}
-		fmt.Printf("frames OK: %d frames (CRC verified)\n", n)
 	default:
 		fatalf("unknown kind %q", *kind)
 	}

@@ -110,14 +110,14 @@ func runFig2(p Params) ([]*Table, error) {
 			start := time.Now()
 			comps := make([][]byte, 0, total/chunk)
 			for off := 0; off < total; off += chunk {
-				out := c.Compress(data[off : off+chunk])
+				out := c.AppendCompress(nil, data[off:off+chunk])
 				compBytes += int64(len(out))
 				comps = append(comps, out)
 			}
 			compDur := time.Since(start)
 			start = time.Now()
 			for _, blob := range comps {
-				if _, err := c.Decompress(blob, chunk); err != nil {
+				if _, err := c.DecompressAppend(nil, blob, chunk); err != nil {
 					return nil, err
 				}
 			}

@@ -1,9 +1,15 @@
 package compress_test
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
 	"edc/internal/compress"
+	"edc/internal/compress/bwz"
+	"edc/internal/compress/gz"
+	"edc/internal/compress/lz4x"
+	"edc/internal/compress/lzf"
 	"edc/internal/datagen"
 	"edc/internal/race"
 )
@@ -45,29 +51,27 @@ func TestCompressAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := c.(compress.Appender)
-		da := c.(compress.DecompressAppender)
-		comp := c.Compress(src)
+		comp := c.AppendCompress(nil, src)
 		if len(comp) > len(src)/2 {
 			t.Fatalf("%s: %d B compress to %d B: the case needs content with matches", name, len(src), len(comp))
 		}
 
 		t.Run(name+"/AppendCompress", func(t *testing.T) {
-			buf := a.AppendCompress(nil, src) // warm pools and size the buffer
+			buf := c.AppendCompress(nil, src) // warm pools and size the buffer
 			allocs := testing.AllocsPerRun(10, func() {
-				buf = a.AppendCompress(buf[:0], src)
+				buf = c.AppendCompress(buf[:0], src)
 			})
 			if allocs > 0 {
 				t.Errorf("AppendCompress: %v allocs/op, want 0", allocs)
 			}
 		})
 		t.Run(name+"/DecompressAppend", func(t *testing.T) {
-			buf, err := da.DecompressAppend(make([]byte, prefix), comp, len(src))
+			buf, err := c.DecompressAppend(make([]byte, prefix), comp, len(src))
 			if err != nil {
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(10, func() {
-				buf, err = da.DecompressAppend(buf[:prefix], comp, len(src))
+				buf, err = c.DecompressAppend(buf[:prefix], comp, len(src))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -76,5 +80,39 @@ func TestCompressAllocs(t *testing.T) {
 				t.Errorf("DecompressAppend: %v allocs/op, want 0", allocs)
 			}
 		})
+	}
+}
+
+// hostileOrigLen is the length a hostile caller claims: 3 840 MiB.
+const hostileOrigLen = 0xF0000000
+
+// TestHostileOrigLenAllocatesByInput decodes, per codec, a two-byte
+// payload with an origLen of 3 840 MiB: the error is the one the claim
+// always earned — two bytes cannot stand for that much — and no decoder
+// reserves the claimed size to find it out.
+func TestHostileOrigLenAllocatesByInput(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		codec   compress.Codec
+		payload []byte
+		want    error
+	}{
+		{"none", compress.None, []byte{'a', 'b'}, compress.ErrSizeMismatch},
+		{"lzf", lzf.New(), []byte{0x00, 'a'}, compress.ErrSizeMismatch}, // one literal
+		{"gz", gz.New(), []byte{0x00, 0x00}, compress.ErrCorrupt},       // code lengths cut short
+		{"gz-stored", gz.New(), []byte{0x01, 'a'}, compress.ErrSizeMismatch},
+		{"lz4", lz4x.New(), []byte{0x10, 'a'}, compress.ErrSizeMismatch}, // one literal
+		{"bwz", bwz.New(), []byte{0x00, 0x00}, compress.ErrCorrupt},      // primary index cut short
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := tc.codec.DecompressAppend(nil, tc.payload, hostileOrigLen)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: DecompressAppend %v; want %v", tc.name, err, tc.want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: %d B allocated decoding a %d-byte payload; want under 1 MiB", tc.name, got, len(tc.payload))
+		}
 	}
 }

@@ -49,9 +49,9 @@ func (*Codec) Tag() compress.Tag { return compress.TagBWZ }
 
 // scratch is the per-block compression workspace: the suffix-array
 // int32 arrays dominate bwz's allocation profile (4 slices of block
-// length per block), so they are pooled and reused across Compress
-// calls. A sync.Pool keeps the codec safe for concurrent use by
-// parallel replay workers.
+// length per block), so they are pooled and reused across
+// AppendCompress calls. A sync.Pool keeps the codec safe for concurrent
+// use by parallel replay workers.
 type scratch struct {
 	sa, rank, tmp, cnt []int32
 	l                  []byte   // BWT last column
@@ -59,7 +59,7 @@ type scratch struct {
 	syms               []uint16 // RLE symbol stream
 	freqs              [numSyms]int64
 
-	// Entropy-coding scratch, reused across blocks and Compress calls.
+	// Entropy-coding scratch, reused across blocks and AppendCompress calls.
 	builder huffman.Builder
 	lengths []uint8
 	enc     huffman.Encoder
@@ -70,8 +70,8 @@ var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
 // decScratch is the per-decompression workspace: the bit reader, the
 // Huffman decoder (owning its lookup table), the RLE/MTF intermediate
 // buffers, and the LF-mapping array for the inverse BWT. Pooling it
-// strips every per-call allocation from Decompress except the output
-// itself; a sync.Pool keeps the codec safe for concurrent use by
+// strips every per-call allocation from DecompressAppend except the
+// output itself; a sync.Pool keeps the codec safe for concurrent use by
 // parallel replay workers.
 type decScratch struct {
 	r       bitio.Reader
@@ -491,12 +491,7 @@ func decompressBlock(r *bitio.Reader, out []byte, blockLen int, st *decScratch) 
 	return out, unbwtInto(out[pos:], mtfd, int(p64), st)
 }
 
-// Compress implements compress.Codec.
-func (c *Codec) Compress(src []byte) []byte {
-	return c.AppendCompress(make([]byte, 0, len(src)/2+64), src)
-}
-
-// AppendCompress implements compress.Appender: it appends the
+// AppendCompress implements compress.Codec: it appends the
 // compressed form of src to dst (growing it as needed) and returns the
 // extended slice. The pooled scratch makes repeated compressions nearly
 // allocation-free.
@@ -518,16 +513,7 @@ func (*Codec) AppendCompress(dst, src []byte) []byte {
 	return w.Bytes()
 }
 
-// Decompress implements compress.Codec.
-func (c *Codec) Decompress(src []byte, origLen int) ([]byte, error) {
-	out, err := c.DecompressAppend(nil, src, origLen)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecompressAppend implements compress.DecompressAppender: it appends
+// DecompressAppend implements compress.Codec: it appends
 // the decompressed form of src to dst and returns the extended slice.
 // Each BWT block is inverted directly into its final position, growing
 // dst block by block as the input proves each one; all intermediate

@@ -118,8 +118,8 @@ func TestMultiBlockInput(t *testing.T) {
 	// Exceed MaxBlock to force the multi-block path.
 	src := bytes.Repeat([]byte("0123456789abcdef"), (MaxBlock/16)+1024)
 	c := New()
-	comp := c.Compress(src)
-	got, err := c.Decompress(comp, len(src))
+	comp := c.AppendCompress(nil, src)
+	got, err := c.DecompressAppend(nil, comp, len(src))
 	if err != nil || !bytes.Equal(got, src) {
 		t.Fatalf("multi-block round trip failed: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestMultiBlockInput(t *testing.T) {
 
 func TestBestRatioOnText(t *testing.T) {
 	src := bytes.Repeat([]byte("elastic data compression for flash-based storage systems. "), 400)
-	comp := New().Compress(src)
+	comp := New().AppendCompress(nil, src)
 	if len(comp) >= len(src)/5 {
 		t.Fatalf("bwz ratio too low on repetitive text: %d of %d", len(comp), len(src))
 	}

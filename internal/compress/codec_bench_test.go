@@ -50,27 +50,16 @@ func benchCells(b *testing.B, decode bool, fn func(b *testing.B, c compress.Code
 	}
 }
 
-// BenchmarkCompress measures codec throughput and allocations over every
-// (codec, profile, size) cell. The AppendCompress rows are the device
-// hot path: steady-state they should run at zero or near-zero allocs/op.
-func BenchmarkCompress(b *testing.B) {
-	benchCells(b, false, func(b *testing.B, c compress.Codec, _ int, blocks [][]byte) {
-		for i := 0; i < b.N; i++ {
-			for _, src := range blocks {
-				_ = c.Compress(src)
-			}
-		}
-	})
-}
-
-// BenchmarkAppendCompress measures the recycled-buffer path used by the
-// replay pipeline.
+// BenchmarkAppendCompress measures codec throughput and allocations over
+// every (codec, profile, size) cell on the recycled-buffer path used by
+// the replay pipeline: steady-state it should run at zero or near-zero
+// allocs/op.
 func BenchmarkAppendCompress(b *testing.B) {
 	benchCells(b, false, func(b *testing.B, c compress.Codec, _ int, blocks [][]byte) {
 		var buf []byte
 		for i := 0; i < b.N; i++ {
 			for _, src := range blocks {
-				buf = compress.AppendCompress(c, buf[:0], src)
+				buf = c.AppendCompress(buf[:0], src)
 			}
 		}
 	})
@@ -86,20 +75,7 @@ func BenchmarkDecompressAppend(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, comp := range comps {
 				var err error
-				if buf, err = compress.DecompressAppend(c, buf[:0], comp, n); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
-// BenchmarkDecompress covers the read path.
-func BenchmarkDecompress(b *testing.B) {
-	benchCells(b, true, func(b *testing.B, c compress.Codec, n int, comps [][]byte) {
-		for i := 0; i < b.N; i++ {
-			for _, comp := range comps {
-				if _, err := c.Decompress(comp, n); err != nil {
+				if buf, err = c.DecompressAppend(buf[:0], comp, n); err != nil {
 					b.Fatal(err)
 				}
 			}

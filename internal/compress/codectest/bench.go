@@ -57,7 +57,7 @@ func BenchBlocks(p datagen.Profile, n int) [][]byte {
 func BenchStreams(c compress.Codec, p datagen.Profile, n int) [][]byte {
 	blocks := BenchBlocks(p, n)
 	for i, src := range blocks {
-		blocks[i] = c.Compress(src)
+		blocks[i] = c.AppendCompress(nil, src)
 	}
 	return blocks
 }
@@ -66,14 +66,13 @@ func BenchStreams(c compress.Codec, p datagen.Profile, n int) [][]byte {
 // every (profile, size) cell of the corpus, each row followed by the same
 // streams through ref (the …/ref rows): the kept reference decoder of a
 // codec whose decode loop was rewritten.
-func RunDecodeBench(b *testing.B, c compress.Codec, ref compress.DecompressAppender) {
-	da := c.(compress.DecompressAppender)
+func RunDecodeBench(b *testing.B, c compress.Codec, ref Reference) {
 	for _, p := range BenchProfiles() {
 		for _, sz := range BenchSizes {
 			// Built by the first row that runs, so a filtered run does not
 			// compress the cells it skips.
 			cell := sync.OnceValue(func() [][]byte { return BenchStreams(c, p, sz.N) })
-			run := func(name string, d compress.DecompressAppender) {
+			run := func(name string, d Reference) {
 				b.Run(name, func(b *testing.B) {
 					comps := cell()
 					b.ReportAllocs()
@@ -91,7 +90,7 @@ func RunDecodeBench(b *testing.B, c compress.Codec, ref compress.DecompressAppen
 				})
 			}
 			name := fmt.Sprintf("%s/%s/%s", c.Name(), p.Name, sz.Name)
-			run(name, da)
+			run(name, c)
 			run(name+"/ref", ref)
 		}
 	}
@@ -101,12 +100,11 @@ func RunDecodeBench(b *testing.B, c compress.Codec, ref compress.DecompressAppen
 // every (profile, size) cell of the corpus, each row followed by the same
 // blocks through ref (the …/ref rows): the kept reference encoder of a
 // codec whose match finder or entropy stage was rewritten.
-func RunEncodeBench(b *testing.B, c compress.Codec, ref compress.Appender) {
-	ac := c.(compress.Appender)
+func RunEncodeBench(b *testing.B, c compress.Codec, ref Reference) {
 	for _, p := range BenchProfiles() {
 		for _, sz := range BenchSizes {
 			cell := sync.OnceValue(func() [][]byte { return BenchBlocks(p, sz.N) })
-			run := func(name string, e compress.Appender) {
+			run := func(name string, e Reference) {
 				b.Run(name, func(b *testing.B) {
 					blocks := cell()
 					b.ReportAllocs()
@@ -121,7 +119,7 @@ func RunEncodeBench(b *testing.B, c compress.Codec, ref compress.Appender) {
 				})
 			}
 			name := fmt.Sprintf("%s/%s/%s", c.Name(), p.Name, sz.Name)
-			run(name, ac)
+			run(name, c)
 			run(name+"/ref", ref)
 		}
 	}

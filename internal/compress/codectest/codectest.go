@@ -83,47 +83,29 @@ func RunRoundTrip(t *testing.T, c compress.Codec) {
 	for name, src := range Corpus() {
 		src := src
 		t.Run(name, func(t *testing.T) {
-			comp := c.Compress(src)
-			got, err := c.Decompress(comp, len(src))
+			comp := c.AppendCompress(nil, src)
+			got, err := c.DecompressAppend(nil, comp, len(src))
 			if err != nil {
-				t.Fatalf("%s: Decompress: %v", c.Name(), err)
+				t.Fatalf("%s: DecompressAppend: %v", c.Name(), err)
 			}
 			if !bytes.Equal(got, src) {
 				t.Fatalf("%s: round trip mismatch (len got %d want %d)", c.Name(), len(got), len(src))
 			}
-			if a, ok := c.(compress.Appender); ok {
-				// AppendCompress must produce Compress's exact bytes,
-				// both from scratch and after an existing prefix.
-				if ac := a.AppendCompress(nil, src); !bytes.Equal(ac, comp) {
-					t.Fatalf("%s: AppendCompress(nil) differs from Compress (len %d vs %d)",
-						c.Name(), len(ac), len(comp))
-				}
-				pre := []byte{0xde, 0xad}
-				ac := a.AppendCompress(append([]byte(nil), pre...), src)
-				if !bytes.Equal(ac[:2], pre) || !bytes.Equal(ac[2:], comp) {
-					t.Fatalf("%s: AppendCompress after prefix corrupted output", c.Name())
-				}
+			// Both directions must produce the same bytes after an
+			// existing prefix, which they leave alone (decoder back
+			// references must never reach into it).
+			pre := []byte{0xde, 0xad}
+			ac := c.AppendCompress(append([]byte(nil), pre...), src)
+			if !bytes.Equal(ac[:2], pre) || !bytes.Equal(ac[2:], comp) {
+				t.Fatalf("%s: AppendCompress after prefix corrupted output", c.Name())
 			}
-			if da, ok := c.(compress.DecompressAppender); ok {
-				// DecompressAppend must produce Decompress's exact bytes,
-				// both from scratch and after an existing prefix (back
-				// references must never reach into the prefix).
-				dc, err := da.DecompressAppend(nil, comp, len(src))
-				if err != nil {
-					t.Fatalf("%s: DecompressAppend(nil): %v", c.Name(), err)
-				}
-				if !bytes.Equal(dc, src) {
-					t.Fatalf("%s: DecompressAppend(nil) differs from source (len %d vs %d)",
-						c.Name(), len(dc), len(src))
-				}
-				pre := []byte{0xbe, 0xef}
-				dc, err = da.DecompressAppend(append([]byte(nil), pre...), comp, len(src))
-				if err != nil {
-					t.Fatalf("%s: DecompressAppend after prefix: %v", c.Name(), err)
-				}
-				if !bytes.Equal(dc[:2], pre) || !bytes.Equal(dc[2:], src) {
-					t.Fatalf("%s: DecompressAppend after prefix corrupted output", c.Name())
-				}
+			pre = []byte{0xbe, 0xef}
+			dc, err := c.DecompressAppend(append([]byte(nil), pre...), comp, len(src))
+			if err != nil {
+				t.Fatalf("%s: DecompressAppend after prefix: %v", c.Name(), err)
+			}
+			if !bytes.Equal(dc[:2], pre) || !bytes.Equal(dc[2:], src) {
+				t.Fatalf("%s: DecompressAppend after prefix corrupted output", c.Name())
 			}
 		})
 	}
@@ -134,7 +116,7 @@ func RunRoundTrip(t *testing.T, c compress.Codec) {
 func RunCompressesRedundantData(t *testing.T, c compress.Codec, minRatio float64) {
 	t.Helper()
 	src := textish(65536, 42)
-	comp := c.Compress(src)
+	comp := c.AppendCompress(nil, src)
 	r := compress.Ratio(len(src), len(comp))
 	if r < minRatio {
 		t.Fatalf("%s: ratio %.2f on text; want >= %.2f", c.Name(), r, minRatio)
@@ -161,8 +143,7 @@ func RunQuick(t *testing.T, c compress.Codec) {
 				copy(src[n/2:], src[:n/4])
 			}
 		}
-		comp := c.Compress(src)
-		got, err := c.Decompress(comp, len(src))
+		got, err := c.DecompressAppend(nil, c.AppendCompress(nil, src), len(src))
 		return err == nil && bytes.Equal(got, src)
 	}
 	cfg := &quick.Config{MaxCount: 40}
@@ -176,7 +157,7 @@ func RunQuick(t *testing.T, c compress.Codec) {
 func RunRejectsCorruption(t *testing.T, c compress.Codec) {
 	t.Helper()
 	src := textish(8192, 9)
-	comp := c.Compress(src)
+	comp := c.AppendCompress(nil, src)
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		bad := append([]byte(nil), comp...)
@@ -197,31 +178,28 @@ func RunRejectsCorruption(t *testing.T, c compress.Codec) {
 					t.Fatalf("%s: panic on corrupt input (trial %d): %v", c.Name(), trial, r)
 				}
 			}()
-			got, err := c.Decompress(bad, len(src))
-			if err == nil && !bytes.Equal(got, src) {
-				// Silent mis-decode is acceptable for checksum-free codec
-				// payloads (the frame layer adds CRC); what matters is no
-				// panic and no out-of-bounds.
-				_ = got
-			}
+			// A silent mis-decode is acceptable for checksum-free codec
+			// payloads; what matters is no panic and no out-of-bounds.
+			_, _ = c.DecompressAppend(nil, bad, len(src))
 		}()
 	}
 }
 
-// RunBench benchmarks Compress and Decompress over a 256 KiB text block.
+// RunBench benchmarks AppendCompress and DecompressAppend into a fresh
+// buffer each time over a 256 KiB text block.
 func RunBench(b *testing.B, c compress.Codec) {
 	src := textish(256<<10, 77)
-	comp := c.Compress(src)
+	comp := c.AppendCompress(nil, src)
 	b.Run(fmt.Sprintf("%s/compress", c.Name()), func(b *testing.B) {
 		b.SetBytes(int64(len(src)))
 		for i := 0; i < b.N; i++ {
-			_ = c.Compress(src)
+			_ = c.AppendCompress(nil, src)
 		}
 	})
 	b.Run(fmt.Sprintf("%s/decompress", c.Name()), func(b *testing.B) {
 		b.SetBytes(int64(len(src)))
 		for i := 0; i < b.N; i++ {
-			if _, err := c.Decompress(comp, len(src)); err != nil {
+			if _, err := c.DecompressAppend(nil, comp, len(src)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -230,10 +208,10 @@ func RunBench(b *testing.B, c compress.Codec) {
 
 // Reference is a codec's previous implementation, kept in its package's
 // tests so that a rewritten hot loop can be held to the exact bytes and
-// errors of the loop it replaced.
+// errors of the loop it replaced. Every compress.Codec is one too.
 type Reference interface {
-	compress.Appender
-	compress.DecompressAppender
+	AppendCompress(dst, src []byte) []byte
+	DecompressAppend(dst, src []byte, origLen int) ([]byte, error)
 }
 
 // RunDifferential requires c to agree with ref byte for byte: on

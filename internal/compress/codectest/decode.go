@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"edc/internal/compress"
 	"edc/internal/datagen"
 )
 
@@ -42,11 +41,11 @@ var (
 // it must return ref's error, and on error dst as it was passed; on
 // success ref's bytes after the untouched prefix, in place; and either
 // way leave every byte beyond dst[len(dst):len(dst)+origLen] as it was.
-func DiffDecode(c, ref compress.DecompressAppender, stream []byte, origLen int) string {
+func DiffDecode(c, ref Reference, stream []byte, origLen int) string {
 	return diffDecode(c, ref, stream, origLen, layouts)
 }
 
-func diffDecode(c, ref compress.DecompressAppender, stream []byte, origLen int, into []layout) string {
+func diffDecode(c, ref Reference, stream []byte, origLen int, into []layout) string {
 	room := max(origLen, 0)
 	for _, l := range into {
 		want, wantErr := ref.DecompressAppend(bytes.Repeat([]byte{canary}, l.prefix), stream, origLen)
@@ -79,7 +78,7 @@ func diffDecode(c, ref compress.DecompressAppender, stream []byte, origLen int, 
 // about a longest match either way; and substitutions of each of the
 // last 300 bytes — every other value when everyValue is set, else each
 // single-bit flip and four random values.
-func DiffZoneSweep(c, ref compress.DecompressAppender, stream []byte, origLen int, everyValue bool) string {
+func DiffZoneSweep(c, ref Reference, stream []byte, origLen int, everyValue bool) string {
 	try := func(what string, s []byte, n int) string {
 		if d := diffDecode(c, ref, s, n, tight); d != "" {
 			return what + ": " + d

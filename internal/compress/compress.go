@@ -2,15 +2,13 @@
 // EDC compression engine and the four concrete codec families (lzf, lz4x,
 // gz, bwz), together with the 3-bit on-flash tag registry from the paper
 // (Fig. 5: the Tag field records which algorithm compressed a block, with
-// "000" meaning no compression) and a small self-describing frame format
-// used by tools and tests.
+// "000" meaning no compression).
 package compress
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/bits"
 	"sync"
 )
@@ -47,33 +45,26 @@ type Codec interface {
 	Name() string
 	// Tag returns the codec's 3-bit on-flash tag.
 	Tag() Tag
-	// Compress returns the compressed form of src as a fresh slice.
-	// The output may be larger than the input for incompressible data;
-	// callers (the EDC engine) decide whether to keep it.
-	Compress(src []byte) []byte
-	// Decompress reverses Compress. origLen is the exact decompressed
-	// length recorded by the block layer; implementations use it to size
-	// the output and to validate the stream.
-	Decompress(src []byte, origLen int) ([]byte, error)
-}
-
-// Appender is an optional Codec extension for allocation-conscious hot
-// paths: AppendCompress appends the compressed form of src to dst
-// (usually a pooled buffer passed as buf[:0]) and returns the extended
-// slice, which may be a reallocation of dst. Output bytes are identical
-// to Compress. All codecs in this repository implement it.
-type Appender interface {
+	// AppendCompress appends the compressed form of src to dst (usually
+	// a pooled buffer passed as buf[:0]) and returns the extended slice,
+	// which may be a reallocation of dst. The output may be larger than
+	// the input for incompressible data; callers (the EDC engine) decide
+	// whether to keep it.
 	AppendCompress(dst, src []byte) []byte
+	// DecompressAppend reverses AppendCompress, appending to dst. origLen
+	// is the exact decompressed length recorded by the block layer;
+	// implementations use it to size the output and to validate the
+	// stream. On error dst is returned unextended.
+	DecompressAppend(dst, src []byte, origLen int) ([]byte, error)
 }
 
-// AppendCompress compresses src with c, appending to dst when c
-// implements Appender and falling back to Compress (plus a copy into
-// dst) otherwise. The result is byte-identical to c.Compress(src).
-func AppendCompress(c Codec, dst, src []byte) []byte {
-	if a, ok := c.(Appender); ok {
-		return a.AppendCompress(dst, src)
-	}
-	return append(dst, c.Compress(src)...)
+// AppendCompress is c.AppendCompress(dst, src). It and DecompressAppend
+// stay as functions for the perf harness's layer replica.
+func AppendCompress(c Codec, dst, src []byte) []byte { return c.AppendCompress(dst, src) }
+
+// DecompressAppend is c.DecompressAppend(dst, src, origLen).
+func DecompressAppend(c Codec, dst, src []byte, origLen int) ([]byte, error) {
+	return c.DecompressAppend(dst, src, origLen)
 }
 
 // BoundedAppender is an optional Codec extension for encodes that are
@@ -95,57 +86,19 @@ func AppendCompressWithin(c Codec, dst, src []byte, max int) ([]byte, bool) {
 	if b, ok := c.(BoundedAppender); ok {
 		return b.AppendCompressWithin(dst, src, max)
 	}
-	out := AppendCompress(c, dst, src)
+	out := c.AppendCompress(dst, src)
 	if len(out)-len(dst) > max {
 		return dst, false
 	}
 	return out, true
 }
 
-// DecompressAppender is the read-side twin of Appender: DecompressAppend
-// appends the decompressed form of src to dst (usually a pooled buffer
-// passed as buf[:0]) and returns the extended slice, which may be a
-// reallocation of dst. Appended bytes are identical to Decompress, and
-// the same stream validation applies. All codecs in this repository
-// implement it with pooled decode scratch, so a steady-state
-// decompression allocates nothing beyond (at most) one growth of dst.
-type DecompressAppender interface {
-	DecompressAppend(dst, src []byte, origLen int) ([]byte, error)
-}
-
-// DecompressAppend decompresses src with c, appending to dst when c
-// implements DecompressAppender and falling back to Decompress (plus a
-// copy into dst) otherwise. On error dst is returned unextended.
-func DecompressAppend(c Codec, dst, src []byte, origLen int) ([]byte, error) {
-	if da, ok := c.(DecompressAppender); ok {
-		return da.DecompressAppend(dst, src, origLen)
-	}
-	out, err := c.Decompress(src, origLen)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, out...), nil
-}
-
 // none is the write-through pseudo-codec (tag 0).
 type none struct{}
 
-func (none) Name() string { return "none" }
-func (none) Tag() Tag     { return TagNone }
-func (none) Compress(src []byte) []byte {
-	out := make([]byte, len(src))
-	copy(out, src)
-	return out
-}
+func (none) Name() string                          { return "none" }
+func (none) Tag() Tag                              { return TagNone }
 func (none) AppendCompress(dst, src []byte) []byte { return append(dst, src...) }
-func (none) Decompress(src []byte, origLen int) ([]byte, error) {
-	if len(src) != origLen {
-		return nil, ErrSizeMismatch
-	}
-	out := make([]byte, len(src))
-	copy(out, src)
-	return out, nil
-}
 func (none) DecompressAppend(dst, src []byte, origLen int) ([]byte, error) {
 	if len(src) != origLen {
 		return dst, ErrSizeMismatch
@@ -266,65 +219,4 @@ func MatchLen(src []byte, a, b, limit int) int {
 		l++
 	}
 	return l
-}
-
-// Frame format
-//
-// A frame is a self-describing compressed blob used by the CLI tools and
-// round-trip tests (the block store itself keeps tag/size in its mapping
-// table instead and stores raw codec output):
-//
-//	offset size  field
-//	0      4     magic "EDCF"
-//	4      1     tag
-//	5      4     original length (LE)
-//	9      4     payload length (LE)
-//	13     4     CRC32 (IEEE) of payload
-//	17     n     payload
-const (
-	frameMagic      = "EDCF"
-	frameHeaderSize = 17
-)
-
-// EncodeFrame compresses src with c and wraps it in a frame.
-func EncodeFrame(c Codec, src []byte) []byte {
-	payload := c.Compress(src)
-	out := make([]byte, frameHeaderSize+len(payload))
-	copy(out, frameMagic)
-	out[4] = byte(c.Tag())
-	binary.LittleEndian.PutUint32(out[5:], uint32(len(src)))
-	binary.LittleEndian.PutUint32(out[9:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[13:], crc32.ChecksumIEEE(payload))
-	copy(out[frameHeaderSize:], payload)
-	return out
-}
-
-// DecodeFrame validates and decompresses a frame using reg.
-func DecodeFrame(reg *Registry, frame []byte) ([]byte, error) {
-	if len(frame) < frameHeaderSize || string(frame[:4]) != frameMagic {
-		return nil, ErrCorrupt
-	}
-	tag := Tag(frame[4])
-	origLen := int(binary.LittleEndian.Uint32(frame[5:]))
-	payLen := int(binary.LittleEndian.Uint32(frame[9:]))
-	sum := binary.LittleEndian.Uint32(frame[13:])
-	if payLen != len(frame)-frameHeaderSize {
-		return nil, ErrCorrupt
-	}
-	payload := frame[frameHeaderSize:]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, fmt.Errorf("%w: checksum", ErrCorrupt)
-	}
-	c, err := reg.ByTag(tag)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.Decompress(payload, origLen)
-	if err != nil {
-		return nil, err
-	}
-	if len(out) != origLen {
-		return nil, ErrSizeMismatch
-	}
-	return out, nil
 }

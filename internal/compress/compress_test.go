@@ -7,18 +7,18 @@ import (
 
 func TestNoneRoundTrip(t *testing.T) {
 	src := []byte("hello, flash storage")
-	c := None.Compress(src)
+	c := None.AppendCompress(nil, src)
 	if !bytes.Equal(c, src) {
-		t.Fatalf("None.Compress changed data")
+		t.Fatalf("None.AppendCompress changed data")
 	}
-	d, err := None.Decompress(c, len(src))
+	d, err := None.DecompressAppend(nil, c, len(src))
 	if err != nil || !bytes.Equal(d, src) {
-		t.Fatalf("None.Decompress = %q, %v", d, err)
+		t.Fatalf("None.DecompressAppend = %q, %v", d, err)
 	}
 }
 
 func TestNoneSizeMismatch(t *testing.T) {
-	if _, err := None.Decompress([]byte("abc"), 5); err == nil {
+	if _, err := None.DecompressAppend(nil, []byte("abc"), 5); err == nil {
 		t.Fatal("expected size mismatch error")
 	}
 }
@@ -44,10 +44,12 @@ type fakeCodec struct {
 	tag  Tag
 }
 
-func (f fakeCodec) Name() string                               { return f.name }
-func (f fakeCodec) Tag() Tag                                   { return f.tag }
-func (f fakeCodec) Compress(src []byte) []byte                 { return src }
-func (f fakeCodec) Decompress(s []byte, n int) ([]byte, error) { return s, nil }
+func (f fakeCodec) Name() string                          { return f.name }
+func (f fakeCodec) Tag() Tag                              { return f.tag }
+func (f fakeCodec) AppendCompress(dst, src []byte) []byte { return append(dst, src...) }
+func (f fakeCodec) DecompressAppend(dst, s []byte, n int) ([]byte, error) {
+	return append(dst, s...), nil
+}
 
 func TestRegistryConflicts(t *testing.T) {
 	r := NewRegistry()
@@ -89,47 +91,5 @@ func TestMatchLen(t *testing.T) {
 				t.Fatalf("MatchLen(same %d, limit %d) = %d; want %d", same, limit, got, want)
 			}
 		}
-	}
-}
-
-func TestFrameRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	src := []byte("some payload worth framing, some payload worth framing")
-	f := EncodeFrame(None, src)
-	out, err := DecodeFrame(r, f)
-	if err != nil {
-		t.Fatalf("DecodeFrame: %v", err)
-	}
-	if !bytes.Equal(out, src) {
-		t.Fatalf("frame round trip mismatch")
-	}
-}
-
-func TestFrameCorruption(t *testing.T) {
-	r := NewRegistry()
-	src := []byte("payload")
-	f := EncodeFrame(None, src)
-
-	short := f[:frameHeaderSize-1]
-	if _, err := DecodeFrame(r, short); err == nil {
-		t.Fatal("expected error for truncated frame")
-	}
-
-	bad := append([]byte(nil), f...)
-	bad[0] = 'X'
-	if _, err := DecodeFrame(r, bad); err == nil {
-		t.Fatal("expected error for bad magic")
-	}
-
-	flipped := append([]byte(nil), f...)
-	flipped[len(flipped)-1] ^= 0xff
-	if _, err := DecodeFrame(r, flipped); err == nil {
-		t.Fatal("expected error for checksum mismatch")
-	}
-
-	badTag := append([]byte(nil), f...)
-	badTag[4] = 6 // unregistered tag
-	if _, err := DecodeFrame(r, badTag); err == nil {
-		t.Fatal("expected error for unknown tag")
 	}
 }

@@ -128,9 +128,9 @@ func hash4(v uint32) uint32 { return (v * 2654435761) >> (32 - hashBits) }
 
 // parseState is the per-compression scratch: the hash-chain arrays, the
 // token buffer, and the Huffman frequency tables. Pooling it removes the
-// dominant allocations from the Compress hot path (the event-loop replay
-// compresses thousands of runs per trace); a sync.Pool keeps the codec
-// safe for concurrent use by parallel replay workers.
+// dominant allocations from the AppendCompress hot path (the event-loop
+// replay compresses thousands of runs per trace); a sync.Pool keeps the
+// codec safe for concurrent use by parallel replay workers.
 type parseState struct {
 	// head holds, per hash, base plus the last position inserted with
 	// it. base moves past every position of a finished call plus
@@ -164,8 +164,8 @@ var statePool = sync.Pool{New: func() interface{} { return &parseState{base: max
 // decState is the per-decompression scratch: the bit reader, the parsed
 // code-length vectors, and the two canonical decoders (each owning its
 // lookup table). Pooling it strips every per-call allocation from
-// Decompress except the output itself; a sync.Pool keeps the codec safe
-// for concurrent use by parallel replay workers.
+// DecompressAppend except the output itself; a sync.Pool keeps the codec
+// safe for concurrent use by parallel replay workers.
 type decState struct {
 	r        bitio.Reader
 	litLens  []uint8
@@ -456,12 +456,7 @@ const storedMagic = 0x01
 // compressedMagic marks a normal Huffman container.
 const compressedMagic = 0x00
 
-// Compress implements compress.Codec.
-func (c *Codec) Compress(src []byte) []byte {
-	return c.AppendCompress(make([]byte, 0, len(src)/2+64), src)
-}
-
-// AppendCompress implements compress.Appender: it appends the
+// AppendCompress implements compress.Codec: it appends the
 // compressed form of src to dst (growing it as needed) and returns the
 // extended slice. Combined with the pooled parse scratch this makes the
 // replay hot path allocation-free in steady state.
@@ -587,15 +582,6 @@ func (st *parseState) appendHuffman(dst, src []byte, budget int) ([]byte, bool) 
 	c := litEnc.Code(eob)
 	w.WriteBits(uint64(c.Bits), uint(c.Len))
 	return w.Bytes(), true
-}
-
-// Decompress implements compress.Codec.
-func (c *Codec) Decompress(src []byte, origLen int) ([]byte, error) {
-	out, err := c.DecompressAppend(nil, src, origLen)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // symInfo is what the two decoders report for a symbol in place of its
@@ -780,7 +766,7 @@ func (st *decState) decodeCareful(out []byte, base, o int, one bool) (oEnd int, 
 	}
 }
 
-// DecompressAppend implements compress.DecompressAppender: it appends
+// DecompressAppend implements compress.Codec: it appends
 // the decompressed form of src to dst (growing it as needed) and returns
 // the extended slice. Combined with the pooled decode scratch this makes
 // the read hot path allocation-free in steady state.

@@ -48,7 +48,7 @@ func TestMaxLengthMatch(t *testing.T) {
 	// Runs much longer than maxMatch must be split into several matches.
 	src := bytes.Repeat([]byte("ab"), 4000)
 	c := New()
-	got, err := c.Decompress(c.Compress(src), len(src))
+	got, err := c.DecompressAppend(nil, c.AppendCompress(nil, src), len(src))
 	if err != nil || !bytes.Equal(got, src) {
 		t.Fatalf("round trip failed: %v", err)
 	}
@@ -63,7 +63,7 @@ func TestFarDistance(t *testing.T) {
 	}
 	src := append(append(append([]byte{}, pat...), filler...), pat...)
 	c := New()
-	got, err := c.Decompress(c.Compress(src), len(src))
+	got, err := c.DecompressAppend(nil, c.AppendCompress(nil, src), len(src))
 	if err != nil || !bytes.Equal(got, src) {
 		t.Fatalf("round trip failed near maxDist: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestFarDistance(t *testing.T) {
 
 func TestBetterRatioThanLZFOnText(t *testing.T) {
 	src := []byte(bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog; "), 200))
-	gzOut := New().Compress(src)
+	gzOut := New().AppendCompress(nil, src)
 	if len(gzOut) >= len(src)/3 {
 		t.Fatalf("gz ratio too low: %d of %d", len(gzOut), len(src))
 	}
@@ -84,25 +84,25 @@ func TestStoredBlockFallbackBoundsExpansion(t *testing.T) {
 		src[i] = byte((i*197 + i>>3) ^ i<<2)
 	}
 	c := New()
-	comp := c.Compress(src)
+	comp := c.AppendCompress(nil, src)
 	if len(comp) > len(src)+1 {
 		t.Fatalf("expansion %d bytes; stored fallback should cap at 1", len(comp)-len(src))
 	}
-	got, err := c.Decompress(comp, len(src))
+	got, err := c.DecompressAppend(nil, comp, len(src))
 	if err != nil || !bytes.Equal(got, src) {
 		t.Fatalf("stored round trip failed: %v", err)
 	}
 }
 
 func TestDecompressRejectsBadFormatByte(t *testing.T) {
-	if _, err := New().Decompress([]byte{0x7f, 1, 2, 3}, 3); err == nil {
+	if _, err := New().DecompressAppend(nil, []byte{0x7f, 1, 2, 3}, 3); err == nil {
 		t.Fatal("unknown format byte should fail")
 	}
-	if _, err := New().Decompress(nil, 0); err == nil {
+	if _, err := New().DecompressAppend(nil, nil, 0); err == nil {
 		t.Fatal("empty input should fail")
 	}
 	// Stored block with wrong length.
-	if _, err := New().Decompress([]byte{0x01, 'a'}, 5); err == nil {
+	if _, err := New().DecompressAppend(nil, []byte{0x01, 'a'}, 5); err == nil {
 		t.Fatal("stored length mismatch should fail")
 	}
 }

@@ -152,7 +152,7 @@ func TestCompressWithin(t *testing.T) {
 		}
 	}
 	for _, src := range srcs {
-		want := c.Compress(src)
+		want := c.AppendCompress(nil, src)
 		n, w := len(src), len(want)
 		for _, max := range []int{-1, 0, n / 4, n / 2, 3 * n / 4, w - 2, w - 1, w, w + 1, n + 1} {
 			if d := codectest.DiffWithin(c, src, want, max); d != "" {
@@ -168,7 +168,7 @@ func TestCompressWithin(t *testing.T) {
 	for i := 0; i < random; i++ {
 		gen := datagen.New(profiles[rng.Intn(len(profiles))], 7)
 		src := gen.Block(rng.Int63n(64)<<12, 1+rng.Intn(70<<10), 0)
-		want := c.Compress(src)
+		want := c.AppendCompress(nil, src)
 		max := rng.Intn(len(src) + 2)
 		if i%2 == 0 { // half of them near the output's length
 			max = len(want) - 8 + rng.Intn(17)

@@ -57,12 +57,7 @@ func writeLen(out []byte, n int) []byte {
 	return append(out, byte(n))
 }
 
-// Compress implements compress.Codec.
-func (c *Codec) Compress(src []byte) []byte {
-	return c.AppendCompress(make([]byte, 0, len(src)+len(src)/32+16), src)
-}
-
-// AppendCompress implements compress.Appender: it appends the
+// AppendCompress implements compress.Codec: it appends the
 // compressed form of src to dst (growing it as needed) and returns the
 // extended slice. The hot replay path calls it with pooled buffers so a
 // compression allocates nothing in steady state.
@@ -140,22 +135,7 @@ func (*Codec) AppendCompress(dst, src []byte) []byte {
 	return out
 }
 
-// maxExpand bounds the output one input byte can stand for: an extended
-// match-length byte adds up to 255 bytes, every other byte less.
-const maxExpand = 255
-
-// Decompress implements compress.Codec. The output is reserved for
-// origLen, or for what len(src) bytes can expand to when that is less,
-// so a lying origLen costs no memory.
-func (c *Codec) Decompress(src []byte, origLen int) ([]byte, error) {
-	out, err := c.DecompressAppend(make([]byte, 0, max(0, min(origLen, len(src)*maxExpand))), src, origLen)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecompressAppend implements compress.DecompressAppender: it appends
+// DecompressAppend implements compress.Codec: it appends
 // the decompressed form of src to dst (growing it as needed) and returns
 // the extended slice. Match offsets are resolved relative to the bytes
 // appended by this call, so a dst prefix never leaks into the output.

@@ -22,7 +22,7 @@ func TestExtendedLiteralAndMatchLengths(t *testing.T) {
 	}
 	src := append(append(append([]byte{}, lit...), lit[:40]...), lit...)
 	c := New()
-	got, err := c.Decompress(c.Compress(src), len(src))
+	got, err := c.DecompressAppend(nil, c.AppendCompress(nil, src), len(src))
 	if err != nil || !bytes.Equal(got, src) {
 		t.Fatalf("round trip failed: %v", err)
 	}
@@ -32,8 +32,8 @@ func TestOverlappingMatch(t *testing.T) {
 	// "aaaa..." forces offset-1 overlapping copies.
 	src := bytes.Repeat([]byte{'a'}, 1000)
 	c := New()
-	comp := c.Compress(src)
-	got, err := c.Decompress(comp, len(src))
+	comp := c.AppendCompress(nil, src)
+	got, err := c.DecompressAppend(nil, comp, len(src))
 	if err != nil || !bytes.Equal(got, src) {
 		t.Fatalf("round trip failed: %v", err)
 	}
@@ -45,7 +45,7 @@ func TestOverlappingMatch(t *testing.T) {
 func TestDecompressRejectsZeroOffset(t *testing.T) {
 	// token: 1 literal, match len 4; offset 0 is invalid.
 	bad := []byte{0x10, 'a', 0x00, 0x00}
-	if _, err := New().Decompress(bad, 10); err == nil {
+	if _, err := New().DecompressAppend(nil, bad, 10); err == nil {
 		t.Fatal("expected error for zero offset")
 	}
 }
@@ -53,7 +53,7 @@ func TestDecompressRejectsZeroOffset(t *testing.T) {
 func TestDecompressRejectsTruncatedExtension(t *testing.T) {
 	// Extended literal length that never terminates.
 	bad := []byte{0xf0, 255, 255}
-	if _, err := New().Decompress(bad, 4096); err == nil {
+	if _, err := New().DecompressAppend(nil, bad, 4096); err == nil {
 		t.Fatal("expected error for truncated length extension")
 	}
 }

@@ -68,11 +68,6 @@ type matchTable struct {
 
 var tablePool = sync.Pool{New: func() interface{} { return &matchTable{base: maxOff + 1} }}
 
-// Compress implements compress.Codec.
-func (c *Codec) Compress(src []byte) []byte {
-	return c.AppendCompress(make([]byte, 0, len(src)+len(src)/16+16), src)
-}
-
 // appendLits appends lits as literal runs of at most maxLit bytes.
 func appendLits(out, lits []byte) []byte {
 	for len(lits) > maxLit {
@@ -87,7 +82,7 @@ func appendLits(out, lits []byte) []byte {
 	return out
 }
 
-// AppendCompress implements compress.Appender: it appends the
+// AppendCompress implements compress.Codec: it appends the
 // compressed form of src to dst (growing it as needed) and returns the
 // extended slice. The hot replay path calls it with pooled buffers so a
 // compression allocates nothing in steady state.
@@ -143,15 +138,6 @@ func (t *matchTable) appendCompress(out, src []byte) []byte {
 	}
 	t.base = int32(base + len(src) + maxOff)
 	return appendLits(out, src[litStart:])
-}
-
-// Decompress implements compress.Codec.
-func (c *Codec) Decompress(src []byte, origLen int) ([]byte, error) {
-	out, err := c.DecompressAppend(nil, src, origLen)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // The decoder's fast zone runs while one worst-case token still fits
@@ -239,7 +225,7 @@ func decodeFast(out, src []byte, base int) (i, o int, ok bool) {
 	return i, o, true
 }
 
-// DecompressAppend implements compress.DecompressAppender: it appends
+// DecompressAppend implements compress.Codec: it appends
 // the decompressed form of src to dst (growing it as needed) and returns
 // the extended slice. Back references are resolved relative to the bytes
 // appended by this call, so a dst prefix never leaks into the output.

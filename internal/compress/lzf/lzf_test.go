@@ -17,11 +17,11 @@ func TestLongMatchEncoding(t *testing.T) {
 	// A run long enough to need the extended-length form (>9 match bytes).
 	src := bytes.Repeat([]byte{'x'}, 500)
 	c := New()
-	comp := c.Compress(src)
+	comp := c.AppendCompress(nil, src)
 	if len(comp) >= len(src)/4 {
 		t.Fatalf("run of 500 compressed to %d bytes; expected much smaller", len(comp))
 	}
-	got, err := c.Decompress(comp, len(src))
+	got, err := c.DecompressAppend(nil, comp, len(src))
 	if err != nil || !bytes.Equal(got, src) {
 		t.Fatalf("round trip failed: %v", err)
 	}
@@ -38,7 +38,7 @@ func TestMaxOffsetBoundary(t *testing.T) {
 	}
 	src := append(append(append([]byte{}, pat...), filler...), pat...)
 	c := New()
-	got, err := c.Decompress(c.Compress(src), len(src))
+	got, err := c.DecompressAppend(nil, c.AppendCompress(nil, src), len(src))
 	if err != nil || !bytes.Equal(got, src) {
 		t.Fatalf("round trip failed at offset boundary: %v", err)
 	}
@@ -47,7 +47,7 @@ func TestMaxOffsetBoundary(t *testing.T) {
 func TestDecompressRejectsBadOffset(t *testing.T) {
 	// ctrl byte encodes a back reference beyond the start of output.
 	bad := []byte{0x20 | 0x1f, 0xff} // len 3, offset 0x1fff+1
-	if _, err := New().Decompress(bad, 100); err == nil {
+	if _, err := New().DecompressAppend(nil, bad, 100); err == nil {
 		t.Fatal("expected error for reference before start of output")
 	}
 }
@@ -57,7 +57,7 @@ func TestIncompressibleExpansionBounded(t *testing.T) {
 	for i := range src {
 		src[i] = byte(i*197 + i>>3)
 	}
-	comp := New().Compress(src)
+	comp := New().AppendCompress(nil, src)
 	// Worst case adds one control byte per 32 literals.
 	if len(comp) > len(src)+len(src)/32+16 {
 		t.Fatalf("expansion too large: %d for %d input", len(comp), len(src))

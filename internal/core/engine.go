@@ -15,10 +15,10 @@ import (
 // the logical-to-device mapping table, the backend, the verify-mode
 // payload store, and the replay buffer freelist. It holds the one store
 // step (paper Fig. 5) that host writes and maintenance relocations both
-// go through: hand the codec work off (async), pick the slot (encoded),
-// allocate it (allocSlot), write it (write). The read path plans
-// against its mapping and reads from its backend. It performs no policy
-// decisions and observes no statistics of its own.
+// take once the codec futures the write path and the maintainer
+// dispatch have joined: encoded → allocSlot → write. The read path
+// plans against its mapping and reads from its backend. It performs no
+// policy decisions and observes no statistics of its own.
 type storeEngine struct {
 	be      *Backend
 	alloc   *Allocator

@@ -46,7 +46,7 @@ func (s *aheadSlot) run() []byte {
 		encode = encode && s.ratio >= WriteThroughRatio
 	}
 	if encode {
-		s.payload = compress.AppendCompress(s.codec, s.payload, s.content)
+		s.payload = s.codec.AppendCompress(s.payload, s.content)
 	}
 	return s.payload
 }

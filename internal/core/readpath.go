@@ -345,7 +345,7 @@ func (rp *readPath) verifyExtentWork(ext *Extent, payload, got, want []byte) ver
 	if err != nil {
 		return verifyResult{got: got, want: want, err: err}
 	}
-	got, err = compress.DecompressAppend(codec, got, payload, int(ext.OrigLen))
+	got, err = codec.DecompressAppend(got, payload, int(ext.OrigLen))
 	if err != nil {
 		return verifyResult{got: got, want: want,
 			err: fmt.Errorf("core: verify: decompress extent at %d: %w", ext.Offset, err)}

@@ -229,7 +229,7 @@ func RecoverDevice(eng *sim.Engine, be *Backend, volumeBytes int64, opts Options
 		if codec, err = d.rp.reg.ByTag(e.Tag); err != nil {
 			return
 		}
-		payload = compress.AppendCompress(codec, payload[:0], content)
+		payload = codec.AppendCompress(payload[:0], content)
 		d.se.keepPayload(e, payload)
 	})
 	if err != nil {

@@ -427,7 +427,7 @@ func (wp *writePath) compressRun(run *Run, content []byte, sum dedup.Sum, hasSum
 			dst = wp.se.getBuf()
 		}
 		fut = parallel.Go(wp.se.pool, func() []byte {
-			return compress.AppendCompress(c, dst, content)
+			return c.AppendCompress(dst, content)
 		})
 	}
 	if codec != nil {
