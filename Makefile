@@ -80,9 +80,10 @@ bench:
 # the two trace parsers (whose past crashers are in testdata/fuzz; the SPC
 # parser against its kept reference) and the SPC writer against its kept
 # reference, and the lzf and gz decoders and encoders against their kept
-# references. The encoder targets minimise briefly: each try runs two
-# encoders over an input that can be a corpus block of 64 KiB, and a long
-# minimisation would take the whole ten seconds. The zipfian rank lookup is fuzzed
+# references. The codec targets minimise briefly: Go's default of 60 s per
+# new-coverage input would take the whole ten seconds (a decoder target
+# then sits at 0 execs/sec), and an encoder try runs two encoders over an
+# input that can be a corpus block of 64 KiB. The zipfian rank lookup is fuzzed
 # against its math.Pow expression, at random draws and next to its cuts.
 # The estimator's certain verdict (a raw run settled from its regions'
 # byte alphabets) is fuzzed against the estimate of the generated run.
@@ -93,8 +94,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSPC -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzParseMSR -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzWriteSPC -fuzztime 10s ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzDecompress -fuzztime 10s ./internal/compress/lzf
-	$(GO) test -run '^$$' -fuzz FuzzDecompress -fuzztime 10s ./internal/compress/gz
+	$(GO) test -run '^$$' -fuzz FuzzDecompress -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/lzf
+	$(GO) test -run '^$$' -fuzz FuzzDecompress -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/gz
 	$(GO) test -run '^$$' -fuzz FuzzCompress -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/lzf
 	$(GO) test -run '^$$' -fuzz FuzzCompress -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/gz
 	$(GO) test -run '^$$' -fuzz FuzzZipfRank -fuzztime 10s ./internal/workload
@@ -123,9 +124,10 @@ tablediff:
 
 # Core-scaling sweep and gate: the same stamp-ordered serve workload at
 # GOMAXPROCS 1/2/4. Always asserts the virtual-time results (per-step
-# counts, achieved QPS, percentiles) are byte-identical across the
-# three runs; with CORESCALE_MIN set (CI: 1.5 on 4-vCPU runners) also
-# asserts ops/sec-wall at 4 procs >= CORESCALE_MIN x the 1-proc run.
+# counts, achieved QPS, percentiles, and the run report minus
+# submit_stalls) are byte-identical across the three runs; with
+# CORESCALE_MIN set (CI: 1.5 on 4-vCPU runners) also asserts
+# ops/sec-wall at 4 procs >= CORESCALE_MIN x the 1-proc run.
 # Needs jq.
 corescale:
 	sh scripts/corescale.sh

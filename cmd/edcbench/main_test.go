@@ -128,3 +128,29 @@ func TestProfilesEveryMode(t *testing.T) {
 		}
 	}
 }
+
+// TestServeJSONResultIsReport holds -serve -json's result to the report
+// -replay -json prints: its keys, and no raw RunStats field name.
+func TestServeJSONResultIsReport(t *testing.T) {
+	var out bytes.Buffer
+	args := []string{"-serve", "-json", "-spec", "d=100ms qps=500 rw=0.5", "-volume", "64", "-clients", "2"}
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	var printed struct {
+		Result map[string]json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &printed); err != nil {
+		t.Fatalf("-serve -json printed no JSON: %v\n%s", err, out.Bytes())
+	}
+	for _, key := range []string{"requests", "mean_us", "p99_us", "stored_bytes", "runs_by_codec"} {
+		if _, ok := printed.Result[key]; !ok {
+			t.Errorf("result has no %q key", key)
+		}
+	}
+	for key := range printed.Result {
+		if key[0] >= 'A' && key[0] <= 'Z' {
+			t.Errorf("result has raw field key %q", key)
+		}
+	}
+}

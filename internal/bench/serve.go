@@ -66,8 +66,9 @@ func (p ServeParams) scheme() string {
 type StepStats struct {
 	// Index is the zero-based step number.
 	Index int `json:"index"`
-	// Step echoes the generating spec step.
-	Step workload.Step `json:"step"`
+	// Step echoes the generating spec step; the JSON leaves it out,
+	// since line Index of ServeResult.SpecText renders it.
+	Step workload.Step `json:"-"`
 	// Ops, Reads, and Writes count completed operations.
 	Ops    int64 `json:"ops"`
 	Reads  int64 `json:"reads"`
@@ -91,9 +92,10 @@ type ServeResult struct {
 	// Clients and Shards echo the run shape.
 	Clients int `json:"clients"`
 	Shards  int `json:"shards"`
-	// SpecText is the spec rendered one step per line.
+	// SpecText is the spec rendered one step per line (FormatSpec).
 	SpecText string `json:"spec"`
-	// Steps holds one entry per spec step.
+	// Steps holds one entry per spec step: Steps[i] is line i of
+	// SpecText.
 	Steps []StepStats `json:"steps"`
 	// Stalls counts submissions that blocked on a full mailbox.
 	Stalls int64 `json:"stalls"`
@@ -108,7 +110,8 @@ type ServeResult struct {
 	// run (nil when the run never touched the pool — replay workers <= 1
 	// keep codec work inline on the event loops).
 	Pool *PoolActivity `json:"pool,omitempty"`
-	// Result is the merged pipeline Results, as a replay would return.
+	// Result is the merged pipeline Results, as a replay would return;
+	// its JSON is the run's Report.
 	Result *edc.Results `json:"result"`
 }
 
@@ -396,9 +399,10 @@ func RunServe(p ServeParams) (*ServeResult, error) {
 	return out, nil
 }
 
-// FormatSpec renders a Spec back into the DSL, one step per line.
-// Tenant annotations only appear on tagged steps, so an untagged spec
-// renders exactly as it did before multi-tenant QoS existed.
+// FormatSpec renders a Spec back into the DSL, one step per line, so
+// that workload.ParseSpec reads the same Spec back. The dup knobs
+// appear only when set and tenant annotations only on tagged steps, so
+// a spec without them renders exactly as it did before they existed.
 func FormatSpec(s workload.Spec) string {
 	var b []byte
 	for i, st := range s {
@@ -407,6 +411,12 @@ func FormatSpec(s workload.Spec) string {
 		}
 		b = fmt.Appendf(b, "d=%v rw=%g qps=%g ad=%s rkd=%s wkd=%s bs=%d",
 			st.D, st.RW, st.QPS, st.AD, st.RKD, st.WKD, st.BS)
+		if st.Dup != 0 {
+			b = fmt.Appendf(b, " dup=%g", st.Dup)
+		}
+		if st.DupUniverse != 0 {
+			b = fmt.Appendf(b, " dupu=%d", st.DupUniverse)
+		}
 		if st.Tenant != "" {
 			b = fmt.Appendf(b, " tenant=%s", st.Tenant)
 			if st.Class != "" {

@@ -5,9 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"edc/internal/cache"
+	"edc/internal/sim"
+	"edc/internal/ssd"
 	"edc/internal/workload"
 )
 
@@ -80,7 +85,9 @@ func TestRunServe(t *testing.T) {
 // serveImage runs p and renders the whole ServeResult as JSON with the
 // wall-clock fields (and the pool and stall counters, which follow
 // goroutine scheduling) zeroed: everything left is a function of the
-// seeded generators and the paced virtual-time pipeline.
+// seeded generators and the paced virtual-time pipeline. Beside the
+// result's Report it renders the host CPU, cache, device and queue
+// stats, which the Report sums or leaves out.
 func serveImage(t *testing.T, p ServeParams) []byte {
 	t.Helper()
 	sr, err := RunServe(p)
@@ -89,7 +96,14 @@ func serveImage(t *testing.T, p ServeParams) []byte {
 	}
 	sr.WallTime, sr.OpsPerSecWall, sr.Stalls, sr.Pool = 0, 0, 0, nil
 	sr.Result.SubmitStalls = 0
-	out, err := json.MarshalIndent(sr, "", " ")
+	res := sr.Result
+	out, err := json.MarshalIndent(struct {
+		*ServeResult
+		CPU     sim.Stats   `json:"cpu"`
+		Cache   cache.Stats `json:"cache"`
+		Devices []ssd.Stats `json:"devices"`
+		Queues  []sim.Stats `json:"queues"`
+	}{sr, res.CPU, res.Cache, res.Devices, res.Queues}, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +115,11 @@ func serveImage(t *testing.T, p ServeParams) []byte {
 // byte totals, per-tenant shaping and rejection counts — for the plain
 // two-step spec and for the two-tenant QoS spec (latency class beside a
 // bandwidth-shaped bulk class) at one and two shards. testdata/serve.golden
-// was written by the commit before the paced loop became the only serve
-// loop; no -update flag exists on purpose (a moved image is a behaviour
-// change to declare). `make race` runs this under the race detector.
+// was computed, in today's shape, by a test-only image at the code
+// before a RunStats encoded as its Report, so that change moved the
+// shape and no value. No -update flag exists on purpose (a moved image
+// is a behaviour change to declare). `make race` runs this under the
+// race detector.
 func TestRunServeDeterministicCounts(t *testing.T) {
 	src, err := os.ReadFile("../../specs/qos-smoke.spec")
 	if err != nil {
@@ -135,5 +151,37 @@ func TestRunServeDeterministicCounts(t *testing.T) {
 				t.Fatalf("QoS run reports no batch tenant:\n%s", img)
 			}
 		})
+	}
+}
+
+// TestFormatSpecRoundTrips checks that the spec text a serve result
+// carries parses back to the spec that ran: every committed spec file,
+// and a spec with the dup knobs set.
+func TestFormatSpecRoundTrips(t *testing.T) {
+	files, err := filepath.Glob("../../specs/*.spec")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no spec files: %v", err)
+	}
+	srcs := map[string]string{"dup": "d=100ms qps=500 dup=0.3 dupu=16\nqps=900 rw=0.2"}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[filepath.Base(f)] = string(b)
+	}
+	for name, src := range srcs {
+		spec, err := workload.ParseSpec(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		text := FormatSpec(spec)
+		back, err := workload.ParseSpec(text)
+		if err != nil {
+			t.Fatalf("%s: FormatSpec text does not parse: %v\n%s", name, err, text)
+		}
+		if !reflect.DeepEqual(back, spec) {
+			t.Errorf("%s: FormatSpec does not round-trip:\n%s\nparsed %+v\nwant   %+v", name, text, back, spec)
+		}
 	}
 }

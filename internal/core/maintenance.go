@@ -123,7 +123,6 @@ func (mt *maintainer) step(now time.Duration) {
 		if coalesced > 0 || reclaimed > 0 {
 			d.stats.MaintCompactions++
 			d.stats.MaintCoalesced += int64(coalesced)
-			d.stats.MaintCompactFreed += reclaimed
 			if d.obs != nil {
 				d.obs.Compact(now, classes, coalesced, reclaimed)
 			}

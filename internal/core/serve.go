@@ -487,13 +487,11 @@ func (sv *Server) Stop() (*RunStats, error) {
 	}
 	parts := make([]*RunStats, len(sv.shards))
 	errs := make([]error, len(sv.shards))
-	live := make([]int64, len(sv.shards))
 	for i, ss := range sv.shards {
-		parts[i], errs[i], live[i] = ss.dev.stats, ss.dev.fs.err, ss.dev.se.mapping.LiveBlocks()
+		parts[i], errs[i] = ss.dev.stats, ss.dev.fs.err
 	}
 	merged, err := sv.setup.merge(sv.kids, parts, errs, "serve ")
 	merged.SubmitStalls = sv.stalls.Load()
-	merged.ShardLiveBlocks = live
 	return merged, err
 }
 

@@ -25,7 +25,8 @@ import (
 //
 // Each scalar counter is a field here plus one row of runStats, which
 // says what it counts and how MergeRunStats, Report and Format treat
-// it: adding a counter means one field plus one row.
+// it: adding a counter means one field plus one row. A run has one
+// machine form, its Report, and encoding/json writes that too.
 type RunStats struct {
 	// Scheme, Trace, and Backend identify the run: the compression
 	// scheme name, the workload trace name, and the device backend.
@@ -62,43 +63,37 @@ type RunStats struct {
 	SDRuns       int64
 	SubmitStalls int64
 
-	// ShardLiveBlocks is the per-shard live-block occupancy, in LBA
-	// order, at the end of a serve run (nil outside serve mode).
-	ShardLiveBlocks []int64 `json:"ShardLiveBlocks,omitempty"`
-
 	// Dedup, maintenance and fault counters, all zero while their
 	// feature is off (see runStats). HeatHist counts live extents by
 	// decayed heat bucket at the end of a maintained run.
-	DedupHits         int64
-	DedupMisses       int64
-	DedupBytesSaved   int64
-	DedupUnrefs       int64
-	MaintTicks        int64
-	MaintIdleTicks    int64
-	MaintRelocations  int64
-	MaintCold         int64
-	MaintHot          int64
-	MaintAborted      int64
-	MaintReclaimed    int64
-	MaintCompactions  int64
-	MaintCoalesced    int64
-	MaintCompactFreed int64
-	HeatHist          []int64
-	Faults            int64
-	FaultRetries      int64
-	DegradedReads     int64
-	DegradedReadTime  time.Duration
-	WriteReallocs     int64
-	UnrecoveredReads  int64
-	Recoveries        int64
-	CrashLost         int64
+	DedupHits        int64
+	DedupMisses      int64
+	DedupBytesSaved  int64
+	DedupUnrefs      int64
+	MaintTicks       int64
+	MaintIdleTicks   int64
+	MaintRelocations int64
+	MaintCold        int64
+	MaintHot         int64
+	MaintAborted     int64
+	MaintReclaimed   int64
+	MaintCompactions int64
+	MaintCoalesced   int64
+	HeatHist         []int64
+	Faults           int64
+	FaultRetries     int64
+	DegradedReads    int64
+	DegradedReadTime time.Duration
+	WriteReallocs    int64
+	UnrecoveredReads int64
+	Recoveries       int64
+	CrashLost        int64
 
 	// Tenants breaks the run down by submitting tenant when multi-
 	// tenant QoS is active (nil otherwise — untagged runs carry no
-	// tenant section, and omitempty keeps their serialized form
-	// identical to pre-QoS builds). Keys are tenant names; the map is
-	// merged in sorted key order so sharded runs stay deterministic.
-	Tenants map[string]*TenantStats `json:"Tenants,omitempty"`
+	// tenant section). Keys are tenant names; the map is merged in
+	// sorted key order so sharded runs stay deterministic.
+	Tenants map[string]*TenantStats
 
 	// Infrastructure:
 	CPU     sim.Stats
@@ -227,9 +222,6 @@ var runStats = []stat[RunStats]{
 	{field: "MaintReclaimed", key: "maint_reclaimed_bytes", omit: true, text: " reclaimed=%d", line: maintOn},
 	{field: "MaintCompactions", key: "maint_compactions", omit: true, text: " compactions=%d", line: maintOn}, // allocator free-list compactions
 	{field: "MaintCoalesced", key: "maint_coalesced", omit: true, text: " coalesced=%d\n", line: maintOn},     // adjacent free slots merged by them
-	// Free-tail bytes compaction returned to fresh space. No report
-	// prints it; only the raw RunStats JSON of edcbench -serve does.
-	{field: "MaintCompactFreed"},
 	{field: "HeatHist", key: "heat_hist", omit: true, text: "heat: h0=%d h1=%d h2-3=%d h4-7=%d h8+=%d\n",
 		line: func(s *RunStats) bool { return len(s.HeatHist) == 5 }},
 	{field: "Faults", key: "faults", omit: true, text: "faults: injected=%d", line: faultsOn},               // injected device errors observed
@@ -652,3 +644,8 @@ type Report struct{ json.RawMessage }
 
 // Report flattens the run into its machine-readable form.
 func (rs *RunStats) Report() *Report { return newReport(runStats, rs) }
+
+// MarshalJSON encodes the run as its Report, so a RunStats inside any
+// JSON document (a serve result's "result") reads like edcbench -json.
+// The value receiver covers RunStats values as well as pointers.
+func (rs RunStats) MarshalJSON() ([]byte, error) { return rs.Report().RawMessage, nil }

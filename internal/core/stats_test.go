@@ -1,8 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
+
+	"edc/internal/compress"
 )
 
 // TestStatsTablesCoverEveryCounter holds runStats and tenantStats to the
@@ -43,4 +49,34 @@ func checkStatsTable[S any](t *testing.T, table []stat[S]) {
 		}
 	}
 	walk("", reflect.TypeOf(zero))
+}
+
+// TestRunStatsJSONIsReport holds every JSON encoding of a RunStats —
+// by pointer, by value, as a field — to its Report.
+func TestRunStatsJSONIsReport(t *testing.T) {
+	rs := newRunStats("EDC", "t", "b")
+	rs.Requests, rs.RunsByTag[compress.TagLZF] = 3, 2
+	rs.Resp.Observe(time.Millisecond)
+	rs.Tenant("web").Requests = 3
+	report, err := json.Marshal(rs.Report())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		v    any
+		want []byte
+	}{
+		{"pointer", rs, report},
+		{"value", *rs, report},
+		{"field", struct{ R RunStats }{*rs}, fmt.Appendf(nil, `{"R":%s}`, report)},
+	} {
+		got, err := json.Marshal(c.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, c.want) {
+			t.Errorf("%s: %s\nwant %s", c.name, got, c.want)
+		}
+	}
 }

@@ -1,91 +1,15 @@
 // Package metrics provides the statistics collectors used throughout the
-// simulator and the experiment harness: streaming summaries, log-bucketed
-// latency histograms with percentile queries, and fixed-interval time
-// series (the paper's IOPS-over-time plots, Fig. 3, and the sensitivity
-// sweeps, Fig. 12).
+// simulator and the experiment harness: log-bucketed latency histograms
+// with percentile queries, and fixed-interval time series (the paper's
+// IOPS-over-time plots, Fig. 3, and the sensitivity sweeps, Fig. 12).
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
 	"time"
 )
-
-// Summary accumulates count/sum/min/max/mean of a stream of float64
-// observations. The zero value is ready to use.
-type Summary struct {
-	n    int64
-	sum  float64
-	ssq  float64
-	min  float64
-	max  float64
-	seen bool
-}
-
-// Observe adds one observation.
-func (s *Summary) Observe(v float64) {
-	s.n++
-	s.sum += v
-	s.ssq += v * v
-	if !s.seen || v < s.min {
-		s.min = v
-	}
-	if !s.seen || v > s.max {
-		s.max = v
-	}
-	s.seen = true
-}
-
-// Count returns the number of observations.
-func (s *Summary) Count() int64 { return s.n }
-
-// Sum returns the sum of observations.
-func (s *Summary) Sum() float64 { return s.sum }
-
-// Mean returns the arithmetic mean (0 when empty).
-func (s *Summary) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
-}
-
-// Min returns the smallest observation (0 when empty).
-func (s *Summary) Min() float64 {
-	if !s.seen {
-		return 0
-	}
-	return s.min
-}
-
-// Max returns the largest observation (0 when empty).
-func (s *Summary) Max() float64 {
-	if !s.seen {
-		return 0
-	}
-	return s.max
-}
-
-// StdDev returns the population standard deviation (0 when empty).
-func (s *Summary) StdDev() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.ssq/float64(s.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// String implements fmt.Stringer.
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f min=%.3f max=%.3f sd=%.3f",
-		s.n, s.Mean(), s.Min(), s.Max(), s.StdDev())
-}
 
 // LatencyHist is a log-bucketed histogram of durations supporting
 // approximate percentile queries. Buckets grow geometrically from 1 µs to

@@ -89,11 +89,10 @@ type Step struct {
 	// Class ("standard", "latency", "bulk") and BW (an rclone-style
 	// time-of-day bandwidth schedule, '+'-separated in the DSL) describe
 	// the tenant's QoS treatment; both require Tenant and must not
-	// change between a tenant's steps. The json tags keep untagged
-	// specs' serialized form identical to the pre-tenant encoding.
-	Tenant string `json:"Tenant,omitempty"`
-	Class  string `json:"Class,omitempty"`
-	BW     string `json:"BW,omitempty"`
+	// change between a tenant's steps.
+	Tenant string
+	Class  string
+	BW     string
 }
 
 // Spec is a multi-step open-loop workload, executed in order.

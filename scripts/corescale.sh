@@ -7,10 +7,11 @@
 # sweep:
 #
 #   1. Identity gate (always on): the virtual-time results — per-step
-#      counts, achieved QPS, latency percentiles — are the core-scaling
-#      control and must be byte-identical across all three runs. The
-#      canonicalised `.steps` arrays are compared with cmp; any
-#      divergence exits non-zero with a diff.
+#      counts, achieved QPS, latency percentiles, and the run report
+#      minus its wall-clock submit_stalls — are the core-scaling control
+#      and must be byte-identical across all three runs. The
+#      canonicalised `.steps` array and `.result | del(.submit_stalls)`
+#      are compared with cmp; any divergence exits non-zero with a diff.
 #   2. Speedup gate (opt-in): when CORESCALE_MIN is set (CI sets 1.5 on
 #      its 4-vCPU runners), ops/sec-wall at GOMAXPROCS=4 must be at
 #      least CORESCALE_MIN times the GOMAXPROCS=1 run. Unset locally so
@@ -60,10 +61,11 @@ for procs in 1 2 4; do
 	# The pool block is omitted when no jobs ran off-loop (GOMAXPROCS=1
 	# keeps a single worker, so it is normally present at every width).
 	pool=$(jq -r 'if .pool then "\(.pool.submitted)/\(.pool.inline)" else "-" end' "$tmp/run-$procs.json")
-	# Virtual-time fingerprint: the canonicalised steps array. Everything
-	# the simulation computes — counts, achieved QPS, percentiles — lives
-	# here; wall-clock fields deliberately do not.
-	jq -S '.steps' "$tmp/run-$procs.json" >"$tmp/steps-$procs.json"
+	# Virtual-time fingerprint: the canonicalised steps array and run
+	# report. Everything the simulation computes — counts, achieved QPS,
+	# percentiles, space and codec accounting — lives here; wall-clock
+	# fields (submit_stalls among them) deliberately do not.
+	jq -S '.steps, (.result | del(.submit_stalls))' "$tmp/run-$procs.json" >"$tmp/virt-$procs.json"
 	case $opsw in
 	0 | 0.0 | "") echo "corescale: zero ops/sec at GOMAXPROCS=$procs" >&2 && exit 1 ;;
 	esac
@@ -71,9 +73,9 @@ for procs in 1 2 4; do
 done
 
 for procs in 2 4; do
-	if ! cmp -s "$tmp/steps-1.json" "$tmp/steps-$procs.json"; then
+	if ! cmp -s "$tmp/virt-1.json" "$tmp/virt-$procs.json"; then
 		echo "corescale: virtual-time results differ between GOMAXPROCS=1 and GOMAXPROCS=$procs" >&2
-		diff "$tmp/steps-1.json" "$tmp/steps-$procs.json" >&2 || true
+		diff "$tmp/virt-1.json" "$tmp/virt-$procs.json" >&2 || true
 		exit 1
 	fi
 done
